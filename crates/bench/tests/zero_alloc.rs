@@ -14,6 +14,7 @@ use relic_decomp::parse;
 use relic_spec::{Catalog, RelSpec, Tuple, Value};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 /// Counts every allocation (and reallocation) passed to the system
 /// allocator.
@@ -42,6 +43,16 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn allocs() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
+}
+
+/// The counter is global and the harness runs tests on parallel threads:
+/// each test holds this for its whole body, so no other test's set-up
+/// allocates inside a measured window.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    // A poisoned lock only means another test failed; the unit value
+    // cannot be left inconsistent.
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// The Fig. 2(a) scheduler relation with the paper's join decomposition:
@@ -82,6 +93,7 @@ fn scheduler() -> (Catalog, SynthRelation) {
 /// once the plan cache and scratch pools are warm.
 #[test]
 fn warm_point_lookup_allocates_nothing() {
+    let _serial = serial();
     let (cat, r) = scheduler();
     let ns = cat.col("ns").unwrap();
     let pid = cat.col("pid").unwrap();
@@ -124,6 +136,7 @@ fn warm_point_lookup_allocates_nothing() {
 /// bindings per query.
 #[test]
 fn warm_scan_allocates_nothing() {
+    let _serial = serial();
     let (cat, r) = scheduler();
     let ns = cat.col("ns").unwrap();
     let pid = cat.col("pid").unwrap();
@@ -163,6 +176,7 @@ fn warm_scan_allocates_nothing() {
 /// still allocation-free when warm.
 #[test]
 fn warm_full_sweep_allocates_nothing() {
+    let _serial = serial();
     let (cat, r) = scheduler();
     let cpu = cat.col("cpu").unwrap();
     let mut scratch = Bindings::new();

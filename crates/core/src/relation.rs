@@ -151,7 +151,7 @@ impl SynthRelation {
         let root_node = d.root();
         let root_inst = layout.new_instance(&d, root_node, Box::new([]), &Tuple::empty());
         let root = store.alloc(root_node, root_inst);
-        let cost = CostModel::uniform(&d, 16.0);
+        let cost = CostModel::uniform(&d, CostModel::DEFAULT_FANOUT);
         let min_key = spec.minimal_key();
         Ok(SynthRelation {
             cat: cat.clone(),

@@ -36,11 +36,21 @@ pub struct CostModel {
 }
 
 impl CostModel {
+    /// The fan-out assumed per edge (and per equality-bound column) when
+    /// nothing has been profiled: what a fresh `SynthRelation` plans with,
+    /// so a front end that estimates with it agrees with the plans it runs.
+    pub const DEFAULT_FANOUT: f64 = 16.0;
+
+    /// The fraction of an ordered edge's entries a `qrange` is assumed to
+    /// visit until [`set_range_selectivity`](CostModel::set_range_selectivity)
+    /// says otherwise.
+    pub const DEFAULT_RANGE_SELECTIVITY: f64 = 0.3;
+
     /// A model assigning the same expected fan-out to every edge.
     pub fn uniform(d: &Decomposition, fanout: f64) -> Self {
         CostModel {
             fanout: vec![fanout.max(1.0); d.edge_count()],
-            range_selectivity: 0.3,
+            range_selectivity: Self::DEFAULT_RANGE_SELECTIVITY,
             join_mode: JoinCostMode::Optimistic,
         }
     }
@@ -54,7 +64,7 @@ impl CostModel {
         assert_eq!(fanout.len(), d.edge_count(), "one fan-out per edge");
         CostModel {
             fanout: fanout.into_iter().map(|f| f.max(1.0)).collect(),
-            range_selectivity: 0.3,
+            range_selectivity: Self::DEFAULT_RANGE_SELECTIVITY,
             join_mode: JoinCostMode::Optimistic,
         }
     }

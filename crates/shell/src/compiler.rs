@@ -4,23 +4,34 @@
 //! columns across legs by name (shared names become join columns), parses
 //! each `where` constraint against the catalog of the leg that owns the
 //! column, orders the legs greedily by estimated fan-out under the cost
-//! model's uniform assumptions, and lowers every local leg through the
-//! [`Planner`] so the per-leg access path is the cost model's choice —
-//! surfacing [`relic_query::PlanError`] as a caret diagnostic instead of failing at
-//! execution time.
+//! model's default assumptions ([`CostModel::DEFAULT_FANOUT`] per
+//! equality-bound column, [`CostModel::DEFAULT_RANGE_SELECTIVITY`] per
+//! ranged one — each leg's cardinality is read once per statement), and
+//! lowers every local leg through the [`Planner`] so the per-leg access
+//! path is the cost model's choice — surfacing [`relic_query::PlanError`]
+//! as a caret diagnostic instead of failing at execution time.
+//!
+//! # Join strategies
+//!
+//! Every local leg after the first is planned twice: with its join
+//! columns in the equality set and without them. Where the join columns
+//! lower the plan's cost there is an index to use, and the leg is
+//! **probed** once per outer row (index nested loop). Where they do not —
+//! the planner would scan the leg whatever the outer row binds — the leg
+//! is **swept**: the executor scans it once against the already-joined
+//! rows of the legs before it (see [`crate::executor`]). That cost
+//! comparison is the whole rule; nothing tunes or overrides it. Remote
+//! legs always probe: the server plans them.
+//!
+//! A single-leg `select` with no `where` whose items are all `count(*)`
+//! compiles to [`Output::Len`]: the answer is the relation's tuple counter.
 
 use crate::ast::{AggKind, Items, SelectStmt};
 use crate::backend::Backend;
 use crate::diag::{Diag, Span};
-use relic_query::{CostModel, Planner};
+use relic_query::{CostModel, PlannedQuery, Planner};
 use relic_spec::{parse_pattern, ColId, ColSet, ParsePatternError, Pattern, Pred, Value};
 use std::collections::BTreeMap;
-
-/// The per-leg fan-out assumption: how many tuples an equality-bound
-/// column is expected to leave, mirroring [`CostModel::uniform`].
-const EQ_FANOUT: f64 = 8.0;
-/// Range selectivity assumption (the cost model's default).
-const RANGE_SELECTIVITY: f64 = 0.3;
 
 /// One leg of a compiled query, in execution order.
 pub struct Leg {
@@ -30,6 +41,9 @@ pub struct Leg {
     pub pattern: Pattern,
     /// Join columns: values arrive from already-bound slots.
     pub probe_fill: Vec<(ColId, String, usize)>,
+    /// Swept once against the joined rows of the legs before it, rather
+    /// than probed once per outer row (see the module docs).
+    pub sweep: bool,
     /// Equality constants folded into the probe (join path only).
     pub probe_const: Vec<(ColId, Value)>,
     /// Predicates checked per emitted row (join path only).
@@ -53,6 +67,9 @@ pub enum Output {
     Cols(Vec<usize>),
     /// Fold these aggregates over the join stream.
     Aggs(Vec<(AggKind, Option<usize>, String)>),
+    /// This many `count(*)` items over one unconstrained leg: each is the
+    /// relation's tuple counter, no row is visited.
+    Len(usize),
 }
 
 /// A fully compiled query, ready for the executor.
@@ -71,6 +88,8 @@ struct LegInfo<'a> {
     name: String,
     name_span: Span,
     backend: &'a Backend,
+    /// Tuple count, read once per statement (a round trip for remote legs).
+    rows: usize,
     cols: Vec<(ColId, usize)>,
     preds: Vec<(ColId, Pred, String)>,
 }
@@ -110,6 +129,7 @@ pub fn compile_select(
             name: name.clone(),
             name_span: *span,
             backend,
+            rows: backend.len()?,
             cols,
             preds: Vec::new(),
         });
@@ -124,32 +144,33 @@ pub fn compile_select(
 
     // Greedy join order by estimated fan-out (uniform cost assumptions);
     // ties keep syntactic order.
-    let mut order: Vec<usize> = Vec::new();
+    let mut order: Vec<(usize, f64)> = Vec::new();
     let mut bound_slots: Vec<bool> = vec![false; slot_names.len()];
     while order.len() < legs.len() {
-        let mut best: Option<(f64, usize)> = None;
+        let mut best: Option<(usize, f64)> = None;
         for (i, leg) in legs.iter().enumerate() {
-            if order.contains(&i) {
+            if order.iter().any(|&(o, _)| o == i) {
                 continue;
             }
-            let est = estimate_rows(leg, &bound_slots)?;
-            if best.is_none_or(|(b, _)| est < b) {
-                best = Some((est, i));
+            let est = estimate_rows(leg, &bound_slots);
+            if best.is_none_or(|(_, b)| est < b) {
+                best = Some((i, est));
             }
         }
-        let (_, i) = best.expect("at least one unordered leg remains");
+        let (i, est) = best.expect("at least one unordered leg remains");
         for &(_, slot) in &legs[i].cols {
             bound_slots[slot] = true;
         }
-        order.push(i);
+        order.push((i, est));
     }
 
     // Lower each leg in execution order.
-    let mut out_legs = Vec::new();
+    let mut out_legs: Vec<Leg> = Vec::new();
     let mut bound: Vec<bool> = vec![false; slot_names.len()];
-    for &i in &order {
+    for &(i, est) in &order {
         let leg = &legs[i];
-        out_legs.push(lower_leg(leg, &bound)?);
+        let built: Vec<&str> = out_legs.iter().map(|l| l.rel.as_str()).collect();
+        out_legs.push(lower_leg(leg, &bound, &built, est)?);
         for &(_, slot) in &leg.cols {
             bound[slot] = true;
         }
@@ -184,7 +205,17 @@ pub fn compile_select(
                 };
                 folds.push((a.kind, slot, label));
             }
-            Output::Aggs(folds)
+            match (&mut out_legs[..], &legs[..]) {
+                // Nothing to join, filter or fold: the tuple counter answers.
+                ([leg], [info])
+                    if info.preds.is_empty() && folds.iter().all(|(_, col, _)| col.is_none()) =>
+                {
+                    leg.plan_note =
+                        format!("{} ({}): count from len", leg.rel, info.backend.kind());
+                    Output::Len(folds.len())
+                }
+                _ => Output::Aggs(folds),
+            }
         }
     };
 
@@ -272,29 +303,39 @@ fn assign_chunk(legs: &mut [LegInfo<'_>], chunk: &str, span: Span) -> Result<(),
     Err(Diag::at(span, e.to_string()))
 }
 
-/// Estimated rows a leg emits per outer row, under the uniform fan-out
-/// and range-selectivity assumptions the cost model defaults to.
-fn estimate_rows(leg: &LegInfo<'_>, bound_slots: &[bool]) -> Result<f64, Diag> {
-    let n = leg.backend.len()? as f64;
-    let mut eq = 0usize;
-    let mut ranged = 0usize;
+/// Estimated rows a leg emits per outer row: its cardinality divided by
+/// the cost model's default fan-out per equality-bound column (join columns
+/// bound by earlier legs count as equalities) and scaled by its default
+/// range selectivity per ranged one.
+fn estimate_rows(leg: &LegInfo<'_>, bound_slots: &[bool]) -> f64 {
+    let mut eq = 0i32;
+    let mut ranged = 0i32;
     for &(c, slot) in &leg.cols {
-        let joined = bound_slots[slot];
         let pred = leg.preds.iter().find(|(pc, _, _)| *pc == c);
-        if joined || matches!(pred, Some((_, Pred::Eq(_), _))) {
+        if bound_slots[slot] || matches!(pred, Some((_, Pred::Eq(_), _))) {
             eq += 1;
         } else if matches!(pred, Some((_, p, _)) if p.is_interval()) {
             ranged += 1;
         }
     }
-    let est = n / EQ_FANOUT.powi(eq as i32) * RANGE_SELECTIVITY.powi(ranged as i32);
-    Ok(if n == 0.0 { 0.0 } else { est.max(1.0) })
+    if leg.rows == 0 {
+        return 0.0;
+    }
+    let est = leg.rows as f64 / CostModel::DEFAULT_FANOUT.powi(eq)
+        * CostModel::DEFAULT_RANGE_SELECTIVITY.powi(ranged);
+    est.max(1.0)
 }
 
 /// Lowers one leg: splits its predicates into probe / residual / shipped
-/// text, and (for local backends) runs the planner to pick and describe
-/// the access path.
-fn lower_leg(leg: &LegInfo<'_>, bound_slots: &[bool]) -> Result<Leg, Diag> {
+/// text, and (for local backends) runs the planner to pick the join
+/// strategy and describe the access path. `built` names the legs already
+/// lowered (the build side of a sweep); `est` is the leg's row estimate.
+fn lower_leg(
+    leg: &LegInfo<'_>,
+    bound_slots: &[bool],
+    built: &[&str],
+    est: f64,
+) -> Result<Leg, Diag> {
     let cat = leg.backend.catalog();
     let mut probe_fill = Vec::new();
     let mut probe_const = Vec::new();
@@ -305,7 +346,7 @@ fn lower_leg(leg: &LegInfo<'_>, bound_slots: &[bool]) -> Result<Leg, Diag> {
     let mut join_cols = ColSet::EMPTY;
     for &(c, slot) in &leg.cols {
         if bound_slots[slot] {
-            join_cols = join_cols | [c].into_iter().collect::<ColSet>();
+            join_cols = join_cols | c;
             probe_fill.push((c, cat.name(c).to_string(), slot));
         } else {
             bind.push((c, slot));
@@ -326,54 +367,76 @@ fn lower_leg(leg: &LegInfo<'_>, bound_slots: &[bool]) -> Result<Leg, Diag> {
         }
     }
     let out = leg.backend.spec().cols();
+    let kind = leg.backend.kind();
 
     // Plan the access path through the cost model (local backends).
-    let eq = join_cols | pattern.eq_cols();
-    let ranged: ColSet = pattern
-        .iter()
-        .filter(|(c, p)| p.is_interval() && !eq.contains(*c))
-        .map(|(c, _)| c)
-        .collect();
-    let filtered = pattern.dom() - eq - ranged;
-    let est = estimate_rows(leg, bound_slots)?;
-    let plan_note = match leg.backend {
-        Backend::Mem(r) => {
-            let planner = Planner::new(
-                r.decomposition(),
-                r.spec(),
-                CostModel::uniform(r.decomposition(), EQ_FANOUT),
-            );
-            let pq = planner
-                .plan_query_where(eq, ranged, filtered, out)
-                .map_err(|e| Diag::at(leg.name_span, format!("cannot plan `{}`: {e}", leg.name)))?;
-            format!(
-                "{} (memory): est~{est:.1} rows, cost {:.1}, {}",
-                leg.name, pq.cost, pq.plan
-            )
-        }
+    let durable_d;
+    let d = match leg.backend {
+        Backend::Mem(r) => Some(r.decomposition()),
         Backend::Durable(r) => {
-            let schema = r.durable_schema();
-            let d = schema
+            durable_d = r
+                .durable_schema()
                 .build_decomposition()
                 .map_err(|e| Diag::at(leg.name_span, format!("cannot plan `{}`: {e}", leg.name)))?;
-            let planner = Planner::new(&d, &schema.spec, CostModel::uniform(&d, EQ_FANOUT));
-            let pq = planner
-                .plan_query_where(eq, ranged, filtered, out)
-                .map_err(|e| Diag::at(leg.name_span, format!("cannot plan `{}`: {e}", leg.name)))?;
+            Some(&durable_d)
+        }
+        Backend::Remote(_) => None,
+    };
+    let mut sweep = false;
+    let plan_note = match d {
+        Some(d) => {
+            let planner = Planner::new(
+                d,
+                leg.backend.spec(),
+                CostModel::uniform(d, CostModel::DEFAULT_FANOUT),
+            );
+            let plan = |eq: ColSet, free: ColSet| -> Result<PlannedQuery, Diag> {
+                let ranged: ColSet = pattern
+                    .iter()
+                    .filter(|(c, p)| p.is_interval() && !eq.contains(*c))
+                    .map(|(c, _)| c)
+                    .collect();
+                let filtered = (pattern.dom() | free) - eq - ranged;
+                planner
+                    .plan_query_where(eq, ranged, filtered, out)
+                    .map_err(|e| {
+                        Diag::at(leg.name_span, format!("cannot plan `{}`: {e}", leg.name))
+                    })
+            };
+            let mut pq = plan(join_cols | pattern.eq_cols(), ColSet::EMPTY)?;
+            let mut strategy = String::new();
+            if !built.is_empty() {
+                // What a sweep runs: the join columns the user left free
+                // carry the semi-join filter, the rest keep their own
+                // predicate.
+                let swept = plan(pattern.eq_cols(), join_cols - pattern.dom())?;
+                sweep = pq.cost >= swept.cost;
+                let on = if probe_fill.is_empty() {
+                    "cross product".to_string()
+                } else {
+                    let names: Vec<&str> = probe_fill.iter().map(|(_, n, _)| n.as_str()).collect();
+                    names.join(", ")
+                };
+                strategy = if sweep {
+                    pq = swept;
+                    format!("sweep, build on {} ({on}); ", built.join(", "))
+                } else {
+                    format!("probe on {on}; ")
+                };
+            }
             format!(
-                "{} (durable): est~{est:.1} rows, cost {:.1}, {}",
+                "{} ({kind}): {strategy}est~{est:.1} rows, cost {:.1}, {}",
                 leg.name, pq.cost, pq.plan
             )
         }
-        Backend::Remote(_) => {
-            format!("{} (remote): est~{est:.1} rows, server-planned", leg.name)
-        }
+        None => format!("{} ({kind}): est~{est:.1} rows, server-planned", leg.name),
     };
 
     Ok(Leg {
         rel: leg.name.clone(),
         pattern,
         probe_fill,
+        sweep,
         probe_const,
         residual,
         ship_chunks,

@@ -15,9 +15,11 @@
 //! legs are ordered by estimated fan-out under the cost model's uniform
 //! assumptions, each local leg is lowered through [`relic_query::Planner`],
 //! and execution streams through the zero-allocation
-//! `query_for_each_bindings` path — an inner join leg is probed with a
-//! reusable tuple whose join values are overwritten in place per outer
-//! row, so warm queries allocate nothing per emitted row.
+//! `query_for_each_bindings` path. A join leg the planner has an index for
+//! is probed per outer row with a reusable tuple whose join values are
+//! overwritten in place; a leg it would scan regardless is swept once
+//! against the rows joined so far (see [`compiler`], "Join strategies").
+//! Either way warm queries allocate nothing per emitted row.
 //!
 //! The pipeline is `lexer` → `parser` → `compiler` → `executor`, and every
 //! failure anywhere in it is a typed, span-carrying [`Diag`] rendered with

@@ -14,7 +14,9 @@ use crate::diag::Diag;
 use crate::executor::{execute, explain};
 use crate::parser::parse_line;
 use relic_core::SynthRelation;
-use relic_decomp::{check_adequacy, enumerate_decompositions, DsKind, EnumerateOptions};
+use relic_decomp::{
+    check_adequacy, enumerate_decompositions, Decomposition, DsKind, EnumerateOptions,
+};
 use relic_persist::{DurableRelation, GroupCommitPolicy};
 use relic_server::Client;
 use relic_spec::{parse_pattern, Catalog, ColSet, Pattern, RelSpec, Tuple, Value};
@@ -201,20 +203,8 @@ impl Session {
                 check_adequacy(&d, &spec).map_err(|e| Diag::at(raw.span, e.to_string()))?;
                 d
             }
-            None => {
-                let opts = EnumerateOptions {
-                    max_edges: 4,
-                    max_branches: 3,
-                    sharing: true,
-                    structures: vec![DsKind::HashTable],
-                };
-                enumerate_decompositions(&spec, &opts)
-                    .into_iter()
-                    .find(|d| check_adequacy(d, &spec).is_ok())
-                    .ok_or_else(|| {
-                        Diag::at(name.1, "no adequate decomposition found for this spec")
-                    })?
-            }
+            None => default_decomposition(&spec)
+                .ok_or_else(|| Diag::at(name.1, "no adequate decomposition found for this spec"))?,
         };
         let backend = match &at {
             Some(dir) => {
@@ -421,6 +411,31 @@ impl Session {
     }
 }
 
+/// The most edges a decomposition picked for a plain `create relation` has.
+const MAX_EDGES: usize = 4;
+
+/// The decomposition a plain `create relation` gets: the first adequate
+/// candidate of the hash-table enumeration. Candidates come sorted by
+/// `(edge count, canonical string)`, so the edge budget grows one at a
+/// time and the search stops at the first hit — the pick of the full
+/// `MAX_EDGES` enumeration, without paying for its thousands of larger
+/// candidates.
+fn default_decomposition(spec: &RelSpec) -> Option<Decomposition> {
+    (1..=MAX_EDGES).find_map(|max_edges| first_adequate(spec, max_edges))
+}
+
+/// The first adequate candidate among those of at most `max_edges` edges.
+fn first_adequate(spec: &RelSpec, max_edges: usize) -> Option<Decomposition> {
+    let opts = EnumerateOptions {
+        max_edges,
+        max_branches: 3,
+        sharing: true,
+        structures: vec![DsKind::HashTable],
+    };
+    // The enumerator yields adequate candidates only.
+    enumerate_decompositions(spec, &opts).into_iter().next()
+}
+
 /// Parses one TSV/CSV cell: integer, then boolean, then string.
 fn parse_cell(cell: &str) -> Value {
     if let Ok(n) = cell.parse::<i64>() {
@@ -614,6 +629,50 @@ mod tests {
             .eval("create relation kv2(k) using let u : {k} . {zap} = unit {zap} in let x : {} . {k,zap} = {k} -[htable]-> u in x")
             .unwrap_err();
         assert!(err.message.contains("column"), "{}", err.message);
+    }
+
+    /// Every spec shape the shell suites, goldens, example and benchmark
+    /// create without `using`: growing the edge budget one at a time picks
+    /// what the full enumeration picks.
+    #[test]
+    fn default_decomposition_is_the_full_enumerations_first_pick() {
+        for (cols, fds) in [
+            (&["k"][..], &[][..]),
+            (&["k", "v"], &[(&["k"][..], &["v"][..])]),
+            (&["local", "remote"], &[]),
+            (&["local", "owner", "tier"], &[]),
+            (
+                &["local", "owner", "tier"],
+                &[(&["local"], &["owner", "tier"])],
+            ),
+            (
+                &["local", "remote", "bytes"],
+                &[(&["local", "remote"], &["bytes"])],
+            ),
+            (&["local", "remote", "bytes", "pkts"], &[]),
+            (
+                &["local", "remote", "bytes", "pkts"],
+                &[(&["local", "remote"], &["bytes", "pkts"])],
+            ),
+        ] {
+            let mut cat = Catalog::new();
+            for c in cols {
+                cat.intern(c);
+            }
+            let set =
+                |names: &[&str]| -> ColSet { names.iter().map(|n| cat.col(n).unwrap()).collect() };
+            let mut spec = RelSpec::new(cat.all());
+            for (lhs, rhs) in fds {
+                spec = spec.with_fd(set(lhs), set(rhs));
+            }
+            let full = first_adequate(&spec, MAX_EDGES).expect("some candidate is adequate");
+            let picked = default_decomposition(&spec).expect("some candidate is adequate");
+            assert_eq!(
+                picked.to_let_notation(&cat),
+                full.to_let_notation(&cat),
+                "{cols:?} {fds:?}"
+            );
+        }
     }
 
     #[test]

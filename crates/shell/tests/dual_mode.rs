@@ -27,6 +27,7 @@ select local, owner, bytes from flows join addrs where tier = 0
 select count(*), sum(bytes), max(pkts) from flows join addrs where owner = \"team-1\"
 select owner, remote from flows join addrs where bytes >= 2000, tier between 0 and 1
 select count(*) from flows where local = 0
+select count(*) from flows
 select local, tier from addrs where owner != \"team-2\"
 ";
 

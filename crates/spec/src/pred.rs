@@ -15,6 +15,7 @@
 use crate::{ColId, ColSet, Tuple, Value};
 use std::fmt;
 use std::ops::Bound;
+use std::sync::Arc;
 
 /// A comparison predicate on a single column.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -33,9 +34,23 @@ pub enum Pred {
     Ge(Value),
     /// `lo ≤ t(c) ≤ hi` (inclusive on both ends).
     Between(Value, Value),
+    /// `t(c) ∈ {v₁, …}` — a semi-join filter. The values are sorted and
+    /// distinct ([`Pred::in_set`] is the only sound way to build one), so
+    /// acceptance is a binary search and cloning is one `Arc` bump. Like
+    /// [`Pred::Ne`] it is not an interval: never drives an ordered range,
+    /// always filter-checked. It has no concrete syntax.
+    In(Arc<[Value]>),
 }
 
 impl Pred {
+    /// The membership predicate over `values`, sorted and deduplicated.
+    pub fn in_set(values: impl IntoIterator<Item = Value>) -> Pred {
+        let mut vs: Vec<Value> = values.into_iter().collect();
+        vs.sort_unstable();
+        vs.dedup();
+        Pred::In(vs.into())
+    }
+
     /// Does the predicate accept this value?
     ///
     /// Comparisons across [`Value`] variants use `Value`'s total order
@@ -49,6 +64,7 @@ impl Pred {
             Pred::Gt(w) => v > w,
             Pred::Ge(w) => v >= w,
             Pred::Between(lo, hi) => lo <= v && v <= hi,
+            Pred::In(vs) => vs.binary_search(v).is_ok(),
         }
     }
 
@@ -61,12 +77,13 @@ impl Pred {
     }
 
     /// The contiguous value interval the predicate selects, as a pair of
-    /// [`Bound`]s — `None` for [`Pred::Ne`], whose acceptance set is not an
-    /// interval. Used to seed ordered (`qrange`) searches.
+    /// [`Bound`]s — `None` for [`Pred::Ne`] and [`Pred::In`], whose
+    /// acceptance sets are not intervals. Used to seed ordered (`qrange`)
+    /// searches.
     pub fn bounds(&self) -> Option<(Bound<&Value>, Bound<&Value>)> {
         match self {
             Pred::Eq(v) => Some((Bound::Included(v), Bound::Included(v))),
-            Pred::Ne(_) => None,
+            Pred::Ne(_) | Pred::In(_) => None,
             Pred::Lt(v) => Some((Bound::Unbounded, Bound::Excluded(v))),
             Pred::Le(v) => Some((Bound::Unbounded, Bound::Included(v))),
             Pred::Gt(v) => Some((Bound::Excluded(v), Bound::Unbounded)),
@@ -75,9 +92,9 @@ impl Pred {
         }
     }
 
-    /// Whether an interval exists (everything except `Ne`).
+    /// Whether an interval exists (everything except `Ne` and `In`).
     pub fn is_interval(&self) -> bool {
-        !matches!(self, Pred::Ne(_))
+        !matches!(self, Pred::Ne(_) | Pred::In(_))
     }
 
     /// The operator symbol, for display.
@@ -90,6 +107,7 @@ impl Pred {
             Pred::Gt(_) => ">",
             Pred::Ge(_) => "≥",
             Pred::Between(..) => "between",
+            Pred::In(_) => "in",
         }
     }
 }
@@ -98,6 +116,16 @@ impl fmt::Display for Pred {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Pred::Between(lo, hi) => write!(f, "between {lo} and {hi}"),
+            Pred::In(vs) => {
+                f.write_str("in {")?;
+                for (i, v) in vs.iter().enumerate() {
+                    if i > 0 {
+                        f.write_str(", ")?;
+                    }
+                    write!(f, "{v}")?;
+                }
+                f.write_str("}")
+            }
             Pred::Eq(v) | Pred::Ne(v) | Pred::Lt(v) | Pred::Le(v) | Pred::Gt(v) | Pred::Ge(v) => {
                 write!(f, "{} {v}", self.symbol())
             }
@@ -308,6 +336,44 @@ mod tests {
         assert!(Pred::Ne(v(5)).bounds().is_none());
         assert!(!Pred::Ne(v(5)).is_interval());
         assert!(Pred::Between(v(2), v(8)).is_interval());
+    }
+
+    #[test]
+    fn pred_in_is_a_sorted_distinct_filter() {
+        let p = Pred::in_set([v(7), v(3), v(7), v(5), v(3)]);
+        assert_eq!(p, Pred::In(vec![v(3), v(5), v(7)].into()));
+        for (x, want) in [
+            (2, false),
+            (3, true),
+            (4, false),
+            (5, true),
+            (7, true),
+            (8, false),
+        ] {
+            assert_eq!(p.accepts(&v(x)), want, "{p} at {x}");
+        }
+        assert!(!Pred::in_set([]).accepts(&v(0)));
+        assert!(Pred::in_set([Value::from("b"), Value::from("a")]).accepts(&Value::from("a")));
+        assert!(!p.is_interval());
+        assert!(p.bounds().is_none());
+        assert!(p.as_eq().is_none());
+        assert_eq!(p.to_string(), "in {3, 5, 7}");
+        assert_eq!(Pred::in_set([]).to_string(), "in {}");
+    }
+
+    #[test]
+    fn pattern_treats_in_as_a_filtered_comparison() {
+        let mut cat = Catalog::new();
+        let a = cat.intern("a");
+        let b = cat.intern("b");
+        let p = Pattern::new()
+            .with(a, Pred::Eq(v(1)))
+            .with(b, Pred::in_set([v(4), v(2)]));
+        assert_eq!(p.eq_cols(), a.set());
+        assert_eq!(p.cmp_cols(), b.set());
+        assert!(p.accepts(&Tuple::from_pairs([(a, v(1)), (b, v(2))])));
+        assert!(!p.accepts(&Tuple::from_pairs([(a, v(1)), (b, v(3))])));
+        assert_eq!(p.display(&cat), "⟨a = 1, b in {2, 4}⟩");
     }
 
     #[test]
