@@ -203,3 +203,62 @@ fn warm_full_sweep_allocates_nothing() {
     );
     assert!(sum >= 0);
 }
+
+/// Allocations one `checkpoint()` makes over `n` flow-like tuples (an
+/// integer key, a string, two integers), loaded as one batch so the log
+/// holds the same number of frames whatever `n` is.
+fn checkpoint_allocs(n: i64) -> u64 {
+    use relic_persist::{DurableRelation, GroupCommitPolicy};
+    let dir =
+        std::env::temp_dir().join(format!("relic_zero_alloc_ckpt_{}_{n}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut cat = Catalog::new();
+    let d = parse(
+        &mut cat,
+        "let u : {host,peer} . {tag,bytes} = unit {tag,bytes} in
+         let h : {host} . {peer,tag,bytes} = {peer} -[avl]-> u in
+         let x : {} . {host,peer,tag,bytes} = {host} -[htable]-> h in x",
+    )
+    .unwrap();
+    let col = |name| cat.col(name).unwrap();
+    let (host, peer, tag, bytes) = (col("host"), col("peer"), col("tag"), col("bytes"));
+    let spec = RelSpec::new(cat.all()).with_fd(host | peer, tag | bytes);
+    let policy = GroupCommitPolicy::manual();
+    let rel = DurableRelation::create(&dir, &cat, spec, d, host.set(), 4, true, policy).unwrap();
+    let inserted = rel
+        .insert_many((0..n).map(|i| {
+            Tuple::from_pairs([
+                (host, Value::from(i % 64)),
+                (peer, Value::from(i)),
+                (tag, Value::from(format!("flow-{i}").as_str())),
+                (bytes, Value::from(i * 40)),
+            ])
+        }))
+        .unwrap();
+    assert_eq!(inserted as i64, n);
+    rel.commit().unwrap();
+    let before = allocs();
+    rel.checkpoint().unwrap();
+    let delta = allocs() - before;
+    drop(rel);
+    let _ = std::fs::remove_dir_all(&dir);
+    delta
+}
+
+/// A checkpoint streams the pinned snapshots into one image buffer: ten
+/// times the tuples may cost a few more doublings of that buffer (the
+/// string column outgrows its all-integer pre-sizing) and nothing else —
+/// no allocation per tuple. This is what keeps a later refactor from
+/// quietly re-materialising the image (a `Relation`, a `Vec<Tuple>`, a
+/// clone per row: each is at least one allocation per tuple).
+#[test]
+fn checkpoint_allocations_do_not_grow_with_the_tuple_count() {
+    let _serial = serial();
+    let (small, big) = (checkpoint_allocs(2_000), checkpoint_allocs(20_000));
+    assert!(
+        big <= small + 16,
+        "checkpoint of 20000 tuples allocated {big} times, of 2000 tuples {small}: \
+         the difference must be buffer doublings, not a per-tuple term"
+    );
+    assert!(small < 2_000 / 4, "{small} allocations for 2000 tuples");
+}

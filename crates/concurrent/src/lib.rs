@@ -1098,7 +1098,11 @@ impl ConcurrentRelation {
     }
 
     /// A consistent snapshot of the whole relation as a reference
-    /// [`Relation`] (read-locks every shard for the duration).
+    /// [`Relation`]: the union of every shard's abstraction function α
+    /// (read-locks every shard for the duration). The **test oracle**, not
+    /// a scan (see [`SynthRelation::to_relation`]); production readers
+    /// stream a [`read_view`](ConcurrentRelation::read_view) through
+    /// [`ReadView::scan_all`].
     pub fn to_relation(&self) -> Relation {
         let guards = self.read_all();
         let mut out = Relation::empty(self.cols);

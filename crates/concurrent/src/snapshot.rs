@@ -272,8 +272,32 @@ impl ReadView {
         self.shards.iter().all(|s| s.is_empty())
     }
 
-    /// The whole view as a reference [`Relation`] (linear; for tests and
-    /// full scans).
+    /// Streams every tuple of the view through `f`, each exactly once, as
+    /// a full valuation — shard by shard through
+    /// [`Snapshot::scan_all`] (shards partition the relation, so no tuple
+    /// repeats across them). Linear, lock-free, allocation-free per tuple
+    /// with a reused `scratch`, and unrecorded in the workload profile:
+    /// the one entry point every whole-relation reader shares (checkpoints,
+    /// flow reports, the recovery-time address probe).
+    ///
+    /// # Errors
+    ///
+    /// As for [`Snapshot::scan_all`].
+    pub fn scan_all(
+        &self,
+        scratch: &mut Bindings,
+        mut f: impl FnMut(&Bindings),
+    ) -> Result<(), OpError> {
+        for s in &self.shards {
+            s.scan_all(scratch, &mut f)?;
+        }
+        Ok(())
+    }
+
+    /// The whole view as a reference [`Relation`]: the union of every
+    /// shard's abstraction function α. The **test oracle**, not a scan
+    /// (see [`Snapshot::to_relation`]); production readers use
+    /// [`scan_all`](ReadView::scan_all).
     pub fn to_relation(&self) -> Relation {
         let cols = self.shards[0].spec().cols();
         let mut out = Relation::empty(cols);

@@ -11,21 +11,33 @@ use crate::instance::{InstanceRef, Layout, PrimInst, Store};
 use relic_decomp::{Body, Decomposition, NodeId};
 use relic_spec::{Relation, Tuple};
 use std::collections::HashMap;
+use std::rc::Rc;
+
+/// α of every instance visited so far. An instance shared by several
+/// parents (a DAG decomposition) is abstracted once; later visits borrow
+/// the memoised relation instead of deep-cloning it.
+type Memo = HashMap<InstanceRef, Rc<Relation>>;
+
+/// `α(d)`: the relation the whole decomposition instance rooted at `root`
+/// represents. The root has no parent, so it is never memoised.
+pub fn alpha(store: &Store, d: &Decomposition, root: InstanceRef) -> Relation {
+    let mut memo = Memo::new();
+    alpha_body(store, d, &d.node(d.root()).body, 0, root, &mut memo)
+}
 
 /// Computes `α(v_t, Γ)` for an instance of node `node`.
-pub fn alpha_node(
+fn alpha_node(
     store: &Store,
     d: &Decomposition,
     node: NodeId,
     inst: InstanceRef,
-    memo: &mut HashMap<InstanceRef, Relation>,
-) -> Relation {
+    memo: &mut Memo,
+) -> Rc<Relation> {
     if let Some(r) = memo.get(&inst) {
-        return r.clone();
+        return Rc::clone(r);
     }
-    let body = &d.node(node).body;
-    let rel = alpha_body(store, d, body, 0, inst, memo);
-    memo.insert(inst, rel.clone());
+    let rel = Rc::new(alpha_body(store, d, &d.node(node).body, 0, inst, memo));
+    memo.insert(inst, Rc::clone(&rel));
     rel
 }
 
@@ -35,7 +47,7 @@ fn alpha_body(
     body: &Body,
     leaf: usize,
     inst: InstanceRef,
-    memo: &mut HashMap<InstanceRef, Relation>,
+    memo: &mut Memo,
 ) -> Relation {
     match body {
         // α(t, Γ) = {t}
@@ -45,19 +57,19 @@ fn alpha_body(
             };
             Relation::from_tuples(*c, [u.clone()])
         }
-        // α({t ↦ v_t'}) = ⋃ {t} ⋈ α(v_t')
+        // α({t ↦ v_t'}) = ⋃ {t} ⋈ α(v_t'). Each `{t} ⋈ α(v_t')` tuple goes
+        // straight into the union: rebuilding the union per entry would
+        // re-copy everything gathered so far, once per container entry.
         Body::Map(eid) => {
             let e = d.edge(*eid);
             let mut out = Relation::empty(e.key | d.node(e.to).cols);
-            let mut entries: Vec<(Tuple, InstanceRef)> = Vec::new();
-            store.cont_for_each(inst, leaf, |k, r| {
-                entries.push((Tuple::from_parts(e.key, k.to_vec()), r));
-            });
-            for (kt, child) in entries {
+            store.cont_for_each(inst, leaf, |k, child| {
+                let kt = Tuple::from_parts(e.key, k.to_vec());
                 let sub = alpha_node(store, d, e.to, child, memo);
-                let keyed = Relation::from_tuples(e.key, [kt]);
-                out = out.union(&keyed.natural_join(&sub));
-            }
+                for t in sub.iter().filter(|t| kt.matches(t)) {
+                    out.insert(kt.merge(t));
+                }
+            });
             out
         }
         // α(p₁ ⋈ p₂) = α(p₁) ⋈ α(p₂)
@@ -81,7 +93,7 @@ pub fn validate(
 ) -> Result<(), String> {
     let mut refcounts: HashMap<InstanceRef, u32> = HashMap::new();
     let mut visited: Vec<InstanceRef> = Vec::new();
-    let mut memo = HashMap::new();
+    let mut memo = Memo::new();
     // Walk reachable instances from the root.
     let mut stack = vec![(d.root(), root)];
     let mut seen: std::collections::HashSet<InstanceRef> = std::collections::HashSet::new();
@@ -210,14 +222,14 @@ fn check_joins(
     body: &Body,
     leaf: usize,
     inst: InstanceRef,
-    memo: &mut HashMap<InstanceRef, Relation>,
+    memo: &mut Memo,
 ) -> Result<(), String> {
     if let Body::Join(l, r) = body {
         let loff = crate::exec::leaf_count(l);
         check_joins(store, d, node, l, leaf, inst, memo)?;
         check_joins(store, d, node, r, leaf + loff, inst, memo)?;
-        let la = alpha_body_pub(store, d, l, leaf, inst, memo);
-        let ra = alpha_body_pub(store, d, r, leaf + loff, inst, memo);
+        let la = alpha_body(store, d, l, leaf, inst, memo);
+        let ra = alpha_body(store, d, r, leaf + loff, inst, memo);
         let common = la.cols() & ra.cols();
         if la.project(common) != ra.project(common) {
             return Err(format!(
@@ -227,15 +239,4 @@ fn check_joins(
         }
     }
     Ok(())
-}
-
-fn alpha_body_pub(
-    store: &Store,
-    d: &Decomposition,
-    body: &Body,
-    leaf: usize,
-    inst: InstanceRef,
-    memo: &mut HashMap<InstanceRef, Relation>,
-) -> Relation {
-    alpha_body(store, d, body, leaf, inst, memo)
 }

@@ -1941,11 +1941,15 @@ impl SynthRelation {
     }
 
     /// The abstraction function α: the reference [`Relation`] this instance
-    /// represents (§3.2). Intended for tests and debugging — linear in the
-    /// relation's size.
+    /// represents (§3.2). This is the **test oracle**, not a scan: it
+    /// follows the paper's definition structurally — materialising the
+    /// relation of every sub-instance and joining the sides of every join
+    /// body — so tests can hold the query paths to something independent
+    /// of them. Production readers stream through
+    /// [`query_for_each_bindings`](SynthRelation::query_for_each_bindings)
+    /// or a snapshot's [`scan_all`](crate::Snapshot::scan_all) instead.
     pub fn to_relation(&self) -> Relation {
-        let mut memo = HashMap::new();
-        alpha::alpha_node(&self.store, &self.d, self.d.root(), self.root, &mut memo)
+        alpha::alpha(&self.store, &self.d, self.root)
     }
 
     /// Deep well-formedness validation (Fig. 5) plus implementation

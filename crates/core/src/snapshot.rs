@@ -259,12 +259,40 @@ impl Snapshot {
         Ok(found)
     }
 
+    /// Streams every tuple of the snapshot through `f`, **each exactly
+    /// once**, as a full valuation in the execution accumulator — the one
+    /// linear "every tuple" read (checkpoints, reports, recovery probes).
+    ///
+    /// It runs the plan of `query_for_each_bindings(∅, all columns)`: a
+    /// constant-space walk (§4.1) in which every container entry is visited
+    /// once and every emitted valuation binds all columns, so distinct
+    /// paths are distinct tuples and no deduplication is needed. With a
+    /// reused `scratch` it allocates nothing per tuple. Unlike the query
+    /// methods it is **not recorded** in the workload profile: draining a
+    /// relation is not the traffic the autotuner should tune for (the same
+    /// rule [`migrate_to`](crate::SynthRelation::migrate_to)'s drain
+    /// follows).
+    ///
+    /// # Errors
+    ///
+    /// Only if no plan covers the relation's own columns, which an
+    /// adequate decomposition rules out.
+    pub fn scan_all(
+        &self,
+        scratch: &mut Bindings,
+        f: impl FnMut(&Bindings),
+    ) -> Result<(), OpError> {
+        self.core()
+            .stream(scratch, &Tuple::empty(), self.spec.cols(), f)
+    }
+
     /// The abstraction function α over the frozen instance: the reference
-    /// [`Relation`] this snapshot represents. Linear in the snapshot's size;
-    /// for tests and whole-view scans.
+    /// [`Relation`] this snapshot represents. The **test oracle**, not a
+    /// scan — see
+    /// [`SynthRelation::to_relation`](crate::SynthRelation::to_relation);
+    /// production readers use [`scan_all`](Snapshot::scan_all).
     pub fn to_relation(&self) -> Relation {
-        let mut memo = std::collections::HashMap::new();
-        crate::alpha::alpha_node(&self.store, &self.d, self.d.root(), self.root, &mut memo)
+        crate::alpha::alpha(&self.store, &self.d, self.root)
     }
 }
 

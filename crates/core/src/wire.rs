@@ -18,6 +18,7 @@
 //! inputs are all derived from the live spec and profile, it can re-migrate
 //! afterwards exactly as a never-restarted relation would.
 
+use crate::exec::Bindings;
 use relic_decomp::Decomposition;
 use relic_spec::{Catalog, ColSet, RelSpec, Tuple, Value};
 use std::fmt;
@@ -226,6 +227,18 @@ pub fn put_tuple(out: &mut Vec<u8>, t: &Tuple) {
     }
 }
 
+/// Appends `b`'s valuation of `cols` in [`put_tuple`]'s format — byte for
+/// byte what `put_tuple(out, &b.project(cols))` writes, without building
+/// the tuple. This is how a streaming scan serializes the tuples it emits
+/// ([`take_tuple`] reads them back).
+pub fn put_bindings(out: &mut Vec<u8>, b: &Bindings, cols: ColSet) {
+    let keep = b.dom() & cols;
+    put_u64(out, keep.bits());
+    for v in keep.iter().filter_map(|c| b.get(c)) {
+        put_value(out, v);
+    }
+}
+
 /// Decodes one [`Tuple`].
 ///
 /// # Errors
@@ -390,6 +403,31 @@ mod tests {
         put_tuples(&mut buf, &[t.clone(), t.clone()]);
         let mut r = Reader::new(&buf);
         assert_eq!(take_tuples(&mut r).unwrap(), vec![t.clone(), t]);
+    }
+
+    #[test]
+    fn bindings_encode_as_the_tuple_they_project_to() {
+        let mut cat = Catalog::new();
+        let a = cat.intern("a");
+        let b = cat.intern("b");
+        let c = cat.intern("c");
+        let t = Tuple::from_pairs([
+            (a, Value::from(3)),
+            (b, Value::from("x")),
+            (c, Value::from(true)),
+        ]);
+        let mut scratch = Bindings::new();
+        scratch.load_pattern(&t);
+        for cols in [a | b | c, a | c, b.set(), ColSet::EMPTY] {
+            let (mut streamed, mut built) = (Vec::new(), Vec::new());
+            put_bindings(&mut streamed, &scratch, cols);
+            put_tuple(&mut built, &scratch.project(cols));
+            assert_eq!(streamed, built);
+            assert_eq!(
+                take_tuple(&mut Reader::new(&streamed)).unwrap(),
+                t.project(cols)
+            );
+        }
     }
 
     #[test]

@@ -11,17 +11,41 @@
 //! replay exact (never fuzzy) even though different shards may be
 //! checkpointed at slightly different points of the log.
 //!
+//! # Writing is a streaming read
+//!
+//! The image is produced by a [`CheckpointWriter`]: the header fields go in
+//! first (they are all known before the first tuple — the tuple count is
+//! the view's `len()`), then every valuation the view's one linear scan
+//! ([`ReadView::scan_all`]) emits is encoded straight into the body. No
+//! [`Relation`](relic_spec::Relation), no `Vec<Tuple>`, no per-tuple clone:
+//! a checkpoint costs one pass over the pinned snapshots plus one write and
+//! fsync of the bytes, and allocates only the image buffer. The
+//! abstraction function α (`to_relation`) defines what the image must
+//! *mean* and is what the tests compare it against; it is not on this
+//! path. [`CheckpointWriter::finish`] refuses an image whose scan delivered
+//! a different number of tuples than the header declares, so a
+//! disagreement is a typed error and never a written file.
+//!
+//! Tuple order inside the body is unspecified (it is the scan's order);
+//! recovery bulk-loads the tuples and re-routes them to shards, so any
+//! order decodes to the same relation. [`Checkpoint`] is the *decoded*
+//! form — what recovery and replica bootstrap consume.
+//!
+//! # Atomicity
+//!
 //! The file is written to a sidecar (`checkpoint.tmp`), fsynced, and
 //! atomically renamed over `checkpoint.bin` — a crash mid-checkpoint
 //! leaves the previous checkpoint (or none) intact, never a torn one. The
 //! body is CRC-guarded like a log frame.
 //!
 //! [`ReadView::shard_stamp`]: relic_concurrent::ReadView::shard_stamp
+//! [`ReadView::scan_all`]: relic_concurrent::ReadView::scan_all
 
 use crate::wal::crc32;
 use crate::{DurableSchema, PersistError};
 use relic_core::wire::{self, Reader};
-use relic_spec::Tuple;
+use relic_core::Bindings;
+use relic_spec::{ColSet, Tuple};
 use std::fs::File;
 use std::io::Write;
 use std::path::Path;
@@ -30,6 +54,11 @@ use std::path::Path;
 const MAGIC: &[u8; 8] = b"RELICCKP";
 /// Format version.
 const VERSION: u32 = 1;
+/// Bytes before the body: magic, version, body length (`u64`), body CRC.
+const HEADER_LEN: usize = 24;
+/// Offset of the body length + CRC, which [`CheckpointWriter::finish`]
+/// fills in once the body is complete.
+const LEN_AT: usize = 12;
 
 /// The checkpoint file name inside a durable relation's directory.
 pub const CHECKPOINT_FILE: &str = "checkpoint.bin";
@@ -58,22 +87,86 @@ pub struct Checkpoint {
     pub tuples: Vec<Tuple>,
 }
 
-impl Checkpoint {
-    fn encode(&self) -> Vec<u8> {
-        let mut body = Vec::with_capacity(64 + self.tuples.len() * 32);
-        self.schema.encode(&mut body);
-        wire::put_u64(&mut body, self.term);
-        wire::put_u32(&mut body, self.shard_stamps.len() as u32);
-        for &s in &self.shard_stamps {
-            wire::put_u64(&mut body, s);
+/// Incremental encoder of a checkpoint file image: the header fields
+/// first, then one tuple at a time, then [`finish`](CheckpointWriter::finish)
+/// seals length and checksum. The one place the format is written —
+/// [`DurableRelation::checkpoint`](crate::DurableRelation::checkpoint)
+/// streams a scan through it and [`Checkpoint::to_bytes`] replays a decoded
+/// image through it.
+#[derive(Debug)]
+pub struct CheckpointWriter {
+    /// Header (length and CRC still zero) followed by the body so far.
+    out: Vec<u8>,
+    /// The tuple count the body's header declares.
+    declared: u64,
+    /// Tuples encoded so far.
+    written: u64,
+}
+
+impl CheckpointWriter {
+    /// Starts an image that will hold exactly `tuples` tuples of
+    /// `schema`'s relation.
+    pub fn new(schema: &DurableSchema, term: u64, shard_stamps: &[u64], tuples: usize) -> Self {
+        // Sized for all-integer tuples (domain bits + a tag byte and eight
+        // bytes per column), so such an image never regrows; strings cost
+        // a few doublings.
+        let per_tuple = 8 + 9 * schema.spec.cols().len();
+        let mut out = Vec::with_capacity(HEADER_LEN + 256 + tuples * per_tuple);
+        out.extend_from_slice(MAGIC);
+        out.extend_from_slice(&VERSION.to_le_bytes());
+        out.resize(HEADER_LEN, 0);
+        schema.encode(&mut out);
+        wire::put_u64(&mut out, term);
+        wire::put_u32(&mut out, shard_stamps.len() as u32);
+        for &s in shard_stamps {
+            wire::put_u64(&mut out, s);
         }
-        wire::put_u64(&mut body, self.tuples.len() as u64);
-        for t in &self.tuples {
-            wire::put_tuple(&mut body, t);
+        wire::put_u64(&mut out, tuples as u64);
+        CheckpointWriter {
+            out,
+            declared: tuples as u64,
+            written: 0,
         }
-        body
     }
 
+    /// Appends one tuple.
+    pub fn push_tuple(&mut self, t: &Tuple) {
+        wire::put_tuple(&mut self.out, t);
+        self.written += 1;
+    }
+
+    /// Appends the valuation a scan just emitted, projected onto `cols` —
+    /// the same bytes as [`push_tuple`](CheckpointWriter::push_tuple) of
+    /// `b.project(cols)`, without building the tuple.
+    pub fn push_bindings(&mut self, b: &Bindings, cols: ColSet) {
+        wire::put_bindings(&mut self.out, b, cols);
+        self.written += 1;
+    }
+
+    /// Seals the image (body length and checksum) and returns the complete
+    /// file bytes.
+    ///
+    /// # Errors
+    ///
+    /// [`PersistError::CheckpointCount`] if the number of tuples pushed is
+    /// not the number declared at [`new`](CheckpointWriter::new): such an
+    /// image would decode as garbage, so it is never handed out.
+    pub fn finish(mut self) -> Result<Vec<u8>, PersistError> {
+        if self.written != self.declared {
+            return Err(PersistError::CheckpointCount {
+                declared: self.declared,
+                scanned: self.written,
+            });
+        }
+        let body = &self.out[HEADER_LEN..];
+        let (len, crc) = (body.len() as u64, crc32(body));
+        self.out[LEN_AT..LEN_AT + 8].copy_from_slice(&len.to_le_bytes());
+        self.out[LEN_AT + 8..HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
+        Ok(self.out)
+    }
+}
+
+impl Checkpoint {
     fn decode(body: &[u8]) -> Result<Checkpoint, PersistError> {
         let mut r = Reader::new(body);
         let schema = DurableSchema::decode(&mut r)?;
@@ -98,18 +191,20 @@ impl Checkpoint {
     }
 
     /// Serializes the checkpoint as a complete self-checking file image
-    /// (magic + version + length + CRC + body) — the same bytes
-    /// [`write_checkpoint`] stages, reused verbatim as a replication
-    /// catch-up payload.
+    /// (magic + version + length + CRC + body) — the bytes
+    /// [`write_checkpoint`] stages, and a replication catch-up payload.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let body = self.encode();
-        let mut out = Vec::with_capacity(body.len() + 24);
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        out.extend_from_slice(&(body.len() as u64).to_le_bytes());
-        out.extend_from_slice(&crc32(&body).to_le_bytes());
-        out.extend_from_slice(&body);
-        out
+        let mut w = CheckpointWriter::new(
+            &self.schema,
+            self.term,
+            &self.shard_stamps,
+            self.tuples.len(),
+        );
+        for t in &self.tuples {
+            w.push_tuple(t);
+        }
+        w.finish()
+            .expect("the declared count is the vector's length")
     }
 
     /// Decodes a complete checkpoint image produced by
@@ -121,7 +216,7 @@ impl Checkpoint {
     /// [`PersistError::Corrupt`] on bad magic/version/length/checksum,
     /// [`PersistError::Wire`] on a body decode failure.
     pub fn from_bytes(bytes: &[u8]) -> Result<Checkpoint, PersistError> {
-        if bytes.len() < 24 || &bytes[..8] != MAGIC {
+        if bytes.len() < HEADER_LEN || &bytes[..8] != MAGIC {
             return Err(PersistError::Corrupt("checkpoint magic mismatch".into()));
         }
         let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
@@ -130,12 +225,13 @@ impl Checkpoint {
                 "checkpoint version {version} unsupported"
             )));
         }
-        let len = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes")) as usize;
-        let crc = u32::from_le_bytes(bytes[20..24].try_into().expect("4 bytes"));
-        if bytes.len() - 24 < len {
+        let (len, crc) = bytes[LEN_AT..HEADER_LEN].split_at(8);
+        let len = u64::from_le_bytes(len.try_into().expect("8 bytes")) as usize;
+        let crc = u32::from_le_bytes(crc.try_into().expect("4 bytes"));
+        if bytes.len() - HEADER_LEN < len {
             return Err(PersistError::Corrupt("checkpoint body truncated".into()));
         }
-        let body = &bytes[24..24 + len];
+        let body = &bytes[HEADER_LEN..HEADER_LEN + len];
         if crc32(body) != crc {
             return Err(PersistError::Corrupt("checkpoint checksum mismatch".into()));
         }
@@ -143,19 +239,19 @@ impl Checkpoint {
     }
 }
 
-/// Writes `ck` atomically into `dir`: sidecar + fsync + rename. On return
-/// the checkpoint is durable and it is safe to truncate the log prefix it
-/// covers.
+/// Writes a finished checkpoint `image` ([`CheckpointWriter::finish`], or
+/// the verified bytes a primary shipped) atomically into `dir`: sidecar +
+/// fsync + rename. On return the checkpoint is durable and it is safe to
+/// truncate the log prefix it covers.
 ///
 /// # Errors
 ///
 /// [`std::io::Error`] from any file operation.
-pub fn write_checkpoint(dir: &Path, ck: &Checkpoint) -> std::io::Result<()> {
-    let out = ck.to_bytes();
+pub fn write_checkpoint(dir: &Path, image: &[u8]) -> std::io::Result<()> {
     let tmp = dir.join(CHECKPOINT_TMP);
     {
         let mut f = File::create(&tmp)?;
-        f.write_all(&out)?;
+        f.write_all(image)?;
         f.sync_data()?;
     }
     std::fs::rename(&tmp, dir.join(CHECKPOINT_FILE))?;
@@ -232,12 +328,12 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         assert!(read_checkpoint(&dir).unwrap().is_none());
         let ck = sample();
-        write_checkpoint(&dir, &ck).unwrap();
+        write_checkpoint(&dir, &ck.to_bytes()).unwrap();
         assert_eq!(read_checkpoint(&dir).unwrap().unwrap(), ck);
         // A second checkpoint replaces the first atomically.
         let mut ck2 = ck.clone();
         ck2.shard_stamps = vec![11, 12];
-        write_checkpoint(&dir, &ck2).unwrap();
+        write_checkpoint(&dir, &ck2.to_bytes()).unwrap();
         assert_eq!(read_checkpoint(&dir).unwrap().unwrap(), ck2);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -247,7 +343,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("relic_ckpt_corrupt_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        write_checkpoint(&dir, &sample()).unwrap();
+        write_checkpoint(&dir, &sample().to_bytes()).unwrap();
         let path = dir.join(CHECKPOINT_FILE);
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = bytes.len() / 2;

@@ -19,7 +19,10 @@
 //!   per-shard snapshot vector collected by
 //!   [`read_view`](relic_concurrent::ConcurrentRelation::read_view) — no
 //!   shard write lock is held while the checkpoint serializes, so writers
-//!   keep committing throughout. Each shard's snapshot is paired with the
+//!   keep committing throughout. Serializing is a streaming read: one
+//!   linear scan of the pinned snapshots, each emitted valuation encoded
+//!   straight into the image (the abstraction function α is the tests'
+//!   oracle, not the writer). Each shard's snapshot is paired with the
 //!   *writer stamp* its publish carried (the shard's last logged sequence
 //!   number), so the checkpoint knows exactly which log prefix each shard
 //!   contains; after the checkpoint file is durable, the log is truncated
@@ -56,8 +59,8 @@ pub mod durable;
 pub mod frame;
 pub mod wal;
 
-pub use checkpoint::{read_checkpoint, write_checkpoint, Checkpoint};
-pub use durable::{replay_record, DurablePartition, DurableRelation};
+pub use checkpoint::{read_checkpoint, write_checkpoint, Checkpoint, CheckpointWriter};
+pub use durable::{build_relation, replay_record, DurablePartition, DurableRelation};
 pub use frame::{frame_message, FrameReader, MAX_FRAME_PAYLOAD};
 pub use wal::{
     crc32, decode_frame, read_wal, Crc32, EncodedRecord, GroupCommitPolicy, ScannedWal, TailRead,
@@ -99,6 +102,16 @@ pub enum PersistError {
         /// The largest length a frame accepts.
         max: usize,
     },
+    /// A checkpoint's scan delivered a different number of tuples than the
+    /// image header declares (the pinned view's `len()`). The image was
+    /// discarded: nothing was written and the previous checkpoint and the
+    /// log are untouched.
+    CheckpointCount {
+        /// Tuples the header declares.
+        declared: u64,
+        /// Tuples the scan delivered.
+        scanned: u64,
+    },
 }
 
 impl fmt::Display for PersistError {
@@ -113,6 +126,10 @@ impl fmt::Display for PersistError {
             PersistError::FrameTooLarge { len, max } => {
                 write!(f, "record of length {len} exceeds the frame cap {max}")
             }
+            PersistError::CheckpointCount { declared, scanned } => write!(
+                f,
+                "checkpoint scan delivered {scanned} tuples where the view holds {declared}"
+            ),
         }
     }
 }
@@ -126,7 +143,7 @@ impl std::error::Error for PersistError {
             PersistError::Build(e) => Some(e),
             PersistError::Migrate(e) => Some(e),
             PersistError::Corrupt(_) => None,
-            PersistError::FrameTooLarge { .. } => None,
+            PersistError::FrameTooLarge { .. } | PersistError::CheckpointCount { .. } => None,
         }
     }
 }

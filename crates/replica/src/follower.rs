@@ -27,11 +27,11 @@ use crate::primary::Primary;
 use crate::transport::Transport;
 use crate::ReplicaError;
 use relic_concurrent::{ConcurrentRelation, ReadHandle, ReadView};
-use relic_persist::checkpoint::{CHECKPOINT_FILE, CHECKPOINT_TMP};
+use relic_persist::checkpoint::CHECKPOINT_FILE;
 use relic_persist::durable::WAL_FILE;
 use relic_persist::{
-    decode_frame, read_checkpoint, read_wal, replay_record, Checkpoint, DurableRelation,
-    DurableSchema, GroupCommitPolicy, PersistError, WalRecord,
+    build_relation, decode_frame, read_checkpoint, read_wal, replay_record, write_checkpoint,
+    Checkpoint, DurableRelation, DurableSchema, GroupCommitPolicy, PersistError, WalRecord,
 };
 use relic_spec::Relation;
 use std::fs::{File, OpenOptions};
@@ -146,13 +146,13 @@ impl Follower {
             Err(e) => return Err(OpenFailure::Corrupt(format!("local log: {e}"))),
         };
         let term = scanned.term.max(ck.as_ref().map_or(0, |c| c.term));
-        let (schema, mut w) = match (&ck, &scanned.meta) {
+        let (schema, mut w, image) = match (ck, &scanned.meta) {
             // A local log whose meta frame failed verification is corrupt
             // even when a checkpoint exists: raw appends behind a missing
             // meta would build an unreadable file.
-            (Some(ck), Some(_)) => (ck.schema.clone(), ck.shard_stamps.clone()),
+            (Some(ck), Some(_)) => (ck.schema, ck.shard_stamps, Some(ck.tuples)),
             (None, Some((schema, base))) if *base == 0 => {
-                (schema.clone(), vec![0; schema.shards as usize])
+                (schema.clone(), vec![0; schema.shards as usize], None)
             }
             _ => {
                 return Err(OpenFailure::Corrupt(
@@ -165,7 +165,7 @@ impl Follower {
                 "checkpoint watermark count disagrees with shard count".into(),
             ));
         }
-        let rel = match build_relation(&schema, ck.as_ref()) {
+        let rel = match build_relation(&schema, image.map(|tuples| (tuples, &w[..]))) {
             Ok(rel) => rel,
             Err(e) => return Err(OpenFailure::Corrupt(format!("rebuild: {e}"))),
         };
@@ -210,16 +210,7 @@ impl Follower {
         }
         // The image is already a complete self-checking file: stage +
         // rename it exactly like a local checkpoint write.
-        let tmp = dir.join(CHECKPOINT_TMP);
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(raw)?;
-            f.sync_data()?;
-        }
-        std::fs::rename(&tmp, dir.join(CHECKPOINT_FILE))?;
-        if let Ok(d) = File::open(dir) {
-            let _ = d.sync_all();
-        }
+        write_checkpoint(dir, raw)?;
         let term = term.max(ck.term);
         let cursor = ck.shard_stamps.iter().copied().min().unwrap_or(0);
         let wal_path = dir.join(WAL_FILE);
@@ -233,7 +224,7 @@ impl Follower {
             term,
         )?;
         drop(wal);
-        let rel = build_relation(&ck.schema, Some(&ck))?;
+        let rel = build_relation(&ck.schema, Some((ck.tuples, &ck.shard_stamps)))?;
         let log = OpenOptions::new().append(true).open(&wal_path)?;
         Ok(Follower {
             dir: dir.to_path_buf(),
@@ -465,7 +456,9 @@ impl Follower {
         self.rel.is_empty()
     }
 
-    /// The whole replica as a reference [`Relation`] (for tests).
+    /// The whole replica as a reference [`Relation`]: the abstraction
+    /// function α over every shard — the test oracle, not a scan (see
+    /// [`ConcurrentRelation::to_relation`]).
     pub fn to_relation(&self) -> Relation {
         self.rel.to_relation()
     }
@@ -492,38 +485,6 @@ fn quarantine(dir: &Path, why: &str) -> Result<(), ReplicaError> {
         }
     }
     Ok(())
-}
-
-/// Rebuilds an in-memory relation from a schema and (optionally) a
-/// checkpoint image, stamping the checkpoint's watermarks.
-fn build_relation(
-    schema: &DurableSchema,
-    ck: Option<&Checkpoint>,
-) -> Result<ConcurrentRelation, PersistError> {
-    let d = schema.build_decomposition()?;
-    let rel = ConcurrentRelation::new(
-        &schema.catalog,
-        schema.spec.clone(),
-        d,
-        schema.shard_cols,
-        schema.shards as usize,
-    )?;
-    if !schema.fd_checking {
-        rel.with_all_shards_mut_stamped(|ss| {
-            for s in ss.iter_mut() {
-                s.set_fd_checking(false);
-            }
-            ((), None)
-        });
-    }
-    if let Some(ck) = ck {
-        rel.bulk_load(ck.tuples.iter().cloned())
-            .map_err(PersistError::Op)?;
-        for (i, &s) in ck.shard_stamps.iter().enumerate() {
-            rel.with_shard_mut_stamped(i, |_| ((), Some(s)));
-        }
-    }
-    Ok(rel)
 }
 
 /// Truncates the local log to its valid prefix and opens it for raw

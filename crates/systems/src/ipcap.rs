@@ -15,8 +15,8 @@
 use crate::zipf::Zipf;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use relic_concurrent::{ConcurrentBuildError, ConcurrentRelation, ReadHandle};
-use relic_core::{OpError, SynthRelation};
+use relic_concurrent::{ConcurrentBuildError, ConcurrentRelation, ReadHandle, ReadView};
+use relic_core::{Bindings, OpError, SynthRelation};
 use relic_decomp::Decomposition;
 use relic_persist::{DurableRelation, GroupCommitPolicy, PersistError};
 use relic_spec::{Catalog, ColId, RelSpec, Tuple, Value};
@@ -274,12 +274,16 @@ pub fn default_decomposition(cat: &mut Catalog) -> Decomposition {
     .expect("default decomposition parses")
 }
 
-/// Decodes one stored tuple into a [`FlowRecord`], surfacing a typed
-/// [`OpError::MalformedRow`] (instead of panicking) if any accounting
-/// column lost its integer shape.
-fn flow_record(cols: &FlowCols, t: &Tuple) -> Result<FlowRecord, OpError> {
+/// Decodes one stored row — read column by column through `get`, so a
+/// [`Tuple`] and a scan's [`Bindings`] both serve — into a [`FlowRecord`],
+/// surfacing a typed [`OpError::MalformedRow`] (instead of panicking) if any
+/// accounting column lost its integer shape.
+fn flow_record<'a>(
+    cols: &FlowCols,
+    get: impl Fn(ColId) -> Option<&'a Value>,
+) -> Result<FlowRecord, OpError> {
     let int = |col: ColId| {
-        t.get(col)
+        get(col)
             .and_then(Value::as_int)
             .ok_or(OpError::MalformedRow { col })
     };
@@ -289,6 +293,22 @@ fn flow_record(cols: &FlowCols, t: &Tuple) -> Result<FlowRecord, OpError> {
         bytes: int(cols.bytes)?,
         pkts: int(cols.pkts)?,
     })
+}
+
+/// Every flow `view` holds, sorted: one streaming pass over the pinned
+/// snapshots ([`ReadView::scan_all`]), decoding each emitted valuation in
+/// place. A row with a malformed accounting value is skipped rather than
+/// taking the dashboard down; every well-formed flow is still reported.
+fn report_view(view: &ReadView, cols: &FlowCols) -> Vec<FlowRecord> {
+    let mut out = Vec::with_capacity(view.len());
+    // The scan reads the relation's own columns, which an adequate
+    // decomposition always has a plan for, so it has no way to fail here;
+    // were it to, the report would come back short rather than panic.
+    let _ = view.scan_all(&mut Bindings::new(), |b| {
+        out.extend(flow_record(cols, |c| b.get(c)).ok());
+    });
+    out.sort();
+    out
 }
 
 // [synth:begin]
@@ -391,7 +411,7 @@ impl FlowStore for SynthFlows {
         let all = self.rel.query_full(&Tuple::empty())?;
         let mut out = Vec::with_capacity(all.len());
         for t in all.iter() {
-            out.push(flow_record(&self.cols, t)?);
+            out.push(flow_record(&self.cols, |c| t.get(c))?);
         }
         out.sort();
         self.rel.clear();
@@ -533,15 +553,7 @@ impl ConcurrentFlows {
     /// row with a malformed accounting value is skipped rather than taking
     /// the dashboard down; every well-formed flow is still reported.
     pub fn report(&self) -> Vec<FlowRecord> {
-        let cols = self.cols;
-        let view = self.rel.read_view();
-        let mut out: Vec<FlowRecord> = view
-            .to_relation()
-            .iter()
-            .filter_map(|t| flow_record(&cols, t).ok())
-            .collect();
-        out.sort();
-        out
+        report_view(&self.rel.read_view(), &self.cols)
     }
 
     /// Number of live flows in the published state.
@@ -746,20 +758,7 @@ impl DurableFlows {
     /// All currently accounted flows, sorted — served wait-free from
     /// published snapshots, exactly like [`ConcurrentFlows::report`].
     pub fn report(&self) -> Vec<FlowRecord> {
-        let cols = self.cols;
-        let view = self.rel.read_view();
-        let mut out: Vec<FlowRecord> = view
-            .to_relation()
-            .iter()
-            .map(|t| FlowRecord {
-                local: t.get(cols.local).and_then(Value::as_int).unwrap(),
-                remote: t.get(cols.remote).and_then(Value::as_int).unwrap(),
-                bytes: t.get(cols.bytes).and_then(Value::as_int).unwrap(),
-                pkts: t.get(cols.pkts).and_then(Value::as_int).unwrap(),
-            })
-            .collect();
-        out.sort();
-        out
+        report_view(&self.rel.read_view(), &self.cols)
     }
 
     /// Number of live flows in the published state.
@@ -852,6 +851,50 @@ mod tests {
         assert_eq!(report, expect, "concurrent accounting must match baseline");
         assert!(served > 0, "the monitor served wait-free reads");
         flows.relation().validate().unwrap();
+        assert_eq!(
+            report,
+            alpha_report(&flows.relation().to_relation(), &flows.cols),
+            "the streamed report is the report read off α"
+        );
+    }
+
+    /// The oracle for `report_view`: the report read off the abstraction
+    /// function's relation, malformed rows skipped, sorted.
+    fn alpha_report(rel: &relic_spec::Relation, cols: &FlowCols) -> Vec<FlowRecord> {
+        let mut out: Vec<FlowRecord> = rel
+            .iter()
+            .filter_map(|t| flow_record(cols, |c| t.get(c)).ok())
+            .collect();
+        out.sort();
+        out
+    }
+
+    #[test]
+    fn report_skips_a_malformed_row_and_matches_alpha() {
+        let (mut cat, cols, spec) = flow_spec();
+        let d = default_decomposition(&mut cat);
+        let flows = ConcurrentFlows::new(&cat, cols, &spec, d, 4).unwrap();
+        for p in packet_trace(400, 8, 24, 7) {
+            flows.account(p).unwrap();
+        }
+        let good = flows.report();
+        assert_eq!(good.len(), flows.live_flows());
+        // A row whose byte count lost its integer shape.
+        flows
+            .relation()
+            .insert(Tuple::from_pairs([
+                (cols.local, Value::from(-1)),
+                (cols.remote, Value::from(-1)),
+                (cols.bytes, Value::from("lots")),
+                (cols.pkts, Value::from(1)),
+            ]))
+            .unwrap();
+        assert_eq!(flows.live_flows(), good.len() + 1);
+        assert_eq!(flows.report(), good, "the malformed row is skipped");
+        assert_eq!(
+            flows.report(),
+            alpha_report(&flows.relation().to_relation(), &cols)
+        );
     }
 
     #[test]
@@ -931,6 +974,11 @@ mod tests {
         // And one more restart for good measure (checkpoint this time).
         let flows = DurableFlows::open(&dir, GroupCommitPolicy::manual()).unwrap();
         assert_eq!(flows.report(), baseline_report(&trace));
+        assert_eq!(
+            flows.report(),
+            alpha_report(&flows.relation().to_relation(), &flows.cols),
+            "the streamed report is the report read off α"
+        );
         flows.checkpoint().unwrap();
         drop(flows);
         let flows = DurableFlows::open(&dir, GroupCommitPolicy::manual()).unwrap();

@@ -14,7 +14,7 @@
 
 use crate::zipf::Zipf;
 use relic_concurrent::{ConcurrentBuildError, ConcurrentRelation, ReadHandle};
-use relic_core::{OpError, SynthRelation};
+use relic_core::{Bindings, OpError, SynthRelation};
 use relic_decomp::Decomposition;
 use relic_persist::{DurableRelation, GroupCommitPolicy, PersistError};
 use relic_spec::{Catalog, ColId, Pattern, Pred, RelSpec, Tuple, Value};
@@ -485,17 +485,16 @@ impl DurableMmapCache {
             size: cat.col("size").expect("recovered catalog has `size`"),
             stamp: cat.col("stamp").expect("recovered catalog has `stamp`"),
         };
-        let max_addr = rel
-            .read_view()
-            .to_relation()
-            .iter()
-            .filter_map(|t| t.get(cols.addr).and_then(Value::as_int))
-            .max()
-            .unwrap_or(0);
+        // One streaming pass over the recovered table: this runs at every
+        // open, over the whole cache.
+        let mut max_addr: Option<i64> = None;
+        rel.read_view().scan_all(&mut Bindings::new(), |b| {
+            max_addr = max_addr.max(b.get(cols.addr).and_then(Value::as_int));
+        })?;
         Ok(DurableMmapCache {
             rel,
             cols,
-            next_addr: AtomicI64::new(max_addr),
+            next_addr: AtomicI64::new(max_addr.unwrap_or(0)),
         })
     }
 
@@ -781,6 +780,15 @@ mod tests {
             cache.relation().to_relation(),
             live_before,
             "recovery must reproduce exactly the committed cache"
+        );
+        assert_eq!(
+            cache.next_addr.load(Ordering::Relaxed),
+            live_before
+                .iter()
+                .filter_map(|t| t.get(cache.cols.addr).and_then(Value::as_int))
+                .max()
+                .unwrap_or(0),
+            "the allocator resumes from the highest address α holds"
         );
         // Warm restart: every committed path is a Hit, and re-serving a
         // brand-new path allocates an address that collides with nothing.
