@@ -1,14 +1,8 @@
 //! Build-time code generation: runs relic-codegen on the thttpd mmap-cache
-//! relation and on the fig. 2 scheduler relation, and writes the specialized
-//! modules into `OUT_DIR`, where the parity benchmarks and `bench_smoke`
-//! `include!` them. This exercises the full RELC pipeline — spec +
-//! decomposition → generated code → compiled into the binary — the way the
-//! paper's C++ systems embedded their synthesized classes.
-//!
-//! The scheduler module declares bit widths for `ns` (16) and `pid` (32), so
-//! the backend packs the `{ns,pid}` key into one `u64` word and compiles the
-//! `htable` edges to open-addressed tables — the native-key fast path the
-//! `codegen` bench family measures against the interpreted planner.
+//! relation and writes the specialized module into `OUT_DIR`, where the
+//! `parity` binary `include!`s it. This exercises the full RELC pipeline —
+//! spec + decomposition → generated code → compiled into the binary — the
+//! way the paper's C++ systems embedded their synthesized classes.
 
 use relic_codegen::{generate, ColType, OpSet, Request};
 use relic_decomp::parse;
@@ -16,19 +10,7 @@ use relic_spec::{Catalog, RelSpec};
 
 fn main() {
     println!("cargo:rerun-if-changed=build.rs");
-    // Stamp the compiler version into the bench binary for BENCH_*.json
-    // headers (timings are not comparable across toolchains).
-    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".to_string());
-    let version = std::process::Command::new(&rustc)
-        .arg("--version")
-        .output()
-        .ok()
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string());
-    println!("cargo:rustc-env=RELIC_BENCH_RUSTC={version}");
     emit_mmap_cache();
-    emit_scheduler();
 }
 
 fn emit_mmap_cache() {
@@ -61,41 +43,4 @@ fn emit_mmap_cache() {
     .expect("generation succeeds");
     let out = std::env::var("OUT_DIR").expect("OUT_DIR set by cargo");
     std::fs::write(format!("{out}/gen_mmap_cache.rs"), code).expect("write generated module");
-}
-
-fn emit_scheduler() {
-    let mut cat = Catalog::new();
-    let d = parse(
-        &mut cat,
-        "let w : {ns,pid,state} . {cpu} = unit {cpu} in
-         let y : {ns} . {pid,cpu} = {pid} -[htable]-> w in
-         let z : {state} . {ns,pid,cpu} = {ns,pid} -[dlist]-> w in
-         let x : {} . {ns,pid,state,cpu} =
-           ({ns} -[htable]-> y) join ({state} -[vec]-> z) in x",
-    )
-    .expect("decomposition parses");
-    let ns = cat.col("ns").unwrap();
-    let pid = cat.col("pid").unwrap();
-    let state = cat.col("state").unwrap();
-    let cpu = cat.col("cpu").unwrap();
-    cat.declare_bit_width(ns, 16);
-    cat.declare_bit_width(pid, 32);
-    let spec = RelSpec::new(cat.all()).with_fd(ns | pid, state | cpu);
-    let ops = OpSet::new()
-        .query(ns | pid, cpu.into()) // point lookup (hot-path mirror)
-        .query(state.into(), ns | pid) // state scan (hot-path mirror)
-        .remove(ns | pid)
-        .update(ns | pid, cpu.into()) // in-place (cpu is unit-only)
-        .update(ns | pid, state.into()); // structural (state is a map key)
-    let code = generate(&Request {
-        module_name: "scheduler".into(),
-        cat: &cat,
-        spec: &spec,
-        decomposition: &d,
-        types: vec![ColType::I64, ColType::I64, ColType::Str, ColType::I64],
-        ops,
-    })
-    .expect("generation succeeds");
-    let out = std::env::var("OUT_DIR").expect("OUT_DIR set by cargo");
-    std::fs::write(format!("{out}/codegen_scheduler.rs"), code).expect("write generated module");
 }

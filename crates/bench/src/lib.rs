@@ -1,8 +1,8 @@
-//! Shared infrastructure for the benchmark harness: the figure-specific
-//! decomposition sets, candidate selection, and table printing used by both
-//! the criterion benches (`benches/`) and the printable harness binaries
-//! (`src/bin/`). See EXPERIMENTS.md for the mapping to the paper's tables
-//! and figures.
+//! Shared infrastructure for the printable harness binaries (`src/bin/`)
+//! that reproduce the paper's §6 — `table1` (Table 1), `fig11` / `fig12` /
+//! `fig13` (Figs. 11–13), `parity` (§6.2) and `enum_counts` (§5): the
+//! figure-specific decomposition sets, candidate selection, and table
+//! printing. Perf-trajectory measurement lives in `benchmark/`, not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

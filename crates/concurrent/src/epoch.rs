@@ -10,7 +10,7 @@
 //! whichever thread happened to hold that last reference. Before this
 //! module existed, that was frequently a **reader** — e.g. a read handle
 //! refreshing across a migration paid the teardown of the entire
-//! pre-migration store on its next query (BENCH_4 measured 119µs for
+//! pre-migration store on its next query (119µs when PR 4 recorded
 //! exactly this). The RCU playbook (McKenney, "Is Parallel Programming
 //! Hard", ch. 9) fixes the asymmetry: retired state parks on a limbo list
 //! and is freed by the *write side* once a grace period proves no reader

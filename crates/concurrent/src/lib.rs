@@ -1088,15 +1088,6 @@ impl ConcurrentRelation {
         }
     }
 
-    /// Arms or disarms whole-store deep-clone-on-write in every shard (see
-    /// [`SynthRelation::set_cow_store_clones`]; off by default). The
-    /// benchmark harness's CoW comparison arm only.
-    pub fn set_cow_store_clones(&self, on: bool) {
-        for i in 0..self.shards.len() {
-            self.write_shard(i).set_cow_store_clones(on);
-        }
-    }
-
     /// A consistent snapshot of the whole relation as a reference
     /// [`Relation`]: the union of every shard's abstraction function α
     /// (read-locks every shard for the duration). The **test oracle**, not

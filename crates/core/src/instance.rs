@@ -25,10 +25,6 @@
 //! cost of re-cloning only the instances the writer subsequently touches —
 //! this is what lets `relic_concurrent` retire whole snapshots onto epoch
 //! limbo lists instead of paying a full store copy per mutation epoch.
-//!
-//! The one full-copy escape hatch is [`Store::deep_clone`], kept so the
-//! benchmark harness can reproduce the pre-reclamation copy-on-write cost
-//! honestly (see `SynthRelation::set_cow_store_clones`).
 
 use relic_containers::{AssocVec, AvlMap, DListMap, HashTable, SortedVecMap};
 use relic_decomp::{Body, Decomposition, DsKind, EdgeId, NodeId};
@@ -353,9 +349,7 @@ impl Layout {
 /// All instance arenas of a synthesized relation, one per decomposition node.
 ///
 /// `Store` is a *persistent* structure: `clone` is shallow (chunk `Arc`
-/// bumps), mutation path-copies shared chunks/instances, and
-/// [`deep_clone`](Store::deep_clone) recovers the old full-copy semantics for
-/// the benchmark's copy-on-write comparison arm.
+/// bumps) and mutation path-copies shared chunks/instances.
 #[derive(Debug, Clone)]
 pub struct Store {
     arenas: Vec<Arena>,
@@ -395,37 +389,6 @@ impl Store {
         Store {
             arenas: (0..d.node_count()).map(|_| Arena::default()).collect(),
             approx_bytes: 0,
-        }
-    }
-
-    /// A fully independent deep copy: every chunk and instance is re-cloned,
-    /// sharing nothing with `self`. This reproduces the pre-reclamation
-    /// whole-store copy-on-write cost and exists for the benchmark harness's
-    /// CoW comparison arm (`SynthRelation::set_cow_store_clones`); nothing on
-    /// the production write path calls it.
-    pub fn deep_clone(&self) -> Store {
-        Store {
-            arenas: self
-                .arenas
-                .iter()
-                .map(|a| Arena {
-                    chunks: a
-                        .chunks
-                        .iter()
-                        .map(|c| {
-                            Arc::new(Chunk {
-                                slots: std::array::from_fn(|i| {
-                                    c.slots[i].as_ref().map(|inst| Arc::new((**inst).clone()))
-                                }),
-                            })
-                        })
-                        .collect(),
-                    free: a.free.clone(),
-                    live: a.live,
-                    len: a.len,
-                })
-                .collect(),
-            approx_bytes: self.approx_bytes,
         }
     }
 

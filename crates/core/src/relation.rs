@@ -75,13 +75,13 @@ pub struct SynthRelation {
     /// migration — never mutated in place, so sharing is always sound).
     d: Arc<Decomposition>,
     layout: Arc<Layout>,
-    /// The instance store. Mutations go through `store_mut`
-    /// (`Arc::make_mut`): while no snapshot shares the store the relation
-    /// mutates in place exactly as before; the first mutation after a
-    /// snapshot was taken pays one *shallow* store clone (the store is a
-    /// persistent chunked structure — see [`Store`]), after which touched
-    /// chunks/instances are path-copied lazily. The snapshot's version stays
-    /// frozen while the writer pays only for what it touches.
+    /// The instance store. Mutations go through `Arc::make_mut`: while no
+    /// snapshot shares the store the relation mutates in place; the first
+    /// mutation after a snapshot was taken pays one *shallow* store clone
+    /// (chunk `Arc` bumps, `O(live/64)` — the store is a persistent chunked
+    /// structure, see [`Store`]), after which touched chunks/instances are
+    /// path-copied lazily. The snapshot's version stays frozen while the
+    /// writer pays only for what it touches.
     store: Arc<Store>,
     root: InstanceRef,
     cost: CostModel,
@@ -106,34 +106,8 @@ pub struct SynthRelation {
     /// [`set_profiling`](SynthRelation::set_profiling)).
     profiling: bool,
     check_fds: bool,
-    /// When set, a mutation that finds the store shared with a snapshot
-    /// replaces it with a full [`Store::deep_clone`] — the pre-reclamation
-    /// whole-store copy-on-write behaviour, kept so benchmarks can measure
-    /// the old write-side tax honestly. Off (shallow persistent clones) by
-    /// default.
-    cow_store_clones: bool,
     len: usize,
     min_key: ColSet,
-}
-
-/// Mutable access to a relation's store, resolving sharing with outstanding
-/// snapshots first.
-///
-/// Default mode: `Arc::make_mut` performs a *shallow* clone when shared
-/// (chunk `Arc` bumps, `O(live/64)`), leaving snapshot versions frozen while
-/// subsequent [`Store::get_mut`] calls path-copy only the touched instances.
-/// With `deep_cow` armed ([`SynthRelation::set_cow_store_clones`]), a shared
-/// store is instead replaced by a full deep copy — the historical
-/// clone-per-epoch write tax, preserved as a benchmark comparison arm.
-///
-/// A free function over the store field (not a method) so call sites inside
-/// loops that borrow other `SynthRelation` fields still pass the borrow
-/// checker.
-fn store_mut(store: &mut Arc<Store>, deep_cow: bool) -> &mut Store {
-    if deep_cow && Arc::strong_count(store) > 1 {
-        *store = Arc::new(store.deep_clone());
-    }
-    Arc::make_mut(store)
 }
 
 impl SynthRelation {
@@ -167,17 +141,9 @@ impl SynthRelation {
             profile: Arc::new(ProfileCounters::default()),
             profiling: true,
             check_fds: true,
-            cow_store_clones: false,
             len: 0,
             min_key,
         })
-    }
-
-    /// Arms or disarms whole-store deep-clone-on-write (off by default; see
-    /// `store_mut`). For benchmarking the pre-reclamation copy-on-write
-    /// cost only.
-    pub fn set_cow_store_clones(&mut self, on: bool) {
-        self.cow_store_clones = on;
     }
 
     /// Estimated heap bytes of the current store version (an O(1) running
@@ -788,7 +754,7 @@ impl SynthRelation {
                 found.unwrap_or_else(|| {
                     let key = t.key_for(self.d.node(node).bound);
                     let inst = self.layout.new_instance(&self.d, node, key, t);
-                    store_mut(&mut self.store, self.cow_store_clones).alloc(node, inst)
+                    Arc::make_mut(&mut self.store).alloc(node, inst)
                 })
             };
             for &e in self.d.incoming_edges(node) {
@@ -798,8 +764,7 @@ impl SynthRelation {
                 t.write_key_into(edge.key, &mut kb);
                 if self.store.cont_get(parent, leaf, &kb).is_none() {
                     let ekey: Key = kb.as_slice().into();
-                    store_mut(&mut self.store, self.cow_store_clones)
-                        .cont_insert(parent, leaf, ekey, inst);
+                    Arc::make_mut(&mut self.store).cont_insert(parent, leaf, ekey, inst);
                 }
             }
             resolved[node.index()] = Some(inst);
@@ -1332,7 +1297,7 @@ impl SynthRelation {
                 }
                 let leaf = a.leaf;
                 let to = self.d.edge(eid).to;
-                let store = store_mut(&mut self.store, self.cow_store_clones);
+                let store = Arc::make_mut(&mut self.store);
                 store.cont_reserve(self.root, leaf, groups);
                 store.reserve_node(to, groups);
             }
@@ -1341,7 +1306,7 @@ impl SynthRelation {
         // per accepted tuple — pre-size their arenas once.
         for (id, node) in self.d.nodes() {
             if self.min_key.is_subset(node.bound) && !self.min_key.is_empty() {
-                store_mut(&mut self.store, self.cow_store_clones).reserve_node(id, order.len());
+                Arc::make_mut(&mut self.store).reserve_node(id, order.len());
             }
         }
         let topo: Vec<NodeId> = self.d.topo_root_first().collect();
@@ -1417,10 +1382,7 @@ impl SynthRelation {
                                 .into_boxed_slice(),
                                 refs: 0,
                             };
-                            (
-                                store_mut(&mut self.store, self.cow_store_clones).alloc(node, inst),
-                                true,
-                            )
+                            (Arc::make_mut(&mut self.store).alloc(node, inst), true)
                         }
                     }
                 };
@@ -1435,7 +1397,7 @@ impl SynthRelation {
                             // The previous parent's group is over — build
                             // its container — and this freshly created
                             // parent (whose container is empty) takes over.
-                            a.flush(store_mut(&mut self.store, self.cow_store_clones));
+                            a.flush(Arc::make_mut(&mut self.store));
                             a.parent = Some(parent);
                         }
                         if a.parent == Some(parent) {
@@ -1450,9 +1412,7 @@ impl SynthRelation {
                                 a.ascending &= last < &key;
                             }
                             a.entries.push((key, inst));
-                            store_mut(&mut self.store, self.cow_store_clones)
-                                .get_mut(inst)
-                                .refs += 1;
+                            Arc::make_mut(&mut self.store).get_mut(inst).refs += 1;
                             continue;
                         }
                     }
@@ -1462,8 +1422,7 @@ impl SynthRelation {
                         // cannot hold its key yet — insert without
                         // re-probing.
                         let ekey: Key = kb.as_slice().into();
-                        store_mut(&mut self.store, self.cow_store_clones)
-                            .cont_insert(parent, leaf, ekey, inst);
+                        Arc::make_mut(&mut self.store).cont_insert(parent, leaf, ekey, inst);
                     }
                 }
                 resolved[idx] = Some(inst);
@@ -1476,7 +1435,7 @@ impl SynthRelation {
         }
         self.key_scratch = kb;
         for a in &mut accs {
-            a.flush(store_mut(&mut self.store, self.cow_store_clones));
+            a.flush(Arc::make_mut(&mut self.store));
         }
     }
 
@@ -1718,9 +1677,7 @@ impl SynthRelation {
             };
             let leaf = self.layout.leaf_of_edge[e.index()];
             t.write_key_into(edge.key, &mut kb);
-            if let Some(child) =
-                store_mut(&mut self.store, self.cow_store_clones).cont_remove(parent, leaf, &kb)
-            {
+            if let Some(child) = Arc::make_mut(&mut self.store).cont_remove(parent, leaf, &kb) {
                 self.decref(child);
             }
         }
@@ -1745,17 +1702,13 @@ impl SynthRelation {
                 }
                 let leaf = self.layout.leaf_of_edge[e.index()];
                 t.write_key_into(edge.key, &mut kb);
-                if let Some(child) =
-                    store_mut(&mut self.store, self.cow_store_clones).cont_remove(parent, leaf, &kb)
-                {
+                if let Some(child) = Arc::make_mut(&mut self.store).cont_remove(parent, leaf, &kb) {
                     debug_assert_eq!(child, inst);
-                    store_mut(&mut self.store, self.cow_store_clones)
-                        .get_mut(child)
-                        .refs -= 1;
+                    Arc::make_mut(&mut self.store).get_mut(child).refs -= 1;
                 }
             }
             if self.store.get(inst).refs == 0 {
-                let _ = store_mut(&mut self.store, self.cow_store_clones).free(inst);
+                let _ = Arc::make_mut(&mut self.store).free(inst);
             }
         }
         self.key_scratch = kb;
@@ -1774,7 +1727,7 @@ impl SynthRelation {
     /// Decrements an instance's reference count, freeing (recursively) at
     /// zero.
     fn decref(&mut self, r: InstanceRef) {
-        let inst = store_mut(&mut self.store, self.cow_store_clones).get_mut(r);
+        let inst = Arc::make_mut(&mut self.store).get_mut(r);
         inst.refs -= 1;
         if inst.refs == 0 {
             self.free_recursive(r);
@@ -1799,13 +1752,12 @@ impl SynthRelation {
                 PrimInst::Unit(_) => {}
             }
         }
-        let _ = store_mut(&mut self.store, self.cow_store_clones).free(r);
+        let _ = Arc::make_mut(&mut self.store).free(r);
         // Intrusive children carry stale links to the freed parent's list;
         // reset them before releasing the reference.
         for (slot, c) in intrusive_children {
-            store_mut(&mut self.store, self.cow_store_clones)
-                .get_mut(c)
-                .links[slot] = crate::instance::Link::default();
+            Arc::make_mut(&mut self.store).get_mut(c).links[slot] =
+                crate::instance::Link::default();
             self.decref(c);
         }
         for c in children {
@@ -1909,10 +1861,7 @@ impl SynthRelation {
                 if cols.is_disjoint(changed) {
                     continue;
                 }
-                match &mut store_mut(&mut self.store, self.cow_store_clones)
-                    .get_mut(inst)
-                    .prims[leaf]
-                {
+                match &mut Arc::make_mut(&mut self.store).get_mut(inst).prims[leaf] {
                     PrimInst::Unit(u) => *u = t_new.project(cols),
                     PrimInst::Map(_) => unreachable!("unit leaf expected"),
                 }

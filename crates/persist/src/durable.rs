@@ -517,12 +517,6 @@ impl DurableRelation {
         self.wal.pending_bytes()
     }
 
-    /// Records appended to the log but not yet flushed
-    /// ([`Wal::pending_records`]).
-    pub fn wal_pending_records(&self) -> usize {
-        self.wal.pending_records()
-    }
-
     // -- replication hooks --------------------------------------------------
 
     /// The current replication term (0 until a promotion ever happens).

@@ -13,8 +13,7 @@
 //!   mutex — never doing I/O inside a shard critical section — and a
 //!   [`commit`](DurableRelation::commit) call or a size/record-count
 //!   threshold flushes the whole segment as **one contiguous write + one
-//!   fsync** (group commit). Per-record fsync is available as a policy for
-//!   benchmarking; BENCH_5 measures the gap.
+//!   fsync** (group commit).
 //! * **Checkpoints** ([`checkpoint`]): a sidecar file serializing the
 //!   per-shard snapshot vector collected by
 //!   [`read_view`](relic_concurrent::ConcurrentRelation::read_view) — no

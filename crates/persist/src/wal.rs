@@ -35,9 +35,7 @@
 //! inside a shard's write-lock critical section. The segment reaches disk
 //! as **one contiguous write followed by one fsync** when
 //! [`commit`](Wal::commit) is called or when [`maybe_commit`](Wal::maybe_commit)
-//! finds the [`GroupCommitPolicy`] thresholds exceeded. A policy of
-//! [`GroupCommitPolicy::per_record`] degenerates to fsync-per-record — the
-//! baseline BENCH_5's `wal_commit` family measures group commit against.
+//! finds the [`GroupCommitPolicy`] thresholds exceeded.
 
 use crate::{DurableSchema, PersistError};
 use relic_core::wire::{self, Reader};
@@ -587,14 +585,6 @@ impl Default for GroupCommitPolicy {
 }
 
 impl GroupCommitPolicy {
-    /// Fsync after every record — the no-batching baseline.
-    pub fn per_record() -> Self {
-        GroupCommitPolicy {
-            max_records: 1,
-            max_bytes: 0,
-        }
-    }
-
     /// Never auto-flush: records reach disk only on an explicit
     /// [`commit`](Wal::commit) (used by tests that control durability
     /// points exactly).
@@ -923,18 +913,12 @@ impl Wal {
     }
 
     /// Bytes sitting in the in-memory segment, appended but not yet
-    /// flushed — the WAL flush lag. A serving front end uses this (plus
-    /// [`pending_records`](Wal::pending_records)) for admission control:
-    /// when the lag crosses a threshold, new mutation frames are delayed
-    /// or shed instead of growing the unflushed window without bound.
+    /// flushed — the WAL flush lag. A serving front end uses this for
+    /// admission control: when the lag crosses a threshold, new mutation
+    /// frames are delayed or shed instead of growing the unflushed window
+    /// without bound.
     pub fn pending_bytes(&self) -> usize {
         self.lock().buf.len()
-    }
-
-    /// Records sitting in the in-memory segment, appended but not yet
-    /// flushed.
-    pub fn pending_records(&self) -> usize {
-        self.lock().pending
     }
 
     /// The current segment's base sequence number (frames in the file have

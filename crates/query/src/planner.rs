@@ -153,14 +153,7 @@ impl<'a> Planner<'a> {
     /// relation (with an adequate decomposition, the scan-everything plan
     /// covers all in-relation signatures).
     pub fn plan_query(&self, avail: ColSet, out: ColSet) -> Result<PlannedQuery, PlanError> {
-        self.plan_by(
-            avail,
-            ColSet::EMPTY,
-            ColSet::EMPTY,
-            out,
-            |a, b| a < b,
-            |_| true,
-        )
+        self.plan_by(avail, ColSet::EMPTY, ColSet::EMPTY, out, |_| true)
     }
 
     /// Like [`plan_query`](Planner::plan_query), restricted to plans
@@ -179,14 +172,7 @@ impl<'a> Planner<'a> {
         out: ColSet,
         admit: impl Fn(&Plan) -> bool,
     ) -> Result<PlannedQuery, PlanError> {
-        self.plan_by(
-            avail,
-            ColSet::EMPTY,
-            ColSet::EMPTY,
-            out,
-            |a, b| a < b,
-            admit,
-        )
+        self.plan_by(avail, ColSet::EMPTY, ColSet::EMPTY, out, admit)
     }
 
     /// Like [`plan_query_where`](Planner::plan_query_where), restricted to
@@ -204,7 +190,7 @@ impl<'a> Planner<'a> {
         out: ColSet,
         admit: impl Fn(&Plan) -> bool,
     ) -> Result<PlannedQuery, PlanError> {
-        self.plan_by(eq, ranged, filtered, out, |a, b| a < b, admit)
+        self.plan_by(eq, ranged, filtered, out, admit)
     }
 
     /// Plans a comparison query `query_where r P out` (§2's extension):
@@ -225,20 +211,7 @@ impl<'a> Planner<'a> {
         filtered: ColSet,
         out: ColSet,
     ) -> Result<PlannedQuery, PlanError> {
-        self.plan_by(eq, ranged, filtered, out, |a, b| a < b, |_| true)
-    }
-
-    /// The *worst* valid plan for a signature — used by the planner-ablation
-    /// benchmark to show how much planning matters.
-    pub fn plan_query_worst(&self, avail: ColSet, out: ColSet) -> Result<PlannedQuery, PlanError> {
-        self.plan_by(
-            avail,
-            ColSet::EMPTY,
-            ColSet::EMPTY,
-            out,
-            |a, b| a > b,
-            |_| true,
-        )
+        self.plan_by(eq, ranged, filtered, out, |_| true)
     }
 
     fn plan_by(
@@ -247,7 +220,6 @@ impl<'a> Planner<'a> {
         ranged: ColSet,
         filtered: ColSet,
         out: ColSet,
-        better: impl Fn(f64, f64) -> bool,
         admit: impl Fn(&Plan) -> bool,
     ) -> Result<PlannedQuery, PlanError> {
         let body = &self.d.node(self.d.root()).body;
@@ -271,11 +243,8 @@ impl<'a> Planner<'a> {
                 "enumerated plan must be valid"
             );
             let cost = self.cost.cost(self.d, body, &plan);
-            match &best {
-                Some(b) if !better(cost, b.cost) => {}
-                _ => {
-                    best = Some(PlannedQuery { plan, bound, cost });
-                }
+            if best.as_ref().is_none_or(|b| cost < b.cost) {
+                best = Some(PlannedQuery { plan, bound, cost });
             }
         }
         best.ok_or(PlanError::NoPlan { avail, out })
@@ -386,17 +355,6 @@ mod tests {
         let p = Planner::new(&d, &spec, CostModel::uniform(&d, 32.0));
         let err = p.plan_query(ColSet::EMPTY, alien.into()).unwrap_err();
         assert!(matches!(err, PlanError::NoPlan { .. }));
-    }
-
-    #[test]
-    fn worst_plan_costs_at_least_best() {
-        let (cat, spec, d) = scheduler();
-        let ns = cat.col("ns").unwrap();
-        let pid = cat.col("pid").unwrap();
-        let p = Planner::new(&d, &spec, CostModel::uniform(&d, 32.0));
-        let best = p.plan_query(ns | pid, cat.all()).unwrap();
-        let worst = p.plan_query_worst(ns | pid, cat.all()).unwrap();
-        assert!(worst.cost >= best.cost);
     }
 
     #[test]

@@ -62,8 +62,7 @@ use std::fmt;
 use std::time::Duration;
 
 /// When the server fsyncs — the serving analogue of
-/// [`GroupCommitPolicy`](relic_persist::GroupCommitPolicy), measured
-/// head-to-head by the `serving` bench family.
+/// [`GroupCommitPolicy`](relic_persist::GroupCommitPolicy).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CommitMode {
     /// Apply each worker's drained batch as coalesced runs, then commit

@@ -7,7 +7,7 @@
 //! cardinality, mutation, and (in the executor) per-backend streaming.
 
 use relic_core::{OpError, SynthRelation};
-use relic_persist::{DurableRelation, PersistError};
+use relic_persist::DurableRelation;
 use relic_server::{Client, ServerError};
 use relic_spec::{Catalog, ColSet, Pattern, RelSpec, Tuple, Value};
 use std::cell::RefCell;
@@ -180,11 +180,6 @@ pub fn value_literal(v: &Value) -> String {
 /// Maps library errors that carry no span into diagnostics (used by the
 /// executor's query paths).
 pub fn op_err(e: OpError) -> Diag {
-    backend_err(e)
-}
-
-/// As [`op_err`], for the durable layer.
-pub fn persist_err(e: PersistError) -> Diag {
     backend_err(e)
 }
 

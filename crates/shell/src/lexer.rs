@@ -86,12 +86,6 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    /// Is the rest of the line blank?
-    pub fn at_end(&mut self) -> bool {
-        self.skip_ws();
-        self.pos >= self.src.len()
-    }
-
     /// The next token without consuming it.
     pub fn peek(&mut self) -> Result<Option<Spanned>, Diag> {
         let mut probe = self.clone();

@@ -109,15 +109,6 @@ impl ColSet {
         ColSetIter(self.0)
     }
 
-    /// The smallest column of the set, if non-empty.
-    pub fn min_col(self) -> Option<ColId> {
-        if self.0 == 0 {
-            None
-        } else {
-            Some(ColId(self.0.trailing_zeros() as u8))
-        }
-    }
-
     /// The largest column of the set, if non-empty. Container keys are laid
     /// out in ascending column order, so this is the *last* key coordinate —
     /// the one an ordered range can constrain.

@@ -1,6 +1,6 @@
 //! Adaptive representations: the profile → recommend → migrate loop driven
-//! at runtime, plus the phase-shift scenario `bench_smoke` records as
-//! BENCH_3.json.
+//! at runtime, plus the phase-shift scenario `examples/adaptive_demo.rs`
+//! runs.
 //!
 //! The paper's autotuner (§5) picks the best decomposition for a *measured*
 //! workload once, offline. [`AdaptiveRelation`] runs the same machinery

@@ -211,8 +211,8 @@ impl GraphBench {
     }
 }
 
-/// A Zipf-skewed random edge workload (used by ablation benches where grid
-/// regularity would hide data-structure effects).
+/// A Zipf-skewed random edge workload, for when grid regularity would hide
+/// data-structure effects.
 pub fn skewed_graph(nodes: usize, edges: usize, seed: u64) -> GraphWorkload {
     let mut z = Zipf::new(nodes, 0.8, seed);
     let mut rng = StdRng::seed_from_u64(seed ^ 0xabcd);

@@ -210,16 +210,6 @@ pub fn addr_spec() -> (Catalog, AddrCols, RelSpec) {
     (cat, cols, spec)
 }
 
-/// The address table's decomposition: one hash level keyed by `local`.
-pub fn addr_decomposition(cat: &mut Catalog) -> Decomposition {
-    relic_decomp::parse(
-        cat,
-        "let u : {local} . {owner,tier} = unit {owner,tier} in
-         let x : {} . {local,owner,tier} = {local} -[htable]-> u in x",
-    )
-    .expect("address decomposition parses")
-}
-
 /// Renders an accounted packet trace as a TSV flow table (`local remote
 /// bytes pkts` header + one row per flow, sorted) — the `load`-able input
 /// of the relational shell's join demo.
@@ -293,6 +283,17 @@ fn flow_record<'a>(
         bytes: int(cols.bytes)?,
         pkts: int(cols.pkts)?,
     })
+}
+
+/// The `(bytes, pkts)` counters of one stored flow row, or a typed
+/// [`OpError::MalformedRow`] naming the column that lost its integer shape.
+fn counters(cols: &FlowCols, t: &Tuple) -> Result<(i64, i64), OpError> {
+    let int = |col: ColId| {
+        t.get(col)
+            .and_then(Value::as_int)
+            .ok_or(OpError::MalformedRow { col })
+    };
+    Ok((int(cols.bytes)?, int(cols.pkts)?))
 }
 
 /// Every flow `view` holds, sorted: one streaming pass over the pinned
@@ -378,17 +379,7 @@ impl FlowStore for SynthFlows {
         let existing = self.rel.query(&key, self.cols.bytes | self.cols.pkts)?;
         match existing.first() {
             Some(t) => {
-                let bytes = t.get(self.cols.bytes).and_then(Value::as_int).ok_or(
-                    OpError::MalformedRow {
-                        col: self.cols.bytes,
-                    },
-                )?;
-                let pkts =
-                    t.get(self.cols.pkts)
-                        .and_then(Value::as_int)
-                        .ok_or(OpError::MalformedRow {
-                            col: self.cols.pkts,
-                        })?;
+                let (bytes, pkts) = counters(&self.cols, t)?;
                 self.rel.update(
                     &key,
                     &Tuple::from_pairs([
@@ -481,14 +472,7 @@ impl ConcurrentFlows {
         self.rel.with_partition_mut(&key, |shard| {
             match shard.query(&key, cols.bytes | cols.pkts)?.first() {
                 Some(t) => {
-                    let bytes = t
-                        .get(cols.bytes)
-                        .and_then(Value::as_int)
-                        .ok_or(OpError::MalformedRow { col: cols.bytes })?;
-                    let pkts = t
-                        .get(cols.pkts)
-                        .and_then(Value::as_int)
-                        .ok_or(OpError::MalformedRow { col: cols.pkts })?;
+                    let (bytes, pkts) = counters(&cols, t)?;
                     shard.update(
                         &key,
                         &Tuple::from_pairs([
@@ -534,17 +518,7 @@ impl ConcurrentFlows {
         let rows = handle.query(&key, cols.bytes | cols.pkts)?;
         match rows.first() {
             None => Ok(None),
-            Some(t) => {
-                let bytes = t
-                    .get(cols.bytes)
-                    .and_then(Value::as_int)
-                    .ok_or(OpError::MalformedRow { col: cols.bytes })?;
-                let pkts = t
-                    .get(cols.pkts)
-                    .and_then(Value::as_int)
-                    .ok_or(OpError::MalformedRow { col: cols.pkts })?;
-                Ok(Some((bytes, pkts)))
-            }
+            Some(t) => Ok(Some(counters(&cols, t)?)),
         }
     }
 
@@ -686,15 +660,16 @@ impl DurableFlows {
     ///
     /// # Errors
     ///
-    /// As for [`DurableRelation::open`].
+    /// As for [`DurableRelation::open`]; [`PersistError::Corrupt`] if `dir`
+    /// holds a durable relation that is not a flow table.
     pub fn open(dir: &std::path::Path, policy: GroupCommitPolicy) -> Result<Self, PersistError> {
         let rel = DurableRelation::open(dir, policy)?;
-        let cat = rel.catalog();
+        let col = |name| crate::recovered_col(&rel, dir, "a flow table", name);
         let cols = FlowCols {
-            local: cat.col("local").expect("recovered catalog has `local`"),
-            remote: cat.col("remote").expect("recovered catalog has `remote`"),
-            bytes: cat.col("bytes").expect("recovered catalog has `bytes`"),
-            pkts: cat.col("pkts").expect("recovered catalog has `pkts`"),
+            local: col("local")?,
+            remote: col("remote")?,
+            bytes: col("bytes")?,
+            pkts: col("pkts")?,
         };
         Ok(DurableFlows { rel, cols })
     }
@@ -719,8 +694,7 @@ impl DurableFlows {
                 let existing = p.query(&key, cols.bytes | cols.pkts)?;
                 let (bytes, pkts) = match existing.first() {
                     Some(t) => {
-                        let b = t.get(cols.bytes).and_then(Value::as_int).unwrap();
-                        let k = t.get(cols.pkts).and_then(Value::as_int).unwrap();
+                        let (b, k) = counters(&cols, t)?;
                         p.remove(&key)?;
                         (b + len, k + 1)
                     }
@@ -984,6 +958,87 @@ mod tests {
         let flows = DurableFlows::open(&dir, GroupCommitPolicy::manual()).unwrap();
         assert_eq!(flows.report(), baseline_report(&trace));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A recovered log whose flow row lost its integer `bytes` is a typed
+    /// error on the packet that reads it back, and the shard it was read
+    /// under stays usable (the error used to be a panic inside the shard's
+    /// write lock).
+    #[test]
+    fn durable_accounting_reports_a_malformed_recovered_row() {
+        let dir =
+            std::env::temp_dir().join(format!("relic_ipcap_malformed_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        {
+            let flows = DurableFlows::create(&dir, 1, GroupCommitPolicy::manual()).unwrap();
+            let cols = flows.cols;
+            flows
+                .relation()
+                .insert(Tuple::from_pairs([
+                    (cols.local, Value::from(1)),
+                    (cols.remote, Value::from(2)),
+                    (cols.bytes, Value::from("lots")),
+                    (cols.pkts, Value::from(1)),
+                ]))
+                .unwrap();
+            flows.commit().unwrap();
+        }
+        let flows = DurableFlows::open(&dir, GroupCommitPolicy::manual()).unwrap();
+        let bytes = flows.cols.bytes;
+        assert!(matches!(
+            flows.account((1, 2, 100)),
+            Err(PersistError::Op(OpError::MalformedRow { col })) if col == bytes
+        ));
+        // Same shard (there is only one), a well-formed flow: still served.
+        flows.account((1, 3, 100)).unwrap();
+        flows.account((1, 3, 50)).unwrap();
+        assert_eq!(
+            flows.report(),
+            vec![FlowRecord {
+                local: 1,
+                remote: 3,
+                bytes: 150,
+                pkts: 2
+            }]
+        );
+        assert_eq!(flows.live_flows(), 2, "the malformed row was left in place");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Each durable system refuses the other's directory with a typed
+    /// error naming the missing column (both used to panic on it).
+    #[test]
+    fn durable_open_refuses_another_relations_directory() {
+        use crate::thttpd::DurableMmapCache;
+        let tmp = std::env::temp_dir();
+        let flow_dir = tmp.join(format!("relic_ipcap_not_mmap_{}", std::process::id()));
+        let mmap_dir = tmp.join(format!("relic_mmap_not_ipcap_{}", std::process::id()));
+        for dir in [&flow_dir, &mmap_dir] {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+        drop(DurableFlows::create(&flow_dir, 2, GroupCommitPolicy::manual()).unwrap());
+        drop(DurableMmapCache::create(&mmap_dir, 2, GroupCommitPolicy::manual()).unwrap());
+        match DurableFlows::open(&mmap_dir, GroupCommitPolicy::manual()) {
+            Err(PersistError::Corrupt(msg)) => {
+                assert!(
+                    msg.ends_with("not a flow table: no column `local`"),
+                    "{msg}"
+                )
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+        match DurableMmapCache::open(&flow_dir, GroupCommitPolicy::manual()) {
+            Err(PersistError::Corrupt(msg)) => {
+                assert!(
+                    msg.ends_with("not an mmap cache: no column `path`"),
+                    "{msg}"
+                )
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+        for dir in [&flow_dir, &mmap_dir] {
+            let _ = std::fs::remove_dir_all(dir);
+        }
     }
 
     /// Checkpoints run concurrently with packet ingest: multi-threaded

@@ -32,3 +32,20 @@ pub mod served;
 pub mod thttpd;
 pub mod zipf;
 pub mod ztopo;
+
+/// Resolves column `name` in the catalog recovered from `dir`, so opening a
+/// directory that holds some other durable relation is a typed error, not a
+/// panic. `what` names the table the caller expected ("a flow table").
+pub(crate) fn recovered_col(
+    rel: &relic_persist::DurableRelation,
+    dir: &std::path::Path,
+    what: &str,
+    name: &str,
+) -> Result<relic_spec::ColId, relic_persist::PersistError> {
+    rel.catalog().col(name).ok_or_else(|| {
+        relic_persist::PersistError::Corrupt(format!(
+            "{}: not {what}: no column `{name}`",
+            dir.display()
+        ))
+    })
+}

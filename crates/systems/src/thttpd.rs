@@ -475,15 +475,16 @@ impl DurableMmapCache {
     ///
     /// # Errors
     ///
-    /// As for [`DurableRelation::open`].
+    /// As for [`DurableRelation::open`]; [`PersistError::Corrupt`] if `dir`
+    /// holds a durable relation that is not an mmap cache.
     pub fn open(dir: &std::path::Path, policy: GroupCommitPolicy) -> Result<Self, PersistError> {
         let rel = DurableRelation::open(dir, policy)?;
-        let cat = rel.catalog();
+        let col = |name| crate::recovered_col(&rel, dir, "an mmap cache", name);
         let cols = MmapCols {
-            path: cat.col("path").expect("recovered catalog has `path`"),
-            addr: cat.col("addr").expect("recovered catalog has `addr`"),
-            size: cat.col("size").expect("recovered catalog has `size`"),
-            stamp: cat.col("stamp").expect("recovered catalog has `stamp`"),
+            path: col("path")?,
+            addr: col("addr")?,
+            size: col("size")?,
+            stamp: col("stamp")?,
         };
         // One streaming pass over the recovered table: this runs at every
         // open, over the whole cache.
