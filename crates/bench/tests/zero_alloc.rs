@@ -11,7 +11,7 @@
 
 use relic_core::{Bindings, SynthRelation};
 use relic_decomp::parse;
-use relic_spec::{Catalog, RelSpec, Tuple, Value};
+use relic_spec::{Catalog, Pattern, Pred, RelSpec, Tuple, Value};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -202,6 +202,107 @@ fn warm_full_sweep_allocates_nothing() {
         "warm full-sweep path allocated {delta} times over {emitted} emitted tuples"
     );
     assert!(sum >= 0);
+}
+
+/// IpCap's default decomposition (`{local} -[avl]-> {remote} -[htable]->
+/// unit`) holding 64 locals x 32 remotes.
+fn flows() -> (Catalog, SynthRelation) {
+    let mut cat = Catalog::new();
+    let d = relic_systems::ipcap::default_decomposition(&mut cat);
+    let col = |name| cat.col(name).unwrap();
+    let (local, remote, bytes, pkts) = (col("local"), col("remote"), col("bytes"), col("pkts"));
+    let spec = RelSpec::new(cat.all()).with_fd(local | remote, bytes | pkts);
+    let mut r = SynthRelation::new(&cat, spec, d).unwrap();
+    for i in 0..2048i64 {
+        r.insert(Tuple::from_pairs([
+            (local, Value::from(i % 64)),
+            (remote, Value::from(i << 12)),
+            (bytes, Value::from(i * 40)),
+            (pkts, Value::from(i)),
+        ]))
+        .unwrap();
+    }
+    (cat, r)
+}
+
+/// A sweep that leaves `local` free crosses the `avl` edge with the
+/// in-order visitor, not `AvlMap::iter`'s heap-allocated stack: the query
+/// path with an empty pattern and the `scan_all` of a pinned snapshot (what
+/// checkpoints and reports read through) both stay at zero when warm.
+#[test]
+fn warm_avl_sweep_allocates_nothing() {
+    let _serial = serial();
+    let (cat, r) = flows();
+    let pkts = cat.col("pkts").unwrap();
+    let snap = r.snapshot();
+    let mut scratch = Bindings::new();
+    let sweep = |scratch: &mut Bindings| {
+        let (mut n, mut sum) = (0usize, 0i64);
+        let mut row = |b: &Bindings| {
+            n += 1;
+            sum += b.get(pkts).unwrap().as_int().unwrap();
+        };
+        r.query_for_each_bindings(scratch, &Tuple::empty(), pkts.into(), &mut row)
+            .unwrap();
+        snap.scan_all(scratch, &mut row).unwrap();
+        (n, sum)
+    };
+    let warm = sweep(&mut scratch);
+    assert_eq!(warm, (2 * 2048, 2047 * 2048));
+    let before = allocs();
+    for _ in 0..5 {
+        assert_eq!(sweep(&mut scratch), warm);
+    }
+    let delta = allocs() - before;
+    assert_eq!(
+        delta, 0,
+        "warm sweep across the avl edge allocated {delta} times"
+    );
+}
+
+/// Range queries (`query_where`: an equality column, an interval that drives
+/// `qrange` on the `avl` edge, a filter on the hashed column) borrow the
+/// caller's pattern: no predicate vector, no equality tuple, per query.
+#[test]
+fn warm_range_query_allocates_nothing() {
+    let _serial = serial();
+    let (cat, r) = flows();
+    let col = |name| cat.col(name).unwrap();
+    let (local, remote, bytes) = (col("local"), col("remote"), col("bytes"));
+    let patterns: Vec<Pattern> = (0..64i64)
+        .flat_map(|i| {
+            let span = Pred::Between(Value::from(i), Value::from(i + 7));
+            let far = Pred::Ge(Value::from(1024i64 << 12));
+            [
+                Pattern::new().with(local, span.clone()),
+                Pattern::new().with(local, span).with(remote, far.clone()),
+                Pattern::new()
+                    .with(local, Pred::Eq(Value::from(i)))
+                    .with(remote, far),
+            ]
+        })
+        .collect();
+    let mut scratch = Bindings::new();
+    let run = |scratch: &mut Bindings| {
+        let mut n = 0usize;
+        for p in &patterns {
+            r.query_where_for_each_bindings(scratch, p, bytes.into(), |b| {
+                assert!(b.get(bytes).is_some());
+                n += 1;
+            })
+            .unwrap();
+        }
+        n
+    };
+    let warm = run(&mut scratch);
+    assert!(warm > 64 * 32, "{warm} rows");
+    let before = allocs();
+    assert_eq!(run(&mut scratch), warm);
+    let delta = allocs() - before;
+    assert_eq!(
+        delta, 0,
+        "warm range-query path allocated {delta} times over {warm} emitted tuples"
+    );
 }
 
 /// Allocations one `checkpoint()` makes over `n` flow-like tuples (an

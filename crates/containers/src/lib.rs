@@ -5,8 +5,10 @@
 //! §6). This crate is that library, built from scratch so the runtime's
 //! complexity profile is fully under our control:
 //!
-//! * [`HashTable`] — separate-chaining hash table with a deterministic
-//!   FxHash-style hasher (the paper's `htable`); expected O(1) lookup.
+//! * [`HashTable`] — dense hash table (one entry array in insertion order
+//!   behind an open-addressed index of `u32` positions) with a deterministic
+//!   FxHash-style hasher (the paper's `htable`); expected O(1) lookup,
+//!   iteration is a slice walk.
 //! * [`AvlMap`] — arena-backed AVL tree (the paper's `btree` stand-in);
 //!   O(log n) lookup, ordered iteration.
 //! * [`SortedVecMap`] — binary-searched sorted vector; O(log n) lookup,

@@ -22,7 +22,14 @@
 //!   call (the "push/pop value bindings on a stack" of the scratch-tuple
 //!   design) — the undo information is just a [`ColSet`] of newly-bound
 //!   columns, because a column that was already bound must have compared
-//!   equal and therefore needs no restoration.
+//!   equal and therefore needs no restoration,
+//! * unbinding flips bits: a column is bound exactly when its bit is set in
+//!   the accumulator's domain, so popping a row — and clearing the
+//!   accumulator for the next query — is one word operation, writes no slot
+//!   and runs no drop glue. A slot may therefore outlive its binding: it
+//!   keeps the last value written (at most one per column, 64 in all) until
+//!   the column is bound again or the [`Bindings`] is dropped, and no
+//!   accessor shows it.
 //!
 //! The only allocating operator is `qhashjoin`, which is *defined* as
 //! non-constant-space (§4.1's noted extension) and materializes its sides.
@@ -30,13 +37,15 @@
 //! [`exec_plan`] additionally threads the *comparison* predicates of a
 //! pattern query (§2's "comparisons other than equality" extension): scanned
 //! keys and unit tuples are filtered against them, and the `qrange` operator
-//! seeks directly to the matching run of an ordered container.
+//! seeks directly to the matching run of an ordered container. The pattern
+//! is borrowed from the caller as it is — nothing is copied out of it per
+//! query.
 
 use crate::instance::{InstanceRef, PrimInst, Store};
 use relic_containers::HashTable;
 use relic_decomp::{Body, Decomposition};
 use relic_query::{Plan, Side};
-use relic_spec::{ColId, ColSet, Pred, Tuple, Value};
+use relic_spec::{ColId, ColSet, Pattern, Tuple, Value};
 
 /// The reusable scratch accumulator for query execution: the current
 /// valuation of every bound column, plus a pool of key buffers for container
@@ -47,12 +56,19 @@ use relic_spec::{ColId, ColSet, Pred, Tuple, Value};
 /// query path allocation-free. Callbacks receive `&Bindings` and read the
 /// emitted valuation through [`Bindings::get`] / [`Bindings::project`].
 ///
+/// A column is bound exactly when its bit is set in the `bound` set:
+/// unbinding clears the bit and leaves the slot alone, so a slot may keep
+/// the last value written to it — invisible through every accessor, at most
+/// one per column (64), released when the slot is next bound or the
+/// accumulator is dropped.
+///
 /// [`SynthRelation::query_for_each_bindings`]:
 ///     crate::SynthRelation::query_for_each_bindings
 #[derive(Debug, Default)]
 pub struct Bindings {
-    /// `slots[c.index()]` holds the value bound to column `c`, if any.
-    slots: Vec<Option<Value>>,
+    /// `slots[c.index()]` holds the value bound to column `c` while
+    /// `bound` contains `c`, and a stale or filler value otherwise.
+    slots: Vec<Value>,
     /// The set of currently-bound columns (the accumulator's domain).
     bound: ColSet,
     /// Recycled key buffers for lookup probes and range prefixes.
@@ -84,11 +100,7 @@ impl Bindings {
 
     /// The value bound to `c`, if any.
     pub fn get(&self, c: ColId) -> Option<&Value> {
-        if self.bound.contains(c) {
-            self.slots[c.index()].as_ref()
-        } else {
-            None
-        }
+        self.bound.contains(c).then(|| &self.slots[c.index()])
     }
 
     /// The projection of the current valuation onto `cs ∩ dom` as a fresh
@@ -96,14 +108,7 @@ impl Bindings {
     /// paths, not for per-tuple hot-path use.
     pub fn project(&self, cs: ColSet) -> Tuple {
         let keep = self.bound & cs;
-        let vals: Vec<Value> = keep
-            .iter()
-            .map(|c| {
-                self.slots[c.index()]
-                    .clone()
-                    .expect("bound column has a value")
-            })
-            .collect();
+        let vals = keep.iter().map(|c| self.slots[c.index()].clone()).collect();
         Tuple::from_parts(keep, vals)
     }
 
@@ -112,66 +117,40 @@ impl Bindings {
         self.project(self.bound)
     }
 
-    /// Grows the slot table to cover column `c`.
-    fn ensure(&mut self, c: ColId) {
-        if self.slots.len() <= c.index() {
-            self.slots.resize(c.index() + 1, None);
-        }
-    }
-
-    /// Clears all bindings and loads the equality pattern `t`.
-    pub(crate) fn load_pattern(&mut self, t: &Tuple) {
-        self.clear_bindings();
-        for (c, v) in t.iter() {
-            self.ensure(c);
-            self.slots[c.index()] = Some(v.clone());
-            self.bound = self.bound | c;
-        }
-    }
-
-    /// Clears all bindings and loads `t`'s projection onto `cs` — the
-    /// pattern-loading path used by mutation-side probes, which avoids
-    /// materializing the projected pattern tuple.
-    pub(crate) fn load_pattern_cols(&mut self, t: &Tuple, cs: ColSet) {
-        self.clear_bindings();
-        for c in cs.iter() {
-            let v = t.get(c).expect("pattern column present in source tuple");
-            self.ensure(c);
-            self.slots[c.index()] = Some(v.clone());
-            self.bound = self.bound | c;
-        }
-    }
-
-    /// Unbinds everything (keeps slot capacity and pooled buffers).
-    pub(crate) fn clear_bindings(&mut self) {
-        for c in self.bound.iter() {
-            self.slots[c.index()] = None;
-        }
+    /// Unbinds everything, then binds each `(column, value)` of `pattern` —
+    /// how every query loads its equality pattern.
+    pub(crate) fn load<'v>(&mut self, pattern: impl IntoIterator<Item = (ColId, &'v Value)>) {
         self.bound = ColSet::EMPTY;
+        for (c, v) in pattern {
+            self.bind(c, v);
+        }
+    }
+
+    /// Binds the unbound column `c` to `v`, releasing the slot's stale value.
+    fn bind(&mut self, c: ColId, v: &Value) {
+        if self.slots.len() <= c.index() {
+            self.slots.resize(c.index() + 1, Value::Bool(false));
+        }
+        self.slots[c.index()] = v.clone();
+        self.bound = self.bound | c;
     }
 
     /// Binds `c` to `v`, checking agreement with an existing binding.
     fn bind_checked(&mut self, c: ColId, v: &Value) -> Bind {
-        if self.bound.contains(c) {
-            if self.slots[c.index()].as_ref() == Some(v) {
-                Bind::Same
-            } else {
-                Bind::Conflict
-            }
-        } else {
-            self.ensure(c);
-            self.slots[c.index()] = Some(v.clone());
-            self.bound = self.bound | c;
+        if !self.bound.contains(c) {
+            self.bind(c, v);
             Bind::New
+        } else if self.slots[c.index()] == *v {
+            Bind::Same
+        } else {
+            Bind::Conflict
         }
     }
 
     /// Pops the bindings of `newly` (the stack-discipline undo: columns that
     /// were already bound compared equal, so only newly-bound ones restore).
+    /// O(1): bits flip, slots are not written and nothing is dropped.
     fn unbind(&mut self, newly: ColSet) {
-        for c in newly.iter() {
-            self.slots[c.index()] = None;
-        }
         self.bound = self.bound - newly;
     }
 
@@ -187,10 +166,12 @@ impl Bindings {
     }
 }
 
-/// Do the comparison predicates on column `c` (if any) accept `v`?
+/// Does the pattern's predicate on column `c` (if any) accept `v`? (An
+/// equality predicate's column is bound up front, so `bind_checked` already
+/// holds scanned values to it; re-checking it here is merely redundant.)
 #[inline]
-fn cmp_accepts(cmp: &[(ColId, Pred)], c: ColId, v: &Value) -> bool {
-    cmp.iter().all(|(cc, p)| *cc != c || p.accepts(v))
+fn cmp_accepts(cmp: &Pattern, c: ColId, v: &Value) -> bool {
+    cmp.iter().all(|(cc, p)| cc != c || p.accepts(v))
 }
 
 /// Binds the columns of `cols` to the parallel values `vals` on top of `b`,
@@ -198,12 +179,7 @@ fn cmp_accepts(cmp: &[(ColId, Pred)], c: ColId, v: &Value) -> bool {
 /// of newly-bound columns; on mismatch undoes partial work and returns
 /// `None`.
 #[inline]
-fn bind_row(
-    b: &mut Bindings,
-    cmp: &[(ColId, Pred)],
-    cols: ColSet,
-    vals: &[Value],
-) -> Option<ColSet> {
+fn bind_row(b: &mut Bindings, cmp: &Pattern, cols: ColSet, vals: &[Value]) -> Option<ColSet> {
     let mut newly = ColSet::EMPTY;
     for (c, v) in cols.iter().zip(vals.iter()) {
         if !cmp_accepts(cmp, c, v) {
@@ -228,8 +204,10 @@ pub(crate) struct ExecEnv<'a> {
     pub store: &'a Store,
     /// The decomposition being executed against.
     pub d: &'a Decomposition,
-    /// Non-equality predicates of the pattern (empty for plain queries).
-    pub cmp: &'a [(ColId, Pred)],
+    /// The query pattern, borrowed: its non-equality predicates filter
+    /// scanned keys and unit tuples (empty for plain equality queries, whose
+    /// pattern lives in the accumulator alone).
+    pub cmp: &'a Pattern,
 }
 
 /// Executes `plan` against the instance `inst` of the node whose body is
@@ -319,9 +297,7 @@ pub(crate) fn exec_plan(
             let c = e.key.max_col().expect("range edge has key columns");
             let pred = env
                 .cmp
-                .iter()
-                .find(|(col, _)| *col == c)
-                .map(|(_, p)| p)
+                .pred(c)
                 .expect("qrange requires a comparison predicate on the final key column");
             let (lo, hi) = pred
                 .bounds()

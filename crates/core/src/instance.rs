@@ -686,9 +686,9 @@ impl Store {
                 }
             }
             PrimInst::Map(EdgeContainer::Avl(c)) => {
-                for (k, v) in c.iter() {
-                    f(k, *v);
-                }
+                // The recursive in-order visitor: `AvlMap::iter` would
+                // allocate its explicit stack once per container visited.
+                c.for_each_classified(|_| std::cmp::Ordering::Equal, |k, v| f(k, *v));
             }
             PrimInst::Map(EdgeContainer::Sorted(c)) => {
                 for (k, v) in c.iter() {

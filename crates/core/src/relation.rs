@@ -1962,7 +1962,16 @@ impl EdgeAcc {
         if self.entries.is_empty() {
             return;
         }
-        let entries = std::mem::take(&mut self.entries);
+        // The next group is probably as large as this one: its buffer is
+        // sized once. `htable`, `sortedvec` and `vec` adopt the buffer, so
+        // growing it by doubling would leave every group's discarded copies
+        // as holes between the instances (and a mostly-free heap that the
+        // allocator trims and faults in again on the next load).
+        let next = Vec::with_capacity(self.entries.len());
+        let mut entries = std::mem::replace(&mut self.entries, next);
+        if entries.capacity() > 2 * entries.len() {
+            entries.shrink_to_fit(); // a much smaller group than the last
+        }
         let cont = match self.ds {
             DsKind::HashTable => EdgeContainer::Hash(HashTable::from_batch(entries)),
             DsKind::AvlTree => EdgeContainer::Avl(if self.ascending {
@@ -1994,10 +2003,9 @@ impl EdgeAcc {
 /// recording).
 pub(crate) fn interval_cols(pattern: &Pattern) -> ColSet {
     pattern
-        .cmp_preds()
         .iter()
-        .filter(|(_, p)| p.is_interval())
-        .fold(ColSet::EMPTY, |acc, (c, _)| acc | *c)
+        .filter(|(_, p)| p.as_eq().is_none() && p.is_interval())
+        .fold(ColSet::EMPTY, |acc, (c, _)| acc | c)
 }
 
 /// The borrowed read-side core: everything needed to plan and execute a
@@ -2038,11 +2046,11 @@ impl ReadCore<'_> {
             ColSet::EMPTY,
             out,
         )?;
-        scratch.load_pattern(pattern);
+        scratch.load(pattern.iter());
         let env = ExecEnv {
             store: self.store,
             d: self.d,
-            cmp: &[],
+            cmp: &Pattern::new(),
         };
         let body = &self.d.node(self.d.root()).body;
         exec_plan(&env, &plan, body, 0, self.root, scratch, &mut |b| f(b));
@@ -2063,7 +2071,6 @@ impl ReadCore<'_> {
         if !foreign.is_empty() {
             return Err(OpError::ForeignColumns { cols: foreign });
         }
-        let cmp = pattern.cmp_preds();
         let ranged = interval_cols(pattern);
         let filtered = pattern.cmp_cols() - ranged;
         let plan = plan_memoized(
@@ -2076,12 +2083,11 @@ impl ReadCore<'_> {
             filtered,
             out,
         )?;
-        let eq = pattern.eq_tuple();
-        scratch.load_pattern(&eq);
+        scratch.load(pattern.iter().filter_map(|(c, p)| Some((c, p.as_eq()?))));
         let env = ExecEnv {
             store: self.store,
             d: self.d,
-            cmp: &cmp,
+            cmp: pattern,
         };
         let body = &self.d.node(self.d.root()).body;
         exec_plan(&env, &plan, body, 0, self.root, scratch, &mut |b| f(b));
@@ -2145,8 +2151,14 @@ fn for_each_matching(
     pattern_cols: ColSet,
     f: &mut dyn FnMut(&Bindings),
 ) {
-    scratch.load_pattern_cols(t, pattern_cols);
-    let env = ExecEnv { store, d, cmp: &[] };
+    // Loads `t`'s projection onto `pattern_cols` without materializing it.
+    debug_assert!(pattern_cols.is_subset(t.dom()), "pattern column absent");
+    scratch.load(t.iter().filter(|(c, _)| pattern_cols.contains(*c)));
+    let env = ExecEnv {
+        store,
+        d,
+        cmp: &Pattern::new(),
+    };
     let body = &d.node(d.root()).body;
     exec_plan(&env, plan, body, 0, root, scratch, &mut |b| f(b));
 }

@@ -417,7 +417,7 @@ mod tests {
             (c, Value::from(true)),
         ]);
         let mut scratch = Bindings::new();
-        scratch.load_pattern(&t);
+        scratch.load(t.iter());
         for cols in [a | b | c, a | c, b.set(), ColSet::EMPTY] {
             let (mut streamed, mut built) = (Vec::new(), Vec::new());
             put_bindings(&mut streamed, &scratch, cols);

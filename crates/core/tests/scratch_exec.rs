@@ -123,6 +123,190 @@ proptest! {
     }
 }
 
+/// A relation over a *different* catalog — ⟨id, a, b⟩ with a string-valued
+/// `a`, so its column ids alias the scheduler's with other types — split
+/// into two panels that only a join can reassemble; under realistic join
+/// costs a full enumeration is a `qhashjoin`.
+fn two_panel(rows: &[(i64, i64, bool, i64)]) -> (Catalog, SynthRelation) {
+    let mut cat = Catalog::new();
+    let d = parse(
+        &mut cat,
+        "let wl : {a,id} . {} = unit {} in
+         let wr : {b,id} . {} = unit {} in
+         let l : {a} . {id} = {id} -[htable]-> wl in
+         let r : {b} . {id} = {id} -[avl]-> wr in
+         let x : {} . {id,a,b} = ({a} -[htable]-> l) join ({b} -[htable]-> r) in x",
+    )
+    .unwrap();
+    let (id, a, b) = (
+        cat.col("id").unwrap(),
+        cat.col("a").unwrap(),
+        cat.col("b").unwrap(),
+    );
+    let spec = RelSpec::new(id | a | b).with_fd(id.set(), a | b);
+    let mut r = SynthRelation::new(&cat, spec, d).unwrap();
+    for (i, (x, y, s, _)) in rows.iter().enumerate() {
+        r.insert(Tuple::from_pairs([
+            (id, Value::from(i as i64)),
+            (
+                a,
+                Value::from(format!("{}{x}", if *s { "R" } else { "S" }).as_str()),
+            ),
+            (b, Value::from(*y)),
+        ]))
+        .unwrap();
+    }
+    r.set_cost_model(r.observed_cost_model());
+    r.set_join_cost_mode(relic_query::JoinCostMode::Realistic);
+    (cat, r)
+}
+
+/// Everything one query lets a caller see of `scratch`: per emitted row the
+/// domain, the full valuation, the projection and `get` of every column id a
+/// slot could exist for; then the same once the query is over.
+fn observe(
+    r: &SynthRelation,
+    scratch: &mut Bindings,
+    pattern: &Tuple,
+    out: ColSet,
+) -> Vec<(ColSet, Tuple, Tuple, Vec<Option<Value>>)> {
+    let see = |b: &Bindings| {
+        let gets = ColSet::from_bits(0xff).iter().map(|c| b.get(c).cloned());
+        (b.dom(), b.to_tuple(), b.project(out), gets.collect())
+    };
+    let mut seen = Vec::new();
+    r.query_for_each_bindings(scratch, pattern, out, |b| seen.push(see(b)))
+        .unwrap();
+    seen.push(see(scratch));
+    seen
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// Unbinding only clears bits, so a reused scratch carries stale values
+    /// in its slots — from the previous query, from another relation whose
+    /// catalog gives the same column ids other types, from the two sides of
+    /// a `qhashjoin`. None of that may show: every query answers, row by row
+    /// and in the state it leaves behind, exactly as on a fresh
+    /// `Bindings::new()`.
+    #[test]
+    fn reused_scratch_answers_as_a_fresh_one(
+        rows in proptest::collection::vec((0i64..4, 0i64..6, any::<bool>(), 0i64..4), 0..40),
+        which in 0usize..5,
+    ) {
+        let (cat, spec, ds) = scheduler_setup();
+        let col = |name| cat.col(name).unwrap();
+        let (ns, pid, state, cpu) = (col("ns"), col("pid"), col("state"), col("cpu"));
+        let mut sched = SynthRelation::new(&cat, spec, ds[which].clone()).unwrap();
+        for &(a, b, s, c) in &rows {
+            let _ = sched.insert(Tuple::from_pairs([
+                (ns, Value::from(a)),
+                (pid, Value::from(b)),
+                (state, Value::from(if s { "R" } else { "S" })),
+                (cpu, Value::from(c)),
+            ]));
+        }
+        let (pcat, panels) = two_panel(&rows);
+        let pcol = |name| pcat.col(name).unwrap();
+        let (id, a, b) = (pcol("id"), pcol("a"), pcol("b"));
+        if rows.len() > 8 {
+            let plan = panels.plan_for(ColSet::EMPTY, pcat.all()).unwrap();
+            prop_assert!(plan.contains("qhashjoin"), "{}", plan);
+        }
+        let sched_queries = [
+            (Tuple::empty(), cat.all()),
+            (Tuple::from_pairs([(state, Value::from("R"))]), ns | pid),
+            (Tuple::from_pairs([(ns, Value::from(2)), (pid, Value::from(3))]), cpu.into()),
+            (Tuple::from_pairs([(ns, Value::from(1))]), ColSet::EMPTY),
+        ];
+        let panel_queries = [
+            (Tuple::empty(), pcat.all()),
+            (Tuple::from_pairs([(a, Value::from("R1"))]), id.into()),
+            (Tuple::from_pairs([(id, Value::from(3))]), a | b),
+            (Tuple::from_pairs([(b, Value::from(2))]), ColSet::EMPTY),
+        ];
+        let mut scratch = Bindings::new();
+        for _ in 0..2 {
+            for ((sp, so), (pp, po)) in sched_queries.iter().zip(&panel_queries) {
+                let got = observe(&sched, &mut scratch, sp, *so);
+                prop_assert_eq!(got, observe(&sched, &mut Bindings::new(), sp, *so));
+                let got = observe(&panels, &mut scratch, pp, *po);
+                prop_assert_eq!(got, observe(&panels, &mut Bindings::new(), pp, *po));
+            }
+        }
+    }
+}
+
+/// After a scan whose rows bound string columns, the slots still hold the
+/// last strings written; `get`, `dom`, `project` and `to_tuple` must show
+/// only what the `bound` set covers.
+#[test]
+fn unbound_slots_are_invisible() {
+    let (cat, spec, ds) = scheduler_setup();
+    let col = |name| cat.col(name).unwrap();
+    let (ns, pid, state, cpu) = (col("ns"), col("pid"), col("state"), col("cpu"));
+    let mut r = SynthRelation::new(&cat, spec.clone(), ds[2].clone()).unwrap();
+    for i in 0..12i64 {
+        r.insert(Tuple::from_pairs([
+            (ns, Value::from(i % 2)),
+            (pid, Value::from(i)),
+            (state, Value::from(if i % 3 == 0 { "R" } else { "S" })),
+            (cpu, Value::from(i)),
+        ]))
+        .unwrap();
+    }
+    let mut scratch = Bindings::new();
+    let pattern = Tuple::from_pairs([(ns, Value::from(1))]);
+    let mut rows = 0;
+    r.query_for_each_bindings(&mut scratch, &pattern, cat.all(), |b| {
+        assert_eq!(b.dom(), cat.all());
+        assert!(b.get(state).unwrap().as_str().is_some());
+        rows += 1;
+    })
+    .unwrap();
+    assert_eq!(rows, 6);
+    // Only the pattern is left bound.
+    assert_eq!(scratch.dom(), ns.set());
+    for c in [pid, state, cpu] {
+        assert_eq!(scratch.get(c), None);
+    }
+    assert_eq!(scratch.project(cat.all()), pattern);
+    assert_eq!(scratch.to_tuple(), pattern);
+    assert_eq!(scratch.project(state | cpu), Tuple::empty());
+    // A query over an empty relation leaves nothing bound at all.
+    let empty = SynthRelation::new(&cat, spec, ds[0].clone()).unwrap();
+    empty
+        .query_for_each_bindings(&mut scratch, &Tuple::empty(), cat.all(), |_| {
+            panic!("no rows")
+        })
+        .unwrap();
+    assert_eq!(scratch.dom(), ColSet::EMPTY);
+    assert_eq!(scratch.to_tuple(), Tuple::empty());
+    assert_eq!(scratch.get(ns), None);
+    // Another catalog's query that binds only two of its three columns sees
+    // no third one, although that slot (the scheduler's `state`) holds "S".
+    let (pcat, panels) = two_panel(&[(1, 5, true, 0), (2, 6, false, 0)]);
+    let pcol = |name| pcat.col(name).unwrap();
+    let (id, a, b) = (pcol("id"), pcol("a"), pcol("b"));
+    assert_eq!(b.index(), state.index());
+    let mut rows = 0;
+    let by_a = Tuple::from_pairs([(a, Value::from("R1"))]);
+    panels
+        .query_for_each_bindings(&mut scratch, &by_a, id.into(), |row| {
+            assert_eq!(row.dom(), id | a);
+            assert_eq!(row.get(b), None);
+            assert_eq!(
+                row.to_tuple(),
+                by_a.merge(&Tuple::from_pairs([(id, Value::from(0))]))
+            );
+            assert_eq!(row.project(pcat.all()).dom(), id | a);
+            rows += 1;
+        })
+        .unwrap();
+    assert_eq!(rows, 1);
+}
+
 /// The paper's Equation 1 example relation, queried through the raw path on
 /// the Fig. 2(a) decomposition — a deterministic end-to-end check of the
 /// exact emitted bindings (pattern + scan keys + unit payload).
