@@ -11,7 +11,8 @@
 //! * [`Autotuner::tune_static`] — static: ranks candidates by the §4.3 cost
 //!   model over a declared [`Workload`] of query/update signatures, without
 //!   executing anything. Useful for pre-filtering the candidate set, the
-//!   way the figures in EXPERIMENTS.md select which decompositions to run.
+//!   way the `fig11`/`fig13` binaries of `relic_bench` select which
+//!   decompositions to run.
 //!
 //! A third entry point closes the adaptive loop:
 //! [`Autotuner::recommend`] reads a live relation's *measured* workload

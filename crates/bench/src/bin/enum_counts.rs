@@ -20,8 +20,8 @@ fn main() {
 
     println!("§5 — adequate decomposition shapes per edge bound");
     println!("(paper: 84 decompositions with ≤ 4 map edges for the 3-column graph and");
-    println!("flow relations; our enumerator explores a somewhat larger space — see");
-    println!("EXPERIMENTS.md for the comparison)\n");
+    println!("flow relations; our enumerator explores a somewhat larger space, so its");
+    println!("counts should dominate the paper's)\n");
 
     let mut rows = vec![vec![
         "relation".to_string(),

@@ -18,7 +18,7 @@ fn main() {
     println!(
         "Figure 13 — IpCap: elapsed time to log {packets} random packets across {take} decompositions"
     );
-    println!("(paper: 3e5 packets, 26 of 84 decompositions finished; scaled per EXPERIMENTS.md)\n");
+    println!("(paper: 3e5 packets, 26 of 84 decompositions finished; default here is a tenth of the packets)\n");
     let candidates = fig13_candidates(&cat, &spec, take);
     let mut results = Vec::new();
     for c in &candidates {

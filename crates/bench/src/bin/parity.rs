@@ -145,6 +145,6 @@ fn main() {
     println!("{}", render_table(&rows));
     println!("Note: the paper's generated C++ is compiled per decomposition; our");
     println!("synthesized path is interpreted, so a constant-factor overhead is");
-    println!("expected (EXPERIMENTS.md). The required result is behavioural equality");
+    println!("expected. The required result is behavioural equality");
     println!("and the same complexity class (ratios stay bounded as scale grows).");
 }

@@ -9,7 +9,8 @@
 //! test binary, so installing the global allocator affects only these
 //! tests.)
 
-use relic_core::{Bindings, SynthRelation};
+use relic_concurrent::ConcurrentRelation;
+use relic_core::{Bindings, RelRead, SynthRelation};
 use relic_decomp::parse;
 use relic_spec::{Catalog, Pattern, Pred, RelSpec, Tuple, Value};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -303,6 +304,111 @@ fn warm_range_query_allocates_nothing() {
         delta, 0,
         "warm range-query path allocated {delta} times over {warm} emitted tuples"
     );
+}
+
+/// One read of the wait-free path: a point probe or a comparison pattern.
+enum Read<'a> {
+    Point(&'a Tuple),
+    Range(&'a Pattern),
+}
+
+/// The [`flows`] tuples over four partitions sharded by `local`.
+fn sharded_flows() -> (Catalog, ConcurrentRelation) {
+    let (cat, r) = flows();
+    let local = cat.col("local").unwrap();
+    let d = r.decomposition().clone();
+    let rel = ConcurrentRelation::new(&cat, r.spec().clone(), d, local.set(), 4).unwrap();
+    rel.bulk_load(r.query_full(&Tuple::empty()).unwrap())
+        .unwrap();
+    (cat, rel)
+}
+
+/// Drives `read` — some way of reading a [`sharded_flows`] relation through
+/// its published snapshots — over point probes and range queries, each
+/// both pinned to one shard (its equality part binds `local`) and fanned
+/// out over all four, and holds the warm pass to zero allocations: routing
+/// reads the pattern's own predicates, it builds no equality tuple.
+fn warm_sharded_reads_allocate_nothing(
+    cat: &Catalog,
+    mut read: impl FnMut(&mut Bindings, Read<'_>, &mut dyn FnMut(&Bindings)),
+) {
+    let col = |name| cat.col(name).unwrap();
+    let (local, remote) = (col("local"), col("remote"));
+    let points: Vec<Tuple> = (0..64i64)
+        .flat_map(|i| {
+            let key = [(local, Value::from(i)), (remote, Value::from(i << 12))];
+            [
+                Tuple::from_pairs(key.clone()),
+                Tuple::from_pairs(key.into_iter().skip(1)),
+            ]
+        })
+        .collect();
+    let ranges: Vec<Pattern> = (0..64i64)
+        .flat_map(|i| {
+            let far = Pred::Ge(Value::from(1024i64 << 12));
+            [
+                Pattern::new()
+                    .with(local, Pred::Eq(Value::from(i)))
+                    .with(remote, far.clone()),
+                Pattern::new()
+                    .with(local, Pred::Between(Value::from(i), Value::from(i + 7)))
+                    .with(remote, far),
+            ]
+        })
+        .collect();
+    let mut scratch = Bindings::new();
+    let mut run = |scratch: &mut Bindings| {
+        let mut n = 0usize;
+        for t in &points {
+            read(scratch, Read::Point(t), &mut |_| n += 1);
+        }
+        for p in &ranges {
+            read(scratch, Read::Range(p), &mut |_| n += 1);
+        }
+        n
+    };
+    let warm = run(&mut scratch);
+    assert!(warm > 2 * 64 + 64 * 16, "{warm} rows");
+    let before = allocs();
+    assert_eq!(run(&mut scratch), warm);
+    let delta = allocs() - before;
+    assert_eq!(
+        delta, 0,
+        "warm wait-free reads allocated {delta} times over {warm} emitted tuples"
+    );
+}
+
+/// A served query's path: `ReadHandle`'s two streaming primitives, which
+/// re-check the owning shard (or the whole view) and then read the view.
+#[test]
+fn warm_point_and_range_queries_through_a_read_handle_allocate_nothing() {
+    let _serial = serial();
+    let (cat, rel) = sharded_flows();
+    let out = cat.col("bytes").unwrap().set();
+    let mut handle = rel.read_handle();
+    warm_sharded_reads_allocate_nothing(&cat, |scratch, q, f| {
+        match q {
+            Read::Point(t) => handle.query_for_each_bindings(scratch, t, out, f),
+            Read::Range(p) => handle.query_where_for_each_bindings(scratch, p, out, f),
+        }
+        .unwrap()
+    });
+}
+
+/// The same reads against a detached view (what a shell join leg holds).
+#[test]
+fn warm_point_and_range_queries_through_a_detached_read_view_allocate_nothing() {
+    let _serial = serial();
+    let (cat, rel) = sharded_flows();
+    let out = cat.col("bytes").unwrap().set();
+    let view = rel.read_view();
+    warm_sharded_reads_allocate_nothing(&cat, |scratch, q, f| {
+        match q {
+            Read::Point(t) => view.query_for_each_bindings(scratch, t, out, f),
+            Read::Range(p) => view.query_where_for_each_bindings(scratch, p, out, f),
+        }
+        .unwrap()
+    });
 }
 
 /// Allocations one `checkpoint()` makes over `n` flow-like tuples (an

@@ -5,20 +5,23 @@
 //! to decomposition nodes and acquiring them in a two-phase discipline
 //! guided by the decomposition's *domains* — the valuations of the columns
 //! bound on a path. This crate reproduces the essence of that design in a
-//! deliberately simplified form, documented in DESIGN.md:
+//! deliberately simplified form — one lock per partition instead of one per
+//! node instance:
 //!
 //! * the relation is **partitioned by a set of shard columns** — the analog
 //!   of locking on the valuation of the first-level key columns: every
 //!   tuple routes to the shard owning its shard-column valuation,
 //! * each shard is an independent [`SynthRelation`] behind a
-//!   reader-writer lock — operations whose pattern *pins* the shard columns
+//!   reader-writer lock — mutations whose pattern *pins* the shard columns
 //!   touch exactly one lock, mirroring how the PLDI'12 system takes only
-//!   the locks on the domains a query visits,
-//! * operations that do not pin the shard columns take **all shard locks in
+//!   the locks on the domains an operation visits,
+//! * mutations that do not pin the shard columns take **all shard locks in
 //!   index order** (a total order, so the discipline is deadlock-free),
-//!   like a whole-relation domain lock.
+//!   like a whole-relation domain lock,
+//! * queries take no shard lock at all: they read the snapshots every
+//!   mutation publishes before it releases its locks (below).
 //!
-//! Every individual operation is atomic (linearizable): it holds all the
+//! Every individual mutation is atomic (linearizable): it holds all the
 //! locks it needs for its whole duration. Compound read-modify-write
 //! sequences can be made atomic with
 //! [`ConcurrentRelation::with_partition_mut`].
@@ -39,13 +42,16 @@
 //!
 //! # Wait-free snapshot reads
 //!
-//! Read-mostly traffic does not have to touch the shard locks at all: every
+//! There is one read path, and it does not touch the shard locks: every
 //! shard **publishes** an immutable [`relic_core::Snapshot`] of itself after
-//! each mutation epoch, and [`ConcurrentRelation::read_view`] collects the
-//! published snapshots into a [`ReadView`] without acquiring any shard lock.
-//! A per-thread [`ReadHandle`] caches the view and refreshes only when the
-//! relation's epoch counter moves, so a steady-state point query costs one
-//! atomic load plus the snapshot probe — readers never wait on writers.
+//! each mutation epoch — before the mutation's lock is released, so a reader
+//! that starts after a mutation returned sees it — and
+//! [`ConcurrentRelation::read_view`] collects the published snapshots into a
+//! [`ReadView`], which answers every form of `query` through
+//! [`relic_core::RelRead`]. A per-thread [`ReadHandle`] caches the view and
+//! refreshes only when the relation's epoch counter moves, so a
+//! steady-state point query costs one atomic load plus the snapshot probe —
+//! readers never wait on writers.
 //! Writers mutate the (persistent, structure-sharing) store in place under
 //! the shard lock and *retire* replaced snapshots onto per-shard limbo
 //! lists; each handle pins the epochs it reads at, and retired state is
@@ -120,20 +126,27 @@ use relic_autotune::{Autotuner, Recommendation, Workload};
 use relic_containers::FxHasher;
 use relic_core::{BuildError, MigrateError, OpError, Snapshot, SynthRelation, WorkloadProfile};
 use relic_decomp::{Decomposition, EnumerateOptions};
-use relic_spec::{Catalog, ColSet, Pattern, RelSpec, Relation, Tuple};
+use relic_spec::{Catalog, ColId, ColSet, Pattern, RelSpec, Relation, Tuple, Value};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-/// The shard index owning a tuple's shard-column valuation, for a relation
-/// of `shards` partitions routed by `shard_cols` — shared by the locked
-/// paths and [`ReadView`] routing so both land on the same shard.
-pub(crate) fn route_tuple(shard_cols: ColSet, shards: usize, t: &Tuple) -> usize {
+/// The one routing decision, shared by the write paths, [`ReadView`] and
+/// [`ReadHandle`] so all land on the same shard: the index of the shard (of
+/// `shards`) owning the shard-column valuation that `get` reports — a
+/// tuple's values, or a comparison pattern's equality constraints — or
+/// `None` when some shard column is unconstrained (the operation is
+/// *unpinned* and concerns every shard).
+pub(crate) fn route<'v>(
+    shard_cols: ColSet,
+    shards: usize,
+    get: impl Fn(ColId) -> Option<&'v Value>,
+) -> Option<usize> {
     let mut h = FxHasher::new();
     for c in shard_cols.iter() {
-        t.get(c).expect("shard column bound").hash(&mut h);
+        get(c)?.hash(&mut h);
     }
-    (h.finish() % shards as u64) as usize
+    Some((h.finish() % shards as u64) as usize)
 }
 
 /// Errors specific to building a concurrent relation.
@@ -314,14 +327,10 @@ impl ConcurrentRelation {
         self.shard_cols
     }
 
-    /// The shard index owning a tuple's shard-column valuation.
-    fn route(&self, t: &Tuple) -> usize {
-        route_tuple(self.shard_cols, self.shards.len(), t)
-    }
-
-    /// Does this pattern pin the shard columns (single-shard operation)?
-    fn pins(&self, dom: ColSet) -> bool {
-        self.shard_cols.is_subset(dom)
+    /// The shard a pattern pins ([`route`] over its values), if it binds
+    /// every shard column.
+    fn route(&self, t: &Tuple) -> Option<usize> {
+        route(self.shard_cols, self.shards.len(), |c| t.get(c))
     }
 
     /// Shared access to shard `i`. Lock poisoning (a panic inside an earlier
@@ -511,14 +520,7 @@ impl ConcurrentRelation {
     ///
     /// As for [`SynthRelation::insert`].
     pub fn insert(&self, t: Tuple) -> Result<bool, OpError> {
-        if !self.pins(t.dom()) {
-            // A full tuple always binds all columns; this is only reachable
-            // for malformed tuples, which the shard rejects with a proper
-            // error.
-            return self.mutate_shard(0, |s| s.insert(t));
-        }
-        let i = self.route(&t);
-        self.mutate_shard(i, |s| s.insert(t))
+        self.mutate_shard(self.owning_shard(&t), |s| s.insert(t))
     }
 
     /// `bulk_load` — partitions the batch by shard (lock-free), then runs
@@ -561,12 +563,7 @@ impl ConcurrentRelation {
     ) -> Result<usize, OpError> {
         let mut groups: Vec<Vec<Tuple>> = (0..self.shards.len()).map(|_| Vec::new()).collect();
         for t in tuples {
-            let i = if self.pins(t.dom()) {
-                self.route(&t)
-            } else {
-                0
-            };
-            groups[i].push(t);
+            groups[self.owning_shard(&t)].push(t);
         }
         let mut inserted = 0;
         for (i, group) in groups.into_iter().enumerate() {
@@ -588,8 +585,7 @@ impl ConcurrentRelation {
     ///
     /// As for [`SynthRelation::remove`].
     pub fn remove(&self, pattern: &Tuple) -> Result<usize, OpError> {
-        if self.pins(pattern.dom()) {
-            let i = self.route(pattern);
+        if let Some(i) = self.route(pattern) {
             self.mutate_shard(i, |s| s.remove(pattern))
         } else {
             self.mutate_all(|guards| {
@@ -610,9 +606,8 @@ impl ConcurrentRelation {
     ///
     /// As for [`SynthRelation::remove_where`].
     pub fn remove_where(&self, pattern: &Pattern) -> Result<usize, OpError> {
-        let eq = pattern.eq_tuple();
-        if self.pins(eq.dom()) {
-            let i = self.route(&eq);
+        let eq = |c| pattern.pred(c)?.as_eq();
+        if let Some(i) = route(self.shard_cols, self.shards.len(), eq) {
             self.mutate_shard(i, |s| s.remove_where(pattern))
         } else {
             self.mutate_all(|guards| {
@@ -636,8 +631,7 @@ impl ConcurrentRelation {
     ///
     /// As for [`SynthRelation::update`].
     pub fn update(&self, pattern: &Tuple, changes: &Tuple) -> Result<bool, OpError> {
-        if self.pins(pattern.dom()) {
-            let i = self.route(pattern);
+        if let Some(i) = self.route(pattern) {
             self.mutate_shard(i, |s| s.update(pattern, changes))
         } else {
             self.mutate_all(|guards| {
@@ -650,62 +644,16 @@ impl ConcurrentRelation {
         }
     }
 
-    /// `query r s C` — read-locks one shard if `pattern` pins the shard
-    /// columns, all shards otherwise. Results are set-semantic and sorted,
-    /// as for [`SynthRelation::query`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`SynthRelation::query`].
-    pub fn query(&self, pattern: &Tuple, out: ColSet) -> Result<Vec<Tuple>, OpError> {
-        if self.pins(pattern.dom()) {
-            let i = self.route(pattern);
-            self.read_shard(i).query(pattern, out)
-        } else {
-            let guards = self.read_all();
-            let mut set = std::collections::BTreeSet::new();
-            for g in &guards {
-                set.extend(g.query(pattern, out)?);
-            }
-            Ok(set.into_iter().collect())
-        }
-    }
-
-    /// `query_where r P C` (comparison queries) across the partitions; one
-    /// shard when the *equality* part of `P` pins the shard columns.
-    ///
-    /// # Errors
-    ///
-    /// As for [`SynthRelation::query_where`].
-    pub fn query_where(&self, pattern: &Pattern, out: ColSet) -> Result<Vec<Tuple>, OpError> {
-        let eq = pattern.eq_tuple();
-        if self.pins(eq.dom()) {
-            let i = self.route(&eq);
-            self.read_shard(i).query_where(pattern, out)
-        } else {
-            let guards = self.read_all();
-            let mut set = std::collections::BTreeSet::new();
-            for g in &guards {
-                set.extend(g.query_where(pattern, out)?);
-            }
-            Ok(set.into_iter().collect())
-        }
-    }
-
-    /// Number of tuples across all shards (read-locks every shard, so the
-    /// count is a consistent snapshot).
+    /// Number of tuples across the published shard snapshots — the
+    /// [`read_view`](ConcurrentRelation::read_view)'s count, like every
+    /// other read (a mutation has republished by the time it returns).
     pub fn len(&self) -> usize {
-        self.read_all().iter().map(|g| g.len()).sum()
+        self.read_view().len()
     }
 
-    /// Is the relation empty? Short-circuits on the first non-empty shard,
-    /// read-locking shards one at a time instead of computing a full
-    /// all-shard [`len`](ConcurrentRelation::len). (Like any lock-at-a-time
-    /// aggregate, the answer is about a moment between the first and last
-    /// shard inspected; `len` still takes all locks for a consistent
-    /// snapshot.)
+    /// Is the relation (as published) empty?
     pub fn is_empty(&self) -> bool {
-        (0..self.shards.len()).all(|i| self.read_shard(i).is_empty())
+        self.read_view().is_empty()
     }
 
     /// Runs `f` with exclusive access to the shard owning `key`'s
@@ -719,26 +667,10 @@ impl ConcurrentRelation {
     ///
     /// Panics if `key` does not bind every shard column.
     pub fn with_partition_mut<T>(&self, key: &Tuple, f: impl FnOnce(&mut SynthRelation) -> T) -> T {
-        assert!(
-            self.pins(key.dom()),
-            "with_partition_mut requires all shard columns bound"
-        );
-        let i = self.route(key);
+        let i = self
+            .route(key)
+            .expect("with_partition_mut requires all shard columns bound");
         self.mutate_shard(i, f)
-    }
-
-    /// Runs `f` with shared access to the shard owning `key`'s valuation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key` does not bind every shard column.
-    pub fn with_partition<T>(&self, key: &Tuple, f: impl FnOnce(&SynthRelation) -> T) -> T {
-        assert!(
-            self.pins(key.dom()),
-            "with_partition requires all shard columns bound"
-        );
-        let i = self.route(key);
-        f(&self.read_shard(i))
     }
 
     // -- durability hooks ---------------------------------------------------
@@ -760,11 +692,7 @@ impl ConcurrentRelation {
     /// clients use this to group a batch per shard before logging each
     /// group under its shard's lock.
     pub fn owning_shard(&self, t: &Tuple) -> usize {
-        if self.pins(t.dom()) {
-            self.route(t)
-        } else {
-            0
-        }
+        self.route(t).unwrap_or(0)
     }
 
     /// Runs `f` with exclusive access to shard `i` under the write-side
@@ -1122,8 +1050,9 @@ impl ConcurrentRelation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use relic_core::RelRead;
     use relic_decomp::parse;
-    use relic_spec::{Pred, Value};
+    use relic_spec::Pred;
 
     fn setup(shards: usize) -> (Catalog, ConcurrentRelation) {
         let mut cat = Catalog::new();
@@ -1199,16 +1128,17 @@ mod tests {
             }
         }
         assert_eq!(r.len(), m.len());
+        let view = r.read_view();
         // Pinned query (single shard).
         let pat = Tuple::from_pairs([(host, Value::from(3))]);
         assert_eq!(
-            r.query(&pat, ts | bytes).unwrap(),
+            view.query(&pat, ts | bytes).unwrap(),
             m.query(&pat, ts | bytes)
         );
         // Unpinned query (all shards, merged + sorted).
         let pat = Tuple::from_pairs([(ts, Value::from(7))]);
         assert_eq!(
-            r.query(&pat, host | bytes).unwrap(),
+            view.query(&pat, host | bytes).unwrap(),
             m.query(&pat, host | bytes)
         );
         // Unpinned remove crosses shards.
@@ -1236,16 +1166,17 @@ mod tests {
                 m.insert(tu);
             }
         }
+        let view = r.read_view();
         let p = Pattern::new().with(ts, Pred::Between(Value::from(5), Value::from(8)));
         assert_eq!(
-            r.query_where(&p, host | ts).unwrap(),
+            view.query_where(&p, host | ts).unwrap(),
             m.query_where(&p, host | ts)
         );
         let p = Pattern::new()
             .with(host, Pred::Eq(Value::from(1)))
             .with(ts, Pred::Ge(Value::from(17)));
         assert_eq!(
-            r.query_where(&p, ts.set()).unwrap(),
+            view.query_where(&p, ts.set()).unwrap(),
             m.query_where(&p, ts.set())
         );
     }
@@ -1316,10 +1247,11 @@ mod tests {
             r.insert(tup(&cat, h, 1, 0)).unwrap();
         }
         // Pinned query: counted once, in one shard.
-        r.query(&Tuple::from_pairs([(host, Value::from(3))]), ts | bytes)
+        let view = r.read_view();
+        view.query(&Tuple::from_pairs([(host, Value::from(3))]), ts | bytes)
             .unwrap();
         // Unpinned query: counted once per shard it visited.
-        r.query(&Tuple::from_pairs([(ts, Value::from(1))]), host | bytes)
+        view.query(&Tuple::from_pairs([(ts, Value::from(1))]), host | bytes)
             .unwrap();
         let p = r.profile();
         assert_eq!(p.inserts, 8);
@@ -1358,13 +1290,10 @@ mod tests {
         assert_eq!(r.to_relation(), before);
         r.validate().unwrap();
         // Every shard swapped; the relation keeps operating.
-        let key = Tuple::from_pairs([
-            (cat.col("host").unwrap(), Value::from(2)),
-            (cat.col("ts").unwrap(), Value::from(2)),
-        ]);
-        r.with_partition(&key, |shard| {
-            assert_eq!(shard.decomposition(), &flat);
-        });
+        let view = r.read_view();
+        for i in 0..view.shard_count() {
+            assert_eq!(view.shard(i).decomposition(), &flat);
+        }
         r.insert(tup(&cat, 99, 0, 1)).unwrap();
         assert_eq!(r.len(), 73);
         r.validate().unwrap();
@@ -1402,7 +1331,8 @@ mod tests {
         assert!(r.recommend_and_migrate(&opts, 1.5).unwrap().is_none());
         // A by-ts phase: unpinned window queries and removals.
         for t in 0..12i64 {
-            r.query(&Tuple::from_pairs([(ts, Value::from(t))]), host | bytes)
+            r.read_view()
+                .query(&Tuple::from_pairs([(ts, Value::from(t))]), host | bytes)
                 .unwrap();
         }
         for t in 0..4i64 {
@@ -1423,7 +1353,8 @@ mod tests {
         // evaluation still consumes its observation window, so old-phase
         // traffic can never dilute a later shift.
         for t in 4..12i64 {
-            r.query(&Tuple::from_pairs([(ts, Value::from(t))]), host | bytes)
+            r.read_view()
+                .query(&Tuple::from_pairs([(ts, Value::from(t))]), host | bytes)
                 .unwrap();
             r.remove(&Tuple::from_pairs([(ts, Value::from(t))]))
                 .unwrap();
@@ -1477,7 +1408,7 @@ mod tests {
                 });
             }
         });
-        let got = r.query(&key, bytes.set()).unwrap()[0]
+        let got = r.read_view().query(&key, bytes.set()).unwrap()[0]
             .get(bytes)
             .and_then(|v| v.as_int())
             .unwrap();
@@ -1514,6 +1445,7 @@ mod tests {
     fn readers_run_against_writers_without_corruption() {
         let (cat, r) = setup(4);
         let host = cat.col("host").unwrap();
+        let ts = cat.col("ts").unwrap();
         std::thread::scope(|s| {
             for h in 0..4i64 {
                 let r = &r;
@@ -1532,10 +1464,8 @@ mod tests {
                     let mut last = 0usize;
                     for _ in 0..50 {
                         let pat = Tuple::from_pairs([(host, Value::from(h))]);
-                        let n = r.query(&pat, ColSet::EMPTY).map(|v| v.len()).unwrap();
-                        let _ = n;
-                        let full = r.with_partition(&pat, |shard| shard.len());
-                        assert!(full >= last);
+                        let full = r.read_view().query(&pat, ts.set()).unwrap().len();
+                        assert!(full >= last && full <= 300);
                         last = full;
                     }
                 });

@@ -51,9 +51,8 @@
 //! [`SynthRelation::snapshot`]: relic_core::SynthRelation::snapshot
 
 use crate::ConcurrentRelation;
-use relic_core::{Bindings, OpError, Snapshot};
-use relic_spec::{ColSet, Pattern, Relation, Tuple};
-use std::collections::BTreeSet;
+use relic_core::{Bindings, OpError, RelRead, Snapshot};
+use relic_spec::{ColId, ColSet, Pattern, RelSpec, Relation, Tuple, Value};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -63,10 +62,10 @@ use std::sync::Arc;
 ///
 /// A view is fully detached from the relation: queries against it never
 /// touch a lock, never block, and keep answering from the captured state
-/// even while writers mutate or migrate the live relation. Point queries
-/// whose pattern pins the shard columns route to exactly one shard's
-/// snapshot; unpinned queries merge across all shards, exactly like the
-/// locked query path.
+/// even while writers mutate or migrate the live relation. It reads
+/// through [`RelRead`]: a query whose pattern pins the shard columns (for a
+/// comparison pattern, whose *equality part* does) visits exactly one
+/// shard's snapshot; any other visits every shard in turn.
 #[derive(Debug, Clone)]
 pub struct ReadView {
     pub(crate) shards: Vec<Arc<Snapshot>>,
@@ -114,69 +113,25 @@ impl ReadView {
         self.shard_stamps[i]
     }
 
-    /// Does this pattern pin the shard columns (single-shard read)?
-    fn pins(&self, dom: ColSet) -> bool {
-        self.shard_cols.is_subset(dom)
-    }
-
-    /// The shard snapshot owning `t`'s shard-column valuation.
-    fn routed(&self, t: &Tuple) -> &Snapshot {
-        &self.shards[crate::route_tuple(self.shard_cols, self.shards.len(), t)]
-    }
-
-    /// `query r s C` against the view: one shard snapshot if `pattern` pins
-    /// the shard columns, the sorted set-semantic merge of all shards
-    /// otherwise — the wait-free analog of
-    /// [`ConcurrentRelation::query`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`relic_core::Snapshot::query`].
-    pub fn query(&self, pattern: &Tuple, out: ColSet) -> Result<Vec<Tuple>, OpError> {
-        if self.pins(pattern.dom()) {
-            self.routed(pattern).query(pattern, out)
-        } else {
-            let mut set = BTreeSet::new();
-            for s in &self.shards {
-                set.extend(s.query(pattern, out)?);
-            }
-            Ok(set.into_iter().collect())
+    /// The shard snapshots a read must visit: the owning one when `eq` —
+    /// the read's equality constraints — pins the shard columns, all of
+    /// them otherwise.
+    fn targets<'v>(&self, eq: impl Fn(ColId) -> Option<&'v Value>) -> &[Arc<Snapshot>] {
+        match crate::route(self.shard_cols, self.shards.len(), eq) {
+            Some(i) => &self.shards[i..=i],
+            None => &self.shards,
         }
     }
 
-    /// Streaming variant of [`query`](ReadView::query): calls `f` per match
-    /// without materializing results (duplicates possible, as for
-    /// [`relic_core::Snapshot::query_for_each`]; unpinned patterns stream
-    /// shard by shard).
-    ///
-    /// # Errors
-    ///
-    /// As for [`relic_core::Snapshot::query_for_each`].
-    pub fn query_for_each(
-        &self,
-        pattern: &Tuple,
-        out: ColSet,
-        mut f: impl FnMut(&Tuple),
-    ) -> Result<(), OpError> {
-        if self.pins(pattern.dom()) {
-            self.routed(pattern).query_for_each(pattern, out, f)
-        } else {
-            for s in &self.shards {
-                s.query_for_each(pattern, out, &mut f)?;
-            }
-            Ok(())
-        }
-    }
-
-    /// The raw zero-allocation streaming path for pinned point queries: the
-    /// wait-free analog of
+    /// The raw zero-allocation streaming path
+    /// ([`RelRead::query_for_each_bindings`]): the wait-free analog of
     /// [`relic_core::SynthRelation::query_for_each_bindings`], routed to the
-    /// owning shard's snapshot. Falls back to per-shard streaming for
-    /// unpinned patterns.
+    /// owning shard's snapshot for a pinned pattern and streamed shard by
+    /// shard otherwise.
     ///
     /// # Errors
     ///
-    /// As for [`relic_core::Snapshot::query_for_each_bindings`].
+    /// As for [`RelRead::query_for_each_bindings`].
     pub fn query_for_each_bindings(
         &self,
         scratch: &mut Bindings,
@@ -184,82 +139,10 @@ impl ReadView {
         out: ColSet,
         mut f: impl FnMut(&Bindings),
     ) -> Result<(), OpError> {
-        if self.pins(pattern.dom()) {
-            self.routed(pattern)
-                .query_for_each_bindings(scratch, pattern, out, f)
-        } else {
-            for s in &self.shards {
-                s.query_for_each_bindings(scratch, pattern, out, &mut f)?;
-            }
-            Ok(())
+        for s in self.targets(|c| pattern.get(c)) {
+            s.query_for_each_bindings(scratch, pattern, out, &mut f)?;
         }
-    }
-
-    /// `query_where r P C` against the view (comparison queries); one shard
-    /// when the equality part of `P` pins the shard columns.
-    ///
-    /// # Errors
-    ///
-    /// As for [`relic_core::Snapshot::query_where`].
-    pub fn query_where(&self, pattern: &Pattern, out: ColSet) -> Result<Vec<Tuple>, OpError> {
-        let eq = pattern.eq_tuple();
-        if self.pins(eq.dom()) {
-            self.routed(&eq).query_where(pattern, out)
-        } else {
-            let mut set = BTreeSet::new();
-            for s in &self.shards {
-                set.extend(s.query_where(pattern, out)?);
-            }
-            Ok(set.into_iter().collect())
-        }
-    }
-
-    /// Raw streaming comparison queries: the wait-free analog of
-    /// [`relic_core::Snapshot::query_where_for_each_bindings`], routed to
-    /// one shard when the equality part of `P` pins the shard columns and
-    /// streamed shard by shard otherwise. With a reused `scratch` this is
-    /// the zero-allocation-per-emitted-tuple path over a frozen view —
-    /// what a streaming join executor runs its durable legs through.
-    ///
-    /// # Errors
-    ///
-    /// As for [`relic_core::Snapshot::query_where_for_each_bindings`].
-    pub fn query_where_for_each_bindings(
-        &self,
-        scratch: &mut Bindings,
-        pattern: &Pattern,
-        out: ColSet,
-        mut f: impl FnMut(&Bindings),
-    ) -> Result<(), OpError> {
-        let eq = pattern.eq_tuple();
-        if self.pins(eq.dom()) {
-            self.routed(&eq)
-                .query_where_for_each_bindings(scratch, pattern, out, f)
-        } else {
-            for s in &self.shards {
-                s.query_where_for_each_bindings(scratch, pattern, out, &mut f)?;
-            }
-            Ok(())
-        }
-    }
-
-    /// Does any tuple in the view extend `pattern`? Routed like
-    /// [`query`](ReadView::query).
-    ///
-    /// # Errors
-    ///
-    /// As for [`relic_core::Snapshot::contains_matching`].
-    pub fn contains_matching(&self, pattern: &Tuple) -> Result<bool, OpError> {
-        if self.pins(pattern.dom()) {
-            self.routed(pattern).contains_matching(pattern)
-        } else {
-            for s in &self.shards {
-                if s.contains_matching(pattern)? {
-                    return Ok(true);
-                }
-            }
-            Ok(false)
-        }
+        Ok(())
     }
 
     /// Number of tuples across the view's shard snapshots.
@@ -310,21 +193,61 @@ impl ReadView {
     }
 }
 
-/// A cached [`ReadView`] bound to its relation: the steady-state wait-free
+impl RelRead for ReadView {
+    fn spec(&self) -> &RelSpec {
+        self.shards[0].spec()
+    }
+
+    fn len(&self) -> usize {
+        ReadView::len(self)
+    }
+
+    fn query_for_each_bindings(
+        &self,
+        scratch: &mut Bindings,
+        pattern: &Tuple,
+        out: ColSet,
+        f: impl FnMut(&Bindings),
+    ) -> Result<(), OpError> {
+        ReadView::query_for_each_bindings(self, scratch, pattern, out, f)
+    }
+
+    /// Routed to one shard when the equality part of `pattern` pins the
+    /// shard columns — what a streaming join executor runs its durable legs
+    /// through.
+    fn query_where_for_each_bindings(
+        &self,
+        scratch: &mut Bindings,
+        pattern: &Pattern,
+        out: ColSet,
+        mut f: impl FnMut(&Bindings),
+    ) -> Result<(), OpError> {
+        for s in self.targets(|c| pattern.pred(c)?.as_eq()) {
+            s.query_where_for_each_bindings(scratch, pattern, out, &mut f)?;
+        }
+        Ok(())
+    }
+}
+
+/// A cursor that keeps a [`ReadView`] fresh: the steady-state wait-free
 /// read path.
 ///
-/// A **pinned** query (the pattern binds all shard columns) routes to one
-/// shard and refreshes only that shard's cached slot, and only when that
-/// shard's publish epoch moved — one `Acquire` load per query when nothing
-/// changed, no locks and no `Arc` traffic at all, regardless of write
-/// activity on *other* shards. Unpinned queries check the whole-relation
-/// epoch and re-collect the full view when stale. Each reader thread owns
-/// its handle (`ReadHandle` is `Send` but, like any cached cursor, not
-/// meant to be shared).
+/// The handle answers nothing itself — it hands out its cached view
+/// ([`cached`](ReadHandle::cached), no staleness check), the view
+/// re-collected if anything was published since
+/// ([`view`](ReadHandle::view)), or the view made fresh *for one read*
+/// ([`fresh_for`](ReadHandle::fresh_for)): a **pinned** read (its equality
+/// constraints bind all shard columns) re-checks only the shard it routes
+/// to — one `Acquire` load when that shard did not move, no locks and no
+/// `Arc` traffic at all, regardless of write activity on *other* shards —
+/// and any other read gets the coherent `view()`. Queries then go through
+/// the view's [`RelRead`] methods. Each reader thread owns its handle
+/// (`ReadHandle` is `Send` but, like any cached cursor, not meant to be
+/// shared).
 ///
-/// After a pinned refresh the cached vector may briefly hold shards of
-/// mixed recency (never observable by the pinned query itself, which
-/// touches one shard); the next unpinned access re-collects a coherent
+/// After a pinned refresh the cached vector holds shards of mixed recency
+/// (visible through `cached()`; a pinned read touches one shard, so it
+/// never sees the mix); the next unpinned access re-collects a coherent
 /// view, and migration epochs stay atomic because they bump every epoch
 /// counter at once.
 #[derive(Debug)]
@@ -389,52 +312,24 @@ impl<'a> ReadHandle<'a> {
         }
     }
 
-    /// For a pinned pattern: the index of the (just refreshed) owning
-    /// shard's snapshot.
-    fn pinned_shard(&mut self, routed_on: &Tuple) -> usize {
-        let i = crate::route_tuple(self.view.shard_cols, self.view.shards.len(), routed_on);
-        self.refresh_shard(i);
-        i
-    }
-
-    /// [`ReadView::query`] on fresh state: a pinned pattern refreshes and
-    /// probes one shard; an unpinned one goes through the coherent
+    /// The view, fresh for one read whose equality constraints are `eq`
+    /// (`|c| pattern.get(c)` for a tuple pattern, `|c|
+    /// pattern.pred(c)?.as_eq()` for a comparison pattern): if they pin the
+    /// shard columns only the owning shard is re-checked, otherwise this is
     /// [`view`](ReadHandle::view).
-    ///
-    /// # Errors
-    ///
-    /// As for [`ReadView::query`].
-    pub fn query(&mut self, pattern: &Tuple, out: ColSet) -> Result<Vec<Tuple>, OpError> {
-        if self.view.pins(pattern.dom()) {
-            let i = self.pinned_shard(pattern);
-            self.view.shards[i].query(pattern, out)
-        } else {
-            self.view().query(pattern, out)
+    pub fn fresh_for<'v>(&mut self, eq: impl Fn(ColId) -> Option<&'v Value>) -> &ReadView {
+        match crate::route(self.view.shard_cols, self.view.shards.len(), eq) {
+            Some(i) => {
+                self.refresh_shard(i);
+                &self.view
+            }
+            None => self.view(),
         }
     }
 
-    /// [`ReadView::query_for_each`] on fresh state (pinned fast path as for
-    /// [`query`](ReadHandle::query)).
-    ///
-    /// # Errors
-    ///
-    /// As for [`ReadView::query_for_each`].
-    pub fn query_for_each(
-        &mut self,
-        pattern: &Tuple,
-        out: ColSet,
-        f: impl FnMut(&Tuple),
-    ) -> Result<(), OpError> {
-        if self.view.pins(pattern.dom()) {
-            let i = self.pinned_shard(pattern);
-            self.view.shards[i].query_for_each(pattern, out, f)
-        } else {
-            self.view().query_for_each(pattern, out, f)
-        }
-    }
-
-    /// The raw zero-allocation point-read path: routes a pinned pattern to
-    /// its (freshly checked) shard snapshot and streams bindings.
+    /// [`ReadView::query_for_each_bindings`] on the view
+    /// [fresh for](ReadHandle::fresh_for) `pattern` — the raw
+    /// zero-allocation point-read path.
     ///
     /// # Errors
     ///
@@ -446,38 +341,17 @@ impl<'a> ReadHandle<'a> {
         out: ColSet,
         f: impl FnMut(&Bindings),
     ) -> Result<(), OpError> {
-        if self.view.pins(pattern.dom()) {
-            let i = self.pinned_shard(pattern);
-            self.view.shards[i].query_for_each_bindings(scratch, pattern, out, f)
-        } else {
-            self.view()
-                .query_for_each_bindings(scratch, pattern, out, f)
-        }
+        self.fresh_for(|c| pattern.get(c))
+            .query_for_each_bindings(scratch, pattern, out, f)
     }
 
-    /// [`ReadView::query_where`] on fresh state (pinned fast path when the
-    /// equality part of `P` pins the shard columns).
+    /// [`RelRead::query_where_for_each_bindings`] on the view
+    /// [fresh for](ReadHandle::fresh_for) `pattern`'s equality part — the
+    /// raw zero-allocation path for comparison queries.
     ///
     /// # Errors
     ///
-    /// As for [`ReadView::query_where`].
-    pub fn query_where(&mut self, pattern: &Pattern, out: ColSet) -> Result<Vec<Tuple>, OpError> {
-        let eq = pattern.eq_tuple();
-        if self.view.pins(eq.dom()) {
-            let i = self.pinned_shard(&eq);
-            self.view.shards[i].query_where(pattern, out)
-        } else {
-            self.view().query_where(pattern, out)
-        }
-    }
-
-    /// The raw zero-allocation streaming path for comparison queries
-    /// (pinned fast path when the equality part of `P` pins the shard
-    /// columns).
-    ///
-    /// # Errors
-    ///
-    /// As for [`ReadView::query_where_for_each_bindings`].
+    /// As for [`RelRead::query_where_for_each_bindings`].
     pub fn query_where_for_each_bindings(
         &mut self,
         scratch: &mut Bindings,
@@ -485,29 +359,8 @@ impl<'a> ReadHandle<'a> {
         out: ColSet,
         f: impl FnMut(&Bindings),
     ) -> Result<(), OpError> {
-        let eq = pattern.eq_tuple();
-        if self.view.pins(eq.dom()) {
-            let i = self.pinned_shard(&eq);
-            self.view.shards[i].query_where_for_each_bindings(scratch, pattern, out, f)
-        } else {
-            self.view()
-                .query_where_for_each_bindings(scratch, pattern, out, f)
-        }
-    }
-
-    /// [`ReadView::contains_matching`] on fresh state (pinned fast path as
-    /// for [`query`](ReadHandle::query)).
-    ///
-    /// # Errors
-    ///
-    /// As for [`ReadView::contains_matching`].
-    pub fn contains_matching(&mut self, pattern: &Tuple) -> Result<bool, OpError> {
-        if self.view.pins(pattern.dom()) {
-            let i = self.pinned_shard(pattern);
-            self.view.shards[i].contains_matching(pattern)
-        } else {
-            self.view().contains_matching(pattern)
-        }
+        self.fresh_for(|c| pattern.pred(c)?.as_eq())
+            .query_where_for_each_bindings(scratch, pattern, out, f)
     }
 
     /// [`ReadView::len`] on the fresh coherent view.
@@ -641,6 +494,7 @@ mod tests {
     use relic_core::SynthRelation;
     use relic_decomp::parse;
     use relic_spec::{Catalog, Pred, RelSpec, Value};
+    use std::collections::BTreeSet;
 
     fn setup(shards: usize) -> (Catalog, ConcurrentRelation) {
         let mut cat = Catalog::new();
@@ -668,48 +522,6 @@ mod tests {
     }
 
     #[test]
-    fn read_view_matches_locked_reads() {
-        let (cat, r) = setup(4);
-        let host = cat.col("host").unwrap();
-        let ts = cat.col("ts").unwrap();
-        let bytes = cat.col("bytes").unwrap();
-        for h in 0..6i64 {
-            for t in 0..10i64 {
-                r.insert(tup(&cat, h, t, h + t)).unwrap();
-            }
-        }
-        let view = r.read_view();
-        assert_eq!(view.len(), r.len());
-        assert_eq!(view.to_relation(), r.to_relation());
-        // Pinned point query routes to one shard.
-        let pat = Tuple::from_pairs([(host, Value::from(3))]);
-        assert_eq!(
-            view.query(&pat, ts | bytes).unwrap(),
-            r.query(&pat, ts | bytes).unwrap()
-        );
-        // Unpinned query merges across shards, sorted.
-        let pat = Tuple::from_pairs([(ts, Value::from(7))]);
-        assert_eq!(
-            view.query(&pat, host | bytes).unwrap(),
-            r.query(&pat, host | bytes).unwrap()
-        );
-        // Comparison queries.
-        let p = Pattern::new().with(ts, Pred::Between(Value::from(2), Value::from(5)));
-        assert_eq!(
-            view.query_where(&p, host | ts).unwrap(),
-            r.query_where(&p, host | ts).unwrap()
-        );
-        let p = Pattern::new()
-            .with(host, Pred::Eq(Value::from(1)))
-            .with(ts, Pred::Ge(Value::from(8)));
-        assert_eq!(
-            view.query_where(&p, ts.set()).unwrap(),
-            r.query_where(&p, ts.set()).unwrap()
-        );
-        assert!(view.contains_matching(&pat).unwrap());
-    }
-
-    #[test]
     fn where_bindings_stream_matches_collected_query_where() {
         let (cat, r) = setup(4);
         let host = cat.col("host").unwrap();
@@ -730,7 +542,7 @@ mod tests {
             Pattern::new().with(ts, Pred::Ge(Value::from(6))),
         ] {
             let out = host | ts | bytes;
-            let want = r.query_where(&p, out).unwrap();
+            let want = r.to_relation().query_where(&p, out);
             let view = r.read_view();
             let mut got = BTreeSet::new();
             view.query_where_for_each_bindings(&mut scratch, &p, out, |b| {

@@ -19,6 +19,7 @@
 //! * pinned point queries against the view agree with the view's own α.
 
 use relic_concurrent::ConcurrentRelation;
+use relic_core::RelRead;
 use relic_decomp::parse;
 use relic_spec::{Catalog, RelSpec, Relation, Tuple, Value};
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -22,6 +22,7 @@
 
 use proptest::prelude::*;
 use relic_concurrent::ConcurrentRelation;
+use relic_core::RelRead;
 use relic_decomp::parse;
 use relic_spec::{Catalog, ColId, RelSpec, Relation, Tuple, Value};
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -18,6 +18,7 @@
 
 use proptest::prelude::*;
 use relic_concurrent::ConcurrentRelation;
+use relic_core::RelRead;
 use relic_decomp::parse;
 use relic_spec::{Catalog, ColId, Pattern, Pred, RelSpec, Tuple, Value};
 use std::sync::atomic::{AtomicBool, Ordering};

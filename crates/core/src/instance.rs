@@ -5,7 +5,9 @@
 //! instances*: node `v : B ▷ C` has one instance `v_t` per valuation `t` of
 //! `B` present in the relation. Instances live in per-node slot arenas and
 //! are addressed by copyable [`InstanceRef`] handles — the safe-Rust encoding
-//! of the paper's shared pointer structures (see DESIGN.md).
+//! of the paper's shared pointer structures: a node shared by two parents is
+//! one slot named by two handles, with no aliasing for the borrow checker to
+//! object to.
 //!
 //! Each instance stores one *primitive instance* per leaf of its node's body:
 //! a unit tuple for `unit C` leaves, or an [`EdgeContainer`] for map leaves.

@@ -18,8 +18,9 @@
 //!
 //! Instances are stored in per-node slot arenas addressed by handles; shared
 //! nodes (the paper's hallmark) are physically shared and reference-counted,
-//! with intrusive-list links embedded in child instances. See DESIGN.md for
-//! why this is the right Rust encoding of the paper's pointer structures.
+//! with intrusive-list links embedded in child instances — handles into
+//! arenas are the safe-Rust encoding of the paper's shared pointer
+//! structures (see the `instance` module).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,6 +31,7 @@ mod exec;
 mod instance;
 pub mod netmsg;
 mod profile;
+mod read;
 mod relation;
 pub(crate) mod snapshot;
 pub mod wire;
@@ -40,5 +42,6 @@ pub use instance::{
     Arena, EdgeContainer, Instance, InstanceRef, Key, Layout, LeafSpec, Link, PrimInst, Store,
 };
 pub use profile::WorkloadProfile;
+pub use read::RelRead;
 pub use relation::SynthRelation;
 pub use snapshot::Snapshot;

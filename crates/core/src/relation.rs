@@ -6,18 +6,12 @@ use crate::error::{BuildError, MigrateError, OpError};
 use crate::exec::{exec_plan, Bindings, ExecEnv};
 use crate::instance::{InstanceRef, Key, Layout, PrimInst, Store};
 use crate::profile::{ProfileCounters, WorkloadProfile};
+use crate::read::{interval_cols, plan_memoized, PlanCache, ReadCore, RelRead};
 use relic_decomp::{check_adequacy, cut, Decomposition, NodeId};
-use relic_query::{CostModel, JoinCostMode, Plan, Planner};
+use relic_query::{CostModel, JoinCostMode, Plan};
 use relic_spec::{Catalog, ColSet, Pattern, RelSpec, Relation, Tuple};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, RwLock};
-
-/// Cache key: the `(eq, ranged, filtered, out)` column-set signature of a
-/// query.
-pub(crate) type PlanKey = (u64, u64, u64, u64);
-
-/// The shared, read-mostly plan cache: signature → memoized `Arc<Plan>`.
-pub(crate) type PlanCache = RwLock<HashMap<PlanKey, Arc<Plan>>>;
 
 /// A relation synthesized from a [`RelSpec`] and an adequate
 /// [`Decomposition`] — the Rust analog of the C++ classes emitted by RELC.
@@ -354,36 +348,15 @@ impl SynthRelation {
         )
     }
 
-    /// `query r s C` (§2): the projection onto `out` of every tuple extending
-    /// `pattern`. Results are set-semantic, sorted, deterministic.
+    /// `query r s C` (§2): [`RelRead::query`], kept inherent for callers
+    /// without the trait in scope.
     ///
     /// # Errors
     ///
     /// [`OpError::ForeignColumns`] if `pattern` or `out` mention columns
     /// outside the relation.
     pub fn query(&self, pattern: &Tuple, out: ColSet) -> Result<Vec<Tuple>, OpError> {
-        let mut set: BTreeSet<Tuple> = BTreeSet::new();
-        self.query_for_each(pattern, out, |t| {
-            set.insert(t.clone());
-        })?;
-        Ok(set.into_iter().collect())
-    }
-
-    /// Streaming variant of [`query`](SynthRelation::query): calls `f` for
-    /// each match without materializing results. Duplicate projections may be
-    /// delivered more than once (the collecting `query` deduplicates).
-    ///
-    /// Builds one projected [`Tuple`] per delivered match; use
-    /// [`query_for_each_bindings`](SynthRelation::query_for_each_bindings)
-    /// for the allocation-free raw path.
-    pub fn query_for_each(
-        &self,
-        pattern: &Tuple,
-        out: ColSet,
-        mut f: impl FnMut(&Tuple),
-    ) -> Result<(), OpError> {
-        let mut scratch = Bindings::new();
-        self.query_for_each_bindings(&mut scratch, pattern, out, |b| f(&b.project(out)))
+        RelRead::query(self, pattern, out)
     }
 
     /// The raw streaming query path: calls `f` with the execution
@@ -446,9 +419,14 @@ impl SynthRelation {
         self.read_core().stream(scratch, pattern, out, f)
     }
 
-    /// All full tuples extending `pattern`, sorted.
+    /// All full tuples extending `pattern`, sorted: [`RelRead::query_full`],
+    /// kept inherent like [`query`](SynthRelation::query).
+    ///
+    /// # Errors
+    ///
+    /// As for [`query`](SynthRelation::query).
     pub fn query_full(&self, pattern: &Tuple) -> Result<Vec<Tuple>, OpError> {
-        self.query(pattern, self.spec.cols())
+        RelRead::query_full(self, pattern)
     }
 
     /// The unrecorded equivalent of [`query_full`](SynthRelation::query_full)
@@ -464,80 +442,18 @@ impl SynthRelation {
         Ok(set.into_iter().collect())
     }
 
-    /// Streaming query with *duplicate elimination*: like
-    /// [`query_for_each`](SynthRelation::query_for_each), but each distinct
-    /// projection is delivered exactly once, in first-encounter order.
-    ///
-    /// §4.1 notes constant-space queries cannot deduplicate; this operator
-    /// spends O(#distinct results) space on a seen-set instead of sorting a
-    /// fully materialized result like [`query`](SynthRelation::query) does.
-    ///
-    /// # Errors
-    ///
-    /// [`OpError::ForeignColumns`] as for `query_for_each`.
-    pub fn query_distinct_for_each(
-        &self,
-        pattern: &Tuple,
-        out: ColSet,
-        mut f: impl FnMut(&Tuple),
-    ) -> Result<(), OpError> {
-        let mut seen: std::collections::HashSet<Tuple> = std::collections::HashSet::new();
-        self.query_for_each(pattern, out, |t| {
-            if seen.insert(t.clone()) {
-                f(t);
-            }
-        })
-    }
-
-    /// `query_where r P C` — §2's "comparisons other than equality"
-    /// extension: the projection onto `out` of every tuple satisfying the
-    /// predicate pattern `P`. Results are set-semantic, sorted,
-    /// deterministic.
-    ///
-    /// Equality predicates drive `qlookup` exactly as in [`query`]
-    /// (an all-equality pattern behaves identically to it); interval
-    /// predicates (`<`, `≤`, `>`, `≥`, `between`) drive the `qrange`
-    /// operator on ordered map edges (`avl`, `sortedvec`) where the
-    /// composite-index prefix rule allows, and degrade to scan-and-filter
-    /// elsewhere; `≠` predicates are always filter-checked.
-    ///
-    /// # Errors
-    ///
-    /// [`OpError::ForeignColumns`] if `pattern` or `out` mention columns
-    /// outside the relation.
-    ///
-    /// [`query`]: SynthRelation::query
-    pub fn query_where(&self, pattern: &Pattern, out: ColSet) -> Result<Vec<Tuple>, OpError> {
-        let mut set: BTreeSet<Tuple> = BTreeSet::new();
-        self.query_where_for_each(pattern, out, |t| {
-            set.insert(t.clone());
-        })?;
-        Ok(set.into_iter().collect())
-    }
-
-    /// Streaming variant of [`query_where`](SynthRelation::query_where):
-    /// calls `f` for each match without materializing results. Duplicate
-    /// projections may be delivered more than once (the collecting
-    /// `query_where` deduplicates).
-    pub fn query_where_for_each(
-        &self,
-        pattern: &Pattern,
-        out: ColSet,
-        mut f: impl FnMut(&Tuple),
-    ) -> Result<(), OpError> {
-        let mut scratch = Bindings::new();
-        self.query_where_for_each_bindings(&mut scratch, pattern, out, |b| f(&b.project(out)))
-    }
-
-    /// Raw streaming variant of
-    /// [`query_where_for_each`](SynthRelation::query_where_for_each): calls
-    /// `f` with the execution accumulator for each match. See
+    /// The raw streaming path for comparison patterns (§2's "comparisons
+    /// other than equality" extension): calls `f` with the execution
+    /// accumulator for each tuple satisfying `pattern` — see
+    /// [`RelRead::query_where_for_each_bindings`] for how predicates map to
+    /// plan operators and
     /// [`query_for_each_bindings`](SynthRelation::query_for_each_bindings)
     /// for the allocation contract.
     ///
     /// # Errors
     ///
-    /// [`OpError::ForeignColumns`] as for `query_where_for_each`.
+    /// [`OpError::ForeignColumns`] if `pattern` or `out` mention columns
+    /// outside the relation.
     pub fn query_where_for_each_bindings(
         &self,
         scratch: &mut Bindings,
@@ -577,7 +493,7 @@ impl SynthRelation {
         Ok(set.into_iter().collect())
     }
 
-    /// The plan [`query_where`](SynthRelation::query_where) will use for a
+    /// The plan [`query_where`](RelRead::query_where) will use for a
     /// pattern's signature (for inspection and tests), rendered in the
     /// paper's notation.
     pub fn plan_for_where(&self, pattern: &Pattern, out: ColSet) -> Result<String, OpError> {
@@ -586,19 +502,6 @@ impl SynthRelation {
         Ok(self
             .planned_where(pattern.eq_cols(), ranged, filtered, out)?
             .to_string())
-    }
-
-    /// Does the relation contain exactly this tuple?
-    pub fn contains(&self, t: &Tuple) -> Result<bool, OpError> {
-        Ok(self.query_full(t)?.iter().any(|x| x == t))
-    }
-
-    /// Does any tuple extend `pattern`? (An existence query with empty
-    /// output projection.)
-    pub fn contains_matching(&self, pattern: &Tuple) -> Result<bool, OpError> {
-        let mut found = false;
-        self.query_for_each(pattern, ColSet::EMPTY, |_| found = true)?;
-        Ok(found)
     }
 
     /// `insert r t` (§2): inserts a full tuple. Returns `Ok(false)` if the
@@ -1519,7 +1422,7 @@ impl SynthRelation {
     }
 
     /// `remove_where r P` — removal by comparison pattern, the mutation
-    /// counterpart of [`query_where`](SynthRelation::query_where): removes
+    /// counterpart of [`query_where`](RelRead::query_where): removes
     /// every tuple satisfying `P`. This is the idiom thttpd's cache uses
     /// ("traverses through the mappings removing those older than a certain
     /// threshold", §6.2), expressed as one relational operation.
@@ -1925,6 +1828,38 @@ impl SynthRelation {
     }
 }
 
+/// Forwards to the inherent getters and streaming primitives above; the
+/// derived forms are the trait's.
+impl RelRead for SynthRelation {
+    fn spec(&self) -> &RelSpec {
+        &self.spec
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn query_for_each_bindings(
+        &self,
+        scratch: &mut Bindings,
+        pattern: &Tuple,
+        out: ColSet,
+        f: impl FnMut(&Bindings),
+    ) -> Result<(), OpError> {
+        SynthRelation::query_for_each_bindings(self, scratch, pattern, out, f)
+    }
+
+    fn query_where_for_each_bindings(
+        &self,
+        scratch: &mut Bindings,
+        pattern: &Pattern,
+        out: ColSet,
+        f: impl FnMut(&Bindings),
+    ) -> Result<(), OpError> {
+        SynthRelation::query_where_for_each_bindings(self, scratch, pattern, out, f)
+    }
+}
+
 /// Streams every stored tuple extending `t`'s projection onto
 /// `pattern_cols` through `f`, as full-tuple bindings, using `plan` (which
 /// must have been planned for exactly that signature).
@@ -1996,131 +1931,6 @@ impl EdgeAcc {
         }
         self.ascending = true;
     }
-}
-
-/// The columns of a pattern carrying interval comparisons — the `ranged`
-/// part of a `query_where` signature (for both planning and workload
-/// recording).
-pub(crate) fn interval_cols(pattern: &Pattern) -> ColSet {
-    pattern
-        .iter()
-        .filter(|(_, p)| p.as_eq().is_none() && p.is_interval())
-        .fold(ColSet::EMPTY, |acc, (c, _)| acc | c)
-}
-
-/// The borrowed read-side core: everything needed to plan and execute a
-/// query against one representation state. [`SynthRelation`] builds it over
-/// its live fields, [`crate::Snapshot`] over its frozen `Arc`s — so the
-/// foreign-column check, signature classification, memoized planning and
-/// plan execution exist exactly once.
-pub(crate) struct ReadCore<'a> {
-    pub(crate) spec: &'a RelSpec,
-    pub(crate) d: &'a Decomposition,
-    pub(crate) store: &'a Store,
-    pub(crate) root: InstanceRef,
-    pub(crate) cost: &'a CostModel,
-    pub(crate) plan_cache: &'a PlanCache,
-}
-
-impl ReadCore<'_> {
-    /// Streams every tuple extending equality `pattern`, projected through
-    /// the execution accumulator (the unrecorded raw query path).
-    pub(crate) fn stream(
-        &self,
-        scratch: &mut Bindings,
-        pattern: &Tuple,
-        out: ColSet,
-        mut f: impl FnMut(&Bindings),
-    ) -> Result<(), OpError> {
-        let foreign = (pattern.dom() | out) - self.spec.cols();
-        if !foreign.is_empty() {
-            return Err(OpError::ForeignColumns { cols: foreign });
-        }
-        let plan = plan_memoized(
-            self.plan_cache,
-            self.d,
-            self.spec,
-            self.cost,
-            pattern.dom(),
-            ColSet::EMPTY,
-            ColSet::EMPTY,
-            out,
-        )?;
-        scratch.load(pattern.iter());
-        let env = ExecEnv {
-            store: self.store,
-            d: self.d,
-            cmp: &Pattern::new(),
-        };
-        let body = &self.d.node(self.d.root()).body;
-        exec_plan(&env, &plan, body, 0, self.root, scratch, &mut |b| f(b));
-        Ok(())
-    }
-
-    /// Streams every tuple satisfying comparison `pattern` (the unrecorded
-    /// raw `query_where` path): interval predicates drive `qrange` where
-    /// the plan allows, the rest filter-check.
-    pub(crate) fn stream_where(
-        &self,
-        scratch: &mut Bindings,
-        pattern: &Pattern,
-        out: ColSet,
-        mut f: impl FnMut(&Bindings),
-    ) -> Result<(), OpError> {
-        let foreign = (pattern.dom() | out) - self.spec.cols();
-        if !foreign.is_empty() {
-            return Err(OpError::ForeignColumns { cols: foreign });
-        }
-        let ranged = interval_cols(pattern);
-        let filtered = pattern.cmp_cols() - ranged;
-        let plan = plan_memoized(
-            self.plan_cache,
-            self.d,
-            self.spec,
-            self.cost,
-            pattern.eq_cols(),
-            ranged,
-            filtered,
-            out,
-        )?;
-        scratch.load(pattern.iter().filter_map(|(c, p)| Some((c, p.as_eq()?))));
-        let env = ExecEnv {
-            store: self.store,
-            d: self.d,
-            cmp: pattern,
-        };
-        let body = &self.d.node(self.d.root()).body;
-        exec_plan(&env, &plan, body, 0, self.root, scratch, &mut |b| f(b));
-        Ok(())
-    }
-}
-
-/// Memoized planning against a shared cache — the core of
-/// [`SynthRelation::planned_where`], also used by [`crate::Snapshot`]. The
-/// warm path takes one read lock and hands out a shared `Arc<Plan>`; on a
-/// miss the (expensive) planning runs outside any lock, and the subsequent
-/// insert re-checks the entry so concurrent planners that raced converge on
-/// one plan instead of clobbering each other.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn plan_memoized(
-    cache: &PlanCache,
-    d: &Decomposition,
-    spec: &RelSpec,
-    cost: &CostModel,
-    eq: ColSet,
-    ranged: ColSet,
-    filtered: ColSet,
-    out: ColSet,
-) -> Result<Arc<Plan>, OpError> {
-    let key = (eq.bits(), ranged.bits(), filtered.bits(), out.bits());
-    if let Some(p) = cache.read().expect("plan cache poisoned").get(&key) {
-        return Ok(Arc::clone(p));
-    }
-    let planner = Planner::new(d, spec, cost.clone());
-    let planned = planner.plan_query_where(eq, ranged, filtered, out)?;
-    let mut cache = cache.write().expect("plan cache poisoned");
-    let entry = cache.entry(key).or_insert_with(|| Arc::new(planned.plan));
-    Ok(Arc::clone(entry))
 }
 
 /// Is `key` exactly the set of the first `m` columns of the sort sequence,

@@ -32,15 +32,15 @@ use crate::error::OpError;
 use crate::exec::Bindings;
 use crate::instance::{InstanceRef, Store};
 use crate::profile::ProfileCounters;
-use crate::relation::{interval_cols, PlanCache, ReadCore};
+use crate::read::{interval_cols, PlanCache, ReadCore, RelRead};
 use relic_decomp::Decomposition;
 use relic_query::CostModel;
 use relic_spec::{ColSet, Pattern, RelSpec, Relation, Tuple};
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// An immutable view of a [`SynthRelation`](crate::SynthRelation) at one
-/// moment: the full read-side query API, no locks, no mutation.
+/// moment: the full read-side query API ([`RelRead`]), no locks, no
+/// mutation.
 ///
 /// Snapshots are cheap to take (a handful of `Arc` bumps), cheap to clone,
 /// and `Send + Sync` — the intended use is publishing them from a writer to
@@ -139,126 +139,6 @@ impl Snapshot {
         }
     }
 
-    /// `query r s C` against the frozen state: the projection onto `out` of
-    /// every snapshot tuple extending `pattern`. Results are set-semantic,
-    /// sorted, deterministic — identical to
-    /// [`SynthRelation::query`](crate::SynthRelation::query) at the moment
-    /// the snapshot was taken.
-    ///
-    /// # Errors
-    ///
-    /// [`OpError::ForeignColumns`] if `pattern` or `out` mention columns
-    /// outside the relation.
-    pub fn query(&self, pattern: &Tuple, out: ColSet) -> Result<Vec<Tuple>, OpError> {
-        let mut set: BTreeSet<Tuple> = BTreeSet::new();
-        self.query_for_each(pattern, out, |t| {
-            set.insert(t.clone());
-        })?;
-        Ok(set.into_iter().collect())
-    }
-
-    /// Streaming variant of [`query`](Snapshot::query): calls `f` for each
-    /// match without materializing results. Duplicate projections may be
-    /// delivered more than once (the collecting `query` deduplicates).
-    pub fn query_for_each(
-        &self,
-        pattern: &Tuple,
-        out: ColSet,
-        mut f: impl FnMut(&Tuple),
-    ) -> Result<(), OpError> {
-        let mut scratch = Bindings::new();
-        self.query_for_each_bindings(&mut scratch, pattern, out, |b| f(&b.project(out)))
-    }
-
-    /// The raw streaming query path against the snapshot: calls `f` with the
-    /// execution accumulator for each match, without materializing any
-    /// tuple. With a reused `scratch` and a warm (shared) plan cache this
-    /// performs no heap allocation per emitted tuple — the same contract as
-    /// [`SynthRelation::query_for_each_bindings`](crate::SynthRelation::query_for_each_bindings).
-    ///
-    /// # Errors
-    ///
-    /// [`OpError::ForeignColumns`] if `pattern` or `out` mention columns
-    /// outside the relation.
-    pub fn query_for_each_bindings(
-        &self,
-        scratch: &mut Bindings,
-        pattern: &Tuple,
-        out: ColSet,
-        f: impl FnMut(&Bindings),
-    ) -> Result<(), OpError> {
-        self.record_query(pattern.dom() | out, pattern.dom(), ColSet::EMPTY, out);
-        self.core().stream(scratch, pattern, out, f)
-    }
-
-    /// `query_where r P C` against the frozen state — comparison queries,
-    /// with the same plan selection (`qlookup`/`qrange`/filter) as
-    /// [`SynthRelation::query_where`](crate::SynthRelation::query_where).
-    ///
-    /// # Errors
-    ///
-    /// [`OpError::ForeignColumns`] if `pattern` or `out` mention columns
-    /// outside the relation.
-    pub fn query_where(&self, pattern: &Pattern, out: ColSet) -> Result<Vec<Tuple>, OpError> {
-        let mut set: BTreeSet<Tuple> = BTreeSet::new();
-        self.query_where_for_each(pattern, out, |t| {
-            set.insert(t.clone());
-        })?;
-        Ok(set.into_iter().collect())
-    }
-
-    /// Streaming variant of [`query_where`](Snapshot::query_where).
-    pub fn query_where_for_each(
-        &self,
-        pattern: &Pattern,
-        out: ColSet,
-        mut f: impl FnMut(&Tuple),
-    ) -> Result<(), OpError> {
-        let mut scratch = Bindings::new();
-        self.query_where_for_each_bindings(&mut scratch, pattern, out, |b| f(&b.project(out)))
-    }
-
-    /// Raw streaming variant of
-    /// [`query_where_for_each`](Snapshot::query_where_for_each); see
-    /// [`query_for_each_bindings`](Snapshot::query_for_each_bindings) for
-    /// the allocation contract.
-    ///
-    /// # Errors
-    ///
-    /// [`OpError::ForeignColumns`] as for `query_where_for_each`.
-    pub fn query_where_for_each_bindings(
-        &self,
-        scratch: &mut Bindings,
-        pattern: &Pattern,
-        out: ColSet,
-        f: impl FnMut(&Bindings),
-    ) -> Result<(), OpError> {
-        self.record_query(
-            pattern.dom() | out,
-            pattern.eq_cols(),
-            interval_cols(pattern),
-            out,
-        );
-        self.core().stream_where(scratch, pattern, out, f)
-    }
-
-    /// All full tuples extending `pattern`, sorted.
-    pub fn query_full(&self, pattern: &Tuple) -> Result<Vec<Tuple>, OpError> {
-        self.query(pattern, self.spec.cols())
-    }
-
-    /// Does the snapshot contain exactly this tuple?
-    pub fn contains(&self, t: &Tuple) -> Result<bool, OpError> {
-        Ok(self.query_full(t)?.iter().any(|x| x == t))
-    }
-
-    /// Does any snapshot tuple extend `pattern`?
-    pub fn contains_matching(&self, pattern: &Tuple) -> Result<bool, OpError> {
-        let mut found = false;
-        self.query_for_each(pattern, ColSet::EMPTY, |_| found = true)?;
-        Ok(found)
-    }
-
     /// Streams every tuple of the snapshot through `f`, **each exactly
     /// once**, as a full valuation in the execution accumulator — the one
     /// linear "every tuple" read (checkpoints, reports, recovery probes).
@@ -296,9 +176,50 @@ impl Snapshot {
     }
 }
 
+/// Queries answer against the frozen state — identical to the live
+/// relation's answers at the moment the snapshot was taken, with the same
+/// plan selection and (given a reused `scratch` and the shared, warm plan
+/// cache) the same no-allocation-per-row contract.
+impl RelRead for Snapshot {
+    fn spec(&self) -> &RelSpec {
+        &self.spec
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn query_for_each_bindings(
+        &self,
+        scratch: &mut Bindings,
+        pattern: &Tuple,
+        out: ColSet,
+        f: impl FnMut(&Bindings),
+    ) -> Result<(), OpError> {
+        self.record_query(pattern.dom() | out, pattern.dom(), ColSet::EMPTY, out);
+        self.core().stream(scratch, pattern, out, f)
+    }
+
+    fn query_where_for_each_bindings(
+        &self,
+        scratch: &mut Bindings,
+        pattern: &Pattern,
+        out: ColSet,
+        f: impl FnMut(&Bindings),
+    ) -> Result<(), OpError> {
+        self.record_query(
+            pattern.dom() | out,
+            pattern.eq_cols(),
+            interval_cols(pattern),
+            out,
+        );
+        self.core().stream_where(scratch, pattern, out, f)
+    }
+}
+
 #[cfg(test)]
 mod tests {
-    use crate::SynthRelation;
+    use crate::{RelRead, SynthRelation};
     use relic_decomp::parse;
     use relic_spec::{Catalog, ColSet, RelSpec, Tuple, Value};
 

@@ -3,7 +3,7 @@
 //! fallback, and agreement with the reference implementation.
 
 use proptest::prelude::*;
-use relic_core::SynthRelation;
+use relic_core::{RelRead, SynthRelation};
 use relic_decomp::{parse, Decomposition};
 use relic_spec::{Catalog, ColSet, Pattern, Pred, RelSpec, Relation, Tuple, Value};
 

@@ -56,7 +56,7 @@ use relic_concurrent::{ConcurrentRelation, ReadHandle, ReadView};
 use relic_core::wire::WireError;
 use relic_core::{Bindings, OpError, SynthRelation};
 use relic_decomp::Decomposition;
-use relic_spec::{Catalog, ColSet, Pattern, RelSpec, Relation, Tuple};
+use relic_spec::{Catalog, ColSet, RelSpec, Relation, Tuple};
 use std::path::{Path, PathBuf};
 
 /// The log file name inside a durable relation's directory.
@@ -67,10 +67,11 @@ pub const WAL_FILE: &str = "wal.log";
 /// All mutating methods are `&self` and thread-safe, with the same
 /// concurrency profile as [`ConcurrentRelation`] (pinned operations touch
 /// one shard lock; the log append inside the critical section is an
-/// in-memory push under the log's mutex). Reads are unchanged: the locked
-/// query path, wait-free [`read_handle`](DurableRelation::read_handle)
-/// snapshots, and [`read_view`](DurableRelation::read_view) all serve
-/// straight from the underlying relation.
+/// in-memory push under the log's mutex). Reads are unlogged and
+/// lock-free: [`read_view`](DurableRelation::read_view) and
+/// [`read_handle`](DurableRelation::read_handle) hand out the underlying
+/// relation's published snapshots, queried through
+/// [`RelRead`](relic_core::RelRead).
 #[derive(Debug)]
 pub struct DurableRelation {
     rel: ConcurrentRelation,
@@ -596,7 +597,7 @@ impl DurableRelation {
         }
     }
 
-    // -- reads (unlogged, unchanged from the underlying relation) -----------
+    // -- reads (unlogged: the underlying relation's published snapshots) ----
 
     /// The underlying concurrent relation, for reads, validation and
     /// profiling. Mutating through it **bypasses the log** — recovery will
@@ -620,24 +621,6 @@ impl DurableRelation {
         &self.spec
     }
 
-    /// `query r s C` through the locked read path.
-    ///
-    /// # Errors
-    ///
-    /// As for [`ConcurrentRelation::query`].
-    pub fn query(&self, pattern: &Tuple, out: ColSet) -> Result<Vec<Tuple>, PersistError> {
-        self.rel.query(pattern, out).map_err(PersistError::Op)
-    }
-
-    /// `query_where r P C` through the locked read path.
-    ///
-    /// # Errors
-    ///
-    /// As for [`ConcurrentRelation::query_where`].
-    pub fn query_where(&self, pattern: &Pattern, out: ColSet) -> Result<Vec<Tuple>, PersistError> {
-        self.rel.query_where(pattern, out).map_err(PersistError::Op)
-    }
-
     /// A cached wait-free read handle (see
     /// [`ConcurrentRelation::read_handle`]).
     pub fn read_handle(&self) -> ReadHandle<'_> {
@@ -650,7 +633,8 @@ impl DurableRelation {
         self.rel.read_view()
     }
 
-    /// Number of tuples across all shards.
+    /// Number of tuples across the published shard snapshots (see
+    /// [`ConcurrentRelation::len`]).
     pub fn len(&self) -> usize {
         self.rel.len()
     }

@@ -11,6 +11,7 @@
 //! final representation.
 
 use proptest::prelude::*;
+use relic_core::RelRead;
 use relic_decomp::{enumerate_decompositions, Decomposition, DsKind, EnumerateOptions};
 use relic_persist::{DurableRelation, GroupCommitPolicy};
 use relic_spec::{Catalog, ColSet, RelSpec, Tuple, Value};
@@ -138,6 +139,7 @@ fn assert_all_queries_agree(x: &DurableRelation, y: &DurableRelation, cat: &Cata
         })
         .collect();
     let model = x.to_relation();
+    let (x, y) = (x.read_view(), y.read_view());
     for &pat_cols in &subsets {
         let mut pats: Vec<Tuple> = model.iter().map(|t| t.project(pat_cols)).collect();
         pats.sort();

@@ -8,9 +8,7 @@
 //! [`insert_many`](relic_persist::DurableRelation::insert_many) — one WAL
 //! record, one lock hold and one publish per touched shard, regardless of
 //! how many connections contributed — then commits once for the whole
-//! batch under [`CommitMode::Coalesced`]. That single fsync, amortized
-//! over every queued request, is the serving win the `serving` bench
-//! family measures against [`CommitMode::PerRequest`].
+//! batch: a single fsync, amortized over every queued request.
 //!
 //! Acknowledgement follows the protocol's coalesced-counting convention
 //! (`relic_core::netmsg`): the first request of a merged insert run is
@@ -19,7 +17,6 @@
 //! exact. Removes punctuate runs and are applied (and counted)
 //! individually.
 
-use crate::CommitMode;
 use relic_core::netmsg::NetResponse;
 use relic_persist::DurableRelation;
 use relic_spec::Tuple;
@@ -67,15 +64,10 @@ impl MutationBatch {
     /// Applies every queued op in order and returns the per-op
     /// acknowledgements as `(connection index, response)`, also in order.
     ///
-    /// Under [`CommitMode::Coalesced`] the batch commits once at the end;
-    /// under [`CommitMode::PerRequest`] every op commits individually. A
-    /// failed commit is reported on the *last* op's ack slot (earlier acks
-    /// only ever promise application, not durability).
-    pub(crate) fn flush(
-        &mut self,
-        rel: &DurableRelation,
-        mode: CommitMode,
-    ) -> Vec<(usize, NetResponse)> {
+    /// The batch commits once at the end. A failed commit is reported on
+    /// the *last* op's ack slot (earlier acks only ever promise
+    /// application, not durability).
+    pub(crate) fn flush(&mut self, rel: &DurableRelation) -> Vec<(usize, NetResponse)> {
         let ops = std::mem::take(&mut self.ops);
         let mut acks: Vec<(usize, NetResponse)> = Vec::with_capacity(ops.len());
         let mut i = 0;
@@ -88,62 +80,38 @@ impl MutationBatch {
                         j += 1;
                     }
                     let run = &ops[i..j];
-                    if mode == CommitMode::PerRequest {
-                        for (conn, op) in run {
-                            let BatchOp::Insert(t) = op else {
-                                unreachable!()
-                            };
-                            let resp =
-                                match rel.insert(t.clone()).and_then(|n| rel.commit().map(|_| n)) {
-                                    Ok(inserted) => NetResponse::Ack {
-                                        n: u64::from(inserted),
-                                    },
-                                    Err(e) => NetResponse::Err {
-                                        message: e.to_string(),
-                                    },
-                                };
-                            acks.push((*conn, resp));
-                        }
-                    } else {
-                        let tuples = run.iter().map(|(_, op)| {
-                            let BatchOp::Insert(t) = op else {
-                                unreachable!()
-                            };
-                            t.clone()
-                        });
-                        match rel.insert_many(tuples) {
-                            Ok(n) => {
-                                // First ack carries the run's count.
-                                acks.push((run[0].0, NetResponse::Ack { n: n as u64 }));
-                                for (conn, _) in &run[1..] {
-                                    acks.push((*conn, NetResponse::Ack { n: 0 }));
-                                }
+                    let tuples = run.iter().map(|(_, op)| {
+                        let BatchOp::Insert(t) = op else {
+                            unreachable!()
+                        };
+                        t.clone()
+                    });
+                    match rel.insert_many(tuples) {
+                        Ok(n) => {
+                            // First ack carries the run's count.
+                            acks.push((run[0].0, NetResponse::Ack { n: n as u64 }));
+                            for (conn, _) in &run[1..] {
+                                acks.push((*conn, NetResponse::Ack { n: 0 }));
                             }
-                            Err(e) => {
-                                // The batch insert is all-or-nothing on
-                                // refusal, so every contributor hears it.
-                                let msg = e.to_string();
-                                for (conn, _) in run {
-                                    acks.push((
-                                        *conn,
-                                        NetResponse::Err {
-                                            message: msg.clone(),
-                                        },
-                                    ));
-                                }
+                        }
+                        Err(e) => {
+                            // The batch insert is all-or-nothing on
+                            // refusal, so every contributor hears it.
+                            let msg = e.to_string();
+                            for (conn, _) in run {
+                                acks.push((
+                                    *conn,
+                                    NetResponse::Err {
+                                        message: msg.clone(),
+                                    },
+                                ));
                             }
                         }
                     }
                     i = j;
                 }
                 BatchOp::Remove(pattern) => {
-                    let res = rel.remove(pattern);
-                    let res = if mode == CommitMode::PerRequest {
-                        res.and_then(|n| rel.commit().map(|_| n))
-                    } else {
-                        res
-                    };
-                    let resp = match res {
+                    let resp = match rel.remove(pattern) {
                         Ok(n) => NetResponse::Ack { n: n as u64 },
                         Err(e) => NetResponse::Err {
                             message: e.to_string(),
@@ -154,7 +122,7 @@ impl MutationBatch {
                 }
             }
         }
-        if mode == CommitMode::Coalesced && !acks.is_empty() {
+        if !acks.is_empty() {
             if let Err(e) = rel.commit() {
                 if let Some(last) = acks.last_mut() {
                     last.1 = NetResponse::Err {
@@ -223,7 +191,7 @@ mod tests {
         assert!(b.conn_has_pending(1));
         assert!(!b.conn_has_pending(7));
         assert_eq!(b.len(), 6);
-        let acks = b.flush(&rel, CommitMode::Coalesced);
+        let acks = b.flush(&rel);
         assert!(b.is_empty());
         let expect = [
             (0usize, 3u64), // first of run 1 carries the run count
@@ -239,29 +207,8 @@ mod tests {
             assert_eq!(resp, &NetResponse::Ack { n: want_n });
         }
         assert_eq!(rel.len(), 4);
-        // Coalesced mode committed exactly once for the whole batch.
+        // Committed (exactly once) for the whole batch.
         assert_eq!(rel.wal_pending_bytes(), 0);
-        let _ = std::fs::remove_dir_all(rel.dir());
-    }
-
-    #[test]
-    fn per_request_mode_acks_individually() {
-        let rel = tmp_rel("per_request");
-        let cat = rel.catalog().clone();
-        let mut b = MutationBatch::default();
-        b.push(0, BatchOp::Insert(kv(&cat, 1, 10)));
-        b.push(1, BatchOp::Insert(kv(&cat, 1, 10))); // duplicate: inserts 0
-        b.push(2, BatchOp::Insert(kv(&cat, 2, 20)));
-        let acks = b.flush(&rel, CommitMode::PerRequest);
-        let ns: Vec<u64> = acks
-            .iter()
-            .map(|(_, r)| match r {
-                NetResponse::Ack { n } => *n,
-                other => panic!("expected ack, got {other:?}"),
-            })
-            .collect();
-        assert_eq!(ns, vec![1, 0, 1]);
-        assert_eq!(rel.len(), 2);
         let _ = std::fs::remove_dir_all(rel.dir());
     }
 }

@@ -61,17 +61,16 @@ use relic_persist::PersistError;
 use std::fmt;
 use std::time::Duration;
 
-/// When the server fsyncs — the serving analogue of
-/// [`GroupCommitPolicy`](relic_persist::GroupCommitPolicy).
+/// When the server fsyncs. A vestige: the per-request comparison arm is
+/// gone and nothing reads this, but the frozen `benchmark/` names the type,
+/// the variant and [`ServerConfig::commit`] — kept until ROADMAP item 6
+/// stops naming them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CommitMode {
     /// Apply each worker's drained batch as coalesced runs, then commit
-    /// the whole batch with one fsync — the amortized default.
+    /// the whole batch with one fsync.
     #[default]
     Coalesced,
-    /// Apply and fsync every mutation individually — the unamortized
-    /// comparison arm (one fsync per request).
-    PerRequest,
 }
 
 /// Serving configuration.
@@ -79,7 +78,7 @@ pub enum CommitMode {
 pub struct ServerConfig {
     /// Worker threads; each owns its connections and its own `ReadHandle`.
     pub workers: usize,
-    /// Commit amortization (see [`CommitMode`]).
+    /// Unused (see [`CommitMode`]).
     pub commit: CommitMode,
     /// Admission-control thresholds.
     pub admission: AdmissionConfig,

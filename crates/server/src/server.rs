@@ -28,9 +28,10 @@
 use crate::admission::Admission;
 use crate::batch::{BatchOp, MutationBatch};
 use crate::conn::{Conn, ReadPass};
-use crate::{CommitMode, ServerConfig};
+use crate::ServerConfig;
 use relic_concurrent::ReadHandle;
 use relic_core::netmsg::{NetRequest, NetResponse, ServingStats};
+use relic_core::RelRead;
 use relic_persist::DurableRelation;
 use relic_spec::{parse_pattern, ColSet};
 use std::io::ErrorKind;
@@ -65,7 +66,7 @@ pub struct ServerStats {
     pub queries: u64,
     /// Mutation requests admitted into batches.
     pub mutations: u64,
-    /// Batch flushes (each is at most one group commit in coalesced mode).
+    /// Batch flushes (each is at most one group commit).
     pub batch_flushes: u64,
     /// Mutations refused under reclamation pressure.
     pub sheds: u64,
@@ -249,7 +250,7 @@ fn worker_loop(
             }
         }
         if !batch.is_empty() {
-            flush_batch(rel, &mut batch, &mut conns, config.commit, stats);
+            flush_batch(rel, &mut batch, &mut conns, stats);
             progress = true;
         }
         for c in &mut conns {
@@ -279,11 +280,10 @@ fn flush_batch(
     rel: &DurableRelation,
     batch: &mut MutationBatch,
     conns: &mut [Conn],
-    mode: CommitMode,
     stats: &SharedStats,
 ) {
     stats.batch_flushes.fetch_add(1, Ordering::Relaxed);
-    for (conn, resp) in batch.flush(rel, mode) {
+    for (conn, resp) in batch.flush(rel) {
         conns[conn].push_response(&resp);
     }
 }
@@ -312,10 +312,10 @@ fn dispatch(
             // Read-your-writes: apply this connection's queued mutations
             // before answering its read.
             if batch.conn_has_pending(i) {
-                flush_batch(rel, batch, conns, config.commit, stats);
+                flush_batch(rel, batch, conns, stats);
             }
             let out = effective_out(rel, out);
-            let resp = match handle.query(&pattern, out) {
+            let resp = match handle.fresh_for(|c| pattern.get(c)).query(&pattern, out) {
                 Ok(tuples) => NetResponse::Rows { tuples },
                 Err(e) => NetResponse::Err {
                     message: e.to_string(),
@@ -326,14 +326,17 @@ fn dispatch(
         NetRequest::QueryWhere { pattern, out } => {
             stats.queries.fetch_add(1, Ordering::Relaxed);
             if batch.conn_has_pending(i) {
-                flush_batch(rel, batch, conns, config.commit, stats);
+                flush_batch(rel, batch, conns, stats);
             }
             // Untrusted concrete syntax, parsed by the hardened
             // `parse_pattern` (typed errors, no panics).
             let resp = match parse_pattern(rel.catalog(), &pattern) {
                 Ok(p) => {
                     let out = effective_out(rel, out);
-                    match handle.query_where(&p, out) {
+                    match handle
+                        .fresh_for(|c| p.pred(c)?.as_eq())
+                        .query_where(&p, out)
+                    {
                         Ok(tuples) => NetResponse::Rows { tuples },
                         Err(e) => NetResponse::Err {
                             message: e.to_string(),
@@ -363,7 +366,7 @@ fn dispatch(
         NetRequest::Commit => {
             // Everything this worker has queued rides the commit.
             if !batch.is_empty() {
-                flush_batch(rel, batch, conns, config.commit, stats);
+                flush_batch(rel, batch, conns, stats);
             }
             let resp = match rel.commit() {
                 Ok(seq) => NetResponse::Committed { seq },
@@ -415,11 +418,9 @@ fn admit_mutation(
             // Pay down the flush lag first: apply what is queued and
             // force the commit, then admit.
             if !batch.is_empty() {
-                flush_batch(rel, batch, conns, config.commit, stats);
+                flush_batch(rel, batch, conns, stats);
             }
-            if config.commit == CommitMode::Coalesced {
-                let _ = rel.commit();
-            }
+            let _ = rel.commit();
             stats.delay_commits.fetch_add(1, Ordering::Relaxed);
             stats.mutations.fetch_add(1, Ordering::Relaxed);
             batch.push(i, op);

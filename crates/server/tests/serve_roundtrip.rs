@@ -8,7 +8,7 @@
 
 use relic_core::netmsg::{NetRequest, NetResponse};
 use relic_persist::{DurableRelation, GroupCommitPolicy};
-use relic_server::{Client, CommitMode, ServeHandle, ServerConfig, ServerError};
+use relic_server::{Client, ServeHandle, ServerConfig, ServerError};
 use relic_spec::{Catalog, ColSet, RelSpec, Tuple, Value};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -167,27 +167,6 @@ fn pipelined_acks_sum_exactly_under_coalescing() {
         stats.batch_flushes,
         stats.mutations
     );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn per_request_mode_serves_the_same_answers() {
-    let dir = case_dir("per_request");
-    let rel = kv_relation(&dir);
-    let config = ServerConfig {
-        commit: CommitMode::PerRequest,
-        ..ServerConfig::default()
-    };
-    let server = ServeHandle::spawn(Arc::clone(&rel), config).unwrap();
-    let mut c = Client::connect(server.addr()).unwrap();
-    let (cat, _) = c.catalog().unwrap();
-    for i in 0..20i64 {
-        assert_eq!(c.insert(kv(&cat, i, i)).unwrap(), 1);
-    }
-    // Every mutation carried its own fsync: nothing pending.
-    assert_eq!(c.stats().unwrap().wal_pending_bytes, 0);
-    assert_eq!(c.query(Tuple::empty(), ColSet::empty()).unwrap().len(), 20);
-    server.stop().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -6,7 +6,7 @@
 //! The compiler and executor see one [`Backend`] surface: catalog, spec,
 //! cardinality, mutation, and (in the executor) per-backend streaming.
 
-use relic_core::{OpError, SynthRelation};
+use relic_core::{OpError, RelRead, SynthRelation};
 use relic_persist::DurableRelation;
 use relic_server::{Client, ServerError};
 use relic_spec::{Catalog, ColSet, Pattern, RelSpec, Tuple, Value};
@@ -127,6 +127,7 @@ impl Backend {
                 // matches and remove them as exact tuples, which the WAL
                 // logs as one RemoveMany record.
                 let hits = r
+                    .read_view()
                     .query_where(pattern, r.spec().cols())
                     .map_err(backend_err)?;
                 if hits.is_empty() {

@@ -34,7 +34,7 @@ use crate::backend::{op_err, server_err, value_literal, Backend, RemoteRel};
 use crate::compiler::{CompiledSelect, Leg, Output};
 use crate::diag::Diag;
 use relic_concurrent::ReadView;
-use relic_core::{Bindings, SynthRelation};
+use relic_core::{Bindings, RelRead, SynthRelation};
 use relic_spec::{ColSet, Pattern, Pred, Tuple, Value};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 

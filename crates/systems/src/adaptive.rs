@@ -21,7 +21,7 @@
 
 use relic_autotune::Autotuner;
 use relic_concurrent::ConcurrentRelation;
-use relic_core::{MigrateError, OpError, SynthRelation};
+use relic_core::{MigrateError, OpError, RelRead, SynthRelation};
 use relic_decomp::{Decomposition, DsKind, EnumerateOptions};
 use relic_spec::{Catalog, ColId, RelSpec, Tuple, Value};
 use std::time::Instant;
@@ -383,7 +383,9 @@ pub fn run_concurrent_phase_shift(
     for i in 0..phase_a_ops {
         let pat =
             event((i as i64) % hosts, (i as i64 * 7) % ts_per_host).project(cols.host | cols.ts);
-        handle.query_for_each(&pat, cols.bytes.set(), |_| rows += 1)?;
+        handle
+            .fresh_for(|c| pat.get(c))
+            .query_for_each(&pat, cols.bytes.set(), |_| rows += 1)?;
         tick(rel, &mut migrations)?;
     }
     let phase_a_ns = start.elapsed().as_nanos();
@@ -394,13 +396,15 @@ pub fn run_concurrent_phase_shift(
         let pat = Tuple::from_pairs([(cols.ts, Value::from(t))]);
         if i % 8 == 7 {
             // Retire the slice and re-ingest it (log rotation) — the write
-            // side reads its own committed state under the locks.
-            let slice = rel.query(&pat, cols.host | cols.ts | cols.bytes)?;
+            // side reads its own committed state off the refreshed view.
+            let slice = handle.view().query_full(&pat)?;
             rel.remove(&pat)?;
             rows += slice.len() as u64;
             rel.insert_many(slice)?;
         } else {
-            handle.query_for_each(&pat, cols.host | cols.bytes, |_| rows += 1)?;
+            handle
+                .view()
+                .query_for_each(&pat, cols.host | cols.bytes, |_| rows += 1)?;
         }
         tick(rel, &mut migrations)?;
     }

@@ -17,7 +17,7 @@
 use crate::zipf::Zipf;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use relic_core::SynthRelation;
+use relic_core::{RelRead, SynthRelation};
 use relic_decomp::Decomposition;
 use relic_spec::{Catalog, ColId, RelSpec, Tuple, Value};
 

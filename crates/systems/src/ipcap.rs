@@ -16,7 +16,7 @@ use crate::zipf::Zipf;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use relic_concurrent::{ConcurrentBuildError, ConcurrentRelation, ReadHandle, ReadView};
-use relic_core::{Bindings, OpError, SynthRelation};
+use relic_core::{Bindings, OpError, RelRead, SynthRelation};
 use relic_decomp::Decomposition;
 use relic_persist::{DurableRelation, GroupCommitPolicy, PersistError};
 use relic_spec::{Catalog, ColId, RelSpec, Tuple, Value};
@@ -515,7 +515,9 @@ impl ConcurrentFlows {
             (cols.local, Value::from(local)),
             (cols.remote, Value::from(remote)),
         ]);
-        let rows = handle.query(&key, cols.bytes | cols.pkts)?;
+        let rows = handle
+            .fresh_for(|c| key.get(c))
+            .query(&key, cols.bytes | cols.pkts)?;
         match rows.first() {
             None => Ok(None),
             Some(t) => Ok(Some(counters(&cols, t)?)),

@@ -18,8 +18,11 @@
 //!
 //! Since the original inputs (live HTTP traffic, gateway packet captures,
 //! USGS topo tiles, the NW-USA road network) are unavailable, every workload
-//! here is generated deterministically from a seed — see DESIGN.md's
-//! substitution table.
+//! here is generated deterministically from a seed: Zipf-popular request
+//! streams for thttpd ([`thttpd::request_stream`]) and packet traces for
+//! IpCap ([`ipcap::packet_trace`]), a panning random walk for ZTopo
+//! ([`ztopo::pan_workload`]), a grid with shortcut edges for the road
+//! network ([`graph::road_network`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

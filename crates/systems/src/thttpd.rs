@@ -14,7 +14,7 @@
 
 use crate::zipf::Zipf;
 use relic_concurrent::{ConcurrentBuildError, ConcurrentRelation, ReadHandle};
-use relic_core::{Bindings, OpError, SynthRelation};
+use relic_core::{Bindings, OpError, RelRead, SynthRelation};
 use relic_decomp::Decomposition;
 use relic_persist::{DurableRelation, GroupCommitPolicy, PersistError};
 use relic_spec::{Catalog, ColId, Pattern, Pred, RelSpec, Tuple, Value};
@@ -363,7 +363,9 @@ impl ConcurrentMmapCache {
         let cols = self.cols;
         let key = Tuple::from_pairs([(cols.path, Value::from(req.path.as_str()))]);
         let stamp = Tuple::from_pairs([(cols.stamp, Value::from(req.now))]);
-        if handle.contains_matching(&key)? && self.rel.update(&key, &stamp)? {
+        if handle.fresh_for(|c| key.get(c)).contains_matching(&key)?
+            && self.rel.update(&key, &stamp)?
+        {
             return Ok(Outcome::Hit);
         }
         // Probe missed (or the mapping vanished meanwhile): create or

@@ -8,7 +8,7 @@
 //! ```
 
 use relic_autotune::{Autotuner, Workload};
-use relic_core::SynthRelation;
+use relic_core::{RelRead, SynthRelation};
 use relic_decomp::{Decomposition, DsKind, EnumerateOptions};
 use relic_spec::{Catalog, RelSpec, Tuple, Value};
 use std::time::Instant;

@@ -12,6 +12,7 @@
 //! ```
 
 use relic_concurrent::ConcurrentRelation;
+use relic_core::RelRead;
 use relic_decomp::parse;
 use relic_spec::{Catalog, RelSpec, Tuple, Value};
 use std::time::Instant;
@@ -82,9 +83,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         flows.len(),
     );
 
-    // A cross-shard accounting sweep over full flow rows.
+    // A cross-shard accounting sweep over full flow rows, off the
+    // published snapshots.
     let mut total: i64 = 0;
-    for row in flows.query(&Tuple::empty(), local | remote | bytes)? {
+    for row in flows
+        .read_view()
+        .query(&Tuple::empty(), local | remote | bytes)?
+    {
         total += row.get(bytes).and_then(|v| v.as_int()).unwrap_or(0);
     }
     println!("total accounted bytes: {total}");

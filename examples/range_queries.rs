@@ -10,7 +10,7 @@
 //! cargo run -p relic-bench --example range_queries
 //! ```
 
-use relic_core::SynthRelation;
+use relic_core::{RelRead, SynthRelation};
 use relic_decomp::parse;
 use relic_spec::{parse_pattern, Catalog, Pattern, Pred, RelSpec, Tuple, Value};
 

@@ -8,7 +8,7 @@
 //! cargo run -p relic-bench --example scheduler
 //! ```
 
-use relic_core::SynthRelation;
+use relic_core::{RelRead, SynthRelation};
 use relic_decomp::{parse, to_dot};
 use relic_spec::{Catalog, RelSpec, Tuple, Value};
 

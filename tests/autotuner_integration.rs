@@ -3,7 +3,7 @@
 //! behaviour on extreme workloads, and the enumeration-count experiment.
 
 use relic_autotune::{Autotuner, Workload};
-use relic_core::SynthRelation;
+use relic_core::{RelRead, SynthRelation};
 use relic_decomp::{enumerate_shapes, DsKind, EnumerateOptions};
 use relic_spec::{Catalog, ColId, RelSpec, Tuple, Value};
 
@@ -109,9 +109,8 @@ fn static_ranking_tracks_measured_extremes() {
 #[test]
 fn enumeration_counts_experiment() {
     // The paper reports 84 decompositions of ≤ 4 edges for the 3-column
-    // relation; our broader generator finds more (documented in
-    // EXPERIMENTS.md) and must strictly dominate the paper's count while
-    // agreeing on adequacy for every shape.
+    // relation; our broader generator finds more and must strictly
+    // dominate the paper's count while agreeing on adequacy for every shape.
     let (_, _, _, _, spec) = graph();
     let counts: Vec<usize> = (1..=4)
         .map(|max| {

@@ -5,7 +5,7 @@
 //! for it with `relic-codegen`.
 
 use relic_codegen::{generate, ColType, OpSet, Request};
-use relic_core::SynthRelation;
+use relic_core::{RelRead, SynthRelation};
 use relic_decomp::{enumerate_decompositions, DsKind, EnumerateOptions};
 use relic_query::{CostModel, Planner};
 use relic_spec::{Catalog, ColSet, Pattern, Pred, RelSpec, Relation, Tuple, Value};
