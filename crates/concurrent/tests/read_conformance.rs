@@ -19,9 +19,10 @@
 
 use proptest::prelude::*;
 use relic_concurrent::{ConcurrentRelation, ReadHandle};
-use relic_core::{OpError, RelRead, SynthRelation};
+use relic_core::{Bindings, OpError, RelRead, SynthRelation};
 use relic_decomp::{parse, Decomposition};
 use relic_spec::{Catalog, ColId, ColSet, Pattern, Pred, RelSpec, Relation, Tuple, Value};
+use std::collections::BTreeSet;
 
 /// Holds one reader to the reference relation: `len`, `is_empty`, `query`,
 /// `query_full`, `query_for_each`, `query_where`, `contains`,
@@ -360,6 +361,59 @@ fn every_mutation_kind_is_read_back_by_every_reader() {
     for shards in [1, 4] {
         run(shards, &script);
     }
+}
+
+/// Holds the collecting forms to a `BTreeSet`-collected reference (and to
+/// the model) on projections that repeat rows far past their compaction
+/// floor.
+fn check_duplicate_heavy<R: RelRead>(r: &R, cols: &Cols, model: &Relation) {
+    let reference = |p: &Pattern, out: ColSet| {
+        let mut set = BTreeSet::new();
+        r.query_where_for_each_bindings(&mut Bindings::new(), p, out, |b| {
+            set.insert(b.project(out));
+        })
+        .unwrap();
+        set.into_iter().collect::<Vec<_>>()
+    };
+    let ranged = Pattern::new().with(cols.ts, Pred::Ge(Value::from(100)));
+    for out in [cols.host.set(), cols.bytes.set(), cols.host | cols.bytes] {
+        let want = reference(&Pattern::new(), out);
+        assert_eq!(want, model.query(&Tuple::empty(), out), "{out:?}");
+        assert_eq!(r.query(&Tuple::empty(), out).unwrap(), want, "{out:?}");
+        assert_eq!(r.query_where(&Pattern::new(), out).unwrap(), want);
+        let want = reference(&ranged, out);
+        assert_eq!(want, model.query_where(&ranged, out), "{out:?}");
+        assert_eq!(r.query_where(&ranged, out).unwrap(), want, "{out:?}");
+    }
+    assert_eq!(r.query(&Tuple::empty(), cols.host.set()).unwrap().len(), 3);
+}
+
+/// 6 000 rows projected onto a 3-valued column (and onto a 1 500-valued
+/// one) through `query` and `query_where`: the sorted-vector collection
+/// compacts many times along the way and still answers as a set.
+#[test]
+fn duplicate_heavy_projections_collect_as_a_set() {
+    let (cat, cols, spec, decomps) = schema();
+    let rows: Vec<Tuple> = (0..6000i64)
+        .map(|i| {
+            Tuple::from_pairs([
+                (cols.host, Value::from(i % 3)),
+                (cols.ts, Value::from(i)),
+                (cols.bytes, Value::from(i % 1500)),
+            ])
+        })
+        .collect();
+    let mut model = Relation::empty(cat.all());
+    for t in &rows {
+        model.insert(t.clone());
+    }
+    let mut solo = SynthRelation::new(&cat, spec.clone(), decomps[0].clone()).unwrap();
+    assert_eq!(solo.bulk_load(rows.clone()).unwrap(), rows.len());
+    let rel = ConcurrentRelation::new(&cat, spec, decomps[1].clone(), cols.host.set(), 2).unwrap();
+    assert_eq!(rel.bulk_load(rows.clone()).unwrap(), rows.len());
+    check_duplicate_heavy(&solo, &cols, &model);
+    check_duplicate_heavy(&solo.snapshot(), &cols, &model);
+    check_duplicate_heavy(&rel.read_view(), &cols, &model);
 }
 
 /// `snapshot_props`' `(host, ts)` seed, widened by an operation selector and

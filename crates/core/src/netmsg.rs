@@ -216,41 +216,49 @@ impl NetResponse {
     /// Serializes the response.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(32);
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Serializes the response, appending to `out` — the bytes
+    /// [`encode`](NetResponse::encode) returns. The server encodes straight
+    /// into its per-connection output queue this way, with no payload-sized
+    /// temporary.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             NetResponse::Catalog { catalog, spec } => {
                 out.push(RESP_CATALOG);
-                wire::put_catalog(&mut out, catalog);
-                wire::put_spec(&mut out, spec);
+                wire::put_catalog(out, catalog);
+                wire::put_spec(out, spec);
             }
             NetResponse::Rows { tuples } => {
                 out.push(RESP_ROWS);
-                wire::put_tuples(&mut out, tuples);
+                wire::put_tuples(out, tuples);
             }
             NetResponse::Ack { n } => {
                 out.push(RESP_ACK);
-                wire::put_u64(&mut out, *n);
+                wire::put_u64(out, *n);
             }
             NetResponse::Committed { seq } => {
                 out.push(RESP_COMMITTED);
-                wire::put_u64(&mut out, *seq);
+                wire::put_u64(out, *seq);
             }
             NetResponse::Stats(s) => {
                 out.push(RESP_STATS);
-                wire::put_u64(&mut out, s.len);
-                wire::put_u64(&mut out, s.wal_pending_bytes);
-                wire::put_u64(&mut out, s.limbo_bytes);
-                wire::put_u64(&mut out, s.pinned_epoch_lag);
+                wire::put_u64(out, s.len);
+                wire::put_u64(out, s.wal_pending_bytes);
+                wire::put_u64(out, s.limbo_bytes);
+                wire::put_u64(out, s.pinned_epoch_lag);
             }
             NetResponse::Busy { retry_ms } => {
                 out.push(RESP_BUSY);
-                wire::put_u32(&mut out, *retry_ms);
+                wire::put_u32(out, *retry_ms);
             }
             NetResponse::Err { message } => {
                 out.push(RESP_ERR);
-                wire::put_str(&mut out, message);
+                wire::put_str(out, message);
             }
         }
-        out
     }
 
     /// Deserializes a response, rejecting unknown tags and trailing bytes.

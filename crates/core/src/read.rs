@@ -18,7 +18,7 @@ use crate::instance::{InstanceRef, Store};
 use relic_decomp::Decomposition;
 use relic_query::{CostModel, Plan, Planner};
 use relic_spec::{ColSet, Pattern, RelSpec, Tuple};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::sync::{Arc, RwLock};
 
 /// The relational read interface: `query r s C` in every form, over one
@@ -112,15 +112,22 @@ pub trait RelRead {
     /// `query r s C` (§2): the projection onto `out` of every tuple
     /// extending `pattern`. Results are set-semantic, sorted, deterministic.
     ///
+    /// Projected rows are appended to a vector as they stream and sorted
+    /// and deduplicated once at the end (`Tuple`'s `Ord`, so the order is
+    /// the one a sorted set gives). A projection that repeats rows is
+    /// compacted whenever the vector doubles past its last distinct size
+    /// (never below 1 024 rows), so it holds at most about twice its
+    /// distinct rows along the way.
+    ///
     /// # Errors
     ///
     /// As for [`query_for_each_bindings`](RelRead::query_for_each_bindings).
     fn query(&self, pattern: &Tuple, out: ColSet) -> Result<Vec<Tuple>, OpError> {
-        let mut set = BTreeSet::new();
+        let mut rows = SortedRows::default();
         self.query_for_each_bindings(&mut Bindings::new(), pattern, out, |b| {
-            set.insert(b.project(out));
+            rows.push(b.project(out));
         })?;
-        Ok(set.into_iter().collect())
+        Ok(rows.finish())
     }
 
     /// All full tuples extending `pattern`, sorted.
@@ -151,18 +158,19 @@ pub trait RelRead {
 
     /// `query_where r P C`: the projection onto `out` of every tuple
     /// satisfying the predicate pattern `P`, set-semantic and sorted. An
-    /// all-equality pattern answers exactly as [`query`](RelRead::query).
+    /// all-equality pattern answers exactly as [`query`](RelRead::query),
+    /// and collects the same way.
     ///
     /// # Errors
     ///
     /// As for
     /// [`query_where_for_each_bindings`](RelRead::query_where_for_each_bindings).
     fn query_where(&self, pattern: &Pattern, out: ColSet) -> Result<Vec<Tuple>, OpError> {
-        let mut set = BTreeSet::new();
+        let mut rows = SortedRows::default();
         self.query_where_for_each_bindings(&mut Bindings::new(), pattern, out, |b| {
-            set.insert(b.project(out));
+            rows.push(b.project(out));
         })?;
-        Ok(set.into_iter().collect())
+        Ok(rows.finish())
     }
 
     /// Does the relation contain exactly this tuple?
@@ -186,6 +194,49 @@ pub trait RelRead {
             found = true;
         })?;
         Ok(found)
+    }
+}
+
+/// The rows a collecting query has streamed so far: appended unsorted,
+/// sorted and deduplicated when the vector reaches `limit` and once at the
+/// end. `limit` is twice the distinct count of the last compaction, never
+/// below [`SortedRows::FLOOR`], so duplicates cost at most about as much
+/// memory as the distinct rows while the common all-distinct result is
+/// sorted exactly once.
+struct SortedRows {
+    rows: Vec<Tuple>,
+    limit: usize,
+}
+
+impl Default for SortedRows {
+    fn default() -> Self {
+        SortedRows {
+            rows: Vec::new(),
+            limit: SortedRows::FLOOR,
+        }
+    }
+}
+
+impl SortedRows {
+    /// The smallest buffer worth compacting.
+    const FLOOR: usize = 1024;
+
+    fn push(&mut self, t: Tuple) {
+        self.rows.push(t);
+        if self.rows.len() >= self.limit {
+            self.compact();
+        }
+    }
+
+    fn compact(&mut self) {
+        self.rows.sort_unstable();
+        self.rows.dedup();
+        self.limit = (2 * self.rows.len()).max(SortedRows::FLOOR);
+    }
+
+    fn finish(mut self) -> Vec<Tuple> {
+        self.compact();
+        self.rows
     }
 }
 

@@ -60,7 +60,9 @@ pub mod wal;
 
 pub use checkpoint::{read_checkpoint, write_checkpoint, Checkpoint, CheckpointWriter};
 pub use durable::{build_relation, replay_record, DurablePartition, DurableRelation};
-pub use frame::{frame_message, FrameReader, MAX_FRAME_PAYLOAD};
+pub use frame::{
+    begin_frame, frame_message, seal_frame, shrink_drained, FrameReader, MAX_FRAME_PAYLOAD,
+};
 pub use wal::{
     crc32, decode_frame, read_wal, Crc32, EncodedRecord, GroupCommitPolicy, ScannedWal, TailRead,
     TxnBuilder, Wal, WalEntry, WalRecord, MAX_PAYLOAD,

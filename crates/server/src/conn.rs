@@ -12,9 +12,31 @@
 //! fix in the replica transport).
 
 use relic_core::netmsg::NetResponse;
-use relic_persist::{frame_message, FrameReader, PersistError, MAX_FRAME_PAYLOAD};
+use relic_persist::{
+    begin_frame, frame_message, seal_frame, shrink_drained, FrameReader, PersistError,
+    MAX_FRAME_PAYLOAD,
+};
 use std::io::{ErrorKind, Write};
 use std::net::TcpStream;
+
+/// Frames `resp` onto the end of `out` in place: the payload is encoded
+/// straight behind a header placeholder, which is then patched with its
+/// length and CRC — the bytes `frame_message(out, &resp.encode(), ..)`
+/// would append, without the payload-sized temporary or its copy.
+///
+/// A payload over `max_payload` is rolled back and a typed
+/// [`NetResponse::Err`] takes its slot, so the response order stays intact.
+pub(crate) fn push_framed(out: &mut Vec<u8>, resp: &NetResponse, max_payload: u32) {
+    let start = begin_frame(out);
+    resp.encode_into(out);
+    if let Err(PersistError::FrameTooLarge { len, max }) = seal_frame(out, start, max_payload) {
+        let err = NetResponse::Err {
+            message: format!("response of {len} bytes exceeds the {max} byte frame cap"),
+        };
+        frame_message(out, &err.encode(), max_payload)
+            .expect("error response fits any sane frame cap");
+    }
+}
 
 /// What one nonblocking read pass against a connection produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,20 +132,7 @@ impl Conn {
     /// Queues a response behind everything already queued. Responses are
     /// written strictly in the order they are pushed.
     pub(crate) fn push_response(&mut self, resp: &NetResponse) {
-        let payload = resp.encode();
-        if frame_message(&mut self.out, &payload, MAX_FRAME_PAYLOAD).is_err() {
-            // The result set outgrew the frame cap. Substitute a typed
-            // error so the slot in the response order is still filled.
-            let err = NetResponse::Err {
-                message: format!(
-                    "response of {} bytes exceeds the {} byte frame cap",
-                    payload.len(),
-                    MAX_FRAME_PAYLOAD
-                ),
-            };
-            frame_message(&mut self.out, &err.encode(), MAX_FRAME_PAYLOAD)
-                .expect("error response fits any sane frame cap");
-        }
+        push_framed(&mut self.out, resp, MAX_FRAME_PAYLOAD);
     }
 
     /// Pushes queued bytes at the socket until it blocks or empties.
@@ -151,6 +160,7 @@ impl Conn {
         if self.out_pos == self.out.len() && !self.out.is_empty() {
             self.out.clear();
             self.out_pos = 0;
+            shrink_drained(&mut self.out);
         }
         progressed
     }
@@ -164,5 +174,131 @@ impl Conn {
     /// final error response already drained.
     pub(crate) fn reapable(&self) -> bool {
         self.dead || (self.corrupt && !self.has_backlog())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use relic_core::netmsg::ServingStats;
+    use relic_spec::{Catalog, RelSpec, Tuple, Value};
+    use std::net::TcpListener;
+
+    fn rows(n: usize) -> NetResponse {
+        let mut cat = Catalog::new();
+        let (a, b) = (cat.intern("a"), cat.intern("b"));
+        NetResponse::Rows {
+            tuples: (0..n)
+                .map(|i| {
+                    Tuple::from_pairs([
+                        (a, Value::from(i as i64)),
+                        (b, Value::from(format!("host-{i}").as_str())),
+                    ])
+                })
+                .collect(),
+        }
+    }
+
+    fn every_variant() -> Vec<NetResponse> {
+        let mut cat = Catalog::new();
+        let (a, b) = (cat.intern("a"), cat.intern("b"));
+        vec![
+            NetResponse::Catalog {
+                catalog: cat,
+                spec: RelSpec::new(a | b).with_fd(a.set(), b.set()),
+            },
+            rows(0),
+            rows(1),
+            rows(512),
+            NetResponse::Ack { n: 7 },
+            NetResponse::Committed { seq: 41 },
+            NetResponse::Stats(ServingStats {
+                len: 1,
+                wal_pending_bytes: 2,
+                limbo_bytes: 3,
+                pinned_epoch_lag: 4,
+            }),
+            NetResponse::Busy { retry_ms: 25 },
+            NetResponse::Err {
+                message: "no such column".to_string(),
+            },
+        ]
+    }
+
+    fn frames(bytes: &[u8], max_payload: u32) -> Vec<NetResponse> {
+        let mut r = FrameReader::with_max_payload(max_payload);
+        r.extend(bytes);
+        let got = std::iter::from_fn(|| r.next_frame().unwrap())
+            .map(|f| NetResponse::decode(&f).unwrap())
+            .collect();
+        assert!(!r.mid_frame());
+        got
+    }
+
+    #[test]
+    fn in_place_frames_equal_frame_message_of_encode() {
+        // Appending to one queue also covers frames that start mid-buffer.
+        let (mut out, mut want) = (Vec::new(), Vec::new());
+        for resp in every_variant() {
+            push_framed(&mut out, &resp, MAX_FRAME_PAYLOAD);
+            frame_message(&mut want, &resp.encode(), MAX_FRAME_PAYLOAD).unwrap();
+            assert_eq!(out, want, "{resp:?}");
+        }
+        assert_eq!(frames(&out, MAX_FRAME_PAYLOAD), every_variant());
+    }
+
+    #[test]
+    fn an_oversized_response_becomes_a_typed_err_in_its_slot() {
+        let cap = 256;
+        let big = rows(64);
+        assert!(big.encode().len() > cap as usize);
+        let mut out = Vec::new();
+        push_framed(&mut out, &NetResponse::Ack { n: 1 }, cap);
+        push_framed(&mut out, &big, cap);
+        push_framed(&mut out, &NetResponse::Ack { n: 2 }, cap);
+        let got = frames(&out, cap);
+        assert_eq!(got.len(), 3, "{got:?}");
+        assert_eq!(got[0], NetResponse::Ack { n: 1 });
+        match &got[1] {
+            NetResponse::Err { message } => assert_eq!(
+                *message,
+                format!(
+                    "response of {} bytes exceeds the 256 byte frame cap",
+                    big.encode().len()
+                )
+            ),
+            other => panic!("expected the substituted Err, got {other:?}"),
+        }
+        assert_eq!(got[2], NetResponse::Ack { n: 2 });
+    }
+
+    #[test]
+    fn a_drained_large_response_gives_its_memory_back() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        let mut conn = Conn::new(stream).unwrap();
+        let big = NetResponse::Err {
+            message: "x".repeat(4 << 20),
+        };
+        conn.push_response(&big);
+        assert!(conn.out.capacity() > 4 << 20);
+        let reader = std::thread::spawn(move || {
+            let mut r = FrameReader::new();
+            loop {
+                if let Some(f) = r.next_frame().unwrap() {
+                    return f.len();
+                }
+                assert_ne!(r.fill(&mut peer).unwrap(), 0, "closed mid-frame");
+            }
+        });
+        while conn.has_backlog() {
+            if !conn.flush_writes() {
+                std::thread::yield_now();
+            }
+            assert!(!conn.dead);
+        }
+        assert_eq!(reader.join().unwrap(), big.encode().len());
+        assert!(conn.out.capacity() <= 1 << 20, "{}", conn.out.capacity());
     }
 }

@@ -40,7 +40,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Counters aggregated across workers while serving.
 #[derive(Debug, Default)]
@@ -147,36 +147,45 @@ pub fn serve(
     Ok(stats.snapshot())
 }
 
-/// Adaptive idle backoff: spin first, then sleep in doubling steps up to
-/// the configured ceiling. Any progress resets it.
+/// Adaptive idle backoff: spin (yielding) for [`IdleBackoff::SPIN`] after
+/// the last progress, then sleep in doubling steps up to the configured
+/// ceiling. Any progress resets it.
+///
+/// The spin phase is a duration, not a count of idle scans, because an
+/// idle scan costs only a few microseconds: a count of them can end before
+/// a window-1 client's next request arrives, and the first sleep then adds
+/// 50 µs or more to that client's round trip.
 struct IdleBackoff {
     ceiling: Duration,
     current: Duration,
-    spins: u32,
+    idle_since: Option<Instant>,
 }
 
 impl IdleBackoff {
+    /// How long an idle loop keeps yielding before its first sleep.
+    const SPIN: Duration = Duration::from_micros(100);
+    const FIRST_SLEEP: Duration = Duration::from_micros(50);
+
     fn new(ceiling: Duration) -> IdleBackoff {
         IdleBackoff {
             ceiling,
-            current: Duration::from_micros(50),
-            spins: 0,
+            current: IdleBackoff::FIRST_SLEEP,
+            idle_since: None,
         }
     }
 
     fn reset(&mut self) {
-        self.current = Duration::from_micros(50);
-        self.spins = 0;
+        self.current = IdleBackoff::FIRST_SLEEP;
+        self.idle_since = None;
     }
 
     fn sleep(&mut self) {
-        if self.spins < 16 {
-            self.spins += 1;
+        if self.idle_since.get_or_insert_with(Instant::now).elapsed() < IdleBackoff::SPIN {
             thread::yield_now();
             return;
         }
         thread::sleep(self.current);
-        self.current = (self.current * 2).min(self.ceiling.max(Duration::from_micros(50)));
+        self.current = (self.current * 2).min(self.ceiling.max(IdleBackoff::FIRST_SLEEP));
     }
 }
 

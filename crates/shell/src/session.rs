@@ -316,12 +316,16 @@ impl Session {
                 ),
             ));
         }
-        let mut tuples = Vec::new();
+        // Sized once: `load` adopts this buffer, and one grown by doubling
+        // leaves freed heap behind it (verify skill, "Gotchas").
+        let mut tuples = Vec::with_capacity(lines.clone().count());
+        let mut cells: Vec<&str> = Vec::with_capacity(cols.len());
         for (i, line) in lines.enumerate() {
             if line.trim().is_empty() {
                 continue;
             }
-            let cells: Vec<&str> = line.split(sep).collect();
+            cells.clear();
+            cells.extend(line.split(sep));
             if cells.len() != cols.len() {
                 return Err(Diag::at(
                     path.span,
