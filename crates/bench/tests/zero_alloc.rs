@@ -306,6 +306,99 @@ fn warm_range_query_allocates_nothing() {
     );
 }
 
+/// The IpCap loop's warm in-place `update`: a flow's `(bytes, pkts)` unit
+/// rewritten under its `(local, remote)` key, with FD checking off as the
+/// daemon runs it. One planned key probe through the relation's scratch
+/// finds the tuple and the two values are overwritten where they lie; the
+/// one allocation left is the old tuple's projection.
+#[test]
+fn warm_in_place_update_allocates_at_most_once() {
+    let _serial = serial();
+    let (cat, mut r) = flows();
+    r.set_fd_checking(false);
+    let col = |name| cat.col(name).unwrap();
+    let (local, remote, bytes, pkts) = (col("local"), col("remote"), col("bytes"), col("pkts"));
+    let keys: Vec<Tuple> = (0..2048i64)
+        .map(|i| Tuple::from_pairs([(local, Value::from(i % 64)), (remote, Value::from(i << 12))]))
+        .collect();
+    let counters = |round: i64| -> Vec<Tuple> {
+        (0..2048i64)
+            .map(|i| {
+                Tuple::from_pairs([
+                    (bytes, Value::from(i * 40 + round * 1500)),
+                    (pkts, Value::from(i + round)),
+                ])
+            })
+            .collect()
+    };
+    let (warm, measured) = (counters(1), counters(2));
+    for (key, changes) in keys.iter().zip(&warm) {
+        assert!(r.update(key, changes).unwrap());
+    }
+    let before = allocs();
+    for (key, changes) in keys.iter().zip(&measured) {
+        assert!(r.update(key, changes).unwrap());
+    }
+    let delta = allocs() - before;
+    assert!(
+        delta <= keys.len() as u64,
+        "{delta} allocations over {} warm in-place updates",
+        keys.len()
+    );
+    for (key, changes) in keys.iter().zip(&measured) {
+        assert_eq!(r.query(key, bytes | pkts).unwrap(), vec![changes.clone()]);
+    }
+    r.validate().unwrap();
+}
+
+/// A warm key `insert` + `remove` pair on the IpCap table, FD checking on:
+/// a fresh remote under a standing local, then its removal by key (what
+/// the benchmark's `core.allocs_per_write` counts). Both walks reuse the
+/// relation's scratch, key buffer and per-node instance buffer, and the
+/// removal's cut is memoized; what is left is the new instance, its
+/// container entry and the removal's one matched row.
+#[test]
+fn warm_insert_remove_pair_allocates_at_most_ten() {
+    let _serial = serial();
+    let (cat, mut r) = flows();
+    let col = |name| cat.col(name).unwrap();
+    let (local, remote, bytes, pkts) = (col("local"), col("remote"), col("bytes"), col("pkts"));
+    let writes = || -> Vec<(Tuple, Tuple)> {
+        (0..512i64)
+            .map(|i| {
+                let key = [
+                    (local, Value::from(i % 64)),
+                    (remote, Value::from((i << 12) + 1)),
+                ];
+                let counters = [(bytes, Value::from(40 + i)), (pkts, Value::from(1))];
+                (
+                    Tuple::from_pairs(key.clone().into_iter().chain(counters)),
+                    Tuple::from_pairs(key),
+                )
+            })
+            .collect()
+    };
+    let pairs = |r: &mut SynthRelation, writes: Vec<(Tuple, Tuple)>| {
+        for (tuple, key) in writes {
+            assert!(r.insert(tuple).unwrap());
+            assert_eq!(r.remove(&key).unwrap(), 1);
+        }
+    };
+    pairs(&mut r, writes());
+    let measured = writes();
+    let n = measured.len() as u64;
+    let before = allocs();
+    pairs(&mut r, measured);
+    let delta = allocs() - before;
+    assert!(
+        delta <= 10 * n,
+        "{delta} allocations over {n} warm insert + remove pairs ({:.1} per pair)",
+        delta as f64 / n as f64
+    );
+    assert_eq!(r.len(), 2048);
+    r.validate().unwrap();
+}
+
 /// One read of the wait-free path: a point probe or a comparison pattern.
 enum Read<'a> {
     Point(&'a Tuple),

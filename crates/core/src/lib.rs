@@ -45,3 +45,9 @@ pub use profile::WorkloadProfile;
 pub use read::RelRead;
 pub use relation::SynthRelation;
 pub use snapshot::Snapshot;
+
+/// A `HashMap` hashed with [`relic_containers::FxHasher`], for the maps
+/// keyed by column-set bits (plan cache, profile counters, memoized cuts):
+/// they are never keyed by input data, so they need no flood-resistant hash.
+pub(crate) type FxHashMap<K, V> =
+    std::collections::HashMap<K, V, std::hash::BuildHasherDefault<relic_containers::FxHasher>>;

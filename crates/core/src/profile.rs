@@ -16,8 +16,8 @@
 //! relaxed atomic increment. Only the *first* occurrence of a signature
 //! takes the write lock and allocates its counter entry.
 
+use crate::FxHashMap;
 use relic_spec::ColSet;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
 
@@ -32,9 +32,9 @@ type SigKey = (u64, u64, u64);
 /// insert a signature's first counter.
 #[derive(Debug, Default)]
 pub(crate) struct ProfileCounters {
-    queries: RwLock<HashMap<SigKey, AtomicU64>>,
+    queries: RwLock<FxHashMap<SigKey, AtomicU64>>,
     inserts: AtomicU64,
-    removes: RwLock<HashMap<u64, AtomicU64>>,
+    removes: RwLock<FxHashMap<u64, AtomicU64>>,
 }
 
 impl ProfileCounters {

@@ -15,10 +15,10 @@
 use crate::error::OpError;
 use crate::exec::{exec_plan, Bindings, ExecEnv};
 use crate::instance::{InstanceRef, Store};
+use crate::FxHashMap;
 use relic_decomp::Decomposition;
 use relic_query::{CostModel, Plan, Planner};
 use relic_spec::{ColSet, Pattern, RelSpec, Tuple};
-use std::collections::HashMap;
 use std::sync::{Arc, RwLock};
 
 /// The relational read interface: `query r s C` in every form, over one
@@ -245,7 +245,7 @@ impl SortedRows {
 pub(crate) type PlanKey = (u64, u64, u64, u64);
 
 /// The shared, read-mostly plan cache: signature → memoized `Arc<Plan>`.
-pub(crate) type PlanCache = RwLock<HashMap<PlanKey, Arc<Plan>>>;
+pub(crate) type PlanCache = RwLock<FxHashMap<PlanKey, Arc<Plan>>>;
 
 /// The columns of a pattern carrying interval comparisons — the `ranged`
 /// part of a `query_where` signature (for both planning and workload

@@ -7,11 +7,11 @@ use crate::exec::{exec_plan, Bindings, ExecEnv};
 use crate::instance::{InstanceRef, Key, Layout, PrimInst, Store};
 use crate::profile::{ProfileCounters, WorkloadProfile};
 use crate::read::{interval_cols, plan_memoized, PlanCache, ReadCore, RelRead};
-use relic_decomp::{check_adequacy, cut, Decomposition, NodeId};
+use crate::FxHashMap;
+use relic_decomp::{check_adequacy, cut, Cut, Decomposition, NodeId};
 use relic_query::{CostModel, JoinCostMode, Plan};
 use relic_spec::{Catalog, ColSet, Pattern, RelSpec, Relation, Tuple};
-use std::collections::{BTreeSet, HashMap};
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
 /// A relation synthesized from a [`RelSpec`] and an adequate
 /// [`Decomposition`] — the Rust analog of the C++ classes emitted by RELC.
@@ -81,15 +81,21 @@ pub struct SynthRelation {
     cost: CostModel,
     /// Read-mostly plan cache: the warm path takes only a read lock and
     /// clones an `Arc`, never a `Plan`. Invalidation (`set_cost_model`,
-    /// `set_join_cost_mode`, `clear`, migration) *replaces* the `Arc` with a
-    /// fresh cache instead of clearing in place, so snapshots sharing the
-    /// old cache keep plans consistent with their frozen representation.
+    /// `set_join_cost_mode`, migration) *replaces* the `Arc` with a fresh
+    /// cache instead of clearing in place, so snapshots sharing the old
+    /// cache keep plans consistent with their frozen representation.
     plan_cache: Arc<PlanCache>,
     /// Scratch accumulator reused by the mutation paths (`insert`, `remove`,
-    /// `update`) for FD-check and duplicate-detection probes.
+    /// `update`) for their key, FD-check and matching probes.
     scratch: Bindings,
     /// Scratch key buffer reused for container probes along mutation paths.
     key_scratch: Vec<relic_spec::Value>,
+    /// Per-node instance buffer reused by the `dinsert` and removal walks.
+    resolved: Vec<Option<InstanceRef>>,
+    /// The §4.5 cut of every removal pattern column set seen so far. A cut
+    /// depends only on the decomposition and the dependencies, so it is
+    /// dropped only when `migrate_to` replaces the decomposition.
+    cuts: FxHashMap<ColSet, Arc<Cut>>,
     /// Workload recorder: per-signature query counts, insert count,
     /// per-pattern remove counts. Interior-mutable so `&self` queries can
     /// record; warm signatures cost one read lock + one relaxed increment.
@@ -129,9 +135,11 @@ impl SynthRelation {
             store: Arc::new(store),
             root,
             cost,
-            plan_cache: Arc::new(RwLock::new(HashMap::new())),
+            plan_cache: Arc::default(),
             scratch: Bindings::new(),
             key_scratch: Vec::new(),
+            resolved: Vec::new(),
+            cuts: FxHashMap::default(),
             profile: Arc::new(ProfileCounters::default()),
             profiling: true,
             check_fds: true,
@@ -230,7 +238,7 @@ impl SynthRelation {
     /// the old `Arc` keep their (still valid for their frozen
     /// representation) plans; the live relation re-plans from scratch.
     fn invalidate_plans(&mut self) {
-        self.plan_cache = Arc::new(RwLock::new(HashMap::new()));
+        self.plan_cache = Arc::default();
     }
 
     /// Number of memoized query plans (for tests and cache-behaviour
@@ -387,12 +395,15 @@ impl SynthRelation {
         if (pattern.dom() | out).is_subset(self.spec.cols()) {
             self.record_query(pattern.dom(), ColSet::EMPTY, out);
         }
-        self.stream_bindings(scratch, pattern, out, f)
+        self.read_core().stream(scratch, pattern, out, f)
     }
 
     /// The borrowed read core over this relation's current state (shared
     /// with [`crate::Snapshot`], which builds the same core over its frozen
-    /// `Arc`s — one implementation of plan + execute serves both).
+    /// `Arc`s — one implementation of plan + execute serves both). Its
+    /// streams record nothing: the public queries record before calling it,
+    /// and the mutation paths' embedded queries are accounted by their own
+    /// operation counters.
     fn read_core(&self) -> ReadCore<'_> {
         ReadCore {
             spec: &self.spec,
@@ -402,21 +413,6 @@ impl SynthRelation {
             cost: &self.cost,
             plan_cache: &self.plan_cache,
         }
-    }
-
-    /// [`query_for_each_bindings`](SynthRelation::query_for_each_bindings)
-    /// without workload recording — the internal path for operations (like
-    /// `remove`'s matching enumeration or a migration drain) whose embedded
-    /// queries are accounted by their own operation counter, not as observed
-    /// query traffic.
-    fn stream_bindings(
-        &self,
-        scratch: &mut Bindings,
-        pattern: &Tuple,
-        out: ColSet,
-        f: impl FnMut(&Bindings),
-    ) -> Result<(), OpError> {
-        self.read_core().stream(scratch, pattern, out, f)
     }
 
     /// All full tuples extending `pattern`, sorted: [`RelRead::query_full`],
@@ -429,17 +425,35 @@ impl SynthRelation {
         RelRead::query_full(self, pattern)
     }
 
-    /// The unrecorded equivalent of [`query_full`](SynthRelation::query_full)
-    /// for mutation paths: the tuples they enumerate are part of the
-    /// mutation's own cost, not observed query traffic.
-    fn collect_full(&self, pattern: &Tuple) -> Result<Vec<Tuple>, OpError> {
+    /// The matching collector of the mutation paths (`remove`,
+    /// `remove_where`, and through them `remove_many` and a structural
+    /// `update`; the `migrate_to` drain): every full tuple `stream` emits
+    /// from the read core, sorted and deduplicated. Unrecorded — the tuples
+    /// a mutation enumerates are part of its own cost, not observed query
+    /// traffic — and streamed through the relation's own scratch
+    /// accumulator. A key pattern's single row is neither sorted nor
+    /// deduplicated.
+    fn collect_matching(
+        &mut self,
+        stream: impl FnOnce(
+            &ReadCore<'_>,
+            &mut Bindings,
+            &mut dyn FnMut(&Bindings),
+        ) -> Result<(), OpError>,
+    ) -> Result<Vec<Tuple>, OpError> {
         let all = self.spec.cols();
-        let mut set: BTreeSet<Tuple> = BTreeSet::new();
-        let mut scratch = Bindings::new();
-        self.stream_bindings(&mut scratch, pattern, all, |b| {
-            set.insert(b.project(all));
-        })?;
-        Ok(set.into_iter().collect())
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let mut rows = Vec::new();
+        let streamed = stream(&self.read_core(), &mut scratch, &mut |b| {
+            rows.push(b.project(all))
+        });
+        self.scratch = scratch;
+        streamed?;
+        if rows.len() > 1 {
+            rows.sort_unstable();
+            rows.dedup();
+        }
+        Ok(rows)
     }
 
     /// The raw streaming path for comparison patterns (§2's "comparisons
@@ -464,33 +478,7 @@ impl SynthRelation {
         if (pattern.dom() | out).is_subset(self.spec.cols()) {
             self.record_query(pattern.eq_cols(), interval_cols(pattern), out);
         }
-        self.stream_where_bindings(scratch, pattern, out, f)
-    }
-
-    /// The unrecorded core of
-    /// [`query_where_for_each_bindings`](SynthRelation::query_where_for_each_bindings)
-    /// (see [`stream_bindings`](SynthRelation::stream_bindings) for why
-    /// mutation paths bypass the recorder).
-    fn stream_where_bindings(
-        &self,
-        scratch: &mut Bindings,
-        pattern: &Pattern,
-        out: ColSet,
-        f: impl FnMut(&Bindings),
-    ) -> Result<(), OpError> {
         self.read_core().stream_where(scratch, pattern, out, f)
-    }
-
-    /// The unrecorded equivalent of `query_where(pattern, all)` for
-    /// [`remove_where`](SynthRelation::remove_where)'s matching enumeration.
-    fn collect_where_full(&self, pattern: &Pattern) -> Result<Vec<Tuple>, OpError> {
-        let all = self.spec.cols();
-        let mut set: BTreeSet<Tuple> = BTreeSet::new();
-        let mut scratch = Bindings::new();
-        self.stream_where_bindings(&mut scratch, pattern, all, |b| {
-            set.insert(b.project(all));
-        })?;
-        Ok(set.into_iter().collect())
     }
 
     /// The plan [`query_where`](RelRead::query_where) will use for a
@@ -630,13 +618,14 @@ impl SynthRelation {
     ///
     /// All existence probes go through the relation's reusable key buffer
     /// and the containers' borrowed-key lookups; an owned key is only built
-    /// when an entry is actually stored.
+    /// when an entry is actually stored. The walk visits nodes in reverse
+    /// let order — `topo_root_first`'s order, without borrowing the
+    /// decomposition across the store writes.
     fn dinsert(&mut self, t: &Tuple) {
         let nn = self.d.node_count();
-        let mut resolved: Vec<Option<InstanceRef>> = vec![None; nn];
+        let mut resolved = self.take_resolved();
         let mut kb = std::mem::take(&mut self.key_scratch);
-        let order: Vec<NodeId> = self.d.topo_root_first().collect();
-        for node in order {
+        for node in (0..nn).rev().map(|i| NodeId(i as u16)) {
             let inst = if node == self.d.root() {
                 self.root
             } else {
@@ -673,6 +662,16 @@ impl SynthRelation {
             resolved[node.index()] = Some(inst);
         }
         self.key_scratch = kb;
+        self.resolved = resolved;
+    }
+
+    /// The relation's per-node instance buffer, taken out and reset to one
+    /// unresolved entry per node (put it back when the walk is done).
+    fn take_resolved(&mut self) -> Vec<Option<InstanceRef>> {
+        let mut resolved = std::mem::take(&mut self.resolved);
+        resolved.clear();
+        resolved.resize(self.d.node_count(), None);
+        resolved
     }
 
     // -- batch operations ---------------------------------------------------
@@ -1342,11 +1341,10 @@ impl SynthRelation {
         }
     }
 
-    /// `remove_many`: removes every tuple matching each pattern in turn,
-    /// amortizing the per-pattern setup — the §4.5 decomposition cut is
-    /// computed once per distinct pattern column-set instead of once per
-    /// call. Returns the total number of tuples removed. Equivalent to
-    /// folding [`remove`](SynthRelation::remove) over the patterns.
+    /// `remove_many`: a fold of [`remove`](SynthRelation::remove) over the
+    /// patterns, returning the total number of tuples removed. The §4.5 cut
+    /// of each pattern column set is memoized by the relation, so a batch of
+    /// like-shaped patterns computes it once.
     ///
     /// # Errors
     ///
@@ -1357,34 +1355,9 @@ impl SynthRelation {
         &mut self,
         patterns: I,
     ) -> Result<usize, OpError> {
-        let mut cuts: HashMap<u64, relic_decomp::Cut> = HashMap::new();
-        let mut total = 0usize;
-        for pattern in patterns {
-            let foreign = pattern.dom() - self.spec.cols();
-            if !foreign.is_empty() {
-                return Err(OpError::ForeignColumns { cols: foreign });
-            }
-            self.record_remove(pattern.dom());
-            let matching = self.collect_full(pattern)?;
-            if matching.is_empty() {
-                continue;
-            }
-            let c = cuts
-                .entry(pattern.dom().bits())
-                .or_insert_with(|| cut(&self.d, self.spec.fds(), pattern.dom()));
-            if c.is_below(self.d.root()) {
-                debug_assert_eq!(matching.len(), self.len);
-                total += self.len;
-                self.clear();
-                continue;
-            }
-            for t in &matching {
-                self.remove_tuple(t, c);
-            }
-            self.len -= matching.len();
-            total += matching.len();
-        }
-        Ok(total)
+        patterns
+            .into_iter()
+            .try_fold(0, |total, pattern| Ok(total + self.remove(pattern)?))
     }
 
     /// `remove r s` (§2, §4.5): removes every tuple extending `pattern` by
@@ -1401,24 +1374,37 @@ impl SynthRelation {
             return Err(OpError::ForeignColumns { cols: foreign });
         }
         self.record_remove(pattern.dom());
-        let matching = self.collect_full(pattern)?;
+        let all = self.spec.cols();
+        let matching = self.collect_matching(|core, s, f| core.stream(s, pattern, all, f))?;
+        Ok(self.remove_matching(pattern.dom(), &matching))
+    }
+
+    /// Removes `matching` — every stored tuple a pattern over `cols`
+    /// matched — by breaking, under each, the edges crossing the memoized
+    /// cut for `cols`. Returns the number of tuples removed.
+    fn remove_matching(&mut self, cols: ColSet, matching: &[Tuple]) -> usize {
         if matching.is_empty() {
-            return Ok(0);
+            return 0;
         }
-        let c = cut(&self.d, self.spec.fds(), pattern.dom());
+        let c = Arc::clone(
+            self.cuts
+                .entry(cols)
+                .or_insert_with(|| Arc::new(cut(&self.d, self.spec.fds(), cols))),
+        );
         if c.is_below(self.d.root()) {
-            // The root itself only represents matching tuples: every tuple
-            // matches, so clear the whole store.
+            // The root itself only represents matching tuples: ∅ determines
+            // the pattern columns, so all tuples agree on them and one match
+            // means every tuple matches — clear the whole store.
             debug_assert_eq!(matching.len(), self.len);
             let n = self.len;
             self.clear();
-            return Ok(n);
+            return n;
         }
-        for t in &matching {
+        for t in matching {
             self.remove_tuple(t, &c);
         }
         self.len -= matching.len();
-        Ok(matching.len())
+        matching.len()
     }
 
     /// `remove_where r P` — removal by comparison pattern, the mutation
@@ -1443,32 +1429,18 @@ impl SynthRelation {
             return Err(OpError::ForeignColumns { cols: foreign });
         }
         self.record_remove(pattern.dom());
-        let matching = self.collect_where_full(pattern)?;
-        if matching.is_empty() {
-            return Ok(0);
-        }
-        let c = cut(&self.d, self.spec.fds(), pattern.dom());
-        if c.is_below(self.d.root()) {
-            // ∅ determines the pattern columns: all tuples agree on them,
-            // so one match means every tuple matches.
-            debug_assert_eq!(matching.len(), self.len);
-            let n = self.len;
-            self.clear();
-            return Ok(n);
-        }
-        for t in &matching {
-            self.remove_tuple(t, &c);
-        }
-        self.len -= matching.len();
-        Ok(matching.len())
+        let all = self.spec.cols();
+        let matching = self.collect_matching(|core, s, f| core.stream_where(s, pattern, all, f))?;
+        Ok(self.remove_matching(pattern.dom(), &matching))
     }
 
     /// Removes every tuple (constant-time reset of the store).
     ///
-    /// Also drops memoized plans: plans chosen under an
-    /// [`observed_cost_model`](SynthRelation::observed_cost_model) reflect
-    /// the old instance's fan-outs, so a reset conservatively forces
-    /// re-planning.
+    /// Memoized plans are kept: a plan depends only on the decomposition and
+    /// the cost model, and clearing changes neither. (A plan chosen under an
+    /// [`observed_cost_model`](SynthRelation::observed_cost_model) stays
+    /// correct for the emptied relation; to plan for a new instance shape,
+    /// re-profile and [`set_cost_model`](SynthRelation::set_cost_model).)
     pub fn clear(&mut self) {
         // A fresh store (not an in-place reset), so outstanding snapshots
         // keep the pre-clear instance graph.
@@ -1480,7 +1452,6 @@ impl SynthRelation {
         self.root = store.alloc(root_node, root_inst);
         self.store = Arc::new(store);
         self.len = 0;
-        self.invalidate_plans();
     }
 
     /// Migrates the relation to a different decomposition **in place**: the
@@ -1514,13 +1485,15 @@ impl SynthRelation {
         }
         let mut next = SynthRelation::new(&self.cat, self.spec.clone(), d)?;
         next.check_fds = self.check_fds;
-        next.profiling = false; // the drain is not observed traffic
-                                // Drain through the unrecorded streaming scan (not `to_relation`,
-                                // whose per-instance unions are quadratic in fan-out; and not the
-                                // public query path, which would record the migration into the very
-                                // profile that triggered it).
+        // The drain is not observed traffic.
+        next.profiling = false;
+        // Drain through the unrecorded collector (not `to_relation`, whose
+        // per-instance unions are quadratic in fan-out; and not the public
+        // query path, which would record the migration into the very profile
+        // that triggered it).
+        let all = self.spec.cols();
         let tuples = self
-            .collect_full(&Tuple::empty())
+            .collect_matching(|core, s, f| core.stream(s, &Tuple::empty(), all, f))
             .map_err(MigrateError::Rebuild)?;
         next.bulk_load(tuples).map_err(MigrateError::Rebuild)?;
         debug_assert_eq!(next.len, self.len);
@@ -1538,24 +1511,24 @@ impl SynthRelation {
         self.len = next.len;
         self.min_key = next.min_key;
         self.invalidate_plans();
+        self.cuts.clear();
         Ok(())
     }
 
-    fn remove_tuple(&mut self, t: &Tuple, c: &relic_decomp::Cut) {
+    fn remove_tuple(&mut self, t: &Tuple, c: &Cut) {
         let nn = self.d.node_count();
         let mut kb = std::mem::take(&mut self.key_scratch);
-        // Resolve the above-cut instances along t's path.
-        let mut resolved: Vec<Option<InstanceRef>> = vec![None; nn];
-        let order: Vec<NodeId> = self.d.topo_root_first().collect();
-        for node in &order {
-            if c.is_below(*node) {
+        // Resolve the above-cut instances along t's path, root first.
+        let mut resolved = self.take_resolved();
+        for node in (0..nn).rev().map(|i| NodeId(i as u16)) {
+            if c.is_below(node) {
                 continue;
             }
-            let inst = if *node == self.d.root() {
+            let inst = if node == self.d.root() {
                 Some(self.root)
             } else {
                 let mut found = None;
-                for &e in self.d.incoming_edges(*node) {
+                for &e in self.d.incoming_edges(node) {
                     let edge = self.d.edge(e);
                     if let Some(parent) = resolved[edge.from.index()] {
                         t.write_key_into(edge.key, &mut kb);
@@ -1615,6 +1588,7 @@ impl SynthRelation {
             }
         }
         self.key_scratch = kb;
+        self.resolved = resolved;
     }
 
     /// True when the instance holds no data: no unit leaves and all maps
@@ -1674,9 +1648,13 @@ impl SynthRelation {
     ///
     /// As in the paper, only the common case is supported: the pattern must
     /// be a key for the relation and must not overlap the changed columns —
-    /// so updates never merge tuples. When the changed columns appear only
-    /// in unit leaves, the update is performed in place; otherwise it
-    /// executes as remove + insert, reusing the relation's machinery.
+    /// so updates never merge tuples. The stored tuple is found by one
+    /// planned key probe through the relation's scratch accumulator. When
+    /// the changed columns appear only in unit leaves, the update is
+    /// performed in place: just the changed values of the located unit
+    /// tuples are overwritten, and with FD checking off that costs one
+    /// allocation, the old tuple's projection. Otherwise it executes as
+    /// remove + insert, reusing the relation's machinery.
     ///
     /// # Errors
     ///
@@ -1702,33 +1680,49 @@ impl SynthRelation {
         // An update *is* a key query followed by a (possibly structural)
         // rewrite; record the query signature it exercises. The structural
         // path's inner remove + insert record their own counters below.
-        self.record_query(pattern.dom(), ColSet::EMPTY, self.spec.cols());
-        let matching = self.collect_full(pattern)?;
-        let Some(t_old) = matching.first() else {
+        let all = self.spec.cols();
+        self.record_query(pattern.dom(), ColSet::EMPTY, all);
+        let plan = self.planned(pattern.dom(), all)?;
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let mut t_old: Option<Tuple> = None;
+        for_each_matching(
+            &self.store,
+            &self.d,
+            self.root,
+            &plan,
+            &mut scratch,
+            pattern,
+            pattern.dom(),
+            // The pattern is a key, so every emission is the one tuple.
+            &mut |b| {
+                if t_old.is_none() {
+                    t_old = Some(b.project(all));
+                }
+            },
+        );
+        self.scratch = scratch;
+        let Some(t_old) = t_old else {
             return Ok(false);
         };
-        debug_assert_eq!(matching.len(), 1, "key pattern matches at most one tuple");
-        let t_old = t_old.clone();
-        let t_new = t_old.merge(changes);
-        if t_new == t_old {
+        let changed: ColSet = changes
+            .iter()
+            .filter(|&(c, v)| t_old.get(c) != Some(v))
+            .map(|(c, _)| c)
+            .collect();
+        if changed.is_empty() {
             return Ok(true);
         }
-        if self.check_fds {
-            self.check_fds_against(&t_new, Some(&t_old))?;
+        let t_new = self.check_fds.then(|| t_old.merge(changes));
+        if let Some(t_new) = &t_new {
+            self.check_fds_against(t_new, Some(&t_old))?;
         }
-        let changed: ColSet = t_new
-            .dom()
-            .iter()
-            .filter(|c| t_new.get(*c) != t_old.get(*c))
-            .collect();
-        let structural = self.structural_cols();
-        if changed.is_disjoint(structural) {
+        if changed.is_disjoint(self.structural_cols()) {
             // In-place fast path: only unit payloads change.
-            self.update_units_in_place(&t_old, &t_new, changed);
+            self.update_units_in_place(&t_old, changes, changed);
         } else {
             let removed = self.remove(&t_old)?;
             debug_assert_eq!(removed, 1);
-            let inserted = self.insert(t_new)?;
+            let inserted = self.insert(t_new.unwrap_or_else(|| t_old.merge(changes)))?;
             debug_assert!(inserted);
         }
         Ok(true)
@@ -1747,7 +1741,10 @@ impl SynthRelation {
         s
     }
 
-    fn update_units_in_place(&mut self, t_old: &Tuple, t_new: &Tuple, changed: ColSet) {
+    /// Overwrites, in every unit leaf on `t_old`'s paths, the values of the
+    /// `changed` columns with those of `changes` (none of them structural,
+    /// so `t_old` still locates every instance).
+    fn update_units_in_place(&mut self, t_old: &Tuple, changes: &Tuple, changed: ColSet) {
         let mut kb = std::mem::take(&mut self.key_scratch);
         for (id, _) in self.d.nodes() {
             // `(leaf index, columns)` pairs are `Copy`; indexing avoids
@@ -1761,11 +1758,16 @@ impl SynthRelation {
             };
             for ui in 0..self.layout.unit_leaves[id.index()].len() {
                 let (leaf, cols) = self.layout.unit_leaves[id.index()][ui];
-                if cols.is_disjoint(changed) {
+                let hit = cols & changed;
+                if hit.is_empty() {
                     continue;
                 }
                 match &mut Arc::make_mut(&mut self.store).get_mut(inst).prims[leaf] {
-                    PrimInst::Unit(u) => *u = t_new.project(cols),
+                    PrimInst::Unit(u) => {
+                        for (c, v) in changes.iter().filter(|&(c, _)| hit.contains(c)) {
+                            u.set(c, v.clone());
+                        }
+                    }
                     PrimInst::Map(_) => unreachable!("unit leaf expected"),
                 }
             }
@@ -1860,14 +1862,6 @@ impl RelRead for SynthRelation {
     }
 }
 
-/// Streams every stored tuple extending `t`'s projection onto
-/// `pattern_cols` through `f`, as full-tuple bindings, using `plan` (which
-/// must have been planned for exactly that signature).
-///
-/// A free function (rather than a method) so mutation paths can run it with
-/// a scratch accumulator taken out of the relation while still borrowing the
-/// store — the borrow-splitting that makes `insert`'s probes reuse one
-/// buffer.
 /// Per-edge container accumulation state for the batched walk (see
 /// [`SynthRelation::dinsert_batch`]): while `parent`'s group is walked, the
 /// edge's `(key, child)` entries collect here instead of being inserted one
@@ -1950,6 +1944,14 @@ fn key_is_sort_prefix(key: ColSet, seq: &[relic_spec::ColId]) -> bool {
     acc == key
 }
 
+/// Streams every stored tuple extending `t`'s projection onto
+/// `pattern_cols` through `f`, as full-tuple bindings, using `plan` (which
+/// must have been planned for exactly that signature).
+///
+/// A free function (rather than a method) so mutation paths can run it with
+/// a scratch accumulator taken out of the relation while still borrowing the
+/// store — the borrow-splitting that makes `insert`'s and `update`'s probes
+/// reuse one buffer.
 #[allow(clippy::too_many_arguments)]
 fn for_each_matching(
     store: &Store,

@@ -6,7 +6,7 @@
 //! container kind).
 
 use proptest::prelude::*;
-use relic_core::{Bindings, SynthRelation};
+use relic_core::{Bindings, RelRead, SynthRelation};
 use relic_decomp::{parse, Decomposition};
 use relic_spec::{Catalog, ColSet, RelSpec, Relation, Tuple, Value};
 use std::collections::BTreeSet;
@@ -364,8 +364,9 @@ fn fig2_bindings_carry_full_valuations() {
 
 /// Plan-cache regression (the seed double-locked get-then-insert and cloned
 /// a plan per operation): the cache memoizes per signature, hands out shared
-/// plans, and is invalidated by `set_cost_model`, `set_join_cost_mode`, and
-/// `clear`.
+/// plans, is invalidated by `set_cost_model` and `set_join_cost_mode`, and
+/// survives `clear`, which changes neither the decomposition nor the cost
+/// model.
 #[test]
 fn plan_cache_memoizes_and_invalidates() {
     let (cat, spec, ds) = scheduler_setup();
@@ -410,18 +411,153 @@ fn plan_cache_memoizes_and_invalidates() {
     );
     r.query(&pat, cpu.into()).unwrap();
     assert!(r.plan_cache_len() > 0);
-    // clear() invalidates (observed-cost plans reflect the old instance).
+    // clear() keeps every memoized plan, and they answer the emptied and
+    // refilled relation correctly.
+    let warm = r.plan_cache_len();
     r.clear();
-    assert_eq!(r.plan_cache_len(), 0, "clear must drop memoized plans");
-    // The relation stays fully usable afterwards.
-    r.insert(Tuple::from_pairs([
+    assert_eq!(r.plan_cache_len(), warm, "clear must keep memoized plans");
+    assert_eq!(r.query(&pat, cpu.into()).unwrap(), Vec::<Tuple>::new());
+    let t = Tuple::from_pairs([
         (ns, Value::from(5)),
         (pid, Value::from(5)),
         (state, Value::from("R")),
         (cpu, Value::from(1)),
-    ]))
+    ]);
+    r.insert(t.clone()).unwrap();
+    assert_eq!(r.query_full(&Tuple::empty()).unwrap(), vec![t]);
+    let key = Tuple::from_pairs([(ns, Value::from(5)), (pid, Value::from(5))]);
+    assert_eq!(
+        r.query(&key, cpu.into()).unwrap(),
+        vec![Tuple::from_pairs([(cpu, Value::from(1))])]
+    );
+    assert_eq!(
+        r.query(&Tuple::from_pairs([(state, Value::from("R"))]), ns | pid)
+            .unwrap(),
+        vec![key]
+    );
+    assert_eq!(r.query(&pat, cpu.into()).unwrap(), Vec::<Tuple>::new());
+    assert!(r.plan_cache_len() >= warm);
+    r.validate().unwrap();
+}
+
+/// Takes a snapshot, then runs `writes` against the relation and a copy of
+/// its α alike. The snapshot must still read the tuples it was taken over —
+/// by full scan and by key — while the relation and a fresh snapshot read
+/// the new ones.
+fn assert_snapshot_stays_frozen(
+    r: &mut SynthRelation,
+    writes: impl FnOnce(&mut SynthRelation, &mut Relation),
+) {
+    let (all, key) = (r.spec().cols(), r.spec().minimal_key());
+    let before = r.to_relation();
+    let snap = r.snapshot();
+    let mut model = before.clone();
+    writes(r, &mut model);
+    assert_ne!(model, before, "the writes must change the relation");
+    let fresh = r.snapshot();
+    let scan = |rel: &Relation| rel.query(&Tuple::empty(), all);
+    for (reader, want) in [(&snap, &before), (&fresh, &model)] {
+        assert_eq!(&reader.to_relation(), want);
+        assert_eq!(reader.len(), want.len());
+        assert_eq!(reader.query_full(&Tuple::empty()).unwrap(), scan(want));
+        for t in want.iter() {
+            assert_eq!(reader.query_full(&t.project(key)).unwrap(), vec![t.clone()]);
+        }
+    }
+    assert_eq!(r.to_relation(), model);
+    assert_eq!(r.query_full(&Tuple::empty()).unwrap(), scan(&model));
+    r.validate().unwrap();
+}
+
+/// Applies one update to the relation and the model; the key must match.
+fn update_both(r: &mut SynthRelation, model: &mut Relation, key: &Tuple, changes: &Tuple) {
+    assert!(r.update(key, changes).unwrap());
+    model.update(key, changes);
+}
+
+/// In-place updates overwrite unit values inside the store, so they must
+/// path-copy what a snapshot shares first. On the scheduler's Fig. 2(a)
+/// decomposition the updated `cpu` unit sits in `w`, shared by both join
+/// sides; a `state` update is structural; then a key removal.
+#[test]
+fn in_place_updates_leave_snapshots_frozen_on_a_shared_node() {
+    let (cat, spec, ds) = scheduler_setup();
+    let col = |name| cat.col(name).unwrap();
+    let (ns, pid, state, cpu) = (col("ns"), col("pid"), col("state"), col("cpu"));
+    let mut r = SynthRelation::new(&cat, spec, ds[0].clone()).unwrap();
+    for i in 0..12i64 {
+        r.insert(Tuple::from_pairs([
+            (ns, Value::from(i % 3)),
+            (pid, Value::from(i)),
+            (state, Value::from(if i % 2 == 0 { "R" } else { "S" })),
+            (cpu, Value::from(i % 4)),
+        ]))
+        .unwrap();
+    }
+    let key = |a: i64, b: i64| Tuple::from_pairs([(ns, Value::from(a)), (pid, Value::from(b))]);
+    assert_snapshot_stays_frozen(&mut r, |r, m| {
+        let on = |c: i64| Tuple::from_pairs([(cpu, Value::from(c))]);
+        update_both(r, m, &key(1, 1), &on(9));
+        update_both(r, m, &key(2, 5), &on(8));
+        update_both(r, m, &key(1, 1), &on(7)); // the same, already copied instance
+        update_both(
+            r,
+            m,
+            &key(0, 3),
+            &Tuple::from_pairs([(state, Value::from("R"))]),
+        );
+        assert_eq!(r.remove(&key(2, 8)).unwrap(), m.remove(&key(2, 8)));
+    });
+}
+
+/// The same on IpCap's default decomposition, with FD checking off as the
+/// daemon runs it. Its only key covers both structural columns, so no
+/// update there is structural: the structural step is an insert that
+/// creates a new `local` group.
+#[test]
+fn in_place_updates_leave_snapshots_frozen_on_ipcap() {
+    let mut cat = Catalog::new();
+    let d = parse(
+        &mut cat,
+        "let w : {local,remote} . {bytes,pkts} = unit {bytes,pkts} in
+         let y : {local} . {remote,bytes,pkts} = {remote} -[htable]-> w in
+         let x : {} . {local,remote,bytes,pkts} = {local} -[avl]-> y in x",
+    )
     .unwrap();
-    assert_eq!(r.query_full(&Tuple::empty()).unwrap().len(), 1);
+    let col = |name| cat.col(name).unwrap();
+    let (local, remote, bytes, pkts) = (col("local"), col("remote"), col("bytes"), col("pkts"));
+    let spec = RelSpec::new(cat.all()).with_fd(local | remote, bytes | pkts);
+    let mut r = SynthRelation::new(&cat, spec, d).unwrap();
+    r.set_fd_checking(false);
+    let flow = |l: i64, rm: i64, b: i64, p: i64| {
+        Tuple::from_pairs([
+            (local, Value::from(l)),
+            (remote, Value::from(rm)),
+            (bytes, Value::from(b)),
+            (pkts, Value::from(p)),
+        ])
+    };
+    for i in 0..64i64 {
+        r.insert(flow(i % 4, i, 40 * i, 1)).unwrap();
+    }
+    let key =
+        |l: i64, rm: i64| Tuple::from_pairs([(local, Value::from(l)), (remote, Value::from(rm))]);
+    let counters =
+        |b: i64, p: i64| Tuple::from_pairs([(bytes, Value::from(b)), (pkts, Value::from(p))]);
+    assert_snapshot_stays_frozen(&mut r, |r, m| {
+        update_both(r, m, &key(1, 5), &counters(1000, 2));
+        update_both(r, m, &key(2, 6), &counters(2000, 2));
+        update_both(r, m, &key(1, 5), &counters(1500, 3));
+        update_both(
+            r,
+            m,
+            &key(3, 7),
+            &Tuple::from_pairs([(pkts, Value::from(9))]),
+        );
+        assert!(r.insert(flow(9, 1, 60, 1)).unwrap());
+        m.insert(flow(9, 1, 60, 1));
+        assert_eq!(r.remove(&key(0, 4)).unwrap(), m.remove(&key(0, 4)));
+    });
 }
 
 /// The read-mostly cache serves concurrent warm readers without exclusive

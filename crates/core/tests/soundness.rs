@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 use relic_core::{OpError, SynthRelation};
 use relic_decomp::{enumerate_decompositions, parse, Decomposition, DsKind, EnumerateOptions};
-use relic_spec::{Catalog, ColSet, RelSpec, Relation, Tuple, Value};
+use relic_spec::{Catalog, ColSet, Pattern, Pred, RelSpec, Relation, Tuple, Value};
 
 /// The scheduler catalog, specification, and a palette of hand-picked
 /// decompositions exercising every container kind and sharing.
@@ -215,7 +215,9 @@ proptest! {
 }
 
 /// A deterministic stress over *enumerated* decompositions of the graph
-/// relation, with mixed data structures: insert/remove/query churn, checking
+/// relation, with mixed data structures: insert / remove / `weight` update /
+/// `remove_where` / `remove_many` / query churn, with FD checking on and
+/// off, migrating mid-run to another sampled candidate, checking
 /// α-agreement and well-formedness per decomposition.
 #[test]
 fn enumerated_decompositions_sound_under_churn() {
@@ -236,9 +238,18 @@ fn enumerated_decompositions_sound_under_churn() {
         all.len()
     );
     // Deterministically sample to keep the test fast.
-    for (i, d) in all.iter().enumerate().filter(|(i, _)| i % 7 == 0) {
+    let sampled: Vec<usize> = (0..all.len()).step_by(7).collect();
+    for (k, (i, check_fds)) in sampled
+        .iter()
+        .flat_map(|&i| [(i, true), (i, false)])
+        .enumerate()
+    {
+        let d = &all[i];
+        // Mid-run, the relation moves to the next sampled candidate.
+        let next = sampled[(k / 2 + 1) % sampled.len()];
         let mut synth = SynthRelation::new(&cat, spec.clone(), d.clone())
             .unwrap_or_else(|e| panic!("decomposition {i} rejected: {e}"));
+        synth.set_fd_checking(check_fds);
         let mut reference = Relation::empty(src | dst | weight);
         // Insert a small dense graph.
         let mut x: u64 = 0x9E3779B97F4A7C15 ^ (i as u64);
@@ -248,7 +259,41 @@ fn enumerated_decompositions_sound_under_churn() {
             x ^= x << 17;
             x
         };
-        for _ in 0..60 {
+        let key =
+            |s: i64, t: i64| Tuple::from_pairs([(src, Value::from(s)), (dst, Value::from(t))]);
+        for step in 0..60 {
+            if step == 30 {
+                synth
+                    .migrate_to(all[next].clone())
+                    .unwrap_or_else(|e| panic!("decomposition {i} → {next}: {e}"));
+                assert_eq!(synth.to_relation(), reference, "{i} → {next} diverged");
+            }
+            if rand() % 3 == 0 {
+                // Rewrites the weight of a stored edge, when there is one.
+                let pat = key((rand() % 5) as i64, (rand() % 5) as i64);
+                let chg = Tuple::from_pairs([(weight, Value::from((rand() % 3) as i64))]);
+                let had = !reference.query(&pat, weight.into()).is_empty();
+                assert_eq!(synth.update(&pat, &chg).unwrap(), had, "decomposition {i}");
+                reference.update(&pat, &chg);
+            }
+            if rand() % 9 == 0 {
+                let lo = (rand() % 5) as i64;
+                let pat =
+                    Pattern::new().with(dst, Pred::Between(Value::from(lo), Value::from(lo + 1)));
+                assert_eq!(
+                    synth.remove_where(&pat).unwrap(),
+                    reference.remove_where(&pat),
+                    "decomposition {i}"
+                );
+            }
+            if rand() % 9 == 0 {
+                let pats = [
+                    key((rand() % 5) as i64, (rand() % 5) as i64),
+                    key((rand() % 5) as i64, (rand() % 5) as i64),
+                ];
+                let want: usize = pats.iter().map(|p| reference.remove(p)).sum();
+                assert_eq!(synth.remove_many(&pats).unwrap(), want, "decomposition {i}");
+            }
             let s = (rand() % 5) as i64;
             let t = (rand() % 5) as i64;
             let w = (rand() % 3) as i64;
@@ -257,9 +302,8 @@ fn enumerated_decompositions_sound_under_churn() {
                 (dst, Value::from(t)),
                 (weight, Value::from(w)),
             ]);
-            let key = Tuple::from_pairs([(src, Value::from(s)), (dst, Value::from(t))]);
             let conflicting = reference
-                .query(&key, src | dst | weight)
+                .query(&key(s, t), src | dst | weight)
                 .into_iter()
                 .any(|u| u != tup);
             match synth.insert(tup.clone()) {
