@@ -1,6 +1,7 @@
 //! §6.2 performance parity: "the relational and non-relational versions had
 //! equivalent performance" — baseline vs. synthesized timings for the three
-//! case studies, with behavioural equality asserted.
+//! case studies, with behavioural equality asserted: the process exits with
+//! status 1 when any row's outputs differ.
 //!
 //! Usage: `cargo run --release -p relic-bench --bin parity [-- <scale>]`
 
@@ -147,4 +148,13 @@ fn main() {
     println!("synthesized path is interpreted, so a constant-factor overhead is");
     println!("expected. The required result is behavioural equality");
     println!("and the same complexity class (ratios stay bounded as scale grows).");
+    let unequal: Vec<&str> = rows[1..]
+        .iter()
+        .filter(|row| row[5] != "true")
+        .map(|row| row[0].as_str())
+        .collect();
+    if !unequal.is_empty() {
+        eprintln!("outputs differ: {}", unequal.join(", "));
+        std::process::exit(1);
+    }
 }

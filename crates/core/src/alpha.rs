@@ -6,10 +6,13 @@
 //! them to establish (empirically) the soundness theorem — after any sequence
 //! of operations, the instance is well-formed and `α(d) = r` for the
 //! reference relation `r`.
+//!
+//! An inline leaf's container entry stands for the leaf's instance: its unit
+//! tuple is `α` of that instance, and its bound valuation is the path's.
 
-use crate::instance::{InstanceRef, Layout, PrimInst, Store};
-use relic_decomp::{Body, Decomposition, NodeId};
-use relic_spec::{Relation, Tuple};
+use crate::instance::{ChildRef, InstanceRef, Layout, PrimInst, Store};
+use relic_decomp::{Body, Decomposition, EdgeId, NodeId};
+use relic_spec::{ColSet, Relation, Tuple};
 use std::collections::HashMap;
 use std::rc::Rc;
 
@@ -41,6 +44,21 @@ fn alpha_node(
     rel
 }
 
+/// α of the child a container entry holds: a child instance of `node`, or
+/// an inline leaf's unit `{t}`.
+fn alpha_child(
+    store: &Store,
+    d: &Decomposition,
+    node: NodeId,
+    child: ChildRef<'_>,
+    memo: &mut Memo,
+) -> Rc<Relation> {
+    match child {
+        ChildRef::Node(r) => alpha_node(store, d, node, r, memo),
+        ChildRef::Unit(u) => Rc::new(Relation::from_tuples(u.dom(), [u.clone()])),
+    }
+}
+
 fn alpha_body(
     store: &Store,
     d: &Decomposition,
@@ -65,7 +83,7 @@ fn alpha_body(
             let mut out = Relation::empty(e.key | d.node(e.to).cols);
             store.cont_for_each(inst, leaf, |k, child| {
                 let kt = Tuple::from_parts(e.key, k.to_vec());
-                let sub = alpha_node(store, d, e.to, child, memo);
+                let sub = alpha_child(store, d, e.to, child, memo);
                 for t in sub.iter().filter(|t| kt.matches(t)) {
                     out.insert(kt.merge(t));
                 }
@@ -82,13 +100,28 @@ fn alpha_body(
     }
 }
 
+/// (WFUNIT): a unit of node `node` must be a valuation of its columns `c`.
+fn check_unit(d: &Decomposition, node: NodeId, u: &Tuple, c: ColSet) -> Result<(), String> {
+    if u.dom() == c {
+        return Ok(());
+    }
+    Err(format!(
+        "unit in `{}` has domain {:?}, expected {:?}",
+        d.node(node).name,
+        u.dom(),
+        c
+    ))
+}
+
 /// Checks the well-formedness judgment `Γ, d ⊨ Γˆ, dˆ` (Fig. 5) plus the
 /// implementation invariants (reference counts, intrusive links, arena
-/// bookkeeping). Returns a human-readable description of the first violation.
+/// bookkeeping, and that every container entry holds the kind of child —
+/// instance or inline unit — the layout names for its edge). Returns a
+/// human-readable description of the first violation.
 pub fn validate(
     store: &Store,
     d: &Decomposition,
-    _layout: &Layout,
+    layout: &Layout,
     root: InstanceRef,
 ) -> Result<(), String> {
     let mut refcounts: HashMap<InstanceRef, u32> = HashMap::new();
@@ -104,6 +137,12 @@ pub fn validate(
         visited.push(inst);
         if !store.is_live(inst) {
             return Err(format!("dangling instance handle {inst:?} reachable"));
+        }
+        if layout.inline_unit[node.index()].is_some() {
+            return Err(format!(
+                "inline leaf `{}` has an instance",
+                d.node(node).name
+            ));
         }
         let data = store.get(inst);
         // (WFLET-ish) The stored key must be a valuation of B.
@@ -126,65 +165,26 @@ pub fn validate(
         let key_tuple = Tuple::from_parts(node_bound, data.key.to_vec());
         for (i, leaf) in d.node(node).body.leaves().iter().enumerate() {
             match (leaf, &data.prims[i]) {
-                (Body::Unit(c), PrimInst::Unit(u)) => {
-                    if u.dom() != *c {
-                        return Err(format!(
-                            "unit in `{}` has domain {:?}, expected {:?}",
-                            d.node(node).name,
-                            u.dom(),
-                            c
-                        ));
-                    }
-                }
+                (Body::Unit(c), PrimInst::Unit(u)) => check_unit(d, node, u, *c)?,
                 (Body::Map(eid), PrimInst::Map(_)) => {
                     let e = d.edge(*eid);
-                    let mut err: Option<String> = None;
-                    let mut entries: Vec<(Tuple, InstanceRef)> = Vec::new();
-                    store.cont_for_each(inst, i, |k, r| {
-                        entries.push((Tuple::from_parts(e.key, k.to_vec()), r));
+                    let mut checked = Ok(());
+                    store.cont_for_each(inst, i, |k, child| {
+                        if checked.is_err() {
+                            return;
+                        }
+                        let kt = Tuple::from_parts(e.key, k.to_vec());
+                        match check_entry(store, d, layout, *eid, &key_tuple, &kt, child, &mut memo)
+                        {
+                            Ok(Some(r)) => {
+                                *refcounts.entry(r).or_insert(0) += 1;
+                                stack.push((e.to, r));
+                            }
+                            Ok(None) => {}
+                            Err(msg) => checked = Err(msg),
+                        }
                     });
-                    for (kt, child) in entries {
-                        if !store.is_live(child) {
-                            err = Some(format!(
-                                "edge `{}`→`{}` maps {kt} to a dangling instance",
-                                d.node(node).name,
-                                d.node(e.to).name
-                            ));
-                            break;
-                        }
-                        // (WFMAP): dom t = C, and the child's stored bound
-                        // valuation must agree with both the entry key and
-                        // the parent's bound valuation.
-                        let child_key =
-                            Tuple::from_parts(d.node(e.to).bound, store.get(child).key.to_vec());
-                        if !child_key.extends(&kt) {
-                            err = Some(format!(
-                                "child of `{}` via key {kt} stores mismatched bound valuation {child_key}",
-                                d.node(node).name
-                            ));
-                            break;
-                        }
-                        if !child_key.matches(&key_tuple) {
-                            err = Some(format!(
-                                "child bound valuation {child_key} disagrees with parent {key_tuple}"
-                            ));
-                            break;
-                        }
-                        // (WFMAP): t ∼ α(v_t'): every tuple below matches the key.
-                        let sub = alpha_node(store, d, e.to, child, &mut memo);
-                        if !sub.iter().all(|t| t.matches(&kt)) {
-                            err = Some(format!(
-                                "subtree under `{}`[{kt}] contains non-matching tuples",
-                                d.node(e.to).name
-                            ));
-                            break;
-                        }
-                        *refcounts.entry(child).or_insert(0) += 1;
-                        stack.push((e.to, child));
-                    }
-                    if let Some(e) = err {
-                        return Err(e);
-                    }
+                    checked?;
                 }
                 _ => return Err("leaf/prim misalignment".to_string()),
             }
@@ -213,6 +213,72 @@ pub fn validate(
         ));
     }
     Ok(())
+}
+
+/// (WFMAP) for one entry of edge `eid` in an instance with bound valuation
+/// `parent_key`, mapping key `kt` to `child`: the child is the kind the
+/// layout names for the edge; an inline unit is a valuation of the leaf's
+/// columns; a child instance is live and its stored bound valuation agrees
+/// with both the entry key and the parent's; and every tuple of `α(child)`
+/// matches the key. Returns the child instance, if any.
+#[allow(clippy::too_many_arguments)]
+fn check_entry(
+    store: &Store,
+    d: &Decomposition,
+    layout: &Layout,
+    eid: EdgeId,
+    parent_key: &Tuple,
+    kt: &Tuple,
+    child: ChildRef<'_>,
+    memo: &mut Memo,
+) -> Result<Option<InstanceRef>, String> {
+    let e = d.edge(eid);
+    let (from, to) = (&d.node(e.from).name, &d.node(e.to).name);
+    let instance = match (child, layout.inline_unit[e.to.index()]) {
+        // An inline entry is the leaf's instance: its bound valuation is
+        // the path's by construction.
+        (ChildRef::Unit(u), Some(c)) => {
+            check_unit(d, e.to, u, c)?;
+            None
+        }
+        (ChildRef::Node(r), None) => {
+            if !store.is_live(r) {
+                return Err(format!(
+                    "edge `{from}`→`{to}` maps {kt} to a dangling instance"
+                ));
+            }
+            let child_key = Tuple::from_parts(d.node(e.to).bound, store.get(r).key.to_vec());
+            if !child_key.extends(kt) {
+                return Err(format!(
+                    "child of `{from}` via key {kt} stores mismatched bound valuation {child_key}"
+                ));
+            }
+            if !child_key.matches(parent_key) {
+                return Err(format!(
+                    "child bound valuation {child_key} disagrees with parent {parent_key}"
+                ));
+            }
+            Some(r)
+        }
+        (_, inline) => {
+            let want = if inline.is_some() {
+                "inline units"
+            } else {
+                "instances"
+            };
+            return Err(format!(
+                "edge `{from}`→`{to}` maps {kt} to the wrong kind of child (the layout stores {want})"
+            ));
+        }
+    };
+    // (WFMAP): t ∼ α(v_t'): every tuple below matches the key.
+    let sub = alpha_child(store, d, e.to, child, memo);
+    if !sub.iter().all(|t| t.matches(kt)) {
+        return Err(format!(
+            "subtree under `{to}`[{kt}] contains non-matching tuples"
+        ));
+    }
+    Ok(instance)
 }
 
 fn check_joins(

@@ -41,7 +41,7 @@
 //! is borrowed from the caller as it is — nothing is copied out of it per
 //! query.
 
-use crate::instance::{InstanceRef, PrimInst, Store};
+use crate::instance::{ChildRef, InstanceRef, PrimInst, Store};
 use relic_containers::HashTable;
 use relic_decomp::{Body, Decomposition};
 use relic_query::{Plan, Side};
@@ -238,26 +238,7 @@ pub(crate) fn exec_plan(
             let PrimInst::Unit(u) = &env.store.get(inst).prims[leaf] else {
                 panic!("leaf/prim misalignment: expected unit");
             };
-            let mut newly = ColSet::EMPTY;
-            let mut ok = true;
-            for (c, v) in u.iter() {
-                if !cmp_accepts(env.cmp, c, v) {
-                    ok = false;
-                    break;
-                }
-                match b.bind_checked(c, v) {
-                    Bind::New => newly = newly | c,
-                    Bind::Same => {}
-                    Bind::Conflict => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            if ok {
-                emit(b);
-            }
-            b.unbind(newly);
+            exec_unit(env, u, b, emit);
         }
         (Plan::Lookup { child }, Body::Map(eid)) => {
             let e = env.d.edge(*eid);
@@ -274,7 +255,7 @@ pub(crate) fn exec_plan(
             let target = env.store.cont_get(inst, leaf, &kb);
             b.put_buf(kb);
             if let Some(target) = target {
-                exec_plan(env, child, &env.d.node(e.to).body, 0, target, b, emit);
+                exec_child(env, child, &env.d.node(e.to).body, target, b, emit);
             }
         }
         (Plan::Scan { child }, Body::Map(eid)) => {
@@ -286,7 +267,7 @@ pub(crate) fn exec_plan(
             env.store
                 .cont_for_each_kbuf(inst, leaf, &mut kb, |k, target| {
                     if let Some(newly) = bind_row(b, env.cmp, e.key, k) {
-                        exec_plan(env, child, tbody, 0, target, b, emit);
+                        exec_child(env, child, tbody, target, b, emit);
                         b.unbind(newly);
                     }
                 });
@@ -312,7 +293,7 @@ pub(crate) fn exec_plan(
             env.store
                 .cont_for_each_range(inst, leaf, &pb, lo, hi, |k, target| {
                     if let Some(newly) = bind_row(b, env.cmp, e.key, k) {
-                        exec_plan(env, child, tbody, 0, target, b, emit);
+                        exec_child(env, child, tbody, target, b, emit);
                         b.unbind(newly);
                     }
                 });
@@ -418,6 +399,33 @@ pub(crate) fn exec_plan(
             b.put_buf(kb);
         }
         (p, _) => panic!("plan operator {p} does not match decomposition body"),
+    }
+}
+
+/// Executes `plan` against the child a container entry holds: an instance
+/// of the node whose body is `body`, or an inline leaf's unit tuple, bound
+/// straight from the entry.
+fn exec_child(
+    env: &ExecEnv<'_>,
+    plan: &Plan,
+    body: &Body,
+    child: ChildRef<'_>,
+    b: &mut Bindings,
+    emit: &mut dyn FnMut(&mut Bindings),
+) {
+    match (plan, child) {
+        (_, ChildRef::Node(r)) => exec_plan(env, plan, body, 0, r, b, emit),
+        (Plan::Unit, ChildRef::Unit(u)) => exec_unit(env, u, b, emit),
+        (p, ChildRef::Unit(_)) => panic!("plan operator {p} does not match an inline unit"),
+    }
+}
+
+/// `qunit`: binds the unit tuple `u` on top of `b`, checking agreement and
+/// comparison predicates, and emits once if it matches.
+fn exec_unit(env: &ExecEnv<'_>, u: &Tuple, b: &mut Bindings, emit: &mut dyn FnMut(&mut Bindings)) {
+    if let Some(newly) = bind_row(b, env.cmp, u.dom(), u.values()) {
+        emit(b);
+        b.unbind(newly);
     }
 }
 

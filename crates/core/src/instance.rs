@@ -15,6 +15,20 @@
 //! (field `links`), one slot per incoming intrusive edge of the child's node,
 //! exactly like `boost::intrusive::list` hooks.
 //!
+//! # Inline leaves
+//!
+//! A non-root node whose body is exactly `unit C` and which has exactly one
+//! incoming edge, not an intrusive one, gets no instances at all: its unit
+//! tuple is stored in the parent's container entry ([`Child::Unit`]) instead
+//! of behind an [`InstanceRef`]. Binding consistency (`B_child = B_parent ∪
+//! K` for a single incoming edge) makes everything else an instance would
+//! hold — the bound valuation, the prim and link slots, the reference count
+//! and the `Arc` — redundant with the path that reaches the entry. A scanned
+//! row is then one container entry away from its parent, and a built tuple
+//! costs its unit's value slice instead of an instance.
+//! [`Layout::inline_unit`] holds the rule; shared leaves, intrusive-list
+//! targets and a unit root keep their instances.
+//!
 //! # Structural sharing
 //!
 //! [`Store`] is a persistent (versioned) structure: arenas hold their
@@ -26,29 +40,76 @@
 //! store version. A published snapshot therefore freezes its version at the
 //! cost of re-cloning only the instances the writer subsequently touches —
 //! this is what lets `relic_concurrent` retire whole snapshots onto epoch
-//! limbo lists instead of paying a full store copy per mutation epoch.
+//! limbo lists instead of paying a full store copy per mutation epoch. An
+//! instance's copy includes its containers, and with them the unit tuples
+//! of their inline entries: the first write to a parent after a publish
+//! clones one value slice per inline child as well as one key per entry.
 
 use relic_containers::{AssocVec, AvlMap, DListMap, HashTable, SortedVecMap};
 use relic_decomp::{Body, Decomposition, DsKind, EdgeId, NodeId};
 use relic_spec::{ColSet, Tuple, Value};
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 /// A composite container key: the values of an edge's key columns in
 /// ascending column order.
-pub type Key = Box<[Value]>;
+pub(crate) type Key = Box<[Value]>;
 
 /// A handle to a node instance: `(decomposition node, arena slot)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct InstanceRef {
+pub(crate) struct InstanceRef {
     /// The decomposition node this instance belongs to.
     pub node: u16,
     /// The slot within the node's arena.
     pub slot: u32,
 }
 
+/// The value of a container entry: the child node's instance, or the unit
+/// tuple of an inline leaf.
+#[derive(Debug, Clone)]
+pub(crate) enum Child {
+    /// A child instance, reference-counted by its incoming entries.
+    Node(InstanceRef),
+    /// An inline leaf's unit tuple, owned by the entry.
+    Unit(Tuple),
+}
+
+// An entry costs no more than the tuple it may hold: the handle variant
+// lives beside the value slice's non-null pointer.
+const _: () = assert!(std::mem::size_of::<Child>() == std::mem::size_of::<Tuple>());
+
+/// A borrowed [`Child`], as containers hand out their entries.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum ChildRef<'a> {
+    /// A child instance.
+    Node(InstanceRef),
+    /// An inline leaf's unit tuple.
+    Unit(&'a Tuple),
+}
+
+impl Child {
+    /// The borrowed form.
+    pub(crate) fn as_ref(&self) -> ChildRef<'_> {
+        match self {
+            Child::Node(r) => ChildRef::Node(*r),
+            Child::Unit(u) => ChildRef::Unit(u),
+        }
+    }
+}
+
+impl ChildRef<'_> {
+    /// The child instance, or `None` for an inline unit.
+    pub(crate) fn node(self) -> Option<InstanceRef> {
+        match self {
+            ChildRef::Node(r) => Some(r),
+            ChildRef::Unit(_) => None,
+        }
+    }
+}
+
 /// An intrusive-list link slot stored inside a child instance.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Link {
+pub(crate) struct Link {
     /// The previous list element, if any.
     pub prev: Option<InstanceRef>,
     /// The next list element, if any.
@@ -59,7 +120,7 @@ pub struct Link {
 
 /// A primitive instance: one per leaf of the node body.
 #[derive(Debug, Clone)]
-pub enum PrimInst {
+pub(crate) enum PrimInst {
     /// The single tuple of a `unit C` leaf.
     Unit(Tuple),
     /// The container of a map leaf.
@@ -68,21 +129,22 @@ pub enum PrimInst {
 
 /// The physical container implementing one map edge of one node instance.
 #[derive(Debug, Clone)]
-pub enum EdgeContainer {
+pub(crate) enum EdgeContainer {
     /// A hash table (`htable`).
-    Hash(HashTable<Key, InstanceRef>),
+    Hash(HashTable<Key, Child>),
     /// An AVL tree (`avl`).
-    Avl(AvlMap<Key, InstanceRef>),
+    Avl(AvlMap<Key, Child>),
     /// A sorted vector (`sortedvec`).
-    Sorted(SortedVecMap<Key, InstanceRef>),
+    Sorted(SortedVecMap<Key, Child>),
     /// An association vector (`vec`).
-    Assoc(AssocVec<Key, InstanceRef>),
+    Assoc(AssocVec<Key, Child>),
     /// A non-intrusive doubly-linked list (`dlist`).
-    DList(DListMap<Key, InstanceRef>),
+    DList(DListMap<Key, Child>),
     /// Intrusive doubly-linked list (`ilist`): only the head and length live
     /// here; the links live in the child instances at `slot`. `kpos` maps
     /// each key column to its position within the child's stored bound
     /// valuation, so entry keys are recovered from the children themselves.
+    /// Its children are always instances: an `ilist` target is never inline.
     Intrusive {
         /// First element of the list.
         head: Option<InstanceRef>,
@@ -99,7 +161,7 @@ pub enum EdgeContainer {
 
 impl EdgeContainer {
     /// Number of entries.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match self {
             EdgeContainer::Hash(c) => c.len(),
             EdgeContainer::Avl(c) => c.len(),
@@ -110,15 +172,42 @@ impl EdgeContainer {
         }
     }
 
-    /// Is the container empty?
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// Calls `f(key, child)` for every entry of a non-intrusive container,
+    /// in the container's own order.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an intrusive list, whose entries live in the children.
+    fn for_each_entry(&self, mut f: impl FnMut(&[Value], &Child)) {
+        match self {
+            EdgeContainer::Hash(c) => c.iter().for_each(|(k, v)| f(k, v)),
+            // The recursive in-order visitor: `AvlMap::iter` would allocate
+            // its explicit stack once per container visited.
+            EdgeContainer::Avl(c) => c.for_each_classified(|_| Ordering::Equal, |k, v| f(k, v)),
+            EdgeContainer::Sorted(c) => c.iter().for_each(|(k, v)| f(k, v)),
+            EdgeContainer::Assoc(c) => c.iter().for_each(|(k, v)| f(k, v)),
+            EdgeContainer::DList(c) => c.iter().for_each(|(k, v)| f(k, v)),
+            EdgeContainer::Intrusive { .. } => {
+                unreachable!("intrusive entries live in the children")
+            }
+        }
+    }
+
+    /// The [`entry_bytes`] of every entry (0 for an intrusive list, whose
+    /// entries are counted with the child instances).
+    fn entries_bytes(&self) -> usize {
+        if matches!(self, EdgeContainer::Intrusive { .. }) {
+            return 0;
+        }
+        let mut n = 0;
+        self.for_each_entry(|_, c| n += entry_bytes(c));
+        n
     }
 }
 
 /// A node instance `v_t`.
 #[derive(Debug, Clone)]
-pub struct Instance {
+pub(crate) struct Instance {
     /// The valuation of the node's bound columns `B`, in ascending column
     /// order (the `t` subscript of `v_t`).
     pub key: Key,
@@ -139,10 +228,20 @@ const CHUNK: usize = 1 << CHUNK_BITS;
 const CHUNK_MASK: u32 = (CHUNK as u32) - 1;
 
 /// Flat per-container-entry byte estimate used by [`Store::approx_bytes`]:
-/// roughly a boxed key slice header + a couple of values + the `InstanceRef`
+/// roughly a boxed key slice header + a couple of values + the [`Child`]
 /// payload and container-node overhead. Deliberately key-size-independent so
 /// insert/remove/free keep the running counter consistent in O(1).
 const ENTRY_BYTES: usize = 48;
+
+/// Estimated heap bytes of one non-intrusive container entry: the flat
+/// [`ENTRY_BYTES`], plus an inline unit's value slice.
+fn entry_bytes(c: &Child) -> usize {
+    ENTRY_BYTES
+        + match c {
+            Child::Node(_) => 0,
+            Child::Unit(u) => u.len() * std::mem::size_of::<Value>(),
+        }
+}
 
 /// One fixed-size block of arena slots, shared between store versions until
 /// a writer path-copies it.
@@ -164,7 +263,7 @@ impl Default for Chunk {
 /// Slots are grouped into `Arc`-shared chunks of `CHUNK` entries; cloning
 /// an arena bumps one `Arc` per chunk and copies only the free-list.
 #[derive(Debug, Clone, Default)]
-pub struct Arena {
+pub(crate) struct Arena {
     chunks: Vec<Arc<Chunk>>,
     free: Vec<u32>,
     live: usize,
@@ -173,13 +272,8 @@ pub struct Arena {
 }
 
 impl Arena {
-    /// Number of live instances.
-    pub fn live(&self) -> usize {
-        self.live
-    }
-
     /// Reserves chunk capacity for at least `additional` more instances.
-    pub fn reserve(&mut self, additional: usize) {
+    fn reserve(&mut self, additional: usize) {
         let fresh = additional.saturating_sub(self.free.len());
         self.chunks.reserve(fresh.div_ceil(CHUNK));
     }
@@ -193,7 +287,7 @@ impl Arena {
     }
 
     /// Iterates `(slot, instance)` for all live instances.
-    pub fn iter(&self) -> impl Iterator<Item = (u32, &Instance)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u32, &Instance)> {
         self.chunks.iter().enumerate().flat_map(|(ci, chunk)| {
             chunk.slots.iter().enumerate().filter_map(move |(si, s)| {
                 s.as_ref().map(|inst| ((ci * CHUNK + si) as u32, &**inst))
@@ -205,7 +299,7 @@ impl Arena {
 /// A body leaf, flattened for allocation-free iteration (computing
 /// [`Body::leaves`] walks the body tree into a fresh `Vec` each call).
 #[derive(Debug, Clone, Copy)]
-pub enum LeafSpec {
+pub(crate) enum LeafSpec {
     /// A `unit C` leaf.
     Unit(ColSet),
     /// A map leaf for an edge.
@@ -214,7 +308,7 @@ pub enum LeafSpec {
 
 /// Static, per-decomposition layout information computed once at build time.
 #[derive(Debug, Clone)]
-pub struct Layout {
+pub(crate) struct Layout {
     /// For each edge: the index of its leaf within the source node's body.
     pub leaf_of_edge: Vec<usize>,
     /// For each edge: the intrusive link slot in the target node's instances
@@ -234,11 +328,16 @@ pub struct Layout {
     /// For each node: its body's leaves in left-to-right order, flattened so
     /// per-instance construction never re-walks the body tree.
     pub leaves_of_node: Vec<Box<[LeafSpec]>>,
+    /// For each node: its unit columns `C` if it is an *inline leaf* —
+    /// non-root, body exactly `unit C`, one incoming edge, not intrusive.
+    /// Its unit tuples live in that edge's container entries and it has no
+    /// instances.
+    pub inline_unit: Vec<Option<ColSet>>,
 }
 
 impl Layout {
     /// Computes the layout of a decomposition.
-    pub fn new(d: &Decomposition) -> Self {
+    pub(crate) fn new(d: &Decomposition) -> Self {
         let ne = d.edge_count();
         let nn = d.node_count();
         let mut leaf_of_edge = vec![0usize; ne];
@@ -300,6 +399,13 @@ impl Layout {
                 path_of_node[id.index()] = Some(p);
             }
         }
+        let inline_unit = d
+            .nodes()
+            .map(|(id, node)| match (&node.body, d.incoming_edges(id)) {
+                (Body::Unit(c), [e]) if id != d.root() && !d.edge(*e).ds.is_intrusive() => Some(*c),
+                _ => None,
+            })
+            .collect();
         Layout {
             leaf_of_edge,
             islot_of_edge,
@@ -308,11 +414,12 @@ impl Layout {
             path_of_node: path_of_node.into_iter().map(Option::unwrap).collect(),
             unit_leaves,
             leaves_of_node,
+            inline_unit,
         }
     }
 
     /// Creates a fresh, empty container for an edge.
-    pub fn new_container(&self, d: &Decomposition, e: EdgeId) -> EdgeContainer {
+    pub(crate) fn new_container(&self, d: &Decomposition, e: EdgeId) -> EdgeContainer {
         match d.edge(e).ds {
             DsKind::HashTable => EdgeContainer::Hash(HashTable::new()),
             DsKind::AvlTree => EdgeContainer::Avl(AvlMap::new()),
@@ -330,7 +437,17 @@ impl Layout {
 
     /// Creates a fresh instance of `node` for bound valuation `key`, with
     /// unit leaves initialized from `t` and empty containers elsewhere.
-    pub fn new_instance(&self, d: &Decomposition, node: NodeId, key: Key, t: &Tuple) -> Instance {
+    pub(crate) fn new_instance(
+        &self,
+        d: &Decomposition,
+        node: NodeId,
+        key: Key,
+        t: &Tuple,
+    ) -> Instance {
+        debug_assert!(
+            self.inline_unit[node.index()].is_none(),
+            "inline leaves have no instances"
+        );
         let prims: Vec<PrimInst> = self.leaves_of_node[node.index()]
             .iter()
             .map(|leaf| match leaf {
@@ -353,7 +470,7 @@ impl Layout {
 /// `Store` is a *persistent* structure: `clone` is shallow (chunk `Arc`
 /// bumps) and mutation path-copies shared chunks/instances.
 #[derive(Debug, Clone)]
-pub struct Store {
+pub(crate) struct Store {
     arenas: Vec<Arena>,
     /// Running estimate of this version's logical heap footprint. Shared
     /// structure is counted in full by every version holding it (each
@@ -362,19 +479,20 @@ pub struct Store {
 }
 
 /// Estimated heap bytes attributable to one instance in its current shape:
-/// fixed struct overhead plus key/prim/link slots plus a flat
-/// [`ENTRY_BYTES`] per non-intrusive container entry (intrusive entries live
-/// in the child instances and are counted there). Value heap payloads
-/// (strings) are deliberately ignored — the counter is an O(1)-maintainable
-/// estimate, not an accounting of every byte.
+/// fixed struct overhead plus key/prim/link slots plus the [`entry_bytes`]
+/// of every non-intrusive container entry (intrusive entries live in the
+/// child instances and are counted there). Value heap payloads (strings)
+/// are deliberately ignored — the counter is an estimate, not an accounting
+/// of every byte. Walks the entries of non-empty containers, which only a
+/// freed parent still holding children has.
 fn est_instance_bytes(inst: &Instance) -> usize {
     use std::mem::size_of;
     let entries: usize = inst
         .prims
         .iter()
         .map(|p| match p {
-            PrimInst::Map(EdgeContainer::Intrusive { .. }) | PrimInst::Unit(_) => 0,
-            PrimInst::Map(c) => c.len() * ENTRY_BYTES,
+            PrimInst::Map(c) => c.entries_bytes(),
+            PrimInst::Unit(_) => 0,
         })
         .sum();
     size_of::<Instance>()
@@ -387,7 +505,7 @@ fn est_instance_bytes(inst: &Instance) -> usize {
 
 impl Store {
     /// Creates an empty store for a decomposition.
-    pub fn new(d: &Decomposition) -> Self {
+    pub(crate) fn new(d: &Decomposition) -> Self {
         Store {
             arenas: (0..d.node_count()).map(|_| Arena::default()).collect(),
             approx_bytes: 0,
@@ -395,21 +513,22 @@ impl Store {
     }
 
     /// Estimated heap bytes of this store version (struct overheads, key and
-    /// container-entry slots; value payloads excluded). Maintained as a
-    /// running counter — O(1) to read — so `relic_concurrent` can report
-    /// `limbo_bytes()` without walking retired stores. Versions sharing
-    /// structure each report their full logical size.
-    pub fn approx_bytes(&self) -> usize {
+    /// container-entry slots, inline unit values; value payloads excluded).
+    /// Maintained as a running counter — O(1) to read — so
+    /// `relic_concurrent` can report `limbo_bytes()` without walking retired
+    /// stores. Versions sharing structure each report their full logical
+    /// size.
+    pub(crate) fn approx_bytes(&self) -> usize {
         self.approx_bytes
     }
 
     /// The arena of a node.
-    pub fn arena(&self, node: NodeId) -> &Arena {
+    pub(crate) fn arena(&self, node: NodeId) -> &Arena {
         &self.arenas[node.index()]
     }
 
     /// Allocates an instance, returning its handle.
-    pub fn alloc(&mut self, node: NodeId, inst: Instance) -> InstanceRef {
+    pub(crate) fn alloc(&mut self, node: NodeId, inst: Instance) -> InstanceRef {
         self.approx_bytes = self.approx_bytes.saturating_add(est_instance_bytes(&inst));
         let arena = &mut self.arenas[node.index()];
         arena.live += 1;
@@ -433,14 +552,14 @@ impl Store {
     /// # Panics
     ///
     /// Panics if the handle is dangling.
-    pub fn get(&self, r: InstanceRef) -> &Instance {
+    pub(crate) fn get(&self, r: InstanceRef) -> &Instance {
         self.arenas[r.node as usize]
             .slot(r.slot)
             .expect("live instance")
     }
 
     /// Is the handle live?
-    pub fn is_live(&self, r: InstanceRef) -> bool {
+    pub(crate) fn is_live(&self, r: InstanceRef) -> bool {
         self.arenas
             .get(r.node as usize)
             .and_then(|a| a.slot(r.slot))
@@ -452,9 +571,9 @@ impl Store {
     /// Path-copies: if the addressed chunk or instance is shared with
     /// another store version (a published snapshot), it is cloned first —
     /// the chunk shallowly (64 `Arc` bumps), the instance deeply (its key,
-    /// units and containers). Subsequent mutations in the same epoch find
-    /// both unique and mutate in place.
-    pub fn get_mut(&mut self, r: InstanceRef) -> &mut Instance {
+    /// units and containers, inline units included). Subsequent mutations
+    /// in the same epoch find both unique and mutate in place.
+    pub(crate) fn get_mut(&mut self, r: InstanceRef) -> &mut Instance {
         let arena = &mut self.arenas[r.node as usize];
         let chunk = Arc::make_mut(&mut arena.chunks[(r.slot >> CHUNK_BITS) as usize]);
         let inst = chunk.slots[(r.slot & CHUNK_MASK) as usize]
@@ -463,10 +582,9 @@ impl Store {
         Arc::make_mut(inst)
     }
 
-    /// Frees an instance slot, returning the (possibly still snapshot-shared)
-    /// instance. The final deep drop happens when the last store version
-    /// holding it is reclaimed.
-    pub fn free(&mut self, r: InstanceRef) -> Arc<Instance> {
+    /// Frees an instance slot. The instance itself is dropped when the last
+    /// store version holding it is reclaimed.
+    pub(crate) fn free(&mut self, r: InstanceRef) {
         let arena = &mut self.arenas[r.node as usize];
         let chunk = Arc::make_mut(&mut arena.chunks[(r.slot >> CHUNK_BITS) as usize]);
         let inst = chunk.slots[(r.slot & CHUNK_MASK) as usize]
@@ -475,34 +593,61 @@ impl Store {
         arena.free.push(r.slot);
         arena.live -= 1;
         self.approx_bytes = self.approx_bytes.saturating_sub(est_instance_bytes(&inst));
-        inst
     }
 
     /// Total live instances across all nodes.
-    pub fn total_live(&self) -> usize {
+    pub(crate) fn total_live(&self) -> usize {
         self.arenas.iter().map(|a| a.live).sum()
     }
 
     /// Reserves arena capacity for at least `additional` more instances of
     /// `node` (a bulk-load pre-sizing hint).
-    pub fn reserve_node(&mut self, node: NodeId, additional: usize) {
+    pub(crate) fn reserve_node(&mut self, node: NodeId, additional: usize) {
         self.arenas[node.index()].reserve(additional);
+    }
+
+    /// The container at `(parent, leaf)`.
+    fn cont(&self, parent: InstanceRef, leaf: usize) -> &EdgeContainer {
+        match &self.get(parent).prims[leaf] {
+            PrimInst::Map(c) => c,
+            PrimInst::Unit(_) => panic!("container access on a unit leaf"),
+        }
+    }
+
+    /// The container at `(parent, leaf)`, path-copied for mutation.
+    fn cont_mut(&mut self, parent: InstanceRef, leaf: usize) -> &mut EdgeContainer {
+        match &mut self.get_mut(parent).prims[leaf] {
+            PrimInst::Map(c) => c,
+            PrimInst::Unit(_) => panic!("container access on a unit leaf"),
+        }
     }
 
     /// Reserves capacity for at least `additional` more entries in the
     /// container at `(parent, leaf)`, so batch insertion triggers at most
     /// one growth/rehash. A no-op for intrusive lists, whose entries live in
     /// the child instances.
-    pub fn cont_reserve(&mut self, parent: InstanceRef, leaf: usize, additional: usize) {
-        match &mut self.get_mut(parent).prims[leaf] {
-            PrimInst::Map(EdgeContainer::Hash(c)) => c.reserve(additional),
-            PrimInst::Map(EdgeContainer::Avl(c)) => c.reserve(additional),
-            PrimInst::Map(EdgeContainer::Sorted(c)) => c.reserve(additional),
-            PrimInst::Map(EdgeContainer::Assoc(c)) => c.reserve(additional),
-            PrimInst::Map(EdgeContainer::DList(c)) => c.reserve(additional),
-            PrimInst::Map(EdgeContainer::Intrusive { .. }) => {}
-            PrimInst::Unit(_) => panic!("cont_reserve on a unit leaf"),
+    pub(crate) fn cont_reserve(&mut self, parent: InstanceRef, leaf: usize, additional: usize) {
+        match self.cont_mut(parent, leaf) {
+            EdgeContainer::Hash(c) => c.reserve(additional),
+            EdgeContainer::Avl(c) => c.reserve(additional),
+            EdgeContainer::Sorted(c) => c.reserve(additional),
+            EdgeContainer::Assoc(c) => c.reserve(additional),
+            EdgeContainer::DList(c) => c.reserve(additional),
+            EdgeContainer::Intrusive { .. } => {}
         }
+    }
+
+    /// Replaces the (empty) container at `(parent, leaf)` with `cont`, a
+    /// container built wholesale from a batch of entries whose child
+    /// reference counts the batch walk already bumped.
+    pub(crate) fn cont_install(&mut self, parent: InstanceRef, leaf: usize, cont: EdgeContainer) {
+        let added = cont.entries_bytes();
+        let old = std::mem::replace(self.cont_mut(parent, leaf), cont);
+        debug_assert!(
+            old.len() == 0,
+            "a bulk-built container replaces an empty one"
+        );
+        self.approx_bytes = self.approx_bytes.saturating_add(added);
     }
 
     // -- container operations ------------------------------------------------
@@ -515,16 +660,21 @@ impl Store {
     /// The probe is *borrowed*: `Box<[Value]>`-keyed containers are searched
     /// through `&[Value]` directly (`Borrow`-based lookup), so no key is
     /// allocated — the heart of the zero-allocation query hot path.
-    pub fn cont_get(&self, parent: InstanceRef, leaf: usize, key: &[Value]) -> Option<InstanceRef> {
-        match &self.get(parent).prims[leaf] {
-            PrimInst::Map(EdgeContainer::Hash(c)) => c.get(key).copied(),
-            PrimInst::Map(EdgeContainer::Avl(c)) => c.get(key).copied(),
-            PrimInst::Map(EdgeContainer::Sorted(c)) => c.get(key).copied(),
-            PrimInst::Map(EdgeContainer::Assoc(c)) => c.get(key).copied(),
-            PrimInst::Map(EdgeContainer::DList(c)) => c.get(key).copied(),
-            PrimInst::Map(EdgeContainer::Intrusive {
+    pub(crate) fn cont_get(
+        &self,
+        parent: InstanceRef,
+        leaf: usize,
+        key: &[Value],
+    ) -> Option<ChildRef<'_>> {
+        let child = match self.cont(parent, leaf) {
+            EdgeContainer::Hash(c) => c.get(key),
+            EdgeContainer::Avl(c) => c.get(key),
+            EdgeContainer::Sorted(c) => c.get(key),
+            EdgeContainer::Assoc(c) => c.get(key),
+            EdgeContainer::DList(c) => c.get(key),
+            EdgeContainer::Intrusive {
                 head, slot, kpos, ..
-            }) => {
+            } => {
                 let slot = *slot;
                 let mut cur = *head;
                 while let Some(r) = cur {
@@ -534,32 +684,52 @@ impl Store {
                         .zip(key.iter())
                         .all(|(p, v)| &child.key[*p as usize] == v)
                     {
-                        return Some(r);
+                        return Some(ChildRef::Node(r));
                     }
                     cur = child.links[slot as usize].next;
                 }
-                None
+                return None;
             }
-            PrimInst::Unit(_) => panic!("cont_get on a unit leaf"),
+        };
+        child.map(Child::as_ref)
+    }
+
+    /// Mutable access to the entry for `key` in the non-intrusive container
+    /// at `(parent, leaf)`, path-copying the parent — how an in-place update
+    /// rewrites an inline unit.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an intrusive list, which stores no entries of its own.
+    pub(crate) fn cont_get_mut(
+        &mut self,
+        parent: InstanceRef,
+        leaf: usize,
+        key: &[Value],
+    ) -> Option<&mut Child> {
+        match self.cont_mut(parent, leaf) {
+            EdgeContainer::Hash(c) => c.get_mut(key),
+            EdgeContainer::Avl(c) => c.get_mut(key),
+            EdgeContainer::Sorted(c) => c.get_mut(key),
+            EdgeContainer::Assoc(c) => c.get_mut(key),
+            EdgeContainer::DList(c) => c.get_mut(key),
+            EdgeContainer::Intrusive { .. } => panic!("cont_get_mut on an intrusive list"),
         }
     }
 
-    /// Inserts `key → child` into the container at `(parent, leaf)`.
+    /// Inserts `key → child` into the container at `(parent, leaf)`,
+    /// counting the reference of a child instance.
     /// The caller must ensure the key is absent (dinsert looks up first).
-    pub fn cont_insert(&mut self, parent: InstanceRef, leaf: usize, key: Key, child: InstanceRef) {
+    pub(crate) fn cont_insert(&mut self, parent: InstanceRef, leaf: usize, key: Key, child: Child) {
         // Intrusive insertion needs link surgery on instances other than the
         // parent, so handle it without holding a borrow of the parent.
-        let intrusive = matches!(
-            &self.get(parent).prims[leaf],
-            PrimInst::Map(EdgeContainer::Intrusive { .. })
-        );
-        if intrusive {
-            let (old_head, slot) = match &self.get(parent).prims[leaf] {
-                PrimInst::Map(EdgeContainer::Intrusive { head, slot, .. }) => (*head, *slot),
-                _ => unreachable!(),
+        if let EdgeContainer::Intrusive { head, slot, .. } = self.cont(parent, leaf) {
+            let (old_head, slot) = (*head, *slot as usize);
+            let Child::Node(child) = child else {
+                unreachable!("an intrusive list links instances, never inline units")
             };
             {
-                let link = &mut self.get_mut(child).links[slot as usize];
+                let link = &mut self.get_mut(child).links[slot];
                 debug_assert!(!link.in_list, "child already linked in this slot");
                 *link = Link {
                     prev: None,
@@ -568,103 +738,93 @@ impl Store {
                 };
             }
             if let Some(h) = old_head {
-                self.get_mut(h).links[slot as usize].prev = Some(child);
+                self.get_mut(h).links[slot].prev = Some(child);
             }
-            match &mut self.get_mut(parent).prims[leaf] {
-                PrimInst::Map(EdgeContainer::Intrusive { head, len, .. }) => {
-                    *head = Some(child);
-                    *len += 1;
-                }
-                _ => unreachable!(),
+            if let EdgeContainer::Intrusive { head, len, .. } = self.cont_mut(parent, leaf) {
+                *head = Some(child);
+                *len += 1;
             }
-        } else {
-            let prev = match &mut self.get_mut(parent).prims[leaf] {
-                PrimInst::Map(EdgeContainer::Hash(c)) => c.insert(key, child),
-                PrimInst::Map(EdgeContainer::Avl(c)) => c.insert(key, child),
-                PrimInst::Map(EdgeContainer::Sorted(c)) => c.insert(key, child),
-                PrimInst::Map(EdgeContainer::Assoc(c)) => c.insert(key, child),
-                PrimInst::Map(EdgeContainer::DList(c)) => c.insert(key, child),
-                _ => unreachable!("unit leaf or intrusive handled above"),
-            };
-            debug_assert!(prev.is_none(), "caller must check key absence first");
-            self.approx_bytes = self.approx_bytes.saturating_add(ENTRY_BYTES);
+            self.get_mut(child).refs += 1;
+            return;
         }
-        self.get_mut(child).refs += 1;
+        self.approx_bytes = self.approx_bytes.saturating_add(entry_bytes(&child));
+        if let Child::Node(r) = child {
+            self.get_mut(r).refs += 1;
+        }
+        let prev = match self.cont_mut(parent, leaf) {
+            EdgeContainer::Hash(c) => c.insert(key, child),
+            EdgeContainer::Avl(c) => c.insert(key, child),
+            EdgeContainer::Sorted(c) => c.insert(key, child),
+            EdgeContainer::Assoc(c) => c.insert(key, child),
+            EdgeContainer::DList(c) => c.insert(key, child),
+            EdgeContainer::Intrusive { .. } => unreachable!("handled above"),
+        };
+        debug_assert!(prev.is_none(), "caller must check key absence first");
     }
 
     /// Removes `key` from the container at `(parent, leaf)`, returning the
-    /// unlinked child (reference count **not** yet decremented).
-    pub fn cont_remove(
+    /// removed child: an inline unit, dropped with its entry, or an unlinked
+    /// instance whose reference count is **not** yet decremented.
+    pub(crate) fn cont_remove(
         &mut self,
         parent: InstanceRef,
         leaf: usize,
         key: &[Value],
-    ) -> Option<InstanceRef> {
-        let intrusive = matches!(
-            &self.get(parent).prims[leaf],
-            PrimInst::Map(EdgeContainer::Intrusive { .. })
-        );
-        if intrusive {
-            let child = self.cont_get(parent, leaf, key)?;
+    ) -> Option<Child> {
+        if let EdgeContainer::Intrusive { .. } = self.cont(parent, leaf) {
+            let child = self.cont_get(parent, leaf, key)?.node()?;
             self.intrusive_unlink(parent, leaf, child);
-            Some(child)
-        } else {
-            let removed = match &mut self.get_mut(parent).prims[leaf] {
-                PrimInst::Map(EdgeContainer::Hash(c)) => c.remove(key),
-                PrimInst::Map(EdgeContainer::Avl(c)) => c.remove(key),
-                PrimInst::Map(EdgeContainer::Sorted(c)) => c.remove(key),
-                PrimInst::Map(EdgeContainer::Assoc(c)) => c.remove(key),
-                PrimInst::Map(EdgeContainer::DList(c)) => c.remove(key),
-                _ => unreachable!("unit leaf or intrusive handled above"),
-            };
-            if removed.is_some() {
-                self.approx_bytes = self.approx_bytes.saturating_sub(ENTRY_BYTES);
-            }
-            removed
+            return Some(Child::Node(child));
         }
+        let removed = match self.cont_mut(parent, leaf) {
+            EdgeContainer::Hash(c) => c.remove(key),
+            EdgeContainer::Avl(c) => c.remove(key),
+            EdgeContainer::Sorted(c) => c.remove(key),
+            EdgeContainer::Assoc(c) => c.remove(key),
+            EdgeContainer::DList(c) => c.remove(key),
+            EdgeContainer::Intrusive { .. } => unreachable!("handled above"),
+        };
+        if let Some(c) = &removed {
+            self.approx_bytes = self.approx_bytes.saturating_sub(entry_bytes(c));
+        }
+        removed
     }
 
     /// Unlinks `child` from the intrusive list at `(parent, leaf)` in O(1).
-    pub fn intrusive_unlink(&mut self, parent: InstanceRef, leaf: usize, child: InstanceRef) {
-        let slot = match &self.get(parent).prims[leaf] {
-            PrimInst::Map(EdgeContainer::Intrusive { slot, .. }) => *slot,
-            _ => panic!("intrusive_unlink on a non-intrusive container"),
+    fn intrusive_unlink(&mut self, parent: InstanceRef, leaf: usize, child: InstanceRef) {
+        let EdgeContainer::Intrusive { slot, .. } = self.cont(parent, leaf) else {
+            panic!("intrusive_unlink on a non-intrusive container");
         };
-        let link = self.get(child).links[slot as usize];
+        let slot = *slot as usize;
+        let link = self.get(child).links[slot];
         assert!(link.in_list, "child not linked");
         if let Some(p) = link.prev {
-            self.get_mut(p).links[slot as usize].next = link.next;
+            self.get_mut(p).links[slot].next = link.next;
         }
         if let Some(n) = link.next {
-            self.get_mut(n).links[slot as usize].prev = link.prev;
+            self.get_mut(n).links[slot].prev = link.prev;
         }
-        match &mut self.get_mut(parent).prims[leaf] {
-            PrimInst::Map(EdgeContainer::Intrusive { head, len, .. }) => {
-                if *head == Some(child) {
-                    *head = link.next;
-                }
-                *len -= 1;
+        if let EdgeContainer::Intrusive { head, len, .. } = self.cont_mut(parent, leaf) {
+            if *head == Some(child) {
+                *head = link.next;
             }
-            _ => unreachable!(),
+            *len -= 1;
         }
-        self.get_mut(child).links[slot as usize] = Link::default();
+        self.get_mut(child).links[slot] = Link::default();
     }
 
     /// Number of entries in the container at `(parent, leaf)`.
-    pub fn cont_len(&self, parent: InstanceRef, leaf: usize) -> usize {
-        match &self.get(parent).prims[leaf] {
-            PrimInst::Map(c) => c.len(),
-            PrimInst::Unit(_) => panic!("cont_len on a unit leaf"),
-        }
+    pub(crate) fn cont_len(&self, parent: InstanceRef, leaf: usize) -> usize {
+        self.cont(parent, leaf).len()
     }
 
     /// Calls `f(entry key values, child)` for every entry of the container at
     /// `(parent, leaf)`. Iteration order is the container's own.
-    pub fn cont_for_each(
+    pub(crate) fn cont_for_each(
         &self,
         parent: InstanceRef,
         leaf: usize,
-        f: impl FnMut(&[Value], InstanceRef),
+        f: impl FnMut(&[Value], ChildRef<'_>),
     ) {
         let mut keybuf = Vec::new();
         self.cont_for_each_kbuf(parent, leaf, &mut keybuf, f);
@@ -674,52 +834,27 @@ impl Store {
     /// buffer for reconstructing intrusive-list entry keys, so a warm query
     /// path performs no allocation even when it scans `ilist` edges. The
     /// buffer is cleared per entry; non-intrusive containers never touch it.
-    pub fn cont_for_each_kbuf(
+    pub(crate) fn cont_for_each_kbuf(
         &self,
         parent: InstanceRef,
         leaf: usize,
         keybuf: &mut Vec<Value>,
-        mut f: impl FnMut(&[Value], InstanceRef),
+        mut f: impl FnMut(&[Value], ChildRef<'_>),
     ) {
-        match &self.get(parent).prims[leaf] {
-            PrimInst::Map(EdgeContainer::Hash(c)) => {
-                for (k, v) in c.iter() {
-                    f(k, *v);
-                }
-            }
-            PrimInst::Map(EdgeContainer::Avl(c)) => {
-                // The recursive in-order visitor: `AvlMap::iter` would
-                // allocate its explicit stack once per container visited.
-                c.for_each_classified(|_| std::cmp::Ordering::Equal, |k, v| f(k, *v));
-            }
-            PrimInst::Map(EdgeContainer::Sorted(c)) => {
-                for (k, v) in c.iter() {
-                    f(k, *v);
-                }
-            }
-            PrimInst::Map(EdgeContainer::Assoc(c)) => {
-                for (k, v) in c.iter() {
-                    f(k, *v);
-                }
-            }
-            PrimInst::Map(EdgeContainer::DList(c)) => {
-                for (k, v) in c.iter() {
-                    f(k, *v);
-                }
-            }
-            PrimInst::Map(EdgeContainer::Intrusive {
+        match self.cont(parent, leaf) {
+            EdgeContainer::Intrusive {
                 head, slot, kpos, ..
-            }) => {
+            } => {
                 let mut cur = *head;
                 while let Some(r) = cur {
                     let child = self.get(r);
                     keybuf.clear();
                     keybuf.extend(kpos.iter().map(|p| child.key[*p as usize].clone()));
-                    f(keybuf, r);
+                    f(keybuf, ChildRef::Node(r));
                     cur = child.links[*slot as usize].next;
                 }
             }
-            PrimInst::Unit(_) => panic!("cont_for_each on a unit leaf"),
+            c => c.for_each_entry(|k, v| f(k, v.as_ref())),
         }
     }
 
@@ -732,16 +867,15 @@ impl Store {
     ///
     /// Panics on a unit leaf or on an unordered container (`htable`, `vec`,
     /// `dlist`, `ilist`) — the (QRANGE) validity rule rules both out.
-    pub fn cont_for_each_range(
+    pub(crate) fn cont_for_each_range(
         &self,
         parent: InstanceRef,
         leaf: usize,
         prefix: &[Value],
         lo: std::ops::Bound<&Value>,
         hi: std::ops::Bound<&Value>,
-        mut f: impl FnMut(&[Value], InstanceRef),
+        mut f: impl FnMut(&[Value], ChildRef<'_>),
     ) {
-        use std::cmp::Ordering;
         use std::ops::Bound;
         let m = prefix.len();
         let classify = |k: &Key| -> Ordering {
@@ -770,15 +904,63 @@ impl Store {
                 o => o,
             }
         };
-        match &self.get(parent).prims[leaf] {
-            PrimInst::Map(EdgeContainer::Avl(c)) => {
-                c.for_each_classified(classify, |k, v| f(k, *v));
-            }
-            PrimInst::Map(EdgeContainer::Sorted(c)) => {
-                c.for_each_classified(classify, |k, v| f(k, *v));
-            }
-            PrimInst::Map(_) => panic!("cont_for_each_range on an unordered container"),
-            PrimInst::Unit(_) => panic!("cont_for_each_range on a unit leaf"),
+        match self.cont(parent, leaf) {
+            EdgeContainer::Avl(c) => c.for_each_classified(classify, |k, v| f(k, v.as_ref())),
+            EdgeContainer::Sorted(c) => c.for_each_classified(classify, |k, v| f(k, v.as_ref())),
+            _ => panic!("cont_for_each_range on an unordered container"),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Layout;
+    use relic_decomp::parse;
+    use relic_spec::Catalog;
+
+    /// The inline-leaf verdict of the node called `name` in `src`.
+    fn inline(src: &str, name: &str) -> bool {
+        let d = parse(&mut Catalog::new(), src).unwrap();
+        let node = d.node_by_name(name).unwrap();
+        Layout::new(&d).inline_unit[node.index()].is_some()
+    }
+
+    #[test]
+    fn a_unit_leaf_under_one_plain_edge_is_inline() {
+        // IpCap's default decomposition.
+        assert!(inline(
+            "let w : {local,remote} . {bytes,pkts} = unit {bytes,pkts} in
+             let y : {local} . {remote,bytes,pkts} = {remote} -[htable]-> w in
+             let x : {} . {local,remote,bytes,pkts} = {local} -[avl]-> y in x",
+            "w"
+        ));
+        // The shell's one-edge default for the same relation.
+        assert!(inline(
+            "let w : {local,remote} . {bytes,pkts} = unit {bytes,pkts} in
+             let x : {} . {local,remote,bytes,pkts} = {local,remote} -[htable]-> w in x",
+            "w"
+        ));
+    }
+
+    #[test]
+    fn shared_intrusive_and_root_units_keep_their_instances() {
+        // The scheduler's `w`, shared by both join sides.
+        assert!(!inline(
+            "let w : {ns,pid,state} . {cpu} = unit {cpu} in
+             let y : {ns} . {pid,cpu} = {pid} -[htable]-> w in
+             let z : {state} . {ns,pid,cpu} = {ns,pid} -[ilist]-> w in
+             let x : {} . {ns,pid,state,cpu} =
+               ({ns} -[htable]-> y) join ({state} -[vec]-> z) in x",
+            "w"
+        ));
+        // A unit leaf threaded on an intrusive list.
+        assert!(!inline(
+            "let u : {a,b} . {v} = unit {v} in
+             let y : {a} . {b,v} = {b} -[ilist]-> u in
+             let x : {} . {a,b,v} = {a} -[htable]-> y in x",
+            "u"
+        ));
+        // A unit root.
+        assert!(!inline("let x : {} . {v} = unit {v} in x", "x"));
     }
 }

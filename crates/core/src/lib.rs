@@ -20,7 +20,9 @@
 //! nodes (the paper's hallmark) are physically shared and reference-counted,
 //! with intrusive-list links embedded in child instances — handles into
 //! arenas are the safe-Rust encoding of the paper's shared pointer
-//! structures (see the `instance` module).
+//! structures. A leaf reached by exactly one non-intrusive edge is stored
+//! inline in its parent's container entry instead (see the `instance`
+//! module).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,9 +40,6 @@ pub mod wire;
 
 pub use error::{BuildError, MigrateError, OpError};
 pub use exec::Bindings;
-pub use instance::{
-    Arena, EdgeContainer, Instance, InstanceRef, Key, Layout, LeafSpec, Link, PrimInst, Store,
-};
 pub use profile::WorkloadProfile;
 pub use read::RelRead;
 pub use relation::SynthRelation;

@@ -4,11 +4,14 @@
 use crate::alpha;
 use crate::error::{BuildError, MigrateError, OpError};
 use crate::exec::{exec_plan, Bindings, ExecEnv};
-use crate::instance::{InstanceRef, Key, Layout, PrimInst, Store};
+use crate::instance::{
+    Child, ChildRef, EdgeContainer, Instance, InstanceRef, Key, Layout, LeafSpec, Link, PrimInst,
+    Store,
+};
 use crate::profile::{ProfileCounters, WorkloadProfile};
 use crate::read::{interval_cols, plan_memoized, PlanCache, ReadCore, RelRead};
 use crate::FxHashMap;
-use relic_decomp::{check_adequacy, cut, Cut, Decomposition, NodeId};
+use relic_decomp::{check_adequacy, cut, Cut, Decomposition, EdgeId, NodeId};
 use relic_query::{CostModel, JoinCostMode, Plan};
 use relic_spec::{Catalog, ColSet, Pattern, RelSpec, Relation, Tuple};
 use std::sync::Arc;
@@ -148,8 +151,10 @@ impl SynthRelation {
         })
     }
 
-    /// Estimated heap bytes of the current store version (an O(1) running
-    /// estimate — see [`Store::approx_bytes`]).
+    /// Estimated heap bytes of the current store version: instance and
+    /// container-entry overheads, keys and unit values, excluding string
+    /// payloads. A running counter, O(1) to read; every tuple inserted adds
+    /// what its removal subtracts, however it was inserted.
     pub fn store_approx_bytes(&self) -> usize {
         self.store.approx_bytes()
     }
@@ -204,7 +209,10 @@ impl SynthRelation {
     }
 
     /// Total node instances across all arenas (a memory-shape statistic;
-    /// shared nodes are counted once).
+    /// shared nodes are counted once). An *inline leaf* — a `unit C` node
+    /// reached by exactly one edge that is not an intrusive list — has no
+    /// instances: its units are container entries of its parent and are not
+    /// counted here.
     pub fn instance_count(&self) -> usize {
         self.store.total_live()
     }
@@ -620,12 +628,30 @@ impl SynthRelation {
     /// and the containers' borrowed-key lookups; an owned key is only built
     /// when an entry is actually stored. The walk visits nodes in reverse
     /// let order — `topo_root_first`'s order, without borrowing the
-    /// decomposition across the store writes.
+    /// decomposition across the store writes. An inline leaf's unit goes
+    /// straight into the entry of its one incoming edge.
     fn dinsert(&mut self, t: &Tuple) {
         let nn = self.d.node_count();
         let mut resolved = self.take_resolved();
         let mut kb = std::mem::take(&mut self.key_scratch);
         for node in (0..nn).rev().map(|i| NodeId(i as u16)) {
+            if let Some(cols) = self.layout.inline_unit[node.index()] {
+                let e = self.d.incoming_edges(node)[0];
+                let edge = self.d.edge(e);
+                let parent = resolved[edge.from.index()].expect("topological order");
+                let leaf = self.layout.leaf_of_edge[e.index()];
+                t.write_key_into(edge.key, &mut kb);
+                if self.store.cont_get(parent, leaf, &kb).is_none() {
+                    let unit = Child::Unit(t.project(cols));
+                    Arc::make_mut(&mut self.store).cont_insert(
+                        parent,
+                        leaf,
+                        kb.as_slice().into(),
+                        unit,
+                    );
+                }
+                continue;
+            }
             let inst = if node == self.d.root() {
                 self.root
             } else {
@@ -635,9 +661,10 @@ impl SynthRelation {
                     let parent = resolved[edge.from.index()]
                         .expect("parents resolved before children (topological order)");
                     t.write_key_into(edge.key, &mut kb);
-                    if let Some(r) =
-                        self.store
-                            .cont_get(parent, self.layout.leaf_of_edge[e.index()], &kb)
+                    if let Some(r) = self
+                        .store
+                        .cont_get(parent, self.layout.leaf_of_edge[e.index()], &kb)
+                        .and_then(ChildRef::node)
                     {
                         found = Some(r);
                         break;
@@ -656,7 +683,12 @@ impl SynthRelation {
                 t.write_key_into(edge.key, &mut kb);
                 if self.store.cont_get(parent, leaf, &kb).is_none() {
                     let ekey: Key = kb.as_slice().into();
-                    Arc::make_mut(&mut self.store).cont_insert(parent, leaf, ekey, inst);
+                    Arc::make_mut(&mut self.store).cont_insert(
+                        parent,
+                        leaf,
+                        ekey,
+                        Child::Node(inst),
+                    );
                 }
             }
             resolved[node.index()] = Some(inst);
@@ -1201,18 +1233,35 @@ impl SynthRelation {
                 let to = self.d.edge(eid).to;
                 let store = Arc::make_mut(&mut self.store);
                 store.cont_reserve(self.root, leaf, groups);
-                store.reserve_node(to, groups);
+                if self.layout.inline_unit[to.index()].is_none() {
+                    store.reserve_node(to, groups);
+                }
             }
         }
         // Nodes bound by (a superset of) the minimal key get one instance
         // per accepted tuple — pre-size their arenas once.
         for (id, node) in self.d.nodes() {
-            if self.min_key.is_subset(node.bound) && !self.min_key.is_empty() {
+            if self.min_key.is_subset(node.bound)
+                && !self.min_key.is_empty()
+                && self.layout.inline_unit[id.index()].is_none()
+            {
                 Arc::make_mut(&mut self.store).reserve_node(id, order.len());
             }
         }
+        // A unit projected straight out of a row.
+        let row_unit = |row: &[relic_spec::Value], cols: ColSet| {
+            let vals = cols
+                .iter()
+                .map(|c| row[all.rank(c).expect("unit column")].clone())
+                .collect();
+            Tuple::from_parts(cols, vals)
+        };
         let topo: Vec<NodeId> = self.d.topo_root_first().collect();
+        // Per node: the previous tuple's bound valuation (valid once
+        // `memo_set`) and the instance it resolved to (none for an inline
+        // leaf, whose unit the previous tuple placed).
         let mut memo_val: Vec<Vec<relic_spec::Value>> = vec![Vec::new(); nn];
+        let mut memo_set = vec![false; nn];
         let mut memo_inst: Vec<Option<InstanceRef>> = vec![None; nn];
         let mut resolved: Vec<Option<InstanceRef>> = vec![None; nn];
         let mut created_now = vec![false; nn];
@@ -1225,8 +1274,36 @@ impl SynthRelation {
             for &node in &topo {
                 let idx = node.index();
                 write_row_cols(row, &bound_pos[idx], &mut bv);
-                if memo_inst[idx].is_some() && memo_val[idx] == bv {
+                if memo_set[idx] && memo_val[idx] == bv {
                     resolved[idx] = memo_inst[idx];
+                    continue;
+                }
+                if let Some(cols) = self.layout.inline_unit[idx] {
+                    // A fresh bound valuation: the unit goes into the entry
+                    // of the one incoming edge, accumulated or inserted.
+                    let e = self.d.incoming_edges(node)[0];
+                    let from = self.d.edge(e).from.index();
+                    let parent = resolved[from].expect("topological order");
+                    let leaf = self.layout.leaf_of_edge[e.index()];
+                    let a = &mut accs[e.index()];
+                    write_row_cols(row, &key_pos[e.index()], &mut kb);
+                    if a.eligible && a.parent != Some(parent) && created_now[from] {
+                        a.flush(Arc::make_mut(&mut self.store));
+                        a.parent = Some(parent);
+                    }
+                    if a.parent == Some(parent) {
+                        a.push(kb.as_slice().into(), Child::Unit(row_unit(row, cols)));
+                    } else if self.store.cont_get(parent, leaf, &kb).is_none() {
+                        let unit = Child::Unit(row_unit(row, cols));
+                        Arc::make_mut(&mut self.store).cont_insert(
+                            parent,
+                            leaf,
+                            kb.as_slice().into(),
+                            unit,
+                        );
+                    }
+                    memo_set[idx] = true;
+                    std::mem::swap(&mut memo_val[idx], &mut bv);
                     continue;
                 }
                 let (inst, created) = if node == root_node {
@@ -1244,9 +1321,10 @@ impl SynthRelation {
                             continue;
                         }
                         write_row_cols(row, &key_pos[e.index()], &mut kb);
-                        if let Some(r) =
-                            self.store
-                                .cont_get(parent, self.layout.leaf_of_edge[e.index()], &kb)
+                        if let Some(r) = self
+                            .store
+                            .cont_get(parent, self.layout.leaf_of_edge[e.index()], &kb)
+                            .and_then(ChildRef::node)
                         {
                             found = Some(r);
                             break;
@@ -1260,25 +1338,17 @@ impl SynthRelation {
                             let prims: Vec<PrimInst> = self.layout.leaves_of_node[idx]
                                 .iter()
                                 .map(|leaf| match leaf {
-                                    crate::instance::LeafSpec::Unit(c) => {
-                                        let vals: Vec<relic_spec::Value> = c
-                                            .iter()
-                                            .map(|cc| {
-                                                row[all.rank(cc).expect("unit column")].clone()
-                                            })
-                                            .collect();
-                                        PrimInst::Unit(Tuple::from_parts(*c, vals))
-                                    }
-                                    crate::instance::LeafSpec::Map(e) => {
+                                    LeafSpec::Unit(c) => PrimInst::Unit(row_unit(row, *c)),
+                                    LeafSpec::Map(e) => {
                                         PrimInst::Map(self.layout.new_container(&self.d, *e))
                                     }
                                 })
                                 .collect();
-                            let inst = crate::instance::Instance {
+                            let inst = Instance {
                                 key: bv.as_slice().into(),
                                 prims: prims.into_boxed_slice(),
                                 links: vec![
-                                    crate::instance::Link::default();
+                                    Link::default();
                                     self.layout.islots_of_node[idx] as usize
                                 ]
                                 .into_boxed_slice(),
@@ -1309,11 +1379,7 @@ impl SynthRelation {
                             // reference count is bumped here, while the
                             // child is cache-hot, not at flush time.
                             debug_assert!(created, "accumulated entry for a found instance");
-                            let key: Key = kb.as_slice().into();
-                            if let Some((last, _)) = a.entries.last() {
-                                a.ascending &= last < &key;
-                            }
-                            a.entries.push((key, inst));
+                            a.push(kb.as_slice().into(), Child::Node(inst));
                             Arc::make_mut(&mut self.store).get_mut(inst).refs += 1;
                             continue;
                         }
@@ -1324,10 +1390,16 @@ impl SynthRelation {
                         // cannot hold its key yet — insert without
                         // re-probing.
                         let ekey: Key = kb.as_slice().into();
-                        Arc::make_mut(&mut self.store).cont_insert(parent, leaf, ekey, inst);
+                        Arc::make_mut(&mut self.store).cont_insert(
+                            parent,
+                            leaf,
+                            ekey,
+                            Child::Node(inst),
+                        );
                     }
                 }
                 resolved[idx] = Some(inst);
+                memo_set[idx] = true;
                 memo_inst[idx] = Some(inst);
                 if created {
                     created_now[idx] = true;
@@ -1518,10 +1590,11 @@ impl SynthRelation {
     fn remove_tuple(&mut self, t: &Tuple, c: &Cut) {
         let nn = self.d.node_count();
         let mut kb = std::mem::take(&mut self.key_scratch);
-        // Resolve the above-cut instances along t's path, root first.
+        // Resolve the above-cut instances along t's path, root first
+        // (inline leaves have none: they are nobody's parent).
         let mut resolved = self.take_resolved();
         for node in (0..nn).rev().map(|i| NodeId(i as u16)) {
-            if c.is_below(node) {
+            if c.is_below(node) || self.layout.inline_unit[node.index()].is_some() {
                 continue;
             }
             let inst = if node == self.d.root() {
@@ -1532,9 +1605,10 @@ impl SynthRelation {
                     let edge = self.d.edge(e);
                     if let Some(parent) = resolved[edge.from.index()] {
                         t.write_key_into(edge.key, &mut kb);
-                        if let Some(r) =
-                            self.store
-                                .cont_get(parent, self.layout.leaf_of_edge[e.index()], &kb)
+                        if let Some(r) = self
+                            .store
+                            .cont_get(parent, self.layout.leaf_of_edge[e.index()], &kb)
+                            .and_then(ChildRef::node)
                         {
                             found = Some(r);
                             break;
@@ -1545,7 +1619,8 @@ impl SynthRelation {
             };
             resolved[node.index()] = inst;
         }
-        // Break every crossing edge for this tuple.
+        // Break every crossing edge for this tuple. An inline unit goes
+        // with its entry.
         for &e in &c.crossing {
             let edge = self.d.edge(e);
             let Some(parent) = resolved[edge.from.index()] else {
@@ -1553,7 +1628,8 @@ impl SynthRelation {
             };
             let leaf = self.layout.leaf_of_edge[e.index()];
             t.write_key_into(edge.key, &mut kb);
-            if let Some(child) = Arc::make_mut(&mut self.store).cont_remove(parent, leaf, &kb) {
+            let removed = Arc::make_mut(&mut self.store).cont_remove(parent, leaf, &kb);
+            if let Some(Child::Node(child)) = removed {
                 self.decref(child);
             }
         }
@@ -1578,13 +1654,14 @@ impl SynthRelation {
                 }
                 let leaf = self.layout.leaf_of_edge[e.index()];
                 t.write_key_into(edge.key, &mut kb);
-                if let Some(child) = Arc::make_mut(&mut self.store).cont_remove(parent, leaf, &kb) {
+                let removed = Arc::make_mut(&mut self.store).cont_remove(parent, leaf, &kb);
+                if let Some(Child::Node(child)) = removed {
                     debug_assert_eq!(child, inst);
                     Arc::make_mut(&mut self.store).get_mut(child).refs -= 1;
                 }
             }
             if self.store.get(inst).refs == 0 {
-                let _ = Arc::make_mut(&mut self.store).free(inst);
+                Arc::make_mut(&mut self.store).free(inst);
             }
         }
         self.key_scratch = kb;
@@ -1596,8 +1673,8 @@ impl SynthRelation {
     fn instance_is_empty(&self, node: NodeId, inst: InstanceRef) -> bool {
         let leaves = &self.layout.leaves_of_node[node.index()];
         leaves.iter().enumerate().all(|(i, leaf)| match leaf {
-            crate::instance::LeafSpec::Unit(_) => false,
-            crate::instance::LeafSpec::Map(_) => self.store.cont_len(inst, i) == 0,
+            LeafSpec::Unit(_) => false,
+            LeafSpec::Map(_) => self.store.cont_len(inst, i) == 0,
         })
     }
 
@@ -1611,6 +1688,7 @@ impl SynthRelation {
         }
     }
 
+    /// Frees `r` and releases its children; inline units go with it.
     fn free_recursive(&mut self, r: InstanceRef) {
         let node = NodeId(r.node);
         let leaves_len = self.layout.leaves_of_node[node.index()].len();
@@ -1618,23 +1696,24 @@ impl SynthRelation {
         let mut intrusive_children: Vec<(usize, InstanceRef)> = Vec::new();
         for i in 0..leaves_len {
             match &self.store.get(r).prims[i] {
-                PrimInst::Map(crate::instance::EdgeContainer::Intrusive { slot, .. }) => {
+                PrimInst::Map(EdgeContainer::Intrusive { slot, .. }) => {
                     let slot = *slot as usize;
-                    self.store
-                        .cont_for_each(r, i, |_, c| intrusive_children.push((slot, c)));
+                    self.store.cont_for_each(r, i, |_, c| {
+                        intrusive_children.extend(c.node().map(|c| (slot, c)))
+                    });
                 }
                 PrimInst::Map(_) => {
-                    self.store.cont_for_each(r, i, |_, c| children.push(c));
+                    self.store
+                        .cont_for_each(r, i, |_, c| children.extend(c.node()));
                 }
                 PrimInst::Unit(_) => {}
             }
         }
-        let _ = Arc::make_mut(&mut self.store).free(r);
+        Arc::make_mut(&mut self.store).free(r);
         // Intrusive children carry stale links to the freed parent's list;
         // reset them before releasing the reference.
         for (slot, c) in intrusive_children {
-            Arc::make_mut(&mut self.store).get_mut(c).links[slot] =
-                crate::instance::Link::default();
+            Arc::make_mut(&mut self.store).get_mut(c).links[slot] = Link::default();
             self.decref(c);
         }
         for c in children {
@@ -1743,7 +1822,8 @@ impl SynthRelation {
 
     /// Overwrites, in every unit leaf on `t_old`'s paths, the values of the
     /// `changed` columns with those of `changes` (none of them structural,
-    /// so `t_old` still locates every instance).
+    /// so `t_old` still locates every instance). An inline leaf's unit is
+    /// rewritten in its parent's entry.
     fn update_units_in_place(&mut self, t_old: &Tuple, changes: &Tuple, changed: ColSet) {
         let mut kb = std::mem::take(&mut self.key_scratch);
         for (id, _) in self.d.nodes() {
@@ -1753,21 +1833,27 @@ impl SynthRelation {
             if units.iter().all(|(_, c)| c.is_disjoint(changed)) {
                 continue;
             }
-            let Some(inst) = self.locate(id, t_old, &mut kb) else {
+            let path = &self.layout.path_of_node[id.index()];
+            if let Some(cols) = self.layout.inline_unit[id.index()] {
+                let (&e, above) = path.split_last().expect("an inline leaf is not the root");
+                let Some(parent) = self.locate(above, t_old, &mut kb) else {
+                    continue;
+                };
+                t_old.write_key_into(self.d.edge(e).key, &mut kb);
+                let leaf = self.layout.leaf_of_edge[e.index()];
+                let entry = Arc::make_mut(&mut self.store).cont_get_mut(parent, leaf, &kb);
+                if let Some(Child::Unit(u)) = entry {
+                    set_changed(u, changes, cols & changed);
+                }
+                continue;
+            }
+            let Some(inst) = self.locate(path, t_old, &mut kb) else {
                 continue;
             };
             for ui in 0..self.layout.unit_leaves[id.index()].len() {
                 let (leaf, cols) = self.layout.unit_leaves[id.index()][ui];
-                let hit = cols & changed;
-                if hit.is_empty() {
-                    continue;
-                }
                 match &mut Arc::make_mut(&mut self.store).get_mut(inst).prims[leaf] {
-                    PrimInst::Unit(u) => {
-                        for (c, v) in changes.iter().filter(|&(c, _)| hit.contains(c)) {
-                            u.set(c, v.clone());
-                        }
-                    }
+                    PrimInst::Unit(u) => set_changed(u, changes, cols & changed),
                     PrimInst::Map(_) => unreachable!("unit leaf expected"),
                 }
             }
@@ -1775,21 +1861,23 @@ impl SynthRelation {
         self.key_scratch = kb;
     }
 
-    /// Locates the instance of `node` on `t`'s path via the canonical root
-    /// path, probing through the caller's reusable key buffer.
+    /// Follows `path` (edges from the root) along `t`'s valuation, probing
+    /// through the caller's reusable key buffer; returns the instance it
+    /// ends at.
     fn locate(
         &self,
-        node: NodeId,
+        path: &[EdgeId],
         t: &Tuple,
         kb: &mut Vec<relic_spec::Value>,
     ) -> Option<InstanceRef> {
         let mut inst = self.root;
-        for &e in &self.layout.path_of_node[node.index()] {
+        for &e in path {
             let edge = self.d.edge(e);
             t.write_key_into(edge.key, kb);
             inst = self
                 .store
-                .cont_get(inst, self.layout.leaf_of_edge[e.index()], kb)?;
+                .cont_get(inst, self.layout.leaf_of_edge[e.index()], kb)?
+                .node()?;
         }
         Some(inst)
     }
@@ -1871,18 +1959,26 @@ struct EdgeAcc {
     ds: relic_decomp::DsKind,
     eligible: bool,
     parent: Option<InstanceRef>,
-    entries: Vec<(Key, InstanceRef)>,
+    entries: Vec<(Key, Child)>,
     ascending: bool,
 }
 
 impl EdgeAcc {
+    /// Buffers one entry for the current parent, noting whether the keys
+    /// still arrive in ascending order.
+    fn push(&mut self, key: Key, child: Child) {
+        if let Some((last, _)) = self.entries.last() {
+            self.ascending &= *last < key;
+        }
+        self.entries.push((key, child));
+    }
+
     /// Builds the accumulated entries into the current parent's container
     /// through the container's bulk constructor — `from_sorted` when the
     /// keys arrived in ascending order (the common case under the batch
     /// sort), the sorting bulk build otherwise. Child reference counts were
     /// already bumped when each entry was accumulated.
     fn flush(&mut self, store: &mut Store) {
-        use crate::instance::EdgeContainer;
         use relic_containers::{AssocVec, AvlMap, DListMap, HashTable, SortedVecMap};
         use relic_decomp::DsKind;
         let Some(parent) = self.parent.take() else {
@@ -1919,11 +2015,16 @@ impl EdgeAcc {
             DsKind::DList => EdgeContainer::DList(DListMap::from_batch(entries)),
             DsKind::IntrusiveList => unreachable!("intrusive edges are never bulk-assembled"),
         };
-        match &mut store.get_mut(parent).prims[self.leaf] {
-            PrimInst::Map(c) => *c = cont,
-            PrimInst::Unit(_) => unreachable!("map leaf expected"),
-        }
+        store.cont_install(parent, self.leaf, cont);
         self.ascending = true;
+    }
+}
+
+/// Overwrites the values of the `hit` columns of unit `u` with those of
+/// `changes`; a no-op when `hit` is empty.
+fn set_changed(u: &mut Tuple, changes: &Tuple, hit: ColSet) {
+    for (c, v) in changes.iter().filter(|&(c, _)| hit.contains(c)) {
+        u.set(c, v.clone());
     }
 }
 

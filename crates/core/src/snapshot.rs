@@ -100,8 +100,9 @@ impl Snapshot {
     }
 
     /// Estimated heap bytes of this snapshot's store version (the O(1)
-    /// running estimate of [`Store::approx_bytes`]; versions sharing
-    /// structure each report their full logical size). Feeds
+    /// running estimate of
+    /// [`SynthRelation::store_approx_bytes`](crate::SynthRelation::store_approx_bytes);
+    /// versions sharing structure each report their full logical size). Feeds
     /// `relic_concurrent`'s `limbo_bytes()` accounting for retired
     /// snapshots.
     pub fn store_approx_bytes(&self) -> usize {
