@@ -26,11 +26,16 @@
 //! sequences can be made atomic with
 //! [`ConcurrentRelation::with_partition_mut`].
 //!
+//! Every write is an [`Op`] applied through
+//! [`apply`](ConcurrentRelation::apply); the one routing rule — which
+//! shards an op locks, in what order, where it stops — lives in
+//! [`apply_with`](ConcurrentRelation::apply_with), which the durability
+//! layer's logging and its replay reuse through a [`WriteHook`].
+//!
 //! # Per-shard batch lock discipline
 //!
-//! The batch mutations ([`bulk_load`](ConcurrentRelation::bulk_load),
-//! [`insert_many`](ConcurrentRelation::insert_many)) first partition the
-//! batch by shard **without holding any lock** — routing only hashes shard
+//! The batch mutations ([`Op::BulkLoad`], [`Op::InsertMany`]) first
+//! partition the batch by shard **without holding any lock** — routing only hashes shard
 //! columns — then visit the non-empty shards in index order, taking each
 //! shard's write lock **once per batch** and running the underlying
 //! [`SynthRelation`] batch operation under it. A batch of n tuples touching
@@ -124,9 +129,9 @@ pub use snapshot::{ReadHandle, ReadView};
 
 use relic_autotune::{Autotuner, Recommendation, Workload};
 use relic_containers::FxHasher;
-use relic_core::{BuildError, MigrateError, OpError, Snapshot, SynthRelation, WorkloadProfile};
+use relic_core::{BuildError, MigrateError, Op, OpError, Snapshot, SynthRelation, WorkloadProfile};
 use relic_decomp::{Decomposition, EnumerateOptions};
-use relic_spec::{Catalog, ColId, ColSet, Pattern, RelSpec, Relation, Tuple, Value};
+use relic_spec::{Catalog, ColId, ColSet, RelSpec, Relation, Tuple, Value};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -148,6 +153,43 @@ pub(crate) fn route<'v>(
     }
     Some((h.finish() % shards as u64) as usize)
 }
+
+/// A layering client's part in a routed write
+/// ([`ConcurrentRelation::apply_with`]). The relation decides which shards
+/// a write touches; the hook sees each *unit* of it — the whole op, or one
+/// shard's group of a batch — and can refuse it, skip shards, and stamp
+/// the publish. The durability layer logs through a hook, and its replay
+/// skips shards already past a record through another, so the live path
+/// and recovery share one routing.
+pub trait WriteHook {
+    /// Does shard `i` take part? The default takes every shard.
+    fn admits(&self, _i: usize) -> bool {
+        true
+    }
+
+    /// Called outside every lock, before the unit's shards are locked. An
+    /// error refuses the unit, and nothing changes.
+    fn prepare(&mut self, _unit: &Op) -> Result<(), OpError> {
+        Ok(())
+    }
+
+    /// Called with the unit's shards write-locked, before the unit applies
+    /// to them. An error refuses the unit, and nothing changes.
+    fn before(&mut self, _unit: &Op, _shards: &[&SynthRelation]) -> Result<(), OpError> {
+        Ok(())
+    }
+
+    /// Called with the same locks held after the unit applied to `shards`
+    /// (`applied` is its count, or `None` if it failed). Returns the stamp
+    /// those shards publish with; `None` keeps their stamps.
+    fn after(&mut self, _shards: &[usize], _applied: Option<usize>) -> Option<u64> {
+        None
+    }
+}
+
+/// The hook of a plain [`ConcurrentRelation::apply`]: takes every shard,
+/// refuses nothing, stamps nothing.
+impl WriteHook for () {}
 
 /// Errors specific to building a concurrent relation.
 #[derive(Debug)]
@@ -392,18 +434,12 @@ impl ConcurrentRelation {
     }
 
     /// Publishes shard `i`'s current state (O(1): the snapshot shares the
-    /// persistent store). Called with the shard's write lock held, after
-    /// the mutation epoch completed. Does not bump the epoch counter —
-    /// callers bump once per logical operation via
-    /// [`bump_epoch`](ConcurrentRelation::bump_epoch).
-    fn publish_slot(&self, i: usize, shard: &SynthRelation) {
-        self.publish_slot_stamped(i, shard, None);
-    }
-
-    /// [`publish_slot`](ConcurrentRelation::publish_slot) with an optional
-    /// writer stamp; `None` keeps the slot's previous stamp. Snapshot and
-    /// stamp swap together under the slot's latch, so collectors always see
-    /// a consistent pair.
+    /// persistent store), with an optional writer stamp; `None` keeps the
+    /// slot's previous stamp. Called with the shard's write lock held, after
+    /// the mutation epoch completed. Snapshot and stamp swap together under
+    /// the slot's latch, so collectors always see a consistent pair. Does
+    /// not bump the epoch counter — callers bump once per logical operation
+    /// via [`bump_epoch`](ConcurrentRelation::bump_epoch).
     ///
     /// The replaced snapshot, if any reader still references it, is
     /// *retired* onto shard `i`'s limbo list tagged with the pre-swap
@@ -443,18 +479,31 @@ impl ConcurrentRelation {
         self.epoch.fetch_add(1, Ordering::Release);
     }
 
-    /// The write-side epoch discipline for one shard: write-lock, prune the
-    /// unreferenced published snapshot (making the mutation in-place when no
-    /// reader holds a view), run the mutation, republish, bump the epoch.
-    /// Every single-shard mutation funnels through here, so a published
-    /// snapshot is always a committed per-shard state and a batch applied to
-    /// a shard is never visible half-done.
-    fn mutate_shard<T>(&self, i: usize, f: impl FnOnce(&mut SynthRelation) -> T) -> T {
+    /// The write-side epoch discipline for one shard: write-lock shard `i`,
+    /// prune its unreferenced published snapshot (making the mutation
+    /// in-place when no reader holds a view), run `f`, republish —
+    /// stamped with the stamp `f` returns (see
+    /// [`ReadView::shard_stamp`](crate::ReadView::shard_stamp)); `None`
+    /// keeps the previous stamp — and bump the epoch. Every single-shard
+    /// mutation funnels through here, so a published snapshot is always a
+    /// committed per-shard state and a batch applied to a shard is never
+    /// visible half-done. A layering client uses it for what is not a
+    /// routed op: a logged partition read-modify-write, the stamps of a
+    /// recovered relation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub fn with_shard_mut_stamped<T>(
+        &self,
+        i: usize,
+        f: impl FnOnce(&mut SynthRelation) -> (T, Option<u64>),
+    ) -> T {
         let out = {
             let mut guard = self.write_shard(i);
             self.prune_slot(i);
-            let out = f(&mut guard);
-            self.publish_slot(i, &guard);
+            let (out, stamp) = f(&mut guard);
+            self.publish_slot_stamped(i, &guard, stamp);
             self.bump_epoch();
             out
         };
@@ -465,23 +514,32 @@ impl ConcurrentRelation {
         out
     }
 
-    /// The all-shard analog of [`mutate_shard`](ConcurrentRelation::mutate_shard)
-    /// for operations that hold every write lock (unpinned removals and
-    /// updates): prune all, mutate, republish all, one epoch bump.
-    fn mutate_all<T>(&self, f: impl FnOnce(&mut [RwLockWriteGuard<'_, SynthRelation>]) -> T) -> T {
+    /// The multi-shard analog of
+    /// [`with_shard_mut_stamped`](ConcurrentRelation::with_shard_mut_stamped): write-locks the
+    /// shards `idx` lists (ascending — the crate's total lock order, so the
+    /// acquisition cannot deadlock), prunes them, runs `f` over their
+    /// guards, republishes every one under the stamp `f` returns, and bumps
+    /// the epoch once.
+    fn mutate_shards<T>(
+        &self,
+        idx: &[usize],
+        f: impl FnOnce(&mut [RwLockWriteGuard<'_, SynthRelation>]) -> (T, Option<u64>),
+    ) -> T {
         let out = {
-            let mut guards = self.write_all();
-            for i in 0..guards.len() {
+            let mut guards: Vec<_> = idx.iter().map(|&i| self.write_shard(i)).collect();
+            for &i in idx {
                 self.prune_slot(i);
             }
-            let out = f(&mut guards);
-            for (i, g) in guards.iter().enumerate() {
-                self.publish_slot(i, g);
+            let (out, stamp) = f(&mut guards);
+            for (&i, g) in idx.iter().zip(&guards) {
+                self.publish_slot_stamped(i, g, stamp);
             }
             self.bump_epoch();
             out
         };
-        self.drain_all_limbo();
+        for &i in idx {
+            self.drain_limbo(i);
+        }
         out
     }
 
@@ -491,17 +549,12 @@ impl ConcurrentRelation {
     }
 
     /// Republishes every (already write-locked) shard as **one migration
-    /// epoch**: the seqlock counter is odd while the slots are being
-    /// swapped, and [`read_view`](ConcurrentRelation::read_view) retries
-    /// collection around odd windows — so no view ever holds a mix of pre-
-    /// and post-migration shards.
-    fn publish_all_migration(&self, guards: &[RwLockWriteGuard<'_, SynthRelation>]) {
-        self.publish_all_migration_stamped(guards, None);
-    }
-
-    /// [`publish_all_migration`](ConcurrentRelation::publish_all_migration)
-    /// with an optional writer stamp applied to every shard's slot.
-    fn publish_all_migration_stamped(
+    /// epoch**, each slot stamped with `stamp` if given: the seqlock counter
+    /// is odd while the slots are being swapped, and
+    /// [`read_view`](ConcurrentRelation::read_view) retries collection
+    /// around odd windows — so no view ever holds a mix of pre- and
+    /// post-migration shards.
+    fn publish_all_migration(
         &self,
         guards: &[RwLockWriteGuard<'_, SynthRelation>],
         stamp: Option<u64>,
@@ -514,134 +567,160 @@ impl ConcurrentRelation {
         self.migration_epoch.fetch_add(1, Ordering::Release);
     }
 
-    /// `insert r t` — routes to one shard, write-locking only it.
+    // -- writes -------------------------------------------------------------
+
+    /// Applies one [`Op`]: the data form of every write method below, which
+    /// all call it. Returns what [`SynthRelation::apply`] counts, summed
+    /// over the shards the op touched.
     ///
     /// # Errors
     ///
-    /// As for [`SynthRelation::insert`].
-    pub fn insert(&self, t: Tuple) -> Result<bool, OpError> {
-        self.mutate_shard(self.owning_shard(&t), |s| s.insert(t))
+    /// As for [`apply_with`](ConcurrentRelation::apply_with).
+    pub fn apply(&self, op: Op) -> Result<usize, OpError> {
+        self.apply_with(op, &mut ())
     }
 
-    /// `bulk_load` — partitions the batch by shard (lock-free), then runs
-    /// [`SynthRelation::bulk_load`] under each affected shard's write lock,
-    /// taken **once per batch** in index order. Returns the total number of
-    /// tuples inserted.
+    /// [`apply`](ConcurrentRelation::apply) with a layering client's
+    /// [`WriteHook`] — the one place that decides which shards a write
+    /// touches, in what order, and where it stops:
     ///
-    /// Atomicity is per shard: a concurrent reader may observe some shards
-    /// already loaded and others not yet. Malformed tuples (not binding the
-    /// shard columns) route to shard 0, which rejects them exactly as
-    /// [`insert`](ConcurrentRelation::insert) does.
+    /// * `Insert` locks its tuple's owning shard (shard 0 for a tuple that
+    ///   does not bind the shard columns, which rejects it).
+    /// * `InsertMany` and `BulkLoad` group the batch by owning shard without
+    ///   holding any lock, then apply each group as a unit under one hold of
+    ///   its shard, in index order: a batch is atomic per shard, not across
+    ///   shards, and stops at the first shard that fails (earlier groups and
+    ///   the failing group's accepted prefix persist).
+    /// * `Remove`, `RemoveWhere` and `Update` lock one shard when the
+    ///   pattern's equalities pin the shard columns; otherwise they lock
+    ///   every shard, apply in index order and stop at the first error.
+    /// * `RemoveMany` locks every shard, likewise.
+    /// * `Migrate` parses its let-notation against the relation's catalog,
+    ///   then migrates every shard as one epoch, as
+    ///   [`migrate_to`](ConcurrentRelation::migrate_to) does.
+    ///
+    /// Every unit is applied under one continuous hold of its shards and
+    /// published before they are released.
     ///
     /// # Errors
     ///
-    /// The first error any shard reports, in shard index order; loads into
-    /// earlier shards (and the failing shard's accepted prefix) persist. The
-    /// per-shard semantics are those of [`SynthRelation::bulk_load`].
-    pub fn bulk_load<I: IntoIterator<Item = Tuple>>(&self, tuples: I) -> Result<usize, OpError> {
-        self.batch_mutate(tuples, |shard, group| shard.bulk_load(group))
+    /// The op's error from [`SynthRelation::apply`], the first a shard
+    /// reports; a hook's refusal; [`OpError::ShardColumnsChanged`] for an
+    /// unpinned update that would move its tuple to another shard.
+    pub fn apply_with(&self, op: Op, hook: &mut impl WriteHook) -> Result<usize, OpError> {
+        let n = self.shards.len();
+        let pin = match op {
+            Op::InsertMany(ts) => return self.apply_batch_with(ts, false, hook),
+            Op::BulkLoad(ts) => return self.apply_batch_with(ts, true, hook),
+            Op::Migrate(src) => {
+                let d = self.read_shard(0).migrate_target(&src)?;
+                if !(0..n).all(|i| hook.admits(i)) {
+                    return Ok(0);
+                }
+                hook.prepare(&Op::Migrate(src))?;
+                return Ok(self.migrate_with(d, hook).map(|()| 0)?);
+            }
+            Op::Insert(ref t) => Some(self.owning_shard(t)),
+            Op::Remove(ref p) => self.route(p),
+            Op::RemoveWhere(ref p) => route(self.shard_cols, n, |c| p.pred(c)?.as_eq()),
+            Op::Update {
+                ref pattern,
+                ref changes,
+            } => {
+                let pin = self.route(pattern);
+                let moved = changes.dom() & self.shard_cols;
+                if pin.is_none() && n > 1 && !moved.is_empty() {
+                    return Err(OpError::ShardColumnsChanged { cols: moved });
+                }
+                pin
+            }
+            Op::RemoveMany(_) => None,
+        };
+        match pin {
+            Some(i) => self.apply_on(i, op, hook),
+            None => self.apply_on_all(op, hook),
+        }
     }
 
-    /// `insert_many` — like [`bulk_load`](ConcurrentRelation::bulk_load)
-    /// but each shard runs [`SynthRelation::insert_many`] (no structural
-    /// re-sort within the shard), which preserves more of the caller's
-    /// ordering for clustered streams.
-    ///
-    /// # Errors
-    ///
-    /// As for [`bulk_load`](ConcurrentRelation::bulk_load).
-    pub fn insert_many<I: IntoIterator<Item = Tuple>>(&self, tuples: I) -> Result<usize, OpError> {
-        self.batch_mutate(tuples, |shard, group| shard.insert_many(group))
-    }
-
-    /// Groups `tuples` by owning shard, then applies `op` once per
-    /// non-empty shard under its write lock (index order).
-    fn batch_mutate<I: IntoIterator<Item = Tuple>>(
+    /// [`apply_with`](ConcurrentRelation::apply_with) for an
+    /// [`Op::BulkLoad`] (`bulk`) or [`Op::InsertMany`] batch given as an
+    /// iterator, with its errors: the tuples are grouped by owning shard as
+    /// they stream in, never collected into one vector first, and each
+    /// group is applied as a unit.
+    pub fn apply_batch_with<I: IntoIterator<Item = Tuple>>(
         &self,
         tuples: I,
-        op: impl Fn(&mut SynthRelation, Vec<Tuple>) -> Result<usize, OpError>,
+        bulk: bool,
+        hook: &mut impl WriteHook,
     ) -> Result<usize, OpError> {
+        let unit = if bulk { Op::BulkLoad } else { Op::InsertMany };
         let mut groups: Vec<Vec<Tuple>> = (0..self.shards.len()).map(|_| Vec::new()).collect();
         for t in tuples {
             groups[self.owning_shard(&t)].push(t);
         }
         let mut inserted = 0;
         for (i, group) in groups.into_iter().enumerate() {
-            if group.is_empty() {
-                continue;
+            if !group.is_empty() {
+                inserted += self.apply_on(i, unit(group), hook)?;
             }
-            // `mutate_shard` publishes after the whole per-shard group —
-            // even on error (the accepted prefix persists and must be
-            // visible), which is why the `?` sits outside the call.
-            inserted += self.mutate_shard(i, |shard| op(shard, group))?;
         }
         Ok(inserted)
     }
 
-    /// `remove r s` — one shard if `pattern` pins the shard columns, all
-    /// shards (in order) otherwise. Returns the number of tuples removed.
-    ///
-    /// # Errors
-    ///
-    /// As for [`SynthRelation::remove`].
+    /// Applies a unit to shard `i` under its hold, with the hook's part.
+    fn apply_on(&self, i: usize, op: Op, hook: &mut impl WriteHook) -> Result<usize, OpError> {
+        if !hook.admits(i) {
+            return Ok(0);
+        }
+        hook.prepare(&op)?;
+        self.with_shard_mut_stamped(i, |s| {
+            if let Err(e) = hook.before(&op, &[&*s]) {
+                return (Err(e), None);
+            }
+            let res = s.apply(op);
+            let stamp = hook.after(&[i], res.as_ref().ok().copied());
+            (res, stamp)
+        })
+    }
+
+    /// Applies a unit to every admitted shard under one hold of them all,
+    /// in index order, stopping at the first error.
+    fn apply_on_all(&self, op: Op, hook: &mut impl WriteHook) -> Result<usize, OpError> {
+        let idx: Vec<usize> = (0..self.shards.len()).filter(|&i| hook.admits(i)).collect();
+        if idx.is_empty() {
+            return Ok(0);
+        }
+        hook.prepare(&op)?;
+        self.mutate_shards(&idx, |guards| {
+            let held: Vec<&SynthRelation> = guards.iter().map(|g| &**g).collect();
+            if let Err(e) = hook.before(&op, &held) {
+                return (Err(e), None);
+            }
+            let res = guards
+                .iter_mut()
+                .try_fold(0, |n, g| Ok(n + g.apply_ref(&op)?));
+            let stamp = hook.after(&idx, res.as_ref().ok().copied());
+            (res, stamp)
+        })
+    }
+
+    /// `insert r t`, `apply(Op::Insert(t))`: `true` if the tuple was new.
+    /// Errors as for [`SynthRelation::insert`].
+    pub fn insert(&self, t: Tuple) -> Result<bool, OpError> {
+        Ok(self.apply(Op::Insert(t))? == 1)
+    }
+
+    /// `bulk_load`, `apply(Op::BulkLoad(..))` without collecting the
+    /// batch first. Errors as for
+    /// [`apply_with`](ConcurrentRelation::apply_with).
+    pub fn bulk_load<I: IntoIterator<Item = Tuple>>(&self, tuples: I) -> Result<usize, OpError> {
+        self.apply_batch_with(tuples, true, &mut ())
+    }
+
+    /// `remove r s`, `apply(Op::Remove(..))`. Errors as for
+    /// [`SynthRelation::remove`].
     pub fn remove(&self, pattern: &Tuple) -> Result<usize, OpError> {
-        if let Some(i) = self.route(pattern) {
-            self.mutate_shard(i, |s| s.remove(pattern))
-        } else {
-            self.mutate_all(|guards| {
-                let mut n = 0;
-                for g in guards.iter_mut() {
-                    n += g.remove(pattern)?;
-                }
-                Ok(n)
-            })
-        }
-    }
-
-    /// `remove_where r P` — predicate removal across the partitions; one
-    /// shard when the *equality* part of `P` pins the shard columns.
-    /// Returns the number of tuples removed.
-    ///
-    /// # Errors
-    ///
-    /// As for [`SynthRelation::remove_where`].
-    pub fn remove_where(&self, pattern: &Pattern) -> Result<usize, OpError> {
-        let eq = |c| pattern.pred(c)?.as_eq();
-        if let Some(i) = route(self.shard_cols, self.shards.len(), eq) {
-            self.mutate_shard(i, |s| s.remove_where(pattern))
-        } else {
-            self.mutate_all(|guards| {
-                let mut n = 0;
-                for g in guards.iter_mut() {
-                    n += g.remove_where(pattern)?;
-                }
-                Ok(n)
-            })
-        }
-    }
-
-    /// `update r s u` — one shard if `pattern` pins the shard columns and
-    /// the changes do not touch them; all shards otherwise. (Changing a
-    /// shard column would migrate the tuple between shards; the underlying
-    /// update restriction — the pattern must be a key disjoint from the
-    /// changes — already forbids it whenever shard columns are part of the
-    /// pattern.)
-    ///
-    /// # Errors
-    ///
-    /// As for [`SynthRelation::update`].
-    pub fn update(&self, pattern: &Tuple, changes: &Tuple) -> Result<bool, OpError> {
-        if let Some(i) = self.route(pattern) {
-            self.mutate_shard(i, |s| s.update(pattern, changes))
-        } else {
-            self.mutate_all(|guards| {
-                let mut any = false;
-                for g in guards.iter_mut() {
-                    any |= g.update(pattern, changes)?;
-                }
-                Ok(any)
-            })
-        }
+        self.apply(Op::Remove(pattern.clone()))
     }
 
     /// Number of tuples across the published shard snapshots — the
@@ -670,120 +749,39 @@ impl ConcurrentRelation {
         let i = self
             .route(key)
             .expect("with_partition_mut requires all shard columns bound");
-        self.mutate_shard(i, f)
+        self.with_shard_mut_stamped(i, |s| (f(s), None))
     }
 
     // -- durability hooks ---------------------------------------------------
     //
     // A layering client (e.g. `relic_persist`'s `DurableRelation`) that logs
-    // mutations needs three things this crate alone can provide: (1) the
-    // shard a batch group routes to, so a batch can be logged *per shard*;
-    // (2) a critical section in which to assign each logged record its
-    // sequence number **before applying it**, so per-shard log order equals
-    // per-shard apply order; and (3) a publish that carries the shard's
-    // last logged sequence number as its writer stamp — under the existing
+    // mutations takes part in every routed write through a `WriteHook`
+    // (`apply_with`): it logs each unit under the hold that applies it, so
+    // per-shard log order equals per-shard apply order, and stamps the
+    // unit's publish with the record's sequence number — under the
     // publish-before-unlock discipline — so a checkpoint built from
     // published snapshots knows, per shard, exactly which log prefix the
-    // snapshot contains (no fuzzy replay, no idempotency hacks).
+    // snapshot contains (no fuzzy replay, no idempotency hacks). The
+    // helpers below serve what is not a routed op: a partition's
+    // read-modify-write and the rebuild of a recovered relation.
 
     /// The index of the shard owning tuple `t`'s shard-column valuation
     /// (shard 0 for malformed tuples that do not bind the shard columns,
-    /// matching [`insert`](ConcurrentRelation::insert)'s routing). Layering
-    /// clients use this to group a batch per shard before logging each
-    /// group under its shard's lock.
+    /// matching [`insert`](ConcurrentRelation::insert)'s routing).
     pub fn owning_shard(&self, t: &Tuple) -> usize {
         self.route(t).unwrap_or(0)
     }
 
-    /// Runs `f` with exclusive access to shard `i` under the write-side
-    /// epoch discipline (prune → mutate → publish-before-unlock) — the
-    /// by-index analog of
-    /// [`with_partition_mut`](ConcurrentRelation::with_partition_mut), for
-    /// layers that partition batches themselves. `f` returns `(result,
-    /// stamp)`; `Some(s)` stamps the published snapshot with `s` (see
-    /// [`ReadView::shard_stamp`](crate::ReadView::shard_stamp)), `None`
-    /// keeps the previous stamp.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn with_shard_mut_stamped<T>(
-        &self,
-        i: usize,
-        f: impl FnOnce(&mut SynthRelation) -> (T, Option<u64>),
-    ) -> T {
-        assert!(i < self.shards.len(), "shard index out of range");
-        let out = {
-            let mut guard = self.write_shard(i);
-            self.prune_slot(i);
-            let (out, stamp) = f(&mut guard);
-            self.publish_slot_stamped(i, &guard, stamp);
-            self.bump_epoch();
-            out
-        };
-        self.drain_limbo(i);
-        out
-    }
-
-    /// Runs `f` with exclusive access to **every** shard (locks taken in
-    /// index order — the crate's total lock order) as one compound epoch:
-    /// the whole-relation analog of
-    /// [`with_shard_mut_stamped`](ConcurrentRelation::with_shard_mut_stamped)
-    /// for unpinned mutations a layering client must log and apply under
-    /// one continuous hold. The returned stamp (if `Some`) is applied to
-    /// every shard's publish.
-    pub fn with_all_shards_mut_stamped<T>(
-        &self,
-        f: impl FnOnce(&mut [&mut SynthRelation]) -> (T, Option<u64>),
-    ) -> T {
-        let out = {
-            let mut guards = self.write_all();
-            for i in 0..guards.len() {
-                self.prune_slot(i);
+    /// Turns FD checking on or off in every shard (see
+    /// [`SynthRelation::set_fd_checking`]).
+    pub fn set_fd_checking(&self, on: bool) {
+        let all: Vec<usize> = (0..self.shards.len()).collect();
+        self.mutate_shards(&all, |guards| {
+            for g in guards.iter_mut() {
+                g.set_fd_checking(on);
             }
-            let (out, stamp) = {
-                let mut refs: Vec<&mut SynthRelation> =
-                    guards.iter_mut().map(|g| &mut **g).collect();
-                f(&mut refs)
-            };
-            for (i, g) in guards.iter().enumerate() {
-                self.publish_slot_stamped(i, g, stamp);
-            }
-            self.bump_epoch();
-            out
-        };
-        self.drain_all_limbo();
-        out
-    }
-
-    /// [`migrate_to`](ConcurrentRelation::migrate_to) with a durability
-    /// stamp: `stamp` runs after every shard write lock is held (so a
-    /// logging client can assign the migration marker its sequence number
-    /// with no concurrent writer able to slip a record in between) and the
-    /// returned value stamps every shard's post-migration publish. On error
-    /// nothing is republished: the slots keep their pre-migration snapshots
-    /// and stamps, and a replay of the logged marker fails the same way
-    /// against the same per-shard states.
-    ///
-    /// # Errors
-    ///
-    /// As for [`migrate_to`](ConcurrentRelation::migrate_to).
-    pub fn migrate_to_stamped(
-        &self,
-        d: Decomposition,
-        stamp: impl FnOnce() -> u64,
-    ) -> Result<(), MigrateError> {
-        let res = {
-            let mut guards = self.write_all();
-            let s = stamp();
-            let res = Self::migrate_shards(&mut guards, d);
-            if res.is_ok() {
-                self.publish_all_migration_stamped(&guards, Some(s));
-            }
-            res
-        };
-        self.drain_all_limbo();
-        res
+            ((), None)
+        });
     }
 
     /// The aggregated workload profile across all shards (read-locks every
@@ -826,15 +824,29 @@ impl ConcurrentRelation {
     ///
     /// As for [`SynthRelation::migrate_to`].
     pub fn migrate_to(&self, d: Decomposition) -> Result<(), MigrateError> {
+        self.migrate_with(d, &mut ())
+    }
+
+    /// [`migrate_to`](ConcurrentRelation::migrate_to) with the hook's
+    /// [`after`](WriteHook::after) called under the hold of every shard,
+    /// whether the migration succeeded or not; its stamp lands on the
+    /// post-migration publish.
+    fn migrate_with(
+        &self,
+        d: Decomposition,
+        hook: &mut impl WriteHook,
+    ) -> Result<(), MigrateError> {
+        let all: Vec<usize> = (0..self.shards.len()).collect();
         let res = {
             let mut guards = self.write_all();
             let res = Self::migrate_shards(&mut guards, d);
+            let stamp = hook.after(&all, res.as_ref().ok().map(|()| 0));
             if res.is_ok() {
                 // One migration epoch: all shards republished inside the
                 // seqlock window, so a view is never mixed-decomposition.
                 // (On error the rollback restored the published tuple set,
                 // so the standing snapshots remain correct.)
-                self.publish_all_migration(&guards);
+                self.publish_all_migration(&guards, stamp);
             }
             res
         };
@@ -942,7 +954,7 @@ impl ConcurrentRelation {
         }
         let improvement = rec.improvement();
         Self::migrate_shards(&mut guards, rec.best.decomposition)?;
-        self.publish_all_migration(&guards);
+        self.publish_all_migration(&guards, None);
         drop(guards);
         self.drain_all_limbo();
         Ok(Some(improvement))
@@ -1052,7 +1064,7 @@ mod tests {
     use super::*;
     use relic_core::RelRead;
     use relic_decomp::parse;
-    use relic_spec::Pred;
+    use relic_spec::{Pattern, Pred};
 
     fn setup(shards: usize) -> (Catalog, ConcurrentRelation) {
         let mut cat = Catalog::new();
@@ -1147,10 +1159,44 @@ mod tests {
         // Pinned update.
         let key = Tuple::from_pairs([(host, Value::from(2)), (ts, Value::from(3))]);
         let chg = Tuple::from_pairs([(bytes, Value::from(99))]);
-        assert!(r.update(&key, &chg).unwrap());
+        let update = Op::Update {
+            pattern: key.clone(),
+            changes: chg.clone(),
+        };
+        assert_eq!(r.apply(update).unwrap(), 1);
         m.update(&key, &chg);
         assert_eq!(r.to_relation(), m);
         r.validate().unwrap();
+    }
+
+    /// Sharded by the payload, an update keyed by `(host, ts)` that
+    /// rewrites the payload would leave its tuple in the old payload's
+    /// shard, where pinned reads no longer look: it is refused, and
+    /// nothing changes.
+    #[test]
+    fn an_update_may_not_move_a_tuple_across_shards() {
+        let (cat, _) = setup(1);
+        let bytes = cat.col("bytes").unwrap();
+        let mut cat2 = cat.clone();
+        let d = parse(
+            &mut cat2,
+            "let u : {host,ts} . {bytes} = unit {bytes} in
+             let x : {} . {host,ts,bytes} = {host,ts} -[htable]-> u in x",
+        )
+        .unwrap();
+        let spec = RelSpec::new(cat.all()).with_fd(cat.all() - bytes.set(), bytes.set());
+        let r = ConcurrentRelation::new(&cat, spec, d, bytes.set(), 4).unwrap();
+        r.insert(tup(&cat, 1, 1, 10)).unwrap();
+        let before = r.to_relation();
+        let update = Op::Update {
+            pattern: tup(&cat, 1, 1, 10).project(cat.all() - bytes.set()),
+            changes: Tuple::from_pairs([(bytes, Value::from(11))]),
+        };
+        assert_eq!(
+            r.apply(update),
+            Err(OpError::ShardColumnsChanged { cols: bytes.set() })
+        );
+        assert_eq!(r.to_relation(), before);
     }
 
     #[test]
@@ -1199,7 +1245,10 @@ mod tests {
         bulk.validate().unwrap();
         // Duplicates across a second batch are no-ops; new tuples count.
         let n = bulk
-            .insert_many(vec![tup(&cat, 0, 0, 0), tup(&cat, 99, 0, 7)])
+            .apply(Op::InsertMany(vec![
+                tup(&cat, 0, 0, 0),
+                tup(&cat, 99, 0, 7),
+            ]))
             .unwrap();
         assert_eq!(n, 1);
         assert_eq!(bulk.len(), 201);

@@ -491,7 +491,7 @@ impl ConcurrentRelation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use relic_core::SynthRelation;
+    use relic_core::{Op, SynthRelation};
     use relic_decomp::parse;
     use relic_spec::{Catalog, Pred, RelSpec, Value};
     use std::collections::BTreeSet;
@@ -587,7 +587,7 @@ mod tests {
             .flat_map(|h| (0..5i64).map(move |t| (h, t)))
             .map(|(h, t)| tup(&cat, h, t, h))
             .collect();
-        r.insert_many(batch).unwrap();
+        r.apply(Op::InsertMany(batch)).unwrap();
         let view = r.read_view();
         // Every shard reflects its whole slice of the batch.
         assert_eq!(view.len(), 40);
@@ -607,13 +607,13 @@ mod tests {
         bumped(&r, "insert");
         r.bulk_load((0..4i64).map(|t| tup(&cat, 2, t, t))).unwrap();
         bumped(&r, "bulk_load");
-        r.update(
-            &Tuple::from_pairs([
+        r.apply(Op::Update {
+            pattern: Tuple::from_pairs([
                 (cat.col("host").unwrap(), Value::from(1)),
                 (cat.col("ts").unwrap(), Value::from(1)),
             ]),
-            &Tuple::from_pairs([(cat.col("bytes").unwrap(), Value::from(5))]),
-        )
+            changes: Tuple::from_pairs([(cat.col("bytes").unwrap(), Value::from(5))]),
+        })
         .unwrap();
         bumped(&r, "update");
         r.remove(&Tuple::from_pairs([(

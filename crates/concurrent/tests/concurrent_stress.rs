@@ -211,7 +211,7 @@ fn randomized_mix_replays_exactly_against_the_model() {
                                         tup(cols, h, t, (t * 7) % 5)
                                     })
                                     .collect();
-                                match r.insert_many(batch.clone()) {
+                                match r.apply(relic_core::Op::InsertMany(batch.clone())) {
                                     Ok(acc) => log.push(Op::InsertMany(batch, Some(acc))),
                                     Err(_) => log.push(Op::InsertMany(batch, None)),
                                 }
@@ -240,7 +240,11 @@ fn randomized_mix_replays_exactly_against_the_model() {
                                     cols.bytes,
                                     Value::from(rng.below(2000) as i64),
                                 )]);
-                                let did = r.update(&key, &chg).unwrap();
+                                let update = relic_core::Op::Update {
+                                    pattern: key.clone(),
+                                    changes: chg.clone(),
+                                };
+                                let did = r.apply(update).unwrap() == 1;
                                 log.push(Op::Update(key, chg, did));
                             }
                             // 9: atomic read-modify-write in the partition.

@@ -226,7 +226,10 @@ impl Harness<'_> {
                 let (solo_n, rel_n) = if matches!(op, Op::BulkLoad(_)) {
                     (self.solo.bulk_load(batch.clone()), rel.bulk_load(batch))
                 } else {
-                    (self.solo.insert_many(batch.clone()), rel.insert_many(batch))
+                    (
+                        self.solo.insert_many(batch.clone()),
+                        rel.apply(relic_core::Op::InsertMany(batch)),
+                    )
                 };
                 assert_eq!((solo_n.unwrap(), rel_n.unwrap()), (new, new));
             }
@@ -248,7 +251,7 @@ impl Harness<'_> {
                 }
                 let n = self.model.remove_where(&p);
                 assert_eq!(self.solo.remove_where(&p).unwrap(), n);
-                assert_eq!(rel.remove_where(&p).unwrap(), n);
+                assert_eq!(rel.apply(relic_core::Op::RemoveWhere(p)).unwrap(), n);
             }
             Op::Update(h, t, b) => {
                 let key = self.key(*h, *t);
@@ -256,7 +259,11 @@ impl Harness<'_> {
                 let hit = !self.model.select(&key).is_empty();
                 self.model.update(&key, &chg);
                 assert_eq!(self.solo.update(&key, &chg).unwrap(), hit);
-                assert_eq!(rel.update(&key, &chg).unwrap(), hit);
+                let update = relic_core::Op::Update {
+                    pattern: key,
+                    changes: chg,
+                };
+                assert_eq!(rel.apply(update).unwrap(), usize::from(hit));
             }
             Op::PartitionRmw(h, t) => {
                 let key = self.key(*h, *t);

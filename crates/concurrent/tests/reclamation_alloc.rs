@@ -15,6 +15,7 @@
 //! checks armed while the allocator accounting runs.
 
 use relic_concurrent::ConcurrentRelation;
+use relic_core::Op;
 use relic_decomp::parse;
 use relic_spec::{Catalog, ColId, RelSpec, Tuple, Value};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -107,7 +108,11 @@ fn retired_stores_physically_free_on_drain() {
                 (cols.ts, Value::from(0i64)),
             ]);
             let chg = Tuple::from_pairs([(cols.bytes, Value::from(-1i64))]);
-            r.update(&key, &chg).unwrap();
+            r.apply(Op::Update {
+                pattern: key,
+                changes: chg,
+            })
+            .unwrap();
             warm.view();
         }
     }
@@ -126,7 +131,11 @@ fn retired_stores_physically_free_on_drain() {
             (cols.ts, Value::from((e as i64 / HOSTS) % TS)),
         ]);
         let chg = Tuple::from_pairs([(cols.bytes, Value::from(e as i64))]);
-        r.update(&key, &chg).unwrap();
+        r.apply(Op::Update {
+            pattern: key,
+            changes: chg,
+        })
+        .unwrap();
         active.view();
     }
     let parked = r.limbo_len();

@@ -90,7 +90,11 @@ fn dropped_handle_lets_the_retired_chain_drain() {
         let t = (e % 4) as i64;
         let chg = Tuple::from_pairs([(cols.bytes, Value::from(e as i64))]);
         let key = Tuple::from_pairs([(cols.host, Value::from(h)), (cols.ts, Value::from(t))]);
-        r.update(&key, &chg).unwrap();
+        r.apply(relic_core::Op::Update {
+            pattern: key,
+            changes: chg,
+        })
+        .unwrap();
         let v = active.view();
         assert_eq!(v.len(), frozen.len());
     }
@@ -289,7 +293,11 @@ fn pinned_views_survive_hundreds_of_epochs_and_migrations() {
                                     cols.bytes,
                                     Value::from(rng.below(512) as i64),
                                 )]);
-                                let did = r.update(&key, &chg).unwrap();
+                                let update = relic_core::Op::Update {
+                                    pattern: key.clone(),
+                                    changes: chg.clone(),
+                                };
+                                let did = r.apply(update).unwrap() == 1;
                                 log.push(Op::Update(key, chg, did));
                             }
                             _ => {
@@ -419,7 +427,11 @@ proptest! {
                         (cols.ts, Value::from(*t)),
                     ]);
                     let chg = Tuple::from_pairs([(cols.bytes, Value::from(*b))]);
-                    let did = r.update(&key, &chg).unwrap();
+                    let update = relic_core::Op::Update {
+                        pattern: key.clone(),
+                        changes: chg.clone(),
+                    };
+                    let did = r.apply(update).unwrap() == 1;
                     prop_assert_eq!(did, !model.select(&key).is_empty());
                     model.update(&key, &chg);
                 }

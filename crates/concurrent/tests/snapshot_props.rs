@@ -98,7 +98,7 @@ proptest! {
                     let n = if use_bulk {
                         r.bulk_load(batch).unwrap()
                     } else {
-                        r.insert_many(batch).unwrap()
+                        r.apply(relic_core::Op::InsertMany(batch)).unwrap()
                     };
                     assert_eq!(n, hosts.len() * per_host);
                 }

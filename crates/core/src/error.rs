@@ -1,6 +1,6 @@
 //! Error types for the synthesis runtime.
 
-use relic_decomp::{AdequacyError, DecompError};
+use relic_decomp::{AdequacyError, DecompError, ParseError};
 use relic_query::PlanError;
 use relic_spec::{ColId, ColSet, Tuple};
 use std::error::Error;
@@ -58,6 +58,9 @@ pub enum MigrateError {
     /// checking was off and the stored tuples already violate the
     /// specification's minimal key.
     Rebuild(OpError),
+    /// The target's let-notation ([`Op::Migrate`](crate::Op::Migrate))
+    /// does not parse.
+    Parse(ParseError),
 }
 
 impl fmt::Display for MigrateError {
@@ -65,6 +68,7 @@ impl fmt::Display for MigrateError {
         match self {
             MigrateError::Build(e) => write!(f, "migration target rejected: {e}"),
             MigrateError::Rebuild(e) => write!(f, "migration rebuild failed: {e}"),
+            MigrateError::Parse(e) => write!(f, "migration target does not parse: {e}"),
         }
     }
 }
@@ -74,6 +78,7 @@ impl Error for MigrateError {
         match self {
             MigrateError::Build(e) => Some(e),
             MigrateError::Rebuild(e) => Some(e),
+            MigrateError::Parse(e) => Some(e),
         }
     }
 }
@@ -110,7 +115,8 @@ pub enum OpError {
         existing: Tuple,
     },
     /// `update` requires the pattern to be a key for the relation
-    /// (`∆ ⊢fd dom s → C`, §4.5).
+    /// (`∆ ⊢fd dom s → C`, §4.5). A durable relation also refuses an update
+    /// whose pattern matches two stored tuples (FD checking off).
     PatternNotKey {
         /// The pattern's domain.
         pattern: ColSet,
@@ -140,6 +146,15 @@ pub enum OpError {
         len: usize,
         /// The largest size accepted.
         max: usize,
+    },
+    /// An [`Op::Migrate`](crate::Op::Migrate) failed; the relation is
+    /// unchanged.
+    Migrate(Box<MigrateError>),
+    /// An update would change shard columns, moving the tuple to another
+    /// partition of a sharded relation.
+    ShardColumnsChanged {
+        /// The shard columns the update changes.
+        cols: ColSet,
     },
 }
 
@@ -172,11 +187,21 @@ impl fmt::Display for OpError {
             OpError::TooLarge { len, max } => {
                 write!(f, "operation encodes to {len} bytes, over the {max}-byte limit")
             }
+            OpError::Migrate(e) => write!(f, "{e}"),
+            OpError::ShardColumnsChanged { cols } => {
+                write!(f, "update changes shard columns {cols:?}")
+            }
         }
     }
 }
 
 impl Error for OpError {}
+
+impl From<MigrateError> for OpError {
+    fn from(e: MigrateError) -> Self {
+        OpError::Migrate(Box::new(e))
+    }
+}
 
 impl From<PlanError> for OpError {
     fn from(e: PlanError) -> Self {

@@ -32,6 +32,7 @@ mod error;
 mod exec;
 mod instance;
 pub mod netmsg;
+mod op;
 mod profile;
 mod read;
 mod relation;
@@ -40,6 +41,7 @@ pub mod wire;
 
 pub use error::{BuildError, MigrateError, OpError};
 pub use exec::Bindings;
+pub use op::Op;
 pub use profile::WorkloadProfile;
 pub use read::RelRead;
 pub use relation::SynthRelation;

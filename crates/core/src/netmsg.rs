@@ -13,12 +13,18 @@
 //!
 //! * [`NetRequest::Catalog`] fetches the relation's schema, so a client
 //!   can build tuples without out-of-band agreement.
-//! * Mutations ([`Insert`](NetRequest::Insert),
-//!   [`Remove`](NetRequest::Remove)) are acknowledged in request order.
-//!   The server may coalesce a run of inserts into one batch: the run's
-//!   **first** ack then carries the whole run's inserted count and the
-//!   rest carry zero, so the sum over acks is exact regardless of how the
-//!   server batched.
+//! * Mutations are acknowledged in request order. [`Apply`](NetRequest::Apply)
+//!   carries any [`Op`], applied atomically under one hold of every shard
+//!   it touches; [`Insert`](NetRequest::Insert) and
+//!   [`Remove`](NetRequest::Remove) are the older spellings of
+//!   `Apply(Op::Insert(..))` and `Apply(Op::Remove(..))`. An ack's `n`
+//!   counts the tuples an `InsertMany` or `BulkLoad` inserted, or a
+//!   `Remove`, `RemoveMany` or `RemoveWhere` removed; 1 for an `Insert` of
+//!   a new tuple or an `Update` that changed one, else 0; 0 for a
+//!   `Migrate`. The server may coalesce a run of single inserts into one
+//!   batch: the run's **first** ack then carries the whole run's inserted
+//!   count and the rest carry zero, so the sum over acks is exact
+//!   regardless of how the server batched.
 //! * Queries ([`Query`](NetRequest::Query) with a tuple pattern,
 //!   [`QueryWhere`](NetRequest::QueryWhere) with concrete predicate
 //!   syntax parsed server-side) return [`NetResponse::Rows`].
@@ -31,6 +37,7 @@
 //!   for the hinted duration before retrying.
 
 use crate::wire::{self, Reader, WireError};
+use crate::Op;
 use relic_spec::{Catalog, ColSet, RelSpec, Tuple};
 
 const REQ_CATALOG: u8 = 1;
@@ -40,6 +47,7 @@ const REQ_QUERY: u8 = 4;
 const REQ_QUERY_WHERE: u8 = 5;
 const REQ_COMMIT: u8 = 6;
 const REQ_STATS: u8 = 7;
+const REQ_APPLY: u8 = 8;
 
 const RESP_CATALOG: u8 = 1;
 const RESP_ROWS: u8 = 2;
@@ -86,6 +94,8 @@ pub enum NetRequest {
     Commit,
     /// Fetch the server's pressure gauges.
     Stats,
+    /// Apply one write (acknowledged with [`NetResponse::Ack`]).
+    Apply(Op),
 }
 
 impl NetRequest {
@@ -114,6 +124,10 @@ impl NetRequest {
             }
             NetRequest::Commit => out.push(REQ_COMMIT),
             NetRequest::Stats => out.push(REQ_STATS),
+            NetRequest::Apply(op) => {
+                out.push(REQ_APPLY);
+                wire::put_op(&mut out, op);
+            }
         }
         out
     }
@@ -149,6 +163,7 @@ impl NetRequest {
             }
             REQ_COMMIT => NetRequest::Commit,
             REQ_STATS => NetRequest::Stats,
+            REQ_APPLY => NetRequest::Apply(wire::take_op(&mut r)?),
             t => return Err(WireError::BadTag(t)),
         };
         r.expect_end()?;
@@ -326,6 +341,8 @@ mod tests {
             },
             NetRequest::Commit,
             NetRequest::Stats,
+            NetRequest::Apply(Op::RemoveWhere(relic_spec::Pattern::from_tuple(&t))),
+            NetRequest::Apply(Op::Migrate("let u : {} . {a} = unit {a} in u".to_string())),
         ] {
             assert_eq!(NetRequest::decode(&req.encode()).unwrap(), req);
         }

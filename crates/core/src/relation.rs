@@ -10,7 +10,7 @@ use crate::instance::{
 };
 use crate::profile::{ProfileCounters, WorkloadProfile};
 use crate::read::{interval_cols, plan_memoized, PlanCache, ReadCore, RelRead};
-use crate::FxHashMap;
+use crate::{FxHashMap, Op};
 use relic_decomp::{check_adequacy, cut, Cut, Decomposition, EdgeId, NodeId};
 use relic_query::{CostModel, JoinCostMode, Plan};
 use relic_spec::{Catalog, ColSet, Pattern, RelSpec, Relation, Tuple};
@@ -498,6 +498,76 @@ impl SynthRelation {
         Ok(self
             .planned_where(pattern.eq_cols(), ranged, filtered, out)?
             .to_string())
+    }
+
+    /// Applies one [`Op`] by calling the write method it names. Returns
+    /// how many tuples it inserted or removed; an [`Op::Update`] counts 1
+    /// when it changed a tuple, and an [`Op::Migrate`] counts 0.
+    ///
+    /// # Errors
+    ///
+    /// As for that method. A migration's error arrives as
+    /// [`OpError::Migrate`], with [`MigrateError::Parse`] when the
+    /// let-notation does not parse against the relation's catalog.
+    pub fn apply(&mut self, op: Op) -> Result<usize, OpError> {
+        match op {
+            Op::Insert(t) => Ok(usize::from(self.insert(t)?)),
+            Op::InsertMany(ts) => self.insert_many(ts),
+            Op::BulkLoad(ts) => self.bulk_load(ts),
+            op => self.apply_ref(&op),
+        }
+    }
+
+    /// [`apply`](SynthRelation::apply) for a borrowed op: the tuples an
+    /// insert adds are cloned out of it.
+    ///
+    /// # Errors
+    ///
+    /// As for [`apply`](SynthRelation::apply).
+    pub fn apply_ref(&mut self, op: &Op) -> Result<usize, OpError> {
+        match op {
+            Op::Insert(t) => Ok(usize::from(self.insert(t.clone())?)),
+            Op::InsertMany(ts) => self.insert_many(ts.iter().cloned()),
+            Op::BulkLoad(ts) => self.bulk_load(ts.iter().cloned()),
+            Op::Remove(p) => self.remove(p),
+            Op::RemoveMany(ps) => self.remove_many(ps),
+            Op::RemoveWhere(p) => self.remove_where(p),
+            Op::Update { pattern, changes } => Ok(usize::from(self.update(pattern, changes)?)),
+            Op::Migrate(src) => {
+                self.migrate_to(self.migrate_target(src)?)?;
+                Ok(0)
+            }
+        }
+    }
+
+    /// The decomposition an [`Op::Migrate`] names: its let-notation parsed
+    /// against (a copy of) the relation's catalog.
+    ///
+    /// # Errors
+    ///
+    /// [`MigrateError::Parse`] if the let-notation does not parse.
+    pub fn migrate_target(&self, src: &str) -> Result<Decomposition, MigrateError> {
+        relic_decomp::parse(&mut self.cat.clone(), src).map_err(MigrateError::Parse)
+    }
+
+    /// Every stored tuple satisfying `pattern`, full and sorted — the
+    /// tuples [`remove_where`](SynthRelation::remove_where) would remove —
+    /// read without recording a query in the workload profile: for a layer
+    /// that logs what a write will change before it applies it.
+    ///
+    /// # Errors
+    ///
+    /// As for [`query_where`](RelRead::query_where).
+    pub fn matching_where(&self, pattern: &Pattern) -> Result<Vec<Tuple>, OpError> {
+        let all = self.spec.cols();
+        let mut rows = Vec::new();
+        self.read_core()
+            .stream_where(&mut Bindings::new(), pattern, all, |b| {
+                rows.push(b.project(all))
+            })?;
+        rows.sort_unstable();
+        rows.dedup();
+        Ok(rows)
     }
 
     /// `insert r t` (§2): inserts a full tuple. Returns `Ok(false)` if the

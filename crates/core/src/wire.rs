@@ -1,7 +1,8 @@
 //! Wire serialization for durable relations: a small, explicit byte format
-//! for [`Value`]s, [`Tuple`]s, [`RelSpec`]s, [`Catalog`]s and decomposition
-//! identities, used by `relic_persist`'s write-ahead log and checkpoint
-//! files.
+//! for [`Value`]s, [`Tuple`]s, [`Pattern`]s, [`Op`]s, [`RelSpec`]s,
+//! [`Catalog`]s and decomposition identities, used by `relic_persist`'s
+//! write-ahead log and checkpoint files and by the served protocol
+//! ([`netmsg`](crate::netmsg)).
 //!
 //! The format is deliberately boring — fixed-width little-endian integers,
 //! length-prefixed strings, one tag byte per variant — so a torn or
@@ -19,8 +20,9 @@
 //! afterwards exactly as a never-restarted relation would.
 
 use crate::exec::Bindings;
+use crate::Op;
 use relic_decomp::Decomposition;
-use relic_spec::{Catalog, ColSet, RelSpec, Tuple, Value};
+use relic_spec::{Catalog, ColId, ColSet, Pattern, Pred, RelSpec, Tuple, Value};
 use std::fmt;
 
 /// Errors surfaced while decoding wire-format bytes.
@@ -41,6 +43,11 @@ pub enum WireError {
     },
     /// A serialized decomposition failed to re-parse.
     Decomposition(String),
+    /// A serialized pattern is not one [`Pattern`] can hold: its columns
+    /// are unsorted, repeated, or past the 64-column catalog.
+    BadPattern,
+    /// A serialized catalog names more than 64 columns.
+    CatalogFull,
     /// A complete value decoded but bytes were left over. Trailing garbage
     /// is a framing bug (or a newer writer) — silently ignoring it would
     /// mask both, so readers that own a whole buffer call
@@ -61,6 +68,10 @@ impl fmt::Display for WireError {
                 write!(f, "tuple arity mismatch: {cols} columns vs {vals} values")
             }
             WireError::Decomposition(e) => write!(f, "decomposition failed to re-parse: {e}"),
+            WireError::BadPattern => {
+                write!(f, "pattern columns are unsorted, repeated or out of range")
+            }
+            WireError::CatalogFull => write!(f, "catalog names more than 64 columns"),
             WireError::Trailing { remaining } => {
                 write!(f, "{remaining} trailing bytes after a complete value")
             }
@@ -282,6 +293,167 @@ pub fn take_tuples(r: &mut Reader<'_>) -> Result<Vec<Tuple>, WireError> {
     Ok(ts)
 }
 
+// -- patterns and ops -------------------------------------------------------
+
+const PRED_EQ: u8 = 0;
+const PRED_NE: u8 = 1;
+const PRED_LT: u8 = 2;
+const PRED_LE: u8 = 3;
+const PRED_GT: u8 = 4;
+const PRED_GE: u8 = 5;
+const PRED_BETWEEN: u8 = 6;
+const PRED_IN: u8 = 7;
+
+/// Appends one [`Pred`]: a tag byte, then its value(s) — an `In` set
+/// `u32`-count-prefixed.
+fn put_pred(out: &mut Vec<u8>, p: &Pred) {
+    let (tag, v) = match p {
+        Pred::Eq(v) => (PRED_EQ, v),
+        Pred::Ne(v) => (PRED_NE, v),
+        Pred::Lt(v) => (PRED_LT, v),
+        Pred::Le(v) => (PRED_LE, v),
+        Pred::Gt(v) => (PRED_GT, v),
+        Pred::Ge(v) => (PRED_GE, v),
+        Pred::Between(lo, hi) => {
+            out.push(PRED_BETWEEN);
+            put_value(out, lo);
+            put_value(out, hi);
+            return;
+        }
+        Pred::In(vs) => {
+            out.push(PRED_IN);
+            put_u32(out, vs.len() as u32);
+            for v in vs.iter() {
+                put_value(out, v);
+            }
+            return;
+        }
+    };
+    out.push(tag);
+    put_value(out, v);
+}
+
+/// Decodes one [`Pred`]. An `In` set is normalised through
+/// [`Pred::in_set`], whatever order the sender wrote.
+fn take_pred(r: &mut Reader<'_>) -> Result<Pred, WireError> {
+    Ok(match r.take_u8()? {
+        PRED_EQ => Pred::Eq(take_value(r)?),
+        PRED_NE => Pred::Ne(take_value(r)?),
+        PRED_LT => Pred::Lt(take_value(r)?),
+        PRED_LE => Pred::Le(take_value(r)?),
+        PRED_GT => Pred::Gt(take_value(r)?),
+        PRED_GE => Pred::Ge(take_value(r)?),
+        PRED_BETWEEN => Pred::Between(take_value(r)?, take_value(r)?),
+        PRED_IN => {
+            let vs: Result<Vec<_>, _> = (0..r.take_u32()?).map(|_| take_value(r)).collect();
+            Pred::in_set(vs?)
+        }
+        t => return Err(WireError::BadTag(t)),
+    })
+}
+
+/// Appends a [`Pattern`]: the predicate count, then each column index and
+/// predicate in ascending column order.
+pub fn put_pattern(out: &mut Vec<u8>, p: &Pattern) {
+    put_u32(out, p.len() as u32);
+    for (c, pred) in p.iter() {
+        out.push(c.index() as u8);
+        put_pred(out, pred);
+    }
+}
+
+/// Decodes a [`Pattern`] written by [`put_pattern`].
+///
+/// # Errors
+///
+/// [`WireError::BadPattern`] if the columns are not strictly ascending or
+/// an index is 64 or more; otherwise as for [`take_value`].
+pub fn take_pattern(r: &mut Reader<'_>) -> Result<Pattern, WireError> {
+    let mut p = Pattern::new();
+    let mut next = 0;
+    for _ in 0..r.take_u32()? {
+        let c = r.take_u8()?;
+        if c < next || c >= 64 {
+            return Err(WireError::BadPattern);
+        }
+        next = c + 1;
+        p = p.with(ColId::from_index(c.into()), take_pred(r)?);
+    }
+    Ok(p)
+}
+
+// Op tags 1–6 are also the write-ahead log's record kinds for the same ops.
+const OP_INSERT: u8 = 1;
+const OP_REMOVE: u8 = 2;
+const OP_INSERT_MANY: u8 = 3;
+const OP_BULK_LOAD: u8 = 4;
+const OP_REMOVE_MANY: u8 = 5;
+const OP_MIGRATE: u8 = 6;
+const OP_REMOVE_WHERE: u8 = 9;
+const OP_UPDATE: u8 = 10;
+
+/// Appends one [`Op`]: a tag byte, then its body — a tuple, a tuple batch
+/// ([`put_tuples`]), a pattern, an update's pattern and change tuples, or
+/// a migration's let-notation.
+pub fn put_op(out: &mut Vec<u8>, op: &Op) {
+    out.push(match op {
+        Op::Insert(_) => OP_INSERT,
+        Op::Remove(_) => OP_REMOVE,
+        Op::InsertMany(_) => OP_INSERT_MANY,
+        Op::BulkLoad(_) => OP_BULK_LOAD,
+        Op::RemoveMany(_) => OP_REMOVE_MANY,
+        Op::Migrate(_) => OP_MIGRATE,
+        Op::RemoveWhere(_) => OP_REMOVE_WHERE,
+        Op::Update { .. } => OP_UPDATE,
+    });
+    match op {
+        Op::Insert(t) | Op::Remove(t) => put_tuple(out, t),
+        Op::InsertMany(ts) | Op::BulkLoad(ts) | Op::RemoveMany(ts) => put_tuples(out, ts),
+        Op::Migrate(src) => put_str(out, src),
+        Op::RemoveWhere(p) => put_pattern(out, p),
+        Op::Update { pattern, changes } => {
+            put_tuple(out, pattern);
+            put_tuple(out, changes);
+        }
+    }
+}
+
+/// Decodes one [`Op`] written by [`put_op`].
+///
+/// # Errors
+///
+/// [`WireError::BadTag`] for an unknown tag; otherwise as for the body's
+/// decoder.
+pub fn take_op(r: &mut Reader<'_>) -> Result<Op, WireError> {
+    match r.take_u8()? {
+        OP_REMOVE_WHERE => Ok(Op::RemoveWhere(take_pattern(r)?)),
+        OP_UPDATE => Ok(Op::Update {
+            pattern: take_tuple(r)?,
+            changes: take_tuple(r)?,
+        }),
+        tag => take_logged_op(tag, r),
+    }
+}
+
+/// Decodes the body of an op tagged `tag`, one of the six the write-ahead
+/// log holds (their tags are its record kinds).
+///
+/// # Errors
+///
+/// [`WireError::BadTag`] for any other tag — [`Op::RemoveWhere`] and
+/// [`Op::Update`]'s included, since the log holds them only lowered.
+pub fn take_logged_op(tag: u8, r: &mut Reader<'_>) -> Result<Op, WireError> {
+    Ok(match tag {
+        OP_INSERT => Op::Insert(take_tuple(r)?),
+        OP_REMOVE => Op::Remove(take_tuple(r)?),
+        OP_INSERT_MANY => Op::InsertMany(take_tuples(r)?),
+        OP_BULK_LOAD => Op::BulkLoad(take_tuples(r)?),
+        OP_REMOVE_MANY => Op::RemoveMany(take_tuples(r)?),
+        OP_MIGRATE => Op::Migrate(r.take_str()?.to_string()),
+        t => return Err(WireError::BadTag(t)),
+    })
+}
+
 // -- catalog and specification ----------------------------------------------
 
 /// Appends a [`Catalog`]: the column names in id order, so decoding
@@ -303,7 +475,7 @@ pub fn take_catalog(r: &mut Reader<'_>) -> Result<Catalog, WireError> {
     let mut cat = Catalog::new();
     for _ in 0..n {
         let name = r.take_str()?;
-        cat.intern(name);
+        cat.try_intern(name).ok_or(WireError::CatalogFull)?;
     }
     Ok(cat)
 }
@@ -471,6 +643,115 @@ mod tests {
             Reader::new(&[3, 0, 0, 0, b'a']).take_bytes(),
             Err(WireError::Truncated)
         ));
+    }
+
+    fn sample_ops(cat: &mut Catalog) -> Vec<Op> {
+        let a = cat.intern("a");
+        let b = cat.intern("b");
+        let t = |x: i64| Tuple::from_pairs([(a, Value::from(x)), (b, Value::from("y"))]);
+        vec![
+            Op::Insert(t(1)),
+            Op::InsertMany(vec![t(1), t(2)]),
+            Op::BulkLoad(vec![]),
+            Op::Remove(Tuple::from_pairs([(a, Value::from(1))])),
+            Op::RemoveMany(vec![t(3), Tuple::empty()]),
+            Op::RemoveWhere(
+                Pattern::new()
+                    .with(a, Pred::Between(Value::from(1), Value::from(9)))
+                    .with(b, Pred::Ne(Value::from("z"))),
+            ),
+            Op::RemoveWhere(Pattern::new()),
+            Op::Update {
+                pattern: Tuple::from_pairs([(a, Value::from(1))]),
+                changes: Tuple::from_pairs([(b, Value::from("w"))]),
+            },
+            Op::Migrate("let u : {a} . {b} = unit {b} in u".to_string()),
+        ]
+    }
+
+    #[test]
+    fn every_op_and_pred_round_trips() {
+        let mut cat = Catalog::new();
+        let ops = sample_ops(&mut cat);
+        for op in &ops {
+            let mut buf = Vec::new();
+            put_op(&mut buf, op);
+            let mut r = Reader::new(&buf);
+            assert_eq!(&take_op(&mut r).unwrap(), op);
+            assert!(r.is_empty());
+            for cut in 0..buf.len() {
+                assert!(take_op(&mut Reader::new(&buf[..cut])).is_err());
+            }
+        }
+        let preds = [
+            Pred::Eq(Value::from(1)),
+            Pred::Ne(Value::from("x")),
+            Pred::Lt(Value::from(true)),
+            Pred::Le(Value::from(-3)),
+            Pred::Gt(Value::from(i64::MAX)),
+            Pred::Ge(Value::from("")),
+            Pred::Between(Value::from(2), Value::from(5)),
+            Pred::in_set([Value::from(3), Value::from(1)]),
+            Pred::in_set([]),
+        ];
+        for p in &preds {
+            let mut buf = Vec::new();
+            put_pred(&mut buf, p);
+            assert_eq!(&take_pred(&mut Reader::new(&buf)).unwrap(), p);
+        }
+        assert!(matches!(
+            take_op(&mut Reader::new(&[7])),
+            Err(WireError::BadTag(7))
+        ));
+        assert!(matches!(
+            take_pred(&mut Reader::new(&[8])),
+            Err(WireError::BadTag(8))
+        ));
+    }
+
+    #[test]
+    fn pattern_decode_checks_columns_and_normalises_in_sets() {
+        let eq = |c: u8| {
+            let mut b = vec![c, PRED_EQ];
+            put_value(&mut b, &Value::from(1));
+            b
+        };
+        let pattern = |cols: &[u8]| {
+            let mut buf = Vec::new();
+            put_u32(&mut buf, cols.len() as u32);
+            for &c in cols {
+                buf.extend(eq(c));
+            }
+            buf
+        };
+        assert_eq!(
+            take_pattern(&mut Reader::new(&pattern(&[0, 5, 63])))
+                .unwrap()
+                .len(),
+            3
+        );
+        for bad in [&[3u8, 1][..], &[2, 2], &[64], &[0, 200]] {
+            assert!(
+                matches!(
+                    take_pattern(&mut Reader::new(&pattern(bad))),
+                    Err(WireError::BadPattern)
+                ),
+                "{bad:?}"
+            );
+        }
+        // An unsorted, repeated `In` set decodes as the set `in_set` builds.
+        let mut buf = Vec::new();
+        put_u32(&mut buf, 1);
+        buf.extend([4, PRED_IN]);
+        put_u32(&mut buf, 3);
+        for v in [9, 2, 9] {
+            put_value(&mut buf, &Value::from(v));
+        }
+        let p = take_pattern(&mut Reader::new(&buf)).unwrap();
+        assert_eq!(
+            p.pred(ColId::from_index(4)),
+            Some(&Pred::in_set([Value::from(2), Value::from(9)]))
+        );
     }
 
     #[test]

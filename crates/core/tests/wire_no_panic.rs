@@ -5,8 +5,10 @@
 //! nicety.
 
 use proptest::prelude::*;
+use relic_core::netmsg::NetRequest;
 use relic_core::wire::{
-    take_catalog, take_decomposition, take_spec, take_tuple, take_tuples, take_value, Reader,
+    take_catalog, take_decomposition, take_op, take_pattern, take_spec, take_tuple, take_tuples,
+    take_value, Reader,
 };
 
 proptest! {
@@ -24,6 +26,21 @@ proptest! {
         let _ = take_spec(&mut Reader::new(&bytes));
         let mut cat = relic_spec::Catalog::new();
         let _ = take_decomposition(&mut Reader::new(&bytes), &mut cat);
+        let _ = take_pattern(&mut Reader::new(&bytes));
+        let _ = take_op(&mut Reader::new(&bytes));
+    }
+
+    /// A served `Apply` request (tag 8) with an arbitrary op body decodes
+    /// or fails typed; so does every op tag with an arbitrary body.
+    #[test]
+    fn apply_requests_never_panic(
+        tag in 0u8..12,
+        body in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..96),
+    ) {
+        let mut req = vec![8, tag];
+        req.extend_from_slice(&body);
+        let _ = NetRequest::decode(&req);
+        let _ = take_op(&mut Reader::new(&req[1..]));
     }
 
     /// Truncating a valid tuple encoding at any point yields a typed

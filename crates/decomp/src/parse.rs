@@ -270,8 +270,12 @@ impl<'a> Parser<'a> {
         let mut cols = ColSet::EMPTY;
         if *self.peek() != Tok::RBrace {
             loop {
+                let (l, c) = self.here();
                 let name = self.ident()?;
-                cols = cols | self.cat.intern(&name);
+                let col = self.cat.try_intern(&name).ok_or_else(|| {
+                    ParseError::new(l, c, format!("`{name}` is a 65th column: at most 64"))
+                })?;
+                cols = cols | col;
                 if *self.peek() == Tok::Comma {
                     self.bump();
                 } else {

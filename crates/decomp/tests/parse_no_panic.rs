@@ -61,3 +61,19 @@ fn multibyte_identifier_bytes_are_typed_errors() {
         assert!(err.line >= 1 && err.col >= 1, "{src:?}: {err}");
     }
 }
+
+/// Let-notation naming 65 distinct columns overflows the 64-column
+/// catalog: a positioned diagnostic at the 65th name, not a panic — the
+/// text can arrive over the wire as a migration target.
+#[test]
+fn a_65th_column_is_a_typed_error() {
+    let names: Vec<String> = (0..65).map(|i| format!("c{i}")).collect();
+    let src = format!(
+        "let u : {{}} . {{{cols}}} = unit {{{cols}}} in u",
+        cols = names.join(",")
+    );
+    let mut cat = Catalog::new();
+    let err = parse(&mut cat, &src).unwrap_err();
+    assert!(err.message.contains("c64"), "{err}");
+    assert_eq!(cat.len(), 64, "the catalog holds the 64 names it could");
+}

@@ -3,35 +3,44 @@
 //!
 //! # Logging discipline
 //!
-//! Every mutation runs inside its shard's write-lock critical section
-//! (via the stamped hooks `relic_concurrent` exposes), where it:
+//! Every write is an [`Op`] routed by
+//! [`ConcurrentRelation::apply_with`]; this module's hook logs each unit
+//! of it — the op, or one shard's group of a batch — inside the write-lock
+//! critical section of the shards it touches, where:
 //!
-//! 1. appends its record to the write-ahead log's in-memory segment,
+//! 1. the record is appended to the write-ahead log's in-memory segment,
 //!    drawing a global sequence number — **no file I/O under the shard
-//!    lock**;
-//! 2. applies the operation to the shard;
-//! 3. publishes the shard's snapshot *stamped with the record's sequence
-//!    number* — under the existing publish-before-unlock discipline, so
-//!    the published `(state, stamp)` pair is exact: the state contains
-//!    precisely the logged operations with `seq <= stamp`.
+//!    lock** (it was encoded and size-checked before any lock was taken,
+//!    so a refused record changes nothing);
+//! 2. the op applies to the shards — a migration or an update first, its
+//!    record appended only once it succeeded;
+//! 3. the shards publish their snapshots *stamped with the record's
+//!    sequence number* — under the existing publish-before-unlock
+//!    discipline, so the published `(state, stamp)` pair is exact: the
+//!    state contains precisely the logged operations with `seq <= stamp`.
 //!
 //! Per-shard log order therefore equals per-shard apply order, which is
 //! what makes replay deterministic: recovery re-applies each shard's
-//! missing suffix against exactly the states those operations originally
-//! saw. Operations that failed live (duplicate inserts, FD rejections)
-//! fail identically on replay and are swallowed.
+//! missing suffix, routed by the same `apply_with`, against exactly the
+//! states those operations originally saw. Operations that failed live
+//! (duplicate inserts, FD rejections) are logged all the same, fail
+//! identically on replay and are swallowed. A failed migration rolled
+//! back and changed nothing, and is not logged.
 //!
-//! Batches are logged **per shard**: `insert_many`/`bulk_load` group the
-//! batch by owning shard (lock-free), then log + apply each group under
-//! its shard's single write-lock hold — one record, one lock acquisition,
-//! one publish per touched shard. Partition read-modify-write sequences
-//! ([`with_partition_mut`](DurableRelation::with_partition_mut)) are the
-//! one exception to append-before-apply: their writes apply as the
-//! closure runs and are appended as **one compound
-//! [`Txn`](crate::wal::WalRecord::Txn) frame when it ends**, still under
-//! the shard lock — so the whole sequence is one crash-atomic log unit,
-//! and per-shard log order still equals per-shard apply order (the
-//! closure is a single apply unit no same-shard writer can interleave).
+//! Batches are logged **per shard** — one record, one lock acquisition,
+//! one publish per touched shard. Two ops are logged *lowered*: a
+//! predicate removal as the `RemoveMany` of the exact tuples it removed,
+//! found under the hold that removes them, and an update as a
+//! [`Txn`](crate::wal::WalRecord::Txn) removing the old tuple and
+//! inserting the new one (an update whose key matches two stored tuples,
+//! possible only with FD checking off, is refused as not a key).
+//! Partition read-modify-write sequences
+//! ([`with_partition_mut`](DurableRelation::with_partition_mut)) apply as
+//! the closure runs and are appended as **one compound `Txn` frame when it
+//! ends**, still under the shard lock — so the whole sequence is one
+//! crash-atomic log unit, and per-shard log order still equals per-shard
+//! apply order (the closure is a single apply unit no same-shard writer
+//! can interleave).
 //!
 //! # Durability contract
 //!
@@ -50,13 +59,15 @@
 //! other traversal of a frozen version.
 
 use crate::checkpoint::{read_checkpoint, write_checkpoint, CheckpointWriter};
-use crate::wal::{read_wal, GroupCommitPolicy, TailRead, TxnBuilder, Wal, WalRecord, MAX_PAYLOAD};
+use crate::wal::{
+    read_wal, EncodedRecord, GroupCommitPolicy, TailRead, TxnBuilder, Wal, WalRecord, MAX_PAYLOAD,
+};
 use crate::{DurableSchema, PersistError};
-use relic_concurrent::{ConcurrentRelation, ReadHandle, ReadView};
+use relic_concurrent::{ConcurrentRelation, ReadHandle, ReadView, WriteHook};
 use relic_core::wire::WireError;
-use relic_core::{Bindings, OpError, SynthRelation};
+use relic_core::{Bindings, MigrateError, Op, OpError, SynthRelation};
 use relic_decomp::Decomposition;
-use relic_spec::{Catalog, ColSet, RelSpec, Relation, Tuple};
+use relic_spec::{Catalog, ColSet, Pattern, RelSpec, Relation, Tuple};
 use std::path::{Path, PathBuf};
 
 /// The log file name inside a durable relation's directory.
@@ -78,8 +89,6 @@ pub struct DurableRelation {
     wal: Wal,
     cat: Catalog,
     spec: RelSpec,
-    shard_cols: ColSet,
-    shards: usize,
     fd_checking: bool,
     dir: PathBuf,
 }
@@ -110,14 +119,7 @@ impl DurableRelation {
             Err(e) => return Err(e.into()),
         }
         let rel = ConcurrentRelation::new(cat, spec.clone(), d.clone(), shard_cols, shards)?;
-        if !fd_checking {
-            rel.with_all_shards_mut_stamped(|ss| {
-                for s in ss.iter_mut() {
-                    s.set_fd_checking(false);
-                }
-                ((), None)
-            });
-        }
+        rel.set_fd_checking(fd_checking);
         let schema = DurableSchema {
             catalog: cat.clone(),
             spec: spec.clone(),
@@ -132,8 +134,6 @@ impl DurableRelation {
             wal,
             cat: cat.clone(),
             spec,
-            shard_cols,
-            shards,
             fd_checking,
             dir: dir.to_path_buf(),
         })
@@ -189,14 +189,15 @@ impl DurableRelation {
             .as_ref()
             .map_or(0, |(_, b)| *b)
             .max(w.iter().copied().max().unwrap_or(0));
-        for e in &scanned.entries {
+        let meta = scanned.meta.is_some();
+        for e in scanned.entries {
             max_seq = max_seq.max(e.seq);
-            replay_record(&rel, &schema, &mut w, e.seq, &e.record)?;
+            replay_record(&rel, &mut w, e.seq, e.record)?;
         }
         // Reopen for appending. If the log's own meta was unreadable (the
         // checkpoint carried us), start a fresh self-describing log instead
         // of appending to a headerless file.
-        let wal = if scanned.meta.is_some() {
+        let wal = if meta {
             Wal::open_for_append(&wal_path, policy, max_seq + 1, scanned.valid_len, term)?
         } else {
             Wal::create(&wal_path, policy, &schema, max_seq, term)?
@@ -206,8 +207,6 @@ impl DurableRelation {
             wal,
             cat: schema.catalog.clone(),
             spec: schema.spec.clone(),
-            shard_cols: schema.shard_cols,
-            shards: schema.shards as usize,
             fd_checking: schema.fd_checking,
             dir: dir.to_path_buf(),
         })
@@ -215,178 +214,74 @@ impl DurableRelation {
 
     // -- mutations (all logged) ---------------------------------------------
 
-    /// Does this pattern pin the shard columns?
-    fn pins(&self, dom: ColSet) -> bool {
-        self.shard_cols.is_subset(dom)
-    }
-    /// Durable `insert`: logs and applies under the owning shard's lock.
+    /// Applies one [`Op`] durably: routed by
+    /// [`ConcurrentRelation::apply_with`], each unit logged under the hold
+    /// that applies it as the module docs describe — a `RemoveWhere` and an
+    /// `Update` lowered, any other op as itself, a failed insert or removal
+    /// too (a failed migration is not logged). A record is encoded and
+    /// size-checked before any state changes, so a refused op changes
+    /// nothing. Returns what [`ConcurrentRelation::apply`] counts.
     ///
     /// # Errors
     ///
-    /// [`PersistError::Op`] with the underlying
-    /// [`SynthRelation::insert`] error; [`PersistError::Io`] if a
-    /// threshold group commit fails.
-    pub fn insert(&self, t: Tuple) -> Result<bool, PersistError> {
-        let i = self.rel.owning_shard(&t);
-        // Encode (and size-check) outside the lock: the in-lock append is
-        // then infallible, so a refused record changes no state.
-        let rec = Wal::encode_record(&WalRecord::Insert(t.clone()))?;
-        let res = self.rel.with_shard_mut_stamped(i, |shard| {
-            let seq = self.wal.append_encoded(&rec);
-            (shard.insert(t), Some(seq))
+    /// [`PersistError::Op`] with the op's error ([`OpError::TooLarge`] for
+    /// a record past the frame cap); [`PersistError::Io`] if a threshold
+    /// group commit fails.
+    pub fn apply(&self, op: Op) -> Result<usize, PersistError> {
+        self.logged(|log| self.rel.apply_with(op, log))
+    }
+
+    /// Runs a routed write with the log's hook, then the threshold group
+    /// commit.
+    fn logged(
+        &self,
+        write: impl FnOnce(&mut LogHook<'_>) -> Result<usize, OpError>,
+    ) -> Result<usize, PersistError> {
+        let res = write(&mut LogHook {
+            wal: &self.wal,
+            rec: None,
+            on_success: None,
+            seq: None,
         });
         self.wal.maybe_commit()?;
         res.map_err(PersistError::Op)
     }
 
-    /// Durable `remove` by pattern: one shard when the pattern pins the
-    /// shard columns, all shards (index order, one record) otherwise.
-    /// Returns the number of tuples removed.
-    ///
-    /// # Errors
-    ///
-    /// As for [`SynthRelation::remove`], wrapped in
-    /// [`PersistError::Op`].
-    pub fn remove(&self, pattern: &Tuple) -> Result<usize, PersistError> {
-        let rec = Wal::encode_record(&WalRecord::Remove(pattern.clone()))?;
-        let res = if self.pins(pattern.dom()) {
-            let i = self.rel.owning_shard(pattern);
-            self.rel.with_shard_mut_stamped(i, |shard| {
-                let seq = self.wal.append_encoded(&rec);
-                (shard.remove(pattern), Some(seq))
-            })
-        } else {
-            self.rel.with_all_shards_mut_stamped(|shards| {
-                let seq = self.wal.append_encoded(&rec);
-                let mut n = 0;
-                for s in shards.iter_mut() {
-                    match s.remove(pattern) {
-                        Ok(k) => n += k,
-                        Err(e) => return (Err(e), Some(seq)),
-                    }
-                }
-                (Ok(n), Some(seq))
-            })
-        };
-        self.wal.maybe_commit()?;
-        res.map_err(PersistError::Op)
+    /// Durable `insert`, `apply(Op::Insert(t))`: `true` if the tuple was
+    /// new. Errors as for [`apply`](DurableRelation::apply).
+    pub fn insert(&self, t: Tuple) -> Result<bool, PersistError> {
+        Ok(self.apply(Op::Insert(t))? == 1)
     }
 
-    /// Durable `insert_many`: the batch is grouped by owning shard without
-    /// holding any lock, then each group is logged as **one per-shard
-    /// record** and applied under one write-lock hold of its shard.
-    /// Returns the total number of tuples inserted.
-    ///
-    /// # Errors
-    ///
-    /// The first error any shard reports (earlier shards' groups persist,
-    /// as for [`ConcurrentRelation::insert_many`]).
+    /// Durable `remove` by pattern, `apply(Op::Remove(..))`. Errors as for
+    /// [`apply`](DurableRelation::apply).
+    pub fn remove(&self, pattern: &Tuple) -> Result<usize, PersistError> {
+        self.apply(Op::Remove(pattern.clone()))
+    }
+
+    /// Durable `insert_many`, `apply(Op::InsertMany(..))` without
+    /// collecting the batch first. Errors as for
+    /// [`apply`](DurableRelation::apply).
     pub fn insert_many<I: IntoIterator<Item = Tuple>>(
         &self,
         tuples: I,
     ) -> Result<usize, PersistError> {
-        self.batch_insert(tuples, false)
+        self.logged(|log| self.rel.apply_batch_with(tuples, false, log))
     }
 
-    /// Durable `bulk_load`: as [`insert_many`](DurableRelation::insert_many)
-    /// but each shard runs the O(n) structural bulk loader.
-    ///
-    /// # Errors
-    ///
-    /// As for [`insert_many`](DurableRelation::insert_many).
+    /// Durable `bulk_load`, `apply(Op::BulkLoad(..))` without collecting
+    /// the batch first. Errors as for [`apply`](DurableRelation::apply).
     pub fn bulk_load<I: IntoIterator<Item = Tuple>>(
         &self,
         tuples: I,
     ) -> Result<usize, PersistError> {
-        self.batch_insert(tuples, true)
+        self.logged(|log| self.rel.apply_batch_with(tuples, true, log))
     }
 
-    fn batch_insert<I: IntoIterator<Item = Tuple>>(
-        &self,
-        tuples: I,
-        bulk: bool,
-    ) -> Result<usize, PersistError> {
-        let mut groups: Vec<Vec<Tuple>> = (0..self.shards).map(|_| Vec::new()).collect();
-        for t in tuples {
-            groups[self.rel.owning_shard(&t)].push(t);
-        }
-        let mut inserted = 0;
-        for (i, group) in groups.into_iter().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            // The record is serialized straight from the group (no owned
-            // WalRecord clone) and size-checked before the shard lock is
-            // taken; the group then moves into the shard's batch engine.
-            let rec = match Wal::encode_insert_batch(bulk, &group) {
-                Ok(rec) => rec,
-                Err(e) => {
-                    self.wal.maybe_commit()?;
-                    return Err(e);
-                }
-            };
-            let res = self.rel.with_shard_mut_stamped(i, |shard| {
-                let seq = self.wal.append_encoded(&rec);
-                let r = if bulk {
-                    shard.bulk_load(group)
-                } else {
-                    shard.insert_many(group)
-                };
-                (r, Some(seq))
-            });
-            match res {
-                Ok(n) => inserted += n,
-                Err(e) => {
-                    self.wal.maybe_commit()?;
-                    return Err(PersistError::Op(e));
-                }
-            }
-        }
-        self.wal.maybe_commit()?;
-        Ok(inserted)
-    }
-
-    /// Durable `remove_many`: one record, applied to every shard under one
-    /// all-shard hold (pattern removals are the cross-shard maintenance
-    /// path — cleanup sweeps, retention). Returns the number removed.
-    ///
-    /// # Errors
-    ///
-    /// As for [`SynthRelation::remove_many`], wrapped in
-    /// [`PersistError::Op`].
+    /// Durable `remove_many`, `apply(Op::RemoveMany(..))`. Errors as for
+    /// [`apply`](DurableRelation::apply).
     pub fn remove_many(&self, patterns: &[Tuple]) -> Result<usize, PersistError> {
-        let rec = Wal::encode_record(&WalRecord::RemoveMany(patterns.to_vec()))?;
-        let res = self.rel.with_all_shards_mut_stamped(|shards| {
-            let seq = self.wal.append_encoded(&rec);
-            let mut n = 0;
-            for s in shards.iter_mut() {
-                match s.remove_many(patterns.iter()) {
-                    Ok(k) => n += k,
-                    Err(e) => return (Err(e), Some(seq)),
-                }
-            }
-            (Ok(n), Some(seq))
-        });
-        self.wal.maybe_commit()?;
-        res.map_err(PersistError::Op)
-    }
-
-    /// Durable representation migration: logs a migration epoch marker
-    /// (the new decomposition identity) and re-represents every shard as
-    /// one epoch. A recovered relation replays the marker and comes back
-    /// in the migrated representation.
-    ///
-    /// # Errors
-    ///
-    /// As for [`ConcurrentRelation::migrate_to`], wrapped in
-    /// [`PersistError::Migrate`].
-    pub fn migrate_to(&self, d: Decomposition) -> Result<(), PersistError> {
-        let rec = Wal::encode_record(&WalRecord::MigrationEpoch(d.to_let_notation(&self.cat)))?;
-        let res = self
-            .rel
-            .migrate_to_stamped(d, || self.wal.append_encoded(&rec));
-        self.wal.maybe_commit()?;
-        res.map_err(PersistError::Migrate)
+        self.apply(Op::RemoveMany(patterns.to_vec()))
     }
 
     /// Runs `f` with exclusive, *logged* access to the partition owning
@@ -413,7 +308,7 @@ impl DurableRelation {
         f: impl FnOnce(&mut DurablePartition<'_>) -> T,
     ) -> Result<T, PersistError> {
         assert!(
-            self.pins(key.dom()),
+            self.rel.shard_cols().is_subset(key.dom()),
             "with_partition_mut requires all shard columns bound"
         );
         let i = self.rel.owning_shard(key);
@@ -422,7 +317,7 @@ impl DurableRelation {
             let r = {
                 let mut p = DurablePartition {
                     shard,
-                    shard_cols: self.shard_cols,
+                    shard_cols: self.rel.shard_cols(),
                     txn: &mut txn,
                 };
                 f(&mut p)
@@ -575,8 +470,8 @@ impl DurableRelation {
         DurableSchema {
             catalog: self.cat.clone(),
             spec: self.spec.clone(),
-            shard_cols: self.shard_cols,
-            shards: self.shards as u32,
+            shard_cols: self.rel.shard_cols(),
+            shards: self.rel.shard_count() as u32,
             decomposition_src: view.shard(0).decomposition().to_let_notation(&self.cat),
             fd_checking: self.fd_checking,
         }
@@ -691,14 +586,7 @@ pub fn build_relation(
         schema.shard_cols,
         schema.shards as usize,
     )?;
-    if !schema.fd_checking {
-        rel.with_all_shards_mut_stamped(|ss| {
-            for s in ss.iter_mut() {
-                s.set_fd_checking(false);
-            }
-            ((), None)
-        });
-    }
+    rel.set_fd_checking(schema.fd_checking);
     if let Some((tuples, shard_stamps)) = image {
         // Routing is deterministic (same shard columns, same shard count,
         // same hash), so every tuple lands on the shard whose watermark
@@ -714,9 +602,10 @@ pub fn build_relation(
 /// Applies one logged record to `rel`, respecting the per-shard watermarks
 /// `w` (a record reaches a shard only if its sequence number exceeds the
 /// shard's watermark, and stamps the shard's publish with that sequence
-/// number). Operation-level errors are swallowed: they re-occur exactly as
-/// they did live, where the record was logged but the operation returned
-/// the error to the caller.
+/// number). An op record is routed by [`ConcurrentRelation::apply_with`],
+/// exactly as the live write was. Operation-level errors are swallowed:
+/// they re-occur exactly as they did live, where the record was logged but
+/// the operation returned the error to the caller.
 ///
 /// This is the single replay routine shared by crash recovery
 /// ([`DurableRelation::open`]) and replication followers, which apply
@@ -730,137 +619,152 @@ pub fn build_relation(
 /// re-parse.
 pub fn replay_record(
     rel: &ConcurrentRelation,
-    schema: &DurableSchema,
     w: &mut [u64],
     seq: u64,
-    rec: &WalRecord,
+    rec: WalRecord,
 ) -> Result<(), PersistError> {
     match rec {
         // `read_wal` only surfaces a meta record at offset 0, which is
         // filtered into `ScannedWal::meta`, never into the entries. A
         // term bump carries no state; the caller tracks the term itself.
-        WalRecord::Meta { .. } | WalRecord::TermBump(_) => {}
-        WalRecord::Insert(t) => {
-            let i = rel.owning_shard(t);
-            if w[i] < seq {
-                rel.with_shard_mut_stamped(i, |s| {
-                    let _ = s.insert(t.clone());
-                    ((), Some(seq))
-                });
-                w[i] = seq;
-            }
-        }
-        WalRecord::Remove(pat) => {
-            if schema.shard_cols.is_subset(pat.dom()) {
-                let i = rel.owning_shard(pat);
-                if w[i] < seq {
-                    rel.with_shard_mut_stamped(i, |s| {
-                        let _ = s.remove(pat);
-                        ((), Some(seq))
-                    });
-                    w[i] = seq;
-                }
-            } else {
-                // Unpinned: every shard not yet past this record, in
-                // index order, stopping at the first (deterministic)
-                // error exactly as the live loop did.
-                for (i, wi) in w.iter_mut().enumerate() {
-                    if *wi < seq {
-                        let ok =
-                            rel.with_shard_mut_stamped(i, |s| (s.remove(pat).is_ok(), Some(seq)));
-                        *wi = seq;
-                        if !ok {
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-        WalRecord::InsertMany(ts) | WalRecord::BulkLoad(ts) => {
-            let Some(first) = ts.first() else {
-                return Ok(());
-            };
-            let bulk = matches!(rec, WalRecord::BulkLoad(_));
-            let i = rel.owning_shard(first);
-            if w[i] < seq {
-                rel.with_shard_mut_stamped(i, |s| {
-                    let _ = if bulk {
-                        s.bulk_load(ts.iter().cloned())
-                    } else {
-                        s.insert_many(ts.iter().cloned())
-                    };
-                    ((), Some(seq))
-                });
-                w[i] = seq;
-            }
-        }
-        WalRecord::RemoveMany(pats) => {
-            for (i, wi) in w.iter_mut().enumerate() {
-                if *wi < seq {
-                    let ok = rel.with_shard_mut_stamped(i, |s| {
-                        (s.remove_many(pats.iter()).is_ok(), Some(seq))
-                    });
-                    *wi = seq;
-                    if !ok {
-                        break;
-                    }
-                }
-            }
-        }
-        WalRecord::Txn(ops) => {
-            // Every sub-operation of a partition critical section pins
-            // the same shard; route by the first one.
-            let Some(i) = ops.first().map(|op| match op {
-                WalRecord::Insert(t) | WalRecord::Remove(t) => rel.owning_shard(t),
-                _ => 0,
-            }) else {
-                return Ok(());
-            };
-            if w[i] < seq {
-                rel.with_shard_mut_stamped(i, |s| {
-                    for op in ops {
-                        match op {
-                            WalRecord::Insert(t) => {
-                                let _ = s.insert(t.clone());
-                            }
-                            WalRecord::Remove(pat) => {
-                                let _ = s.remove(pat);
-                            }
-                            // Only single-tuple writes are ever logged
-                            // inside a transaction.
-                            _ => {}
-                        }
-                    }
-                    ((), Some(seq))
-                });
-                w[i] = seq;
-            }
-        }
-        WalRecord::MigrationEpoch(src) => {
-            // Migration publishes are seqlock-atomic across a view, so
-            // a checkpoint's watermarks sit entirely on one side of
-            // every marker.
-            if w.iter().all(|&x| x >= seq) {
-                return Ok(());
-            }
-            if !w.iter().all(|&x| x < seq) {
+        WalRecord::Meta { .. } | WalRecord::TermBump(_) => Ok(()),
+        WalRecord::Op(op) => {
+            // Migration publishes are seqlock-atomic across a view, so a
+            // checkpoint's watermarks sit entirely on one side of every
+            // marker.
+            if matches!(op, Op::Migrate(_))
+                && w.iter().any(|&x| x >= seq)
+                && w.iter().any(|&x| x < seq)
+            {
                 return Err(PersistError::Corrupt(
                     "migration marker straddles the checkpoint's shard watermarks".into(),
                 ));
             }
-            let mut cat = schema.catalog.clone();
-            let d = relic_decomp::parse(&mut cat, src)
-                .map_err(|e| PersistError::Wire(WireError::Decomposition(e.to_string())))?;
-            if rel.migrate_to_stamped(d, || seq).is_ok() {
-                for x in w.iter_mut() {
-                    *x = seq;
+            match rel.apply_with(op, &mut Replay { w, seq }) {
+                Err(OpError::Migrate(e)) if matches!(*e, MigrateError::Parse(_)) => {
+                    Err(PersistError::Wire(WireError::Decomposition(e.to_string())))
                 }
+                _ => Ok(()),
             }
-            // On failure the live migration failed too, published
-            // nothing and stamped nothing — leave the watermarks alone.
+        }
+        WalRecord::Txn(ops) => {
+            // Every write of a partition critical section pins its shard.
+            let Some(Op::Insert(key) | Op::Remove(key)) = ops.first() else {
+                return Ok(());
+            };
+            let i = rel.owning_shard(key);
+            if w[i] < seq {
+                rel.with_shard_mut_stamped(i, |s| {
+                    for op in &ops {
+                        let _ = s.apply_ref(op);
+                    }
+                    ((), Some(seq))
+                });
+                w[i] = seq;
+            }
+            Ok(())
         }
     }
-    Ok(())
+}
+
+/// The live log's part in a routed write: each unit's record is encoded
+/// before any lock is taken (the two ops logged lowered: under the hold,
+/// from what it finds, read without touching the workload profile) and
+/// appended under the hold; its sequence number stamps the unit's publish.
+struct LogHook<'a> {
+    wal: &'a Wal,
+    /// The unit's record, appended before the unit applies. A failed
+    /// insert or removal is logged, because replay reproduces the failure
+    /// (a batch keeps its accepted prefix).
+    rec: Option<EncodedRecord>,
+    /// The unit's record when it is appended only after the unit
+    /// succeeded: a failed migration or lowered update changed nothing.
+    on_success: Option<EncodedRecord>,
+    /// The sequence number `rec` was appended under.
+    seq: Option<u64>,
+}
+
+impl WriteHook for LogHook<'_> {
+    fn prepare(&mut self, unit: &Op) -> Result<(), OpError> {
+        let encode = |op| Wal::encode_op(op).map_err(frame_cap_to_op);
+        (self.rec, self.on_success) = match unit {
+            Op::RemoveWhere(_) | Op::Update { .. } => (None, None),
+            Op::Migrate(_) => (None, Some(encode(unit)?)),
+            op => (Some(encode(op)?), None),
+        };
+        Ok(())
+    }
+
+    fn before(&mut self, unit: &Op, shards: &[&SynthRelation]) -> Result<(), OpError> {
+        match unit {
+            Op::RemoveWhere(p) => {
+                let mut hits = Vec::new();
+                for s in shards {
+                    hits.extend(s.matching_where(p)?);
+                }
+                if !hits.is_empty() {
+                    let rec = Wal::encode_op(&Op::RemoveMany(hits)).map_err(frame_cap_to_op)?;
+                    self.rec = Some(rec);
+                }
+            }
+            Op::Update { pattern, changes } => {
+                let mut old = Vec::new();
+                for s in shards {
+                    old.extend(s.matching_where(&Pattern::from_tuple(pattern))?);
+                }
+                match &old[..] {
+                    [old] => {
+                        let mut txn = TxnBuilder::default();
+                        txn.push(&Op::Remove(old.clone()))
+                            .and_then(|()| txn.push(&Op::Insert(old.merge(changes))))
+                            .map_err(frame_cap_to_op)?;
+                        self.on_success = Some(txn.finish());
+                    }
+                    // Two stored tuples under one key (FD checking off):
+                    // `update` would rewrite one, and the log could not
+                    // say which.
+                    [_, _, ..] => {
+                        return Err(OpError::PatternNotKey {
+                            pattern: pattern.dom(),
+                        })
+                    }
+                    [] => {}
+                }
+            }
+            _ => {}
+        }
+        // Appended, the record is dropped before the unit applies.
+        self.seq = self.rec.take().map(|rec| self.wal.append_encoded(&rec));
+        Ok(())
+    }
+
+    fn after(&mut self, _shards: &[usize], applied: Option<usize>) -> Option<u64> {
+        match self.on_success.take() {
+            Some(rec) if applied.is_some() => Some(self.wal.append_encoded(&rec)),
+            _ => self.seq.take(),
+        }
+    }
+}
+
+/// Replay's part in a routed write: a shard takes part only while its
+/// watermark is below the record, and each shard it reaches advances to
+/// the record and publishes stamped with it.
+struct Replay<'w> {
+    w: &'w mut [u64],
+    seq: u64,
+}
+
+impl WriteHook for Replay<'_> {
+    fn admits(&self, i: usize) -> bool {
+        self.w[i] < self.seq
+    }
+
+    fn after(&mut self, shards: &[usize], _applied: Option<usize>) -> Option<u64> {
+        for &i in shards {
+            self.w[i] = self.seq;
+        }
+        Some(self.seq)
+    }
 }
 
 /// Logged exclusive access to one partition, handed to
@@ -906,7 +810,7 @@ impl DurablePartition<'_> {
     /// applying).
     pub fn insert(&mut self, t: Tuple) -> Result<bool, OpError> {
         self.txn
-            .push(&WalRecord::Insert(t.clone()))
+            .push(&Op::Insert(t.clone()))
             .map_err(frame_cap_to_op)?;
         self.shard.insert(t)
     }
@@ -930,18 +834,19 @@ impl DurablePartition<'_> {
             "partition removals must pin the shard columns"
         );
         self.txn
-            .push(&WalRecord::Remove(pattern.clone()))
+            .push(&Op::Remove(pattern.clone()))
             .map_err(frame_cap_to_op)?;
         self.shard.remove(pattern)
     }
 }
 
-/// Maps [`TxnBuilder::push`]'s cap refusal into the operation-level error
-/// a partition closure's caller sees.
+/// Maps a record encoder's cap refusal into the operation-level error the
+/// writer sees.
 fn frame_cap_to_op(e: PersistError) -> OpError {
     match e {
         PersistError::FrameTooLarge { len, max } => OpError::TooLarge { len, max },
-        // push only ever reports FrameTooLarge; keep a sane fallback.
+        // The encoders report only FrameTooLarge for the ops they are
+        // given; keep a sane fallback.
         _ => OpError::TooLarge {
             len: usize::MAX,
             max: MAX_PAYLOAD as usize,
@@ -1128,7 +1033,7 @@ mod tests {
              let x : {} . {host,ts,bytes} = {host,ts} -[avl]-> u in x",
         )
         .unwrap();
-        r.migrate_to(flat.clone()).unwrap();
+        r.apply(Op::Migrate(flat.to_let_notation(&cat))).unwrap();
         r.insert(tup(&cols, 7, 7, 7)).unwrap();
         r.commit().unwrap();
         let live = r.to_relation();
@@ -1141,6 +1046,117 @@ mod tests {
             &flat,
             "recovery must re-synthesize the migrated representation"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A failed migration changed nothing and leaves no marker behind, so
+    /// a later write that stamps only some shards, then a checkpoint, does
+    /// not leave a marker straddling the shards' watermarks.
+    #[test]
+    fn a_failed_migration_is_not_logged() {
+        let dir = tmpdir("badmigrate");
+        let (cols, r) = fresh(&dir, GroupCommitPolicy::manual());
+        for h in 0..6i64 {
+            r.insert(tup(&cols, h, 1, h)).unwrap();
+        }
+        let inadequate = "let u : {} . {host,ts,bytes} = unit {host,ts,bytes} in u";
+        assert!(matches!(
+            r.apply(Op::Migrate(inadequate.to_string())),
+            Err(PersistError::Op(OpError::Migrate(_)))
+        ));
+        r.insert(tup(&cols, 0, 2, 2)).unwrap();
+        r.checkpoint().unwrap();
+        r.commit().unwrap();
+        let live = r.to_relation();
+        drop(r);
+        let r2 = DurableRelation::open(&dir, GroupCommitPolicy::manual()).unwrap();
+        assert_eq!(r2.to_relation(), live);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// With FD checking off two stored tuples can share a key the minimal
+    /// key screen does not cover. An update by that key is refused, not
+    /// applied to one of them unlogged.
+    #[test]
+    fn an_ambiguous_update_is_refused() {
+        let dir = tmpdir("ambiguous");
+        // Interned first, `id` is the column the minimal key drops.
+        let mut cat = Catalog::new();
+        let [id, name, v] = ["id", "name", "v"].map(|c| cat.intern(c));
+        let d = relic_decomp::parse(
+            &mut cat,
+            "let u : {name} . {id,v} = unit {id,v} in
+             let x : {} . {id,name,v} = {name} -[htable]-> u in x",
+        )
+        .unwrap();
+        let spec = RelSpec::new(cat.all())
+            .with_fd(id.set(), name | v)
+            .with_fd(name.set(), id | v);
+        let r = DurableRelation::create(
+            &dir,
+            &cat,
+            spec,
+            d,
+            name.set(),
+            2,
+            false,
+            GroupCommitPolicy::manual(),
+        )
+        .unwrap();
+        let row = |n: &str| {
+            Tuple::from_pairs([
+                (id, Value::from(1)),
+                (name, Value::from(n)),
+                (v, Value::from(0)),
+            ])
+        };
+        r.insert(row("a")).unwrap();
+        r.insert(row("b")).unwrap();
+        let before = r.to_relation();
+        let update = Op::Update {
+            pattern: Tuple::from_pairs([(id, Value::from(1))]),
+            changes: Tuple::from_pairs([(v, Value::from(9))]),
+        };
+        assert!(matches!(
+            r.apply(update),
+            Err(PersistError::Op(OpError::PatternNotKey { .. }))
+        ));
+        assert_eq!(r.to_relation(), before);
+        r.commit().unwrap();
+        drop(r);
+        let r2 = DurableRelation::open(&dir, GroupCommitPolicy::manual()).unwrap();
+        assert_eq!(r2.to_relation(), before);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Lowering a `RemoveWhere` or an `Update` for the log reads the shard
+    /// without recording a query: a durable write profiles like a plain one.
+    #[test]
+    fn lowering_records_nothing_in_the_profile() {
+        let dir = tmpdir("lowerprofile");
+        let (cols, r) = fresh(&dir, GroupCommitPolicy::manual());
+        let (cat, _, spec, d) = schema_parts();
+        let plain = ConcurrentRelation::new(&cat, spec, d, cols.host.set(), 4).unwrap();
+        let ops = [
+            Op::InsertMany((0..8i64).map(|t| tup(&cols, t % 3, t, t)).collect()),
+            Op::RemoveWhere(Pattern::new().with(
+                cols.ts,
+                relic_spec::Pred::Between(Value::from(2), Value::from(4)),
+            )),
+            Op::Update {
+                pattern: Tuple::from_pairs([
+                    (cols.host, Value::from(0)),
+                    (cols.ts, Value::from(0)),
+                ]),
+                changes: Tuple::from_pairs([(cols.bytes, Value::from(7))]),
+            },
+        ];
+        for op in ops {
+            r.apply(op.clone()).unwrap();
+            plain.apply(op).unwrap();
+        }
+        assert_eq!(r.to_relation(), plain.to_relation());
+        assert_eq!(r.relation().profile(), plain.profile());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

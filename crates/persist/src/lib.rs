@@ -6,10 +6,12 @@
 //! them survive a process restart without giving up the hot path:
 //!
 //! * **Write-ahead log** ([`wal`]): an append-only file of length-prefixed,
-//!   CRC-checksummed records (single insert, remove-by-pattern, per-shard
-//!   `insert_many`/`bulk_load` batches, `remove_many`, migration epoch
-//!   markers, and compound transaction frames for partition
-//!   read-modify-write sequences). Writers append to an in-memory segment under the log's own
+//!   CRC-checksummed records: one [`relic_core::Op`] each (single insert,
+//!   remove-by-pattern, per-shard `insert_many`/`bulk_load` batches,
+//!   `remove_many`, migration epoch markers; a predicate removal is logged
+//!   as the `remove_many` of what it removed), or a compound transaction
+//!   frame for a partition read-modify-write sequence or an update.
+//!   Writers append to an in-memory segment under the log's own
 //!   mutex — never doing I/O inside a shard critical section — and a
 //!   [`commit`](DurableRelation::commit) call or a size/record-count
 //!   threshold flushes the whole segment as **one contiguous write + one
@@ -70,7 +72,7 @@ pub use wal::{
 
 use relic_concurrent::ConcurrentBuildError;
 use relic_core::wire::{self, WireError};
-use relic_core::{MigrateError, OpError};
+use relic_core::OpError;
 use relic_decomp::Decomposition;
 use relic_spec::{Catalog, ColSet, RelSpec};
 use std::fmt;
@@ -88,8 +90,6 @@ pub enum PersistError {
     Op(OpError),
     /// Building the recovered relation failed.
     Build(ConcurrentBuildError),
-    /// A representation migration failed.
-    Migrate(MigrateError),
     /// The on-disk state is unusable: a required checkpoint is missing or
     /// unreadable, or the log is internally inconsistent.
     Corrupt(String),
@@ -122,7 +122,6 @@ impl fmt::Display for PersistError {
             PersistError::Wire(e) => write!(f, "persistence decode error: {e}"),
             PersistError::Op(e) => write!(f, "{e}"),
             PersistError::Build(e) => write!(f, "recovered relation failed to build: {e}"),
-            PersistError::Migrate(e) => write!(f, "{e}"),
             PersistError::Corrupt(m) => write!(f, "persistent state corrupt: {m}"),
             PersistError::FrameTooLarge { len, max } => {
                 write!(f, "record of length {len} exceeds the frame cap {max}")
@@ -142,7 +141,6 @@ impl std::error::Error for PersistError {
             PersistError::Wire(e) => Some(e),
             PersistError::Op(e) => Some(e),
             PersistError::Build(e) => Some(e),
-            PersistError::Migrate(e) => Some(e),
             PersistError::Corrupt(_) => None,
             PersistError::FrameTooLarge { .. } | PersistError::CheckpointCount { .. } => None,
         }
@@ -170,12 +168,6 @@ impl From<OpError> for PersistError {
 impl From<ConcurrentBuildError> for PersistError {
     fn from(e: ConcurrentBuildError) -> Self {
         PersistError::Build(e)
-    }
-}
-
-impl From<MigrateError> for PersistError {
-    fn from(e: MigrateError) -> Self {
-        PersistError::Migrate(e)
     }
 }
 

@@ -39,7 +39,7 @@
 
 use crate::{DurableSchema, PersistError};
 use relic_core::wire::{self, Reader};
-use relic_spec::Tuple;
+use relic_core::Op;
 use std::fs::{File, OpenOptions};
 use std::io::{Read as _, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -194,16 +194,11 @@ fn check_count(n: usize) -> Result<u32, PersistError> {
 }
 
 const KIND_META: u8 = 0;
-const KIND_INSERT: u8 = 1;
-const KIND_REMOVE: u8 = 2;
-const KIND_INSERT_MANY: u8 = 3;
-const KIND_BULK_LOAD: u8 = 4;
-const KIND_REMOVE_MANY: u8 = 5;
-const KIND_MIGRATION: u8 = 6;
 const KIND_TXN: u8 = 7;
 const KIND_TERM: u8 = 8;
 
-/// One logged operation.
+/// One log record. Kinds 1–6 are [`Op`]s, under their [`wire::put_op`]
+/// tags; kinds 0, 7 and 8 frame them.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalRecord {
     /// The log's leading record: the relation's schema and the sequence
@@ -221,26 +216,16 @@ pub enum WalRecord {
         /// [`TermBump`](WalRecord::TermBump) record that set it is dropped.
         term: u64,
     },
-    /// One full-tuple insert.
-    Insert(Tuple),
-    /// One remove-by-pattern (the pattern tuple of
-    /// [`SynthRelation::remove`](relic_core::SynthRelation::remove)).
-    Remove(Tuple),
-    /// A per-shard `insert_many` batch (every tuple routes to one shard).
-    InsertMany(Vec<Tuple>),
-    /// A per-shard `bulk_load` batch (every tuple routes to one shard).
-    BulkLoad(Vec<Tuple>),
-    /// A `remove_many` pattern batch (applied to every shard).
-    RemoveMany(Vec<Tuple>),
-    /// A migration epoch marker: the new decomposition identity in
-    /// let-notation.
-    MigrationEpoch(String),
+    /// One write, lowered: never an [`Op::RemoveWhere`] or an
+    /// [`Op::Update`] (see [`Wal::encode_op`]). A batch insert is one
+    /// shard's group of the batch.
+    Op(Op),
     /// One partition read-modify-write critical section's writes
-    /// ([`Insert`](WalRecord::Insert) / [`Remove`](WalRecord::Remove) only,
-    /// all pinned to one shard), logged as **one frame** so the whole
-    /// sequence is crash-atomic: a torn tail drops the entire RMW or none
-    /// of it, never a remove without its re-insert.
-    Txn(Vec<WalRecord>),
+    /// ([`Op::Insert`] / [`Op::Remove`] only, all pinned to one shard),
+    /// logged as **one frame** so the whole sequence is crash-atomic: a
+    /// torn tail drops the entire RMW or none of it, never a remove
+    /// without its re-insert. An [`Op::Update`] is logged as one, too.
+    Txn(Vec<Op>),
     /// A replication term bump: written by a promoted follower when it
     /// seals its log and starts accepting writes. Replay treats it as a
     /// state no-op but remembers the new term; shipping it in sequence is
@@ -249,53 +234,56 @@ pub enum WalRecord {
     TermBump(u64),
 }
 
-impl WalRecord {
-    fn kind(&self) -> u8 {
-        match self {
-            WalRecord::Meta { .. } => KIND_META,
-            WalRecord::Insert(_) => KIND_INSERT,
-            WalRecord::Remove(_) => KIND_REMOVE,
-            WalRecord::InsertMany(_) => KIND_INSERT_MANY,
-            WalRecord::BulkLoad(_) => KIND_BULK_LOAD,
-            WalRecord::RemoveMany(_) => KIND_REMOVE_MANY,
-            WalRecord::MigrationEpoch(_) => KIND_MIGRATION,
-            WalRecord::Txn(_) => KIND_TXN,
-            WalRecord::TermBump(_) => KIND_TERM,
+/// Appends `op` in the log's format, refusing what the log cannot hold:
+/// an op it stores lowered, or a batch whose count overflows its prefix.
+fn put_logged_op(out: &mut Vec<u8>, op: &Op) -> Result<(), PersistError> {
+    match op {
+        Op::RemoveWhere(_) | Op::Update { .. } => {
+            return Err(PersistError::Corrupt(
+                "remove_where and update are logged lowered, never as themselves".into(),
+            ))
         }
+        // The count prefix is a `u32`: a larger batch must be refused, not
+        // silently truncated (`as u32`) into a frame whose count disagrees
+        // with its contents.
+        Op::InsertMany(ts) | Op::BulkLoad(ts) | Op::RemoveMany(ts) => {
+            check_count(ts.len())?;
+        }
+        _ => {}
     }
+    wire::put_op(out, op);
+    Ok(())
+}
 
-    fn encode_body(&self, out: &mut Vec<u8>) -> Result<(), PersistError> {
+impl WalRecord {
+    fn encode(&self, out: &mut Vec<u8>) -> Result<(), PersistError> {
         match self {
             WalRecord::Meta {
                 schema,
                 base_seq,
                 term,
             } => {
+                out.push(KIND_META);
                 wire::put_u64(out, *base_seq);
                 wire::put_u64(out, *term);
                 schema.encode(out);
             }
-            WalRecord::Insert(t) | WalRecord::Remove(t) => wire::put_tuple(out, t),
-            WalRecord::InsertMany(ts) | WalRecord::BulkLoad(ts) | WalRecord::RemoveMany(ts) => {
-                // The count prefix is a `u32`: a larger batch must be
-                // refused, not silently truncated (`as u32`) into a frame
-                // whose count disagrees with its contents.
-                check_count(ts.len())?;
-                wire::put_tuples(out, ts);
-            }
-            WalRecord::MigrationEpoch(src) => wire::put_str(out, src),
+            WalRecord::Op(op) => put_logged_op(out, op)?,
             WalRecord::Txn(ops) => {
+                out.push(KIND_TXN);
                 wire::put_u32(out, check_count(ops.len())?);
                 for op in ops {
                     debug_assert!(
-                        matches!(op, WalRecord::Insert(_) | WalRecord::Remove(_)),
+                        matches!(op, Op::Insert(_) | Op::Remove(_)),
                         "transactions hold only single-tuple writes"
                     );
-                    out.push(op.kind());
-                    op.encode_body(out)?;
+                    put_logged_op(out, op)?;
                 }
             }
-            WalRecord::TermBump(term) => wire::put_u64(out, *term),
+            WalRecord::TermBump(term) => {
+                out.push(KIND_TERM);
+                wire::put_u64(out, *term);
+            }
         }
         Ok(())
     }
@@ -312,27 +300,20 @@ impl WalRecord {
                     term,
                 }
             }
-            KIND_INSERT => WalRecord::Insert(wire::take_tuple(r)?),
-            KIND_REMOVE => WalRecord::Remove(wire::take_tuple(r)?),
-            KIND_INSERT_MANY => WalRecord::InsertMany(wire::take_tuples(r)?),
-            KIND_BULK_LOAD => WalRecord::BulkLoad(wire::take_tuples(r)?),
-            KIND_REMOVE_MANY => WalRecord::RemoveMany(wire::take_tuples(r)?),
-            KIND_MIGRATION => WalRecord::MigrationEpoch(r.take_str()?.to_string()),
             KIND_TXN => {
                 let n = r.take_u32()? as usize;
                 let mut ops = Vec::with_capacity(n.min(1 << 12));
                 for _ in 0..n {
-                    let op = match r.take_u8()? {
-                        KIND_INSERT => WalRecord::Insert(wire::take_tuple(r)?),
-                        KIND_REMOVE => WalRecord::Remove(wire::take_tuple(r)?),
-                        t => return Err(wire::WireError::BadTag(t)),
-                    };
-                    ops.push(op);
+                    let t = r.take_u8()?;
+                    ops.push(match wire::take_logged_op(t, r)? {
+                        op @ (Op::Insert(_) | Op::Remove(_)) => op,
+                        _ => return Err(wire::WireError::BadTag(t)),
+                    });
                 }
                 WalRecord::Txn(ops)
             }
             KIND_TERM => WalRecord::TermBump(r.take_u64()?),
-            t => return Err(wire::WireError::BadTag(t)),
+            kind => WalRecord::Op(wire::take_logged_op(kind, r)?),
         })
     }
 }
@@ -347,8 +328,7 @@ impl WalRecord {
 fn encode_frame(out: &mut Vec<u8>, seq: u64, rec: &WalRecord) -> Result<(), PersistError> {
     let mut payload = Vec::with_capacity(64);
     wire::put_u64(&mut payload, seq);
-    payload.push(rec.kind());
-    rec.encode_body(&mut payload)?;
+    rec.encode(&mut payload)?;
     wire::put_u32(out, check_payload_len(payload.len())?);
     wire::put_u32(out, crc32(&payload));
     out.extend_from_slice(&payload);
@@ -359,9 +339,9 @@ fn encode_frame(out: &mut Vec<u8>, seq: u64, rec: &WalRecord) -> Result<(), Pers
 /// for an **infallible** append inside a shard's critical section.
 ///
 /// Encoding and the [`MAX_PAYLOAD`] check both happen in
-/// [`Wal::encode_record`] / [`Wal::encode_insert_batch`], *outside* any
-/// lock — so an oversized record is refused before any shard state
-/// changes, and the append under the lock is pure memory movement.
+/// [`Wal::encode_op`] / [`TxnBuilder`], *outside* any lock — so an
+/// oversized record is refused before any shard state changes, and the
+/// append under the lock is pure memory movement.
 #[derive(Debug)]
 pub struct EncodedRecord {
     /// `kind` byte followed by the record body (everything after the
@@ -388,17 +368,17 @@ pub struct TxnBuilder {
 }
 
 impl TxnBuilder {
-    /// Encodes `op` into the transaction.
+    /// Encodes `op` — an [`Op::Insert`] or [`Op::Remove`] — into the
+    /// transaction.
     ///
     /// # Errors
     ///
     /// [`PersistError::FrameTooLarge`] if adding `op` would overflow the
     /// frame cap — the builder is left exactly as it was (the refused op
     /// must not be applied).
-    pub fn push(&mut self, op: &WalRecord) -> Result<(), PersistError> {
+    pub fn push(&mut self, op: &Op) -> Result<(), PersistError> {
         let start = self.ops.len();
-        self.ops.push(op.kind());
-        op.encode_body(&mut self.ops)?;
+        put_logged_op(&mut self.ops, op)?;
         // Final payload shape: seq(8) + kind(1) + count(4) + ops.
         match check_payload_len(13 + self.ops.len()) {
             Ok(_) => {
@@ -420,7 +400,7 @@ impl TxnBuilder {
     }
 
     /// Finishes into an appendable record (encoding-identical to
-    /// `Wal::encode_record(&WalRecord::Txn(ops))`).
+    /// `WalRecord::Txn(ops)`).
     pub fn finish(self) -> EncodedRecord {
         let mut bytes = Vec::with_capacity(5 + self.ops.len());
         bytes.push(KIND_TXN);
@@ -818,44 +798,21 @@ impl Wal {
         })
     }
 
-    /// Encodes and length-validates `rec` for a later
+    /// Encodes and length-validates a [`WalRecord::Op`] for a later
     /// [`append_encoded`](Wal::append_encoded) — call this *outside* any
     /// shard critical section, so oversized records are refused before any
-    /// state changes and no serialization work happens under a lock.
+    /// state changes and no serialization work happens under a lock. It
+    /// serializes straight from the borrowed op: the bulk-ingest hot loop
+    /// builds no owned record, which would double peak memory.
     ///
     /// # Errors
     ///
-    /// [`PersistError::FrameTooLarge`] if the record would not fit a frame.
-    pub fn encode_record(rec: &WalRecord) -> Result<EncodedRecord, PersistError> {
+    /// [`PersistError::FrameTooLarge`] if the op would not fit a frame;
+    /// [`PersistError::Corrupt`] for an [`Op::RemoveWhere`] or
+    /// [`Op::Update`], which the log holds only lowered.
+    pub fn encode_op(op: &Op) -> Result<EncodedRecord, PersistError> {
         let mut bytes = Vec::with_capacity(64);
-        bytes.push(rec.kind());
-        rec.encode_body(&mut bytes)?;
-        // The framed payload carries an 8-byte seq prefix ahead of these
-        // bytes; validate the final size now so the append cannot fail.
-        check_payload_len(8 + bytes.len())?;
-        Ok(EncodedRecord { bytes })
-    }
-
-    /// Encodes a per-shard batch record ([`WalRecord::BulkLoad`] when
-    /// `bulk`, [`WalRecord::InsertMany`] otherwise) serialized straight
-    /// from the borrowed slice — the zero-clone path for the bulk-ingest
-    /// hot loop, where building an owned record would double peak memory.
-    ///
-    /// # Errors
-    ///
-    /// [`PersistError::FrameTooLarge`] if the batch would not fit a frame.
-    pub fn encode_insert_batch(
-        bulk: bool,
-        tuples: &[Tuple],
-    ) -> Result<EncodedRecord, PersistError> {
-        check_count(tuples.len())?;
-        let mut bytes = Vec::with_capacity(64);
-        bytes.push(if bulk {
-            KIND_BULK_LOAD
-        } else {
-            KIND_INSERT_MANY
-        });
-        wire::put_tuples(&mut bytes, tuples);
+        put_logged_op(&mut bytes, op)?;
         check_payload_len(8 + bytes.len())?;
         Ok(EncodedRecord { bytes })
     }
@@ -867,10 +824,13 @@ impl Wal {
     ///
     /// [`PersistError::FrameTooLarge`] if the record would not fit a
     /// frame. Callers that append inside a shard critical section should
-    /// [`encode_record`](Wal::encode_record) first and use the infallible
+    /// [`encode_op`](Wal::encode_op) first and use the infallible
     /// [`append_encoded`](Wal::append_encoded) under the lock instead.
     pub fn append(&self, rec: &WalRecord) -> Result<u64, PersistError> {
-        Ok(self.append_encoded(&Self::encode_record(rec)?))
+        let mut bytes = Vec::with_capacity(64);
+        rec.encode(&mut bytes)?;
+        check_payload_len(8 + bytes.len())?;
+        Ok(self.append_encoded(&EncodedRecord { bytes }))
     }
 
     /// Appends a pre-validated record to the in-memory segment and returns
@@ -884,8 +844,7 @@ impl Wal {
         inner.next_seq += 1;
         let payload_len = 8 + rec.bytes.len();
         let mut header = [0u8; HEADER];
-        // Validated by encode_record/encode_insert_batch: fits u32 and the
-        // scanner's cap.
+        // Validated by its encoder: fits u32 and the scanner's cap.
         header[..4].copy_from_slice(&(payload_len as u32).to_le_bytes());
         let mut crc = Crc32::new();
         crc.update(&seq.to_le_bytes());
@@ -1132,7 +1091,7 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use relic_spec::{Catalog, RelSpec, Value};
+    use relic_spec::{Catalog, Pattern, RelSpec, Tuple, Value};
 
     fn schema() -> DurableSchema {
         let mut cat = Catalog::new();
@@ -1178,17 +1137,34 @@ mod tests {
     fn txn_builder_matches_whole_record_encoding() {
         let s = schema();
         let cat = s.catalog.clone();
-        let ops = vec![
-            WalRecord::Remove(tup(&cat, 4, 40)),
-            WalRecord::Insert(tup(&cat, 4, 41)),
-        ];
+        let ops = vec![Op::Remove(tup(&cat, 4, 40)), Op::Insert(tup(&cat, 4, 41))];
         let mut b = TxnBuilder::default();
         for op in &ops {
             b.push(op).unwrap();
         }
         assert!(!b.is_empty());
-        let whole = Wal::encode_record(&WalRecord::Txn(ops)).unwrap();
-        assert_eq!(b.finish().bytes, whole.bytes);
+        let mut whole = Vec::new();
+        WalRecord::Txn(ops).encode(&mut whole).unwrap();
+        assert_eq!(b.finish().bytes, whole);
+    }
+
+    /// The log holds `RemoveWhere` and `Update` only lowered: encoding
+    /// them as themselves is refused, so their tags (9, 10) never reach a
+    /// frame the decoder would reject.
+    #[test]
+    fn unlowered_ops_are_refused() {
+        let cat = schema().catalog;
+        let key = tup(&cat, 1, 1).project(cat.col("a").unwrap().set());
+        for op in [
+            Op::RemoveWhere(Pattern::from_tuple(&key)),
+            Op::Update {
+                pattern: key.clone(),
+                changes: tup(&cat, 1, 2).project(cat.col("v").unwrap().set()),
+            },
+        ] {
+            assert!(matches!(Wal::encode_op(&op), Err(PersistError::Corrupt(_))));
+            assert!(TxnBuilder::default().push(&op).is_err());
+        }
     }
 
     #[test]
@@ -1217,15 +1193,15 @@ mod tests {
         let cat = s.catalog.clone();
         let wal = Wal::create(&path, GroupCommitPolicy::manual(), &s, 0, 0).unwrap();
         let recs = vec![
-            WalRecord::Insert(tup(&cat, 1, 10)),
-            WalRecord::Remove(tup(&cat, 1, 10)),
-            WalRecord::InsertMany(vec![tup(&cat, 2, 20), tup(&cat, 3, 30)]),
-            WalRecord::BulkLoad(vec![tup(&cat, 4, 40)]),
-            WalRecord::RemoveMany(vec![tup(&cat, 2, 20)]),
-            WalRecord::MigrationEpoch(s.decomposition_src.clone()),
+            WalRecord::Op(Op::Insert(tup(&cat, 1, 10))),
+            WalRecord::Op(Op::Remove(tup(&cat, 1, 10))),
+            WalRecord::Op(Op::InsertMany(vec![tup(&cat, 2, 20), tup(&cat, 3, 30)])),
+            WalRecord::Op(Op::BulkLoad(vec![tup(&cat, 4, 40)])),
+            WalRecord::Op(Op::RemoveMany(vec![tup(&cat, 2, 20)])),
+            WalRecord::Op(Op::Migrate(s.decomposition_src.clone())),
             WalRecord::Txn(vec![
-                WalRecord::Remove(tup(&cat, 4, 40)),
-                WalRecord::Insert(tup(&cat, 4, 41)),
+                Op::Remove(tup(&cat, 4, 40)),
+                Op::Insert(tup(&cat, 4, 41)),
             ]),
         ];
         for (i, r) in recs.iter().enumerate() {
@@ -1254,7 +1230,7 @@ mod tests {
         let cat = s.catalog.clone();
         let wal = Wal::create(&path, GroupCommitPolicy::manual(), &s, 0, 0).unwrap();
         for i in 0..5i64 {
-            wal.append(&WalRecord::Insert(tup(&cat, i, i * 10)))
+            wal.append(&WalRecord::Op(Op::Insert(tup(&cat, i, i * 10))))
                 .unwrap();
         }
         wal.commit().unwrap();
@@ -1299,10 +1275,13 @@ mod tests {
             0,
         )
         .unwrap();
-        wal.append(&WalRecord::Insert(tup(&cat, 1, 1))).unwrap();
+        wal.append(&WalRecord::Op(Op::Insert(tup(&cat, 1, 1))))
+            .unwrap();
         assert!(wal.maybe_commit().unwrap().is_none());
-        wal.append(&WalRecord::Insert(tup(&cat, 2, 2))).unwrap();
-        wal.append(&WalRecord::Insert(tup(&cat, 3, 3))).unwrap();
+        wal.append(&WalRecord::Op(Op::Insert(tup(&cat, 2, 2))))
+            .unwrap();
+        wal.append(&WalRecord::Op(Op::Insert(tup(&cat, 3, 3))))
+            .unwrap();
         assert_eq!(wal.maybe_commit().unwrap(), Some(3));
         assert_eq!(read_wal(&path).unwrap().entries.len(), 3);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1316,7 +1295,8 @@ mod tests {
         let cat = s.catalog.clone();
         let wal = Wal::create(&path, GroupCommitPolicy::manual(), &s, 0, 0).unwrap();
         for i in 0..10i64 {
-            wal.append(&WalRecord::Insert(tup(&cat, i, i))).unwrap();
+            wal.append(&WalRecord::Op(Op::Insert(tup(&cat, i, i))))
+                .unwrap();
         }
         // Rotation flushes pending records itself.
         wal.rotate(7, &s).unwrap();
@@ -1327,7 +1307,8 @@ mod tests {
         assert_eq!(seqs, vec![8, 9, 10]);
         // Appends continue past rotation with consecutive seqs.
         assert_eq!(
-            wal.append(&WalRecord::Insert(tup(&cat, 99, 99))).unwrap(),
+            wal.append(&WalRecord::Op(Op::Insert(tup(&cat, 99, 99))))
+                .unwrap(),
             11
         );
         wal.commit().unwrap();

@@ -6,17 +6,19 @@
 //! durable prefix.
 //!
 //! The reference model replays the *log records* (not the driver's
-//! intentions) with the engine's documented semantics: exact-duplicate
-//! inserts are no-ops, an FD-conflicting insert is rejected, a batch stops
-//! at its first error with the fold prefix applied, removals are
-//! pattern-matched, and migration markers leave the tuple set unchanged.
-//! Records are logged *before* they apply, so a record whose operation
-//! failed live fails identically in the model — the model and the engine
-//! agree at every prefix, which the test verifies wholesale before
-//! injecting any crash.
+//! intentions) through [`common::model_apply`]. An op is logged whether
+//! it failed or not — the ones logged lowered (a predicate removal, an
+//! update) as what they did — so a record whose operation failed live
+//! fails identically in the model: the model and the engine agree at
+//! every prefix, which the test verifies wholesale before injecting any
+//! crash.
 
+mod common;
+
+use common::model_apply;
+use relic_core::Op;
 use relic_persist::{read_wal, DurableRelation, GroupCommitPolicy, WalRecord};
-use relic_spec::{Catalog, ColSet, Relation, Tuple, Value};
+use relic_spec::{Catalog, ColSet, Pattern, Pred, RelSpec, Relation, Tuple, Value};
 use std::path::{Path, PathBuf};
 
 /// A deterministic splitmix64 stream.
@@ -42,27 +44,26 @@ struct Cols {
     bytes: relic_spec::ColId,
 }
 
-fn schema_parts() -> (
-    Catalog,
-    Cols,
-    relic_spec::RelSpec,
-    relic_decomp::Decomposition,
-) {
+const D_NESTED: &str = "let u : {host,ts} . {bytes} = unit {bytes} in
+     let h : {host} . {ts,bytes} = {ts} -[avl]-> u in
+     let x : {} . {host,ts,bytes} = {host} -[htable]-> h in x";
+const D_FLAT: &str = "let u : {host,ts} . {bytes} = unit {bytes} in
+     let x : {} . {host,ts,bytes} = {host,ts} -[avl]-> u in x";
+
+/// A fresh `(host, ts) → bytes` relation in `dir`, sharded four ways by
+/// host.
+fn create(dir: &Path) -> (Cols, DurableRelation) {
     let mut cat = Catalog::new();
-    let d = relic_decomp::parse(
-        &mut cat,
-        "let u : {host,ts} . {bytes} = unit {bytes} in
-         let h : {host} . {ts,bytes} = {ts} -[avl]-> u in
-         let x : {} . {host,ts,bytes} = {host} -[htable]-> h in x",
-    )
-    .unwrap();
+    let d = relic_decomp::parse(&mut cat, D_NESTED).unwrap();
     let cols = Cols {
         host: cat.col("host").unwrap(),
         ts: cat.col("ts").unwrap(),
         bytes: cat.col("bytes").unwrap(),
     };
-    let spec = relic_spec::RelSpec::new(cat.all()).with_fd(cols.host | cols.ts, cols.bytes.set());
-    (cat, cols, spec, d)
+    let spec = RelSpec::new(cat.all()).with_fd(cols.host | cols.ts, cols.bytes.set());
+    let policy = GroupCommitPolicy::manual();
+    let r = DurableRelation::create(dir, &cat, spec, d, cols.host.set(), 4, true, policy).unwrap();
+    (cols, r)
 }
 
 fn tup(cols: &Cols, h: i64, t: i64, b: i64) -> Tuple {
@@ -73,149 +74,107 @@ fn tup(cols: &Cols, h: i64, t: i64, b: i64) -> Tuple {
     ])
 }
 
+fn key(cols: &Cols, h: i64, t: i64) -> Tuple {
+    Tuple::from_pairs([(cols.host, Value::from(h)), (cols.ts, Value::from(t))])
+}
+
 fn tmpdir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("relic_crash_{name}_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
 
-/// Applies one logged record to the reference model with the engine's
-/// semantics (`key` is the relation's minimal key, for FD screening).
-fn model_apply(model: &mut Relation, key: ColSet, rec: &WalRecord) {
-    let insert_one = |model: &mut Relation, t: &Tuple| {
-        if model.contains(t) {
-            return true; // exact duplicate: no-op, fold continues
-        }
-        if !model.query(&t.project(key), ColSet::EMPTY).is_empty() {
-            return false; // FD conflict: rejected, a batch fold stops here
-        }
-        model.insert(t.clone());
-        true
-    };
+/// Applies one logged record's ops to the reference model.
+fn model_apply_record(model: &mut Relation, key: ColSet, rec: &WalRecord) {
     match rec {
         WalRecord::Meta { .. } | WalRecord::TermBump(_) => {}
-        WalRecord::Insert(t) => {
-            let _ = insert_one(model, t);
-        }
-        WalRecord::Remove(pat) => {
-            model.remove(pat);
-        }
-        WalRecord::InsertMany(ts) | WalRecord::BulkLoad(ts) => {
-            for t in ts {
-                if !insert_one(model, t) {
-                    break;
-                }
-            }
-        }
-        WalRecord::RemoveMany(pats) => {
-            for p in pats {
-                model.remove(p);
-            }
-        }
-        WalRecord::Txn(ops) => {
-            for op in ops {
-                model_apply(model, key, op);
-            }
-        }
-        WalRecord::MigrationEpoch(_) => {}
+        WalRecord::Op(op) => model_apply(model, key, op),
+        WalRecord::Txn(ops) => ops.iter().for_each(|op| model_apply(model, key, op)),
     }
 }
 
-/// Drives `ops` randomized operations (seeded) through `r`, exercising
-/// every record kind: singles, batches, pinned/unpinned removes,
-/// remove_many, partition read-modify-writes, and representation
-/// migrations.
-fn drive(r: &DurableRelation, cols: &Cols, seed: u64, ops: usize) {
+/// A randomized op mix (seeded) of `n` ops over every record kind:
+/// singles, batches, pinned/unpinned removes, remove_many, predicate
+/// removes, updates, and representation migrations.
+fn script(cols: &Cols, seed: u64, n: usize) -> Vec<Op> {
     let mut rng = Rng(seed);
-    let mut cat = r.catalog().clone();
-    let d_nested = relic_decomp::parse(
-        &mut cat,
-        "let u : {host,ts} . {bytes} = unit {bytes} in
-         let h : {host} . {ts,bytes} = {ts} -[avl]-> u in
-         let x : {} . {host,ts,bytes} = {host} -[htable]-> h in x",
-    )
-    .unwrap();
-    let d_flat = relic_decomp::parse(
-        &mut cat,
-        "let u : {host,ts} . {bytes} = unit {bytes} in
-         let x : {} . {host,ts,bytes} = {host,ts} -[avl]-> u in x",
-    )
-    .unwrap();
     const HOSTS: u64 = 8;
     const TS: u64 = 6;
-    for _ in 0..ops {
-        let h = rng.below(HOSTS) as i64;
-        let t = rng.below(TS) as i64;
-        match rng.below(12) {
-            0..=4 => {
+    (0..n)
+        .map(|_| {
+            let h = rng.below(HOSTS) as i64;
+            let t = rng.below(TS) as i64;
+            let host = Tuple::from_pairs([(cols.host, Value::from(h))]);
+            match rng.below(13) {
                 // Single insert; small value domain forces duplicates and
                 // FD conflicts (both logged, both deterministic).
-                let b = (t % 3) + rng.below(2) as i64 * 100;
-                let _ = r.insert(tup(cols, h, t, b));
-            }
-            5 => {
-                let n = 2 + rng.below(5);
-                let batch: Vec<Tuple> = (0..n)
-                    .map(|i| {
-                        let tt = (t + i as i64) % TS as i64;
-                        tup(cols, h, tt, tt % 3)
-                    })
-                    .collect();
-                let _ = r.insert_many(batch);
-            }
-            6 => {
-                let n = 2 + rng.below(5);
-                let batch: Vec<Tuple> = (0..n)
-                    .map(|i| tup(cols, (h + i as i64) % HOSTS as i64, t, t % 3))
-                    .collect();
-                let _ = r.bulk_load(batch);
-            }
-            7 => {
+                0..=4 => Op::Insert(tup(cols, h, t, (t % 3) + rng.below(2) as i64 * 100)),
+                5 => Op::InsertMany(
+                    (0..2 + rng.below(5) as i64)
+                        .map(|i| {
+                            let tt = (t + i) % TS as i64;
+                            tup(cols, h, tt, tt % 3)
+                        })
+                        .collect(),
+                ),
+                6 => Op::BulkLoad(
+                    (0..2 + rng.below(5) as i64)
+                        .map(|i| tup(cols, (h + i) % HOSTS as i64, t, t % 3))
+                        .collect(),
+                ),
                 // Pinned remove: full key or whole host.
-                let pat = if rng.below(2) == 0 {
-                    Tuple::from_pairs([(cols.host, Value::from(h)), (cols.ts, Value::from(t))])
-                } else {
-                    Tuple::from_pairs([(cols.host, Value::from(h))])
-                };
-                r.remove(&pat).unwrap();
-            }
-            8 => {
+                7 if rng.below(2) == 0 => Op::Remove(key(cols, h, t)),
+                7 => Op::Remove(host),
                 // Unpinned remove crosses every shard.
-                r.remove(&Tuple::from_pairs([(cols.ts, Value::from(t))]))
-                    .unwrap();
+                8 => Op::Remove(Tuple::from_pairs([(cols.ts, Value::from(t))])),
+                9 => Op::RemoveMany(vec![Tuple::from_pairs([(cols.ts, Value::from(t))]), host]),
+                // A range removal, logged as the exact tuples it removed;
+                // pinned to one host or across every shard.
+                10 => {
+                    let range = Pred::Between(Value::from(t.min(2)), Value::from(t));
+                    let p = Pattern::new().with(cols.ts, range);
+                    Op::RemoveWhere(if rng.below(2) == 0 {
+                        p.with(cols.host, Pred::Eq(Value::from(h)))
+                    } else {
+                        p
+                    })
+                }
+                11 => Op::Update {
+                    pattern: key(cols, h, t),
+                    changes: Tuple::from_pairs([(cols.bytes, Value::from(rng.below(50) as i64))]),
+                },
+                _ => Op::Migrate(if rng.below(2) == 0 { D_FLAT } else { D_NESTED }.to_string()),
             }
-            9 => {
-                let pats = vec![
-                    Tuple::from_pairs([(cols.ts, Value::from(t))]),
-                    Tuple::from_pairs([(cols.host, Value::from(h))]),
-                ];
-                r.remove_many(&pats).unwrap();
-            }
-            10 => {
-                // Atomic read-modify-write in the owning partition: the
-                // ipcap accounting idiom (read counter, replace tuple).
-                let key =
-                    Tuple::from_pairs([(cols.host, Value::from(h)), (cols.ts, Value::from(t))]);
-                r.with_partition_mut(&key, |p| {
-                    let cur = p
-                        .query(&key, cols.bytes.set())
-                        .unwrap()
-                        .first()
-                        .and_then(|row| row.get(cols.bytes).and_then(Value::as_int));
-                    if cur.is_some() {
-                        p.remove(&key).unwrap();
-                    }
-                    p.insert(tup(cols, h, t, cur.unwrap_or(0) + 1)).unwrap();
+        })
+        .collect()
+}
+
+/// Applies `ops` to `r`. Every other update runs instead as a partition
+/// read-modify-write upsert (the ipcap accounting idiom: read the row,
+/// replace it, or insert it when absent), logged as one compound record.
+fn drive(r: &DurableRelation, ops: Vec<Op>) {
+    let all = r.spec().cols();
+    for (i, op) in ops.into_iter().enumerate() {
+        match op {
+            Op::Update { pattern, changes } if i % 2 == 0 => {
+                r.with_partition_mut(&pattern, |p| {
+                    let row = match p.query(&pattern, all).unwrap().first() {
+                        Some(old) => {
+                            p.remove(&pattern).unwrap();
+                            old.merge(&changes)
+                        }
+                        None => pattern.merge(&changes),
+                    };
+                    p.insert(row).unwrap();
                 })
                 .unwrap();
             }
-            _ => {
-                let target = if rng.below(2) == 0 {
-                    &d_flat
-                } else {
-                    &d_nested
-                };
-                r.migrate_to(target.clone()).unwrap();
+            // Only inserts may fail (duplicate keys with other payloads).
+            op @ (Op::Insert(_) | Op::InsertMany(_) | Op::BulkLoad(_)) => {
+                let _ = r.apply(op);
+            }
+            op => {
+                r.apply(op).unwrap();
             }
         }
     }
@@ -242,26 +201,15 @@ fn crash_injection_case(seed: u64, ops: usize, checkpoint_at: Option<usize>) {
     let name = format!("case_{seed}_{}", checkpoint_at.map_or(0, |c| c + 1));
     let dir = tmpdir(&name);
     let scratch = tmpdir(&format!("{name}_scratch"));
-    let (cat, cols, spec, d) = schema_parts();
+    let (cols, r) = create(&dir);
     let key = cols.host | cols.ts;
-    let r = DurableRelation::create(
-        &dir,
-        &cat,
-        spec,
-        d,
-        cols.host.set(),
-        4,
-        true,
-        GroupCommitPolicy::manual(),
-    )
-    .unwrap();
     match checkpoint_at {
         Some(at) => {
-            drive(&r, &cols, seed, at);
+            drive(&r, script(&cols, seed, at));
             r.checkpoint().unwrap();
-            drive(&r, &cols, seed.wrapping_add(1), ops - at);
+            drive(&r, script(&cols, seed.wrapping_add(1), ops - at));
         }
-        None => drive(&r, &cols, seed, ops),
+        None => drive(&r, script(&cols, seed, ops)),
     }
     r.commit().unwrap();
     let live = r.to_relation();
@@ -301,7 +249,7 @@ fn crash_injection_case(seed: u64, ops: usize, checkpoint_at: Option<usize>) {
         rec.relation().validate().unwrap();
         rec.to_relation()
     } else {
-        Relation::empty(cat.all())
+        Relation::empty(key | cols.bytes)
     };
     // states[k] = expected relation once entries[..=k] (past the stamp
     // horizon) are durable.
@@ -309,7 +257,7 @@ fn crash_injection_case(seed: u64, ops: usize, checkpoint_at: Option<usize>) {
     let mut states: Vec<Relation> = Vec::with_capacity(scanned.entries.len());
     for e in &scanned.entries {
         if e.seq > max_stamp {
-            model_apply(&mut model, key, &e.record);
+            model_apply_record(&mut model, key, &e.record);
         }
         states.push(model.clone());
     }
@@ -400,19 +348,8 @@ fn crash_injection_with_mid_run_checkpoint() {
 fn partition_rmw_is_crash_atomic_in_the_log() {
     let dir = tmpdir("rmw_atomic");
     let scratch = tmpdir("rmw_atomic_scratch");
-    let (cat, cols, spec, d) = schema_parts();
-    let r = DurableRelation::create(
-        &dir,
-        &cat,
-        spec,
-        d,
-        cols.host.set(),
-        4,
-        true,
-        GroupCommitPolicy::manual(),
-    )
-    .unwrap();
-    let key = Tuple::from_pairs([(cols.host, Value::from(1)), (cols.ts, Value::from(1))]);
+    let (cols, r) = create(&dir);
+    let key = key(&cols, 1, 1);
     r.insert(tup(&cols, 1, 1, 5)).unwrap();
     // The RMW: read the counter, remove, re-insert incremented.
     r.with_partition_mut(&key, |p| {
@@ -460,29 +397,17 @@ fn partition_rmw_is_crash_atomic_in_the_log() {
 #[test]
 fn recovery_chains() {
     let dir = tmpdir("chain");
-    let (cat, cols, spec, d) = schema_parts();
-    {
-        let r = DurableRelation::create(
-            &dir,
-            &cat,
-            spec,
-            d,
-            cols.host.set(),
-            4,
-            true,
-            GroupCommitPolicy::manual(),
-        )
-        .unwrap();
-        drive(&r, &cols, 7, 40);
-        r.commit().unwrap();
-    }
+    let (cols, r) = create(&dir);
+    drive(&r, script(&cols, 7, 40));
+    r.commit().unwrap();
+    drop(r);
     let mut previous_len = None;
     for round in 0..4u64 {
         let r = DurableRelation::open(&dir, GroupCommitPolicy::manual()).unwrap();
         if let Some(n) = previous_len {
             assert_eq!(r.len(), n, "round {round} lost state");
         }
-        drive(&r, &cols, 100 + round, 25);
+        drive(&r, script(&cols, 100 + round, 25));
         if round % 2 == 0 {
             r.checkpoint().unwrap();
         }

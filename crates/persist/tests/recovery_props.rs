@@ -7,14 +7,18 @@
 //! with identical schemas — one takes a checkpoint (truncating the log)
 //! partway through, the other never does — then commits, recovers both,
 //! and asserts all four states (two live, two recovered) hold exactly the
-//! same tuples, answer queries identically, and re-synthesized the same
-//! final representation.
+//! same tuples — those of the ops' reference model, unless a batch
+//! spanning shards was refused — answer queries identically, and
+//! re-synthesized the same final representation.
 
+mod common;
+
+use common::model_apply;
 use proptest::prelude::*;
-use relic_core::RelRead;
+use relic_core::{Op, RelRead};
 use relic_decomp::{enumerate_decompositions, Decomposition, DsKind, EnumerateOptions};
 use relic_persist::{DurableRelation, GroupCommitPolicy};
-use relic_spec::{Catalog, ColSet, RelSpec, Tuple, Value};
+use relic_spec::{Catalog, ColId, ColSet, Pattern, Pred, RelSpec, Relation, Tuple, Value};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -46,79 +50,88 @@ fn candidates() -> (Catalog, RelSpec, Vec<Decomposition>) {
     (cat, spec, cs)
 }
 
-fn tuple(cat: &Catalog, a: i64, b: i64, v: i64) -> Tuple {
+/// Columns `a`, `b`, `v`: the ids [`candidates`] interns them under.
+fn abv() -> [ColId; 3] {
+    let mut cat = Catalog::new();
+    ["a", "b", "v"].map(|c| cat.intern(c))
+}
+
+fn tuple(a: i64, b: i64, v: i64) -> Tuple {
+    let [ca, cb, cv] = abv();
     Tuple::from_pairs([
-        (cat.col("a").unwrap(), Value::from(a)),
-        (cat.col("b").unwrap(), Value::from(b)),
-        (cat.col("v").unwrap(), Value::from(v)),
+        (ca, Value::from(a)),
+        (cb, Value::from(b)),
+        (cv, Value::from(v)),
     ])
 }
 
-/// One scripted operation (generated by proptest).
-#[derive(Debug, Clone)]
-enum Op {
-    Insert(i64, i64, i64),
-    RemoveKey(i64, i64),
-    RemoveA(i64),
-    RemoveB(i64),
-    InsertMany(Vec<(i64, i64, i64)>),
-    BulkLoad(Vec<(i64, i64, i64)>),
-    RemoveMany(Vec<(i64, i64)>),
+/// A pattern binding `a` and `b` where given.
+fn key(a: Option<i64>, b: Option<i64>) -> Tuple {
+    let [ca, cb, _] = abv();
+    Tuple::from_pairs(
+        [(ca, a), (cb, b)]
+            .into_iter()
+            .filter_map(|(c, x)| Some((c, Value::from(x?)))),
+    )
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
-    let t = || (0i64..3, 0i64..4, 0i64..3);
+    let t = || (0i64..3, 0i64..4, 0i64..3).prop_map(|(a, b, v)| tuple(a, b, v));
+    // A batch over any `a` may span shards; one sharing its `a` lands on
+    // one shard, where it is the single fold the model applies even when a
+    // tuple is refused.
+    let ts = || {
+        let bvs = proptest::collection::vec((0i64..4, 0i64..3), 1..6);
+        (0i64..3, bvs).prop_map(|(a, bvs)| bvs.into_iter().map(|(b, v)| tuple(a, b, v)).collect())
+    };
+    let [_, cb, cv] = abv();
     // Inserts listed three times: the mix should mostly grow the relation
-    // (the local proptest stand-in's `prop_oneof` is unweighted).
+    // (the local proptest stand-in's `prop_oneof` is unweighted). A
+    // `b`-only pattern is unpinned (the shard column is `a`) and crosses
+    // every shard.
     prop_oneof![
-        t().prop_map(|(a, b, v)| Op::Insert(a, b, v)),
-        t().prop_map(|(a, b, v)| Op::Insert(a, b, v)),
-        t().prop_map(|(a, b, v)| Op::Insert(a, b, v)),
-        (0i64..3, 0i64..4).prop_map(|(a, b)| Op::RemoveKey(a, b)),
-        (0i64..3).prop_map(Op::RemoveA),
-        (0i64..4).prop_map(Op::RemoveB),
+        t().prop_map(Op::Insert),
+        t().prop_map(Op::Insert),
+        t().prop_map(Op::Insert),
+        (0i64..3, 0i64..4).prop_map(|(a, b)| Op::Remove(key(Some(a), Some(b)))),
+        (0i64..3).prop_map(|a| Op::Remove(key(Some(a), None))),
+        (0i64..4).prop_map(|b| Op::Remove(key(None, Some(b)))),
         proptest::collection::vec(t(), 1..6).prop_map(Op::InsertMany),
         proptest::collection::vec(t(), 1..6).prop_map(Op::BulkLoad),
-        proptest::collection::vec((0i64..3, 0i64..4), 1..3).prop_map(Op::RemoveMany),
+        ts().prop_map(Op::InsertMany),
+        ts().prop_map(Op::BulkLoad),
+        proptest::collection::vec((0i64..3, 0i64..4), 1..3).prop_map(|ks| Op::RemoveMany(
+            ks.into_iter().map(|(a, b)| key(Some(a), Some(b))).collect()
+        )),
+        (0i64..4, 0i64..4).prop_map(move |(lo, hi)| Op::RemoveWhere(
+            Pattern::new().with(cb, Pred::Between(Value::from(lo), Value::from(hi)))
+        )),
+        (0i64..3, 0i64..4, 0i64..3).prop_map(move |(a, b, v)| Op::Update {
+            pattern: key(Some(a), Some(b)),
+            changes: Tuple::from_pairs([(cv, Value::from(v))]),
+        }),
     ]
 }
 
-fn apply(r: &DurableRelation, cat: &Catalog, op: &Op) {
-    let (ca, cb) = (cat.col("a").unwrap(), cat.col("b").unwrap());
-    match op {
-        Op::Insert(a, b, v) => {
-            let _ = r.insert(tuple(cat, *a, *b, *v));
-        }
-        Op::RemoveKey(a, b) => {
-            r.remove(&Tuple::from_pairs([
-                (ca, Value::from(*a)),
-                (cb, Value::from(*b)),
-            ]))
-            .unwrap();
-        }
-        Op::RemoveA(a) => {
-            r.remove(&Tuple::from_pairs([(ca, Value::from(*a))]))
-                .unwrap();
-        }
-        Op::RemoveB(b) => {
-            // Unpinned: crosses every shard.
-            r.remove(&Tuple::from_pairs([(cb, Value::from(*b))]))
-                .unwrap();
-        }
-        Op::InsertMany(ts) => {
-            let _ = r.insert_many(ts.iter().map(|&(a, b, v)| tuple(cat, a, b, v)));
-        }
-        Op::BulkLoad(ts) => {
-            let _ = r.bulk_load(ts.iter().map(|&(a, b, v)| tuple(cat, a, b, v)));
-        }
-        Op::RemoveMany(pats) => {
-            let pats: Vec<Tuple> = pats
-                .iter()
-                .map(|&(a, b)| Tuple::from_pairs([(ca, Value::from(a)), (cb, Value::from(b))]))
-                .collect();
-            r.remove_many(&pats).unwrap();
+/// Applies `op` to every relation and to `model`. Returns whether the
+/// model still holds the relations' state: a batch is atomic per shard,
+/// so once a batch spanning shards has been refused, the model's
+/// whole-batch fold may differ from what the shards kept.
+fn apply(rels: &[&DurableRelation], model: &mut Relation, op: &Op) -> bool {
+    let [ca, cb, _] = abv();
+    let mut exact = true;
+    for r in rels {
+        // Only inserts may fail (duplicate keys with other payloads).
+        let res = r.apply(op.clone());
+        if let Op::InsertMany(ts) | Op::BulkLoad(ts) = op {
+            let shard = |t| r.relation().owning_shard(t);
+            exact &= res.is_ok() || ts.iter().all(|t| shard(t) == shard(&ts[0]));
+        } else if !matches!(op, Op::Insert(_)) {
+            res.unwrap();
         }
     }
+    model_apply(model, ca | cb, op);
+    exact
 }
 
 /// Every query signature over `{a, b, v}` answers identically on both
@@ -188,20 +201,24 @@ proptest! {
         };
         let r_ck = mk(&dir_ck);
         let r_log = mk(&dir_log);
+        let mut model = Relation::empty(cat.all());
+        let mut exact = true;
         for (i, op) in ops.iter().enumerate() {
             if i == cut {
                 // Mid-log: one arm checkpoints (truncating its log), and
                 // both log a migration epoch marker.
                 r_ck.checkpoint().unwrap();
-                r_ck.migrate_to(cs[to].clone()).unwrap();
-                r_log.migrate_to(cs[to].clone()).unwrap();
+                let migrate = Op::Migrate(cs[to].to_let_notation(&cat));
+                apply(&[&r_ck, &r_log], &mut model, &migrate);
             }
-            apply(&r_ck, &cat, op);
-            apply(&r_log, &cat, op);
+            exact &= apply(&[&r_ck, &r_log], &mut model, op);
         }
         r_ck.commit().unwrap();
         r_log.commit().unwrap();
         let live = r_log.to_relation();
+        if exact {
+            prop_assert_eq!(&live, &model, "the log arm diverged from the model");
+        }
         prop_assert_eq!(r_ck.to_relation(), live.clone(), "arms diverged while live");
         drop(r_ck);
         drop(r_log);
@@ -239,14 +256,19 @@ proptest! {
             &dir, &cat, spec, d, cat.col("a").unwrap().set(), 2,
             true, GroupCommitPolicy::manual(),
         ).unwrap();
+        let mut model = Relation::empty(cat.all());
+        let mut exact = true;
         for op in &ops {
-            apply(&r, &cat, op);
+            exact &= apply(&[&r], &mut model, op);
         }
         if checkpoint {
             r.checkpoint().unwrap();
         }
         r.commit().unwrap();
         let live = r.to_relation();
+        if exact {
+            prop_assert_eq!(&live, &model);
+        }
         drop(r);
         for _ in 0..3 {
             let rec = DurableRelation::open(&dir, GroupCommitPolicy::manual()).unwrap();

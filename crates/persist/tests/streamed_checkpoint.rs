@@ -17,6 +17,7 @@
 //!   streamed writer reproduces it byte for byte — so files cross the change
 //!   in both directions.
 
+use relic_core::Op;
 use relic_decomp::{enumerate_decompositions, Decomposition, DsKind, EnumerateOptions};
 use relic_persist::checkpoint::CHECKPOINT_FILE;
 use relic_persist::{Checkpoint, DurableRelation, GroupCommitPolicy};
@@ -202,7 +203,8 @@ fn a_migrated_relation_checkpoints_in_its_new_representation() {
     let dir = tmpdir("migrated");
     let rel = s.create(&dir, first, 3);
     s.fill(&rel);
-    rel.migrate_to(last.clone()).unwrap();
+    rel.apply(Op::Migrate(last.to_let_notation(&s.cat)))
+        .unwrap();
     rel.checkpoint().unwrap();
     let ck = image(&dir);
     assert_image_is(&ck, &model, "migrated");

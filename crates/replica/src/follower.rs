@@ -31,7 +31,7 @@ use relic_persist::checkpoint::CHECKPOINT_FILE;
 use relic_persist::durable::WAL_FILE;
 use relic_persist::{
     build_relation, decode_frame, read_checkpoint, read_wal, replay_record, write_checkpoint,
-    Checkpoint, DurableRelation, DurableSchema, GroupCommitPolicy, PersistError, WalRecord,
+    Checkpoint, DurableRelation, GroupCommitPolicy, PersistError, WalRecord,
 };
 use relic_spec::Relation;
 use std::fs::{File, OpenOptions};
@@ -58,7 +58,6 @@ pub struct SyncProgress {
 pub struct Follower {
     dir: PathBuf,
     rel: ConcurrentRelation,
-    schema: DurableSchema,
     /// Per-shard replay watermarks (`replay_record`'s cursor state).
     w: Vec<u64>,
     /// Last sequence number durably appended to the local log *and*
@@ -171,11 +170,11 @@ impl Follower {
         };
         let mut cursor = scanned.meta.as_ref().map_or(0, |(_, b)| *b);
         cursor = cursor.max(w.iter().copied().min().unwrap_or(0));
-        for e in &scanned.entries {
-            if let Err(e) = replay_record(&rel, &schema, &mut w, e.seq, &e.record) {
+        for e in scanned.entries {
+            cursor = cursor.max(e.seq);
+            if let Err(e) = replay_record(&rel, &mut w, e.seq, e.record) {
                 return Err(OpenFailure::Corrupt(format!("replay: {e}")));
             }
-            cursor = cursor.max(e.seq);
         }
         // Discard the torn tail (its frames were never acknowledged as
         // applied) and continue appending after the valid prefix.
@@ -186,7 +185,6 @@ impl Follower {
         Ok(Follower {
             dir: dir.to_path_buf(),
             rel,
-            schema,
             w,
             cursor,
             term,
@@ -229,7 +227,6 @@ impl Follower {
         Ok(Follower {
             dir: dir.to_path_buf(),
             rel,
-            schema: ck.schema,
             w: ck.shard_stamps,
             cursor,
             term,
@@ -341,7 +338,7 @@ impl Follower {
             if let WalRecord::TermBump(t) = &rec {
                 self.term = self.term.max(*t);
             }
-            replay_record(&self.rel, &self.schema, &mut self.w, seq, &rec)?;
+            replay_record(&self.rel, &mut self.w, seq, rec)?;
             self.cursor = seq;
         }
         Ok(n)

@@ -10,8 +10,8 @@
 
 use crate::msg::{Request, Response};
 use crate::ReplicaError;
+use relic_core::Op;
 use relic_persist::{Checkpoint, DurableRelation, TailRead};
-use relic_spec::Tuple;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Default byte budget per shipped batch.
@@ -28,11 +28,7 @@ pub struct Primary {
 impl Primary {
     /// Wraps a durable relation as a replication primary.
     pub fn new(rel: DurableRelation) -> Primary {
-        Primary {
-            rel,
-            fenced: AtomicBool::new(false),
-            max_batch_bytes: DEFAULT_MAX_BATCH_BYTES,
-        }
+        Primary::with_max_batch_bytes(rel, DEFAULT_MAX_BATCH_BYTES)
     }
 
     /// As [`new`](Primary::new), with a custom per-batch byte budget
@@ -46,8 +42,8 @@ impl Primary {
     }
 
     /// The underlying durable relation (reads are always allowed;
-    /// mutating through it bypasses the fence — use the checked
-    /// passthroughs instead).
+    /// mutating through it bypasses the fence — use
+    /// [`apply`](Primary::apply) instead).
     pub fn relation(&self) -> &DurableRelation {
         &self.rel
     }
@@ -74,26 +70,16 @@ impl Primary {
         }
     }
 
-    /// Fence-checked durable insert.
+    /// Fence-checked durable write: every [`Op`] a primary accepts comes
+    /// through here.
     ///
     /// # Errors
     ///
     /// [`ReplicaError::Fenced`] if superseded, otherwise as
-    /// [`DurableRelation::insert`].
-    pub fn insert(&self, t: Tuple) -> Result<bool, ReplicaError> {
+    /// [`DurableRelation::apply`].
+    pub fn apply(&self, op: Op) -> Result<usize, ReplicaError> {
         self.check_fence()?;
-        Ok(self.rel.insert(t)?)
-    }
-
-    /// Fence-checked durable remove.
-    ///
-    /// # Errors
-    ///
-    /// [`ReplicaError::Fenced`] if superseded, otherwise as
-    /// [`DurableRelation::remove`].
-    pub fn remove(&self, pattern: &Tuple) -> Result<usize, ReplicaError> {
-        self.check_fence()?;
-        Ok(self.rel.remove(pattern)?)
+        Ok(self.rel.apply(op)?)
     }
 
     /// Fence-checked group commit. Returns the highest durable sequence

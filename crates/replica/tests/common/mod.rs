@@ -2,6 +2,7 @@
 //! schema, a deterministic random op-mix generator, and per-commit
 //! reference snapshots of the primary's committed history.
 
+use relic_core::Op;
 use relic_persist::{DurableRelation, GroupCommitPolicy};
 use relic_replica::Primary;
 use relic_spec::{Catalog, ColId, RelSpec, Relation, Tuple, Value};
@@ -63,16 +64,9 @@ pub fn fresh_primary(dir: &Path, max_batch_bytes: usize) -> (Cols, Primary) {
     (cols, Primary::with_max_batch_bytes(rel, max_batch_bytes))
 }
 
-/// One step of a randomized workload.
-#[derive(Debug, Clone, Copy)]
-pub enum Op {
-    Ins(i64, i64, i64),
-    /// Remove every tuple of one host partition.
-    Rem(i64),
-}
-
-/// A deterministic op mix (multiplicative LCG — no clock, no globals).
-pub fn random_ops(n: usize, seed: u64) -> Vec<Op> {
+/// A deterministic op mix (multiplicative LCG — no clock, no globals):
+/// inserts, and removals of one host partition.
+pub fn random_ops(cols: &Cols, n: usize, seed: u64) -> Vec<Op> {
     let mut s = seed
         .wrapping_mul(2862933555777941757)
         .wrapping_add(3037000493);
@@ -86,13 +80,13 @@ pub fn random_ops(n: usize, seed: u64) -> Vec<Op> {
         .map(|_| {
             let r = next();
             if r % 5 == 4 {
-                Op::Rem((next() % 6) as i64)
+                Op::Remove(Tuple::from_pairs([(
+                    cols.host,
+                    Value::from((next() % 6) as i64),
+                )]))
             } else {
-                Op::Ins(
-                    (next() % 6) as i64,
-                    (next() % 16) as i64,
-                    (next() % 100) as i64,
-                )
+                let (h, t) = ((next() % 6) as i64, (next() % 16) as i64);
+                Op::Insert(tup(cols, h, t, (next() % 100) as i64))
             }
         })
         .collect()
@@ -103,17 +97,10 @@ pub fn random_ops(n: usize, seed: u64) -> Vec<Op> {
 /// a follower's state is compared against at any shipped prefix.
 /// Operation-level rejections (duplicate keys, FD conflicts) are ignored:
 /// they still consume a log sequence number, exactly as live.
-pub fn apply_with_snapshots(p: &Primary, cols: &Cols, ops: &[Op]) -> Vec<(u64, Relation)> {
+pub fn apply_with_snapshots(p: &Primary, ops: &[Op]) -> Vec<(u64, Relation)> {
     let mut snaps = vec![(p.relation().durable_seq(), p.relation().to_relation())];
     for op in ops {
-        match *op {
-            Op::Ins(h, t, b) => {
-                let _ = p.insert(tup(cols, h, t, b));
-            }
-            Op::Rem(h) => {
-                let _ = p.remove(&Tuple::from_pairs([(cols.host, Value::from(h))]));
-            }
-        }
+        let _ = p.apply(op.clone());
         p.commit().unwrap();
         snaps.push((p.relation().durable_seq(), p.relation().to_relation()));
     }

@@ -11,10 +11,12 @@
 mod common;
 
 use common::*;
+use relic_core::Op;
 use relic_persist::{DurableRelation, GroupCommitPolicy};
 use relic_replica::{
     Follower, InProcTransport, Primary, ReplicaError, Request, Response, Transport,
 };
+use relic_spec::{Pattern, Tuple, Value};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -29,7 +31,7 @@ fn promotion_bumps_a_durable_term_and_accepts_writes() {
     let pdir = tmpdir("promo_primary");
     let fdir = tmpdir("promo_follower");
     let (cols, p) = fresh_primary(&pdir, BATCH);
-    apply_with_snapshots(&p, &cols, &random_ops(25, 7));
+    apply_with_snapshots(&p, &random_ops(&cols, 25, 7));
     let before_crash = p.relation().to_relation();
     let p = Arc::new(p);
 
@@ -47,7 +49,7 @@ fn promotion_bumps_a_durable_term_and_accepts_writes() {
 
     // The promoted primary accepts writes, and they are durable: a
     // crash-reopen of its directory replays the identical history.
-    promoted.insert(tup(&cols, 77, 1, 1)).unwrap();
+    promoted.apply(Op::Insert(tup(&cols, 77, 1, 1))).unwrap();
     promoted.commit().unwrap();
     let after = promoted.relation().to_relation();
     drop(promoted);
@@ -63,7 +65,7 @@ fn stale_primary_is_fenced_and_its_frames_are_refused() {
     let pdir = tmpdir("fence_primary");
     let fdir = tmpdir("fence_follower");
     let (cols, p) = fresh_primary(&pdir, BATCH);
-    apply_with_snapshots(&p, &cols, &random_ops(20, 17));
+    apply_with_snapshots(&p, &random_ops(&cols, 20, 17));
     let p = Arc::new(p);
 
     let mut t = InProcTransport::new(Arc::clone(&p));
@@ -82,7 +84,7 @@ fn stale_primary_is_fenced_and_its_frames_are_refused() {
         BATCH,
     ));
     assert_eq!(new_primary.term(), 1);
-    new_primary.insert(tup(&cols, 90, 9, 9)).unwrap();
+    new_primary.apply(Op::Insert(tup(&cols, 90, 9, 9))).unwrap();
     new_primary.commit().unwrap();
 
     // A follower of the *new* primary has durably adopted term 1.
@@ -111,7 +113,7 @@ fn stale_primary_is_fenced_and_its_frames_are_refused() {
     }
     assert!(stale.is_fenced(), "contact from a newer term fences");
     assert!(matches!(
-        stale.insert(tup(&cols, 1, 2, 3)),
+        stale.apply(Op::Insert(tup(&cols, 1, 2, 3))),
         Err(ReplicaError::Fenced { .. })
     ));
     assert!(matches!(stale.commit(), Err(ReplicaError::Fenced { .. })));
@@ -123,6 +125,49 @@ fn stale_primary_is_fenced_and_its_frames_are_refused() {
     for d in [&pdir, &fdir, &f2dir] {
         let _ = std::fs::remove_dir_all(d);
     }
+}
+
+/// A fenced primary refuses every kind of write — batch loads and
+/// migrations included, which once reached the log only through the
+/// unfenced `relation()` — and its relation and log stay as they were.
+#[test]
+fn a_fenced_primary_refuses_every_op() {
+    let pdir = tmpdir("fence_every_op");
+    let (cols, p) = fresh_primary(&pdir, BATCH);
+    p.apply(Op::Insert(tup(&cols, 1, 1, 1))).unwrap();
+    p.commit().unwrap();
+    let fence = Request::Fetch { term: 1, after: 0 };
+    assert!(matches!(p.handle(&fence), Ok(Response::Fenced { term: 0 })));
+    let (before, seq) = (p.relation().to_relation(), p.relation().durable_seq());
+    let key = Tuple::from_pairs([(cols.host, Value::from(1)), (cols.ts, Value::from(1))]);
+    let cat = p.relation().catalog().clone();
+    let d = p
+        .relation()
+        .read_view()
+        .shard(0)
+        .decomposition()
+        .to_let_notation(&cat);
+    for op in [
+        Op::Insert(tup(&cols, 2, 2, 2)),
+        Op::InsertMany(vec![tup(&cols, 3, 3, 3)]),
+        Op::BulkLoad(vec![tup(&cols, 4, 4, 4)]),
+        Op::Remove(key.clone()),
+        Op::RemoveMany(vec![key.clone()]),
+        Op::RemoveWhere(Pattern::from_tuple(&key)),
+        Op::Update {
+            pattern: key.clone(),
+            changes: Tuple::from_pairs([(cols.bytes, Value::from(9))]),
+        },
+        Op::Migrate(d),
+    ] {
+        assert!(
+            matches!(p.apply(op.clone()), Err(ReplicaError::Fenced { .. })),
+            "{op:?} got past the fence"
+        );
+    }
+    assert_eq!(p.relation().to_relation(), before);
+    assert_eq!(p.relation().commit().unwrap(), seq, "nothing was logged");
+    let _ = std::fs::remove_dir_all(&pdir);
 }
 
 /// A transport that forges responses — the adversarial peer.
@@ -138,7 +183,7 @@ fn frames_bearing_an_older_term_are_rejected_at_apply_time() {
     let pdir = tmpdir("older_term_primary");
     let fdir = tmpdir("older_term_follower");
     let (cols, p) = fresh_primary(&pdir, BATCH);
-    apply_with_snapshots(&p, &cols, &random_ops(10, 23));
+    apply_with_snapshots(&p, &random_ops(&cols, 10, 23));
     let p = Arc::new(p);
 
     let mut t = InProcTransport::new(Arc::clone(&p));
@@ -191,7 +236,7 @@ fn surviving_follower_adopts_the_new_term_in_band() {
     let f1dir = tmpdir("adopt_follower1");
     let f2dir = tmpdir("adopt_follower2");
     let (cols, p) = fresh_primary(&pdir, BATCH);
-    apply_with_snapshots(&p, &cols, &random_ops(30, 29));
+    apply_with_snapshots(&p, &random_ops(&cols, 30, 29));
     let p = Arc::new(p);
 
     // Two followers; f2 lags (it syncs less).
@@ -211,7 +256,7 @@ fn surviving_follower_adopts_the_new_term_in_band() {
             .into_relation(),
         BATCH,
     ));
-    promoted.insert(tup(&cols, 55, 5, 5)).unwrap();
+    promoted.apply(Op::Insert(tup(&cols, 55, 5, 5))).unwrap();
     promoted.commit().unwrap();
 
     // The lagging follower re-points at the promoted primary: the shared

@@ -12,6 +12,7 @@
 mod common;
 
 use common::*;
+use relic_core::Op;
 use relic_replica::{Fault, FaultPlan, Follower, InProcTransport, ReplicaError};
 use std::sync::Arc;
 use std::time::Duration;
@@ -27,8 +28,8 @@ fn clean_catch_up_then_streaming() {
     let dir = tmpdir("clean_primary");
     let fdir = tmpdir("clean_follower");
     let (cols, p) = fresh_primary(&dir, BATCH_BYTES);
-    let ops = random_ops(40, 11);
-    apply_with_snapshots(&p, &cols, &ops);
+    let ops = random_ops(&cols, 40, 11);
+    apply_with_snapshots(&p, &ops);
     let p = Arc::new(p);
 
     let mut t = InProcTransport::new(Arc::clone(&p));
@@ -38,9 +39,9 @@ fn clean_catch_up_then_streaming() {
     assert_eq!(f.applied_seq(), p.relation().durable_seq());
 
     // Streaming: new commits arrive on the next poll.
-    for op in random_ops(15, 12) {
-        if let Op::Ins(h, tm, b) = op {
-            let _ = p.insert(tup(&cols, h, tm, b));
+    for op in random_ops(&cols, 15, 12) {
+        if let Op::Insert(_) = op {
+            let _ = p.apply(op);
         }
     }
     p.commit().unwrap();
@@ -54,8 +55,8 @@ fn clean_catch_up_then_streaming() {
 fn drop_dup_reorder_heal_at_every_seq() {
     let dir = tmpdir("ddr_primary");
     let (cols, p) = fresh_primary(&dir, BATCH_BYTES);
-    let ops = random_ops(24, 21);
-    apply_with_snapshots(&p, &cols, &ops);
+    let ops = random_ops(&cols, 24, 21);
+    apply_with_snapshots(&p, &ops);
     let p = Arc::new(p);
     let last = p.relation().durable_seq();
     let reference = p.relation().to_relation();
@@ -89,8 +90,8 @@ fn drop_dup_reorder_heal_at_every_seq() {
 fn truncation_at_every_byte_of_final_frame_heals() {
     let dir = tmpdir("trunc_primary");
     let (cols, p) = fresh_primary(&dir, BATCH_BYTES);
-    let ops = random_ops(12, 31);
-    apply_with_snapshots(&p, &cols, &ops);
+    let ops = random_ops(&cols, 12, 31);
+    apply_with_snapshots(&p, &ops);
     let p = Arc::new(p);
     let last = p.relation().durable_seq();
     let reference = p.relation().to_relation();
@@ -123,8 +124,8 @@ fn truncation_at_every_byte_of_final_frame_heals() {
 fn kill_at_every_commit_seq_freezes_an_exact_prefix() {
     let dir = tmpdir("kill_primary");
     let (cols, p) = fresh_primary(&dir, BATCH_BYTES);
-    let ops = random_ops(20, 41);
-    let snaps = apply_with_snapshots(&p, &cols, &ops);
+    let ops = random_ops(&cols, 20, 41);
+    let snaps = apply_with_snapshots(&p, &ops);
     let p = Arc::new(p);
     let last = p.relation().durable_seq();
 
@@ -175,8 +176,8 @@ fn randomized_mixes_with_mixed_fault_plans_heal() {
         let dir = tmpdir(&format!("mix_primary_{seed}"));
         let fdir = tmpdir(&format!("mix_follower_{seed}"));
         let (cols, p) = fresh_primary(&dir, BATCH_BYTES);
-        let ops = random_ops(30 + seed as usize * 7, 100 + seed);
-        apply_with_snapshots(&p, &cols, &ops);
+        let ops = random_ops(&cols, 30 + seed as usize * 7, 100 + seed);
+        apply_with_snapshots(&p, &ops);
         let p = Arc::new(p);
         let last = p.relation().durable_seq();
 
@@ -205,7 +206,7 @@ fn log_rotation_mid_stream_forces_checkpoint_resync() {
     let dir = tmpdir("rotate_primary");
     let fdir = tmpdir("rotate_follower");
     let (cols, p) = fresh_primary(&dir, BATCH_BYTES);
-    apply_with_snapshots(&p, &cols, &random_ops(10, 51));
+    apply_with_snapshots(&p, &random_ops(&cols, 10, 51));
     let p = Arc::new(p);
 
     let mut t = InProcTransport::new(Arc::clone(&p));
@@ -214,9 +215,9 @@ fn log_rotation_mid_stream_forces_checkpoint_resync() {
 
     // The primary advances far and checkpoints: its log rotates past the
     // follower's cursor, so the next fetch reports truncation.
-    apply_with_snapshots(&p, &cols, &random_ops(25, 52));
+    apply_with_snapshots(&p, &random_ops(&cols, 25, 52));
     p.checkpoint().unwrap();
-    apply_with_snapshots(&p, &cols, &random_ops(5, 53));
+    apply_with_snapshots(&p, &random_ops(&cols, 5, 53));
 
     catch_up(&mut f, &mut t).unwrap();
     assert_eq!(f.to_relation(), p.relation().to_relation());
@@ -229,7 +230,7 @@ fn corrupt_local_log_is_quarantined_and_resynced() {
     let dir = tmpdir("quarantine_primary");
     let fdir = tmpdir("quarantine_follower");
     let (cols, p) = fresh_primary(&dir, BATCH_BYTES);
-    apply_with_snapshots(&p, &cols, &random_ops(20, 61));
+    apply_with_snapshots(&p, &random_ops(&cols, 20, 61));
     let p = Arc::new(p);
 
     let mut t = InProcTransport::new(Arc::clone(&p));

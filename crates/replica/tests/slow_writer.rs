@@ -13,6 +13,7 @@
 mod common;
 
 use common::{fresh_primary, tmpdir, tup};
+use relic_core::Op;
 use relic_persist::{frame_message, FrameReader, MAX_FRAME_PAYLOAD};
 use relic_replica::{serve_tcp, Request, Response};
 use std::io::Write;
@@ -41,7 +42,7 @@ fn slow_writer_does_not_desync_server_framing() {
     let dir = tmpdir("slow_writer");
     let (cols, primary) = fresh_primary(&dir, 1 << 20);
     for t in 0..3i64 {
-        primary.insert(tup(&cols, 1, t, t)).unwrap();
+        primary.apply(Op::Insert(tup(&cols, 1, t, t))).unwrap();
     }
     primary.commit().unwrap();
     let frontier = primary.relation().durable_seq();

@@ -1,40 +1,31 @@
 //! Cross-connection mutation coalescing.
 //!
 //! A worker does not apply mutations as it decodes them. It queues them —
-//! tagged with the connection that sent them — and flushes the whole queue
-//! at scan boundaries (or earlier, when a queued connection issues a read,
-//! or when admission control demands a flush). The flush walks the queue
-//! in arrival order and merges **consecutive inserts** into one
-//! [`insert_many`](relic_persist::DurableRelation::insert_many) — one WAL
-//! record, one lock hold and one publish per touched shard, regardless of
-//! how many connections contributed — then commits once for the whole
-//! batch: a single fsync, amortized over every queued request.
+//! each an [`Op`], tagged with the connection that sent it — and flushes
+//! the whole queue at scan boundaries (or earlier, when a queued
+//! connection issues a read, or when admission control demands a flush).
+//! The flush walks the queue in arrival order and merges **consecutive
+//! single inserts** into one [`Op::InsertMany`] — one WAL record, one lock
+//! hold and one publish per touched shard, regardless of how many
+//! connections contributed — then commits once for the whole batch: a
+//! single fsync, amortized over every queued request.
 //!
 //! Acknowledgement follows the protocol's coalesced-counting convention
 //! (`relic_core::netmsg`): the first request of a merged insert run is
 //! acked with the run's whole inserted count, the rest with zero, so the
 //! per-connection response order is undisturbed and the sum over acks is
-//! exact. Removes punctuate runs and are applied (and counted)
+//! exact. Every other op punctuates runs and is applied (and counted)
 //! individually.
 
 use relic_core::netmsg::NetResponse;
+use relic_core::Op;
 use relic_persist::DurableRelation;
-use relic_spec::Tuple;
-
-/// One queued mutation.
-#[derive(Debug, Clone)]
-pub(crate) enum BatchOp {
-    /// Insert one tuple.
-    Insert(Tuple),
-    /// Remove every tuple matching the pattern.
-    Remove(Tuple),
-}
 
 /// The worker's pending-mutation queue: `(connection index, op)` in
 /// arrival order.
 #[derive(Debug, Default)]
 pub(crate) struct MutationBatch {
-    ops: Vec<(usize, BatchOp)>,
+    ops: Vec<(usize, Op)>,
 }
 
 impl MutationBatch {
@@ -50,7 +41,7 @@ impl MutationBatch {
     }
 
     /// Queues an op from connection `conn`.
-    pub(crate) fn push(&mut self, conn: usize, op: BatchOp) {
+    pub(crate) fn push(&mut self, conn: usize, op: Op) {
         self.ops.push((conn, op));
     }
 
@@ -68,59 +59,30 @@ impl MutationBatch {
     /// the *last* op's ack slot (earlier acks only ever promise
     /// application, not durability).
     pub(crate) fn flush(&mut self, rel: &DurableRelation) -> Vec<(usize, NetResponse)> {
-        let ops = std::mem::take(&mut self.ops);
-        let mut acks: Vec<(usize, NetResponse)> = Vec::with_capacity(ops.len());
-        let mut i = 0;
-        while i < ops.len() {
-            match &ops[i].1 {
-                BatchOp::Insert(_) => {
-                    // Extend the run over every consecutive insert.
-                    let mut j = i;
-                    while j < ops.len() && matches!(ops[j].1, BatchOp::Insert(_)) {
-                        j += 1;
-                    }
-                    let run = &ops[i..j];
-                    let tuples = run.iter().map(|(_, op)| {
-                        let BatchOp::Insert(t) = op else {
-                            unreachable!()
-                        };
-                        t.clone()
-                    });
-                    match rel.insert_many(tuples) {
-                        Ok(n) => {
-                            // First ack carries the run's count.
-                            acks.push((run[0].0, NetResponse::Ack { n: n as u64 }));
-                            for (conn, _) in &run[1..] {
-                                acks.push((*conn, NetResponse::Ack { n: 0 }));
-                            }
-                        }
-                        Err(e) => {
-                            // The batch insert is all-or-nothing on
-                            // refusal, so every contributor hears it.
-                            let msg = e.to_string();
-                            for (conn, _) in run {
-                                acks.push((
-                                    *conn,
-                                    NetResponse::Err {
-                                        message: msg.clone(),
-                                    },
-                                ));
-                            }
-                        }
-                    }
-                    i = j;
-                }
-                BatchOp::Remove(pattern) => {
-                    let resp = match rel.remove(pattern) {
-                        Ok(n) => NetResponse::Ack { n: n as u64 },
-                        Err(e) => NetResponse::Err {
-                            message: e.to_string(),
-                        },
-                    };
-                    acks.push((ops[i].0, resp));
-                    i += 1;
-                }
+        let mut acks: Vec<(usize, NetResponse)> = Vec::with_capacity(self.ops.len());
+        let mut ops = std::mem::take(&mut self.ops).into_iter().peekable();
+        while let Some((conn, op)) = ops.next() {
+            let Op::Insert(first) = op else {
+                acks.push((conn, ack(rel.apply(op))));
+                continue;
+            };
+            // Extend the run over every consecutive single insert.
+            let mut conns = vec![conn];
+            let mut run = vec![first];
+            while let Some((c, Op::Insert(t))) = ops.next_if(|(_, op)| matches!(op, Op::Insert(_)))
+            {
+                conns.push(c);
+                run.push(t);
             }
+            // First ack carries the run's count; the batch insert is
+            // all-or-nothing on refusal, so every contributor hears one.
+            let first_ack = ack(rel.apply(Op::InsertMany(run)));
+            let rest = match &first_ack {
+                NetResponse::Ack { .. } => NetResponse::Ack { n: 0 },
+                err => err.clone(),
+            };
+            acks.push((conns[0], first_ack));
+            acks.extend(conns[1..].iter().map(|&c| (c, rest.clone())));
         }
         if !acks.is_empty() {
             if let Err(e) = rel.commit() {
@@ -135,11 +97,21 @@ impl MutationBatch {
     }
 }
 
+/// An op's acknowledgement: its count, or its error.
+fn ack<E: std::fmt::Display>(res: Result<usize, E>) -> NetResponse {
+    match res {
+        Ok(n) => NetResponse::Ack { n: n as u64 },
+        Err(e) => NetResponse::Err {
+            message: e.to_string(),
+        },
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use relic_persist::GroupCommitPolicy;
-    use relic_spec::{Catalog, RelSpec, Value};
+    use relic_spec::{Catalog, RelSpec, Tuple, Value};
 
     fn tmp_rel(name: &str) -> DurableRelation {
         let dir = std::env::temp_dir().join(format!("relic_batch_{name}_{}", std::process::id()));
@@ -178,16 +150,13 @@ mod tests {
         let cat = rel.catalog().clone();
         let mut b = MutationBatch::default();
         // conns 0,1,2 insert; conn 1 removes; conns 0,1 insert again.
-        b.push(0, BatchOp::Insert(kv(&cat, 1, 10)));
-        b.push(1, BatchOp::Insert(kv(&cat, 2, 20)));
-        b.push(2, BatchOp::Insert(kv(&cat, 3, 30)));
+        b.push(0, Op::Insert(kv(&cat, 1, 10)));
+        b.push(1, Op::Insert(kv(&cat, 2, 20)));
+        b.push(2, Op::Insert(kv(&cat, 3, 30)));
         let ck = cat.col("k").unwrap();
-        b.push(
-            1,
-            BatchOp::Remove(Tuple::from_pairs([(ck, Value::from(2i64))])),
-        );
-        b.push(0, BatchOp::Insert(kv(&cat, 4, 40)));
-        b.push(1, BatchOp::Insert(kv(&cat, 5, 50)));
+        b.push(1, Op::Remove(Tuple::from_pairs([(ck, Value::from(2i64))])));
+        b.push(0, Op::Insert(kv(&cat, 4, 40)));
+        b.push(1, Op::Insert(kv(&cat, 5, 50)));
         assert!(b.conn_has_pending(1));
         assert!(!b.conn_has_pending(7));
         assert_eq!(b.len(), 6);

@@ -10,6 +10,7 @@
 
 use crate::ServerError;
 use relic_core::netmsg::{NetRequest, NetResponse, ServingStats};
+use relic_core::Op;
 use relic_persist::{frame_message, FrameReader, MAX_FRAME_PAYLOAD};
 use relic_spec::{Catalog, ColSet, RelSpec, Tuple};
 use std::io::{ErrorKind, Write};
@@ -118,24 +119,23 @@ impl Client {
         }
     }
 
-    /// Inserts one tuple; returns the ack's inserted count (see the
-    /// coalesced-counting convention in `relic_core::netmsg`).
+    /// Applies one write; returns the ack's count (per op kind, as the
+    /// `relic_core::netmsg` module docs list it).
     ///
     /// # Errors
     ///
     /// Transport errors, [`ServerError::Busy`] if shed, or
-    /// [`ServerError::Remote`] if the server refused the tuple.
-    pub fn insert(&mut self, tuple: Tuple) -> Result<u64, ServerError> {
-        self.ack(&NetRequest::Insert { tuple })
+    /// [`ServerError::Remote`] if the server refused the op.
+    pub fn apply(&mut self, op: Op) -> Result<u64, ServerError> {
+        match self.request(&NetRequest::Apply(op))? {
+            NetResponse::Ack { n } => Ok(n),
+            other => Err(unexpected("Ack", &other)),
+        }
     }
 
-    /// Removes every tuple matching the pattern; returns how many.
-    ///
-    /// # Errors
-    ///
-    /// As for [`insert`](Client::insert).
-    pub fn remove(&mut self, pattern: Tuple) -> Result<u64, ServerError> {
-        self.ack(&NetRequest::Remove { pattern })
+    /// `apply(Op::Insert(tuple))`. Errors as for [`apply`](Client::apply).
+    pub fn insert(&mut self, tuple: Tuple) -> Result<u64, ServerError> {
+        self.apply(Op::Insert(tuple))
     }
 
     /// Queries by equality pattern, projecting onto `out` (empty = all).
@@ -187,15 +187,6 @@ impl Client {
         match self.request(&NetRequest::Stats)? {
             NetResponse::Stats(s) => Ok(s),
             other => Err(unexpected("Stats", &other)),
-        }
-    }
-
-    fn ack(&mut self, req: &NetRequest) -> Result<u64, ServerError> {
-        match self.request(req)? {
-            NetResponse::Ack { n } => Ok(n),
-            NetResponse::Busy { retry_ms } => Err(ServerError::Busy { retry_ms }),
-            NetResponse::Err { message } => Err(ServerError::Remote(message)),
-            other => Err(unexpected("Ack", &other)),
         }
     }
 }

@@ -15,9 +15,11 @@
 //!   [`ReadHandle`](relic_concurrent::ReadHandle) and serves queries from
 //!   published snapshots, exactly like the in-process wait-free read path
 //!   — a slow scan on one connection cannot block ingest on another.
+//! * **Every write is one [`Op`](relic_core::Op), applied whole** through
+//!   `DurableRelation::apply`, under one hold of every shard it touches.
 //! * **Writes coalesce across connections.** A worker drains whole
 //!   batches of pipelined mutation frames from *all* its connections
-//!   before applying them: consecutive inserts become one
+//!   before applying them: consecutive single inserts become one
 //!   `insert_many` (one log record, one lock hold, one publish per
 //!   touched shard) and the whole batch group-commits with **one fsync**,
 //!   amortized across every connection that contributed

@@ -26,11 +26,12 @@
 //! or refuse the mutation outright (shed) before it is ever queued.
 
 use crate::admission::Admission;
-use crate::batch::{BatchOp, MutationBatch};
+use crate::batch::MutationBatch;
 use crate::conn::{Conn, ReadPass};
 use crate::ServerConfig;
 use relic_concurrent::ReadHandle;
 use relic_core::netmsg::{NetRequest, NetResponse, ServingStats};
+use relic_core::Op;
 use relic_core::RelRead;
 use relic_persist::DurableRelation;
 use relic_spec::{parse_pattern, ColSet};
@@ -359,19 +360,12 @@ fn dispatch(
             conns[i].push_response(&resp);
         }
         NetRequest::Insert { tuple } => {
-            admit_mutation(BatchOp::Insert(tuple), i, rel, batch, conns, config, stats);
+            admit_mutation(Op::Insert(tuple), i, rel, batch, conns, config, stats);
         }
         NetRequest::Remove { pattern } => {
-            admit_mutation(
-                BatchOp::Remove(pattern),
-                i,
-                rel,
-                batch,
-                conns,
-                config,
-                stats,
-            );
+            admit_mutation(Op::Remove(pattern), i, rel, batch, conns, config, stats);
         }
+        NetRequest::Apply(op) => admit_mutation(op, i, rel, batch, conns, config, stats),
         NetRequest::Commit => {
             // Everything this worker has queued rides the commit.
             if !batch.is_empty() {
@@ -410,7 +404,7 @@ fn effective_out(rel: &DurableRelation, out: ColSet) -> ColSet {
 /// Runs admission control and either queues the mutation, queues it after
 /// a forced commit (delay), or refuses it with `Busy` (shed).
 fn admit_mutation(
-    op: BatchOp,
+    op: Op,
     i: usize,
     rel: &DurableRelation,
     batch: &mut MutationBatch,

@@ -7,6 +7,7 @@
 //! served writes across a reopen.
 
 use relic_core::netmsg::{NetRequest, NetResponse};
+use relic_core::Op;
 use relic_persist::{DurableRelation, GroupCommitPolicy};
 use relic_server::{Client, ServeHandle, ServerConfig, ServerError};
 use relic_spec::{Catalog, ColSet, RelSpec, Tuple, Value};
@@ -99,7 +100,7 @@ fn protocol_round_trip_and_read_your_writes() {
 
     // Remove round-trips too.
     assert_eq!(
-        c.remove(Tuple::from_pairs([(ck, Value::from(9i64))]))
+        c.apply(Op::Remove(Tuple::from_pairs([(ck, Value::from(9i64))])))
             .unwrap(),
         1
     );
@@ -120,6 +121,43 @@ fn protocol_round_trip_and_read_your_writes() {
     drop(rel);
     let reopened = DurableRelation::open(&dir, GroupCommitPolicy::manual()).unwrap();
     assert_eq!(reopened.len(), 8);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A migration arrives as text from an untrusted peer. Text naming 65
+/// columns and an inadequate decomposition are each refused with a typed
+/// error while the worker keeps serving; an adequate one is applied,
+/// logged, and comes back on reopen.
+#[test]
+fn served_migrations_are_refused_or_made_durable() {
+    let dir = case_dir("migrate");
+    let rel = kv_relation(&dir);
+    let server = ServeHandle::spawn(Arc::clone(&rel), ServerConfig::default()).unwrap();
+    let mut c = Client::connect(server.addr()).unwrap();
+    let (cat, _) = c.catalog().unwrap();
+    c.insert(kv(&cat, 1, 10)).unwrap();
+    let wide: Vec<String> = (0..65).map(|i| format!("c{i}")).collect();
+    let wide = format!("let u : {{}} . {{{0}}} = unit {{{0}}} in u", wide.join(","));
+    let inadequate = "let u : {} . {k} = unit {k} in u".to_string();
+    for bad in [wide, inadequate] {
+        match c.apply(Op::Migrate(bad)) {
+            Err(ServerError::Remote(_)) => {}
+            other => panic!("expected a refusal, got {other:?}"),
+        }
+        let all = c.query(Tuple::empty(), ColSet::EMPTY).unwrap();
+        assert_eq!(all, vec![kv(&cat, 1, 10)], "the worker still serves");
+    }
+    let avl = "let u : {k} . {v} = unit {v} in let x : {} . {k,v} = {k} -[avl]-> u in x";
+    assert_eq!(c.apply(Op::Migrate(avl.to_string())).unwrap(), 0);
+    c.commit().unwrap();
+    drop(c);
+    server.stop().unwrap();
+    let live = rel.to_relation();
+    drop(rel);
+    let back = DurableRelation::open(&dir, GroupCommitPolicy::manual()).unwrap();
+    assert_eq!(back.to_relation(), live);
+    let d = relic_decomp::parse(&mut back.catalog().clone(), avl).unwrap();
+    assert_eq!(back.read_view().shard(0).decomposition(), &d);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -6,10 +6,10 @@
 //! The compiler and executor see one [`Backend`] surface: catalog, spec,
 //! cardinality, mutation, and (in the executor) per-backend streaming.
 
-use relic_core::{OpError, RelRead, SynthRelation};
+use relic_core::{Op, SynthRelation};
 use relic_persist::DurableRelation;
-use relic_server::{Client, ServerError};
-use relic_spec::{Catalog, ColSet, Pattern, RelSpec, Tuple, Value};
+use relic_server::Client;
+use relic_spec::{Catalog, RelSpec, Value};
 use std::cell::RefCell;
 use std::fmt::Display;
 
@@ -92,68 +92,14 @@ impl Backend {
         }
     }
 
-    /// Inserts one tuple; `true` if it was new.
-    pub fn insert(&mut self, t: Tuple) -> Result<bool, Diag> {
+    /// Applies one write; returns its count (tuples inserted or removed).
+    /// Each backend applies the op whole: a remote relation ships it to
+    /// the server as one request.
+    pub fn apply(&mut self, op: Op) -> Result<usize, Diag> {
         match self {
-            Backend::Mem(r) => r.insert(t).map_err(backend_err),
-            Backend::Durable(r) => r.insert(t).map_err(backend_err),
-            Backend::Remote(r) => Ok(r.client.get_mut().insert(t).map_err(backend_err)? > 0),
-        }
-    }
-
-    /// Bulk-loads tuples; returns how many were new.
-    pub fn load(&mut self, tuples: Vec<Tuple>) -> Result<usize, Diag> {
-        match self {
-            Backend::Mem(r) => r.insert_many(tuples).map_err(backend_err),
-            Backend::Durable(r) => r.bulk_load(tuples).map_err(backend_err),
-            Backend::Remote(r) => {
-                let c = r.client.get_mut();
-                let mut n = 0u64;
-                for t in tuples {
-                    n += c.insert(t).map_err(backend_err)?;
-                }
-                Ok(n as usize)
-            }
-        }
-    }
-
-    /// Removes every tuple matching `pattern` (`raw` is the predicate text
-    /// for the remote wire). An empty pattern clears the relation.
-    pub fn remove_where(&mut self, pattern: &Pattern, raw: &str) -> Result<usize, Diag> {
-        match self {
-            Backend::Mem(r) => r.remove_where(pattern).map_err(backend_err),
-            Backend::Durable(r) => {
-                // No remove_where on the durable surface: enumerate the
-                // matches and remove them as exact tuples, which the WAL
-                // logs as one RemoveMany record.
-                let hits = r
-                    .read_view()
-                    .query_where(pattern, r.spec().cols())
-                    .map_err(backend_err)?;
-                if hits.is_empty() {
-                    return Ok(0);
-                }
-                r.remove_many(&hits).map_err(backend_err)
-            }
-            Backend::Remote(r) => {
-                let c = r.client.get_mut();
-                if pattern.dom() == pattern.eq_cols() {
-                    // Pure-equality predicates map onto the wire's
-                    // pattern-remove directly.
-                    return Ok(c.remove(pattern.eq_tuple()).map_err(backend_err)? as usize);
-                }
-                let hits = if raw.is_empty() {
-                    c.query(Tuple::empty(), ColSet::EMPTY)
-                        .map_err(backend_err)?
-                } else {
-                    c.query_where(raw, ColSet::EMPTY).map_err(backend_err)?
-                };
-                let mut n = 0u64;
-                for t in hits {
-                    n += c.remove(t).map_err(backend_err)?;
-                }
-                Ok(n as usize)
-            }
+            Backend::Mem(r) => r.apply(op).map_err(backend_err),
+            Backend::Durable(r) => r.apply(op).map_err(backend_err),
+            Backend::Remote(r) => Ok(r.client.get_mut().apply(op).map_err(backend_err)? as usize),
         }
     }
 
@@ -176,15 +122,4 @@ pub fn value_literal(v: &Value) -> String {
         Value::Int(n) => n.to_string(),
         Value::Str(s) => format!("{:?}", &**s),
     }
-}
-
-/// Maps library errors that carry no span into diagnostics (used by the
-/// executor's query paths).
-pub fn op_err(e: OpError) -> Diag {
-    backend_err(e)
-}
-
-/// As [`op_err`], for the wire layer.
-pub fn server_err(e: ServerError) -> Diag {
-    backend_err(e)
 }

@@ -30,7 +30,7 @@
 //! copies or `Arc` bumps), aggregate folds are in-place, and a sweep
 //! allocates for its build side only.
 
-use crate::backend::{op_err, server_err, value_literal, Backend, RemoteRel};
+use crate::backend::{backend_err, value_literal, Backend, RemoteRel};
 use crate::compiler::{CompiledSelect, Leg, Output};
 use crate::diag::Diag;
 use relic_concurrent::ReadView;
@@ -75,7 +75,7 @@ impl Local<'_> {
             (Local::View(v), By::Probe(t)) => v.query_for_each_bindings(scratch, t, out, f),
             (Local::View(v), By::Pattern(p)) => v.query_where_for_each_bindings(scratch, p, out, f),
         }
-        .map_err(op_err)
+        .map_err(backend_err)
     }
 }
 
@@ -323,11 +323,11 @@ fn ship(r: &RemoteRel, leg: &Leg, slots: &mut [Value], sink: &mut Sink<'_>) -> R
     let tuples = if text.is_empty() {
         client
             .query(Tuple::empty(), ColSet::EMPTY)
-            .map_err(server_err)?
+            .map_err(backend_err)?
     } else {
         client
             .query_where(&text, ColSet::EMPTY)
-            .map_err(server_err)?
+            .map_err(backend_err)?
     };
     drop(client);
     'tuples: for t in tuples {

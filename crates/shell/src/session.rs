@@ -13,7 +13,7 @@ use crate::compiler::compile_select;
 use crate::diag::Diag;
 use crate::executor::{execute, explain};
 use crate::parser::parse_line;
-use relic_core::SynthRelation;
+use relic_core::{Op, SynthRelation};
 use relic_decomp::{
     check_adequacy, enumerate_decompositions, Decomposition, DsKind, EnumerateOptions,
 };
@@ -190,16 +190,11 @@ impl Session {
         }
         let d = match &using {
             Some(raw) => {
-                // The let-notation parser interns freely (and asserts at 64
-                // columns), so run it on a scratch catalog behind a panic
-                // guard; adequacy checking then rejects foreign columns
-                // with a proper diagnostic.
-                let mut scratch = cat.clone();
-                let parsed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    relic_decomp::parse(&mut scratch, &raw.text)
-                }))
-                .map_err(|_| Diag::at(raw.span, "malformed decomposition"))?;
-                let d = parsed.map_err(|e| Diag::at(raw.span, e.to_string()))?;
+                // The let-notation parser interns freely, so run it on a
+                // scratch catalog; adequacy checking then rejects foreign
+                // columns with a proper diagnostic.
+                let d = relic_decomp::parse(&mut cat.clone(), &raw.text)
+                    .map_err(|e| Diag::at(raw.span, e.to_string()))?;
                 check_adequacy(&d, &spec).map_err(|e| Diag::at(raw.span, e.to_string()))?;
                 d
             }
@@ -354,7 +349,7 @@ impl Session {
             }
             tuples.push(Tuple::from_pairs(pairs));
         }
-        let n = backend.load(tuples)?;
+        let n = backend.apply(Op::InsertMany(tuples))?;
         Ok(format!("loaded {n} rows into {nm}"))
     }
 
@@ -383,7 +378,7 @@ impl Session {
                 ),
             ));
         }
-        let fresh = backend.insert(p.eq_tuple())?;
+        let fresh = backend.apply(Op::Insert(p.eq_tuple()))? == 1;
         Ok(if fresh {
             format!("inserted 1 into {nm}")
         } else {
@@ -397,15 +392,12 @@ impl Session {
         where_raw: Option<Raw>,
     ) -> Result<String, Diag> {
         let (nm, backend) = self.lookup_mut(&name)?;
-        let (pattern, raw_text) = match &where_raw {
-            Some(raw) => (
-                parse_pattern(backend.catalog(), &raw.text)
-                    .map_err(|e| Diag::at(raw.span, e.to_string()))?,
-                raw.text.as_str(),
-            ),
-            None => (Pattern::new(), ""),
+        let pattern = match &where_raw {
+            Some(raw) => parse_pattern(backend.catalog(), &raw.text)
+                .map_err(|e| Diag::at(raw.span, e.to_string()))?,
+            None => Pattern::new(),
         };
-        let n = backend.remove_where(&pattern, raw_text)?;
+        let n = backend.apply(Op::RemoveWhere(pattern))?;
         Ok(format!("removed {n} from {nm}"))
     }
 

@@ -296,15 +296,24 @@ impl Catalog {
     ///
     /// Panics if the catalog already holds 64 distinct columns.
     pub fn intern(&mut self, name: &str) -> ColId {
+        self.try_intern(name)
+            .expect("catalog full: at most 64 columns")
+    }
+
+    /// [`intern`](Catalog::intern) for names from untrusted input: `None`
+    /// when `name` is new and the catalog already holds 64 columns.
+    pub fn try_intern(&mut self, name: &str) -> Option<ColId> {
         if let Some(&c) = self.index.get(name) {
-            return c;
+            return Some(c);
         }
-        assert!(self.names.len() < 64, "catalog full: at most 64 columns");
+        if self.names.len() >= 64 {
+            return None;
+        }
         let c = ColId(self.names.len() as u8);
         self.names.push(name.to_string());
         self.widths.push(0);
         self.index.insert(name.to_string(), c);
-        c
+        Some(c)
     }
 
     /// Declares that column `c`'s integer values always lie in `[0, 2^bits)`.

@@ -21,7 +21,7 @@
 
 use relic_autotune::Autotuner;
 use relic_concurrent::ConcurrentRelation;
-use relic_core::{MigrateError, OpError, RelRead, SynthRelation};
+use relic_core::{MigrateError, Op, OpError, RelRead, SynthRelation};
 use relic_decomp::{Decomposition, DsKind, EnumerateOptions};
 use relic_spec::{Catalog, ColId, RelSpec, Tuple, Value};
 use std::time::Instant;
@@ -400,7 +400,7 @@ pub fn run_concurrent_phase_shift(
             let slice = handle.view().query_full(&pat)?;
             rel.remove(&pat)?;
             rows += slice.len() as u64;
-            rel.insert_many(slice)?;
+            rel.apply(Op::InsertMany(slice))?;
         } else {
             handle
                 .view()

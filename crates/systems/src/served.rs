@@ -24,9 +24,10 @@ use crate::ipcap::default_decomposition as flow_decomposition;
 use crate::ipcap::{flow_spec, FlowCols, FlowRecord, Packet};
 use crate::thttpd::default_decomposition as mmap_decomposition;
 use crate::thttpd::{mmap_spec, MmapCols, Outcome, Request};
+use relic_core::Op;
 use relic_persist::{DurableRelation, GroupCommitPolicy, PersistError};
 use relic_server::{Client, ServeHandle, ServerConfig, ServerError};
-use relic_spec::{ColSet, Tuple, Value};
+use relic_spec::{ColSet, Pattern, Pred, Tuple, Value};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -131,8 +132,8 @@ impl ServedFlows {
         Ok(ServedFlows { client, cols })
     }
 
-    /// Accounts one packet: a remote lookup plus a remote
-    /// remove-and-reinsert (or plain insert) of the accumulated flow.
+    /// Accounts one packet: a remote lookup plus a remote update (or
+    /// plain insert) of the accumulated flow.
     ///
     /// # Errors
     ///
@@ -149,16 +150,22 @@ impl ServedFlows {
                 let k = t.get(cols.pkts).and_then(Value::as_int).ok_or_else(|| {
                     ServerError::Protocol("flow row lost its `pkts` integer".to_string())
                 })?;
-                with_busy_retry(|| self.client.remove(key.clone()))?;
                 (b + len, k + 1)
             }
             None => (len, 1),
         };
-        let row = key.merge(&Tuple::from_pairs([
+        let counters = Tuple::from_pairs([
             (cols.bytes, Value::from(bytes)),
             (cols.pkts, Value::from(pkts)),
-        ]));
-        with_busy_retry(|| self.client.insert(row.clone()))?;
+        ]);
+        let op = match existing.first() {
+            Some(_) => Op::Update {
+                pattern: key,
+                changes: counters,
+            },
+            None => Op::Insert(key.merge(&counters)),
+        };
+        with_busy_retry(|| self.client.apply(op.clone()))?;
         Ok(())
     }
 
@@ -186,7 +193,7 @@ impl ServedFlows {
             });
         }
         out.sort();
-        with_busy_retry(|| self.client.remove(Tuple::empty()))?;
+        with_busy_retry(|| self.client.apply(Op::Remove(Tuple::empty())))?;
         self.client.commit()?;
         Ok(out)
     }
@@ -267,8 +274,8 @@ impl ServedMmapCache {
     }
 
     /// Serves one request remotely, returning hit/miss. A hit refreshes
-    /// the stamp (remote remove-and-reinsert preserving `addr`/`size`); a
-    /// miss allocates an address locally and inserts the new mapping.
+    /// the stamp (a remote update, preserving `addr`/`size`); a miss
+    /// allocates an address locally and inserts the new mapping.
     ///
     /// # Errors
     ///
@@ -276,23 +283,12 @@ impl ServedMmapCache {
     pub fn serve(&mut self, req: &Request) -> Result<Outcome, ServerError> {
         let cols = self.cols;
         let key = Tuple::from_pairs([(cols.path, Value::from(req.path.as_str()))]);
-        let existing = self
-            .client
-            .query(key.clone(), cols.addr | cols.size | cols.stamp)?;
-        if let Some(t) = existing.first() {
-            let int = |c| {
-                t.get(c).and_then(Value::as_int).ok_or_else(|| {
-                    ServerError::Protocol("mapping row lost an integer column".to_string())
-                })
-            };
-            let (addr, size) = (int(cols.addr)?, int(cols.size)?);
-            with_busy_retry(|| self.client.remove(key.clone()))?;
-            let row = key.merge(&Tuple::from_pairs([
-                (cols.addr, Value::from(addr)),
-                (cols.size, Value::from(size)),
-                (cols.stamp, Value::from(req.now)),
-            ]));
-            with_busy_retry(|| self.client.insert(row.clone()))?;
+        let stamp = Tuple::from_pairs([(cols.stamp, Value::from(req.now))]);
+        let refresh = Op::Update {
+            pattern: key.clone(),
+            changes: stamp,
+        };
+        if with_busy_retry(|| self.client.apply(refresh.clone()))? == 1 {
             return Ok(Outcome::Hit);
         }
         self.next_addr += 4096;
@@ -307,28 +303,16 @@ impl ServedMmapCache {
     }
 
     /// Removes mappings with `stamp < cutoff`, returning how many were
-    /// unmapped. The stale set is found with a server-side predicate
-    /// query (`QueryWhere` — the concrete pattern syntax crosses the wire
-    /// and is parsed against the served catalog).
+    /// unmapped: one predicate removal, applied atomically on the server.
     ///
     /// # Errors
     ///
     /// Transport or server-side failures.
     pub fn cleanup(&mut self, cutoff: i64) -> Result<usize, ServerError> {
-        let cols = self.cols;
-        let stale = self
-            .client
-            .query_where(&format!("stamp < {cutoff}"), cols.path.set())?;
-        let mut unmapped = 0usize;
-        for t in &stale {
-            let path = t.get(cols.path).and_then(Value::as_str).ok_or_else(|| {
-                ServerError::Protocol("mapping row lost its `path` string".to_string())
-            })?;
-            let key = Tuple::from_pairs([(cols.path, Value::from(path))]);
-            unmapped += with_busy_retry(|| self.client.remove(key.clone()))? as usize;
-        }
+        let stale = Pattern::new().with(self.cols.stamp, Pred::Lt(Value::from(cutoff)));
+        let unmapped = with_busy_retry(|| self.client.apply(Op::RemoveWhere(stale.clone())))?;
         self.client.commit()?;
-        Ok(unmapped)
+        Ok(unmapped as usize)
     }
 
     /// Number of live mappings, per the server's published state.

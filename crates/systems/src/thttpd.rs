@@ -14,7 +14,7 @@
 
 use crate::zipf::Zipf;
 use relic_concurrent::{ConcurrentBuildError, ConcurrentRelation, ReadHandle};
-use relic_core::{Bindings, OpError, RelRead, SynthRelation};
+use relic_core::{Bindings, Op, OpError, RelRead, SynthRelation};
 use relic_decomp::Decomposition;
 use relic_persist::{DurableRelation, GroupCommitPolicy, PersistError};
 use relic_spec::{Catalog, ColId, Pattern, Pred, RelSpec, Tuple, Value};
@@ -363,8 +363,12 @@ impl ConcurrentMmapCache {
         let cols = self.cols;
         let key = Tuple::from_pairs([(cols.path, Value::from(req.path.as_str()))]);
         let stamp = Tuple::from_pairs([(cols.stamp, Value::from(req.now))]);
+        let refresh = Op::Update {
+            pattern: key.clone(),
+            changes: stamp.clone(),
+        };
         if handle.fresh_for(|c| key.get(c)).contains_matching(&key)?
-            && self.rel.update(&key, &stamp)?
+            && self.rel.apply(refresh)? == 1
         {
             return Ok(Outcome::Hit);
         }
@@ -394,7 +398,7 @@ impl ConcurrentMmapCache {
     /// Any relational-operation failure of the underlying store.
     pub fn cleanup(&self, cutoff: i64) -> Result<usize, OpError> {
         let stale = Pattern::new().with(self.cols.stamp, Pred::Lt(Value::from(cutoff)));
-        self.rel.remove_where(&stale)
+        self.rel.apply(Op::RemoveWhere(stale))
     }
 
     /// Number of live mappings in the published state (wait-free).

@@ -23,6 +23,7 @@
 //! `RELIC_REPLICA_CHILD` names a scratch directory; the child publishes
 //! its ephemeral port through a port file (write + atomic rename).
 
+use relic_core::Op;
 use relic_persist::{DurableRelation, GroupCommitPolicy};
 use relic_replica::{Follower, InProcTransport, Primary, ReplicaError, TcpTransport};
 use relic_spec::{Catalog, ColId, RelSpec, Tuple, Value};
@@ -100,9 +101,9 @@ fn apply_op(
     let slot = acc.entry((i % 7, i % 3)).or_insert(0);
     let (full, remove_key) = op_tuple(cols, i, *slot);
     if let Some(key) = remove_key {
-        p.remove(&key).unwrap();
+        p.apply(Op::Remove(key)).unwrap();
     }
-    p.insert(full).unwrap();
+    p.apply(Op::Insert(full)).unwrap();
     *slot += i as i64;
     p.commit().unwrap();
 }
@@ -314,11 +315,11 @@ fn replicated_flow_daemon_survives_primary_kill() {
     let promoted = f.promote(GroupCommitPolicy::manual()).unwrap();
     assert_eq!(promoted.term(), 1);
     promoted
-        .insert(Tuple::from_pairs([
+        .apply(Op::Insert(Tuple::from_pairs([
             (cols.local, Value::from(99i64)),
             (cols.remote, Value::from(99i64)),
             (cols.bytes, Value::from(1i64)),
-        ]))
+        ])))
         .unwrap();
     promoted.commit().unwrap();
 
