@@ -934,7 +934,7 @@ mod tests {
              let x : {} . {local,remote,bytes,pkts} = {local} -[avl]-> y in x",
             "w"
         ));
-        // The shell's one-edge default for the same relation.
+        // A flat one-edge hash on the same relation.
         assert!(inline(
             "let w : {local,remote} . {bytes,pkts} = unit {bytes,pkts} in
              let x : {} . {local,remote,bytes,pkts} = {local,remote} -[htable]-> w in x",

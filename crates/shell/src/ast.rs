@@ -162,6 +162,11 @@ pub enum Command {
     },
     /// `show relations` — list session bindings.
     ShowRelations,
+    /// `show layout NAME` — print a relation's decomposition.
+    ShowLayout {
+        /// Target relation.
+        name: (String, Span),
+    },
     /// `help`.
     Help,
     /// `quit` / `exit`.

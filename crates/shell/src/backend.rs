@@ -7,9 +7,11 @@
 //! cardinality, mutation, and (in the executor) per-backend streaming.
 
 use relic_core::{Op, SynthRelation};
+use relic_decomp::Decomposition;
 use relic_persist::DurableRelation;
 use relic_server::Client;
 use relic_spec::{Catalog, RelSpec, Value};
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::fmt::Display;
 
@@ -70,6 +72,20 @@ impl Backend {
             Backend::Mem(_) => "memory",
             Backend::Durable(_) => "durable",
             Backend::Remote(_) => "remote",
+        }
+    }
+
+    /// The decomposition a local relation stores its tuples in; `None` for
+    /// a remote relation, which its server plans.
+    pub fn decomposition(&self) -> Result<Option<Cow<'_, Decomposition>>, Diag> {
+        match self {
+            Backend::Mem(r) => Ok(Some(Cow::Borrowed(r.decomposition()))),
+            Backend::Durable(r) => Ok(Some(Cow::Owned(
+                r.durable_schema()
+                    .build_decomposition()
+                    .map_err(backend_err)?,
+            ))),
+            Backend::Remote(_) => Ok(None),
         }
     }
 

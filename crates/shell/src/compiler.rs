@@ -51,12 +51,11 @@ pub struct Leg {
     /// Raw constraint text shipped to remote backends, for columns not
     /// covered by the probe.
     pub ship_chunks: Vec<String>,
-    /// Columns this leg newly binds, and their slots.
+    /// Columns this leg newly binds that the output or a later leg's probe
+    /// reads, and their slots (a swept leg's build side carries just these).
     pub bind: Vec<(ColId, usize)>,
     /// All columns of the leg (the streamed output set).
     pub out: ColSet,
-    /// Estimated rows this leg emits per outer row.
-    pub est_rows: f64,
     /// Human-readable plan line for `plan select`.
     pub plan_note: String,
 }
@@ -219,6 +218,21 @@ pub fn compile_select(
         }
     };
 
+    // Keep only the bind slots something reads (see `Leg::bind`).
+    let mut live = vec![false; slot_names.len()];
+    match &output {
+        Output::Cols(keep) => keep.iter().for_each(|&s| live[s] = true),
+        Output::Aggs(folds) => folds
+            .iter()
+            .filter_map(|f| f.1)
+            .for_each(|s| live[s] = true),
+        Output::Len(_) => {}
+    }
+    for leg in out_legs.iter_mut().rev() {
+        leg.bind.retain(|&(_, slot)| live[slot]);
+        leg.probe_fill.iter().for_each(|&(_, _, s)| live[s] = true);
+    }
+
     Ok(CompiledSelect {
         legs: out_legs,
         n_slots: slot_names.len(),
@@ -370,20 +384,14 @@ fn lower_leg(
     let kind = leg.backend.kind();
 
     // Plan the access path through the cost model (local backends).
-    let durable_d;
-    let d = match leg.backend {
-        Backend::Mem(r) => Some(r.decomposition()),
-        Backend::Durable(r) => {
-            durable_d = r
-                .durable_schema()
-                .build_decomposition()
-                .map_err(|e| Diag::at(leg.name_span, format!("cannot plan `{}`: {e}", leg.name)))?;
-            Some(&durable_d)
-        }
-        Backend::Remote(_) => None,
-    };
+    let d = leg.backend.decomposition().map_err(|e| {
+        Diag::at(
+            leg.name_span,
+            format!("cannot plan `{}`: {}", leg.name, e.message),
+        )
+    })?;
     let mut sweep = false;
-    let plan_note = match d {
+    let plan_note = match d.as_deref() {
         Some(d) => {
             let planner = Planner::new(
                 d,
@@ -442,7 +450,6 @@ fn lower_leg(
         ship_chunks,
         bind,
         out,
-        est_rows: est,
         plan_note,
     })
 }

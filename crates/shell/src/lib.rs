@@ -7,7 +7,8 @@
 //! session can mix three storage kinds behind the same commands:
 //!
 //! * `create relation ...` — an in-memory [`relic_core::SynthRelation`]
-//!   (or, with `at "dir"`, a WAL-durable [`relic_persist::DurableRelation`]);
+//!   (or, with `at "dir"`, a WAL-durable [`relic_persist::DurableRelation`])
+//!   indexed on its key's leading column, unless `using` names a layout;
 //! * `open NAME from "dir"` — re-open a durable relation;
 //! * `connect NAME to "host:port"` — a relation served by `relic_server`.
 //!

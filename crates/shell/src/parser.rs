@@ -72,10 +72,18 @@ pub fn parse_line(src: &str) -> Result<Command, Diag> {
         "commit" => Command::Commit {
             name: expect_ident(&mut c, "a relation name")?,
         },
-        "show" => {
-            expect_keyword(&mut c, "relations")?;
-            Command::ShowRelations
-        }
+        "show" => match expect_ident(&mut c, "`relations` or `layout`")? {
+            (w, _) if w == "relations" => Command::ShowRelations,
+            (w, _) if w == "layout" => Command::ShowLayout {
+                name: expect_ident(&mut c, "a relation name")?,
+            },
+            (w, span) => {
+                return Err(Diag::at(
+                    span,
+                    format!("expected `relations` or `layout`, found `{w}`"),
+                ))
+            }
+        },
         "help" => Command::Help,
         "quit" | "exit" => Command::Quit,
         other => {

@@ -6,6 +6,10 @@
 //! batch script, echoing each line and rendering diagnostics with carets,
 //! and keeps going after errors — a script is a transcript, not a
 //! transaction.
+//!
+//! A `create relation` without `using` indexes its key's first-declared
+//! column (see `key_prefix_decomposition`); `show layout NAME` prints what
+//! a relation got, in let-notation `using` accepts.
 
 use crate::ast::{ColDecl, Command, FdDecl, Raw, SelectStmt};
 use crate::backend::{backend_err, Backend, RemoteRel};
@@ -14,9 +18,7 @@ use crate::diag::Diag;
 use crate::executor::{execute, explain};
 use crate::parser::parse_line;
 use relic_core::{Op, SynthRelation};
-use relic_decomp::{
-    check_adequacy, enumerate_decompositions, Decomposition, DsKind, EnumerateOptions,
-};
+use relic_decomp::{check_adequacy, DecompBuilder, DecompError, Decomposition, DsKind, Prim};
 use relic_persist::{DurableRelation, GroupCommitPolicy};
 use relic_server::Client;
 use relic_spec::{parse_pattern, Catalog, ColSet, Pattern, RelSpec, Tuple, Value};
@@ -62,6 +64,13 @@ impl Session {
             Command::Quit => Ok(Outcome::Quit),
             Command::Help => Ok(Outcome::Text(HELP.trim_end().to_string())),
             Command::ShowRelations => self.show_relations().map(Outcome::Text),
+            Command::ShowLayout { name } => {
+                let (nm, backend) = self.lookup_mut(&name)?;
+                Ok(Outcome::Text(match backend.decomposition()? {
+                    Some(d) => d.to_let_notation(backend.catalog()).replace('\n', " "),
+                    None => format!("{nm} is server-planned"),
+                }))
+            }
             Command::Create {
                 name,
                 cols,
@@ -130,29 +139,27 @@ impl Session {
         }
     }
 
+    /// Refuses a name the session already binds.
+    fn vacant(&self, name: &(String, crate::diag::Span)) -> Result<(), Diag> {
+        if self.rels.contains_key(&name.0) {
+            Err(Diag::at(
+                name.1,
+                format!("relation `{}` already exists", name.0),
+            ))
+        } else {
+            Ok(())
+        }
+    }
+
     fn show_relations(&self) -> Result<String, Diag> {
         if self.rels.is_empty() {
             return Ok("(no relations)".to_string());
         }
-        let mut out = String::new();
-        for (i, (name, b)) in self.rels.iter().enumerate() {
-            if i > 0 {
-                out.push('\n');
-            }
-            let cols: Vec<&str> = b
-                .spec()
-                .cols()
-                .iter()
-                .map(|c| b.catalog().name(c))
-                .collect();
-            out.push_str(&format!(
-                "{name}\t{}\t{} rows\t({})",
-                b.kind(),
-                b.len()?,
-                cols.join(", ")
-            ));
-        }
-        Ok(out)
+        let rows = self.rels.iter().map(|(name, b)| {
+            let cols = col_list(b.catalog(), b.spec().cols());
+            Ok(format!("{name}\t{}\t{} rows\t({cols})", b.kind(), b.len()?))
+        });
+        Ok(rows.collect::<Result<Vec<_>, Diag>>()?.join("\n"))
     }
 
     fn create(
@@ -163,12 +170,7 @@ impl Session {
         at: Option<Raw>,
         using: Option<Raw>,
     ) -> Result<String, Diag> {
-        if self.rels.contains_key(&name.0) {
-            return Err(Diag::at(
-                name.1,
-                format!("relation `{}` already exists", name.0),
-            ));
-        }
+        self.vacant(&name)?;
         if cols.len() > 64 {
             return Err(Diag::at(cols[64].span, "a relation has at most 64 columns"));
         }
@@ -188,19 +190,21 @@ impl Session {
             let rhs = resolve_cols(&cat, &fd.to)?;
             spec = spec.with_fd(lhs, rhs);
         }
-        let d = match &using {
-            Some(raw) => {
-                // The let-notation parser interns freely, so run it on a
-                // scratch catalog; adequacy checking then rejects foreign
-                // columns with a proper diagnostic.
-                let d = relic_decomp::parse(&mut cat.clone(), &raw.text)
-                    .map_err(|e| Diag::at(raw.span, e.to_string()))?;
-                check_adequacy(&d, &spec).map_err(|e| Diag::at(raw.span, e.to_string()))?;
-                d
-            }
-            None => default_decomposition(&spec)
-                .ok_or_else(|| Diag::at(name.1, "no adequate decomposition found for this spec"))?,
+        let (d, span) = match &using {
+            // The let-notation parser interns freely, so run it on a scratch
+            // catalog; adequacy checking then rejects foreign columns with a
+            // proper diagnostic.
+            Some(raw) => (
+                relic_decomp::parse(&mut cat.clone(), &raw.text).map_err(|e| e.to_string()),
+                raw.span,
+            ),
+            None => (
+                key_prefix_decomposition(&spec).map_err(|e| e.to_string()),
+                name.1,
+            ),
         };
+        let d = d.map_err(|e| Diag::at(span, e))?;
+        check_adequacy(&d, &spec).map_err(|e| Diag::at(span, e.to_string()))?;
         let backend = match &at {
             Some(dir) => {
                 std::fs::create_dir_all(&dir.text).map_err(|e| {
@@ -229,12 +233,7 @@ impl Session {
     }
 
     fn open(&mut self, name: (String, crate::diag::Span), dir: Raw) -> Result<String, Diag> {
-        if self.rels.contains_key(&name.0) {
-            return Err(Diag::at(
-                name.1,
-                format!("relation `{}` already exists", name.0),
-            ));
-        }
+        self.vacant(&name)?;
         let rel = DurableRelation::open(Path::new(&dir.text), GroupCommitPolicy::default())
             .map_err(|e| Diag::at(dir.span, e.to_string()))?;
         let n = rel.len();
@@ -243,12 +242,7 @@ impl Session {
     }
 
     fn connect(&mut self, name: (String, crate::diag::Span), addr: Raw) -> Result<String, Diag> {
-        if self.rels.contains_key(&name.0) {
-            return Err(Diag::at(
-                name.1,
-                format!("relation `{}` already exists", name.0),
-            ));
-        }
+        self.vacant(&name)?;
         let mut client = Client::connect(addr.text.as_str())
             .map_err(|e| Diag::at(addr.span, format!("cannot connect to `{}`: {e}", addr.text)))?;
         let (cat, spec) = client.catalog().map_err(backend_err)?;
@@ -303,16 +297,12 @@ impl Session {
                 path.span,
                 format!(
                     "header must name every column of `{nm}` ({})",
-                    spec_cols
-                        .iter()
-                        .map(|c| cat.name(c))
-                        .collect::<Vec<_>>()
-                        .join(", ")
+                    col_list(cat, spec_cols)
                 ),
             ));
         }
-        // Sized once: `load` adopts this buffer, and one grown by doubling
-        // leaves freed heap behind it (verify skill, "Gotchas").
+        // Sized once: a buffer grown by doubling leaves freed heap behind it
+        // (verify skill, "Gotchas").
         let mut tuples = Vec::with_capacity(lines.clone().count());
         let mut cells: Vec<&str> = Vec::with_capacity(cols.len());
         for (i, line) in lines.enumerate() {
@@ -349,7 +339,12 @@ impl Session {
             }
             tuples.push(Tuple::from_pairs(pairs));
         }
-        let n = backend.apply(Op::InsertMany(tuples))?;
+        // In batches of 4 096 rows: a batch insert's transient buffers grow
+        // with it, and whole files fragmented the heap across reloads.
+        let (mut rows, mut n) = (tuples.into_iter().peekable(), 0);
+        while rows.peek().is_some() {
+            n += backend.apply(Op::InsertMany(rows.by_ref().take(4096).collect()))?;
+        }
         Ok(format!("loaded {n} rows into {nm}"))
     }
 
@@ -365,16 +360,11 @@ impl Session {
         }
         let missing = backend.spec().cols() - p.dom();
         if !missing.is_empty() {
-            let cat = backend.catalog();
             return Err(Diag::at(
                 row.span,
                 format!(
                     "insert must bind every column; missing: {}",
-                    missing
-                        .iter()
-                        .map(|c| cat.name(c))
-                        .collect::<Vec<_>>()
-                        .join(", ")
+                    col_list(backend.catalog(), missing)
                 ),
             ));
         }
@@ -407,29 +397,31 @@ impl Session {
     }
 }
 
-/// The most edges a decomposition picked for a plain `create relation` has.
-const MAX_EDGES: usize = 4;
-
-/// The decomposition a plain `create relation` gets: the first adequate
-/// candidate of the hash-table enumeration. Candidates come sorted by
-/// `(edge count, canonical string)`, so the edge budget grows one at a
-/// time and the search stops at the first hit — the pick of the full
-/// `MAX_EDGES` enumeration, without paying for its thousands of larger
-/// candidates.
-fn default_decomposition(spec: &RelSpec) -> Option<Decomposition> {
-    (1..=MAX_EDGES).find_map(|max_edges| first_adequate(spec, max_edges))
-}
-
-/// The first adequate candidate among those of at most `max_edges` edges.
-fn first_adequate(spec: &RelSpec, max_edges: usize) -> Option<Decomposition> {
-    let opts = EnumerateOptions {
-        max_edges,
-        max_branches: 3,
-        sharing: true,
-        structures: vec![DsKind::HashTable],
-    };
-    // The enumerator yields adequate candidates only.
-    enumerate_decompositions(spec, &opts).into_iter().next()
+/// The decomposition a plain `create relation` gets, read off the spec's
+/// key `K`: the left side of the first declared dependency that determines
+/// every column, else a minimal key. `K`'s first-declared column `k`
+/// indexes the root, `{k} -[htable]-> ({K - k} -[htable]-> unit {C - K})`,
+/// so a query that binds only `k` looks up instead of scanning; a
+/// one-column key gets the single edge `{K} -[htable]-> unit {C - K}`.
+fn key_prefix_decomposition(spec: &RelSpec) -> Result<Decomposition, DecompError> {
+    let (all, fds) = (spec.cols(), spec.fds());
+    let key = fds
+        .iter()
+        .map(|fd| fd.lhs)
+        .find(|&lhs| fds.is_key(lhs, all))
+        .unwrap_or_else(|| spec.minimal_key());
+    let lead: ColSet = key.iter().take(1).collect();
+    let mut b = DecompBuilder::new();
+    let mut below = b.node("w", key, Prim::Unit(all - key))?;
+    if key != lead {
+        below = b.node("v", lead, Prim::Map(key - lead, DsKind::HashTable, below))?;
+    }
+    b.node(
+        "r",
+        ColSet::EMPTY,
+        Prim::Map(lead, DsKind::HashTable, below),
+    )?;
+    b.finish()
 }
 
 /// Parses one TSV/CSV cell: integer, then boolean, then string.
@@ -442,6 +434,14 @@ fn parse_cell(cell: &str) -> Value {
         "false" => Value::from(false),
         _ => Value::from(cell),
     }
+}
+
+/// The names of `cols`, comma-separated.
+fn col_list(cat: &Catalog, cols: ColSet) -> String {
+    cols.iter()
+        .map(|c| cat.name(c))
+        .collect::<Vec<_>>()
+        .join(", ")
 }
 
 fn resolve_cols(cat: &Catalog, names: &[(String, crate::diag::Span)]) -> Result<ColSet, Diag> {
@@ -470,6 +470,7 @@ commands:
   plan select ...                   show the chosen join order and plans
   commit NAME                       force a durable/remote commit
   show relations                    list session bindings
+  show layout NAME                  print NAME's decomposition (pasteable into `using`)
   quit
 ";
 
@@ -628,45 +629,59 @@ mod tests {
     }
 
     /// Every spec shape the shell suites, goldens, example and benchmark
-    /// create without `using`: growing the edge budget one at a time picks
-    /// what the full enumeration picks.
+    /// create without `using`, plus two whose key does not lead the
+    /// column list: the pick is adequate, its root edge is keyed on the
+    /// key's first-declared column alone, and a query binding that column
+    /// looks up instead of scanning.
     #[test]
-    fn default_decomposition_is_the_full_enumerations_first_pick() {
-        for (cols, fds) in [
-            (&["k"][..], &[][..]),
-            (&["k", "v"], &[(&["k"][..], &["v"][..])]),
-            (&["local", "remote"], &[]),
-            (&["local", "owner", "tier"], &[]),
+    fn plain_create_indexes_the_keys_leading_column() {
+        type Fds<'a> = &'a [(&'a str, &'a str)];
+        let specs: [(&str, Fds<'_>, &str); 10] = [
+            ("k", &[], "k"),
+            ("k, v", &[("k", "v")], "k"),
+            ("local, remote", &[], "local"),
+            ("local, owner, tier", &[], "local"),
+            ("local, owner, tier", &[("local", "owner, tier")], "local"),
             (
-                &["local", "owner", "tier"],
-                &[(&["local"], &["owner", "tier"])],
+                "local, remote, bytes",
+                &[("local, remote", "bytes")],
+                "local",
             ),
+            ("local, remote, bytes, pkts", &[], "local"),
             (
-                &["local", "remote", "bytes"],
-                &[(&["local", "remote"], &["bytes"])],
+                "local, remote, bytes, pkts",
+                &[("local, remote", "bytes, pkts")],
+                "local",
             ),
-            (&["local", "remote", "bytes", "pkts"], &[]),
-            (
-                &["local", "remote", "bytes", "pkts"],
-                &[(&["local", "remote"], &["bytes", "pkts"])],
-            ),
-        ] {
-            let mut cat = Catalog::new();
-            for c in cols {
-                cat.intern(c);
-            }
-            let set =
-                |names: &[&str]| -> ColSet { names.iter().map(|n| cat.col(n).unwrap()).collect() };
-            let mut spec = RelSpec::new(cat.all());
+            ("owner, local, tier", &[("local", "owner, tier")], "local"),
+            // The first dependency is no key; the second is, and its
+            // first-declared column is `a`, whatever order the fd lists.
+            ("a, b, c", &[("b", "c"), ("c, a", "b")], "a"),
+        ];
+        for (cols, fds, lead) in specs {
+            let mut line = format!("create relation t({cols})");
             for (lhs, rhs) in fds {
-                spec = spec.with_fd(set(lhs), set(rhs));
+                line.push_str(&format!(" fd {lhs} -> {rhs}"));
             }
-            let full = first_adequate(&spec, MAX_EDGES).expect("some candidate is adequate");
-            let picked = default_decomposition(&spec).expect("some candidate is adequate");
-            assert_eq!(
-                picked.to_let_notation(&cat),
-                full.to_let_notation(&cat),
-                "{cols:?} {fds:?}"
+            let mut s = Session::new();
+            eval_ok(&mut s, &line);
+            let Some(Backend::Mem(r)) = s.rels.get("t") else {
+                panic!("{line}: no memory relation");
+            };
+            let d = r.decomposition();
+            check_adequacy(d, r.spec()).unwrap_or_else(|e| panic!("{line}: {e}"));
+            let relic_decomp::Body::Map(root) = d.node(d.root()).body else {
+                panic!("{line}: the root is not a map");
+            };
+            let want: ColSet = r.catalog().col(lead).into_iter().collect();
+            assert_eq!(d.edge(root).key, want, "{line}");
+            let plan = eval_ok(&mut s, &format!("plan select * from t where {lead} = 1"));
+            let walk = plan
+                .split_once("cost ")
+                .and_then(|(_, w)| w.split_once(", "));
+            assert!(
+                walk.is_some_and(|(_, w)| w.starts_with("qlookup")),
+                "{line}: {plan}"
             );
         }
     }

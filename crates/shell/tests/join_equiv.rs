@@ -8,10 +8,12 @@
 //! `d ⋈ a` on the string alone, `a ⋈ c` on nothing (a cross product).
 //! Every case draws fresh data (sometimes an empty relation, so both an
 //! empty build side and an empty swept leg occur), and per relation a
-//! layout — the flat hash a plain `create relation` picks (joins sweep it)
-//! or a two-level `using` decomposition keyed on its join columns (joins
-//! probe it) — and a backend, memory or durable. Every query runs in both
-//! syntactic orders.
+//! layout and a backend, memory or durable. The layouts are the one a
+//! plain `create relation` picks (a hash on the key's first column over a
+//! hash on the rest: joins on that column probe it, others sweep it), an
+//! explicit flat hash on every column (joins sweep it), and a two-level
+//! `using` decomposition keyed on its join columns (joins probe it). Every
+//! query runs in both syntactic orders.
 
 use relic_shell::{Outcome, Session};
 use relic_spec::Value;
@@ -71,6 +73,30 @@ fn draw(rng: &mut Rng, col: &str) -> Value {
     }
 }
 
+/// Where a relation's tuples live.
+#[derive(Debug, Clone, Copy)]
+enum Layout {
+    /// No `using`: what a plain `create relation` picks.
+    Plain,
+    /// `{all} -[htable]-> unit {}`.
+    Flat,
+    /// [`two_level`].
+    TwoLevel,
+}
+
+/// The `using` clause of a layout, if it has one.
+fn using(rel: &Rel, layout: Layout) -> Option<String> {
+    let all = rel.cols.join(",");
+    match layout {
+        Layout::Plain => None,
+        Layout::Flat => Some(format!(
+            "let u : {{{all}}} . {{}} = unit {{}} in \
+             let r : {{}} . {{{all}}} = {{{all}}} -[htable]-> u in r"
+        )),
+        Layout::TwoLevel => Some(two_level(rel)),
+    }
+}
+
 /// `{key} -[htable]-> ({rest} -[htable]-> unit {})` in let-notation.
 fn two_level(rel: &Rel) -> String {
     let all = rel.cols.join(",");
@@ -91,18 +117,18 @@ fn eval(s: &mut Session, line: &str) -> String {
     }
 }
 
-/// Builds a session holding `data`; `layout(i)` says whether relation `i` is
-/// `(indexed, durable)`.
-fn session(dir: &Path, data: &Data, layout: impl Fn(usize) -> (bool, bool)) -> Session {
+/// Builds a session holding `data`; `layout(i)` says relation `i`'s
+/// `(layout, durable)`.
+fn session(dir: &Path, data: &Data, layout: impl Fn(usize) -> (Layout, bool)) -> Session {
     let mut s = Session::new();
     for (i, rel) in RELS.iter().enumerate() {
-        let (indexed, durable) = layout(i);
+        let (layout, durable) = layout(i);
         let mut line = format!("create relation {}({})", rel.name, rel.cols.join(", "));
         if durable {
             line.push_str(&format!(" at \"{}\"", dir.join(rel.name).display()));
         }
-        if indexed {
-            line.push_str(&format!(" using {}", two_level(rel)));
+        if let Some(d) = using(rel, layout) {
+            line.push_str(&format!(" using {d}"));
         }
         eval(&mut s, &line);
         for row in &data[rel.name] {
@@ -317,13 +343,18 @@ fn shell_joins_equal_a_brute_force_natural_join() {
     for case in 0..48u64 {
         let mut rng = Rng(0x9e37_79b9_7f4a_7c15 ^ (case << 32 | case));
         // The first cases run every relation flat, then every relation
-        // indexed; the rest mix layouts and backends per relation.
-        let layouts: Vec<(bool, bool)> = RELS
+        // two-level, then every relation plain; the rest mix layouts and
+        // backends per relation.
+        let layouts: Vec<(Layout, bool)> = RELS
             .iter()
             .map(|_| match case {
-                0..=7 => (false, false),
-                8..=15 => (true, false),
-                _ => (rng.below(2) == 0, rng.below(3) == 0),
+                0..=7 => (Layout::Flat, false),
+                8..=15 => (Layout::TwoLevel, false),
+                16..=23 => (Layout::Plain, false),
+                _ => (
+                    [Layout::Plain, Layout::Flat, Layout::TwoLevel][rng.below(3) as usize],
+                    rng.below(3) == 0,
+                ),
             })
             .collect();
         let mut data = Data::new();
@@ -378,8 +409,9 @@ fn plan_names_the_strategy_per_leg() {
         }
         data.insert(rel.name, set);
     }
-    // `b` flat in memory, `c` indexed on `y` and durable.
-    let mut s = session(&dir, &data, |i| (i == 2, i == 2));
+    // `b` flat in memory, `c` indexed on `y` and durable, `a` and `d` plain.
+    let layouts = [Layout::Plain, Layout::Flat, Layout::TwoLevel, Layout::Plain];
+    let mut s = session(&dir, &data, |i| (layouts[i], i == 2));
     let q = &QUERIES[6];
     let plan = eval(&mut s, &format!("plan {}", q.text(q.rels)));
     let legs: Vec<&str> = plan.lines().collect();

@@ -25,6 +25,7 @@ const TOKENS: &[&str] = &[
     "plan",
     "show",
     "relations",
+    "layout",
     "help",
     "fd",
     "->",

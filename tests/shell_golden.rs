@@ -43,7 +43,7 @@ fn check(name: &str, script: &str) {
 }
 
 /// Single-relation basics: create, insert, point/range queries,
-/// aggregates, removal, the session listing.
+/// aggregates, removal, the session listing, the layout `create` picked.
 #[test]
 fn golden_basics() {
     check(
@@ -61,6 +61,7 @@ select count(*), sum(v), min(v), max(v) from kv
 remove kv where k = 1
 select count(*) from kv
 show relations
+show layout kv
 ",
     );
 }
