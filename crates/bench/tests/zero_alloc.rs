@@ -10,7 +10,8 @@
 //! these tests.)
 
 use relic_concurrent::ConcurrentRelation;
-use relic_core::{Bindings, RelRead, SynthRelation};
+use relic_core::netmsg::encode_rows_into;
+use relic_core::{Bindings, FlatRows, RelRead, SynthRelation};
 use relic_decomp::parse;
 use relic_spec::{Catalog, Pattern, Pred, RelSpec, Tuple, Value};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -495,6 +496,51 @@ fn warm_point_and_range_queries_through_a_detached_read_view_allocate_nothing() 
         }
         .unwrap()
     });
+}
+
+/// A served read's whole server-side path: stream through a `ReadHandle`
+/// into the reused flat row collector, sort and deduplicate its row index,
+/// and encode the `Rows` payload into a reused byte buffer. Warm, a point
+/// read and a 512-row scan allocate nothing.
+#[test]
+fn warm_served_reads_collect_and_encode_without_allocating() {
+    let (cat, rel) = sharded_flows();
+    let col = |name| cat.col(name).unwrap();
+    let (local, remote) = (col("local"), col("remote"));
+    let all = cat.all();
+    let point = Tuple::from_pairs([(local, Value::from(5)), (remote, Value::from(5i64 << 12))]);
+    let scan = Pattern::new().with(local, Pred::Between(Value::from(0), Value::from(15)));
+    let mut handle = rel.read_handle();
+    let (mut scratch, mut rows, mut bytes) = (Bindings::new(), FlatRows::new(), Vec::new());
+    let mut serve = || {
+        let mut answered = [0; 2];
+        for (i, n) in answered.iter_mut().enumerate() {
+            rows.begin(usize::MAX);
+            if i == 0 {
+                handle.query_for_each_bindings(&mut scratch, &point, all, |b| rows.push(b, all))
+            } else {
+                handle
+                    .query_where_for_each_bindings(&mut scratch, &scan, all, |b| rows.push(b, all))
+            }
+            .unwrap();
+            rows.finish();
+            bytes.clear();
+            encode_rows_into(&rows, &mut bytes);
+            *n = rows.len();
+        }
+        (answered, bytes.len())
+    };
+    let warm = serve();
+    assert_eq!(warm.0, [1, 512]);
+    let before = allocs();
+    for _ in 0..5 {
+        assert_eq!(serve(), warm);
+    }
+    let delta = allocs() - before;
+    assert_eq!(
+        delta, 0,
+        "warm served reads allocated {delta} times collecting and encoding"
+    );
 }
 
 /// Allocations one `checkpoint()` makes over `n` flow-like tuples (an

@@ -43,7 +43,7 @@ pub use error::{BuildError, MigrateError, OpError};
 pub use exec::Bindings;
 pub use op::Op;
 pub use profile::WorkloadProfile;
-pub use read::RelRead;
+pub use read::{FlatRows, RelRead};
 pub use relation::SynthRelation;
 pub use snapshot::Snapshot;
 

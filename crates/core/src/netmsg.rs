@@ -27,7 +27,10 @@
 //!   regardless of how the server batched.
 //! * Queries ([`Query`](NetRequest::Query) with a tuple pattern,
 //!   [`QueryWhere`](NetRequest::QueryWhere) with concrete predicate
-//!   syntax parsed server-side) return [`NetResponse::Rows`].
+//!   syntax parsed server-side) return [`NetResponse::Rows`]: the answer
+//!   `RelRead::query` gives, sorted and distinct. The server writes that
+//!   payload from a [`FlatRows`] collector with [`encode_rows_into`],
+//!   without building the tuples; clients decode it as `Vec<Tuple>`.
 //! * [`Commit`](NetRequest::Commit) forces a group commit and returns the
 //!   durable frontier; [`Stats`](NetRequest::Stats) exposes the flush-lag
 //!   and reclamation-pressure gauges the server's admission control runs
@@ -37,7 +40,7 @@
 //!   for the hinted duration before retrying.
 
 use crate::wire::{self, Reader, WireError};
-use crate::Op;
+use crate::{FlatRows, Op};
 use relic_spec::{Catalog, ColSet, RelSpec, Tuple};
 
 const REQ_CATALOG: u8 = 1;
@@ -56,6 +59,24 @@ const RESP_COMMITTED: u8 = 4;
 const RESP_STATS: u8 = 5;
 const RESP_BUSY: u8 = 6;
 const RESP_ERR: u8 = 7;
+
+/// The bytes a [`NetResponse::Rows`] payload spends before its first row:
+/// the tag and the `u32` row count.
+pub const ROWS_HEADER_LEN: usize = 5;
+
+/// Appends the [`NetResponse::Rows`] payload of a
+/// [finished](FlatRows::finish) [`FlatRows`]: byte for byte what
+/// `NetResponse::Rows { tuples }.encode_into(out)` writes when `tuples` are
+/// the collector's rows as tuples, without building them. This is how the
+/// server answers a query.
+pub fn encode_rows_into(rows: &FlatRows, out: &mut Vec<u8>) {
+    out.reserve(ROWS_HEADER_LEN + rows.encoded_len());
+    out.push(RESP_ROWS);
+    wire::put_u32(out, rows.len() as u32);
+    for (dom, vals) in rows.rows() {
+        wire::put_row(out, dom, vals);
+    }
+}
 
 /// A client-to-server request.
 #[derive(Debug, Clone, PartialEq)]
@@ -376,6 +397,39 @@ mod tests {
             },
         ] {
             assert_eq!(NetResponse::decode(&resp.encode()).unwrap(), resp);
+        }
+    }
+
+    #[test]
+    fn flat_rows_encode_as_the_rows_response_of_the_collected_tuples() {
+        let mut cat = Catalog::new();
+        let (a, b) = (cat.intern("a"), cat.intern("b"));
+        // Unsorted, repeating once projected onto `b`, with a row whose
+        // domain is smaller than the others'.
+        let streamed: Vec<Tuple> = (0..40i64)
+            .rev()
+            .map(|i| {
+                Tuple::from_pairs([(a, Value::from(i)), (b, Value::from(format!("s{}", i % 7)))])
+            })
+            .chain([Tuple::from_pairs([(b, Value::from("only-b"))])])
+            .collect();
+        let mut rows = FlatRows::new();
+        let mut scratch = crate::Bindings::new();
+        for out in [a | b, b.set(), a.set(), ColSet::EMPTY] {
+            rows.begin(usize::MAX);
+            for t in &streamed {
+                scratch.load(t.iter());
+                rows.push(&scratch, out);
+            }
+            rows.finish();
+            let mut tuples: Vec<Tuple> = streamed.iter().map(|t| t.project(out)).collect();
+            tuples.sort();
+            tuples.dedup();
+            let want = NetResponse::Rows { tuples }.encode();
+            let mut got = vec![0xAB];
+            encode_rows_into(&rows, &mut got);
+            assert_eq!(got[1..], want[..], "out = {out:?}");
+            assert_eq!(rows.encoded_len() + ROWS_HEADER_LEN, want.len());
         }
     }
 

@@ -15,10 +15,10 @@
 use crate::error::OpError;
 use crate::exec::{exec_plan, Bindings, ExecEnv};
 use crate::instance::{InstanceRef, Store};
-use crate::FxHashMap;
+use crate::{wire, FxHashMap};
 use relic_decomp::Decomposition;
 use relic_query::{CostModel, Plan, Planner};
-use relic_spec::{ColSet, Pattern, RelSpec, Tuple};
+use relic_spec::{ColSet, Pattern, RelSpec, Tuple, Value};
 use std::sync::{Arc, RwLock};
 
 /// The relational read interface: `query r s C` in every form, over one
@@ -240,6 +240,205 @@ impl SortedRows {
     }
 }
 
+/// A collecting query's rows held flat, for a reader that serializes the
+/// answer instead of returning tuples (the server's `Rows` response).
+///
+/// [`push`](FlatRows::push) appends a streamed row's projected values back
+/// to back in one `Vec<Value>` and indexes the row by one `(domain, start)`
+/// entry; no [`Tuple`] is built. [`finish`](FlatRows::finish) sorts the
+/// index in `Tuple`'s order — domain first, then the values — and drops
+/// adjacent duplicates, so [`rows`](FlatRows::rows) yields exactly the
+/// answer [`RelRead::query`] returns, in its order. Duplicates are compacted
+/// away by `SortedRows`' rule: whenever the index doubles past its last
+/// distinct count, never below 1 024 rows.
+///
+/// An answer is also bounded by the encoded size a
+/// [`begin`](FlatRows::begin) allows (`wire::put_row` bytes). Buffered bytes
+/// past that budget, or past twice the last distinct size, compact too; if
+/// the distinct rows alone exceed the budget, the collector drops them,
+/// ignores every later row and reports [`is_over`](FlatRows::is_over). It
+/// therefore holds at most about twice its budget.
+///
+/// One collector is meant to be reused: `begin` keeps its capacity, so a
+/// warm answer that fits allocates nothing, and
+/// [`shrink_large`](FlatRows::shrink_large) gives back what an unusually
+/// large answer grew.
+#[derive(Debug)]
+pub struct FlatRows {
+    /// The buffered rows' values, back to back.
+    vals: Vec<Value>,
+    /// One `(domain, start)` per buffered row: its values are
+    /// `vals[start..start + domain.len()]`.
+    rows: Vec<(ColSet, usize)>,
+    /// Compaction's destination, swapped with `vals`.
+    spare: Vec<Value>,
+    /// Compact when `rows` reaches this many entries.
+    limit: usize,
+    /// Encoded bytes of the buffered rows.
+    bytes: usize,
+    /// Compact when `bytes` passes this.
+    byte_limit: usize,
+    /// The encoded size the distinct rows may reach.
+    max_bytes: usize,
+    /// The distinct rows passed `max_bytes`: nothing more is buffered.
+    over: bool,
+}
+
+impl Default for FlatRows {
+    fn default() -> Self {
+        FlatRows {
+            vals: Vec::new(),
+            rows: Vec::new(),
+            spare: Vec::new(),
+            limit: SortedRows::FLOOR,
+            bytes: 0,
+            byte_limit: usize::MAX,
+            max_bytes: usize::MAX,
+            over: false,
+        }
+    }
+}
+
+impl FlatRows {
+    /// Heap held past which [`shrink_large`](FlatRows::shrink_large) gives
+    /// memory back.
+    const SHRINK_ABOVE: usize = 1 << 20;
+
+    /// An empty collector with no size budget.
+    pub fn new() -> Self {
+        FlatRows::default()
+    }
+
+    /// Empties the collector for a new answer whose distinct rows may
+    /// encode to at most `max_bytes`, keeping its capacity.
+    pub fn begin(&mut self, max_bytes: usize) {
+        self.vals.clear();
+        self.rows.clear();
+        self.limit = SortedRows::FLOOR;
+        self.bytes = 0;
+        self.byte_limit = max_bytes;
+        self.max_bytes = max_bytes;
+        self.over = false;
+    }
+
+    /// Appends `b`'s projection onto `out` — the row
+    /// `b.project(out)` would build.
+    pub fn push(&mut self, b: &Bindings, out: ColSet) {
+        if self.over {
+            return;
+        }
+        let dom = b.dom() & out;
+        self.rows.push((dom, self.vals.len()));
+        self.bytes += wire::ROW_HEADER_LEN;
+        for v in dom.iter().filter_map(|c| b.get(c)) {
+            self.bytes += wire::value_len(v);
+            self.vals.push(v.clone());
+        }
+        if self.rows.len() >= self.limit || self.bytes > self.byte_limit {
+            self.compact();
+        }
+    }
+
+    /// Sorts and deduplicates the buffered rows: [`rows`](FlatRows::rows)
+    /// then yields the answer in `Tuple`'s order. Call once, after the last
+    /// [`push`](FlatRows::push).
+    pub fn finish(&mut self) {
+        let buffered = self.rows.len();
+        self.sort_dedup();
+        if self.rows.len() < buffered {
+            self.bytes = self.rows().map(|(_, vals)| wire::row_len(vals)).sum();
+        }
+        self.check_budget();
+    }
+
+    /// Whether the distinct rows exceeded the budget given to
+    /// [`begin`](FlatRows::begin); the collector then holds no rows.
+    pub fn is_over(&self) -> bool {
+        self.over
+    }
+
+    /// Number of buffered rows (distinct after [`finish`](FlatRows::finish)).
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Whether no row is buffered.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// The encoded size of the buffered rows, in `wire::put_row` bytes.
+    pub fn encoded_len(&self) -> usize {
+        self.bytes
+    }
+
+    /// The buffered rows as `(domain, values)` pairs, in index order
+    /// (sorted after [`finish`](FlatRows::finish)).
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = (ColSet, &[Value])> + '_ {
+        self.rows
+            .iter()
+            .map(|&(dom, start)| (dom, &self.vals[start..start + dom.len()]))
+    }
+
+    /// Empties the collector and, if its buffers hold more than 1 MiB,
+    /// shrinks them back to the compaction floor: one large answer does not
+    /// pin its memory for every answer after it, while steady traffic keeps
+    /// its capacity and never reallocates.
+    pub fn shrink_large(&mut self) {
+        self.vals.clear();
+        self.rows.clear();
+        self.spare.clear();
+        if self.capacity_bytes() > FlatRows::SHRINK_ABOVE {
+            self.vals.shrink_to(SortedRows::FLOOR);
+            self.rows.shrink_to(SortedRows::FLOOR);
+            self.spare = Vec::new();
+        }
+    }
+
+    /// The heap the collector's buffers hold, in bytes.
+    pub fn capacity_bytes(&self) -> usize {
+        (self.vals.capacity() + self.spare.capacity()) * size_of::<Value>()
+            + self.rows.capacity() * size_of::<(ColSet, usize)>()
+    }
+
+    fn sort_dedup(&mut self) {
+        let vals = &self.vals;
+        let row = |&(dom, start): &(ColSet, usize)| (dom, &vals[start..start + dom.len()]);
+        self.rows.sort_unstable_by(|a, b| row(a).cmp(&row(b)));
+        self.rows.dedup_by(|a, b| row(a) == row(b));
+    }
+
+    /// Sorts and deduplicates, moves the surviving values into place, and
+    /// doubles both thresholds past the distinct size.
+    fn compact(&mut self) {
+        self.sort_dedup();
+        self.spare.clear();
+        self.bytes = 0;
+        for (dom, start) in &mut self.rows {
+            let from = *start;
+            *start = self.spare.len();
+            for v in &mut self.vals[from..from + dom.len()] {
+                self.spare.push(std::mem::replace(v, Value::Bool(false)));
+            }
+            self.bytes += wire::row_len(&self.spare[*start..]);
+        }
+        std::mem::swap(&mut self.vals, &mut self.spare);
+        self.spare.clear();
+        self.limit = (2 * self.rows.len()).max(SortedRows::FLOOR);
+        self.byte_limit = self.max_bytes.max(2 * self.bytes);
+        self.check_budget();
+    }
+
+    fn check_budget(&mut self) {
+        if self.bytes > self.max_bytes {
+            self.over = true;
+            self.vals.clear();
+            self.rows.clear();
+            self.bytes = 0;
+        }
+    }
+}
+
 /// Cache key: the `(eq, ranged, filtered, out)` column-set signature of a
 /// query.
 pub(crate) type PlanKey = (u64, u64, u64, u64);
@@ -370,4 +569,72 @@ pub(crate) fn plan_memoized(
     let mut cache = cache.write().expect("plan cache poisoned");
     let entry = cache.entry(key).or_insert_with(|| Arc::new(planned.plan));
     Ok(Arc::clone(entry))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use relic_spec::Catalog;
+
+    /// Streams `tuples` projected onto `out` through a fresh collector with
+    /// the given budget, returning the most rows it held at once.
+    fn collect(rows: &mut FlatRows, tuples: &[Tuple], out: ColSet, max_bytes: usize) -> usize {
+        let mut scratch = Bindings::new();
+        rows.begin(max_bytes);
+        let mut most = 0;
+        for t in tuples {
+            scratch.load(t.iter());
+            rows.push(&scratch, out);
+            most = most.max(rows.len());
+        }
+        rows.finish();
+        most
+    }
+
+    #[test]
+    fn repeated_rows_compact_to_the_sorted_distinct_answer() {
+        let mut cat = Catalog::new();
+        let (a, b) = (cat.intern("a"), cat.intern("b"));
+        let tuples: Vec<Tuple> = (0..10_000i64)
+            .rev()
+            .map(|i| Tuple::from_pairs([(a, Value::from(i)), (b, Value::from(i % 3))]))
+            .collect();
+        let mut rows = FlatRows::new();
+        for out in [b.set(), a | b] {
+            let most = collect(&mut rows, &tuples, out, usize::MAX);
+            let mut sorted = SortedRows::default();
+            tuples.iter().for_each(|t| sorted.push(t.project(out)));
+            let want = sorted.finish();
+            let got: Vec<Tuple> = rows
+                .rows()
+                .map(|(dom, vals)| Tuple::from_parts(dom, vals.to_vec()))
+                .collect();
+            assert_eq!(got, want);
+            assert_eq!(
+                rows.encoded_len(),
+                want.iter().map(|t| wire::row_len(t.values())).sum()
+            );
+            if out == b.set() {
+                assert!(most <= SortedRows::FLOOR, "held {most} rows");
+            }
+            assert!(!rows.is_over());
+        }
+    }
+
+    #[test]
+    fn distinct_rows_past_the_budget_are_dropped() {
+        let mut cat = Catalog::new();
+        let a = cat.intern("a");
+        let tuples: Vec<Tuple> = (0..100i64)
+            .map(|i| Tuple::from_pairs([(a, Value::from(i % 10))]))
+            .collect();
+        let mut rows = FlatRows::new();
+        // Ten distinct 17-byte rows fit 170 bytes exactly, not 169.
+        collect(&mut rows, &tuples, a.set(), 170);
+        assert!(!rows.is_over());
+        assert_eq!((rows.len(), rows.encoded_len()), (10, 170));
+        collect(&mut rows, &tuples, a.set(), 169);
+        assert!(rows.is_over());
+        assert!(rows.is_empty());
+    }
 }

@@ -229,25 +229,49 @@ pub fn take_value(r: &mut Reader<'_>) -> Result<Value, WireError> {
 
 // -- tuples -----------------------------------------------------------------
 
-/// Appends one [`Tuple`]: its domain bits, then the values in ascending
-/// column order.
-pub fn put_tuple(out: &mut Vec<u8>, t: &Tuple) {
-    put_u64(out, t.dom().bits());
-    for v in t.values() {
+/// Appends one row — a tuple over `dom` whose values, in ascending column
+/// order, are `values` — as its domain bits followed by the values. This is
+/// the one writer of the row format: [`put_tuple`], [`put_bindings`] and
+/// the served `Rows` payload all go through it, and [`take_tuple`] reads it
+/// back.
+pub fn put_row<'v>(out: &mut Vec<u8>, dom: ColSet, values: impl IntoIterator<Item = &'v Value>) {
+    put_u64(out, dom.bits());
+    for v in values {
         put_value(out, v);
     }
 }
 
-/// Appends `b`'s valuation of `cols` in [`put_tuple`]'s format — byte for
+/// The bytes [`put_row`] writes for `values`.
+pub(crate) fn row_len<'v>(values: impl IntoIterator<Item = &'v Value>) -> usize {
+    values
+        .into_iter()
+        .fold(ROW_HEADER_LEN, |n, v| n + value_len(v))
+}
+
+/// The bytes [`put_row`] writes before a row's values: its domain bits.
+pub(crate) const ROW_HEADER_LEN: usize = 8;
+
+/// The bytes [`put_value`] writes for `v`.
+pub(crate) fn value_len(v: &Value) -> usize {
+    match v {
+        Value::Bool(_) => 2,
+        Value::Int(_) => 9,
+        Value::Str(s) => 5 + s.len(),
+    }
+}
+
+/// Appends one [`Tuple`] in [`put_row`]'s format.
+pub fn put_tuple(out: &mut Vec<u8>, t: &Tuple) {
+    put_row(out, t.dom(), t.values());
+}
+
+/// Appends `b`'s valuation of `cols` in [`put_row`]'s format — byte for
 /// byte what `put_tuple(out, &b.project(cols))` writes, without building
 /// the tuple. This is how a streaming scan serializes the tuples it emits
 /// ([`take_tuple`] reads them back).
 pub fn put_bindings(out: &mut Vec<u8>, b: &Bindings, cols: ColSet) {
     let keep = b.dom() & cols;
-    put_u64(out, keep.bits());
-    for v in keep.iter().filter_map(|c| b.get(c)) {
-        put_value(out, v);
-    }
+    put_row(out, keep, keep.iter().filter_map(|c| b.get(c)));
 }
 
 /// Decodes one [`Tuple`].
@@ -595,6 +619,7 @@ mod tests {
             put_bindings(&mut streamed, &scratch, cols);
             put_tuple(&mut built, &scratch.project(cols));
             assert_eq!(streamed, built);
+            assert_eq!(streamed.len(), row_len(t.project(cols).values()));
             assert_eq!(
                 take_tuple(&mut Reader::new(&streamed)).unwrap(),
                 t.project(cols)

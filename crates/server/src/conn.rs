@@ -11,7 +11,8 @@
 //! response stream (the client-side mirror of the slow-*writer* framing
 //! fix in the replica transport).
 
-use relic_core::netmsg::NetResponse;
+use relic_core::netmsg::{self, NetResponse};
+use relic_core::{FlatRows, OpError};
 use relic_persist::{
     begin_frame, frame_message, seal_frame, shrink_drained, FrameReader, PersistError,
     MAX_FRAME_PAYLOAD,
@@ -29,6 +30,51 @@ use std::net::TcpStream;
 pub(crate) fn push_framed(out: &mut Vec<u8>, resp: &NetResponse, max_payload: u32) {
     let start = begin_frame(out);
     resp.encode_into(out);
+    seal_or_substitute(out, start, max_payload);
+}
+
+/// Streams one read's answer into the reused collector `rows` and frames
+/// it onto the end of `out` as a `Rows` response: the bytes
+/// [`push_framed`] writes for `NetResponse::Rows { tuples }`, where `tuples`
+/// is what `RelRead::query` returns for the same read, without a `Tuple`
+/// per row.
+///
+/// `stream` pushes the read's rows into the collector; its error becomes a
+/// typed [`NetResponse::Err`]. So does an answer whose distinct rows do not
+/// fit `max_payload`: the collector stops buffering once they pass it, so
+/// the answer is never held, encoded and rolled back whole. Either way the
+/// `Err` takes the answer's slot. Afterwards the collector is emptied, and
+/// shrunk if the answer grew it past 1 MiB.
+pub(crate) fn push_rows_framed(
+    out: &mut Vec<u8>,
+    rows: &mut FlatRows,
+    max_payload: u32,
+    stream: impl FnOnce(&mut FlatRows) -> Result<(), OpError>,
+) {
+    rows.begin((max_payload as usize).saturating_sub(netmsg::ROWS_HEADER_LEN));
+    let streamed = stream(rows);
+    rows.finish();
+    let message = match streamed {
+        Err(e) => Some(e.to_string()),
+        Ok(()) if rows.is_over() => {
+            Some(format!("response exceeds the {max_payload} byte frame cap"))
+        }
+        Ok(()) => None,
+    };
+    match message {
+        Some(message) => push_framed(out, &NetResponse::Err { message }, max_payload),
+        None => {
+            let start = begin_frame(out);
+            netmsg::encode_rows_into(rows, out);
+            seal_or_substitute(out, start, max_payload);
+        }
+    }
+    rows.shrink_large();
+}
+
+/// Seals the frame begun at `start`; a payload over `max_payload` is rolled
+/// back and a typed [`NetResponse::Err`] framed in its place.
+fn seal_or_substitute(out: &mut Vec<u8>, start: usize, max_payload: u32) {
     if let Err(PersistError::FrameTooLarge { len, max }) = seal_frame(out, start, max_payload) {
         let err = NetResponse::Err {
             message: format!("response of {len} bytes exceeds the {max} byte frame cap"),
@@ -135,6 +181,16 @@ impl Conn {
         push_framed(&mut self.out, resp, MAX_FRAME_PAYLOAD);
     }
 
+    /// Queues the answer `stream` collects into `rows` behind everything
+    /// already queued (see [`push_rows_framed`]).
+    pub(crate) fn push_rows(
+        &mut self,
+        rows: &mut FlatRows,
+        stream: impl FnOnce(&mut FlatRows) -> Result<(), OpError>,
+    ) {
+        push_rows_framed(&mut self.out, rows, MAX_FRAME_PAYLOAD, stream);
+    }
+
     /// Pushes queued bytes at the socket until it blocks or empties.
     /// Returns whether any bytes moved.
     pub(crate) fn flush_writes(&mut self) -> bool {
@@ -181,7 +237,8 @@ impl Conn {
 mod tests {
     use super::*;
     use relic_core::netmsg::ServingStats;
-    use relic_spec::{Catalog, RelSpec, Tuple, Value};
+    use relic_core::{Bindings, SynthRelation};
+    use relic_spec::{Catalog, ColSet, RelSpec, Tuple, Value};
     use std::net::TcpListener;
 
     fn rows(n: usize) -> NetResponse {
@@ -197,6 +254,43 @@ mod tests {
                 })
                 .collect(),
         }
+    }
+
+    /// `rows(n)`'s tuples in a relation whose hash scan order is not their
+    /// sorted order.
+    fn relation(n: usize) -> SynthRelation {
+        let mut cat = Catalog::new();
+        let (a, b) = (cat.intern("a"), cat.intern("b"));
+        let d = relic_decomp::parse(
+            &mut cat,
+            "let u : {a} . {b} = unit {b} in let x : {} . {a,b} = {a} -[htable]-> u in x",
+        )
+        .unwrap();
+        let spec = RelSpec::new(a | b).with_fd(a.set(), b.set());
+        let mut r = SynthRelation::new(&cat, spec, d).unwrap();
+        let NetResponse::Rows { tuples } = rows(n) else {
+            unreachable!()
+        };
+        for t in tuples {
+            r.insert(t).unwrap();
+        }
+        r
+    }
+
+    /// Frames `r`'s answer to a full scan projected onto `out` through the
+    /// flat collector.
+    fn push_scan(
+        out: &mut Vec<u8>,
+        flat: &mut FlatRows,
+        r: &SynthRelation,
+        cols: ColSet,
+        max_payload: u32,
+    ) {
+        push_rows_framed(out, flat, max_payload, |flat| {
+            r.query_for_each_bindings(&mut Bindings::new(), &Tuple::empty(), cols, |b| {
+                flat.push(b, cols)
+            })
+        });
     }
 
     fn every_variant() -> Vec<NetResponse> {
@@ -244,7 +338,24 @@ mod tests {
             frame_message(&mut want, &resp.encode(), MAX_FRAME_PAYLOAD).unwrap();
             assert_eq!(out, want, "{resp:?}");
         }
-        assert_eq!(frames(&out, MAX_FRAME_PAYLOAD), every_variant());
+        // The flat path frames what `RelRead::query` answers, byte for
+        // byte: sorted, distinct, `Str` values included.
+        let mut sent = every_variant();
+        let mut flat = FlatRows::new();
+        for n in [0, 1, 512] {
+            let r = relation(n);
+            for cols in [r.spec().cols(), ColSet::from_bits(0b10), ColSet::EMPTY] {
+                let resp = NetResponse::Rows {
+                    tuples: r.query(&Tuple::empty(), cols).unwrap(),
+                };
+                push_scan(&mut out, &mut flat, &r, cols, MAX_FRAME_PAYLOAD);
+                frame_message(&mut want, &resp.encode(), MAX_FRAME_PAYLOAD).unwrap();
+                assert_eq!(out, want, "{n} rows onto {cols:?}");
+                sent.push(resp);
+            }
+        }
+        assert_eq!(sent[sent.len() - 3], rows(512));
+        assert_eq!(frames(&out, MAX_FRAME_PAYLOAD), sent);
     }
 
     #[test]
@@ -270,6 +381,71 @@ mod tests {
             other => panic!("expected the substituted Err, got {other:?}"),
         }
         assert_eq!(got[2], NetResponse::Ack { n: 2 });
+    }
+
+    #[test]
+    fn an_answer_past_the_cap_stops_buffering_and_becomes_a_typed_err() {
+        let cap = 256;
+        let r = relation(5000);
+        let cols = r.spec().cols();
+        let mut flat = FlatRows::new();
+        let mut out = Vec::new();
+        push_framed(&mut out, &NetResponse::Ack { n: 1 }, cap);
+        let (mut streamed, mut most_held) = (0, 0);
+        push_rows_framed(&mut out, &mut flat, cap, |flat| {
+            r.query_for_each_bindings(&mut Bindings::new(), &Tuple::empty(), cols, |b| {
+                flat.push(b, cols);
+                streamed += 1;
+                most_held = most_held.max(flat.encoded_len());
+            })
+        });
+        push_framed(&mut out, &NetResponse::Ack { n: 2 }, cap);
+        assert_eq!(streamed, 5000);
+        assert!(most_held <= 2 * cap as usize, "held {most_held} bytes");
+        assert!(flat.capacity_bytes() < 4096, "{}", flat.capacity_bytes());
+        let got = frames(&out, cap);
+        assert_eq!(
+            got,
+            vec![
+                NetResponse::Ack { n: 1 },
+                NetResponse::Err {
+                    message: "response exceeds the 256 byte frame cap".to_string()
+                },
+                NetResponse::Ack { n: 2 },
+            ]
+        );
+        // The collector is reusable: an answer that fits is framed whole.
+        let small = relation(3);
+        push_scan(&mut out, &mut flat, &small, cols, cap);
+        assert_eq!(frames(&out, cap).last(), Some(&rows(3)));
+    }
+
+    #[test]
+    fn a_large_answer_gives_the_row_buffer_back() {
+        let r = relation(30_000);
+        let cols = r.spec().cols();
+        let mut flat = FlatRows::new();
+        let mut grown = 0;
+        push_rows_framed(&mut Vec::new(), &mut flat, MAX_FRAME_PAYLOAD, |flat| {
+            let scan =
+                r.query_for_each_bindings(&mut Bindings::new(), &Tuple::empty(), cols, |b| {
+                    flat.push(b, cols)
+                });
+            grown = flat.capacity_bytes();
+            scan
+        });
+        assert!(grown > 1 << 20, "{grown}");
+        assert!(
+            flat.capacity_bytes() <= 1 << 20,
+            "{}",
+            flat.capacity_bytes()
+        );
+        // Steady traffic keeps its capacity.
+        let r = relation(512);
+        push_scan(&mut Vec::new(), &mut flat, &r, cols, MAX_FRAME_PAYLOAD);
+        let kept = flat.capacity_bytes();
+        push_scan(&mut Vec::new(), &mut flat, &r, cols, MAX_FRAME_PAYLOAD);
+        assert_eq!(flat.capacity_bytes(), kept);
     }
 
     #[test]

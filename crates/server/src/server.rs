@@ -15,8 +15,11 @@
 //! 1. Adopt newly accepted connections from the acceptor's queue.
 //! 2. For each connection: buffer readable bytes, then decode and
 //!    dispatch up to [`ServerConfig::max_requests_per_scan`] requests.
-//!    Reads answer immediately from the worker's [`ReadHandle`];
-//!    mutations queue into the worker's `MutationBatch`.
+//!    Reads answer immediately from the worker's [`ReadHandle`]: a query
+//!    streams its rows into the worker's reused [`FlatRows`] — values back
+//!    to back, one index entry per row, no `Tuple` — whose sorted,
+//!    deduplicated index is framed straight into the connection's output
+//!    queue. Mutations queue into the worker's `MutationBatch`.
 //! 3. Flush the mutation batch — coalesced `insert_many` runs, one group
 //!    commit — and distribute the acks to their connections.
 //! 4. Push queued response bytes at every socket that will take them.
@@ -31,8 +34,7 @@ use crate::conn::{Conn, ReadPass};
 use crate::ServerConfig;
 use relic_concurrent::ReadHandle;
 use relic_core::netmsg::{NetRequest, NetResponse, ServingStats};
-use relic_core::Op;
-use relic_core::RelRead;
+use relic_core::{Bindings, FlatRows, Op, RelRead};
 use relic_persist::DurableRelation;
 use relic_spec::{parse_pattern, ColSet};
 use std::io::ErrorKind;
@@ -198,7 +200,11 @@ fn worker_loop(
     stats: &SharedStats,
 ) {
     let mut conns: Vec<Conn> = Vec::new();
-    let mut handle = rel.read_handle();
+    let mut reads = Reads {
+        handle: rel.read_handle(),
+        scratch: Bindings::new(),
+        rows: FlatRows::new(),
+    };
     let mut batch = MutationBatch::default();
     let mut backoff = IdleBackoff::new(config.idle_backoff);
     let budget = config.max_requests_per_scan.max(1);
@@ -240,14 +246,7 @@ fn worker_loop(
                 stats.requests.fetch_add(1, Ordering::Relaxed);
                 match NetRequest::decode(&frame) {
                     Ok(req) => dispatch(
-                        req,
-                        i,
-                        rel,
-                        &mut handle,
-                        &mut batch,
-                        &mut conns,
-                        config,
-                        stats,
+                        req, i, rel, &mut reads, &mut batch, &mut conns, config, stats,
                     ),
                     Err(e) => {
                         // The frame passed its checksum, so the stream is
@@ -272,7 +271,7 @@ fn worker_loop(
         // Keep this worker's own reader pins current: an idle handle
         // would otherwise pin retired epochs indefinitely and read as
         // reclamation pressure to admission control on other workers.
-        let _ = handle.view();
+        let _ = reads.handle.view();
         if stopping && conns.iter().all(|c| !c.has_backlog()) {
             break;
         }
@@ -282,6 +281,15 @@ fn worker_loop(
             backoff.sleep();
         }
     }
+}
+
+/// What a worker answers reads with: its freshness cursor over the
+/// published snapshots, plus the scratch accumulator and the row collector
+/// every query reuses.
+struct Reads<'a> {
+    handle: ReadHandle<'a>,
+    scratch: Bindings,
+    rows: FlatRows,
 }
 
 /// Flushes the worker's mutation batch and routes the acks back onto
@@ -303,7 +311,7 @@ fn dispatch(
     req: NetRequest,
     i: usize,
     rel: &DurableRelation,
-    handle: &mut ReadHandle<'_>,
+    reads: &mut Reads<'_>,
     batch: &mut MutationBatch,
     conns: &mut [Conn],
     config: &ServerConfig,
@@ -325,13 +333,16 @@ fn dispatch(
                 flush_batch(rel, batch, conns, stats);
             }
             let out = effective_out(rel, out);
-            let resp = match handle.fresh_for(|c| pattern.get(c)).query(&pattern, out) {
-                Ok(tuples) => NetResponse::Rows { tuples },
-                Err(e) => NetResponse::Err {
-                    message: e.to_string(),
-                },
-            };
-            conns[i].push_response(&resp);
+            let Reads {
+                handle,
+                scratch,
+                rows,
+            } = reads;
+            conns[i].push_rows(rows, |rows| {
+                handle
+                    .fresh_for(|c| pattern.get(c))
+                    .query_for_each_bindings(scratch, &pattern, out, |b| rows.push(b, out))
+            });
         }
         NetRequest::QueryWhere { pattern, out } => {
             stats.queries.fetch_add(1, Ordering::Relaxed);
@@ -340,24 +351,24 @@ fn dispatch(
             }
             // Untrusted concrete syntax, parsed by the hardened
             // `parse_pattern` (typed errors, no panics).
-            let resp = match parse_pattern(rel.catalog(), &pattern) {
+            match parse_pattern(rel.catalog(), &pattern) {
                 Ok(p) => {
                     let out = effective_out(rel, out);
-                    match handle
-                        .fresh_for(|c| p.pred(c)?.as_eq())
-                        .query_where(&p, out)
-                    {
-                        Ok(tuples) => NetResponse::Rows { tuples },
-                        Err(e) => NetResponse::Err {
-                            message: e.to_string(),
-                        },
-                    }
+                    let Reads {
+                        handle,
+                        scratch,
+                        rows,
+                    } = reads;
+                    conns[i].push_rows(rows, |rows| {
+                        handle
+                            .fresh_for(|c| p.pred(c)?.as_eq())
+                            .query_where_for_each_bindings(scratch, &p, out, |b| rows.push(b, out))
+                    });
                 }
-                Err(e) => NetResponse::Err {
+                Err(e) => conns[i].push_response(&NetResponse::Err {
                     message: e.to_string(),
-                },
-            };
-            conns[i].push_response(&resp);
+                }),
+            }
         }
         NetRequest::Insert { tuple } => {
             admit_mutation(Op::Insert(tuple), i, rel, batch, conns, config, stats);
