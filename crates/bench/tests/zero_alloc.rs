@@ -13,7 +13,7 @@ use relic_concurrent::ConcurrentRelation;
 use relic_core::netmsg::encode_rows_into;
 use relic_core::{Bindings, FlatRows, RelRead, SynthRelation};
 use relic_decomp::parse;
-use relic_spec::{Catalog, Pattern, Pred, RelSpec, Tuple, Value};
+use relic_spec::{Catalog, ColSet, Pattern, Pred, RelSpec, Tuple, Value};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -203,6 +203,60 @@ fn warm_full_sweep_allocates_nothing() {
         "warm full-sweep path allocated {delta} times over {emitted} emitted tuples"
     );
     assert!(sum >= 0);
+}
+
+/// A whole-relation sweep over `hashjoin_distinct`'s two-panel
+/// decomposition: ⟨id, a, b⟩ split into an a-keyed and a b-keyed panel, so
+/// the sweep needs both join sides. In the default (optimistic) cost mode
+/// its plan is a nested `qjoin`, whose grafted second leg reads the join
+/// node's instance from an outer frame: still allocation-free when warm.
+#[test]
+fn warm_two_panel_join_sweep_allocates_nothing() {
+    let mut cat = Catalog::new();
+    let d = parse(
+        &mut cat,
+        "let wl : {a,id} . {} = unit {} in
+         let wr : {b,id} . {} = unit {} in
+         let l : {a} . {id} = {id} -[htable]-> wl in
+         let r : {b} . {id} = {id} -[htable]-> wr in
+         let x : {} . {id,a,b} = ({a} -[htable]-> l) join ({b} -[htable]-> r) in x",
+    )
+    .unwrap();
+    let id = cat.col("id").unwrap();
+    let a = cat.col("a").unwrap();
+    let b = cat.col("b").unwrap();
+    let spec = RelSpec::new(id | a | b).with_fd(id.set(), a | b);
+    let mut r = SynthRelation::new(&cat, spec, d).unwrap();
+    for i in 0..100i64 {
+        r.insert(Tuple::from_pairs([
+            (id, Value::from(i)),
+            (a, Value::from(i % 8)),
+            (b, Value::from(i % 10)),
+        ]))
+        .unwrap();
+    }
+    let plan = r.plan_for(ColSet::EMPTY, cat.all()).unwrap();
+    assert!(plan.contains("qjoin"), "{plan}");
+    let mut scratch = Bindings::new();
+    let empty = Tuple::empty();
+    let sweep = |scratch: &mut Bindings| {
+        let mut n = 0usize;
+        r.query_for_each_bindings(scratch, &empty, cat.all(), |bb| {
+            assert!(bb.get(a).is_some() && bb.get(b).is_some());
+            n += 1;
+        })
+        .unwrap();
+        n
+    };
+    assert_eq!(sweep(&mut scratch), 100);
+    let before = allocs();
+    let emitted: usize = (0..10).map(|_| sweep(&mut scratch)).sum();
+    let delta = allocs() - before;
+    assert_eq!(emitted, 100 * 10);
+    assert_eq!(
+        delta, 0,
+        "warm two-panel join sweep allocated {delta} times over {emitted} emitted tuples"
+    );
 }
 
 /// IpCap's default decomposition (`{local} -[avl]-> {remote} -[htable]->

@@ -3,18 +3,16 @@
 //! Mutation paths (`insert`, `remove_by_*`, structural `update_*`) are
 //! emitted directly from the decomposition's cut/locate machinery (§4.4,
 //! §4.5); query bodies are emitted by walking the lowered, peephole-
-//! optimized IR (see [`crate::ir`], [`crate::lower`], [`crate::peephole`]).
+//! optimized IR (see [`relic_query::Block`], [`relic_query::lower_plan`],
+//! [`relic_query::optimize`]).
 //! All container operations go through the per-edge layout decisions of
 //! [`crate::layout`], so packed open-addressed tables, sorted slices and
 //! unit slots are transparent to the rest of the emitter.
 
-use crate::ir::{Block, Step};
 use crate::layout::{plan_layout, ContainerKind, PackedPart};
-use crate::lower::lower_query;
-use crate::peephole::{optimize, PeepholeStats};
 use crate::{CodegenError, ColType, Report, Request};
 use relic_decomp::{check_adequacy, cut, Body, Decomposition, EdgeId, NodeId};
-use relic_query::{resolve_plan, CostModel, Plan, Planner};
+use relic_query::{lower_plan, optimize, Block, CostModel, PeepholeStats, Plan, Planner, Step};
 use relic_spec::{ColId, ColSet};
 use std::collections::HashMap;
 use std::fmt::Write;
@@ -599,9 +597,9 @@ impl<'a> Gen<'a> {
         .map_err(|_| {
             CodegenError::NoPlan(avail | ranged.map_or(ColSet::EMPTY, |c| c.set()), out)
         })?;
-        let resolved =
-            resolve_plan(self.d, &planned.plan).expect("planner plan aligns with decomposition");
-        let ir = lower_query(self.d, &resolved, avail, ranged, out);
+        let filter = ranged.map_or(ColSet::EMPTY, ColId::set);
+        let ir =
+            lower_plan(self.d, &planned.plan, avail, filter, out).map_err(CodegenError::Plan)?;
         let (ir, stats) = optimize(self.d, ir);
         self.stats.absorb(stats);
         Ok((planned.plan.to_string(), ir))
@@ -849,7 +847,7 @@ impl<'a> Gen<'a> {
                 insts.insert(self.d.root(), "self.root".to_string());
                 self.emit_block(s, &ir, &env, &insts, &mut |_, s, _| {
                     s.line("return false; // key already present");
-                });
+                })?;
             }
         }
         // Find-or-create in topological order (root first).
@@ -977,7 +975,7 @@ impl<'a> Gen<'a> {
                 .collect();
             let _ = gen;
             s.line(format!("f({});", outs.join(", ")));
-        });
+        })?;
         s.close("}");
         s.blank();
         Ok(())
@@ -1043,7 +1041,7 @@ impl<'a> Gen<'a> {
                 .collect();
             let _ = gen;
             s.line(format!("f({});", outs.join(", ")));
-        });
+        })?;
         self.range_ctx = None;
         s.close("}");
         s.blank();
@@ -1068,10 +1066,11 @@ impl<'a> Gen<'a> {
         env: &Env,
         insts: &HashMap<NodeId, String>,
         sink: &mut dyn FnMut(&mut Self, &mut Src, &Env),
-    ) {
+    ) -> Result<(), CodegenError> {
         for step in &block.0 {
-            self.emit_step(s, step, env, insts, sink);
+            self.emit_step(s, step, env, insts, sink)?;
         }
+        Ok(())
     }
 
     fn emit_step(
@@ -1081,47 +1080,32 @@ impl<'a> Gen<'a> {
         env: &Env,
         insts: &HashMap<NodeId, String>,
         sink: &mut dyn FnMut(&mut Self, &mut Src, &Env),
-    ) {
+    ) -> Result<(), CodegenError> {
         match step {
-            Step::Emit { .. } => sink(self, s, env),
+            Step::Emit { .. } => {
+                sink(self, s, env);
+                Ok(())
+            }
             Step::Probe { edge, then } => self.emit_probe(s, *edge, then, env, insts, sink),
             Step::Scan {
                 edge,
                 bind,
                 check,
-                range_check,
+                filter,
                 then,
-            } => self.emit_scan(
-                s,
-                *edge,
-                *bind,
-                *check,
-                *range_check,
-                then,
-                env,
-                insts,
-                sink,
-            ),
+            } => self.emit_scan(s, *edge, *bind, *check, *filter, then, env, insts, sink),
             Step::Range { edge, bind, then } => {
                 self.emit_range(s, *edge, *bind, then, env, insts, sink)
             }
             Step::Unit {
                 node,
                 check,
-                range_check,
+                filter,
                 bind,
                 then,
-            } => self.emit_unit(
-                s,
-                *node,
-                *check,
-                *range_check,
-                *bind,
-                then,
-                env,
-                insts,
-                sink,
-            ),
+                ..
+            } => self.emit_unit(s, *node, *check, *filter, *bind, then, env, insts, sink),
+            Step::HashJoin { .. } => Err(CodegenError::HashJoin),
         }
     }
 
@@ -1133,7 +1117,7 @@ impl<'a> Gen<'a> {
         env: &Env,
         insts: &HashMap<NodeId, String>,
         sink: &mut dyn FnMut(&mut Self, &mut Src, &Env),
-    ) {
+    ) -> Result<(), CodegenError> {
         let ed = self.d.edge(e);
         let inst = insts[&ed.from].clone();
         let slot = self.fresh("q");
@@ -1143,8 +1127,9 @@ impl<'a> Gen<'a> {
         ));
         let mut insts2 = insts.clone();
         insts2.insert(ed.to, self.inst_expr(ed.to, &slot, false));
-        self.emit_block(s, then, env, &insts2, sink);
+        self.emit_block(s, then, env, &insts2, sink)?;
         s.close("}");
+        Ok(())
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1154,12 +1139,12 @@ impl<'a> Gen<'a> {
         e: EdgeId,
         bind: ColSet,
         check: ColSet,
-        range_check: Option<ColId>,
+        filter: ColSet,
         then: &Block,
         env: &Env,
         insts: &HashMap<NodeId, String>,
         sink: &mut dyn FnMut(&mut Self, &mut Src, &Env),
-    ) {
+    ) -> Result<(), CodegenError> {
         let ed = self.d.edge(e);
         let kind = self.kind(e);
         let packed = self.is_packed(e);
@@ -1225,7 +1210,7 @@ impl<'a> Gen<'a> {
                 env2.bind(col, self.scan_key_access(e, &entry, col));
             }
         }
-        if let Some(rc) = range_check {
+        for rc in filter.iter() {
             let expr = env2
                 .get(rc)
                 .expect("range column bound by scan")
@@ -1239,11 +1224,12 @@ impl<'a> Gen<'a> {
         }
         let mut insts2 = insts.clone();
         insts2.insert(ed.to, self.inst_expr(ed.to, &format!("{entry}_i"), false));
-        self.emit_block(s, then, &env2, &insts2, sink);
+        self.emit_block(s, then, &env2, &insts2, sink)?;
         if opened {
             s.close("}");
         }
         s.close("}");
+        Ok(())
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1256,7 +1242,7 @@ impl<'a> Gen<'a> {
         env: &Env,
         insts: &HashMap<NodeId, String>,
         sink: &mut dyn FnMut(&mut Self, &mut Src, &Env),
-    ) {
+    ) -> Result<(), CodegenError> {
         let ed = self.d.edge(e);
         let kind = self.kind(e);
         let packed = self.is_packed(e);
@@ -1341,7 +1327,7 @@ impl<'a> Gen<'a> {
             }
             let mut insts2 = insts.clone();
             insts2.insert(ed.to, self.inst_expr(ed.to, &format!("{entry}_i"), false));
-            self.emit_block(s, then, &env2, &insts2, sink);
+            self.emit_block(s, then, &env2, &insts2, sink)?;
             s.close("}");
             s.close("}");
         } else {
@@ -1384,10 +1370,11 @@ impl<'a> Gen<'a> {
             }
             let mut insts2 = insts.clone();
             insts2.insert(ed.to, self.inst_expr(ed.to, &format!("{entry}_i"), false));
-            self.emit_block(s, then, &env2, &insts2, sink);
+            self.emit_block(s, then, &env2, &insts2, sink)?;
             s.close("}");
             s.close("}");
         }
+        Ok(())
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1396,13 +1383,13 @@ impl<'a> Gen<'a> {
         s: &mut Src,
         node: NodeId,
         check: ColSet,
-        range_check: Option<ColId>,
+        filter: ColSet,
         bind: ColSet,
         then: &Block,
         env: &Env,
         insts: &HashMap<NodeId, String>,
         sink: &mut dyn FnMut(&mut Self, &mut Src, &Env),
-    ) {
+    ) -> Result<(), CodegenError> {
         let inst = insts[&node].clone();
         let mut conds = Vec::new();
         for col in check.iter() {
@@ -1412,7 +1399,7 @@ impl<'a> Gen<'a> {
                 env.get(col).expect("checked column bound")
             ));
         }
-        if let Some(rc) = range_check {
+        for rc in filter.iter() {
             let field = format!("{inst}.f_{}", self.cname(rc));
             conds.push(self.range_cond(rc, &field).expect("range context active"));
         }
@@ -1425,10 +1412,11 @@ impl<'a> Gen<'a> {
         for col in bind.iter() {
             env2.bind(col, format!("{inst}.f_{}", self.cname(col)));
         }
-        self.emit_block(s, then, &env2, insts, sink);
+        self.emit_block(s, then, &env2, insts, sink)?;
         if opened {
             s.close("}");
         }
+        Ok(())
     }
 
     /// Emits locate code for a node along its canonical path; binds the slot
@@ -1499,7 +1487,7 @@ impl<'a> Gen<'a> {
                     })
                     .collect();
                 s.line(format!("fetched = Some(({},));", parts.join(", ")));
-            });
+            })?;
             s.line("let Some(fetched) = fetched else { return false; };");
             for (i, c) in rest.iter().enumerate() {
                 s.line(format!("let v_{} = fetched.{i};", self.cname(c)));
@@ -1678,7 +1666,7 @@ impl<'a> Gen<'a> {
                         })
                         .collect();
                     s.line(format!("fetched = Some(({},));", parts.join(", ")));
-                });
+                })?;
                 s.line("let Some(fetched) = fetched else { return false; };");
                 for (i, c) in fetched_cols.iter().enumerate() {
                     s.line(format!("let v_{} = fetched.{i};", self.cname(c)));

@@ -3,20 +3,22 @@
 //! compiler emits C++ classes that implement the relational interface").
 //!
 //! Where `relic-core` *interprets* decomposition instances, this crate
-//! *compiles* them through a staged backend pipeline:
+//! *compiles* them through a staged backend pipeline. Stages 1–3 are
+//! `relic_query`'s, shared with the interpreter, which runs the same
+//! optimized IR:
 //!
 //! 1. **Plan** — each requested signature in the [`OpSet`] is planned by the
 //!    §4.3 query planner, restricted to constant-space plans
-//!    (`qhashjoin` is interpreter-only), and anchored to concrete
-//!    edge/node ids ([`relic_query::resolve_plan`]).
-//! 2. **Lower** — the resolved plan is lowered into a small plan IR
-//!    (`probe`/`scan`/`range`/`unit`/`emit` steps) that names the edge each
-//!    step traverses and carries the column sets it binds and checks; join
-//!    operators dissolve here into nested probes.
-//! 3. **Optimize** — peephole rewrites run over the IR: unit-key hops
-//!    collapse into slot reads, fully bound scans fuse into point probes,
-//!    loop-invariant probes hoist out of scans, and dead bound columns are
-//!    eliminated.
+//!    (`qhashjoin` is interpreter-only).
+//! 2. **Lower** — [`relic_query::lower_plan`] aligns the plan with the
+//!    decomposition and lowers it into the plan IR
+//!    (`probe`/`scan`/`range`/`unit`/`emit` steps), which names the edge
+//!    each step traverses and carries the column sets it binds and checks;
+//!    join operators dissolve here into nested probes.
+//! 3. **Optimize** — [`relic_query::optimize`]'s peephole rewrites run over
+//!    the IR: unit-key hops collapse into slot reads, fully bound scans fuse
+//!    into point probes, loop-invariant probes hoist out of scans, and dead
+//!    bound columns are eliminated.
 //! 4. **Layout** — every edge gets a concrete container and key
 //!    representation. Keys whose columns are integral and fit 64 bits
 //!    (declared via [`relic_spec::Catalog::declare_bit_width`]) pack into a
@@ -69,13 +71,11 @@
 #![warn(missing_docs)]
 
 mod emit;
-mod ir;
 mod layout;
-mod lower;
-mod peephole;
 
 pub use emit::{generate, generate_with_report};
 
+use relic_query::PlanError;
 use relic_spec::{Catalog, ColSet, RelSpec};
 use std::error::Error;
 use std::fmt;
@@ -207,6 +207,11 @@ pub enum CodegenError {
     NoPlan(ColSet, ColSet),
     /// `types` does not cover every column.
     MissingType(usize),
+    /// The chosen plan does not lower against the decomposition.
+    Plan(PlanError),
+    /// The lowered plan holds a `qhashjoin`, which is not constant-space:
+    /// only the interpreter runs it.
+    HashJoin,
 }
 
 impl fmt::Display for CodegenError {
@@ -221,6 +226,8 @@ impl fmt::Display for CodegenError {
             }
             CodegenError::NoPlan(a, b) => write!(f, "no plan from {a:?} to {b:?}"),
             CodegenError::MissingType(i) => write!(f, "no Rust type for column #{i}"),
+            CodegenError::Plan(e) => write!(f, "{e}"),
+            CodegenError::HashJoin => write!(f, "a qhashjoin step cannot be compiled"),
         }
     }
 }

@@ -92,7 +92,7 @@ fn alpha_body(
         }
         // α(p₁ ⋈ p₂) = α(p₁) ⋈ α(p₂)
         Body::Join(l, r) => {
-            let loff = crate::exec::leaf_count(l);
+            let loff = l.leaf_count();
             let la = alpha_body(store, d, l, leaf, inst, memo);
             let ra = alpha_body(store, d, r, leaf + loff, inst, memo);
             la.natural_join(&ra)
@@ -291,7 +291,7 @@ fn check_joins(
     memo: &mut Memo,
 ) -> Result<(), String> {
     if let Body::Join(l, r) = body {
-        let loff = crate::exec::leaf_count(l);
+        let loff = l.leaf_count();
         check_joins(store, d, node, l, leaf, inst, memo)?;
         check_joins(store, d, node, r, leaf + loff, inst, memo)?;
         let la = alpha_body(store, d, l, leaf, inst, memo);

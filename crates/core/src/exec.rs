@@ -1,51 +1,56 @@
 //! Query-plan execution over decomposition instances (`dqexec`, §4.1).
 //!
-//! Execution is a constant-space recursive walk: the plan tree is interpreted
-//! against the instance DAG, carrying a reusable *scratch accumulator*
-//! ([`Bindings`]) of the input pattern plus all columns bound so far.
-//! Matching tuples are delivered through a callback — no intermediate data
-//! structures are built, matching the paper's constant-space query property.
+//! The interpreter runs the plan IR: the lowered, peephole-optimized
+//! [`Block`] the relation's plan cache holds. Each step already names its
+//! edge (whose prim slot is the layout's `leaf_of_edge`), its unit leaf and
+//! the columns it binds, checks and filters, so nothing is re-derived per
+//! query. The walk carries a reusable *scratch accumulator* ([`Bindings`])
+//! of the input pattern plus all columns bound so far, and delivers matches
+//! through a callback: no intermediate structure is built, matching the
+//! paper's constant-space query property.
+//!
+//! # Frames
+//!
+//! Lowering dissolves joins: a `qjoin`'s second leg is grafted under the
+//! first leg's steps and reads its join node's instance from further out.
+//! Each `Probe`/`Scan`/`Range` therefore pushes a [`Frame`] (the node it
+//! reached and the instance or inline unit it found) onto a chain on the
+//! call stack, and a step addressing node `n` reads the innermost frame for
+//! `n`. The last hop of most rows, an inline leaf's `unit ; emit` tail,
+//! needs no frame: the edge step decodes it once ([`Next`]) and binds each
+//! entry's unit tuple straight from the entry.
 //!
 //! # Allocation discipline (the hot path)
 //!
-//! The seed implementation allocated per step: a `Box<[Value]>` per container
-//! probe, a `k.to_vec()` per scanned entry, and a fresh `Tuple` per merge and
-//! per emitted binding. This version performs **zero heap allocations per
-//! emitted tuple once warm**:
+//! The walk performs **zero heap allocations per emitted tuple once warm**:
 //!
 //! * column bindings are pushed into / popped from a slot array indexed by
 //!   [`ColId`] (`Value` clones are heap-free: ints and bools are plain copies
 //!   and strings are `Arc` bumps),
 //! * container probes borrow a pooled key buffer and use the containers'
 //!   `Borrow`-based lookups (no owned key is built),
-//! * scanned entry keys are bound in place and unbound after the recursive
-//!   call (the "push/pop value bindings on a stack" of the scratch-tuple
-//!   design) — the undo information is just a [`ColSet`] of newly-bound
-//!   columns, because a column that was already bound must have compared
-//!   equal and therefore needs no restoration,
+//! * scanned entry keys are bound in place and unbound after the nested
+//!   steps ran — the undo information is just a [`ColSet`] of newly-bound
+//!   columns, because a checked column compared equal,
 //! * unbinding flips bits: a column is bound exactly when its bit is set in
 //!   the accumulator's domain, so popping a row — and clearing the
 //!   accumulator for the next query — is one word operation, writes no slot
-//!   and runs no drop glue. A slot may therefore outlive its binding: it
-//!   keeps the last value written (at most one per column, 64 in all) until
-//!   the column is bound again or the [`Bindings`] is dropped, and no
-//!   accessor shows it.
+//!   and runs no drop glue. A slot may therefore keep the last value written
+//!   (at most one per column) until the column is bound again or the
+//!   [`Bindings`] is dropped; no accessor shows it.
 //!
-//! The only allocating operator is `qhashjoin`, which is *defined* as
-//! non-constant-space (§4.1's noted extension) and materializes its sides.
-//!
-//! [`exec_plan`] additionally threads the *comparison* predicates of a
-//! pattern query (§2's "comparisons other than equality" extension): scanned
-//! keys and unit tuples are filtered against them, and the `qrange` operator
-//! seeks directly to the matching run of an ordered container. The pattern
-//! is borrowed from the caller as it is — nothing is copied out of it per
-//! query.
+//! The one allocating step is `HashJoin` (`qhashjoin`), *defined* as
+//! non-constant-space (§4.1's noted extension): it materializes its sides.
+//! A pattern's comparison predicates (§2's extension) filter the columns a
+//! step's `filter` names, and `Range` seeks straight to the matching run of
+//! an ordered container; the pattern is borrowed as it is.
 
-use crate::instance::{ChildRef, InstanceRef, PrimInst, Store};
+use crate::instance::{ChildRef, InstanceRef, Layout, PrimInst, Store};
 use relic_containers::HashTable;
-use relic_decomp::{Body, Decomposition};
-use relic_query::{Plan, Side};
-use relic_spec::{ColId, ColSet, Pattern, Tuple, Value};
+use relic_decomp::{Decomposition, NodeId};
+use relic_query::{Block, Step};
+use relic_spec::{ColId, ColSet, Pattern, Pred, Tuple, Value};
+use std::ops::Bound;
 
 /// The reusable scratch accumulator for query execution: the current
 /// valuation of every bound column, plus a pool of key buffers for container
@@ -75,16 +80,6 @@ pub struct Bindings {
     pool: Vec<Vec<Value>>,
 }
 
-/// Outcome of binding one column against the current accumulator.
-enum Bind {
-    /// The column was unbound; it is now bound to the given value.
-    New,
-    /// The column was already bound to an equal value.
-    Same,
-    /// The column is bound to a different value — the entry does not match.
-    Conflict,
-}
-
 impl Bindings {
     /// Creates an empty scratch accumulator.
     pub fn new() -> Self {
@@ -92,8 +87,8 @@ impl Bindings {
     }
 
     /// The set of currently-bound columns. During an emit callback this is
-    /// the domain of the emitted valuation (pattern plus everything the plan
-    /// bound along the path).
+    /// the domain of the emitted valuation: the pattern plus every column
+    /// the block bound along the path (interpreted blocks elide none).
     pub fn dom(&self) -> ColSet {
         self.bound
     }
@@ -135,18 +130,6 @@ impl Bindings {
         self.bound = self.bound | c;
     }
 
-    /// Binds `c` to `v`, checking agreement with an existing binding.
-    fn bind_checked(&mut self, c: ColId, v: &Value) -> Bind {
-        if !self.bound.contains(c) {
-            self.bind(c, v);
-            Bind::New
-        } else if self.slots[c.index()] == *v {
-            Bind::Same
-        } else {
-            Bind::Conflict
-        }
-    }
-
     /// Pops the bindings of `newly` (the stack-discipline undo: columns that
     /// were already bound compared equal, so only newly-bound ones restore).
     /// O(1): bits flip, slots are not written and nothing is dropped.
@@ -166,33 +149,36 @@ impl Bindings {
     }
 }
 
-/// Does the pattern's predicate on column `c` (if any) accept `v`? (An
-/// equality predicate's column is bound up front, so `bind_checked` already
-/// holds scanned values to it; re-checking it here is merely redundant.)
-#[inline]
-fn cmp_accepts(cmp: &Pattern, c: ColId, v: &Value) -> bool {
-    cmp.iter().all(|(cc, p)| cc != c || p.accepts(v))
-}
-
-/// Binds the columns of `cols` to the parallel values `vals` on top of `b`,
-/// checking agreement and comparison predicates. On success returns the set
-/// of newly-bound columns; on mismatch undoes partial work and returns
-/// `None`.
-#[inline]
-fn bind_row(b: &mut Bindings, cmp: &Pattern, cols: ColSet, vals: &[Value]) -> Option<ColSet> {
+/// Binds the row `vals` of the columns `cols` on top of `b`: the columns
+/// of `check` must equal their bindings, those of `bind` are bound — the
+/// ones in `filter` only if `cmp`'s predicate accepts them — and any other
+/// column is skipped. On success returns the newly bound columns; on a
+/// mismatch undoes partial work and returns `None`. Always inlined: it
+/// runs once or twice per row, and a call per row was measurable.
+#[inline(always)]
+fn bind_row(
+    b: &mut Bindings,
+    cmp: &Pattern,
+    cols: ColSet,
+    vals: &[Value],
+    (bind, check, filter): (ColSet, ColSet, ColSet),
+) -> Option<ColSet> {
     let mut newly = ColSet::EMPTY;
-    for (c, v) in cols.iter().zip(vals.iter()) {
-        if !cmp_accepts(cmp, c, v) {
+    for (c, v) in cols.iter().zip(vals) {
+        let ok = if check.contains(c) {
+            b.slots[c.index()] == *v
+        } else if !bind.contains(c) {
+            true
+        } else if filter.contains(c) && !cmp.pred(c).is_none_or(|p| p.accepts(v)) {
+            false
+        } else {
+            b.bind(c, v);
+            newly = newly | c;
+            true
+        };
+        if !ok {
             b.unbind(newly);
             return None;
-        }
-        match b.bind_checked(c, v) {
-            Bind::New => newly = newly | c,
-            Bind::Same => {}
-            Bind::Conflict => {
-                b.unbind(newly);
-                return None;
-            }
         }
     }
     Some(newly)
@@ -204,235 +190,288 @@ pub(crate) struct ExecEnv<'a> {
     pub store: &'a Store,
     /// The decomposition being executed against.
     pub d: &'a Decomposition,
-    /// The query pattern, borrowed: its non-equality predicates filter
-    /// scanned keys and unit tuples (empty for plain equality queries, whose
-    /// pattern lives in the accumulator alone).
+    /// Its layout: where each edge's container sits in its source node.
+    pub layout: &'a Layout,
+    /// The query pattern, borrowed: its non-equality predicates filter the
+    /// columns each step's `filter` names and bound `Range` seeks (empty for
+    /// plain equality queries, whose pattern lives in the accumulator
+    /// alone).
     pub cmp: &'a Pattern,
 }
 
-/// Executes `plan` against the instance `inst` of the node whose body is
-/// `body`, with accumulated bindings `b`. Calls `emit` once per matching
-/// binding; the accumulator passed to `emit` holds the pattern extended with
-/// everything the plan bound along that path, and is restored before
-/// `exec_plan` returns.
-///
-/// `leaf` is the index of `body`'s leftmost leaf within the node's flattened
-/// prim array (0 at node roots; join traversal offsets it).
-///
-/// # Panics
-///
-/// Panics if the plan does not fit the decomposition body (prevented by the
-/// validity judgment) or if a `qrange` has no interval predicate for the
-/// edge's final key column (prevented by the planner).
-pub(crate) fn exec_plan(
+/// One link of the chain of instances the enclosing steps established.
+struct Frame<'a> {
+    /// The node reached.
+    node: NodeId,
+    /// Its instance, or an inline leaf's unit tuple.
+    child: ChildRef<'a>,
+    /// The enclosing frame.
+    up: Option<&'a Frame<'a>>,
+}
+
+impl<'a> Frame<'a> {
+    /// The innermost established child of `node`.
+    fn find(&self, node: NodeId) -> Option<ChildRef<'a>> {
+        let mut f = self;
+        while f.node != node {
+            f = f.up?;
+        }
+        Some(f.child)
+    }
+}
+
+/// Runs `block` from the root instance `root` with accumulated bindings
+/// `b`. Calls `emit` once per matching binding; the accumulator passed to
+/// `emit` holds the pattern extended with everything the block bound along
+/// that path, and is restored before `exec_block` returns.
+pub(crate) fn exec_block(
     env: &ExecEnv<'_>,
-    plan: &Plan,
-    body: &Body,
-    leaf: usize,
-    inst: InstanceRef,
+    block: &Block,
+    root: InstanceRef,
     b: &mut Bindings,
     emit: &mut dyn FnMut(&mut Bindings),
 ) {
-    match (plan, body) {
-        (Plan::Unit, Body::Unit(_)) => {
-            let PrimInst::Unit(u) = &env.store.get(inst).prims[leaf] else {
-                panic!("leaf/prim misalignment: expected unit");
-            };
-            exec_unit(env, u, b, emit);
-        }
-        (Plan::Lookup { child }, Body::Map(eid)) => {
-            let e = env.d.edge(*eid);
-            // Build the probe key in a pooled buffer; the borrowed-key
-            // container lookups never need an owned Box<[Value]>.
-            let mut kb = b.take_buf();
-            for c in e.key.iter() {
-                kb.push(
-                    b.get(c)
-                        .expect("qlookup key column bound (validity judgment)")
-                        .clone(),
-                );
-            }
-            let target = env.store.cont_get(inst, leaf, &kb);
-            b.put_buf(kb);
-            if let Some(target) = target {
-                exec_child(env, child, &env.d.node(e.to).body, target, b, emit);
-            }
-        }
-        (Plan::Scan { child }, Body::Map(eid)) => {
-            let e = env.d.edge(*eid);
-            let tbody = &env.d.node(e.to).body;
-            // The scratch buffer only backs intrusive-list key
-            // reconstruction; other containers hand out borrowed keys.
-            let mut kb = b.take_buf();
-            env.store
-                .cont_for_each_kbuf(inst, leaf, &mut kb, |k, target| {
-                    if let Some(newly) = bind_row(b, env.cmp, e.key, k) {
-                        exec_child(env, child, tbody, target, b, emit);
-                        b.unbind(newly);
-                    }
-                });
-            b.put_buf(kb);
-        }
-        (Plan::Range { child }, Body::Map(eid)) => {
-            let e = env.d.edge(*eid);
-            let c = e.key.max_col().expect("range edge has key columns");
-            let pred = env
-                .cmp
-                .pred(c)
-                .expect("qrange requires a comparison predicate on the final key column");
-            let (lo, hi) = pred
-                .bounds()
-                .expect("qrange requires an interval predicate");
-            // Equality-bound prefix of the key (all coordinates before c),
-            // in a pooled buffer that lives across the whole seek.
-            let mut pb = b.take_buf();
-            for pc in (e.key - c.set()).iter() {
-                pb.push(b.get(pc).expect("qrange prefix column not bound").clone());
-            }
-            let tbody = &env.d.node(e.to).body;
-            env.store
-                .cont_for_each_range(inst, leaf, &pb, lo, hi, |k, target| {
-                    if let Some(newly) = bind_row(b, env.cmp, e.key, k) {
-                        exec_child(env, child, tbody, target, b, emit);
-                        b.unbind(newly);
-                    }
-                });
-            b.put_buf(pb);
-        }
-        (Plan::Lr { side, inner }, Body::Join(l, r)) => match side {
-            Side::Left => exec_plan(env, inner, l, leaf, inst, b, emit),
-            Side::Right => {
-                let off = leaf_count(l);
-                exec_plan(env, inner, r, leaf + off, inst, b, emit)
-            }
-        },
-        (
-            Plan::Join {
-                side,
-                first,
-                second,
-            },
-            Body::Join(l, r),
-        ) => {
-            let loff = leaf_count(l);
-            let (first_body, first_leaf, second_body, second_leaf) = match side {
-                Side::Left => (&**l, leaf, &**r, leaf + loff),
-                Side::Right => (&**r, leaf + loff, &**l, leaf),
-            };
-            let mut inner_emit = |b1: &mut Bindings| {
-                exec_plan(env, second, second_body, second_leaf, inst, b1, emit);
-            };
-            exec_plan(env, first, first_body, first_leaf, inst, b, &mut inner_emit);
-        }
-        (
-            Plan::HashJoin {
-                side,
-                first,
-                second,
-            },
-            Body::Join(l, r),
-        ) => {
-            let loff = leaf_count(l);
-            let (first_body, first_leaf, second_body, second_leaf) = match side {
-                Side::Left => (&**l, leaf, &**r, leaf + loff),
-                Side::Right => (&**r, leaf + loff, &**l, leaf),
-            };
-            // Materialize both sides — the deliberate non-constant-space
-            // trade of §4.1: each side executes exactly once.
-            let mut build: Vec<Tuple> = Vec::new();
-            exec_plan(env, first, first_body, first_leaf, inst, b, &mut |bb| {
-                build.push(bb.to_tuple())
-            });
-            if build.is_empty() {
-                return;
-            }
-            let mut probe: Vec<Tuple> = Vec::new();
-            exec_plan(env, second, second_body, second_leaf, inst, b, &mut |bb| {
-                probe.push(bb.to_tuple())
-            });
-            if probe.is_empty() {
-                return;
-            }
-            // Natural join on the columns both sides bind. Both sides extend
-            // the same pattern bindings, so the shared columns include it.
-            let join_cols = build[0].dom() & probe[0].dom();
-            let mut index: HashTable<Box<[Value]>, Vec<usize>> = HashTable::new();
-            for (i, t1) in build.iter().enumerate() {
-                let k = t1.key_for(join_cols);
-                match index.get_mut(&k) {
-                    Some(v) => v.push(i),
-                    None => {
-                        index.insert(k, vec![i]);
-                    }
-                }
-            }
-            let mut kb = b.take_buf();
-            for t2 in &probe {
-                kb.clear();
-                for c in join_cols.iter() {
-                    kb.push(t2.get(c).expect("join column bound").clone());
-                }
-                if let Some(hits) = index.get(kb.as_slice()) {
-                    for &i in hits {
-                        // Rebind the joined pair on top of the pattern; the
-                        // overlap is equal by construction, so only the
-                        // newly-bound columns need undoing.
-                        let mut newly = ColSet::EMPTY;
-                        let mut ok = true;
-                        for (c, v) in build[i].iter().chain(t2.iter()) {
-                            match b.bind_checked(c, v) {
-                                Bind::New => newly = newly | c,
-                                Bind::Same => {}
-                                Bind::Conflict => {
-                                    ok = false;
-                                    break;
-                                }
-                            }
-                        }
-                        if ok {
-                            emit(b);
-                        }
-                        b.unbind(newly);
-                    }
-                }
-            }
-            b.put_buf(kb);
-        }
-        (p, _) => panic!("plan operator {p} does not match decomposition body"),
-    }
+    let at = Frame {
+        node: env.d.root(),
+        child: ChildRef::Node(root),
+        up: None,
+    };
+    run(env, block, &at, b, emit);
 }
 
-/// Executes `plan` against the child a container entry holds: an instance
-/// of the node whose body is `body`, or an inline leaf's unit tuple, bound
-/// straight from the entry.
-fn exec_child(
+/// Runs the steps of `block` under the frame chain `at`. Lowering
+/// establishes every node a step reads before the step runs, so the frame
+/// lookups always succeed on a lowered block.
+fn run(
     env: &ExecEnv<'_>,
-    plan: &Plan,
-    body: &Body,
-    child: ChildRef<'_>,
+    block: &Block,
+    at: &Frame<'_>,
     b: &mut Bindings,
     emit: &mut dyn FnMut(&mut Bindings),
 ) {
-    match (plan, child) {
-        (_, ChildRef::Node(r)) => exec_plan(env, plan, body, 0, r, b, emit),
-        (Plan::Unit, ChildRef::Unit(u)) => exec_unit(env, u, b, emit),
-        (p, ChildRef::Unit(_)) => panic!("plan operator {p} does not match an inline unit"),
+    for step in &block.0 {
+        match step {
+            Step::Emit { .. } => emit(b),
+            Step::Probe { edge, then } => {
+                let e = env.d.edge(*edge);
+                let Some(src) = at.find(e.from).and_then(ChildRef::node) else {
+                    continue;
+                };
+                // Build the probe key in a pooled buffer; the borrowed-key
+                // container lookups never need an owned Box<[Value]>.
+                let mut kb = b.take_buf();
+                for c in e.key.iter() {
+                    kb.push(b.slots[c.index()].clone());
+                }
+                let hit = env
+                    .store
+                    .cont_get(src, env.layout.leaf_of_edge[edge.index()], &kb);
+                b.put_buf(kb);
+                if let Some(child) = hit {
+                    Next::new(e.to, then).enter(env, child, at, b, emit);
+                }
+            }
+            Step::Scan {
+                edge,
+                bind,
+                check,
+                filter,
+                then,
+            } => {
+                let e = env.d.edge(*edge);
+                let Some(src) = at.find(e.from).and_then(ChildRef::node) else {
+                    continue;
+                };
+                let next = Next::new(e.to, then);
+                // The scratch buffer only backs intrusive-list key
+                // reconstruction; other containers hand out borrowed keys.
+                let mut kb = b.take_buf();
+                let leaf = env.layout.leaf_of_edge[edge.index()];
+                env.store
+                    .cont_for_each_kbuf(src, leaf, &mut kb, |k, child| {
+                        let sets = (*bind, *check, *filter);
+                        if let Some(newly) = bind_row(b, env.cmp, e.key, k, sets) {
+                            next.enter(env, child, at, b, emit);
+                            b.unbind(newly);
+                        }
+                    });
+                b.put_buf(kb);
+            }
+            Step::Range { edge, bind, then } => {
+                let e = env.d.edge(*edge);
+                let (Some(src), Some(c)) =
+                    (at.find(e.from).and_then(ChildRef::node), e.key.max_col())
+                else {
+                    continue;
+                };
+                // The window on the final key column; the plan cache keys
+                // blocks by their ranged columns, so the pattern carries it.
+                let (lo, hi) = env
+                    .cmp
+                    .pred(c)
+                    .and_then(Pred::bounds)
+                    .unwrap_or((Bound::Unbounded, Bound::Unbounded));
+                let next = Next::new(e.to, then);
+                // Equality-bound prefix of the key (all coordinates before c),
+                // in a pooled buffer that lives across the whole seek.
+                let mut pb = b.take_buf();
+                for pc in (e.key - c.set()).iter() {
+                    pb.push(b.slots[pc.index()].clone());
+                }
+                let leaf = env.layout.leaf_of_edge[edge.index()];
+                let sets = (*bind, ColSet::EMPTY, ColSet::EMPTY);
+                env.store
+                    .cont_for_each_range(src, leaf, &pb, lo, hi, |k, child| {
+                        if let Some(newly) = bind_row(b, env.cmp, e.key, k, sets) {
+                            next.enter(env, child, at, b, emit);
+                            b.unbind(newly);
+                        }
+                    });
+                b.put_buf(pb);
+            }
+            Step::Unit {
+                node,
+                leaf,
+                check,
+                filter,
+                bind,
+                then,
+            } => {
+                let u = match at.find(*node) {
+                    Some(ChildRef::Unit(u)) => u,
+                    Some(ChildRef::Node(r)) => match &env.store.get(r).prims[*leaf] {
+                        PrimInst::Unit(u) => u,
+                        PrimInst::Map(_) => continue,
+                    },
+                    None => continue,
+                };
+                let sets = (*bind, *check, *filter);
+                if let Some(newly) = bind_row(b, env.cmp, u.dom(), u.values(), sets) {
+                    run(env, then, at, b, emit);
+                    b.unbind(newly);
+                }
+            }
+            Step::HashJoin {
+                build,
+                probe,
+                on,
+                then,
+            } => hash_join(env, [build, probe, then], *on, at, b, emit),
+        }
     }
 }
 
-/// `qunit`: binds the unit tuple `u` on top of `b`, checking agreement and
-/// comparison predicates, and emits once if it matches.
-fn exec_unit(env: &ExecEnv<'_>, u: &Tuple, b: &mut Bindings, emit: &mut dyn FnMut(&mut Bindings)) {
-    if let Some(newly) = bind_row(b, env.cmp, u.dom(), u.values()) {
-        emit(b);
-        b.unbind(newly);
+/// What an edge step runs on each child it reaches: `then`, under a new
+/// frame for `node`. Decoded once per step rather than once per entry: when
+/// `then` is `unit(node) ; emit` and the child is an inline leaf, the row's
+/// last hop binds the entry's unit tuple and emits without a frame or a
+/// nested walk.
+struct Next<'a> {
+    node: NodeId,
+    then: &'a Block,
+    /// The `(bind, check, filter)` sets of a `unit(node) ; emit` tail.
+    unit_emit: Option<(ColSet, ColSet, ColSet)>,
+}
+
+impl<'a> Next<'a> {
+    fn new(node: NodeId, then: &'a Block) -> Self {
+        let unit_emit = match then.0.as_slice() {
+            [Step::Unit {
+                node: n,
+                bind,
+                check,
+                filter,
+                then,
+                ..
+            }] if *n == node && matches!(then.0.as_slice(), [Step::Emit { .. }]) => {
+                Some((*bind, *check, *filter))
+            }
+            _ => None,
+        };
+        Next {
+            node,
+            then,
+            unit_emit,
+        }
+    }
+
+    /// Runs on `child`, below the frame chain `up`. Always inlined into the
+    /// per-entry closures, for the same reason as [`bind_row`].
+    #[inline(always)]
+    fn enter(
+        &self,
+        env: &ExecEnv<'_>,
+        child: ChildRef<'_>,
+        up: &Frame<'_>,
+        b: &mut Bindings,
+        emit: &mut dyn FnMut(&mut Bindings),
+    ) {
+        match (child, self.unit_emit) {
+            (ChildRef::Unit(u), Some(sets)) => {
+                if let Some(newly) = bind_row(b, env.cmp, u.dom(), u.values(), sets) {
+                    emit(b);
+                    b.unbind(newly);
+                }
+            }
+            _ => {
+                let at = Frame {
+                    node: self.node,
+                    child,
+                    up: Some(up),
+                };
+                run(env, self.then, &at, b, emit);
+            }
+        }
     }
 }
 
-/// Number of leaves in a body subtree.
-pub fn leaf_count(b: &Body) -> usize {
-    match b {
-        Body::Unit(_) | Body::Map(_) => 1,
-        Body::Join(l, r) => leaf_count(l) + leaf_count(r),
+/// `qhashjoin`: runs the `build` and `probe` blocks once each, materializing
+/// what they emit — the deliberate non-constant-space trade of §4.1 — and
+/// runs `then` once per pair that agrees on `on`, with the pair bound.
+/// Kept out of line: the row path in [`run`] stays small.
+#[inline(never)]
+fn hash_join(
+    env: &ExecEnv<'_>,
+    [build, probe, then]: [&Block; 3],
+    on: ColSet,
+    at: &Frame<'_>,
+    b: &mut Bindings,
+    emit: &mut dyn FnMut(&mut Bindings),
+) {
+    let mut built: Vec<Tuple> = Vec::new();
+    run(env, build, at, b, &mut |bb| built.push(bb.to_tuple()));
+    if built.is_empty() {
+        return;
     }
+    let mut probed: Vec<Tuple> = Vec::new();
+    run(env, probe, at, b, &mut |bb| probed.push(bb.to_tuple()));
+    let mut index: HashTable<Box<[Value]>, Vec<usize>> = HashTable::new();
+    for (i, t) in built.iter().enumerate() {
+        let k = t.key_for(on);
+        match index.get_mut(&k) {
+            Some(v) => v.push(i),
+            None => {
+                index.insert(k, vec![i]);
+            }
+        }
+    }
+    let mut kb = b.take_buf();
+    for t in &probed {
+        kb.clear();
+        kb.extend(on.iter().filter_map(|c| t.get(c)).cloned());
+        for &i in index.get(kb.as_slice()).into_iter().flatten() {
+            // Both sides extend the current bindings and agree on every
+            // column they share, so binding the pair's unbound columns
+            // cannot conflict.
+            let before = b.dom();
+            for (c, v) in built[i].iter().chain(t.iter()) {
+                if !b.dom().contains(c) {
+                    b.bind(c, v);
+                }
+            }
+            run(env, then, at, b, emit);
+            b.unbind(b.dom() - before);
+        }
+    }
+    b.put_buf(kb);
 }

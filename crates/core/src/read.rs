@@ -13,11 +13,11 @@
 //! makes representation independence checkable by a single generic test.
 
 use crate::error::OpError;
-use crate::exec::{exec_plan, Bindings, ExecEnv};
-use crate::instance::{InstanceRef, Store};
+use crate::exec::{exec_block, Bindings, ExecEnv};
+use crate::instance::{InstanceRef, Layout, Store};
 use crate::{wire, FxHashMap};
 use relic_decomp::Decomposition;
-use relic_query::{CostModel, Plan, Planner};
+use relic_query::{lower_plan, optimize, Block, CostModel, Planner};
 use relic_spec::{ColSet, Pattern, RelSpec, Tuple, Value};
 use std::sync::{Arc, RwLock};
 
@@ -443,8 +443,8 @@ impl FlatRows {
 /// query.
 pub(crate) type PlanKey = (u64, u64, u64, u64);
 
-/// The shared, read-mostly plan cache: signature → memoized `Arc<Plan>`.
-pub(crate) type PlanCache = RwLock<FxHashMap<PlanKey, Arc<Plan>>>;
+/// The shared, read-mostly plan cache: signature → memoized `Arc<Block>`.
+pub(crate) type PlanCache = RwLock<FxHashMap<PlanKey, Arc<Block>>>;
 
 /// The columns of a pattern carrying interval comparisons — the `ranged`
 /// part of a `query_where` signature (for both planning and workload
@@ -465,6 +465,7 @@ pub(crate) fn interval_cols(pattern: &Pattern) -> ColSet {
 pub(crate) struct ReadCore<'a> {
     pub(crate) spec: &'a RelSpec,
     pub(crate) d: &'a Decomposition,
+    pub(crate) layout: &'a Layout,
     pub(crate) store: &'a Store,
     pub(crate) root: InstanceRef,
     pub(crate) cost: &'a CostModel,
@@ -499,10 +500,10 @@ impl ReadCore<'_> {
         let env = ExecEnv {
             store: self.store,
             d: self.d,
+            layout: self.layout,
             cmp: &Pattern::new(),
         };
-        let body = &self.d.node(self.d.root()).body;
-        exec_plan(&env, &plan, body, 0, self.root, scratch, &mut |b| f(b));
+        exec_block(&env, &plan, self.root, scratch, &mut |b| f(b));
         Ok(())
     }
 
@@ -536,19 +537,20 @@ impl ReadCore<'_> {
         let env = ExecEnv {
             store: self.store,
             d: self.d,
+            layout: self.layout,
             cmp: pattern,
         };
-        let body = &self.d.node(self.d.root()).body;
-        exec_plan(&env, &plan, body, 0, self.root, scratch, &mut |b| f(b));
+        exec_block(&env, &plan, self.root, scratch, &mut |b| f(b));
         Ok(())
     }
 }
 
 /// Memoized planning against a shared cache. The warm path takes one read
-/// lock and hands out a shared `Arc<Plan>` — no exclusive lock, no plan
-/// clone; on a miss the (expensive) planning runs outside any lock, and the
-/// subsequent insert re-checks the entry so concurrent planners that raced
-/// converge on one plan instead of clobbering each other.
+/// lock and hands out a shared `Arc<Block>`; on a miss the planning,
+/// lowering and peephole pass run outside any lock, and the insert re-checks
+/// the entry so racing planners converge on one block. The block filters
+/// every comparison column, and its sink reads every column, because
+/// `query_for_each_bindings` hands out the full valuation.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn plan_memoized(
     cache: &PlanCache,
@@ -559,15 +561,17 @@ pub(crate) fn plan_memoized(
     ranged: ColSet,
     filtered: ColSet,
     out: ColSet,
-) -> Result<Arc<Plan>, OpError> {
+) -> Result<Arc<Block>, OpError> {
     let key = (eq.bits(), ranged.bits(), filtered.bits(), out.bits());
     if let Some(p) = cache.read().expect("plan cache poisoned").get(&key) {
         return Ok(Arc::clone(p));
     }
     let planner = Planner::new(d, spec, cost.clone());
     let planned = planner.plan_query_where(eq, ranged, filtered, out)?;
+    let lowered = lower_plan(d, &planned.plan, eq, ranged | filtered, spec.cols())?;
+    let (block, _) = optimize(d, lowered);
     let mut cache = cache.write().expect("plan cache poisoned");
-    let entry = cache.entry(key).or_insert_with(|| Arc::new(planned.plan));
+    let entry = cache.entry(key).or_insert_with(|| Arc::new(block));
     Ok(Arc::clone(entry))
 }
 

@@ -3,7 +3,7 @@
 
 use crate::alpha;
 use crate::error::{BuildError, MigrateError, OpError};
-use crate::exec::{exec_plan, Bindings, ExecEnv};
+use crate::exec::{exec_block, Bindings, ExecEnv};
 use crate::instance::{
     Child, ChildRef, EdgeContainer, Instance, InstanceRef, Key, Layout, LeafSpec, Link, PrimInst,
     Store,
@@ -12,7 +12,7 @@ use crate::profile::{ProfileCounters, WorkloadProfile};
 use crate::read::{interval_cols, plan_memoized, PlanCache, ReadCore, RelRead};
 use crate::{FxHashMap, Op};
 use relic_decomp::{check_adequacy, cut, Cut, Decomposition, EdgeId, NodeId};
-use relic_query::{CostModel, JoinCostMode, Plan};
+use relic_query::{Block, CostModel, JoinCostMode, Planner};
 use relic_spec::{Catalog, ColSet, Pattern, RelSpec, Relation, Tuple};
 use std::sync::Arc;
 
@@ -83,7 +83,7 @@ pub struct SynthRelation {
     root: InstanceRef,
     cost: CostModel,
     /// Read-mostly plan cache: the warm path takes only a read lock and
-    /// clones an `Arc`, never a `Plan`. Invalidation (`set_cost_model`,
+    /// clones an `Arc`, never a `Block`. Invalidation (`set_cost_model`,
     /// `set_join_cost_mode`, migration) *replaces* the `Arc` with a fresh
     /// cache instead of clearing in place, so snapshots sharing the old
     /// cache keep plans consistent with their frozen representation.
@@ -173,6 +173,7 @@ impl SynthRelation {
         crate::snapshot::Snapshot::new(
             self.spec.clone(),
             Arc::clone(&self.d),
+            Arc::clone(&self.layout),
             Arc::clone(&self.store),
             self.root,
             self.cost.clone(),
@@ -332,34 +333,36 @@ impl SynthRelation {
     /// The plan the relation will use for a query signature (for inspection
     /// and tests), rendered in the paper's notation.
     pub fn plan_for(&self, pattern_cols: ColSet, out: ColSet) -> Result<String, OpError> {
-        Ok(self.planned(pattern_cols, out)?.to_string())
+        self.plan_for_sig(pattern_cols, ColSet::EMPTY, ColSet::EMPTY, out)
     }
 
-    fn planned(&self, avail: ColSet, out: ColSet) -> Result<Arc<Plan>, OpError> {
-        self.planned_where(avail, ColSet::EMPTY, ColSet::EMPTY, out)
-    }
-
-    /// Memoized planning. The warm path takes one read lock and hands out a
-    /// shared `Arc<Plan>` — no exclusive lock, no plan clone. On a miss the
-    /// (expensive) planning runs outside any lock; the subsequent insert
-    /// re-checks the entry so concurrent planners that raced converge on one
-    /// plan instead of clobbering each other (the seed's get-then-insert
-    /// under separate `Mutex` acquisitions re-planned *and* re-inserted).
-    fn planned_where(
+    /// The §4.3 planner's choice for a signature — the plan the cached
+    /// block was lowered from — in the paper's notation.
+    fn plan_for_sig(
         &self,
         eq: ColSet,
         ranged: ColSet,
         filtered: ColSet,
         out: ColSet,
-    ) -> Result<Arc<Plan>, OpError> {
+    ) -> Result<String, OpError> {
+        let planner = Planner::new(&self.d, &self.spec, self.cost.clone());
+        Ok(planner
+            .plan_query_where(eq, ranged, filtered, out)?
+            .plan
+            .to_string())
+    }
+
+    /// The memoized block for an equality signature (see
+    /// [`plan_memoized`]).
+    fn planned(&self, avail: ColSet, out: ColSet) -> Result<Arc<Block>, OpError> {
         plan_memoized(
             &self.plan_cache,
             &self.d,
             &self.spec,
             &self.cost,
-            eq,
-            ranged,
-            filtered,
+            avail,
+            ColSet::EMPTY,
+            ColSet::EMPTY,
             out,
         )
     }
@@ -416,6 +419,7 @@ impl SynthRelation {
         ReadCore {
             spec: &self.spec,
             d: &self.d,
+            layout: &self.layout,
             store: &self.store,
             root: self.root,
             cost: &self.cost,
@@ -494,10 +498,7 @@ impl SynthRelation {
     /// paper's notation.
     pub fn plan_for_where(&self, pattern: &Pattern, out: ColSet) -> Result<String, OpError> {
         let ranged = interval_cols(pattern);
-        let filtered = pattern.cmp_cols() - ranged;
-        Ok(self
-            .planned_where(pattern.eq_cols(), ranged, filtered, out)?
-            .to_string())
+        self.plan_for_sig(pattern.eq_cols(), ranged, pattern.cmp_cols() - ranged, out)
     }
 
     /// Applies one [`Op`] by calling the write method it names. Returns
@@ -611,7 +612,7 @@ impl SynthRelation {
     /// relation's scratch accumulator, returning `(exact duplicate present,
     /// first differing match)` — the duplicate/conflict probe shared by
     /// [`insert`](SynthRelation::insert) and the batch paths.
-    fn probe_key(&mut self, plan: &Plan, t: &Tuple) -> (bool, Option<Tuple>) {
+    fn probe_key(&mut self, plan: &Block, t: &Tuple) -> (bool, Option<Tuple>) {
         let all = self.spec.cols();
         let mut scratch = std::mem::take(&mut self.scratch);
         let mut dup = false;
@@ -619,6 +620,7 @@ impl SynthRelation {
         for_each_matching(
             &self.store,
             &self.d,
+            &self.layout,
             self.root,
             plan,
             &mut scratch,
@@ -657,6 +659,7 @@ impl SynthRelation {
             for_each_matching(
                 &self.store,
                 &self.d,
+                &self.layout,
                 self.root,
                 &plan,
                 &mut scratch,
@@ -1147,7 +1150,7 @@ impl SynthRelation {
     /// valuation, whether the store holds a conflicting witness.
     fn probe_fd_witnesses(
         &mut self,
-        plan: &Plan,
+        plan: &Block,
         t: &Tuple,
         lhs: ColSet,
         rhs: ColSet,
@@ -1159,6 +1162,7 @@ impl SynthRelation {
         for_each_matching(
             &self.store,
             &self.d,
+            &self.layout,
             self.root,
             plan,
             &mut scratch,
@@ -1837,6 +1841,7 @@ impl SynthRelation {
         for_each_matching(
             &self.store,
             &self.d,
+            &self.layout,
             self.root,
             &plan,
             &mut scratch,
@@ -2116,8 +2121,8 @@ fn key_is_sort_prefix(key: ColSet, seq: &[relic_spec::ColId]) -> bool {
 }
 
 /// Streams every stored tuple extending `t`'s projection onto
-/// `pattern_cols` through `f`, as full-tuple bindings, using `plan` (which
-/// must have been planned for exactly that signature).
+/// `pattern_cols` through `f`, as full-tuple bindings, running `plan` (which
+/// must have been lowered for exactly that signature).
 ///
 /// A free function (rather than a method) so mutation paths can run it with
 /// a scratch accumulator taken out of the relation while still borrowing the
@@ -2127,8 +2132,9 @@ fn key_is_sort_prefix(key: ColSet, seq: &[relic_spec::ColId]) -> bool {
 fn for_each_matching(
     store: &Store,
     d: &Decomposition,
+    layout: &Layout,
     root: InstanceRef,
-    plan: &Plan,
+    plan: &Block,
     scratch: &mut Bindings,
     t: &Tuple,
     pattern_cols: ColSet,
@@ -2140,10 +2146,10 @@ fn for_each_matching(
     let env = ExecEnv {
         store,
         d,
+        layout,
         cmp: &Pattern::new(),
     };
-    let body = &d.node(d.root()).body;
-    exec_plan(&env, plan, body, 0, root, scratch, &mut |b| f(b));
+    exec_block(&env, plan, root, scratch, &mut |b| f(b));
 }
 
 #[cfg(test)]

@@ -30,7 +30,7 @@
 
 use crate::error::OpError;
 use crate::exec::Bindings;
-use crate::instance::{InstanceRef, Store};
+use crate::instance::{InstanceRef, Layout, Store};
 use crate::profile::ProfileCounters;
 use crate::read::{interval_cols, PlanCache, ReadCore, RelRead};
 use relic_decomp::Decomposition;
@@ -49,6 +49,7 @@ use std::sync::Arc;
 pub struct Snapshot {
     spec: RelSpec,
     d: Arc<Decomposition>,
+    layout: Arc<Layout>,
     store: Arc<Store>,
     root: InstanceRef,
     cost: CostModel,
@@ -63,6 +64,7 @@ impl Snapshot {
     pub(crate) fn new(
         spec: RelSpec,
         d: Arc<Decomposition>,
+        layout: Arc<Layout>,
         store: Arc<Store>,
         root: InstanceRef,
         cost: CostModel,
@@ -74,6 +76,7 @@ impl Snapshot {
         Snapshot {
             spec,
             d,
+            layout,
             store,
             root,
             cost,
@@ -133,6 +136,7 @@ impl Snapshot {
         ReadCore {
             spec: &self.spec,
             d: &self.d,
+            layout: &self.layout,
             store: &self.store,
             root: self.root,
             cost: &self.cost,

@@ -275,6 +275,7 @@ proptest! {
         b in 0i64..25,
         which in 0usize..4,
         out_sel in 0u8..3,
+        bytes_cmp in proptest::option::of((0u8..3, 0i64..8)),
     ) {
         let (cat, spec, ds) = event_log();
         let host = cat.col("host").unwrap();
@@ -301,6 +302,16 @@ proptest! {
             4 => p.with(ts, Pred::Between(Value::from(a.min(b)), Value::from(a.max(b)))),
             _ => p.with(ts, Pred::Ne(Value::from(a))),
         };
+        // A second comparison, on a unit column, filters beside the one on
+        // `ts`.
+        if let Some((op, v)) = bytes_cmp {
+            let v = Value::from(v);
+            p = p.with(bytes, match op {
+                0 => Pred::Lt(v),
+                1 => Pred::Ge(v),
+                _ => Pred::Ne(v),
+            });
+        }
         let out = match out_sel {
             0 => cat.all(),
             1 => ts | bytes,

@@ -78,6 +78,15 @@ impl Body {
         out
     }
 
+    /// The number of leaves in this body. A join's right operand starts at
+    /// leaf `l.leaf_count()` of the node's flattened leaves.
+    pub fn leaf_count(&self) -> usize {
+        match self {
+            Body::Unit(_) | Body::Map(_) => 1,
+            Body::Join(l, r) => l.leaf_count() + r.leaf_count(),
+        }
+    }
+
     /// The edges mentioned in this body, left-to-right.
     pub fn edges(&self) -> Vec<EdgeId> {
         self.leaves()

@@ -21,11 +21,14 @@
 //! * [`CostModel`] / [`Planner`] — the §4.3 cost estimator `E` (per-edge
 //!   fanout counts `c(u,v)` and per-structure lookup costs `m_ψ(n)`) and the
 //!   exhaustive minimum-cost planner,
-//! * [`resolve_plan`] / [`ResolvedPlan`] — plans with operators anchored to
-//!   concrete decomposition edges and nodes, the form compilers lower from.
+//! * [`Block`] / [`Step`] (`ir`) — the plan IR: each step names the edge or
+//!   node it addresses and the columns it binds, checks and filters,
+//! * [`lower_plan`] (`lower`) — aligns a [`Plan`] with the decomposition's
+//!   bodies and lowers it to IR, dissolving `qlr` and `qjoin`,
+//! * [`optimize`] (`peephole`) — the IR's peephole rewrites.
 //!
-//! Plans are *interpreted* by `relic-core` (`dqexec`) and *compiled* by
-//! `relic-codegen`.
+//! The optimized [`Block`] is what both backends run: `relic-core`
+//! *interprets* it (`dqexec`) and `relic-codegen` *compiles* it.
 //!
 //! # Example
 //!
@@ -61,13 +64,17 @@
 #![warn(missing_docs)]
 
 mod cost;
+mod ir;
+mod lower;
+mod peephole;
 mod plan;
 mod planner;
-mod resolve;
 mod validity;
 
 pub use cost::{CostModel, JoinCostMode};
+pub use ir::{Block, Step};
+pub use lower::lower_plan;
+pub use peephole::{optimize, PeepholeStats};
 pub use plan::{Plan, Side};
 pub use planner::{PlanError, PlannedQuery, Planner};
-pub use resolve::{resolve_plan, ResolveError, ResolvedPlan};
 pub use validity::{check_valid, check_valid_where, checked_cols, ValidityError};

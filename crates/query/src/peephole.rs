@@ -7,7 +7,7 @@
 //!    layout stage independently turns the container into an `Option<u32>`
 //!    slot, so the emitted form is a single field read).
 //! 2. **Fuse probe-then-iterate** — a `Scan` whose key columns are all
-//!    equality-bound outside (`bind = ∅`, `check = key`, no range filter)
+//!    equality-bound outside (`bind = ∅`, `check = key`, no filter)
 //!    iterates only to find one key; rewrite to a `Probe`, turning an
 //!    `O(n)` filter loop into a container point-probe.
 //! 3. **Hoist loop-invariant probes** — a `Probe` directly under a
@@ -20,16 +20,18 @@
 //!
 //! Rules 1–3 run to a fixpoint; rule 4 is a single bottom-up pass that
 //! cannot enable the structural rewrites (they only inspect check/key
-//! sets), so it runs once, last.
+//! sets), so it runs once, last. It drops nothing from an interpreted
+//! block, whose sink reads every column.
 
 use crate::ir::{Block, Step};
-use relic_decomp::{Decomposition, EdgeId};
+use relic_decomp::Decomposition;
 use relic_spec::ColSet;
+use std::mem::take;
 
-/// Counters for what the optimizer did — surfaced in [`crate::Report`] and
-/// the generated module header.
+/// Counters for what the optimizer did — surfaced in `relic_codegen`'s
+/// `Report` and the generated module header.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct PeepholeStats {
+pub struct PeepholeStats {
     /// `Scan` → `Probe` rewrites on unit-key edges (rule 1).
     pub unit_hops_collapsed: usize,
     /// `Scan` → `Probe` rewrites on fully bound keys (rule 2).
@@ -41,6 +43,7 @@ pub(crate) struct PeepholeStats {
 }
 
 impl PeepholeStats {
+    /// Adds `other`'s counts to these.
     pub fn absorb(&mut self, other: PeepholeStats) {
         self.unit_hops_collapsed += other.unit_hops_collapsed;
         self.scans_fused += other.scans_fused;
@@ -50,11 +53,11 @@ impl PeepholeStats {
 }
 
 /// Runs all passes and returns the optimized block.
-pub(crate) fn optimize(d: &Decomposition, mut block: Block) -> (Block, PeepholeStats) {
+pub fn optimize(d: &Decomposition, mut block: Block) -> (Block, PeepholeStats) {
     let mut stats = PeepholeStats::default();
     loop {
         let mut round = PeepholeStats::default();
-        block = collapse_and_fuse(d, block, &mut round);
+        collapse_and_fuse(d, &mut block, &mut round);
         block = hoist_invariant_probes(d, block, &mut round);
         if round == PeepholeStats::default() {
             break;
@@ -67,63 +70,31 @@ pub(crate) fn optimize(d: &Decomposition, mut block: Block) -> (Block, PeepholeS
 
 /// Rules 1 and 2: rewrite scans that cannot select more than one entry
 /// into probes.
-fn collapse_and_fuse(d: &Decomposition, block: Block, stats: &mut PeepholeStats) -> Block {
-    Block(
-        block
-            .0
-            .into_iter()
-            .map(|step| match step {
-                Step::Scan {
-                    edge,
-                    bind,
-                    check,
-                    range_check,
-                    then,
-                } => {
-                    let then = collapse_and_fuse(d, then, stats);
-                    let key = d.edge(edge).key;
-                    if key.is_empty() {
-                        stats.unit_hops_collapsed += 1;
-                        Step::Probe { edge, then }
-                    } else if bind.is_empty() && range_check.is_none() && check == key {
-                        stats.scans_fused += 1;
-                        Step::Probe { edge, then }
-                    } else {
-                        Step::Scan {
-                            edge,
-                            bind,
-                            check,
-                            range_check,
-                            then,
-                        }
-                    }
-                }
-                Step::Probe { edge, then } => Step::Probe {
-                    edge,
-                    then: collapse_and_fuse(d, then, stats),
-                },
-                Step::Range { edge, bind, then } => Step::Range {
-                    edge,
-                    bind,
-                    then: collapse_and_fuse(d, then, stats),
-                },
-                Step::Unit {
-                    node,
-                    check,
-                    range_check,
-                    bind,
-                    then,
-                } => Step::Unit {
-                    node,
-                    check,
-                    range_check,
-                    bind,
-                    then: collapse_and_fuse(d, then, stats),
-                },
-                emit @ Step::Emit { .. } => emit,
-            })
-            .collect(),
-    )
+fn collapse_and_fuse(d: &Decomposition, block: &mut Block, stats: &mut PeepholeStats) {
+    for step in &mut block.0 {
+        step.for_each_block(|b| collapse_and_fuse(d, b, stats));
+        if let Step::Scan {
+            edge,
+            bind,
+            check,
+            filter,
+            then,
+        } = step
+        {
+            let key = d.edge(*edge).key;
+            if key.is_empty() {
+                stats.unit_hops_collapsed += 1;
+            } else if bind.is_empty() && filter.is_empty() && *check == key {
+                stats.scans_fused += 1;
+            } else {
+                continue;
+            }
+            *step = Step::Probe {
+                edge: *edge,
+                then: take(then),
+            };
+        }
+    }
 }
 
 /// Rule 3: `loop { if probe { … } }` → `if probe { loop { … } }` when the
@@ -143,79 +114,41 @@ fn hoist_invariant_probes(d: &Decomposition, block: Block, stats: &mut PeepholeS
     )
 }
 
-fn hoist_step(d: &Decomposition, step: Step, stats: &mut PeepholeStats) -> Step {
-    let loop_info = match &step {
-        Step::Scan { edge, bind, .. } => Some((*edge, *bind)),
-        Step::Range { edge, bind, .. } => Some((*edge, *bind)),
-        _ => None,
+fn hoist_step(d: &Decomposition, mut step: Step, stats: &mut PeepholeStats) -> Step {
+    let (Step::Scan {
+        edge, bind, then, ..
+    }
+    | Step::Range { edge, bind, then }) = &mut step
+    else {
+        step.for_each_block(|b| *b = hoist_invariant_probes(d, take(b), stats));
+        return step;
     };
-    if let Some((loop_edge, loop_bind)) = loop_info {
-        let loop_target = d.edge(loop_edge).to;
-        // Peel hoistable probes off the front of the loop body.
-        let mut hoisted: Vec<EdgeId> = Vec::new();
-        let mut inner = step;
-        loop {
-            let (Step::Scan { then, .. } | Step::Range { then, .. }) = &inner else {
-                unreachable!()
-            };
-            let hoistable = match then.0.as_slice() {
-                [Step::Probe { edge, .. }] => {
-                    let pe = d.edge(*edge);
-                    pe.from != loop_target && pe.key.is_disjoint(loop_bind)
-                }
-                _ => false,
-            };
-            if !hoistable {
-                break;
-            }
-            // Detach the probe, reattach the loop under it.
-            let (Step::Scan { then, .. } | Step::Range { then, .. }) = &mut inner else {
-                unreachable!()
-            };
-            let Some(Step::Probe { edge, then: pt }) = then.0.pop() else {
-                unreachable!()
-            };
-            *then = pt;
-            hoisted.push(edge);
-            stats.probes_hoisted += 1;
+    let (loop_target, loop_bind) = (d.edge(*edge).to, *bind);
+    // Peel hoistable probes off the front of the loop body.
+    let mut hoisted = Vec::new();
+    while let [Step::Probe { edge: pe, .. }] = then.0.as_slice() {
+        let pe = d.edge(*pe);
+        if pe.from == loop_target || !pe.key.is_disjoint(loop_bind) {
+            break;
         }
-        // Recurse into whatever body remains.
-        let (Step::Scan { then, .. } | Step::Range { then, .. }) = &mut inner else {
-            unreachable!()
+        // Detach the probe, reattach the loop under it.
+        let Some(Step::Probe { edge, then: inner }) = then.0.pop() else {
+            break;
         };
-        let body = std::mem::take(then);
-        *then = hoist_invariant_probes(d, body, stats);
-        // Wrap the loop back in the hoisted probes, innermost-first.
-        let mut result = inner;
-        for edge in hoisted.into_iter().rev() {
-            result = Step::Probe {
-                edge,
-                then: Block(vec![result]),
-            };
-        }
-        return result;
+        *then = inner;
+        hoisted.push(edge);
+        stats.probes_hoisted += 1;
     }
-    match step {
-        Step::Probe { edge, then } => Step::Probe {
+    // Recurse into whatever body remains.
+    *then = hoist_invariant_probes(d, take(then), stats);
+    // Wrap the loop back in the hoisted probes, innermost-first.
+    hoisted
+        .into_iter()
+        .rev()
+        .fold(step, |inner, edge| Step::Probe {
             edge,
-            then: hoist_invariant_probes(d, then, stats),
-        },
-        Step::Unit {
-            node,
-            check,
-            range_check,
-            bind,
-            then,
-        } => Step::Unit {
-            node,
-            check,
-            range_check,
-            bind,
-            then: hoist_invariant_probes(d, then, stats),
-        },
-        emit @ Step::Emit { .. } => emit,
-        _ => unreachable!("loops handled above"),
-    }
+            then: Block(vec![inner]),
+        })
 }
 
 /// Rule 4: bottom-up used-column analysis; prunes `bind` sets. Returns the
@@ -251,19 +184,18 @@ fn prune_step(d: &Decomposition, step: Step, stats: &mut PeepholeStats) -> (Step
             edge,
             bind,
             check,
-            range_check,
+            filter,
             then,
         } => {
             let (then, below) = eliminate_dead_cols(d, then, stats);
-            let keep = range_check.map_or(ColSet::EMPTY, |c| c.set());
-            let bind2 = bind & (below | keep);
+            let bind2 = bind & (below | filter);
             stats.dead_cols_elided += bind.len() - bind2.len();
             (
                 Step::Scan {
                     edge,
                     bind: bind2,
                     check,
-                    range_check,
+                    filter,
                     then,
                 },
                 check | (below - bind),
@@ -288,24 +220,46 @@ fn prune_step(d: &Decomposition, step: Step, stats: &mut PeepholeStats) -> (Step
         }
         Step::Unit {
             node,
+            leaf,
             check,
-            range_check,
+            filter,
             bind,
             then,
         } => {
             let (then, below) = eliminate_dead_cols(d, then, stats);
-            let keep = range_check.map_or(ColSet::EMPTY, |c| c.set());
-            let bind2 = bind & (below | keep);
+            let bind2 = bind & (below | filter);
             stats.dead_cols_elided += bind.len() - bind2.len();
             (
                 Step::Unit {
                     node,
+                    leaf,
                     check,
-                    range_check,
+                    filter,
                     bind: bind2,
                     then,
                 },
                 check | (below - bind),
+            )
+        }
+        Step::HashJoin {
+            build,
+            probe,
+            on,
+            then,
+        } => {
+            // Each side emits its full valuation, so nothing it binds is
+            // dead; what the pair feeds below is consumed from the sides.
+            let (then, below) = eliminate_dead_cols(d, then, stats);
+            let (build, from_build) = eliminate_dead_cols(d, build, stats);
+            let (probe, from_probe) = eliminate_dead_cols(d, probe, stats);
+            (
+                Step::HashJoin {
+                    build,
+                    probe,
+                    on,
+                    then,
+                },
+                from_build | from_probe | below,
             )
         }
     }
@@ -314,7 +268,7 @@ fn prune_step(d: &Decomposition, step: Step, stats: &mut PeepholeStats) -> (Step
 #[cfg(test)]
 mod tests {
     use super::*;
-    use relic_decomp::{DecompBuilder, DsKind, NodeId, Prim};
+    use relic_decomp::{DecompBuilder, DsKind, EdgeId, NodeId, Prim};
     use relic_spec::{Catalog, ColId};
 
     /// `x -{a}-> y -{b}-> w = unit {v}` over htables.
@@ -343,11 +297,12 @@ mod tests {
             edge: EdgeId(0),
             bind: ColSet::EMPTY,
             check: b.set(),
-            range_check: None,
+            filter: ColSet::EMPTY,
             then: Block(vec![Step::Unit {
                 node: NodeId(0),
+                leaf: 0,
                 check: ColSet::EMPTY,
-                range_check: None,
+                filter: ColSet::EMPTY,
                 bind: v.set(),
                 then: Block(vec![Step::Emit { used: v.set() }]),
             }]),
@@ -366,7 +321,7 @@ mod tests {
             edge: EdgeId(1),
             bind: a.set(),
             check: ColSet::EMPTY,
-            range_check: None,
+            filter: ColSet::EMPTY,
             then: Block(vec![Step::Probe {
                 edge: EdgeId(0),
                 then: Block(vec![Step::Emit { used: v.set() }]),
@@ -380,7 +335,7 @@ mod tests {
             edge: EdgeId(0),
             bind: b.set(),
             check: ColSet::EMPTY,
-            range_check: None,
+            filter: ColSet::EMPTY,
             then: Block(vec![Step::Probe {
                 edge: EdgeId(1),
                 then: Block(vec![Step::Emit { used: v.set() }]),
@@ -399,11 +354,12 @@ mod tests {
             edge: EdgeId(0),
             bind: b.set(),
             check: ColSet::EMPTY,
-            range_check: None,
+            filter: ColSet::EMPTY,
             then: Block(vec![Step::Unit {
                 node: NodeId(0),
+                leaf: 0,
                 check: ColSet::EMPTY,
-                range_check: None,
+                filter: ColSet::EMPTY,
                 bind: v.set(),
                 then: Block(vec![Step::Emit { used: v.set() }]),
             }]),
@@ -422,7 +378,7 @@ mod tests {
             edge: EdgeId(1),
             bind: b.set(),
             check: ColSet::EMPTY,
-            range_check: None,
+            filter: ColSet::EMPTY,
             then: Block(vec![Step::Probe {
                 edge: EdgeId(0),
                 then: Block(vec![Step::Emit { used: v.set() }]),
@@ -454,7 +410,7 @@ mod tests {
             edge: EdgeId(0),
             bind: ColSet::EMPTY,
             check: ColSet::EMPTY,
-            range_check: None,
+            filter: ColSet::EMPTY,
             then: Block(vec![Step::Emit { used: v.set() }]),
         }]);
         let (opt, stats) = optimize(&d, ir);

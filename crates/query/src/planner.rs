@@ -19,6 +19,13 @@ pub enum PlanError {
         /// Requested output columns.
         out: ColSet,
     },
+    /// The plan does not fit the decomposition it is lowered against: an
+    /// operator on the wrong kind of body, or a `qlookup` / `qrange` whose
+    /// key prefix is not bound where it runs.
+    Misaligned {
+        /// The sub-plan that does not fit.
+        plan: String,
+    },
 }
 
 impl fmt::Display for PlanError {
@@ -28,6 +35,9 @@ impl fmt::Display for PlanError {
                 f,
                 "no valid query plan from input columns {avail:?} to output columns {out:?}"
             ),
+            PlanError::Misaligned { plan } => {
+                write!(f, "plan {plan} does not fit the decomposition body")
+            }
         }
     }
 }
