@@ -21,10 +21,8 @@
 //!   counts the tuples an `InsertMany` or `BulkLoad` inserted, or a
 //!   `Remove`, `RemoveMany` or `RemoveWhere` removed; 1 for an `Insert` of
 //!   a new tuple or an `Update` that changed one, else 0; 0 for a
-//!   `Migrate`. The server may coalesce a run of single inserts into one
-//!   batch: the run's **first** ack then carries the whole run's inserted
-//!   count and the rest carry zero, so the sum over acks is exact
-//!   regardless of how the server batched.
+//!   `Migrate`. Every op is applied and acked on its own, with its own
+//!   count or its own refusal, however the server batches the commit.
 //! * Queries ([`Query`](NetRequest::Query) with a tuple pattern,
 //!   [`QueryWhere`](NetRequest::QueryWhere) with concrete predicate
 //!   syntax parsed server-side) return [`NetResponse::Rows`]: the answer
@@ -223,10 +221,10 @@ pub enum NetResponse {
         /// The matching (projected) tuples.
         tuples: Vec<Tuple>,
     },
-    /// A mutation acknowledgement (see the module docs for the coalesced
-    /// counting convention).
+    /// A mutation acknowledgement (see the module docs for what each op
+    /// counts).
     Ack {
-        /// Tuples inserted/removed by this request's run.
+        /// Tuples inserted/removed by this request's op.
         n: u64,
     },
     /// A commit acknowledgement.

@@ -18,15 +18,19 @@
 //!   greedy delta-debugger over the step vector.
 //!
 //! A row is "this path × this fault plan": [`Synth`], [`Sharded`] or
-//! [`Durable`], driven by [`check_cases`].
+//! [`Durable`], driven by [`check_cases`]. A threaded run is checked by
+//! its history instead: each thread keeps a [`Log`], and [`check_history`]
+//! looks for a linearization of each shard's part against the same model.
 
 #![forbid(unsafe_code)]
 
+mod history;
 mod model;
 mod paths;
 mod run;
 mod universe;
 
+pub use history::{check_history, Call, Event, Log, Outcome};
 pub use model::Model;
 pub use paths::{Durable, Sharded, Synth};
 pub use run::{check_cases, check_steps, run, Path};
@@ -105,11 +109,11 @@ impl State {
 /// A fresh directory under the system temp dir, removed when the guard
 /// drops — on a panic too.
 #[derive(Debug)]
-pub(crate) struct TempDir(PathBuf);
+pub struct TempDir(PathBuf);
 
 impl TempDir {
     /// Creates an empty directory whose name starts with `relic_oracle_{tag}`.
-    pub(crate) fn new(tag: &str) -> TempDir {
+    pub fn new(tag: &str) -> TempDir {
         static N: AtomicUsize = AtomicUsize::new(0);
         let n = N.fetch_add(1, Ordering::Relaxed);
         let dir =
@@ -119,7 +123,8 @@ impl TempDir {
         TempDir(dir)
     }
 
-    pub(crate) fn path(&self) -> &FsPath {
+    /// The directory.
+    pub fn path(&self) -> &FsPath {
         &self.0
     }
 }

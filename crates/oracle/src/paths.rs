@@ -8,7 +8,6 @@ use proptest::test_runner::TestRng;
 use relic_concurrent::{ConcurrentRelation, ReadHandle};
 use relic_core::{Op, OpError, RelRead, SynthRelation};
 use relic_decomp::Decomposition;
-use relic_persist::checkpoint::CHECKPOINT_FILE;
 use relic_persist::durable::WAL_FILE;
 use relic_persist::{read_wal, DurableRelation, GroupCommitPolicy, PersistError};
 use relic_spec::{ColSet, Tuple};
@@ -180,16 +179,15 @@ impl Path for Sharded<'_> {
 }
 
 /// A [`DurableRelation`] under the manual group-commit policy, in its own
-/// temp directory (removed on drop). It tracks two log lengths: `base`, at
-/// the last checkpoint or reopen, where the cuts of
-/// [`crash_scan`](Durable::crash_scan) start, and `durable`, at the last
-/// commit point, which a crash keeps.
+/// temp directory (removed on drop). Under that policy the log file holds
+/// exactly what the last commit made durable, which a crash keeps; `base`
+/// is its length at the last checkpoint or reopen, where the cuts of
+/// [`crash_scan`](Durable::crash_scan) start.
 #[derive(Debug)]
 pub struct Durable {
     rel: Option<DurableRelation>,
     dir: TempDir,
     base: u64,
-    durable: u64,
 }
 
 impl Durable {
@@ -212,20 +210,19 @@ impl Durable {
             rel: Some(r.unwrap()),
             dir,
             base: 0,
-            durable: 0,
         };
         p.rebase();
         p
     }
 
-    /// Starts both log lengths at the log's end: after a create, a
-    /// checkpoint or a reopen.
+    /// Starts the cuts at the log's end: after a create, a checkpoint or a
+    /// reopen.
     fn rebase(&mut self) {
         self.base = self.log_len();
-        self.durable = self.base;
     }
 
-    fn r(&self) -> &DurableRelation {
+    /// The open relation, for threads that drive it concurrently.
+    pub fn r(&self) -> &DurableRelation {
         self.rel.as_ref().expect("open")
     }
 
@@ -233,16 +230,32 @@ impl Durable {
         fs::metadata(self.dir.path().join(WAL_FILE)).unwrap().len()
     }
 
-    /// Recovers `dir` with its log replaced by `log`, in a scratch copy.
-    fn recover(&self, log: &[u8]) -> State {
+    /// The directory's files: under the manual policy, the disk a crash
+    /// now would leave behind.
+    pub fn image(&self) -> Vec<(String, Vec<u8>)> {
+        let file = |f: fs::DirEntry| (f.file_name().into_string().unwrap(), fs::read(f.path()));
+        let files = fs::read_dir(self.dir.path())
+            .unwrap()
+            .map(|f| file(f.unwrap()));
+        files.map(|(name, bytes)| (name, bytes.unwrap())).collect()
+    }
+
+    /// Recovers the directory `image` in a scratch copy.
+    pub fn recover(image: &[(String, Vec<u8>)]) -> State {
         let scratch = TempDir::new("cut");
-        let ckpt = self.dir.path().join(CHECKPOINT_FILE);
-        if ckpt.exists() {
-            fs::copy(&ckpt, scratch.path().join(CHECKPOINT_FILE)).unwrap();
+        for (name, bytes) in image {
+            fs::write(scratch.path().join(name), bytes).unwrap();
         }
-        fs::write(scratch.path().join(WAL_FILE), log).unwrap();
         let r = DurableRelation::open(scratch.path(), GroupCommitPolicy::manual()).unwrap();
         view_state(r.relation())
+    }
+
+    /// Recovers the directory with its log replaced by `log`.
+    fn recover_log(&self, log: &[u8]) -> State {
+        let mut image = self.image();
+        image.retain(|(name, _)| name != WAL_FILE);
+        image.push((WAL_FILE.to_string(), log.to_vec()));
+        Durable::recover(&image)
     }
 
     /// Commits, then recovers the log cut at every record boundary since the
@@ -271,7 +284,7 @@ impl Durable {
             while let Some(e) = records.next_if(|e| e.end <= cut) {
                 replay.replay(&e.record);
             }
-            let got = self.recover(&full[..cut as usize]);
+            let got = self.recover_log(&full[..cut as usize]);
             assert_eq!(got, replay.now, "cut {cut} against its records");
             k = m.reached(&got, k, &format!("the log cut at byte {cut}"));
             if cut == last.start {
@@ -283,7 +296,11 @@ impl Durable {
         for at in [last.start, last.start + len / 2, last.end - 1] {
             let mut bad = full.clone();
             bad[at as usize] ^= 0x5A;
-            assert_eq!(Some(self.recover(&bad)), before_last, "byte {at} flipped");
+            assert_eq!(
+                Some(self.recover_log(&bad)),
+                before_last,
+                "byte {at} flipped"
+            );
         }
     }
 }
@@ -317,7 +334,6 @@ impl Path for Durable {
 
     fn commit(&mut self) {
         self.r().commit().unwrap();
-        self.durable = self.log_len();
     }
 
     fn checkpoint(&mut self) {
@@ -326,7 +342,7 @@ impl Path for Durable {
     }
 
     fn crash(&mut self, keep: u64) {
-        let durable = self.durable;
+        let durable = self.log_len();
         self.commit();
         drop(self.rel.take());
         let path = self.dir.path().join(WAL_FILE);

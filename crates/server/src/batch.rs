@@ -1,21 +1,13 @@
-//! Cross-connection mutation coalescing.
+//! Cross-connection mutation batching.
 //!
 //! A worker does not apply mutations as it decodes them. It queues them —
 //! each an [`Op`], tagged with the connection that sent it — and flushes
 //! the whole queue at scan boundaries (or earlier, when a queued
 //! connection issues a read, or when admission control demands a flush).
-//! The flush walks the queue in arrival order and merges **consecutive
-//! single inserts** into one [`Op::InsertMany`] — one WAL record, one lock
-//! hold and one publish per touched shard, regardless of how many
-//! connections contributed — then commits once for the whole batch: a
-//! single fsync, amortized over every queued request.
-//!
-//! Acknowledgement follows the protocol's coalesced-counting convention
-//! (`relic_core::netmsg`): the first request of a merged insert run is
-//! acked with the run's whole inserted count, the rest with zero, so the
-//! per-connection response order is undisturbed and the sum over acks is
-//! exact. Every other op punctuates runs and is applied (and counted)
-//! individually.
+//! The flush applies every queued op on its own, in arrival order, and
+//! acknowledges each with its own count or its own refusal — then commits
+//! once for the whole batch: a single fsync, amortized over every queued
+//! request.
 
 use relic_core::netmsg::NetResponse;
 use relic_core::Op;
@@ -59,31 +51,11 @@ impl MutationBatch {
     /// the *last* op's ack slot (earlier acks only ever promise
     /// application, not durability).
     pub(crate) fn flush(&mut self, rel: &DurableRelation) -> Vec<(usize, NetResponse)> {
-        let mut acks: Vec<(usize, NetResponse)> = Vec::with_capacity(self.ops.len());
-        let mut ops = std::mem::take(&mut self.ops).into_iter().peekable();
-        while let Some((conn, op)) = ops.next() {
-            let Op::Insert(first) = op else {
-                acks.push((conn, ack(rel.apply(op))));
-                continue;
-            };
-            // Extend the run over every consecutive single insert.
-            let mut conns = vec![conn];
-            let mut run = vec![first];
-            while let Some((c, Op::Insert(t))) = ops.next_if(|(_, op)| matches!(op, Op::Insert(_)))
-            {
-                conns.push(c);
-                run.push(t);
-            }
-            // First ack carries the run's count; the batch insert is
-            // all-or-nothing on refusal, so every contributor hears one.
-            let first_ack = ack(rel.apply(Op::InsertMany(run)));
-            let rest = match &first_ack {
-                NetResponse::Ack { .. } => NetResponse::Ack { n: 0 },
-                err => err.clone(),
-            };
-            acks.push((conns[0], first_ack));
-            acks.extend(conns[1..].iter().map(|&c| (c, rest.clone())));
-        }
+        let mut acks: Vec<(usize, NetResponse)> = self
+            .ops
+            .drain(..)
+            .map(|(conn, op)| (conn, ack(rel.apply(op))))
+            .collect();
         if !acks.is_empty() {
             if let Err(e) = rel.commit() {
                 if let Some(last) = acks.last_mut() {
@@ -145,37 +117,35 @@ mod tests {
     }
 
     #[test]
-    fn coalesced_runs_ack_first_with_run_count() {
-        let rel = tmp_rel("runs");
+    fn each_queued_op_is_acked_with_its_own_count() {
+        let rel = tmp_rel("acks");
         let cat = rel.catalog().clone();
+        rel.insert(kv(&cat, 0, 0)).unwrap();
         let mut b = MutationBatch::default();
-        // conns 0,1,2 insert; conn 1 removes; conns 0,1 insert again.
+        // Consecutive inserts from three connections, the second one
+        // refused (its key is stored with another value), then a remove.
         b.push(0, Op::Insert(kv(&cat, 1, 10)));
-        b.push(1, Op::Insert(kv(&cat, 2, 20)));
+        b.push(1, Op::Insert(kv(&cat, 0, 99)));
         b.push(2, Op::Insert(kv(&cat, 3, 30)));
         let ck = cat.col("k").unwrap();
-        b.push(1, Op::Remove(Tuple::from_pairs([(ck, Value::from(2i64))])));
-        b.push(0, Op::Insert(kv(&cat, 4, 40)));
-        b.push(1, Op::Insert(kv(&cat, 5, 50)));
+        b.push(1, Op::Remove(Tuple::from_pairs([(ck, Value::from(1i64))])));
         assert!(b.conn_has_pending(1));
         assert!(!b.conn_has_pending(7));
-        assert_eq!(b.len(), 6);
+        assert_eq!(b.len(), 4);
         let acks = b.flush(&rel);
         assert!(b.is_empty());
-        let expect = [
-            (0usize, 3u64), // first of run 1 carries the run count
-            (1, 0),
-            (2, 0),
-            (1, 1), // the remove, counted individually
-            (0, 2), // first of run 2
-            (1, 0),
-        ];
-        assert_eq!(acks.len(), expect.len());
-        for ((conn, resp), (want_conn, want_n)) in acks.iter().zip(expect) {
-            assert_eq!(*conn, want_conn);
-            assert_eq!(resp, &NetResponse::Ack { n: want_n });
-        }
-        assert_eq!(rel.len(), 4);
+        let conns: Vec<usize> = acks.iter().map(|(c, _)| *c).collect();
+        assert_eq!(conns, [0, 1, 2, 1]);
+        assert_eq!(acks[0].1, NetResponse::Ack { n: 1 });
+        assert!(
+            matches!(acks[1].1, NetResponse::Err { .. }),
+            "{:?}",
+            acks[1]
+        );
+        assert_eq!(acks[2].1, NetResponse::Ack { n: 1 });
+        assert_eq!(acks[3].1, NetResponse::Ack { n: 1 });
+        // k=0 kept its value, k=3 went in, k=1 went in and out again.
+        assert_eq!(rel.len(), 2);
         // Committed (exactly once) for the whole batch.
         assert_eq!(rel.wal_pending_bytes(), 0);
         let _ = std::fs::remove_dir_all(rel.dir());

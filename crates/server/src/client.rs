@@ -5,8 +5,8 @@
 //! the server answers strictly in request order, so a client may keep any
 //! number of requests in flight on one connection and match responses by
 //! position. The ported scenarios and the `serving` bench family both
-//! drive the protocol this way — it is what gives the server whole runs
-//! of mutation frames to coalesce.
+//! drive the protocol this way — it is what gives the server whole batches
+//! of mutation frames to share one group commit.
 
 use crate::ServerError;
 use relic_core::netmsg::{NetRequest, NetResponse, ServingStats};

@@ -17,14 +17,12 @@
 //!   — a slow scan on one connection cannot block ingest on another.
 //! * **Every write is one [`Op`](relic_core::Op), applied whole** through
 //!   `DurableRelation::apply`, under one hold of every shard it touches.
-//! * **Writes coalesce across connections.** A worker drains whole
+//! * **Commits coalesce across connections.** A worker drains whole
 //!   batches of pipelined mutation frames from *all* its connections
-//!   before applying them: consecutive single inserts become one
-//!   `insert_many` (one log record, one lock hold, one publish per
-//!   touched shard) and the whole batch group-commits with **one fsync**,
-//!   amortized across every connection that contributed
-//!   ([`batch`]). Acknowledgements still arrive per request, in order; a
-//!   coalesced run's first ack carries the run's inserted count.
+//!   before applying them, applies each op on its own, and group-commits
+//!   the whole batch with **one fsync**, amortized across every
+//!   connection that contributed ([`batch`]). Acknowledgements arrive per
+//!   request, in order, each with its own op's count or refusal.
 //! * **Admission control watches the write side's two lag gauges**
 //!   ([`admission`]): the write-ahead log's unflushed bytes
 //!   ([`DurableRelation::wal_pending_bytes`](relic_persist::DurableRelation::wal_pending_bytes)) and the epoch-reclamation
@@ -69,7 +67,7 @@ use std::time::Duration;
 /// stops naming them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CommitMode {
-    /// Apply each worker's drained batch as coalesced runs, then commit
+    /// Apply each op of a worker's drained batch on its own, then commit
     /// the whole batch with one fsync.
     #[default]
     Coalesced,

@@ -20,7 +20,7 @@
 //!    to back, one index entry per row, no `Tuple` — whose sorted,
 //!    deduplicated index is framed straight into the connection's output
 //!    queue. Mutations queue into the worker's `MutationBatch`.
-//! 3. Flush the mutation batch — coalesced `insert_many` runs, one group
+//! 3. Flush the mutation batch — each op applied on its own, one group
 //!    commit — and distribute the acks to their connections.
 //! 4. Push queued response bytes at every socket that will take them.
 //!
