@@ -14,6 +14,7 @@ use relic_core::netmsg::encode_rows_into;
 use relic_core::{Bindings, FlatRows, RelRead, SynthRelation};
 use relic_decomp::parse;
 use relic_spec::{Catalog, ColSet, Pattern, Pred, RelSpec, Tuple, Value};
+use relic_systems::ipcap::{default_decomposition, flow_spec, FlowStore, Packet, SynthFlows};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -280,6 +281,27 @@ fn flows() -> (Catalog, SynthRelation) {
     (cat, r)
 }
 
+/// A `SynthFlows` table on the default decomposition that has accounted
+/// and flushed a 2 048-packet trace over 512 flows once and then accounted
+/// it again — every plan, scratch buffer and container warm, every flow
+/// live — and the trace.
+fn synth_flows() -> (SynthFlows, Vec<Packet>) {
+    let (mut cat, cols, spec) = flow_spec();
+    let d = default_decomposition(&mut cat);
+    let mut flows = SynthFlows::new(&cat, cols, &spec, d).unwrap();
+    let trace: Vec<Packet> = (0..2048i64)
+        .map(|i| (i % 64, (i / 64) % 8, 40 + i))
+        .collect();
+    for p in &trace {
+        flows.account(*p).unwrap();
+    }
+    flows.flush().unwrap();
+    for p in &trace {
+        flows.account(*p).unwrap();
+    }
+    (flows, trace)
+}
+
 /// A sweep that leaves `local` free crosses the `avl` edge with the
 /// in-order visitor, not `AvlMap::iter`'s heap-allocated stack: the query
 /// path with an empty pattern and the `scan_all` of a pinned snapshot (what
@@ -360,11 +382,11 @@ fn warm_range_query_allocates_nothing() {
 
 /// The IpCap loop's warm in-place `update`: a flow's `(bytes, pkts)` unit
 /// rewritten under its `(local, remote)` key, with FD checking off as the
-/// daemon runs it. One planned key probe through the relation's scratch
-/// finds the tuple and the two values are overwritten where they lie; the
-/// one allocation left is the old tuple's projection.
+/// daemon runs it. The key locates the flow's inline unit directly — no
+/// plan, no projected tuple — and the two values are overwritten where
+/// they lie.
 #[test]
-fn warm_in_place_update_allocates_at_most_once() {
+fn warm_in_place_update_allocates_nothing() {
     let (cat, mut r) = flows();
     r.set_fd_checking(false);
     let col = |name| cat.col(name).unwrap();
@@ -391,8 +413,9 @@ fn warm_in_place_update_allocates_at_most_once() {
         assert!(r.update(key, changes).unwrap());
     }
     let delta = allocs() - before;
-    assert!(
-        delta <= keys.len() as u64,
+    assert_eq!(
+        delta,
+        0,
         "{delta} allocations over {} warm in-place updates",
         keys.len()
     );
@@ -400,6 +423,39 @@ fn warm_in_place_update_allocates_at_most_once() {
         assert_eq!(r.query(key, bytes | pkts).unwrap(), vec![changes.clone()]);
     }
     r.validate().unwrap();
+}
+
+/// The IpCap daemon's packet on a live flow, through `SynthFlows`: a keyed
+/// read of the counters streamed through the table's scratch, then the
+/// keyed in-place `update` with the table's reused key and change tuples.
+#[test]
+fn warm_synth_flows_account_allocates_nothing() {
+    let (mut flows, trace) = synth_flows();
+    let before = allocs();
+    for p in &trace {
+        flows.account(*p).unwrap();
+    }
+    let delta = allocs() - before;
+    assert_eq!(delta, 0, "{delta} allocations over {} packets", trace.len());
+    assert_eq!(flows.live_flows(), 512);
+}
+
+/// A `SynthFlows` flush streams every flow into its output vector, sorts
+/// it and empties the table: the vector is its only allocation besides the
+/// fresh empty store `clear` builds, which is counted on a twin table.
+#[test]
+fn warm_synth_flows_flush_allocates_only_its_output() {
+    let (_, mut twin) = flows();
+    let before = allocs();
+    twin.clear();
+    let clear = allocs() - before;
+    let (mut table, _) = synth_flows();
+    let before = allocs();
+    let log = table.flush().unwrap();
+    let delta = allocs() - before;
+    assert_eq!(log.len(), 512);
+    assert!(log.windows(2).all(|w| w[0] < w[1]));
+    assert_eq!(delta, 1 + clear, "flush: {delta}, of which clear: {clear}");
 }
 
 /// A warm key `insert` + `remove` pair on the IpCap table, FD checking on:

@@ -323,6 +323,12 @@ pub(crate) struct Layout {
     /// For each node: a canonical path of edges from the root, used to locate
     /// instances given a full tuple.
     pub path_of_node: Vec<Vec<EdgeId>>,
+    /// For each node: the key columns of the edges on its canonical path —
+    /// what a tuple must bind to locate the node's instance.
+    pub path_key_of_node: Vec<ColSet>,
+    /// Every column of an edge key or a node binding: a change to one moves
+    /// a tuple between instances, so an update touching one is structural.
+    pub structural_cols: ColSet,
     /// For each node: `(leaf index, unit columns)` of each unit leaf.
     pub unit_leaves: Vec<Vec<(usize, ColSet)>>,
     /// For each node: its body's leaves in left-to-right order, flattened so
@@ -406,12 +412,21 @@ impl Layout {
                 _ => None,
             })
             .collect();
+        let path_of_node: Vec<Vec<EdgeId>> = path_of_node.into_iter().map(Option::unwrap).collect();
+        let path_key_of_node = path_of_node
+            .iter()
+            .map(|p| p.iter().fold(ColSet::EMPTY, |s, &e| s | d.edge(e).key))
+            .collect();
+        let structural_cols = d.edges().fold(ColSet::EMPTY, |s, (_, e)| s | e.key)
+            | d.nodes().fold(ColSet::EMPTY, |s, (_, n)| s | n.bound);
         Layout {
             leaf_of_edge,
             islot_of_edge,
             islots_of_node,
             kpos_of_edge,
-            path_of_node: path_of_node.into_iter().map(Option::unwrap).collect(),
+            path_of_node,
+            path_key_of_node,
+            structural_cols,
             unit_leaves,
             leaves_of_node,
             inline_unit,

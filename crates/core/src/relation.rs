@@ -1801,13 +1801,27 @@ impl SynthRelation {
     ///
     /// As in the paper, only the common case is supported: the pattern must
     /// be a key for the relation and must not overlap the changed columns —
-    /// so updates never merge tuples. The stored tuple is found by one
-    /// planned key probe through the relation's scratch accumulator. When
-    /// the changed columns appear only in unit leaves, the update is
-    /// performed in place: just the changed values of the located unit
-    /// tuples are overwritten, and with FD checking off that costs one
-    /// allocation, the old tuple's projection. Otherwise it executes as
-    /// remove + insert, reusing the relation's machinery.
+    /// so updates never merge tuples.
+    ///
+    /// **Keyed path.** With FD checking off, a non-empty pattern, changes to
+    /// unit columns only, and a pattern that names every edge key on the
+    /// canonical paths of the nodes holding those units and exactly the keys
+    /// of one node's path (the witness), the update locates its units
+    /// directly: it follows those paths read-only, reports `false` if one of
+    /// them is absent, returns `true` without writing if every changed
+    /// value is already stored, and otherwise overwrites the changed values
+    /// where they lie. No plan runs and no tuple is built; a warm keyed
+    /// update allocates nothing.
+    ///
+    /// **Walk.** Every other update — FD checking on, a change to an edge
+    /// key or node binding, a unit reached through a column the pattern
+    /// leaves free, no node located by the pattern alone — finds the stored
+    /// tuple by one planned key probe and projects it. When only unit
+    /// columns change it is then rewritten in place as above; otherwise it
+    /// executes as remove + insert, reusing the relation's machinery.
+    ///
+    /// Either way the query signature the update exercises is recorded in
+    /// the workload profile.
     ///
     /// # Errors
     ///
@@ -1835,6 +1849,15 @@ impl SynthRelation {
         // path's inner remove + insert record their own counters below.
         let all = self.spec.cols();
         self.record_query(pattern.dom(), ColSet::EMPTY, all);
+        if let Some(witness) = self.keyed_witness(pattern.dom(), changes.dom()) {
+            let Some(changed) = self.locate_units(pattern, changes, Some(witness)) else {
+                return Ok(false);
+            };
+            if !changed.is_empty() {
+                self.write_units(pattern, changes, changed);
+            }
+            return Ok(true);
+        }
         let plan = self.planned(pattern.dom(), all)?;
         let mut scratch = std::mem::take(&mut self.scratch);
         let mut t_old: Option<Tuple> = None;
@@ -1858,11 +1881,19 @@ impl SynthRelation {
         let Some(t_old) = t_old else {
             return Ok(false);
         };
-        let changed: ColSet = changes
-            .iter()
-            .filter(|&(c, v)| t_old.get(c) != Some(v))
-            .map(|(c, _)| c)
-            .collect();
+        // In place when only unit payloads change: `t_old` then still
+        // locates every instance, and the located units say what differs.
+        let in_place = changes.dom().is_disjoint(self.layout.structural_cols);
+        let changed: ColSet = if in_place {
+            self.locate_units(&t_old, changes, None)
+                .expect("the probed tuple is stored")
+        } else {
+            changes
+                .iter()
+                .filter(|&(c, v)| t_old.get(c) != Some(v))
+                .map(|(c, _)| c)
+                .collect()
+        };
         if changed.is_empty() {
             return Ok(true);
         }
@@ -1870,9 +1901,8 @@ impl SynthRelation {
         if let Some(t_new) = &t_new {
             self.check_fds_against(t_new, Some(&t_old))?;
         }
-        if changed.is_disjoint(self.structural_cols()) {
-            // In-place fast path: only unit payloads change.
-            self.update_units_in_place(&t_old, changes, changed);
+        if in_place {
+            self.write_units(&t_old, changes, changed);
         } else {
             let removed = self.remove(&t_old)?;
             debug_assert_eq!(removed, 1);
@@ -1882,52 +1912,122 @@ impl SynthRelation {
         Ok(true)
     }
 
-    /// Columns appearing in any edge key or node binding — changes to these
-    /// require structural (remove + insert) updates.
-    fn structural_cols(&self) -> ColSet {
-        let mut s = ColSet::EMPTY;
-        for (_, e) in self.d.edges() {
-            s = s | e.key;
+    /// The witness node of the keyed update path (see
+    /// [`update`](SynthRelation::update)) for a pattern over `pat` changing
+    /// `changes`, or `None` when the update must walk. The witness's
+    /// canonical path binds exactly the pattern's columns, so its instance
+    /// (an inline leaf's entry) exists iff the row does — a node located by
+    /// part of the pattern only says that some row agrees on that part.
+    fn keyed_witness(&self, pat: ColSet, changes: ColSet) -> Option<NodeId> {
+        let layout = &self.layout;
+        if self.check_fds || pat.is_empty() || !changes.is_disjoint(layout.structural_cols) {
+            return None;
         }
-        for (_, n) in self.d.nodes() {
-            s = s | n.bound;
+        let mut witness = None;
+        for (n, units) in layout.unit_leaves.iter().enumerate() {
+            let keys = layout.path_key_of_node[n];
+            let touched = units.iter().any(|(_, c)| !c.is_disjoint(changes));
+            if !keys.is_subset(pat) {
+                if touched {
+                    return None;
+                }
+                continue;
+            }
+            // Prefer a node the update locates anyway.
+            if keys == pat && (witness.is_none() || touched) {
+                witness = Some(NodeId(n as u16));
+            }
         }
-        s
+        witness
     }
 
-    /// Overwrites, in every unit leaf on `t_old`'s paths, the values of the
-    /// `changed` columns with those of `changes` (none of them structural,
-    /// so `t_old` still locates every instance). An inline leaf's unit is
-    /// rewritten in its parent's entry.
-    fn update_units_in_place(&mut self, t_old: &Tuple, changes: &Tuple, changed: ColSet) {
+    /// Locates, along `t`'s valuation, every node holding a unit leaf with a
+    /// column of `changes`, and `witness`: the instance — for an inline
+    /// leaf, the parent whose entry holds it — goes into the relation's
+    /// per-node buffer for [`write_units`](SynthRelation::write_units).
+    /// Read-only. Returns the columns of `changes` whose value differs from
+    /// a located unit's, or `None` when some node (or inline entry) is
+    /// absent.
+    fn locate_units(
+        &mut self,
+        t: &Tuple,
+        changes: &Tuple,
+        witness: Option<NodeId>,
+    ) -> Option<ColSet> {
+        let mut resolved = self.take_resolved();
         let mut kb = std::mem::take(&mut self.key_scratch);
-        for (id, _) in self.d.nodes() {
-            // `(leaf index, columns)` pairs are `Copy`; indexing avoids
-            // cloning the layout's per-node vector on every update.
-            let units = &self.layout.unit_leaves[id.index()];
+        let differing = |u: &Tuple, cols: ColSet| -> ColSet {
+            changes
+                .iter()
+                .filter(|&(c, v)| cols.contains(c) && u.get(c) != Some(v))
+                .map(|(c, _)| c)
+                .collect()
+        };
+        let mut locate_all = || -> Option<ColSet> {
+            let mut changed = ColSet::EMPTY;
+            for (n, units) in self.layout.unit_leaves.iter().enumerate() {
+                let touched = units.iter().any(|(_, c)| !c.is_disjoint(changes.dom()));
+                if !touched && witness != Some(NodeId(n as u16)) {
+                    continue;
+                }
+                let path = &self.layout.path_of_node[n];
+                changed = changed
+                    | if let Some(cols) = self.layout.inline_unit[n] {
+                        let (&e, above) =
+                            path.split_last().expect("an inline leaf is not the root");
+                        let parent = self.locate(above, t, &mut kb)?;
+                        t.write_key_into(self.d.edge(e).key, &mut kb);
+                        let leaf = self.layout.leaf_of_edge[e.index()];
+                        let Some(ChildRef::Unit(u)) = self.store.cont_get(parent, leaf, &kb) else {
+                            return None;
+                        };
+                        resolved[n] = Some(parent);
+                        differing(u, cols)
+                    } else {
+                        let inst = self.locate(path, t, &mut kb)?;
+                        resolved[n] = Some(inst);
+                        let prims = &self.store.get(inst).prims;
+                        units
+                            .iter()
+                            .fold(ColSet::EMPTY, |s, &(leaf, cols)| match &prims[leaf] {
+                                PrimInst::Unit(u) => s | differing(u, cols),
+                                PrimInst::Map(_) => unreachable!("unit leaf expected"),
+                            })
+                    };
+            }
+            Some(changed)
+        };
+        let changed = locate_all();
+        self.key_scratch = kb;
+        self.resolved = resolved;
+        changed
+    }
+
+    /// Overwrites, in every unit leaf [`locate_units`](SynthRelation::locate_units)
+    /// just located along `t`'s valuation, the values of the `changed`
+    /// columns with those of `changes` (none of them structural). One
+    /// `Arc::make_mut` of the store per update; an inline leaf's unit is
+    /// rewritten in its parent's entry.
+    fn write_units(&mut self, t: &Tuple, changes: &Tuple, changed: ColSet) {
+        let mut kb = std::mem::take(&mut self.key_scratch);
+        let store = Arc::make_mut(&mut self.store);
+        for (n, units) in self.layout.unit_leaves.iter().enumerate() {
             if units.iter().all(|(_, c)| c.is_disjoint(changed)) {
                 continue;
             }
-            let path = &self.layout.path_of_node[id.index()];
-            if let Some(cols) = self.layout.inline_unit[id.index()] {
-                let (&e, above) = path.split_last().expect("an inline leaf is not the root");
-                let Some(parent) = self.locate(above, t_old, &mut kb) else {
-                    continue;
-                };
-                t_old.write_key_into(self.d.edge(e).key, &mut kb);
+            let inst = self.resolved[n].expect("located before the write");
+            if let Some(cols) = self.layout.inline_unit[n] {
+                let &e = self.layout.path_of_node[n].last().expect("not the root");
+                t.write_key_into(self.d.edge(e).key, &mut kb);
                 let leaf = self.layout.leaf_of_edge[e.index()];
-                let entry = Arc::make_mut(&mut self.store).cont_get_mut(parent, leaf, &kb);
-                if let Some(Child::Unit(u)) = entry {
+                if let Some(Child::Unit(u)) = store.cont_get_mut(inst, leaf, &kb) {
                     set_changed(u, changes, cols & changed);
                 }
                 continue;
             }
-            let Some(inst) = self.locate(path, t_old, &mut kb) else {
-                continue;
-            };
-            for ui in 0..self.layout.unit_leaves[id.index()].len() {
-                let (leaf, cols) = self.layout.unit_leaves[id.index()][ui];
-                match &mut Arc::make_mut(&mut self.store).get_mut(inst).prims[leaf] {
+            let prims = &mut store.get_mut(inst).prims;
+            for &(leaf, cols) in units {
+                match &mut prims[leaf] {
                     PrimInst::Unit(u) => set_changed(u, changes, cols & changed),
                     PrimInst::Map(_) => unreachable!("unit leaf expected"),
                 }
@@ -2421,6 +2521,37 @@ mod tests {
             )
             .unwrap();
         assert!(!ok);
+    }
+
+    /// An update that rewrites a row with the values it already holds is
+    /// answered before the store is made unique: under a pinned snapshot the
+    /// writer's store stays the snapshot's, so no chunk or instance is
+    /// copied — on the keyed path (FD checking off) and on the walk (on).
+    #[test]
+    fn no_op_update_under_a_snapshot_copies_nothing() {
+        for fd_checking in [false, true] {
+            let (cat, mut r) = scheduler();
+            r.set_fd_checking(fd_checking);
+            rs(&cat, &mut r);
+            let (ns, pid, cpu) = (
+                cat.col("ns").unwrap(),
+                cat.col("pid").unwrap(),
+                cat.col("cpu").unwrap(),
+            );
+            let key = Tuple::from_pairs([(ns, Value::from(1)), (pid, Value::from(2))]);
+            let snap = r.snapshot();
+            assert_eq!(Arc::strong_count(&r.store), 2);
+            let same = Tuple::from_pairs([(cpu, Value::from(4))]);
+            assert!(r.update(&key, &same).unwrap());
+            assert_eq!(Arc::strong_count(&r.store), 2, "fd checking {fd_checking}");
+            // A real change copies, and the snapshot keeps the old value.
+            let new = Tuple::from_pairs([(cpu, Value::from(9))]);
+            assert!(r.update(&key, &new).unwrap());
+            assert_eq!(Arc::strong_count(&r.store), 1);
+            assert_eq!(snap.query(&key, cpu.into()).unwrap(), vec![same]);
+            assert_eq!(r.query(&key, cpu.into()).unwrap(), vec![new]);
+            r.validate().unwrap();
+        }
     }
 
     #[test]

@@ -314,10 +314,21 @@ fn report_view(view: &ReadView, cols: &FlowCols) -> Vec<FlowRecord> {
 
 // [synth:begin]
 /// The synthesized flow table.
+///
+/// A packet is the paper's pair of calls — a keyed `query` for the flow's
+/// counters, then an `update` (or an `insert` for a new flow) — made with
+/// buffers the table keeps: one scratch accumulator the reads stream
+/// through, and a key and a change tuple whose values are re-set per
+/// packet. On a live flow that costs no allocation.
 #[derive(Debug)]
 pub struct SynthFlows {
     rel: SynthRelation,
     cols: FlowCols,
+    scratch: Bindings,
+    /// `(local, remote)` of the packet being accounted.
+    key: Tuple,
+    /// `(bytes, pkts)` written back to a live flow.
+    changes: Tuple,
 }
 
 impl SynthFlows {
@@ -335,7 +346,15 @@ impl SynthFlows {
     ) -> Result<Self, relic_core::BuildError> {
         let mut rel = SynthRelation::new(cat, spec.clone(), d)?;
         rel.set_fd_checking(false);
-        Ok(SynthFlows { rel, cols })
+        let zeros =
+            |a: ColId, b: ColId| Tuple::from_pairs([(a, Value::from(0)), (b, Value::from(0))]);
+        Ok(SynthFlows {
+            rel,
+            cols,
+            scratch: Bindings::new(),
+            key: zeros(cols.local, cols.remote),
+            changes: zeros(cols.bytes, cols.pkts),
+        })
     }
 
     /// Access to the underlying relation (for validation in tests).
@@ -372,26 +391,29 @@ impl SynthFlows {
 
 impl FlowStore for SynthFlows {
     fn account(&mut self, (l, r, len): Packet) -> Result<(), OpError> {
-        let key = Tuple::from_pairs([
-            (self.cols.local, Value::from(l)),
-            (self.cols.remote, Value::from(r)),
-        ]);
-        let existing = self.rel.query(&key, self.cols.bytes | self.cols.pkts)?;
-        match existing.first() {
-            Some(t) => {
-                let (bytes, pkts) = counters(&self.cols, t)?;
-                self.rel.update(
-                    &key,
-                    &Tuple::from_pairs([
-                        (self.cols.bytes, Value::from(bytes + len)),
-                        (self.cols.pkts, Value::from(pkts + 1)),
-                    ]),
-                )?;
+        let cols = self.cols;
+        self.key.set(cols.local, Value::from(l));
+        self.key.set(cols.remote, Value::from(r));
+        let mut found = None;
+        self.rel.query_for_each_bindings(
+            &mut self.scratch,
+            &self.key,
+            cols.bytes | cols.pkts,
+            |b| {
+                found = Some(flow_record(&cols, |c| b.get(c)));
+            },
+        )?;
+        match found {
+            Some(flow) => {
+                let flow = flow?;
+                self.changes.set(cols.bytes, Value::from(flow.bytes + len));
+                self.changes.set(cols.pkts, Value::from(flow.pkts + 1));
+                self.rel.update(&self.key, &self.changes)?;
             }
             None => {
-                self.rel.insert(key.merge(&Tuple::from_pairs([
-                    (self.cols.bytes, Value::from(len)),
-                    (self.cols.pkts, Value::from(1)),
+                self.rel.insert(self.key.merge(&Tuple::from_pairs([
+                    (cols.bytes, Value::from(len)),
+                    (cols.pkts, Value::from(1)),
                 ])))?;
             }
         }
@@ -399,12 +421,28 @@ impl FlowStore for SynthFlows {
     }
 
     fn flush(&mut self) -> Result<Vec<FlowRecord>, OpError> {
-        let all = self.rel.query_full(&Tuple::empty())?;
-        let mut out = Vec::with_capacity(all.len());
-        for t in all.iter() {
-            out.push(flow_record(&self.cols, |c| t.get(c))?);
+        let cols = self.cols;
+        let mut out = Vec::with_capacity(self.rel.len());
+        let mut malformed = None;
+        let all = self.rel.spec().cols();
+        self.rel
+            .query_for_each_bindings(
+                &mut self.scratch,
+                &Tuple::empty(),
+                all,
+                |b| match flow_record(&cols, |c| b.get(c)) {
+                    Ok(flow) => out.push(flow),
+                    Err(e) => {
+                        malformed.get_or_insert(e);
+                    }
+                },
+            )?;
+        if let Some(e) = malformed {
+            return Err(e);
         }
-        out.sort();
+        // A scan may meet a flow once per path that reaches it.
+        out.sort_unstable();
+        out.dedup();
         self.rel.clear();
         Ok(out)
     }
@@ -767,6 +805,31 @@ mod tests {
         assert_eq!(log_base, log_synth);
         assert_eq!(base.live_flows(), 0);
         assert_eq!(synth.live_flows(), 0);
+    }
+
+    /// The port is representation independent: under every adequate
+    /// decomposition of the flow relation with up to three (`htable`)
+    /// edges — nested, flat, joined and shared — `SynthFlows` flushes the
+    /// baseline's logs, whether its updates locate their units by key or
+    /// walk a plan.
+    #[test]
+    fn every_small_decomposition_flushes_the_baseline_logs() {
+        let trace = packet_trace(200, 4, 8, 17);
+        let want = run_accounting(&mut BaselineFlows::new(), &trace, 100).unwrap();
+        let (cat, cols, spec) = flow_spec();
+        let opts = relic_decomp::EnumerateOptions {
+            max_edges: 3,
+            ..Default::default()
+        };
+        let candidates = relic_decomp::enumerate_decompositions(&spec, &opts);
+        assert!(candidates.len() > 10, "{} candidates", candidates.len());
+        for d in candidates {
+            let shown = d.to_let_notation(&cat);
+            let mut synth = SynthFlows::new(&cat, cols, &spec, d).unwrap();
+            let got = run_accounting(&mut synth, &trace, 100).unwrap();
+            assert_eq!(got, want, "{shown}");
+            synth.relation().validate().unwrap();
+        }
     }
 
     #[test]
