@@ -1,10 +1,12 @@
 //! The emission stage: optimized plan IR → Rust source text.
 //!
-//! Mutation paths (`insert`, `remove_by_*`, structural `update_*`) are
-//! emitted directly from the decomposition's cut/locate machinery (§4.4,
-//! §4.5); query bodies are emitted by walking the lowered, peephole-
-//! optimized IR (see [`relic_query::Block`], [`relic_query::lower_plan`],
-//! [`relic_query::optimize`]).
+//! Mutation paths (`insert`, `remove_by_*`, in-place `update_*`) are
+//! rendered from the lowered write IR (§4.4, §4.5; see
+//! [`relic_query::WriteBlock`], [`relic_query::lower_insert`],
+//! [`relic_query::lower_remove`], [`relic_query::lower_update`]), the same
+//! blocks the interpreter runs; query bodies are emitted by walking the
+//! lowered, peephole-optimized IR (see [`relic_query::Block`],
+//! [`relic_query::lower_plan`], [`relic_query::optimize`]).
 //! All container operations go through the per-edge layout decisions of
 //! [`crate::layout`], so packed open-addressed tables, sorted slices and
 //! unit slots are transparent to the rest of the emitter.
@@ -12,7 +14,10 @@
 use crate::layout::{plan_layout, ContainerKind, PackedPart};
 use crate::{CodegenError, ColType, Report, Request};
 use relic_decomp::{check_adequacy, cut, Body, Decomposition, EdgeId, NodeId};
-use relic_query::{lower_plan, optimize, Block, CostModel, PeepholeStats, Plan, Planner, Step};
+use relic_query::{
+    lower_insert, lower_locate, lower_plan, lower_remove, lower_update, optimize, structural_cols,
+    Block, CostModel, Hop, PeepholeStats, Plan, Planner, Step, WriteStep,
+};
 use relic_spec::{ColId, ColSet};
 use std::collections::HashMap;
 use std::fmt::Write;
@@ -559,20 +564,6 @@ impl<'a> Gen<'a> {
         })
     }
 
-    /// The canonical root-to-`id` edge path (first incoming edge at every
-    /// hop) — the same path the locate machinery walks.
-    fn canonical_path(&self, id: NodeId) -> Vec<EdgeId> {
-        let mut path = Vec::new();
-        let mut cur = id;
-        while cur != self.d.root() {
-            let e = self.d.incoming_edges(cur)[0];
-            path.push(e);
-            cur = self.d.edge(e).from;
-        }
-        path.reverse();
-        path
-    }
-
     /// Plans a query signature (constant-space plans only), lowers it to
     /// IR and runs the peephole passes. Returns the plan's display form and
     /// the optimized IR.
@@ -798,7 +789,6 @@ impl<'a> Gen<'a> {
 
     /// Emits `insert(all columns) -> bool` (dinsert, §4.4).
     fn emit_insert(&mut self, s: &mut Src) -> Result<(), CodegenError> {
-        let cat = self.req.cat;
         let cols = self.req.spec.cols();
         let identity = self.sound_identity_node();
         let args: Vec<String> = cols
@@ -822,18 +812,20 @@ impl<'a> Gen<'a> {
                 // Probe the identity node's canonical path read-only; a hit
                 // means a tuple with this key already exists.
                 s.line("// Key-presence guard (pre-mutation).");
-                let path = self.canonical_path(identity);
+                let path = lower_locate(self.d, cols, identity).map_err(CodegenError::Plan)?;
                 let mut parent = "self.root".to_string();
-                for (i, &e) in path.iter().enumerate() {
-                    let g = format!("g{i}");
-                    s.open(format!(
-                        "if let Some({g}) = {} {{",
-                        self.lookup_expr(e, &parent, &env)
-                    ));
-                    parent = self.inst_expr(self.d.edge(e).to, &g, false);
+                for (i, step) in path.steps.iter().enumerate() {
+                    if let WriteStep::Resolve { hop, .. } = step {
+                        let g = format!("g{i}");
+                        s.open(format!(
+                            "if let Some({g}) = {} {{",
+                            self.lookup_expr(hop.edge, &parent, &env)
+                        ));
+                        parent = self.inst_expr(hop.to, &g, false);
+                    }
                 }
                 s.line("return false; // key already present");
-                for _ in &path {
+                for _ in &path.steps {
                     s.close("}");
                 }
             }
@@ -850,74 +842,17 @@ impl<'a> Gen<'a> {
                 })?;
             }
         }
-        // Find-or-create in topological order (root first).
-        let order: Vec<NodeId> = self.d.topo_root_first().collect();
-        for id in order {
-            if id == self.d.root() {
-                continue;
-            }
-            let node = self.d.node(id);
-            let slot = self.slot_var(id);
-            // Find via each incoming edge in turn.
-            let mut find = String::new();
-            for (i, &e) in self.d.incoming_edges(id).iter().enumerate() {
-                let edge = self.d.edge(e);
-                let parent_slot = self.slot_var(edge.from);
-                let parent = self.inst_expr(edge.from, &parent_slot, false);
-                if i > 0 {
-                    write!(find, ".or_else(|| {})", self.lookup_expr(e, &parent, &env)).unwrap();
-                } else {
-                    find = self.lookup_expr(e, &parent, &env);
+        // Find-or-create in topological order (root first); the emitted
+        // layout gives an inline leaf a node struct too.
+        for step in &lower_insert(self.d).map_err(CodegenError::Plan)?.steps {
+            match step {
+                WriteStep::Create { node, via, .. } => self.emit_create(s, *node, via, &env),
+                WriteStep::Link { node, hop } => self.emit_link(s, *node, hop, &env),
+                WriteStep::Store { node, hop, .. } => {
+                    self.emit_create(s, *node, std::slice::from_ref(hop), &env);
+                    self.emit_link(s, *node, hop, &env);
                 }
-            }
-            s.line(format!(
-                "// node {} : {{{}}}",
-                node.name,
-                col_list(cat, node.bound, ", ")
-            ));
-            s.open(format!("let {slot} = match {find} {{"));
-            s.line("Some(i) => i,");
-            s.open("None => {");
-            let sn = node_struct_name(self.d, id);
-            let units = self.unit_fields(id);
-            if units.is_empty() {
-                s.line(format!(
-                    "let i = self.alloc_{}({sn}::default());",
-                    node.name
-                ));
-            } else {
-                let fields: Vec<String> = units
-                    .iter()
-                    .map(|c| {
-                        let e = env.get(*c).unwrap();
-                        if self.ty(*c).is_copy() {
-                            format!("f_{}: {e}", self.cname(*c))
-                        } else {
-                            format!("f_{}: {e}.clone()", self.cname(*c))
-                        }
-                    })
-                    .collect();
-                s.line(format!(
-                    "let i = self.alloc_{}({sn} {{ {}, ..Default::default() }});",
-                    node.name,
-                    fields.join(", ")
-                ));
-            }
-            s.line("i");
-            s.close("}");
-            s.close("};");
-            // Link through every incoming edge not yet pointing at it.
-            for &e in self.d.incoming_edges(id) {
-                let edge = self.d.edge(e);
-                let parent_slot = self.slot_var(edge.from);
-                let parent_ro = self.inst_expr(edge.from, &parent_slot, false);
-                let parent_rw = self.inst_expr(edge.from, &parent_slot, true);
-                s.open(format!(
-                    "if {}.is_none() {{",
-                    self.lookup_expr(e, &parent_ro, &env)
-                ));
-                s.line(self.insert_stmt(e, &parent_rw, &env, &slot));
-                s.close("}");
+                _ => {}
             }
         }
         s.line("self.len += 1;");
@@ -925,6 +860,84 @@ impl<'a> Gen<'a> {
         s.close("}");
         s.blank();
         Ok(())
+    }
+
+    /// Renders a `create` step: find `id`'s slot through each hop of `via`
+    /// in turn, or allocate it with its unit fields from `env`.
+    fn emit_create(&self, s: &mut Src, id: NodeId, via: &[Hop], env: &Env) {
+        let node = self.d.node(id);
+        let finds: Vec<String> = via
+            .iter()
+            .map(|hop| {
+                let parent = self.inst_expr(hop.from, &self.slot_var(hop.from), false);
+                self.lookup_expr(hop.edge, &parent, env)
+            })
+            .collect();
+        let mut find = finds[0].clone();
+        for f in &finds[1..] {
+            write!(find, ".or_else(|| {f})").unwrap();
+        }
+        s.line(format!(
+            "// node {} : {{{}}}",
+            node.name,
+            col_list(self.req.cat, node.bound, ", ")
+        ));
+        s.open(format!("let {} = match {find} {{", self.slot_var(id)));
+        s.line("Some(i) => i,");
+        s.open("None => {");
+        let sn = node_struct_name(self.d, id);
+        let units = self.unit_fields(id);
+        if units.is_empty() {
+            s.line(format!(
+                "let i = self.alloc_{}({sn}::default());",
+                node.name
+            ));
+        } else {
+            let fields: Vec<String> = units
+                .iter()
+                .map(|c| {
+                    let e = env.get(*c).unwrap();
+                    if self.ty(*c).is_copy() {
+                        format!("f_{}: {e}", self.cname(*c))
+                    } else {
+                        format!("f_{}: {e}.clone()", self.cname(*c))
+                    }
+                })
+                .collect();
+            s.line(format!(
+                "let i = self.alloc_{}({sn} {{ {}, ..Default::default() }});",
+                node.name,
+                fields.join(", ")
+            ));
+        }
+        s.line("i");
+        s.close("}");
+        s.close("};");
+    }
+
+    /// Renders a `link` step: enter `id`'s slot into `hop`'s container
+    /// unless its key is there.
+    fn emit_link(&self, s: &mut Src, id: NodeId, hop: &Hop, env: &Env) {
+        let parent_slot = self.slot_var(hop.from);
+        let parent_ro = self.inst_expr(hop.from, &parent_slot, false);
+        let parent_rw = self.inst_expr(hop.from, &parent_slot, true);
+        s.open(format!(
+            "if {}.is_none() {{",
+            self.lookup_expr(hop.edge, &parent_ro, env)
+        ));
+        s.line(self.insert_stmt(hop.edge, &parent_rw, env, &self.slot_var(id)));
+        s.close("}");
+    }
+
+    /// Renders a `resolve` step: bind `id`'s slot through `hop`, or return
+    /// `false` when it is absent.
+    fn emit_resolve(&self, s: &mut Src, id: NodeId, hop: &Hop, env: &Env) {
+        let parent = self.inst_expr(hop.from, &self.slot_var(hop.from), false);
+        s.line(format!(
+            "let Some({}) = {} else {{ return false; }};",
+            self.slot_var(id),
+            self.lookup_expr(hop.edge, &parent, env)
+        ));
     }
 
     /// Emits `query_<pattern>__<out>(args, callback)`.
@@ -1419,28 +1432,6 @@ impl<'a> Gen<'a> {
         Ok(())
     }
 
-    /// Emits locate code for a node along its canonical path; binds the slot
-    /// variable. Requires all path key columns bound in `env`. On a missing
-    /// instance the emitted code returns `false`.
-    fn emit_locate(&mut self, s: &mut Src, id: NodeId, env: &Env) {
-        if id == self.d.root() {
-            return;
-        }
-        // Canonical path: first incoming edge, recursively.
-        let e = self.d.incoming_edges(id)[0];
-        let edge = self.d.edge(e);
-        if edge.from != self.d.root() {
-            self.emit_locate(s, edge.from, env);
-        }
-        let parent_slot = self.slot_var(edge.from);
-        let parent = self.inst_expr(edge.from, &parent_slot, false);
-        let slot = self.slot_var(id);
-        s.line(format!(
-            "let Some({slot}) = {} else {{ return false; }};",
-            self.lookup_expr(e, &parent, env)
-        ));
-    }
-
     /// Emits `remove_by_<pattern>(args) -> bool` (cut-based removal, §4.5).
     fn emit_remove(&mut self, s: &mut Src, pattern: ColSet) -> Result<(), CodegenError> {
         if !self.req.spec.fds().implies(pattern, self.req.spec.cols()) {
@@ -1495,71 +1486,45 @@ impl<'a> Gen<'a> {
             }
         }
 
-        // 2. Locate every instance on the tuple's path (above and below the
-        //    cut). Slot variables are bound in topological order (root
-        //    first) via each node's first incoming edge, so parent slots are
-        //    always in scope.
+        // 2. Run the lowered §4.5 removal: locate every instance on the
+        //    tuple's path, break the crossing edges, free the instances
+        //    below the cut (each belongs solely to this tuple, because its
+        //    bound columns determine the key) and reclaim emptied ones above.
         let c = cut(self.d, self.req.spec.fds(), pattern);
-        let order: Vec<NodeId> = self.d.topo_root_first().collect();
-        for &id in &order {
-            if id == self.d.root() {
-                continue;
+        for step in &lower_remove(self.d, &c).map_err(CodegenError::Plan)?.steps {
+            match step {
+                WriteStep::Resolve { node, hop } => self.emit_resolve(s, *node, hop, &env),
+                WriteStep::Break { hop } => {
+                    let parent_rw = self.inst_expr(hop.from, &self.slot_var(hop.from), true);
+                    s.line(self.remove_stmt(hop.edge, &parent_rw, &env));
+                }
+                WriteStep::Free { node } if *node == self.d.root() => {
+                    // The root is below the cut: the relation holds this
+                    // tuple alone.
+                    s.line("*self = Self::default();");
+                    s.line("return true;");
+                }
+                WriteStep::Free { node } => self.emit_free(s, *node),
+                WriteStep::Reclaim { node, via } => {
+                    let inst_ro = self.inst_expr(*node, &self.slot_var(*node), false);
+                    let empties: Vec<String> = self
+                        .d
+                        .node(*node)
+                        .body
+                        .edges()
+                        .iter()
+                        .map(|e| self.is_empty_expr(*e, &inst_ro))
+                        .collect();
+                    s.open(format!("if {} {{", empties.join(" && ")));
+                    for hop in via.iter() {
+                        let parent_rw = self.inst_expr(hop.from, &self.slot_var(hop.from), true);
+                        s.line(self.remove_stmt(hop.edge, &parent_rw, &env));
+                    }
+                    self.emit_free(s, *node);
+                    s.close("}");
+                }
+                _ => {}
             }
-            let e = self.d.incoming_edges(id)[0];
-            let edge = self.d.edge(e);
-            let parent_slot = self.slot_var(edge.from);
-            let parent = self.inst_expr(edge.from, &parent_slot, false);
-            let slot = self.slot_var(id);
-            s.line(format!(
-                "let Some({slot}) = {} else {{ return false; }};",
-                self.lookup_expr(e, &parent, &env)
-            ));
-        }
-
-        // 3. Break every crossing edge.
-        for &e in &c.crossing {
-            let edge = self.d.edge(e);
-            let parent_slot = self.slot_var(edge.from);
-            let parent_rw = self.inst_expr(edge.from, &parent_slot, true);
-            s.line(self.remove_stmt(e, &parent_rw, &env));
-        }
-
-        // 4. Free below-cut instances (each belongs solely to this tuple,
-        //    because its bound columns determine the key).
-        for (id, node) in self.d.nodes() {
-            if !c.is_below(id) || id == self.d.root() {
-                continue;
-            }
-            let slot = self.slot_var(id);
-            let n = &node.name;
-            s.line(format!("self.arena_{n}[{slot} as usize] = None;"));
-            s.line(format!("self.free_{n}.push({slot});"));
-        }
-
-        // 5. Clean up empty maps above the cut (children before parents).
-        for (id, node) in self.d.nodes() {
-            if c.is_below(id) || id == self.d.root() || !self.unit_fields(id).is_empty() {
-                continue;
-            }
-            let slot = self.slot_var(id);
-            let n = &node.name;
-            let inst_ro = self.inst_expr(id, &slot, false);
-            let empties: Vec<String> = node
-                .body
-                .edges()
-                .iter()
-                .map(|e| self.is_empty_expr(*e, &inst_ro))
-                .collect();
-            s.open(format!("if {} {{", empties.join(" && ")));
-            for &e in self.d.incoming_edges(id) {
-                let edge = self.d.edge(e);
-                let parent_slot = self.slot_var(edge.from);
-                let parent_rw = self.inst_expr(edge.from, &parent_slot, true);
-                s.line(self.remove_stmt(e, &parent_rw, &env));
-            }
-            s.line(format!("self.arena_{n}[{slot} as usize] = None;"));
-            s.line(format!("self.free_{n}.push({slot});"));
-            s.close("}");
         }
 
         s.line("self.len -= 1;");
@@ -1567,6 +1532,13 @@ impl<'a> Gen<'a> {
         s.close("}");
         s.blank();
         Ok(())
+    }
+
+    /// Returns `id`'s slot to its arena's free list.
+    fn emit_free(&self, s: &mut Src, id: NodeId) {
+        let (slot, n) = (self.slot_var(id), &self.d.node(id).name);
+        s.line(format!("self.arena_{n}[{slot} as usize] = None;"));
+        s.line(format!("self.free_{n}.push({slot});"));
     }
 
     /// Emits `update_<key>__set_<changes>(args) -> bool`.
@@ -1597,14 +1569,6 @@ impl<'a> Gen<'a> {
                 .iter()
                 .map(|c| format!("new_{}: {}", self.cname(c), self.ty(c).rust())),
         );
-        // Structural columns: any change to them moves instances around.
-        let mut structural = ColSet::EMPTY;
-        for (_, e) in self.d.edges() {
-            structural = structural | e.key;
-        }
-        for (_, n) in self.d.nodes() {
-            structural = structural | n.bound;
-        }
         s.line("/// Updates the tuple matching the key, if present (§4.5 common case).");
         s.open(format!(
             "pub fn {name}(&mut self, {}) -> bool {{",
@@ -1614,26 +1578,30 @@ impl<'a> Gen<'a> {
         for c in key.iter() {
             env.bind(c, format!("(*{})", self.cname(c)));
         }
-        if changes.is_disjoint(structural) {
-            // In-place: rewrite unit fields on every node holding them.
-            for (id, _) in self.d.nodes() {
-                let units = self.unit_fields(id);
-                if units.iter().all(|c| !changes.contains(*c)) {
-                    continue;
-                }
-                self.emit_locate(s, id, &env);
-                let slot = self.slot_var(id);
-                let inst_rw = self.inst_expr(id, &slot, true);
-                for c in units {
-                    if changes.contains(c) {
-                        let e = format!("new_{}", self.cname(c));
-                        let val = if self.ty(c).is_copy() {
-                            e
-                        } else {
-                            format!("{e}.clone()")
-                        };
-                        s.line(format!("{inst_rw}.f_{} = {val};", self.cname(c)));
+        if changes.is_disjoint(structural_cols(self.d)) {
+            // In place: locate and rewrite the unit fields holding them.
+            let block = lower_update(self.d, key, changes).map_err(CodegenError::Plan)?;
+            for step in &block.steps {
+                match step {
+                    WriteStep::Resolve { node, hop } => self.emit_resolve(s, *node, hop, &env),
+                    WriteStep::Set {
+                        node, cols, entry, ..
+                    } => {
+                        if let Some(hop) = entry {
+                            self.emit_resolve(s, *node, hop, &env);
+                        }
+                        let inst_rw = self.inst_expr(*node, &self.slot_var(*node), true);
+                        for c in (*cols & changes).iter() {
+                            let e = format!("new_{}", self.cname(c));
+                            let val = if self.ty(c).is_copy() {
+                                e
+                            } else {
+                                format!("{e}.clone()")
+                            };
+                            s.line(format!("{inst_rw}.f_{} = {val};", self.cname(c)));
+                        }
                     }
+                    _ => {}
                 }
             }
             s.line("true");

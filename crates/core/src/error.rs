@@ -14,6 +14,9 @@ pub enum BuildError {
     Adequacy(AdequacyError),
     /// The decomposition is structurally invalid.
     Structure(DecompError),
+    /// The decomposition's writes do not lower (see
+    /// [`relic_query::lower_insert`]).
+    Plan(PlanError),
 }
 
 impl fmt::Display for BuildError {
@@ -21,6 +24,7 @@ impl fmt::Display for BuildError {
         match self {
             BuildError::Adequacy(e) => write!(f, "inadequate decomposition: {e}"),
             BuildError::Structure(e) => write!(f, "invalid decomposition: {e}"),
+            BuildError::Plan(e) => write!(f, "invalid decomposition: {e}"),
         }
     }
 }
@@ -30,6 +34,7 @@ impl Error for BuildError {
         match self {
             BuildError::Adequacy(e) => Some(e),
             BuildError::Structure(e) => Some(e),
+            BuildError::Plan(e) => Some(e),
         }
     }
 }

@@ -47,6 +47,7 @@
 
 use relic_containers::{AssocVec, AvlMap, DListMap, HashTable, SortedVecMap};
 use relic_decomp::{Body, Decomposition, DsKind, EdgeId, NodeId};
+use relic_query::{inline_units, lower_insert, structural_cols, PlanError, WriteBlock};
 use relic_spec::{ColSet, Tuple, Value};
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -193,6 +194,22 @@ impl EdgeContainer {
         }
     }
 
+    /// Drops every entry, keeping the container's capacity. An intrusive
+    /// list only forgets its head: its children's links go with them.
+    fn clear(&mut self) {
+        match self {
+            EdgeContainer::Hash(c) => c.clear(),
+            EdgeContainer::Avl(c) => c.clear(),
+            EdgeContainer::Sorted(c) => c.clear(),
+            EdgeContainer::Assoc(c) => c.clear(),
+            EdgeContainer::DList(c) => c.clear(),
+            EdgeContainer::Intrusive { head, len, .. } => {
+                *head = None;
+                *len = 0;
+            }
+        }
+    }
+
     /// The [`entry_bytes`] of every entry (0 for an intrusive list, whose
     /// entries are counted with the child instances).
     fn entries_bytes(&self) -> usize {
@@ -320,14 +337,12 @@ pub(crate) struct Layout {
     /// the target node's bound valuation. `Arc`-shared with every intrusive
     /// container built for the edge, so per-container builds never copy it.
     pub kpos_of_edge: Vec<Arc<[u16]>>,
-    /// For each node: a canonical path of edges from the root, used to locate
-    /// instances given a full tuple.
-    pub path_of_node: Vec<Vec<EdgeId>>,
-    /// For each node: the key columns of the edges on its canonical path —
-    /// what a tuple must bind to locate the node's instance.
+    /// For each node: the key columns of the edges on its canonical path
+    /// (the first incoming edge at every node) — what a tuple must bind to
+    /// locate the node's instance.
     pub path_key_of_node: Vec<ColSet>,
-    /// Every column of an edge key or a node binding: a change to one moves
-    /// a tuple between instances, so an update touching one is structural.
+    /// Every column of an edge key or a node binding
+    /// ([`relic_query::structural_cols`]).
     pub structural_cols: ColSet,
     /// For each node: `(leaf index, unit columns)` of each unit leaf.
     pub unit_leaves: Vec<Vec<(usize, ColSet)>>,
@@ -337,13 +352,20 @@ pub(crate) struct Layout {
     /// For each node: its unit columns `C` if it is an *inline leaf* —
     /// non-root, body exactly `unit C`, one incoming edge, not intrusive.
     /// Its unit tuples live in that edge's container entries and it has no
-    /// instances.
+    /// instances ([`relic_query::inline_units`]).
     pub inline_unit: Vec<Option<ColSet>>,
+    /// The decomposition's lowered §4.4 insert ([`relic_query::lower_insert`]).
+    pub insert: WriteBlock,
 }
 
 impl Layout {
     /// Computes the layout of a decomposition.
-    pub(crate) fn new(d: &Decomposition) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// The insert lowering's [`PlanError`] (none for a decomposition that
+    /// passed the adequacy check).
+    pub(crate) fn new(d: &Decomposition) -> Result<Self, PlanError> {
         let ne = d.edge_count();
         let nn = d.node_count();
         let mut leaf_of_edge = vec![0usize; ne];
@@ -390,47 +412,25 @@ impl Layout {
                 .collect();
             kpos_of_edge.push(kpos);
         }
-        // Canonical root paths: nodes in reverse let order are reached from
-        // already-pathed parents (root first).
-        let mut path_of_node: Vec<Option<Vec<EdgeId>>> = vec![None; nn];
-        path_of_node[d.root().index()] = Some(Vec::new());
-        for id in d.topo_root_first() {
-            if path_of_node[id.index()].is_none() {
-                let e = d.incoming_edges(id)[0];
-                let parent = d.edge(e).from;
-                let mut p = path_of_node[parent.index()]
-                    .clone()
-                    .expect("parents are pathed before children (topological order)");
-                p.push(e);
-                path_of_node[id.index()] = Some(p);
-            }
+        // Canonical path keys: nodes in reverse let order are reached from
+        // already-keyed parents (root first).
+        let mut path_key_of_node = vec![ColSet::EMPTY; nn];
+        for id in d.topo_root_first().filter(|&n| n != d.root()) {
+            let e = d.edge(d.incoming_edges(id)[0]);
+            path_key_of_node[id.index()] = path_key_of_node[e.from.index()] | e.key;
         }
-        let inline_unit = d
-            .nodes()
-            .map(|(id, node)| match (&node.body, d.incoming_edges(id)) {
-                (Body::Unit(c), [e]) if id != d.root() && !d.edge(*e).ds.is_intrusive() => Some(*c),
-                _ => None,
-            })
-            .collect();
-        let path_of_node: Vec<Vec<EdgeId>> = path_of_node.into_iter().map(Option::unwrap).collect();
-        let path_key_of_node = path_of_node
-            .iter()
-            .map(|p| p.iter().fold(ColSet::EMPTY, |s, &e| s | d.edge(e).key))
-            .collect();
-        let structural_cols = d.edges().fold(ColSet::EMPTY, |s, (_, e)| s | e.key)
-            | d.nodes().fold(ColSet::EMPTY, |s, (_, n)| s | n.bound);
-        Layout {
+        Ok(Layout {
             leaf_of_edge,
             islot_of_edge,
             islots_of_node,
             kpos_of_edge,
-            path_of_node,
             path_key_of_node,
-            structural_cols,
+            structural_cols: structural_cols(d),
             unit_leaves,
             leaves_of_node,
-            inline_unit,
-        }
+            inline_unit: inline_units(d),
+            insert: lower_insert(d)?,
+        })
     }
 
     /// Creates a fresh, empty container for an edge.
@@ -451,13 +451,14 @@ impl Layout {
     }
 
     /// Creates a fresh instance of `node` for bound valuation `key`, with
-    /// unit leaves initialized from `t` and empty containers elsewhere.
+    /// each unit leaf `unit(i, C)` (leaf index, columns) and empty
+    /// containers elsewhere.
     pub(crate) fn new_instance(
         &self,
         d: &Decomposition,
         node: NodeId,
         key: Key,
-        t: &Tuple,
+        mut unit: impl FnMut(usize, ColSet) -> Tuple,
     ) -> Instance {
         debug_assert!(
             self.inline_unit[node.index()].is_none(),
@@ -465,8 +466,9 @@ impl Layout {
         );
         let prims: Vec<PrimInst> = self.leaves_of_node[node.index()]
             .iter()
-            .map(|leaf| match leaf {
-                LeafSpec::Unit(c) => PrimInst::Unit(t.project(*c)),
+            .enumerate()
+            .map(|(i, leaf)| match leaf {
+                LeafSpec::Unit(c) => PrimInst::Unit(unit(i, *c)),
                 LeafSpec::Map(e) => PrimInst::Map(self.new_container(d, *e)),
             })
             .collect();
@@ -608,6 +610,28 @@ impl Store {
         arena.free.push(r.slot);
         arena.live -= 1;
         self.approx_bytes = self.approx_bytes.saturating_sub(est_instance_bytes(&inst));
+    }
+
+    /// Empties this version in place down to `root`, the root instance:
+    /// every other instance is freed and the root's containers are
+    /// emptied, keeping their capacity. Allocates nothing unless the root
+    /// instance is shared with another version.
+    pub(crate) fn clear_to_root(&mut self, root: InstanceRef) {
+        for (i, arena) in self.arenas.iter_mut().enumerate() {
+            if i != usize::from(root.node) {
+                arena.chunks.clear();
+                arena.free.clear();
+                arena.live = 0;
+                arena.len = 0;
+            }
+        }
+        let inst = self.get_mut(root);
+        for p in inst.prims.iter_mut() {
+            if let PrimInst::Map(c) = p {
+                c.clear();
+            }
+        }
+        self.approx_bytes = est_instance_bytes(self.get(root));
     }
 
     /// Total live instances across all nodes.
@@ -937,7 +961,7 @@ mod tests {
     fn inline(src: &str, name: &str) -> bool {
         let d = parse(&mut Catalog::new(), src).unwrap();
         let node = d.node_by_name(name).unwrap();
-        Layout::new(&d).inline_unit[node.index()].is_some()
+        Layout::new(&d).unwrap().inline_unit[node.index()].is_some()
     }
 
     #[test]

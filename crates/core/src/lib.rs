@@ -38,6 +38,7 @@ mod read;
 mod relation;
 pub(crate) mod snapshot;
 pub mod wire;
+mod write;
 
 pub use error::{BuildError, MigrateError, OpError};
 pub use exec::Bindings;

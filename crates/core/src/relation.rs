@@ -3,16 +3,14 @@
 
 use crate::alpha;
 use crate::error::{BuildError, MigrateError, OpError};
-use crate::exec::{exec_block, Bindings, ExecEnv};
-use crate::instance::{
-    Child, ChildRef, EdgeContainer, Instance, InstanceRef, Key, Layout, LeafSpec, Link, PrimInst,
-    Store,
-};
+use crate::exec::Bindings;
+use crate::instance::{InstanceRef, Layout, Store};
 use crate::profile::{ProfileCounters, WorkloadProfile};
 use crate::read::{interval_cols, plan_memoized, PlanCache, ReadCore, RelRead};
+use crate::write::WriteScratch;
 use crate::{FxHashMap, Op};
-use relic_decomp::{check_adequacy, cut, Cut, Decomposition, EdgeId, NodeId};
-use relic_query::{Block, CostModel, JoinCostMode, Planner};
+use relic_decomp::{check_adequacy, Decomposition};
+use relic_query::{Block, CostModel, JoinCostMode, PlanError, Planner, WriteBlock};
 use relic_spec::{Catalog, ColSet, Pattern, RelSpec, Relation, Tuple};
 use std::sync::Arc;
 
@@ -65,13 +63,13 @@ use std::sync::Arc;
 /// ```
 #[derive(Debug)]
 pub struct SynthRelation {
-    cat: Catalog,
-    spec: RelSpec,
+    pub(crate) cat: Catalog,
+    pub(crate) spec: RelSpec,
     /// The decomposition, `Arc`-shared with every outstanding
     /// [`Snapshot`](crate::Snapshot) (it is only ever *replaced* — by
     /// migration — never mutated in place, so sharing is always sound).
-    d: Arc<Decomposition>,
-    layout: Arc<Layout>,
+    pub(crate) d: Arc<Decomposition>,
+    pub(crate) layout: Arc<Layout>,
     /// The instance store. Mutations go through `Arc::make_mut`: while no
     /// snapshot shares the store the relation mutates in place; the first
     /// mutation after a snapshot was taken pays one *shallow* store clone
@@ -79,38 +77,38 @@ pub struct SynthRelation {
     /// structure, see [`Store`]), after which touched chunks/instances are
     /// path-copied lazily. The snapshot's version stays frozen while the
     /// writer pays only for what it touches.
-    store: Arc<Store>,
-    root: InstanceRef,
-    cost: CostModel,
+    pub(crate) store: Arc<Store>,
+    pub(crate) root: InstanceRef,
+    pub(crate) cost: CostModel,
     /// Read-mostly plan cache: the warm path takes only a read lock and
     /// clones an `Arc`, never a `Block`. Invalidation (`set_cost_model`,
     /// `set_join_cost_mode`, migration) *replaces* the `Arc` with a fresh
     /// cache instead of clearing in place, so snapshots sharing the old
     /// cache keep plans consistent with their frozen representation.
-    plan_cache: Arc<PlanCache>,
+    pub(crate) plan_cache: Arc<PlanCache>,
     /// Scratch accumulator reused by the mutation paths (`insert`, `remove`,
     /// `update`) for their key, FD-check and matching probes.
-    scratch: Bindings,
-    /// Scratch key buffer reused for container probes along mutation paths.
-    key_scratch: Vec<relic_spec::Value>,
-    /// Per-node instance buffer reused by the `dinsert` and removal walks.
-    resolved: Vec<Option<InstanceRef>>,
-    /// The §4.5 cut of every removal pattern column set seen so far. A cut
-    /// depends only on the decomposition and the dependencies, so it is
+    pub(crate) scratch: Bindings,
+    /// Buffers reused by the write runner.
+    pub(crate) write: WriteScratch,
+    /// The lowered §4.5 removal of every pattern column set seen so far,
     /// dropped only when `migrate_to` replaces the decomposition.
-    cuts: FxHashMap<ColSet, Arc<Cut>>,
+    pub(crate) removals: FxHashMap<ColSet, Arc<WriteBlock>>,
+    /// The lowered in-place update of every `(row columns, changed
+    /// columns)` signature seen so far, dropped with `removals`.
+    pub(crate) updates: FxHashMap<(ColSet, ColSet), Result<Arc<WriteBlock>, PlanError>>,
     /// Workload recorder: per-signature query counts, insert count,
     /// per-pattern remove counts. Interior-mutable so `&self` queries can
     /// record; warm signatures cost one read lock + one relaxed increment.
     /// `Arc`-shared with snapshots, so read traffic served wait-free through
     /// a [`Snapshot`](crate::Snapshot) still feeds the autotuner.
-    profile: Arc<ProfileCounters>,
+    pub(crate) profile: Arc<ProfileCounters>,
     /// Whether the recorder is armed (on by default; see
     /// [`set_profiling`](SynthRelation::set_profiling)).
-    profiling: bool,
-    check_fds: bool,
-    len: usize,
-    min_key: ColSet,
+    pub(crate) profiling: bool,
+    pub(crate) check_fds: bool,
+    pub(crate) len: usize,
+    pub(crate) min_key: ColSet,
 }
 
 impl SynthRelation {
@@ -123,11 +121,8 @@ impl SynthRelation {
     /// specification (Fig. 6, Lemma 1).
     pub fn new(cat: &Catalog, spec: RelSpec, d: Decomposition) -> Result<Self, BuildError> {
         check_adequacy(&d, &spec)?;
-        let layout = Layout::new(&d);
-        let mut store = Store::new(&d);
-        let root_node = d.root();
-        let root_inst = layout.new_instance(&d, root_node, Box::new([]), &Tuple::empty());
-        let root = store.alloc(root_node, root_inst);
+        let layout = Layout::new(&d).map_err(BuildError::Plan)?;
+        let (store, root) = fresh_store(&d, &layout);
         let cost = CostModel::uniform(&d, CostModel::DEFAULT_FANOUT);
         let min_key = spec.minimal_key();
         Ok(SynthRelation {
@@ -135,14 +130,14 @@ impl SynthRelation {
             spec,
             d: Arc::new(d),
             layout: Arc::new(layout),
-            store: Arc::new(store),
+            store,
             root,
             cost,
             plan_cache: Arc::default(),
             scratch: Bindings::new(),
-            key_scratch: Vec::new(),
-            resolved: Vec::new(),
-            cuts: FxHashMap::default(),
+            write: WriteScratch::default(),
+            removals: FxHashMap::default(),
+            updates: FxHashMap::default(),
             profile: Arc::new(ProfileCounters::default()),
             profiling: true,
             check_fds: true,
@@ -282,7 +277,7 @@ impl SynthRelation {
 
     /// Records one query signature if the recorder is armed.
     #[inline]
-    fn record_query(&self, avail: ColSet, ranged: ColSet, out: ColSet) {
+    pub(crate) fn record_query(&self, avail: ColSet, ranged: ColSet, out: ColSet) {
         if self.profiling {
             self.profile.record_query(avail, ranged, out);
         }
@@ -290,7 +285,7 @@ impl SynthRelation {
 
     /// Records one removal pattern if the recorder is armed.
     #[inline]
-    fn record_remove(&self, pattern: ColSet) {
+    pub(crate) fn record_remove(&self, pattern: ColSet) {
         if self.profiling {
             self.profile.record_remove(pattern);
         }
@@ -298,7 +293,7 @@ impl SynthRelation {
 
     /// Records `n` inserted tuples if the recorder is armed.
     #[inline]
-    fn record_inserts(&self, n: usize) {
+    pub(crate) fn record_inserts(&self, n: usize) {
         if self.profiling {
             self.profile.record_inserts(n as u64);
         }
@@ -354,7 +349,7 @@ impl SynthRelation {
 
     /// The memoized block for an equality signature (see
     /// [`plan_memoized`]).
-    fn planned(&self, avail: ColSet, out: ColSet) -> Result<Arc<Block>, OpError> {
+    pub(crate) fn planned(&self, avail: ColSet, out: ColSet) -> Result<Arc<Block>, OpError> {
         plan_memoized(
             &self.plan_cache,
             &self.d,
@@ -445,7 +440,7 @@ impl SynthRelation {
     /// traffic — and streamed through the relation's own scratch
     /// accumulator. A key pattern's single row is neither sorted nor
     /// deduplicated.
-    fn collect_matching(
+    pub(crate) fn collect_matching(
         &mut self,
         stream: impl FnOnce(
             &ReadCore<'_>,
@@ -571,1035 +566,6 @@ impl SynthRelation {
         Ok(rows)
     }
 
-    /// `insert r t` (§2): inserts a full tuple. Returns `Ok(false)` if the
-    /// exact tuple was already present.
-    ///
-    /// # Errors
-    ///
-    /// * [`OpError::ColumnMismatch`] — `t` is not a valuation of the
-    ///   relation's columns.
-    /// * [`OpError::FdViolation`] — inserting would violate a functional
-    ///   dependency (always detected on the relation's minimal key; detected
-    ///   on every dependency when FD checking is enabled).
-    pub fn insert(&mut self, t: Tuple) -> Result<bool, OpError> {
-        if t.dom() != self.spec.cols() {
-            return Err(OpError::ColumnMismatch {
-                expected: self.spec.cols(),
-                actual: t.dom(),
-            });
-        }
-        // Key lookup: duplicate detection and first-line FD enforcement,
-        // streamed through the relation's scratch accumulator — no pattern
-        // tuple, no materialized result set.
-        let plan = self.planned(self.min_key, self.spec.cols())?;
-        let (dup, conflict) = self.probe_key(&plan, &t);
-        if dup {
-            return Ok(false);
-        }
-        if let Some(existing) = conflict {
-            return Err(OpError::FdViolation { tuple: t, existing });
-        }
-        if self.check_fds {
-            self.check_fds_against(&t, None)?;
-        }
-        self.dinsert(&t);
-        self.len += 1;
-        self.record_inserts(1);
-        Ok(true)
-    }
-
-    /// Streams stored tuples matching `t` on the minimal key through the
-    /// relation's scratch accumulator, returning `(exact duplicate present,
-    /// first differing match)` — the duplicate/conflict probe shared by
-    /// [`insert`](SynthRelation::insert) and the batch paths.
-    fn probe_key(&mut self, plan: &Block, t: &Tuple) -> (bool, Option<Tuple>) {
-        let all = self.spec.cols();
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let mut dup = false;
-        let mut conflict: Option<Tuple> = None;
-        for_each_matching(
-            &self.store,
-            &self.d,
-            &self.layout,
-            self.root,
-            plan,
-            &mut scratch,
-            t,
-            self.min_key,
-            &mut |b| {
-                if dup || conflict.is_some() {
-                    return;
-                }
-                if all.iter().all(|c| b.get(c) == t.get(c)) {
-                    dup = true;
-                } else {
-                    conflict = Some(b.project(all));
-                }
-            },
-        );
-        self.scratch = scratch;
-        (dup, conflict)
-    }
-
-    /// Checks every declared dependency of the specification against the
-    /// instance for prospective tuple `t`, ignoring `exclude` (used by
-    /// `update`, where the old version of the tuple is about to disappear).
-    ///
-    /// Each dependency probe streams through the relation's scratch
-    /// accumulator; the offending tuple is materialized only on the error
-    /// path.
-    fn check_fds_against(&mut self, t: &Tuple, exclude: Option<&Tuple>) -> Result<(), OpError> {
-        let all = self.spec.cols();
-        let nfds = self.spec.fds().len();
-        for i in 0..nfds {
-            let fd = self.spec.fds().nth(i);
-            let plan = self.planned(fd.lhs & all, all)?;
-            let mut scratch = std::mem::take(&mut self.scratch);
-            let mut violation: Option<Tuple> = None;
-            for_each_matching(
-                &self.store,
-                &self.d,
-                &self.layout,
-                self.root,
-                &plan,
-                &mut scratch,
-                t,
-                fd.lhs & all,
-                &mut |b| {
-                    if violation.is_some() {
-                        return;
-                    }
-                    if let Some(ex) = exclude {
-                        if all.iter().all(|c| b.get(c) == ex.get(c)) {
-                            return;
-                        }
-                    }
-                    if fd
-                        .rhs
-                        .iter()
-                        .any(|c| all.contains(c) && b.get(c) != t.get(c))
-                    {
-                        violation = Some(b.project(all));
-                    }
-                },
-            );
-            self.scratch = scratch;
-            if let Some(existing) = violation {
-                return Err(OpError::FdViolation {
-                    tuple: t.clone(),
-                    existing,
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// The `dinsert` operation (§4.4): find-or-create instances in
-    /// topological order, then link them through every incoming edge.
-    ///
-    /// All existence probes go through the relation's reusable key buffer
-    /// and the containers' borrowed-key lookups; an owned key is only built
-    /// when an entry is actually stored. The walk visits nodes in reverse
-    /// let order — `topo_root_first`'s order, without borrowing the
-    /// decomposition across the store writes. An inline leaf's unit goes
-    /// straight into the entry of its one incoming edge.
-    fn dinsert(&mut self, t: &Tuple) {
-        let nn = self.d.node_count();
-        let mut resolved = self.take_resolved();
-        let mut kb = std::mem::take(&mut self.key_scratch);
-        for node in (0..nn).rev().map(|i| NodeId(i as u16)) {
-            if let Some(cols) = self.layout.inline_unit[node.index()] {
-                let e = self.d.incoming_edges(node)[0];
-                let edge = self.d.edge(e);
-                let parent = resolved[edge.from.index()].expect("topological order");
-                let leaf = self.layout.leaf_of_edge[e.index()];
-                t.write_key_into(edge.key, &mut kb);
-                if self.store.cont_get(parent, leaf, &kb).is_none() {
-                    let unit = Child::Unit(t.project(cols));
-                    Arc::make_mut(&mut self.store).cont_insert(
-                        parent,
-                        leaf,
-                        kb.as_slice().into(),
-                        unit,
-                    );
-                }
-                continue;
-            }
-            let inst = if node == self.d.root() {
-                self.root
-            } else {
-                let mut found = None;
-                for &e in self.d.incoming_edges(node) {
-                    let edge = self.d.edge(e);
-                    let parent = resolved[edge.from.index()]
-                        .expect("parents resolved before children (topological order)");
-                    t.write_key_into(edge.key, &mut kb);
-                    if let Some(r) = self
-                        .store
-                        .cont_get(parent, self.layout.leaf_of_edge[e.index()], &kb)
-                        .and_then(ChildRef::node)
-                    {
-                        found = Some(r);
-                        break;
-                    }
-                }
-                found.unwrap_or_else(|| {
-                    let key = t.key_for(self.d.node(node).bound);
-                    let inst = self.layout.new_instance(&self.d, node, key, t);
-                    Arc::make_mut(&mut self.store).alloc(node, inst)
-                })
-            };
-            for &e in self.d.incoming_edges(node) {
-                let edge = self.d.edge(e);
-                let parent = resolved[edge.from.index()].expect("topological order");
-                let leaf = self.layout.leaf_of_edge[e.index()];
-                t.write_key_into(edge.key, &mut kb);
-                if self.store.cont_get(parent, leaf, &kb).is_none() {
-                    let ekey: Key = kb.as_slice().into();
-                    Arc::make_mut(&mut self.store).cont_insert(
-                        parent,
-                        leaf,
-                        ekey,
-                        Child::Node(inst),
-                    );
-                }
-            }
-            resolved[node.index()] = Some(inst);
-        }
-        self.key_scratch = kb;
-        self.resolved = resolved;
-    }
-
-    /// The relation's per-node instance buffer, taken out and reset to one
-    /// unresolved entry per node (put it back when the walk is done).
-    fn take_resolved(&mut self) -> Vec<Option<InstanceRef>> {
-        let mut resolved = std::mem::take(&mut self.resolved);
-        resolved.clear();
-        resolved.resize(self.d.node_count(), None);
-        resolved
-    }
-
-    // -- batch operations ---------------------------------------------------
-
-    /// `insert_many`: inserts a batch of tuples with per-batch (rather than
-    /// per-tuple) setup — plans are fetched once, duplicate and
-    /// functional-dependency screening runs over the sorted batch instead of
-    /// issuing a planned probe per tuple, and the decomposition walk reuses
-    /// the previous tuple's instances wherever the bound valuations agree.
-    ///
-    /// Observably equivalent to folding [`insert`](SynthRelation::insert)
-    /// over the batch in order: exact duplicates (within the batch or
-    /// against the relation) are no-ops, the returned count is the number of
-    /// tuples actually added, and on error the relation holds exactly the
-    /// tuples the fold would have inserted before failing.
-    ///
-    /// # Errors
-    ///
-    /// The error the fold would have hit first
-    /// ([`OpError::ColumnMismatch`] or [`OpError::FdViolation`]); the
-    /// `existing` witness of an [`OpError::FdViolation`] is *a* conflicting
-    /// tuple, not necessarily the one a fold would have streamed first.
-    pub fn insert_many<I: IntoIterator<Item = Tuple>>(
-        &mut self,
-        tuples: I,
-    ) -> Result<usize, OpError> {
-        self.bulk_insert(tuples, false)
-    }
-
-    /// `bulk_load`: [`insert_many`](SynthRelation::insert_many) with the
-    /// accepted batch additionally sorted by the decomposition's root-down
-    /// key order before the structural walk, so consecutive tuples share
-    /// every instance on their common path and each key-group's containers
-    /// are probed once. Root containers are pre-sized to the number of
-    /// distinct key groups. This is the intended path for O(n) ingest of
-    /// large batches (case-study startup, replay, snapshot restore).
-    ///
-    /// # Errors
-    ///
-    /// As for [`insert_many`](SynthRelation::insert_many).
-    pub fn bulk_load<I: IntoIterator<Item = Tuple>>(
-        &mut self,
-        tuples: I,
-    ) -> Result<usize, OpError> {
-        self.bulk_insert(tuples, true)
-    }
-
-    /// Shared batch-insert engine: screen the batch (duplicates, conflicts,
-    /// FDs) in fold order, then walk the decomposition once per key-group.
-    fn bulk_insert<I: IntoIterator<Item = Tuple>>(
-        &mut self,
-        tuples: I,
-        sort_structural: bool,
-    ) -> Result<usize, OpError> {
-        let all = self.spec.cols();
-        let w = all.len();
-        // The first error the fold would hit, as (tuple index, check stage,
-        // error): stage 0 = column mismatch, 1 = minimal-key probe, 2+i =
-        // the i-th declared dependency — the order `insert` checks them in.
-        let mut err: Option<(usize, u32, OpError)> = None;
-        fn better(err: &Option<(usize, u32, OpError)>, idx: usize, stage: u32) -> bool {
-            err.as_ref().is_none_or(|(i, s, _)| (idx, stage) < (*i, *s))
-        }
-        // Stream the batch into one contiguous row array, *moving* each
-        // tuple's values (ascending column order) — no per-tuple heap
-        // traffic, and everything downstream (screening comparisons, the
-        // structural walk) indexes rows instead of chasing a tuple pointer
-        // per access. The stream stops at the first malformed tuple, exactly
-        // where the fold would.
-        let mut flat: Vec<relic_spec::Value> = Vec::new();
-        let mut n = 0usize;
-        for (i, t) in tuples.into_iter().enumerate() {
-            if t.dom() != all {
-                err = Some((
-                    i,
-                    0,
-                    OpError::ColumnMismatch {
-                        expected: all,
-                        actual: t.dom(),
-                    },
-                ));
-                break; // later tuples cannot produce an earlier error
-            }
-            let (_, vals) = t.into_parts();
-            flat.extend(vals.into_vec());
-            n += 1;
-        }
-        if n == 0 {
-            return match err {
-                Some((_, _, e)) => Err(e),
-                None => Ok(0),
-            };
-        }
-        // Rebuilds a streamed tuple from its row (error payloads and store
-        // probes only — never on the per-tuple path).
-        let row_tuple = |flat: &[relic_spec::Value], i: usize| {
-            Tuple::from_parts(all, flat[i * w..i * w + w].to_vec())
-        };
-        let mut dup = vec![false; n];
-        // One sort serves everything: the sequence starts with the minimal
-        // key (so equal-key runs are contiguous for screening) and continues
-        // root-down through the node bounds (so the structural walk visits
-        // each shared instance in one consecutive group). Comparisons go
-        // through precomputed value positions — every valid tuple is a full
-        // valuation, so column values sit at fixed ranks.
-        let sort_cols = self.batch_sort_cols();
-        let pos: Vec<usize> = sort_cols
-            .iter()
-            .map(|c| all.rank(*c).expect("sort column in relation"))
-            .collect();
-        let mk = self.min_key.len();
-        let cmp_upto = |a: usize, b: usize, k: usize| -> std::cmp::Ordering {
-            let (ra, rb) = (&flat[a * w..a * w + w], &flat[b * w..b * w + w]);
-            for &p in &pos[..k] {
-                match ra[p].cmp(&rb[p]) {
-                    std::cmp::Ordering::Equal => {}
-                    o => return o,
-                }
-            }
-            std::cmp::Ordering::Equal
-        };
-        let mut sorted: Vec<usize> = (0..n).collect();
-        // Integer sort keys (≤ 4 columns, the common case-study shape) pack
-        // into order-preserving u64 words and sort as one contiguous array —
-        // no comparator calls, no row accesses. Anything else falls back to
-        // the positional comparator.
-        let packed: Option<Vec<([u64; 4], u32)>> = if pos.len() <= 4 {
-            (0..n)
-                .map(|i| {
-                    let row = &flat[i * w..i * w + w];
-                    let mut key = [0u64; 4];
-                    for (j, &p) in pos.iter().enumerate() {
-                        key[j] = (row[p].as_int()? as u64) ^ (1 << 63);
-                    }
-                    Some((key, i as u32))
-                })
-                .collect()
-        } else {
-            None
-        };
-        match packed {
-            Some(mut packed) => {
-                packed.sort_unstable();
-                for (slot, (_, i)) in sorted.iter_mut().zip(packed) {
-                    *slot = i as usize;
-                }
-            }
-            None => {
-                sorted.sort_unstable_by(|&a, &b| cmp_upto(a, b, pos.len()).then(a.cmp(&b)));
-            }
-        }
-        // Minimal-key screening: within each run, every member must equal
-        // the earliest (fold-order reference) member exactly; the store is
-        // probed once per run, not once per tuple.
-        let key_plan = if self.len > 0 {
-            Some(self.planned(self.min_key, all)?)
-        } else {
-            None
-        };
-        let mut start = 0;
-        while start < sorted.len() {
-            let mut end = start + 1;
-            while end < sorted.len() && cmp_upto(sorted[end], sorted[start], mk).is_eq() {
-                end += 1;
-            }
-            let run = &sorted[start..end];
-            let i0 = *run.iter().min().expect("non-empty run");
-            if let Some(plan) = &key_plan {
-                let plan = Arc::clone(plan);
-                let probe = row_tuple(&flat, i0);
-                let (stored_dup, stored_conflict) = self.probe_key(&plan, &probe);
-                if stored_dup {
-                    dup[i0] = true;
-                } else if let Some(existing) = stored_conflict {
-                    if better(&err, i0, 1) {
-                        err = Some((
-                            i0,
-                            1,
-                            OpError::FdViolation {
-                                tuple: probe,
-                                existing,
-                            },
-                        ));
-                    }
-                }
-            }
-            let mut first_conflict: Option<usize> = None;
-            for &j in run {
-                if j == i0 {
-                    continue;
-                }
-                // Valid tuples all share the relation's domain, so row
-                // equality is tuple equality.
-                if flat[j * w..j * w + w] == flat[i0 * w..i0 * w + w] {
-                    dup[j] = true;
-                } else if first_conflict.is_none_or(|x| j < x) {
-                    first_conflict = Some(j);
-                }
-            }
-            if let Some(j) = first_conflict {
-                if better(&err, j, 1) {
-                    err = Some((
-                        j,
-                        1,
-                        OpError::FdViolation {
-                            tuple: row_tuple(&flat, j),
-                            existing: row_tuple(&flat, i0),
-                        },
-                    ));
-                }
-            }
-            start = end;
-        }
-        // Per-dependency screening, in declaration order (matching
-        // `check_fds_against`): runs of equal determinant valuations must
-        // agree on the dependent columns, in the batch and against the
-        // store. Only dependencies whose determinant does not contain the
-        // minimal key get here (see the `continue` below) — the common
-        // key → rest dependency is fully covered by stage 1.
-        if self.check_fds {
-            let nfds = self.spec.fds().len();
-            let mut fd_sorted: Vec<usize> = Vec::new();
-            for fi in 0..nfds {
-                let fd = self.spec.fds().nth(fi);
-                let (lhs, rhs) = (fd.lhs & all, fd.rhs & all);
-                let stage = 2 + fi as u32;
-                // A determinant containing the minimal key can never fire
-                // after minimal-key screening passed: equal determinants
-                // force equal minimal keys, and stage 1 already flagged
-                // every same-key pair that is not an exact duplicate.
-                if self.min_key.is_subset(lhs) {
-                    continue;
-                }
-                let rhs_pos: Vec<usize> = rhs
-                    .iter()
-                    .map(|c| all.rank(c).expect("rhs column in relation"))
-                    .collect();
-                let rhs_eq = |a: usize, b: &Tuple| -> bool {
-                    let ra = &flat[a * w..a * w + w];
-                    rhs_pos.iter().zip(rhs.iter()).all(|(&p, c)| {
-                        debug_assert!(b.get(c).is_some());
-                        Some(&ra[p]) == b.get(c)
-                    })
-                };
-                let rhs_eq_rows = |a: usize, b: usize| -> bool {
-                    let (ra, rb) = (&flat[a * w..a * w + w], &flat[b * w..b * w + w]);
-                    rhs_pos.iter().all(|&p| ra[p] == rb[p])
-                };
-                let lhs_pos: Vec<usize> = lhs
-                    .iter()
-                    .map(|c| all.rank(c).expect("lhs column in relation"))
-                    .collect();
-                let cmp_lhs = |a: usize, b: usize| -> std::cmp::Ordering {
-                    let (ra, rb) = (&flat[a * w..a * w + w], &flat[b * w..b * w + w]);
-                    for &p in &lhs_pos {
-                        match ra[p].cmp(&rb[p]) {
-                            std::cmp::Ordering::Equal => {}
-                            o => return o,
-                        }
-                    }
-                    std::cmp::Ordering::Equal
-                };
-                fd_sorted.clear();
-                fd_sorted.extend(0..n);
-                fd_sorted.sort_unstable_by(|&a, &b| cmp_lhs(a, b).then(a.cmp(&b)));
-                let runs: &[usize] = &fd_sorted;
-                let fd_plan = if self.len > 0 {
-                    Some(self.planned(lhs, all)?)
-                } else {
-                    None
-                };
-                let mut start = 0;
-                while start < runs.len() {
-                    let mut end = start + 1;
-                    while end < runs.len() && cmp_lhs(runs[end], runs[start]).is_eq() {
-                        end += 1;
-                    }
-                    let run = &runs[start..end];
-                    let i0 = *run.iter().min().expect("non-empty run");
-                    let mut first_conflict: Option<usize> = None;
-                    for &j in run {
-                        if j != i0 && !rhs_eq_rows(j, i0) && first_conflict.is_none_or(|x| j < x) {
-                            first_conflict = Some(j);
-                        }
-                    }
-                    if let Some(j) = first_conflict {
-                        if better(&err, j, stage) {
-                            err = Some((
-                                j,
-                                stage,
-                                OpError::FdViolation {
-                                    tuple: row_tuple(&flat, j),
-                                    existing: row_tuple(&flat, i0),
-                                },
-                            ));
-                        }
-                    }
-                    if let Some(plan) = &fd_plan {
-                        let plan = Arc::clone(plan);
-                        let probe = row_tuple(&flat, i0);
-                        let (w1, w2) = self.probe_fd_witnesses(&plan, &probe, lhs, rhs);
-                        if let Some(w1) = w1 {
-                            // Earliest non-duplicate member disagreeing with
-                            // a stored tuple — exact duplicates return
-                            // before dependency checks, as in `insert`.
-                            let mut cand: Option<(usize, &Tuple)> = None;
-                            for &j in run {
-                                if dup[j] || cand.is_some_and(|(x, _)| x < j) {
-                                    continue;
-                                }
-                                let witness = if !rhs_eq(j, &w1) {
-                                    Some(&w1)
-                                } else {
-                                    w2.as_ref()
-                                };
-                                if let Some(w) = witness {
-                                    cand = Some((j, w));
-                                }
-                            }
-                            if let Some((j, witness)) = cand {
-                                if better(&err, j, stage) {
-                                    let witness = witness.clone();
-                                    err = Some((
-                                        j,
-                                        stage,
-                                        OpError::FdViolation {
-                                            tuple: row_tuple(&flat, j),
-                                            existing: witness,
-                                        },
-                                    ));
-                                }
-                            }
-                        }
-                    }
-                    start = end;
-                }
-            }
-        }
-        // Accept everything the fold would have inserted before the error;
-        // the walk runs in key-group order for `bulk_load`, input order for
-        // `insert_many`.
-        let err_idx = err.as_ref().map(|(i, _, _)| *i).unwrap_or(usize::MAX);
-        let accepted: Vec<usize> = if sort_structural {
-            sorted
-                .iter()
-                .copied()
-                .filter(|&i| i < err_idx && !dup[i])
-                .collect()
-        } else {
-            (0..n).filter(|&i| i < err_idx && !dup[i]).collect()
-        };
-        if !accepted.is_empty() {
-            let prefix = if sort_structural {
-                Some(sort_cols.as_slice())
-            } else {
-                None
-            };
-            self.dinsert_batch(&flat, w, &accepted, prefix);
-            self.len += accepted.len();
-            self.record_inserts(accepted.len());
-        }
-        match err {
-            Some((_, _, e)) => Err(e),
-            None => Ok(accepted.len()),
-        }
-    }
-
-    /// Streams stored tuples matching `t` on `lhs`, returning the first
-    /// match and the first match whose `rhs` projection differs from it —
-    /// enough to decide, for every batch member sharing `t`'s determinant
-    /// valuation, whether the store holds a conflicting witness.
-    fn probe_fd_witnesses(
-        &mut self,
-        plan: &Block,
-        t: &Tuple,
-        lhs: ColSet,
-        rhs: ColSet,
-    ) -> (Option<Tuple>, Option<Tuple>) {
-        let all = self.spec.cols();
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let mut w1: Option<Tuple> = None;
-        let mut w2: Option<Tuple> = None;
-        for_each_matching(
-            &self.store,
-            &self.d,
-            &self.layout,
-            self.root,
-            plan,
-            &mut scratch,
-            t,
-            lhs,
-            &mut |b| match &w1 {
-                None => w1 = Some(b.project(all)),
-                Some(first) => {
-                    if w2.is_none() && rhs.iter().any(|c| b.get(c) != first.get(c)) {
-                        w2 = Some(b.project(all));
-                    }
-                }
-            },
-        );
-        self.scratch = scratch;
-        (w1, w2)
-    }
-
-    /// The batch sort sequence: the minimal key first (so screening runs are
-    /// contiguous), then the remaining columns in root-down first-appearance
-    /// order of the node bounds (so the structural walk visits each shared
-    /// instance in one consecutive group). Columns bound by no node and
-    /// outside the key never influence grouping and are left unsorted.
-    fn batch_sort_cols(&self) -> Vec<relic_spec::ColId> {
-        let mut cols: Vec<relic_spec::ColId> = self.min_key.iter().collect();
-        let mut seen = self.min_key;
-        for node in self.d.topo_root_first() {
-            let bound = self.d.node(node).bound;
-            cols.extend((bound - seen).iter());
-            seen = seen | bound;
-        }
-        cols
-    }
-
-    /// The batched `dinsert` walk: like [`dinsert`](SynthRelation::dinsert),
-    /// but each node memoizes the previous tuple's bound valuation and
-    /// instance. When the valuation repeats, the instance — and all its
-    /// incoming links, which the builder's binding-consistency rule
-    /// (`B_child = ⋃ B_parent ∪ K`, hence `B_parent ⊆ B_child`) guarantees
-    /// were already made for the previous tuple — is reused without a single
-    /// container probe. Over a sorted batch the walk therefore touches each
-    /// decomposition path once per key-group, not once per tuple.
-    ///
-    /// When `sort_prefix` is given (the batch is ordered by that column
-    /// sequence), every map edge whose parent and child groups are
-    /// consecutive under it gets **container-level batching**: while a
-    /// parent instance's group is being walked, the edge's entries
-    /// accumulate outside the container, and when the group ends the
-    /// container is assembled in one shot through the containers' bulk
-    /// constructors — the O(n) balanced AVL build from sorted input, the
-    /// pre-sized hash build, … — instead of one probing insertion (and one
-    /// find probe) per tuple.
-    ///
-    /// The walk reads tuple valuations from `flat` — `w`-wide value rows in
-    /// ascending column order, indexed by tuple index — so visiting the
-    /// batch in sorted order stays within one contiguous allocation.
-    fn dinsert_batch(
-        &mut self,
-        flat: &[relic_spec::Value],
-        w: usize,
-        order: &[usize],
-        sort_prefix: Option<&[relic_spec::ColId]>,
-    ) {
-        let all = self.spec.cols();
-        let root_node = self.d.root();
-        let ne = self.d.edge_count();
-        let nn = self.d.node_count();
-        // Row positions of every node's bound columns and every edge's key
-        // columns (ascending column order, matching `write_key_into`).
-        let bound_pos: Vec<Box<[usize]>> = (0..nn)
-            .map(|i| {
-                self.d
-                    .node(NodeId(i as u16))
-                    .bound
-                    .iter()
-                    .map(|c| all.rank(c).expect("bound column in relation"))
-                    .collect()
-            })
-            .collect();
-        let key_pos: Vec<Box<[usize]>> = self
-            .d
-            .edges()
-            .map(|(_, e)| {
-                e.key
-                    .iter()
-                    .map(|c| all.rank(c).expect("key column in relation"))
-                    .collect()
-            })
-            .collect();
-        fn write_row_cols(
-            row: &[relic_spec::Value],
-            ps: &[usize],
-            out: &mut Vec<relic_spec::Value>,
-        ) {
-            out.clear();
-            out.extend(ps.iter().map(|&p| row[p].clone()));
-        }
-        // Per-edge accumulation state. An edge is eligible when its key
-        // determines the child given the parent (`B_child = B_parent ∪ K`,
-        // so each container key maps to exactly one child instance) and the
-        // child's bound is a sort prefix (so each parent's entries — and
-        // each entry's duplicates — are consecutive in walk order).
-        // Accumulation then runs per parent instance: it starts when the
-        // parent is created (its container is empty by construction),
-        // collects one entry per child group, and flushes into a
-        // bulk-constructed container when the parent's group ends.
-        let mut accs: Vec<EdgeAcc> = Vec::with_capacity(ne);
-        for (eid, edge) in self.d.edges() {
-            let eligible = sort_prefix.is_some_and(|prefix| {
-                !edge.ds.is_intrusive()
-                    && self.d.node(edge.to).bound == (self.d.node(edge.from).bound | edge.key)
-                    && key_is_sort_prefix(self.d.node(edge.to).bound, prefix)
-            });
-            accs.push(EdgeAcc {
-                leaf: self.layout.leaf_of_edge[eid.index()],
-                ds: edge.ds,
-                eligible,
-                parent: None,
-                entries: Vec::new(),
-                ascending: true,
-            });
-        }
-        // Root edges: an empty container accumulates from the start; a
-        // standing one is pre-sized to the incoming group count instead.
-        for eid in self.d.node(root_node).body.edges() {
-            let a = &mut accs[eid.index()];
-            if !a.eligible {
-                continue;
-            }
-            if self.store.cont_len(self.root, a.leaf) == 0 {
-                a.parent = Some(self.root);
-            } else {
-                let ps = &key_pos[eid.index()];
-                let mut groups = 1usize;
-                for pair in order.windows(2) {
-                    let (ra, rb) = (&flat[pair[0] * w..], &flat[pair[1] * w..]);
-                    if ps.iter().any(|&p| ra[p] != rb[p]) {
-                        groups += 1;
-                    }
-                }
-                let leaf = a.leaf;
-                let to = self.d.edge(eid).to;
-                let store = Arc::make_mut(&mut self.store);
-                store.cont_reserve(self.root, leaf, groups);
-                if self.layout.inline_unit[to.index()].is_none() {
-                    store.reserve_node(to, groups);
-                }
-            }
-        }
-        // Nodes bound by (a superset of) the minimal key get one instance
-        // per accepted tuple — pre-size their arenas once.
-        for (id, node) in self.d.nodes() {
-            if self.min_key.is_subset(node.bound)
-                && !self.min_key.is_empty()
-                && self.layout.inline_unit[id.index()].is_none()
-            {
-                Arc::make_mut(&mut self.store).reserve_node(id, order.len());
-            }
-        }
-        // A unit projected straight out of a row.
-        let row_unit = |row: &[relic_spec::Value], cols: ColSet| {
-            let vals = cols
-                .iter()
-                .map(|c| row[all.rank(c).expect("unit column")].clone())
-                .collect();
-            Tuple::from_parts(cols, vals)
-        };
-        let topo: Vec<NodeId> = self.d.topo_root_first().collect();
-        // Per node: the previous tuple's bound valuation (valid once
-        // `memo_set`) and the instance it resolved to (none for an inline
-        // leaf, whose unit the previous tuple placed).
-        let mut memo_val: Vec<Vec<relic_spec::Value>> = vec![Vec::new(); nn];
-        let mut memo_set = vec![false; nn];
-        let mut memo_inst: Vec<Option<InstanceRef>> = vec![None; nn];
-        let mut resolved: Vec<Option<InstanceRef>> = vec![None; nn];
-        let mut created_now = vec![false; nn];
-        let mut kb = std::mem::take(&mut self.key_scratch);
-        let mut bv: Vec<relic_spec::Value> = Vec::new();
-        for &ti in order {
-            let row = &flat[ti * w..ti * w + w];
-            resolved.iter_mut().for_each(|r| *r = None);
-            created_now.iter_mut().for_each(|c| *c = false);
-            for &node in &topo {
-                let idx = node.index();
-                write_row_cols(row, &bound_pos[idx], &mut bv);
-                if memo_set[idx] && memo_val[idx] == bv {
-                    resolved[idx] = memo_inst[idx];
-                    continue;
-                }
-                if let Some(cols) = self.layout.inline_unit[idx] {
-                    // A fresh bound valuation: the unit goes into the entry
-                    // of the one incoming edge, accumulated or inserted.
-                    let e = self.d.incoming_edges(node)[0];
-                    let from = self.d.edge(e).from.index();
-                    let parent = resolved[from].expect("topological order");
-                    let leaf = self.layout.leaf_of_edge[e.index()];
-                    let a = &mut accs[e.index()];
-                    write_row_cols(row, &key_pos[e.index()], &mut kb);
-                    if a.eligible && a.parent != Some(parent) && created_now[from] {
-                        a.flush(Arc::make_mut(&mut self.store));
-                        a.parent = Some(parent);
-                    }
-                    if a.parent == Some(parent) {
-                        a.push(kb.as_slice().into(), Child::Unit(row_unit(row, cols)));
-                    } else if self.store.cont_get(parent, leaf, &kb).is_none() {
-                        let unit = Child::Unit(row_unit(row, cols));
-                        Arc::make_mut(&mut self.store).cont_insert(
-                            parent,
-                            leaf,
-                            kb.as_slice().into(),
-                            unit,
-                        );
-                    }
-                    memo_set[idx] = true;
-                    std::mem::swap(&mut memo_val[idx], &mut bv);
-                    continue;
-                }
-                let (inst, created) = if node == root_node {
-                    (self.root, false)
-                } else {
-                    let mut found = None;
-                    for &e in self.d.incoming_edges(node) {
-                        let edge = self.d.edge(e);
-                        let parent = resolved[edge.from.index()]
-                            .expect("parents resolved before children (topological order)");
-                        // An accumulating container is empty behind its
-                        // buffered entries, and grouping guarantees this
-                        // child's key is fresh — the probe would miss.
-                        if accs[e.index()].parent == Some(parent) {
-                            continue;
-                        }
-                        write_row_cols(row, &key_pos[e.index()], &mut kb);
-                        if let Some(r) = self
-                            .store
-                            .cont_get(parent, self.layout.leaf_of_edge[e.index()], &kb)
-                            .and_then(ChildRef::node)
-                        {
-                            found = Some(r);
-                            break;
-                        }
-                    }
-                    match found {
-                        Some(r) => (r, false),
-                        None => {
-                            // `bv` already holds the bound valuation; unit
-                            // leaves project straight out of the row.
-                            let prims: Vec<PrimInst> = self.layout.leaves_of_node[idx]
-                                .iter()
-                                .map(|leaf| match leaf {
-                                    LeafSpec::Unit(c) => PrimInst::Unit(row_unit(row, *c)),
-                                    LeafSpec::Map(e) => {
-                                        PrimInst::Map(self.layout.new_container(&self.d, *e))
-                                    }
-                                })
-                                .collect();
-                            let inst = Instance {
-                                key: bv.as_slice().into(),
-                                prims: prims.into_boxed_slice(),
-                                links: vec![
-                                    Link::default();
-                                    self.layout.islots_of_node[idx] as usize
-                                ]
-                                .into_boxed_slice(),
-                                refs: 0,
-                            };
-                            (Arc::make_mut(&mut self.store).alloc(node, inst), true)
-                        }
-                    }
-                };
-                for &e in self.d.incoming_edges(node) {
-                    let edge = self.d.edge(e);
-                    let parent = resolved[edge.from.index()].expect("topological order");
-                    let leaf = self.layout.leaf_of_edge[e.index()];
-                    let a = &mut accs[e.index()];
-                    write_row_cols(row, &key_pos[e.index()], &mut kb);
-                    if a.eligible {
-                        if a.parent != Some(parent) && created_now[edge.from.index()] {
-                            // The previous parent's group is over — build
-                            // its container — and this freshly created
-                            // parent (whose container is empty) takes over.
-                            a.flush(Arc::make_mut(&mut self.store));
-                            a.parent = Some(parent);
-                        }
-                        if a.parent == Some(parent) {
-                            // One entry per child group: the group's first
-                            // tuple creates the child, later members
-                            // memo-hit and never reach this loop. The
-                            // reference count is bumped here, while the
-                            // child is cache-hot, not at flush time.
-                            debug_assert!(created, "accumulated entry for a found instance");
-                            a.push(kb.as_slice().into(), Child::Node(inst));
-                            Arc::make_mut(&mut self.store).get_mut(inst).refs += 1;
-                            continue;
-                        }
-                    }
-                    if created || self.store.cont_get(parent, leaf, &kb).is_none() {
-                        // A freshly created instance was probed for through
-                        // every incoming edge and missed, so the container
-                        // cannot hold its key yet — insert without
-                        // re-probing.
-                        let ekey: Key = kb.as_slice().into();
-                        Arc::make_mut(&mut self.store).cont_insert(
-                            parent,
-                            leaf,
-                            ekey,
-                            Child::Node(inst),
-                        );
-                    }
-                }
-                resolved[idx] = Some(inst);
-                memo_set[idx] = true;
-                memo_inst[idx] = Some(inst);
-                if created {
-                    created_now[idx] = true;
-                }
-                std::mem::swap(&mut memo_val[idx], &mut bv);
-            }
-        }
-        self.key_scratch = kb;
-        for a in &mut accs {
-            a.flush(Arc::make_mut(&mut self.store));
-        }
-    }
-
-    /// `remove_many`: a fold of [`remove`](SynthRelation::remove) over the
-    /// patterns, returning the total number of tuples removed. The §4.5 cut
-    /// of each pattern column set is memoized by the relation, so a batch of
-    /// like-shaped patterns computes it once.
-    ///
-    /// # Errors
-    ///
-    /// [`OpError::ForeignColumns`] on the first pattern mentioning columns
-    /// outside the relation; earlier patterns' removals persist, as a fold
-    /// would leave them.
-    pub fn remove_many<'a, I: IntoIterator<Item = &'a Tuple>>(
-        &mut self,
-        patterns: I,
-    ) -> Result<usize, OpError> {
-        patterns
-            .into_iter()
-            .try_fold(0, |total, pattern| Ok(total + self.remove(pattern)?))
-    }
-
-    /// `remove r s` (§2, §4.5): removes every tuple extending `pattern` by
-    /// breaking the edges that cross the decomposition cut for
-    /// `dom pattern`. Returns the number of tuples removed.
-    ///
-    /// # Errors
-    ///
-    /// [`OpError::ForeignColumns`] if the pattern mentions columns outside
-    /// the relation.
-    pub fn remove(&mut self, pattern: &Tuple) -> Result<usize, OpError> {
-        let foreign = pattern.dom() - self.spec.cols();
-        if !foreign.is_empty() {
-            return Err(OpError::ForeignColumns { cols: foreign });
-        }
-        self.record_remove(pattern.dom());
-        let all = self.spec.cols();
-        let matching = self.collect_matching(|core, s, f| core.stream(s, pattern, all, f))?;
-        Ok(self.remove_matching(pattern.dom(), &matching))
-    }
-
-    /// Removes `matching` — every stored tuple a pattern over `cols`
-    /// matched — by breaking, under each, the edges crossing the memoized
-    /// cut for `cols`. Returns the number of tuples removed.
-    fn remove_matching(&mut self, cols: ColSet, matching: &[Tuple]) -> usize {
-        if matching.is_empty() {
-            return 0;
-        }
-        let c = Arc::clone(
-            self.cuts
-                .entry(cols)
-                .or_insert_with(|| Arc::new(cut(&self.d, self.spec.fds(), cols))),
-        );
-        if c.is_below(self.d.root()) {
-            // The root itself only represents matching tuples: ∅ determines
-            // the pattern columns, so all tuples agree on them and one match
-            // means every tuple matches — clear the whole store.
-            debug_assert_eq!(matching.len(), self.len);
-            let n = self.len;
-            self.clear();
-            return n;
-        }
-        for t in matching {
-            self.remove_tuple(t, &c);
-        }
-        self.len -= matching.len();
-        matching.len()
-    }
-
-    /// `remove_where r P` — removal by comparison pattern, the mutation
-    /// counterpart of [`query_where`](RelRead::query_where): removes
-    /// every tuple satisfying `P`. This is the idiom thttpd's cache uses
-    /// ("traverses through the mappings removing those older than a certain
-    /// threshold", §6.2), expressed as one relational operation.
-    ///
-    /// The decomposition cut (§4.5) depends only on the pattern's *columns*,
-    /// so the same cut machinery applies: matching tuples are located with
-    /// the comparison-aware planner, then their crossing edges are broken
-    /// exactly as for [`remove`](SynthRelation::remove). Returns the number
-    /// of tuples removed.
-    ///
-    /// # Errors
-    ///
-    /// [`OpError::ForeignColumns`] if the pattern mentions columns outside
-    /// the relation.
-    pub fn remove_where(&mut self, pattern: &Pattern) -> Result<usize, OpError> {
-        let foreign = pattern.dom() - self.spec.cols();
-        if !foreign.is_empty() {
-            return Err(OpError::ForeignColumns { cols: foreign });
-        }
-        self.record_remove(pattern.dom());
-        let all = self.spec.cols();
-        let matching = self.collect_matching(|core, s, f| core.stream_where(s, pattern, all, f))?;
-        Ok(self.remove_matching(pattern.dom(), &matching))
-    }
-
-    /// Removes every tuple (constant-time reset of the store).
-    ///
-    /// Memoized plans are kept: a plan depends only on the decomposition and
-    /// the cost model, and clearing changes neither. (A plan chosen under an
-    /// [`observed_cost_model`](SynthRelation::observed_cost_model) stays
-    /// correct for the emptied relation; to plan for a new instance shape,
-    /// re-profile and [`set_cost_model`](SynthRelation::set_cost_model).)
-    pub fn clear(&mut self) {
-        // A fresh store (not an in-place reset), so outstanding snapshots
-        // keep the pre-clear instance graph.
-        let mut store = Store::new(&self.d);
-        let root_node = self.d.root();
-        let root_inst = self
-            .layout
-            .new_instance(&self.d, root_node, Box::new([]), &Tuple::empty());
-        self.root = store.alloc(root_node, root_inst);
-        self.store = Arc::new(store);
-        self.len = 0;
-    }
-
     /// Migrates the relation to a different decomposition **in place**: the
     /// tuple set, specification, catalog, FD-checking mode, and workload
     /// profile are preserved; the representation — decomposition, instance
@@ -1657,404 +623,9 @@ impl SynthRelation {
         self.len = next.len;
         self.min_key = next.min_key;
         self.invalidate_plans();
-        self.cuts.clear();
+        self.removals.clear();
+        self.updates.clear();
         Ok(())
-    }
-
-    fn remove_tuple(&mut self, t: &Tuple, c: &Cut) {
-        let nn = self.d.node_count();
-        let mut kb = std::mem::take(&mut self.key_scratch);
-        // Resolve the above-cut instances along t's path, root first
-        // (inline leaves have none: they are nobody's parent).
-        let mut resolved = self.take_resolved();
-        for node in (0..nn).rev().map(|i| NodeId(i as u16)) {
-            if c.is_below(node) || self.layout.inline_unit[node.index()].is_some() {
-                continue;
-            }
-            let inst = if node == self.d.root() {
-                Some(self.root)
-            } else {
-                let mut found = None;
-                for &e in self.d.incoming_edges(node) {
-                    let edge = self.d.edge(e);
-                    if let Some(parent) = resolved[edge.from.index()] {
-                        t.write_key_into(edge.key, &mut kb);
-                        if let Some(r) = self
-                            .store
-                            .cont_get(parent, self.layout.leaf_of_edge[e.index()], &kb)
-                            .and_then(ChildRef::node)
-                        {
-                            found = Some(r);
-                            break;
-                        }
-                    }
-                }
-                found
-            };
-            resolved[node.index()] = inst;
-        }
-        // Break every crossing edge for this tuple. An inline unit goes
-        // with its entry.
-        for &e in &c.crossing {
-            let edge = self.d.edge(e);
-            let Some(parent) = resolved[edge.from.index()] else {
-                continue;
-            };
-            let leaf = self.layout.leaf_of_edge[e.index()];
-            t.write_key_into(edge.key, &mut kb);
-            let removed = Arc::make_mut(&mut self.store).cont_remove(parent, leaf, &kb);
-            if let Some(Child::Node(child)) = removed {
-                self.decref(child);
-            }
-        }
-        // Deallocate empty maps above the cut (children before parents, i.e.
-        // ascending let order), cascading upwards.
-        for i in 0..nn {
-            let node = NodeId(i as u16);
-            if c.is_below(node) || node == self.d.root() {
-                continue;
-            }
-            let Some(inst) = resolved[i] else { continue };
-            if !self.store.is_live(inst) || !self.instance_is_empty(node, inst) {
-                continue;
-            }
-            for &e in self.d.incoming_edges(node) {
-                let edge = self.d.edge(e);
-                let Some(parent) = resolved[edge.from.index()] else {
-                    continue;
-                };
-                if !self.store.is_live(parent) {
-                    continue;
-                }
-                let leaf = self.layout.leaf_of_edge[e.index()];
-                t.write_key_into(edge.key, &mut kb);
-                let removed = Arc::make_mut(&mut self.store).cont_remove(parent, leaf, &kb);
-                if let Some(Child::Node(child)) = removed {
-                    debug_assert_eq!(child, inst);
-                    Arc::make_mut(&mut self.store).get_mut(child).refs -= 1;
-                }
-            }
-            if self.store.get(inst).refs == 0 {
-                Arc::make_mut(&mut self.store).free(inst);
-            }
-        }
-        self.key_scratch = kb;
-        self.resolved = resolved;
-    }
-
-    /// True when the instance holds no data: no unit leaves and all maps
-    /// empty.
-    fn instance_is_empty(&self, node: NodeId, inst: InstanceRef) -> bool {
-        let leaves = &self.layout.leaves_of_node[node.index()];
-        leaves.iter().enumerate().all(|(i, leaf)| match leaf {
-            LeafSpec::Unit(_) => false,
-            LeafSpec::Map(_) => self.store.cont_len(inst, i) == 0,
-        })
-    }
-
-    /// Decrements an instance's reference count, freeing (recursively) at
-    /// zero.
-    fn decref(&mut self, r: InstanceRef) {
-        let inst = Arc::make_mut(&mut self.store).get_mut(r);
-        inst.refs -= 1;
-        if inst.refs == 0 {
-            self.free_recursive(r);
-        }
-    }
-
-    /// Frees `r` and releases its children; inline units go with it.
-    fn free_recursive(&mut self, r: InstanceRef) {
-        let node = NodeId(r.node);
-        let leaves_len = self.layout.leaves_of_node[node.index()].len();
-        let mut children: Vec<InstanceRef> = Vec::new();
-        let mut intrusive_children: Vec<(usize, InstanceRef)> = Vec::new();
-        for i in 0..leaves_len {
-            match &self.store.get(r).prims[i] {
-                PrimInst::Map(EdgeContainer::Intrusive { slot, .. }) => {
-                    let slot = *slot as usize;
-                    self.store.cont_for_each(r, i, |_, c| {
-                        intrusive_children.extend(c.node().map(|c| (slot, c)))
-                    });
-                }
-                PrimInst::Map(_) => {
-                    self.store
-                        .cont_for_each(r, i, |_, c| children.extend(c.node()));
-                }
-                PrimInst::Unit(_) => {}
-            }
-        }
-        Arc::make_mut(&mut self.store).free(r);
-        // Intrusive children carry stale links to the freed parent's list;
-        // reset them before releasing the reference.
-        for (slot, c) in intrusive_children {
-            Arc::make_mut(&mut self.store).get_mut(c).links[slot] = Link::default();
-            self.decref(c);
-        }
-        for c in children {
-            self.decref(c);
-        }
-    }
-
-    /// `update r s u` (§2, §4.5): merges `changes` into the unique tuple
-    /// matching key pattern `pattern`. Returns `Ok(false)` when no tuple
-    /// matches.
-    ///
-    /// As in the paper, only the common case is supported: the pattern must
-    /// be a key for the relation and must not overlap the changed columns —
-    /// so updates never merge tuples.
-    ///
-    /// **Keyed path.** With FD checking off, a non-empty pattern, changes to
-    /// unit columns only, and a pattern that names every edge key on the
-    /// canonical paths of the nodes holding those units and exactly the keys
-    /// of one node's path (the witness), the update locates its units
-    /// directly: it follows those paths read-only, reports `false` if one of
-    /// them is absent, returns `true` without writing if every changed
-    /// value is already stored, and otherwise overwrites the changed values
-    /// where they lie. No plan runs and no tuple is built; a warm keyed
-    /// update allocates nothing.
-    ///
-    /// **Walk.** Every other update — FD checking on, a change to an edge
-    /// key or node binding, a unit reached through a column the pattern
-    /// leaves free, no node located by the pattern alone — finds the stored
-    /// tuple by one planned key probe and projects it. When only unit
-    /// columns change it is then rewritten in place as above; otherwise it
-    /// executes as remove + insert, reusing the relation's machinery.
-    ///
-    /// Either way the query signature the update exercises is recorded in
-    /// the workload profile.
-    ///
-    /// # Errors
-    ///
-    /// * [`OpError::PatternNotKey`] — `∆ ⊬ dom s → C`.
-    /// * [`OpError::UpdateOverlapsPattern`] — `dom s ∩ dom u ≠ ∅`.
-    /// * [`OpError::ForeignColumns`] — columns outside the relation.
-    /// * [`OpError::FdViolation`] — the updated relation would violate `∆`
-    ///   (checked when FD checking is enabled).
-    pub fn update(&mut self, pattern: &Tuple, changes: &Tuple) -> Result<bool, OpError> {
-        let foreign = (pattern.dom() | changes.dom()) - self.spec.cols();
-        if !foreign.is_empty() {
-            return Err(OpError::ForeignColumns { cols: foreign });
-        }
-        if !self.spec.fds().implies(pattern.dom(), self.spec.cols()) {
-            return Err(OpError::PatternNotKey {
-                pattern: pattern.dom(),
-            });
-        }
-        let overlap = pattern.dom() & changes.dom();
-        if !overlap.is_empty() {
-            return Err(OpError::UpdateOverlapsPattern { overlap });
-        }
-        // An update *is* a key query followed by a (possibly structural)
-        // rewrite; record the query signature it exercises. The structural
-        // path's inner remove + insert record their own counters below.
-        let all = self.spec.cols();
-        self.record_query(pattern.dom(), ColSet::EMPTY, all);
-        if let Some(witness) = self.keyed_witness(pattern.dom(), changes.dom()) {
-            let Some(changed) = self.locate_units(pattern, changes, Some(witness)) else {
-                return Ok(false);
-            };
-            if !changed.is_empty() {
-                self.write_units(pattern, changes, changed);
-            }
-            return Ok(true);
-        }
-        let plan = self.planned(pattern.dom(), all)?;
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let mut t_old: Option<Tuple> = None;
-        for_each_matching(
-            &self.store,
-            &self.d,
-            &self.layout,
-            self.root,
-            &plan,
-            &mut scratch,
-            pattern,
-            pattern.dom(),
-            // The pattern is a key, so every emission is the one tuple.
-            &mut |b| {
-                if t_old.is_none() {
-                    t_old = Some(b.project(all));
-                }
-            },
-        );
-        self.scratch = scratch;
-        let Some(t_old) = t_old else {
-            return Ok(false);
-        };
-        // In place when only unit payloads change: `t_old` then still
-        // locates every instance, and the located units say what differs.
-        let in_place = changes.dom().is_disjoint(self.layout.structural_cols);
-        let changed: ColSet = if in_place {
-            self.locate_units(&t_old, changes, None)
-                .expect("the probed tuple is stored")
-        } else {
-            changes
-                .iter()
-                .filter(|&(c, v)| t_old.get(c) != Some(v))
-                .map(|(c, _)| c)
-                .collect()
-        };
-        if changed.is_empty() {
-            return Ok(true);
-        }
-        let t_new = self.check_fds.then(|| t_old.merge(changes));
-        if let Some(t_new) = &t_new {
-            self.check_fds_against(t_new, Some(&t_old))?;
-        }
-        if in_place {
-            self.write_units(&t_old, changes, changed);
-        } else {
-            let removed = self.remove(&t_old)?;
-            debug_assert_eq!(removed, 1);
-            let inserted = self.insert(t_new.unwrap_or_else(|| t_old.merge(changes)))?;
-            debug_assert!(inserted);
-        }
-        Ok(true)
-    }
-
-    /// The witness node of the keyed update path (see
-    /// [`update`](SynthRelation::update)) for a pattern over `pat` changing
-    /// `changes`, or `None` when the update must walk. The witness's
-    /// canonical path binds exactly the pattern's columns, so its instance
-    /// (an inline leaf's entry) exists iff the row does — a node located by
-    /// part of the pattern only says that some row agrees on that part.
-    fn keyed_witness(&self, pat: ColSet, changes: ColSet) -> Option<NodeId> {
-        let layout = &self.layout;
-        if self.check_fds || pat.is_empty() || !changes.is_disjoint(layout.structural_cols) {
-            return None;
-        }
-        let mut witness = None;
-        for (n, units) in layout.unit_leaves.iter().enumerate() {
-            let keys = layout.path_key_of_node[n];
-            let touched = units.iter().any(|(_, c)| !c.is_disjoint(changes));
-            if !keys.is_subset(pat) {
-                if touched {
-                    return None;
-                }
-                continue;
-            }
-            // Prefer a node the update locates anyway.
-            if keys == pat && (witness.is_none() || touched) {
-                witness = Some(NodeId(n as u16));
-            }
-        }
-        witness
-    }
-
-    /// Locates, along `t`'s valuation, every node holding a unit leaf with a
-    /// column of `changes`, and `witness`: the instance — for an inline
-    /// leaf, the parent whose entry holds it — goes into the relation's
-    /// per-node buffer for [`write_units`](SynthRelation::write_units).
-    /// Read-only. Returns the columns of `changes` whose value differs from
-    /// a located unit's, or `None` when some node (or inline entry) is
-    /// absent.
-    fn locate_units(
-        &mut self,
-        t: &Tuple,
-        changes: &Tuple,
-        witness: Option<NodeId>,
-    ) -> Option<ColSet> {
-        let mut resolved = self.take_resolved();
-        let mut kb = std::mem::take(&mut self.key_scratch);
-        let differing = |u: &Tuple, cols: ColSet| -> ColSet {
-            changes
-                .iter()
-                .filter(|&(c, v)| cols.contains(c) && u.get(c) != Some(v))
-                .map(|(c, _)| c)
-                .collect()
-        };
-        let mut locate_all = || -> Option<ColSet> {
-            let mut changed = ColSet::EMPTY;
-            for (n, units) in self.layout.unit_leaves.iter().enumerate() {
-                let touched = units.iter().any(|(_, c)| !c.is_disjoint(changes.dom()));
-                if !touched && witness != Some(NodeId(n as u16)) {
-                    continue;
-                }
-                let path = &self.layout.path_of_node[n];
-                changed = changed
-                    | if let Some(cols) = self.layout.inline_unit[n] {
-                        let (&e, above) =
-                            path.split_last().expect("an inline leaf is not the root");
-                        let parent = self.locate(above, t, &mut kb)?;
-                        t.write_key_into(self.d.edge(e).key, &mut kb);
-                        let leaf = self.layout.leaf_of_edge[e.index()];
-                        let Some(ChildRef::Unit(u)) = self.store.cont_get(parent, leaf, &kb) else {
-                            return None;
-                        };
-                        resolved[n] = Some(parent);
-                        differing(u, cols)
-                    } else {
-                        let inst = self.locate(path, t, &mut kb)?;
-                        resolved[n] = Some(inst);
-                        let prims = &self.store.get(inst).prims;
-                        units
-                            .iter()
-                            .fold(ColSet::EMPTY, |s, &(leaf, cols)| match &prims[leaf] {
-                                PrimInst::Unit(u) => s | differing(u, cols),
-                                PrimInst::Map(_) => unreachable!("unit leaf expected"),
-                            })
-                    };
-            }
-            Some(changed)
-        };
-        let changed = locate_all();
-        self.key_scratch = kb;
-        self.resolved = resolved;
-        changed
-    }
-
-    /// Overwrites, in every unit leaf [`locate_units`](SynthRelation::locate_units)
-    /// just located along `t`'s valuation, the values of the `changed`
-    /// columns with those of `changes` (none of them structural). One
-    /// `Arc::make_mut` of the store per update; an inline leaf's unit is
-    /// rewritten in its parent's entry.
-    fn write_units(&mut self, t: &Tuple, changes: &Tuple, changed: ColSet) {
-        let mut kb = std::mem::take(&mut self.key_scratch);
-        let store = Arc::make_mut(&mut self.store);
-        for (n, units) in self.layout.unit_leaves.iter().enumerate() {
-            if units.iter().all(|(_, c)| c.is_disjoint(changed)) {
-                continue;
-            }
-            let inst = self.resolved[n].expect("located before the write");
-            if let Some(cols) = self.layout.inline_unit[n] {
-                let &e = self.layout.path_of_node[n].last().expect("not the root");
-                t.write_key_into(self.d.edge(e).key, &mut kb);
-                let leaf = self.layout.leaf_of_edge[e.index()];
-                if let Some(Child::Unit(u)) = store.cont_get_mut(inst, leaf, &kb) {
-                    set_changed(u, changes, cols & changed);
-                }
-                continue;
-            }
-            let prims = &mut store.get_mut(inst).prims;
-            for &(leaf, cols) in units {
-                match &mut prims[leaf] {
-                    PrimInst::Unit(u) => set_changed(u, changes, cols & changed),
-                    PrimInst::Map(_) => unreachable!("unit leaf expected"),
-                }
-            }
-        }
-        self.key_scratch = kb;
-    }
-
-    /// Follows `path` (edges from the root) along `t`'s valuation, probing
-    /// through the caller's reusable key buffer; returns the instance it
-    /// ends at.
-    fn locate(
-        &self,
-        path: &[EdgeId],
-        t: &Tuple,
-        kb: &mut Vec<relic_spec::Value>,
-    ) -> Option<InstanceRef> {
-        let mut inst = self.root;
-        for &e in path {
-            let edge = self.d.edge(e);
-            t.write_key_into(edge.key, kb);
-            inst = self
-                .store
-                .cont_get(inst, self.layout.leaf_of_edge[e.index()], kb)?
-                .node()?;
-        }
-        Some(inst)
     }
 
     /// The abstraction function α: the reference [`Relation`] this instance
@@ -2093,6 +664,14 @@ impl SynthRelation {
     }
 }
 
+/// An empty store for `d`: its root instance alone.
+pub(crate) fn fresh_store(d: &Decomposition, layout: &Layout) -> (Arc<Store>, InstanceRef) {
+    let mut store = Store::new(d);
+    let root_inst = layout.new_instance(d, d.root(), Box::new([]), |_, c| Tuple::empty().project(c));
+    let root = store.alloc(d.root(), root_inst);
+    (Arc::new(store), root)
+}
+
 /// Forwards to the inherent getters and streaming primitives above; the
 /// derived forms are the trait's.
 impl RelRead for SynthRelation {
@@ -2123,133 +702,6 @@ impl RelRead for SynthRelation {
     ) -> Result<(), OpError> {
         SynthRelation::query_where_for_each_bindings(self, scratch, pattern, out, f)
     }
-}
-
-/// Per-edge container accumulation state for the batched walk (see
-/// [`SynthRelation::dinsert_batch`]): while `parent`'s group is walked, the
-/// edge's `(key, child)` entries collect here instead of being inserted one
-/// at a time; `flush` assembles them into the parent's container wholesale.
-struct EdgeAcc {
-    leaf: usize,
-    ds: relic_decomp::DsKind,
-    eligible: bool,
-    parent: Option<InstanceRef>,
-    entries: Vec<(Key, Child)>,
-    ascending: bool,
-}
-
-impl EdgeAcc {
-    /// Buffers one entry for the current parent, noting whether the keys
-    /// still arrive in ascending order.
-    fn push(&mut self, key: Key, child: Child) {
-        if let Some((last, _)) = self.entries.last() {
-            self.ascending &= *last < key;
-        }
-        self.entries.push((key, child));
-    }
-
-    /// Builds the accumulated entries into the current parent's container
-    /// through the container's bulk constructor — `from_sorted` when the
-    /// keys arrived in ascending order (the common case under the batch
-    /// sort), the sorting bulk build otherwise. Child reference counts were
-    /// already bumped when each entry was accumulated.
-    fn flush(&mut self, store: &mut Store) {
-        use relic_containers::{AssocVec, AvlMap, DListMap, HashTable, SortedVecMap};
-        use relic_decomp::DsKind;
-        let Some(parent) = self.parent.take() else {
-            return;
-        };
-        if self.entries.is_empty() {
-            return;
-        }
-        // The next group is probably as large as this one: its buffer is
-        // sized once. `htable`, `sortedvec` and `vec` adopt the buffer, so
-        // growing it by doubling would leave every group's discarded copies
-        // as holes between the instances (and a mostly-free heap that the
-        // allocator trims and faults in again on the next load).
-        let next = Vec::with_capacity(self.entries.len());
-        let mut entries = std::mem::replace(&mut self.entries, next);
-        if entries.capacity() > 2 * entries.len() {
-            entries.shrink_to_fit(); // a much smaller group than the last
-        }
-        let cont = match self.ds {
-            DsKind::HashTable => EdgeContainer::Hash(HashTable::from_batch(entries)),
-            DsKind::AvlTree => EdgeContainer::Avl(if self.ascending {
-                AvlMap::from_sorted(entries)
-            } else {
-                AvlMap::bulk_build(entries)
-            }),
-            DsKind::SortedVec => EdgeContainer::Sorted(if self.ascending {
-                SortedVecMap::from_sorted(entries)
-            } else {
-                let mut m = SortedVecMap::new();
-                m.bulk_insert(entries);
-                m
-            }),
-            DsKind::AssocVec => EdgeContainer::Assoc(AssocVec::from_batch(entries)),
-            DsKind::DList => EdgeContainer::DList(DListMap::from_batch(entries)),
-            DsKind::IntrusiveList => unreachable!("intrusive edges are never bulk-assembled"),
-        };
-        store.cont_install(parent, self.leaf, cont);
-        self.ascending = true;
-    }
-}
-
-/// Overwrites the values of the `hit` columns of unit `u` with those of
-/// `changes`; a no-op when `hit` is empty.
-fn set_changed(u: &mut Tuple, changes: &Tuple, hit: ColSet) {
-    for (c, v) in changes.iter().filter(|&(c, _)| hit.contains(c)) {
-        u.set(c, v.clone());
-    }
-}
-
-/// Is `key` exactly the set of the first `m` columns of the sort sequence,
-/// for some `m`? Then sorting by the sequence makes equal-`key` runs
-/// contiguous.
-fn key_is_sort_prefix(key: ColSet, seq: &[relic_spec::ColId]) -> bool {
-    let mut acc = ColSet::EMPTY;
-    for &c in seq {
-        if acc == key {
-            return true;
-        }
-        if !key.contains(c) {
-            return false;
-        }
-        acc = acc | c;
-    }
-    acc == key
-}
-
-/// Streams every stored tuple extending `t`'s projection onto
-/// `pattern_cols` through `f`, as full-tuple bindings, running `plan` (which
-/// must have been lowered for exactly that signature).
-///
-/// A free function (rather than a method) so mutation paths can run it with
-/// a scratch accumulator taken out of the relation while still borrowing the
-/// store — the borrow-splitting that makes `insert`'s and `update`'s probes
-/// reuse one buffer.
-#[allow(clippy::too_many_arguments)]
-fn for_each_matching(
-    store: &Store,
-    d: &Decomposition,
-    layout: &Layout,
-    root: InstanceRef,
-    plan: &Block,
-    scratch: &mut Bindings,
-    t: &Tuple,
-    pattern_cols: ColSet,
-    f: &mut dyn FnMut(&Bindings),
-) {
-    // Loads `t`'s projection onto `pattern_cols` without materializing it.
-    debug_assert!(pattern_cols.is_subset(t.dom()), "pattern column absent");
-    scratch.load(t.iter().filter(|(c, _)| pattern_cols.contains(*c)));
-    let env = ExecEnv {
-        store,
-        d,
-        layout,
-        cmp: &Pattern::new(),
-    };
-    exec_block(&env, plan, root, scratch, &mut |b| f(b));
 }
 
 #[cfg(test)]

@@ -10,6 +10,14 @@
 //! `relic_codegen`'s emitter walk the optimized IR and never re-derive
 //! binding information.
 //!
+//! Writes have their own form, a [`WriteBlock`] of [`WriteStep`]s: §4.4's
+//! find-or-create insert, §4.5's cut removal and the in-place update, each
+//! lowered once per decomposition (see [`crate::lower_insert`],
+//! [`crate::lower_remove`], [`crate::lower_update`]). A write step names the
+//! node or edge it addresses and the row positions of the key columns it
+//! probes with, so the interpreter runs it over a row of values and the
+//! emitter renders it without deriving a walk of its own.
+//!
 //! [`Plan`]: crate::Plan
 
 use relic_decomp::{EdgeId, NodeId};
@@ -194,6 +202,184 @@ impl fmt::Display for Step {
                 then,
             } => write!(f, "hashjoin(on={} {build}, {probe}, {then})", set(*on)),
             Step::Emit { .. } => write!(f, "emit"),
+        }
+    }
+}
+
+/// One edge as a write step follows it: from the parent's instance, probe
+/// (or fill) the container of leaf `leaf` with the row's values at `key`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Hop {
+    /// The edge.
+    pub edge: EdgeId,
+    /// Its source node.
+    pub from: NodeId,
+    /// Its target node.
+    pub to: NodeId,
+    /// The edge's leaf index among the leaves of `from`'s body.
+    pub leaf: usize,
+    /// Row positions of the edge's key columns, in ascending column order.
+    pub key: Box<[u16]>,
+}
+
+/// A lowered write: steps run in order over one row, whose values are the
+/// columns `cols` in ascending column order. Every step's parent is
+/// resolved by an earlier step (or is the root).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct WriteBlock {
+    /// The columns of the row the block runs over.
+    pub cols: ColSet,
+    /// The steps.
+    pub steps: Vec<WriteStep>,
+}
+
+/// One write step. Insert blocks hold `Create`, `Link` and `Store`;
+/// removal blocks `Resolve`, `Break`, `Free` and `Reclaim`; update blocks
+/// `Resolve` and `Set`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum WriteStep {
+    /// Resolve `node`'s instance through the first hop of `via` whose
+    /// parent's container holds the row's key, or create it — keyed by the
+    /// row's values at `bound`, unit leaves filled from the row — when none
+    /// does.
+    Create {
+        /// The node.
+        node: NodeId,
+        /// Its incoming edges.
+        via: Box<[Hop]>,
+        /// Row positions of the node's bound columns.
+        bound: Box<[u16]>,
+        /// Row positions of the columns of the node's unit leaves, leaf
+        /// after leaf.
+        units: Box<[u16]>,
+    },
+    /// Enter `node`'s instance into the container of `hop`, unless the
+    /// row's key is already there.
+    Link {
+        /// The linked node (`hop.to`).
+        node: NodeId,
+        /// The edge.
+        hop: Hop,
+    },
+    /// `node` is an inline leaf (see [`crate::inline_units`]): store its
+    /// unit — the row's values at `unit` — in the entry of `hop`, its one
+    /// incoming edge, unless the row's key is already there.
+    Store {
+        /// The inline leaf.
+        node: NodeId,
+        /// Its incoming edge.
+        hop: Hop,
+        /// Row positions of the node's bound columns.
+        bound: Box<[u16]>,
+        /// The unit's columns.
+        cols: ColSet,
+        /// Row positions of the unit's columns.
+        unit: Box<[u16]>,
+    },
+    /// Follow `hop` from its parent's instance to the row's instance of
+    /// `node`. The node is unresolved when the parent is or the key is
+    /// absent. An inline leaf has no instance: its entry is the parent's.
+    Resolve {
+        /// The node resolved (`hop.to`).
+        node: NodeId,
+        /// The edge followed.
+        hop: Hop,
+    },
+    /// Remove the row's entry from the container of `hop`, an edge
+    /// crossing the cut, dropping one reference to the child it held.
+    Break {
+        /// The crossing edge.
+        hop: Hop,
+    },
+    /// Free the row's instance of `node`, below the cut, once nothing
+    /// references it. Below the root, the whole relation goes.
+    Free {
+        /// The node.
+        node: NodeId,
+    },
+    /// If the row's instance of `node`, above the cut and holding no unit
+    /// leaf, has emptied, unlink it from every edge of `via` and free it.
+    Reclaim {
+        /// The node.
+        node: NodeId,
+        /// Its incoming edges.
+        via: Box<[Hop]>,
+    },
+    /// Overwrite, in the unit leaf `leaf` of the row's instance of `node`,
+    /// the changed values among `cols`. For an inline leaf the unit is the
+    /// entry of `entry` in the parent's container.
+    Set {
+        /// The node holding the unit.
+        node: NodeId,
+        /// The unit leaf's index among the leaves of `node`'s body.
+        leaf: usize,
+        /// The unit's columns.
+        cols: ColSet,
+        /// The incoming edge whose entry holds an inline leaf's unit.
+        entry: Option<Hop>,
+    },
+}
+
+impl fmt::Display for WriteBlock {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for (i, s) in self.steps.iter().enumerate() {
+            if i > 0 {
+                write!(f, "; ")?;
+            }
+            write!(f, "{s}")?;
+        }
+        Ok(())
+    }
+}
+
+impl fmt::Display for WriteStep {
+    /// Compact rendering for unit tests, e.g. `create(n1 via=e2)`,
+    /// `store(n0 e0)`, `break(e1)`, `set(n0 e0 cols=c)`. Column sets print
+    /// as raw bitset hex.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let via = |f: &mut fmt::Formatter<'_>, hops: &[Hop]| {
+            write!(f, " via=")?;
+            for (i, h) in hops.iter().enumerate() {
+                let sep = if i > 0 { "," } else { "" };
+                write!(f, "{sep}e{}", h.edge.index())?;
+            }
+            Ok(())
+        };
+        match self {
+            WriteStep::Create { node, via: hops, .. } => {
+                write!(f, "create(n{}", node.index())?;
+                via(f, hops)?;
+                write!(f, ")")
+            }
+            WriteStep::Link { hop, .. } => write!(f, "link(e{})", hop.edge.index()),
+            WriteStep::Store { node, hop, .. } => {
+                write!(f, "store(n{} e{})", node.index(), hop.edge.index())
+            }
+            WriteStep::Resolve { node, hop } => {
+                write!(f, "resolve(n{} e{})", node.index(), hop.edge.index())
+            }
+            WriteStep::Break { hop } => write!(f, "break(e{})", hop.edge.index()),
+            WriteStep::Free { node } => write!(f, "free(n{})", node.index()),
+            WriteStep::Reclaim { node, via: hops } => {
+                write!(f, "reclaim(n{}", node.index())?;
+                via(f, hops)?;
+                write!(f, ")")
+            }
+            WriteStep::Set {
+                node,
+                leaf,
+                cols,
+                entry,
+            } => match entry {
+                Some(h) => write!(
+                    f,
+                    "set(n{} e{} cols={:x})",
+                    node.index(),
+                    h.edge.index(),
+                    cols.bits()
+                ),
+                None => write!(f, "set(n{} leaf={leaf} cols={:x})", node.index(), cols.bits()),
+            },
         }
     }
 }

@@ -25,10 +25,15 @@
 //!   node it addresses and the columns it binds, checks and filters,
 //! * [`lower_plan`] (`lower`) — aligns a [`Plan`] with the decomposition's
 //!   bodies and lowers it to IR, dissolving `qlr` and `qjoin`,
-//! * [`optimize`] (`peephole`) — the IR's peephole rewrites.
+//! * [`optimize`] (`peephole`) — the IR's peephole rewrites,
+//! * [`WriteBlock`] / [`WriteStep`] (`ir`) and [`lower_insert`] /
+//!   [`lower_remove`] / [`lower_update`] (`lower`) — the write side: §4.4's
+//!   find-or-create insert, §4.5's cut removal and the in-place update,
+//!   lowered once per decomposition.
 //!
-//! The optimized [`Block`] is what both backends run: `relic-core`
-//! *interprets* it (`dqexec`) and `relic-codegen` *compiles* it.
+//! The optimized [`Block`] and the lowered [`WriteBlock`]s are what both
+//! backends run: `relic-core` *interprets* them (`dqexec`, its write
+//! runner) and `relic-codegen` *compiles* them.
 //!
 //! # Example
 //!
@@ -72,8 +77,11 @@ mod planner;
 mod validity;
 
 pub use cost::{CostModel, JoinCostMode};
-pub use ir::{Block, Step};
-pub use lower::lower_plan;
+pub use ir::{Block, Hop, Step, WriteBlock, WriteStep};
+pub use lower::{
+    inline_units, lower_insert, lower_locate, lower_plan, lower_remove, lower_update,
+    structural_cols,
+};
 pub use peephole::{optimize, PeepholeStats};
 pub use plan::{Plan, Side};
 pub use planner::{PlanError, PlannedQuery, Planner};

@@ -6,10 +6,16 @@
 //! sets once for both backends. `qlr` selects its side here; `qjoin(first,
 //! second)` dissolves by grafting `second`'s steps at `first`'s emit points,
 //! and `qhashjoin` becomes a [`Step::HashJoin`] with static join columns.
+//!
+//! The write side lowers the decomposition itself, once: [`lower_insert`]
+//! is §4.4's topological find-or-create, [`lower_remove`] §4.5's cut
+//! removal, [`lower_update`] the in-place update's locate-and-set. Each
+//! step carries the edge it follows, the edge's leaf index and the row
+//! positions of its key, so neither backend re-derives a walk.
 
-use crate::ir::{Block, Step};
+use crate::ir::{Block, Hop, Step, WriteBlock, WriteStep};
 use crate::{Plan, PlanError, Side};
-use relic_decomp::{Body, Decomposition, NodeId};
+use relic_decomp::{Body, Cut, Decomposition, EdgeId, NodeId};
 use relic_spec::ColSet;
 
 /// Lowers `plan`, planned for `d`'s root, to IR.
@@ -167,6 +173,308 @@ fn sides<'b>(side: Side, l: &'b Body, r: &'b Body, leaf: usize) -> [(&'b Body, u
     }
 }
 
+/// For each node, its unit columns `C` if it is an *inline leaf*: not the
+/// root, body exactly `unit C`, one incoming edge, not an intrusive list.
+/// The interpreter stores such a leaf's units in that edge's container
+/// entries, so it has no instances; its insert step is a
+/// [`WriteStep::Store`].
+pub fn inline_units(d: &Decomposition) -> Vec<Option<ColSet>> {
+    d.nodes()
+        .map(|(id, node)| match (&node.body, d.incoming_edges(id)) {
+            (Body::Unit(c), [e]) if id != d.root() && !d.edge(*e).ds.is_intrusive() => Some(*c),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Every column of an edge key or a node binding: a change to one moves a
+/// tuple between instances, so an update touching one cannot run in place.
+pub fn structural_cols(d: &Decomposition) -> ColSet {
+    d.edges().fold(ColSet::EMPTY, |s, (_, e)| s | e.key)
+        | d.nodes().fold(ColSet::EMPTY, |s, (_, n)| s | n.bound)
+}
+
+/// Lowers §4.4's `dinsert` for `d`: every node below the root in
+/// topological order, root first — a [`WriteStep::Create`] and one
+/// [`WriteStep::Link`] per incoming edge, or a [`WriteStep::Store`] for an
+/// inline leaf. The row is a full tuple of the root's columns.
+///
+/// # Errors
+///
+/// [`PlanError::WriteMisaligned`] if a node's parent does not precede it.
+pub fn lower_insert(d: &Decomposition) -> Result<WriteBlock, PlanError> {
+    let mut w = WriteLowering::new(d, d.node(d.root()).cols);
+    let inline = inline_units(d);
+    let mut steps = Vec::new();
+    for node in d.topo_root_first().filter(|&n| n != d.root()) {
+        let bound = w.positions(d.node(node).bound)?;
+        let via = w.hops(d.incoming_edges(node))?;
+        if let Some(cols) = inline[node.index()] {
+            let Some(hop) = via.into_vec().pop() else {
+                return Err(w.err("an inline leaf without its edge"));
+            };
+            let unit = w.positions(cols)?;
+            steps.push(WriteStep::Store {
+                node,
+                hop,
+                bound,
+                cols,
+                unit,
+            });
+        } else {
+            let links: Vec<WriteStep> = via
+                .iter()
+                .map(|hop| WriteStep::Link {
+                    node,
+                    hop: hop.clone(),
+                })
+                .collect();
+            let unit_cols = d.node(node).body.leaves().into_iter().map(|b| match b {
+                Body::Unit(c) => w.positions(*c),
+                _ => Ok(Box::default()),
+            });
+            let units: Vec<Box<[u16]>> = unit_cols.collect::<Result<_, _>>()?;
+            steps.push(WriteStep::Create {
+                node,
+                via,
+                bound,
+                units: units.concat().into(),
+            });
+            steps.extend(links);
+        }
+        w.resolved[node.index()] = true;
+    }
+    Ok(WriteBlock {
+        cols: w.row,
+        steps,
+    })
+}
+
+/// Lowers §4.5's removal of one stored row for `cut`: a
+/// [`WriteStep::Resolve`] of every node below the root along its canonical
+/// edge (topological order), a [`WriteStep::Break`] per crossing edge, a
+/// [`WriteStep::Free`] per node below the cut and a [`WriteStep::Reclaim`]
+/// per node above it that holds no unit leaf (children first). When the
+/// root itself is below the cut the block is one `Free` of the root.
+///
+/// # Errors
+///
+/// [`PlanError::WriteMisaligned`] if `cut` was not computed for `d` or has
+/// an edge from below the cut back above it.
+pub fn lower_remove(d: &Decomposition, cut: &Cut) -> Result<WriteBlock, PlanError> {
+    let mut w = WriteLowering::new(d, d.node(d.root()).cols);
+    if cut.below.len() != d.node_count() {
+        return Err(w.err("the cut is of another decomposition"));
+    }
+    let mut crossing = Vec::new();
+    for (id, e) in d.edges() {
+        match (cut.is_below(e.from), cut.is_below(e.to)) {
+            (true, false) => return Err(w.err(format!("e{} leaves the cut upwards", id.index()))),
+            (false, true) => crossing.push(id),
+            _ => {}
+        }
+    }
+    if crossing != cut.crossing {
+        return Err(w.err("the cut's crossing edges are not this decomposition's"));
+    }
+    if cut.is_below(d.root()) {
+        return Ok(WriteBlock {
+            cols: w.row,
+            steps: vec![WriteStep::Free { node: d.root() }],
+        });
+    }
+    let mut steps = Vec::new();
+    for node in d.topo_root_first().filter(|&n| n != d.root()) {
+        let hop = w.hop(d.incoming_edges(node)[0])?;
+        steps.push(WriteStep::Resolve { node, hop });
+        w.resolved[node.index()] = true;
+    }
+    for &e in &crossing {
+        steps.push(WriteStep::Break { hop: w.hop(e)? });
+    }
+    let has_unit = |n: NodeId| d.node(n).body.leaves().iter().any(|l| matches!(l, Body::Unit(_)));
+    let below = d.nodes().filter(|&(n, _)| n != d.root() && cut.is_below(n));
+    steps.extend(below.map(|(node, _)| WriteStep::Free { node }));
+    for (node, _) in d.nodes() {
+        if node != d.root() && !cut.is_below(node) && !has_unit(node) {
+            let via = w.hops(d.incoming_edges(node))?;
+            steps.push(WriteStep::Reclaim { node, via });
+        }
+    }
+    Ok(WriteBlock {
+        cols: w.row,
+        steps,
+    })
+}
+
+/// Lowers the in-place update of the unit columns among `changes`, over a
+/// row of the columns `row`. It locates every node holding a unit leaf
+/// with a column in `changes` and, unless one of those is, a *witness*:
+/// the first node holding a unit leaf whose canonical path binds exactly
+/// `row`. A witness's instance (an inline leaf's entry) exists iff a row
+/// with these values is stored, so locating it tells an absent row from a
+/// present one. Per located node
+/// (let order): the [`WriteStep::Resolve`]s along its canonical path (see
+/// [`lower_locate`]), then a [`WriteStep::Set`] per unit leaf. An inline
+/// leaf's `Set` names the edge whose entry holds its unit instead of
+/// resolving the leaf.
+///
+/// # Errors
+///
+/// [`PlanError::WriteMisaligned`] if `row` does not bind an edge key on one
+/// of those paths, or `changes` holds a structural column (see
+/// [`structural_cols`]).
+pub fn lower_update(d: &Decomposition, row: ColSet, changes: ColSet) -> Result<WriteBlock, PlanError> {
+    let mut w = WriteLowering::new(d, row);
+    let moved = changes & structural_cols(d);
+    if !moved.is_empty() {
+        return Err(w.err(format!("columns {:x} move tuples between instances", moved.bits())));
+    }
+    let inline = inline_units(d);
+    let units_of = |n: &relic_decomp::Node| -> Vec<(usize, ColSet)> {
+        let leaves = n.body.leaves().into_iter().enumerate();
+        leaves
+            .filter_map(|(leaf, b)| match b {
+                Body::Unit(cols) => Some((leaf, *cols)),
+                _ => None,
+            })
+            .collect()
+    };
+    let touches = |n: &relic_decomp::Node| units_of(n).iter().any(|(_, c)| !c.is_disjoint(changes));
+    let witnesses = d
+        .nodes()
+        .filter(|(id, n)| !units_of(n).is_empty() && path_key(d, *id) == row);
+    let mut witness = None;
+    for (id, n) in witnesses {
+        witness.get_or_insert(id);
+        if touches(n) {
+            witness = None;
+            break;
+        }
+    }
+    let mut steps = Vec::new();
+    for (node, n) in d.nodes() {
+        let units = units_of(n);
+        if units.is_empty() || !(touches(n) || witness == Some(node)) {
+            continue;
+        }
+        let mut path = w.canonical_path(node)?;
+        let entry = inline[node.index()].and_then(|_| path.pop());
+        steps.extend(path.into_iter().map(|hop| WriteStep::Resolve { node: hop.to, hop }));
+        steps.extend(units.into_iter().map(|(leaf, cols)| WriteStep::Set {
+            node,
+            leaf,
+            cols,
+            entry: entry.clone(),
+        }));
+    }
+    Ok(WriteBlock { cols: row, steps })
+}
+
+/// The key columns of the edges on `node`'s canonical path.
+fn path_key(d: &Decomposition, mut node: NodeId) -> ColSet {
+    let mut key = ColSet::EMPTY;
+    while node != d.root() {
+        let e = d.edge(d.incoming_edges(node)[0]);
+        key = key | e.key;
+        node = e.from;
+    }
+    key
+}
+
+/// The [`WriteStep::Resolve`]s that locate `node`'s instance from the root
+/// over a row of the columns `row`: one per edge of its canonical path (the
+/// first incoming edge at every hop), root first.
+///
+/// # Errors
+///
+/// [`PlanError::WriteMisaligned`] if `row` does not bind a key on the path.
+pub fn lower_locate(d: &Decomposition, row: ColSet, node: NodeId) -> Result<WriteBlock, PlanError> {
+    let path = WriteLowering::new(d, row).canonical_path(node)?;
+    let steps = path.into_iter().map(|hop| WriteStep::Resolve { node: hop.to, hop });
+    Ok(WriteBlock {
+        cols: row,
+        steps: steps.collect(),
+    })
+}
+
+/// Shared state of the write lowerings: the row's columns and which nodes
+/// earlier steps resolved.
+struct WriteLowering<'a> {
+    d: &'a Decomposition,
+    row: ColSet,
+    resolved: Vec<bool>,
+}
+
+impl<'a> WriteLowering<'a> {
+    fn new(d: &'a Decomposition, row: ColSet) -> Self {
+        let mut resolved = vec![false; d.node_count()];
+        resolved[d.root().index()] = true;
+        WriteLowering { d, row, resolved }
+    }
+
+    fn err(&self, reason: impl Into<String>) -> PlanError {
+        PlanError::WriteMisaligned {
+            reason: reason.into(),
+        }
+    }
+
+    /// The row positions of `cols`.
+    fn positions(&self, cols: ColSet) -> Result<Box<[u16]>, PlanError> {
+        cols.iter()
+            .map(|c| {
+                let p = self.row.rank(c).ok_or_else(|| {
+                    self.err(format!("the row does not bind column {}", c.index()))
+                })?;
+                Ok(p as u16)
+            })
+            .collect()
+    }
+
+    /// Edge `e` as a hop, its parent resolved.
+    fn hop(&self, e: EdgeId) -> Result<Hop, PlanError> {
+        let edge = self.d.edge(e);
+        if !self.resolved[edge.from.index()] {
+            return Err(self.err(format!("e{} runs before its parent resolves", e.index())));
+        }
+        let leaves = self.d.node(edge.from).body.leaves();
+        let leaf = leaves
+            .iter()
+            .position(|b| matches!(b, Body::Map(x) if *x == e))
+            .ok_or_else(|| self.err(format!("e{} is no leaf of its parent", e.index())))?;
+        Ok(Hop {
+            edge: e,
+            from: edge.from,
+            to: edge.to,
+            leaf,
+            key: self.positions(edge.key)?,
+        })
+    }
+
+    fn hops(&self, es: &[EdgeId]) -> Result<Box<[Hop]>, PlanError> {
+        es.iter().map(|&e| self.hop(e)).collect()
+    }
+
+    /// The hops of `node`'s canonical path (the first incoming edge at
+    /// every node), root first; each resolves its target.
+    fn canonical_path(&mut self, node: NodeId) -> Result<Vec<Hop>, PlanError> {
+        let mut edges = Vec::new();
+        let mut cur = node;
+        while cur != self.d.root() {
+            let e = self.d.incoming_edges(cur)[0];
+            edges.push(e);
+            cur = self.d.edge(e).from;
+        }
+        let mut path = Vec::with_capacity(edges.len());
+        for &e in edges.iter().rev() {
+            let hop = self.hop(e)?;
+            self.resolved[hop.to.index()] = true;
+            path.push(hop);
+        }
+        Ok(path)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -297,5 +605,144 @@ mod tests {
         let unbound = Plan::lookup(Plan::Unit);
         assert!(lower_plan(&d, &unbound, ColSet::EMPTY, ColSet::EMPTY, cat.all()).is_err());
         assert!(lower_plan(&d, &unbound, k.set(), ColSet::EMPTY, cat.all()).is_ok());
+    }
+}
+
+#[cfg(test)]
+mod write_tests {
+    use super::*;
+    use relic_decomp::{cut, parse};
+    use relic_spec::{Catalog, RelSpec};
+
+    const SCHEDULER: &str = "let w : {ns,pid,state} . {cpu} = unit {cpu} in
+         let y : {ns} . {pid,cpu} = {pid} -[htable]-> w in
+         let z : {state} . {ns,pid,cpu} = {ns,pid} -[dlist]-> w in
+         let x : {} . {ns,pid,state,cpu} =
+           ({ns} -[htable]-> y) join ({state} -[vec]-> z) in x";
+
+    const FLOWS: &str = "let w : {local,remote} . {bytes,pkts} = unit {bytes,pkts} in
+         let y : {local} . {remote,bytes,pkts} = {remote} -[htable]-> w in
+         let x : {} . {local,remote,bytes,pkts} = {local} -[avl]-> y in x";
+
+    fn setup(src: &str, key: &[&str]) -> (Catalog, RelSpec, Decomposition) {
+        let mut cat = Catalog::new();
+        let d = parse(&mut cat, src).unwrap();
+        let k = key
+            .iter()
+            .fold(ColSet::EMPTY, |s, c| s | cat.col(c).unwrap());
+        let spec = RelSpec::new(cat.all()).with_fd(k, cat.all() - k);
+        (cat, spec, d)
+    }
+
+    fn cols(cat: &Catalog, names: &[&str]) -> ColSet {
+        names
+            .iter()
+            .fold(ColSet::EMPTY, |s, c| s | cat.col(c).unwrap())
+    }
+
+    #[test]
+    fn scheduler_insert_finds_or_creates_root_first() {
+        // n0 = w (shared by y and z), n1 = y, n2 = z; e0 = y→w, e1 = z→w,
+        // e2 = x→y, e3 = x→z. The shared w is found through either parent
+        // and linked under both.
+        let (_, _, d) = setup(SCHEDULER, &["ns", "pid"]);
+        assert_eq!(
+            lower_insert(&d).unwrap().to_string(),
+            "create(n2 via=e3); link(e3); create(n1 via=e2); link(e2); \
+             create(n0 via=e0,e1); link(e0); link(e1)"
+        );
+    }
+
+    #[test]
+    fn scheduler_removals_follow_fig_10s_cuts() {
+        let (cat, spec, d) = setup(SCHEDULER, &["ns", "pid"]);
+        // Fig. 10(a): only w is below the {ns, pid} cut; both its edges
+        // cross, and emptied y and z are reclaimed.
+        let c = cut(&d, spec.fds(), cols(&cat, &["ns", "pid"]));
+        assert_eq!(
+            lower_remove(&d, &c).unwrap().to_string(),
+            "resolve(n2 e3); resolve(n1 e2); resolve(n0 e0); break(e0); break(e1); \
+             free(n0); reclaim(n1 via=e2); reclaim(n2 via=e3)"
+        );
+        // Fig. 10(b): z and w are below the {state} cut; x→z and y→w cross.
+        let c = cut(&d, spec.fds(), cols(&cat, &["state"]));
+        assert_eq!(
+            lower_remove(&d, &c).unwrap().to_string(),
+            "resolve(n2 e3); resolve(n1 e2); resolve(n0 e0); break(e0); break(e3); \
+             free(n0); free(n2); reclaim(n1 via=e2)"
+        );
+    }
+
+    #[test]
+    fn scheduler_update_locates_and_sets_the_shared_unit() {
+        let (cat, _, d) = setup(SCHEDULER, &["ns", "pid"]);
+        let (ns_pid, cpu) = (cols(&cat, &["ns", "pid"]), cols(&cat, &["cpu"]));
+        assert_eq!(
+            lower_update(&d, ns_pid, cpu).unwrap().to_string(),
+            "resolve(n1 e2); resolve(n0 e0); set(n0 leaf=0 cols=8)"
+        );
+        // A changed edge key or binding cannot be set in place.
+        assert!(lower_update(&d, ns_pid, cols(&cat, &["state"])).is_err());
+        // Nor can a row that leaves a key on the path unbound locate it.
+        let err = lower_update(&d, cols(&cat, &["ns"]), cpu);
+        assert!(matches!(err, Err(PlanError::WriteMisaligned { .. })), "{err:?}");
+    }
+
+    #[test]
+    fn inline_leaf_is_stored_in_its_parents_entry() {
+        // n0 = w, inline under y (n1); e0 = y→w, e1 = x→y.
+        let (cat, spec, d) = setup(FLOWS, &["local", "remote"]);
+        assert_eq!(inline_units(&d)[0], Some(cols(&cat, &["bytes", "pkts"])));
+        assert_eq!(
+            lower_insert(&d).unwrap().to_string(),
+            "create(n1 via=e1); link(e1); store(n0 e0)"
+        );
+        let key = cols(&cat, &["local", "remote"]);
+        let c = cut(&d, spec.fds(), key);
+        assert_eq!(
+            lower_remove(&d, &c).unwrap().to_string(),
+            "resolve(n1 e1); resolve(n0 e0); break(e0); free(n0); reclaim(n1 via=e1)"
+        );
+        let units = cols(&cat, &["bytes", "pkts"]);
+        assert_eq!(
+            lower_update(&d, key, units).unwrap().to_string(),
+            "resolve(n1 e1); set(n0 e0 cols=c)"
+        );
+    }
+
+    #[test]
+    fn steps_carry_row_positions_of_their_keys() {
+        let (cat, _, d) = setup(FLOWS, &["local", "remote"]);
+        let block = lower_insert(&d).unwrap();
+        let WriteStep::Store { hop, unit, .. } = &block.steps[2] else {
+            panic!("expected the inline store, got {block}");
+        };
+        // Row = (local, remote, bytes, pkts): e0 is keyed by remote.
+        assert_eq!((&*hop.key, &**unit), (&[1u16][..], &[2u16, 3][..]));
+        // Over a key-only row the same edge reads position 1 of (local, remote).
+        let key = cols(&cat, &["local", "remote"]);
+        let upd = lower_update(&d, key, cols(&cat, &["pkts"])).unwrap();
+        let WriteStep::Set { entry: Some(hop), .. } = &upd.steps[1] else {
+            panic!("expected an inline set, got {upd}");
+        };
+        assert_eq!(&*hop.key, &[1u16][..]);
+    }
+
+    #[test]
+    fn a_foreign_or_inverted_cut_is_a_typed_error() {
+        let (cat, spec, d) = setup(SCHEDULER, &["ns", "pid"]);
+        let (fcat, fspec, flows) = setup(FLOWS, &["local", "remote"]);
+        let foreign = cut(&flows, fspec.fds(), cols(&fcat, &["local"]));
+        let err = lower_remove(&d, &foreign);
+        assert!(matches!(err, Err(PlanError::WriteMisaligned { .. })), "{err:?}");
+        // Put x→y's source below the cut and its target above it.
+        let mut inverted = cut(&d, spec.fds(), cols(&cat, &["ns", "pid"]));
+        inverted.below = vec![false, false, false, true];
+        let err = lower_remove(&d, &inverted);
+        assert!(matches!(err, Err(PlanError::WriteMisaligned { .. })), "{err:?}");
+        // Crossing edges that disagree with `below` are refused too.
+        let mut stale = cut(&d, spec.fds(), cols(&cat, &["ns", "pid"]));
+        stale.crossing.pop();
+        assert!(lower_remove(&d, &stale).is_err());
     }
 }

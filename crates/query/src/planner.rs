@@ -26,6 +26,14 @@ pub enum PlanError {
         /// The sub-plan that does not fit.
         plan: String,
     },
+    /// A write does not fit the decomposition it is lowered against: a cut
+    /// taken from another decomposition or with an edge from below the cut
+    /// back above it, a parent not resolved before its child, or an edge
+    /// key the written row does not bind.
+    WriteMisaligned {
+        /// What does not fit.
+        reason: String,
+    },
 }
 
 impl fmt::Display for PlanError {
@@ -37,6 +45,9 @@ impl fmt::Display for PlanError {
             ),
             PlanError::Misaligned { plan } => {
                 write!(f, "plan {plan} does not fit the decomposition body")
+            }
+            PlanError::WriteMisaligned { reason } => {
+                write!(f, "write does not fit the decomposition: {reason}")
             }
         }
     }
