@@ -441,21 +441,16 @@ fn warm_synth_flows_account_allocates_nothing() {
 }
 
 /// A `SynthFlows` flush streams every flow into its output vector, sorts
-/// it and empties the table: the vector is its only allocation besides the
-/// fresh empty store `clear` builds, which is counted on a twin table.
+/// it and empties the table in place: the vector is its only allocation.
 #[test]
 fn warm_synth_flows_flush_allocates_only_its_output() {
-    let (_, mut twin) = flows();
-    let before = allocs();
-    twin.clear();
-    let clear = allocs() - before;
     let (mut table, _) = synth_flows();
     let before = allocs();
     let log = table.flush().unwrap();
     let delta = allocs() - before;
     assert_eq!(log.len(), 512);
     assert!(log.windows(2).all(|w| w[0] < w[1]));
-    assert_eq!(delta, 1 + clear, "flush: {delta}, of which clear: {clear}");
+    assert_eq!(delta, 1, "flush: {delta}");
 }
 
 /// A warm key `insert` + `remove` pair on the IpCap table, FD checking on:

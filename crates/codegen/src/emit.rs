@@ -1455,36 +1455,7 @@ impl<'a> Gen<'a> {
         for c in pattern.iter() {
             env.bind(c, format!("(*{})", self.cname(c)));
         }
-        if !rest.is_empty() {
-            let tys: Vec<String> = rest.iter().map(|c| self.ty(c).rust().to_string()).collect();
-            s.line(format!(
-                "let mut fetched: Option<({},)> = None;",
-                tys.join(", ")
-            ));
-            let (_, ir) = self.build_ir(pattern, None, rest)?;
-            let mut insts = HashMap::new();
-            insts.insert(self.d.root(), "self.root".to_string());
-            let rest2 = rest;
-            self.emit_block(s, &ir, &env.clone(), &insts, &mut |gen, s, env2| {
-                let parts: Vec<String> = rest2
-                    .iter()
-                    .map(|c| {
-                        let e = env2.get(c).expect("fetched col bound");
-                        if gen.ty(c).is_copy() {
-                            e.to_string()
-                        } else {
-                            format!("{e}.clone()")
-                        }
-                    })
-                    .collect();
-                s.line(format!("fetched = Some(({},));", parts.join(", ")));
-            })?;
-            s.line("let Some(fetched) = fetched else { return false; };");
-            for (i, c) in rest.iter().enumerate() {
-                s.line(format!("let v_{} = fetched.{i};", self.cname(c)));
-                env.bind(c, format!("v_{}", self.cname(c)));
-            }
-        }
+        self.emit_fetch(s, pattern, rest, &mut env)?;
 
         // 2. Run the lowered §4.5 removal: locate every instance on the
         //    tuple's path, break the crossing edges, free the instances
@@ -1531,6 +1502,42 @@ impl<'a> Gen<'a> {
         s.line("true");
         s.close("}");
         s.blank();
+        Ok(())
+    }
+
+    /// Emits the fetch of the columns `cols` of the tuple matching the key
+    /// columns bound in `env` (one planned query), binding each as
+    /// `v_<col>`; the emitted code returns `false` when no tuple matches.
+    fn emit_fetch(&mut self, s: &mut Src, key: ColSet, cols: ColSet, env: &mut Env) -> Result<(), CodegenError> {
+        if cols.is_empty() {
+            return Ok(());
+        }
+        let tys: Vec<&str> = cols.iter().map(|c| self.ty(c).rust()).collect();
+        s.line(format!(
+            "let mut fetched: Option<({},)> = None;",
+            tys.join(", ")
+        ));
+        let (_, ir) = self.build_ir(key, None, cols)?;
+        let insts = HashMap::from([(self.d.root(), "self.root".to_string())]);
+        self.emit_block(s, &ir, &env.clone(), &insts, &mut |gen, s, env2| {
+            let parts: Vec<String> = cols
+                .iter()
+                .map(|c| {
+                    let e = env2.get(c).expect("fetched col bound");
+                    if gen.ty(c).is_copy() {
+                        e.to_string()
+                    } else {
+                        format!("{e}.clone()")
+                    }
+                })
+                .collect();
+            s.line(format!("fetched = Some(({},));", parts.join(", ")));
+        })?;
+        s.line("let Some(fetched) = fetched else { return false; };");
+        for (i, c) in cols.iter().enumerate() {
+            s.line(format!("let v_{} = fetched.{i};", self.cname(c)));
+            env.bind(c, format!("v_{}", self.cname(c)));
+        }
         Ok(())
     }
 
@@ -1609,37 +1616,7 @@ impl<'a> Gen<'a> {
             // Structural: fetch, remove, reinsert.
             let rest = self.req.spec.cols() - key;
             let fetched_cols = rest - changes;
-            if !fetched_cols.is_empty() {
-                let tys: Vec<String> = fetched_cols
-                    .iter()
-                    .map(|c| self.ty(c).rust().to_string())
-                    .collect();
-                s.line(format!(
-                    "let mut fetched: Option<({},)> = None;",
-                    tys.join(", ")
-                ));
-                let (_, ir) = self.build_ir(key, None, fetched_cols)?;
-                let mut insts = HashMap::new();
-                insts.insert(self.d.root(), "self.root".to_string());
-                self.emit_block(s, &ir, &env.clone(), &insts, &mut |gen, s, env2| {
-                    let parts: Vec<String> = fetched_cols
-                        .iter()
-                        .map(|c| {
-                            let e = env2.get(c).expect("fetched col bound");
-                            if gen.ty(c).is_copy() {
-                                e.to_string()
-                            } else {
-                                format!("{e}.clone()")
-                            }
-                        })
-                        .collect();
-                    s.line(format!("fetched = Some(({},));", parts.join(", ")));
-                })?;
-                s.line("let Some(fetched) = fetched else { return false; };");
-                for (i, c) in fetched_cols.iter().enumerate() {
-                    s.line(format!("let v_{} = fetched.{i};", self.cname(c)));
-                }
-            }
+            self.emit_fetch(s, key, fetched_cols, &mut env)?;
             let remove_name = format!("remove_by_{}", col_list(cat, key, "_"));
             let rm_args: Vec<String> = key.iter().map(|c| self.cname(c)).collect();
             s.line(format!(

@@ -758,7 +758,8 @@ impl Store {
 
     /// Inserts `key → child` into the container at `(parent, leaf)`,
     /// counting the reference of a child instance.
-    /// The caller must ensure the key is absent (dinsert looks up first).
+    /// The caller must ensure the key is absent (the insert runner looks up
+    /// first).
     pub(crate) fn cont_insert(&mut self, parent: InstanceRef, leaf: usize, key: Key, child: Child) {
         // Intrusive insertion needs link surgery on instances other than the
         // parent, so handle it without holding a borrow of the parent.

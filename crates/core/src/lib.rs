@@ -6,9 +6,12 @@
 //! relational operations with
 //!
 //! * `dempty`/`dinsert` — topological find-or-create over the instance DAG
-//!   (§4.4),
+//!   (§4.4), lowered once per decomposition to a `relic_query::WriteBlock`
+//!   that the `write` module's one runner executes — over one tuple, or over
+//!   a sorted batch reusing each node's previous instance,
 //! * `dremove`/`dupdate` — decomposition *cuts* with cascading reclamation
-//!   and an in-place fast path for unit-only updates (§4.5),
+//!   and an in-place fast path for unit-only updates (§4.5), lowered to
+//!   blocks memoized per pattern and run by the same runner,
 //! * `dqexec` — constant-space interpretation of the §4.3 planner's query
 //!   plans (the `exec` module, crate `relic-query`),
 //! * α / well-formedness — the abstraction function and the Fig. 5 judgment,
@@ -49,7 +52,7 @@ pub use relation::SynthRelation;
 pub use snapshot::Snapshot;
 
 /// A `HashMap` hashed with [`relic_containers::FxHasher`], for the maps
-/// keyed by column-set bits (plan cache, profile counters, memoized cuts):
+/// keyed by column-set bits (plan cache, profile counters, write blocks):
 /// they are never keyed by input data, so they need no flood-resistant hash.
 pub(crate) type FxHashMap<K, V> =
     std::collections::HashMap<K, V, std::hash::BuildHasherDefault<relic_containers::FxHasher>>;

@@ -17,7 +17,7 @@ use crate::instance::{
 };
 use crate::relation::{fresh_store, SynthRelation};
 use relic_decomp::{cut, Decomposition, NodeId};
-use relic_query::{lower_remove, lower_update, Block, PlanError, WriteBlock, WriteStep};
+use relic_query::{lower_remove, lower_update, Block, Hop, PlanError, WriteBlock, WriteStep};
 use relic_spec::{ColId, ColSet, Pattern, Tuple, Value};
 use std::sync::Arc;
 
@@ -41,7 +41,61 @@ pub(crate) struct WriteScratch {
     hit: Vec<bool>,
 }
 
+/// Enters `child` under the row's key of `hop` into `parent`'s container:
+/// buffered while `parent`'s group accumulates (see
+/// [`Writer::insert_rows`]), else inserted unless the key is there — or
+/// without a probe when the caller knows it is `fresh`.
+#[allow(clippy::too_many_arguments)]
+fn enter(
+    store: &mut Store,
+    s: &mut WriteScratch,
+    accs: &mut [EdgeAcc],
+    row: &[Value],
+    hop: &Hop,
+    parent: InstanceRef,
+    fresh: bool,
+    child: impl FnOnce() -> Child,
+) {
+    write_cols(row, &hop.key, &mut s.kb);
+    if let Some(a) = accs.get_mut(hop.edge.index()).filter(|a| a.eligible) {
+        if a.parent != Some(parent) && s.created[hop.from.index()] {
+            // The previous parent's group is over — build its container —
+            // and this freshly created parent (whose container is empty)
+            // takes over.
+            a.flush(store);
+            a.parent = Some(parent);
+        }
+        if a.parent == Some(parent) {
+            // One entry per child group: later members memo-hit. A child
+            // instance's reference is counted here, while it is cache-hot,
+            // not at flush time.
+            let child = child();
+            if let Child::Node(c) = child {
+                store.get_mut(c).refs += 1;
+            }
+            a.push(s.kb.as_slice().into(), child);
+            return;
+        }
+    }
+    if fresh || store.cont_get(parent, hop.leaf, &s.kb).is_none() {
+        store.cont_insert(parent, hop.leaf, s.kb.as_slice().into(), child());
+    }
+}
+
 impl WriteScratch {
+    /// Whether the row repeats the previous row's valuation of node `idx`'s
+    /// bound columns (at `bound`), which it leaves in `bv`.
+    fn repeats(&mut self, idx: usize, row: &[Value], bound: &[u16]) -> bool {
+        write_cols(row, bound, &mut self.bv);
+        self.memo_set[idx] && self.memo_val[idx] == self.bv
+    }
+
+    /// Keeps `bv` as node `idx`'s valuation for the next row.
+    fn remember(&mut self, idx: usize) {
+        self.memo_set[idx] = true;
+        std::mem::swap(&mut self.memo_val[idx], &mut self.bv);
+    }
+
     /// Sizes the per-node buffers for `nn` nodes and forgets the memo.
     fn reset(&mut self, nn: usize, root: NodeId, root_inst: InstanceRef) {
         self.resolved.clear();
@@ -145,13 +199,10 @@ impl Writer<'_> {
                 units,
             } => {
                 let idx = node.index();
-                if memo {
-                    write_cols(row, bound, &mut s.bv);
-                    if s.memo_set[idx] && s.memo_val[idx] == s.bv {
-                        s.resolved[idx] = s.memo_inst[idx];
-                        (s.hit[idx], s.created[idx]) = (true, false);
-                        return;
-                    }
+                if memo && s.repeats(idx, row, bound) {
+                    s.resolved[idx] = s.memo_inst[idx];
+                    (s.hit[idx], s.created[idx]) = (true, false);
+                    return;
                 }
                 let mut found = None;
                 for hop in via.iter() {
@@ -185,43 +236,19 @@ impl Writer<'_> {
                 s.resolved[idx] = Some(inst);
                 (s.hit[idx], s.created[idx]) = (false, created);
                 if memo {
-                    s.memo_set[idx] = true;
                     s.memo_inst[idx] = Some(inst);
-                    std::mem::swap(&mut s.memo_val[idx], &mut s.bv);
+                    s.remember(idx);
                 }
             }
             WriteStep::Link { node, hop } => {
                 let idx = node.index();
-                let (Some(parent), Some(inst)) = (s.resolved[hop.from.index()], s.resolved[idx])
-                else {
-                    return;
-                };
-                if s.hit[idx] {
-                    return;
-                }
-                write_cols(row, &hop.key, &mut s.kb);
-                if let Some(a) = accs.get_mut(hop.edge.index()).filter(|a| a.eligible) {
-                    if a.parent != Some(parent) && s.created[hop.from.index()] {
-                        // The previous parent's group is over — build its
-                        // container — and this freshly created parent
-                        // (whose container is empty) takes over.
-                        a.flush(store);
-                        a.parent = Some(parent);
-                    }
-                    if a.parent == Some(parent) {
-                        // One entry per child group: later members memo-hit.
-                        // The reference count is bumped here, while the
-                        // child is cache-hot, not at flush time.
-                        debug_assert!(s.created[idx], "accumulated entry for a found instance");
-                        a.push(s.kb.as_slice().into(), Child::Node(inst));
-                        store.get_mut(inst).refs += 1;
-                        return;
-                    }
-                }
-                // A freshly created instance was probed for through every
-                // incoming edge and missed: no container holds its key yet.
-                if s.created[idx] || store.cont_get(parent, hop.leaf, &s.kb).is_none() {
-                    store.cont_insert(parent, hop.leaf, s.kb.as_slice().into(), Child::Node(inst));
+                if let (Some(parent), Some(inst), false) =
+                    (s.resolved[hop.from.index()], s.resolved[idx], s.hit[idx])
+                {
+                    // A freshly created instance was probed for through every
+                    // incoming edge and missed: no container holds its key.
+                    let fresh = s.created[idx];
+                    enter(store, s, accs, row, hop, parent, fresh, || Child::Node(inst));
                 }
             }
             WriteStep::Store {
@@ -233,30 +260,15 @@ impl Writer<'_> {
             } => {
                 let idx = node.index();
                 if memo {
-                    write_cols(row, bound, &mut s.bv);
-                    if s.memo_set[idx] && s.memo_val[idx] == s.bv {
+                    if s.repeats(idx, row, bound) {
                         return;
                     }
-                    s.memo_set[idx] = true;
-                    std::mem::swap(&mut s.memo_val[idx], &mut s.bv);
+                    s.remember(idx);
                 }
-                let Some(parent) = s.resolved[hop.from.index()] else {
-                    return;
-                };
-                write_cols(row, &hop.key, &mut s.kb);
-                if let Some(a) = accs.get_mut(hop.edge.index()).filter(|a| a.eligible) {
-                    if a.parent != Some(parent) && s.created[hop.from.index()] {
-                        a.flush(store);
-                        a.parent = Some(parent);
-                    }
-                    if a.parent == Some(parent) {
-                        a.push(s.kb.as_slice().into(), Child::Unit(row_unit(row, *cols, unit)));
-                        return;
-                    }
-                }
-                if store.cont_get(parent, hop.leaf, &s.kb).is_none() {
-                    let unit = Child::Unit(row_unit(row, *cols, unit));
-                    store.cont_insert(parent, hop.leaf, s.kb.as_slice().into(), unit);
+                if let Some(parent) = s.resolved[hop.from.index()] {
+                    enter(store, s, accs, row, hop, parent, false, || {
+                        Child::Unit(row_unit(row, *cols, unit))
+                    });
                 }
             }
             _ => debug_assert!(false, "{step} in an insert block"),
