@@ -815,7 +815,7 @@ impl<'a> Gen<'a> {
                 let path = lower_locate(self.d, cols, identity).map_err(CodegenError::Plan)?;
                 let mut parent = "self.root".to_string();
                 for (i, step) in path.steps.iter().enumerate() {
-                    if let WriteStep::Resolve { hop, .. } = step {
+                    if let WriteStep::Resolve(hop) = step {
                         let g = format!("g{i}");
                         s.open(format!(
                             "if let Some({g}) = {} {{",
@@ -847,10 +847,10 @@ impl<'a> Gen<'a> {
         for step in &lower_insert(self.d).map_err(CodegenError::Plan)?.steps {
             match step {
                 WriteStep::Create { node, via, .. } => self.emit_create(s, *node, via, &env),
-                WriteStep::Link { node, hop } => self.emit_link(s, *node, hop, &env),
-                WriteStep::Store { node, hop, .. } => {
-                    self.emit_create(s, *node, std::slice::from_ref(hop), &env);
-                    self.emit_link(s, *node, hop, &env);
+                WriteStep::Link(hop) => self.emit_link(s, hop, &env),
+                WriteStep::Store { hop, .. } => {
+                    self.emit_create(s, hop.to, std::slice::from_ref(hop), &env);
+                    self.emit_link(s, hop, &env);
                 }
                 _ => {}
             }
@@ -915,9 +915,9 @@ impl<'a> Gen<'a> {
         s.close("};");
     }
 
-    /// Renders a `link` step: enter `id`'s slot into `hop`'s container
-    /// unless its key is there.
-    fn emit_link(&self, s: &mut Src, id: NodeId, hop: &Hop, env: &Env) {
+    /// Renders a `link` step: enter the slot of `hop`'s target into its
+    /// container unless its key is there.
+    fn emit_link(&self, s: &mut Src, hop: &Hop, env: &Env) {
         let parent_slot = self.slot_var(hop.from);
         let parent_ro = self.inst_expr(hop.from, &parent_slot, false);
         let parent_rw = self.inst_expr(hop.from, &parent_slot, true);
@@ -925,17 +925,17 @@ impl<'a> Gen<'a> {
             "if {}.is_none() {{",
             self.lookup_expr(hop.edge, &parent_ro, env)
         ));
-        s.line(self.insert_stmt(hop.edge, &parent_rw, env, &self.slot_var(id)));
+        s.line(self.insert_stmt(hop.edge, &parent_rw, env, &self.slot_var(hop.to)));
         s.close("}");
     }
 
-    /// Renders a `resolve` step: bind `id`'s slot through `hop`, or return
+    /// Renders a `resolve` step: bind the slot of `hop`'s target, or return
     /// `false` when it is absent.
-    fn emit_resolve(&self, s: &mut Src, id: NodeId, hop: &Hop, env: &Env) {
+    fn emit_resolve(&self, s: &mut Src, hop: &Hop, env: &Env) {
         let parent = self.inst_expr(hop.from, &self.slot_var(hop.from), false);
         s.line(format!(
             "let Some({}) = {} else {{ return false; }};",
-            self.slot_var(id),
+            self.slot_var(hop.to),
             self.lookup_expr(hop.edge, &parent, env)
         ));
     }
@@ -1464,8 +1464,8 @@ impl<'a> Gen<'a> {
         let c = cut(self.d, self.req.spec.fds(), pattern);
         for step in &lower_remove(self.d, &c).map_err(CodegenError::Plan)?.steps {
             match step {
-                WriteStep::Resolve { node, hop } => self.emit_resolve(s, *node, hop, &env),
-                WriteStep::Break { hop } => {
+                WriteStep::Resolve(hop) => self.emit_resolve(s, hop, &env),
+                WriteStep::Break(hop) => {
                     let parent_rw = self.inst_expr(hop.from, &self.slot_var(hop.from), true);
                     s.line(self.remove_stmt(hop.edge, &parent_rw, &env));
                 }
@@ -1508,7 +1508,13 @@ impl<'a> Gen<'a> {
     /// Emits the fetch of the columns `cols` of the tuple matching the key
     /// columns bound in `env` (one planned query), binding each as
     /// `v_<col>`; the emitted code returns `false` when no tuple matches.
-    fn emit_fetch(&mut self, s: &mut Src, key: ColSet, cols: ColSet, env: &mut Env) -> Result<(), CodegenError> {
+    fn emit_fetch(
+        &mut self,
+        s: &mut Src,
+        key: ColSet,
+        cols: ColSet,
+        env: &mut Env,
+    ) -> Result<(), CodegenError> {
         if cols.is_empty() {
             return Ok(());
         }
@@ -1590,12 +1596,12 @@ impl<'a> Gen<'a> {
             let block = lower_update(self.d, key, changes).map_err(CodegenError::Plan)?;
             for step in &block.steps {
                 match step {
-                    WriteStep::Resolve { node, hop } => self.emit_resolve(s, *node, hop, &env),
+                    WriteStep::Resolve(hop) => self.emit_resolve(s, hop, &env),
                     WriteStep::Set {
                         node, cols, entry, ..
                     } => {
                         if let Some(hop) = entry {
-                            self.emit_resolve(s, *node, hop, &env);
+                            self.emit_resolve(s, hop, &env);
                         }
                         let inst_rw = self.inst_expr(*node, &self.slot_var(*node), true);
                         for c in (*cols & changes).iter() {

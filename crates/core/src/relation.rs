@@ -667,7 +667,8 @@ impl SynthRelation {
 /// An empty store for `d`: its root instance alone.
 pub(crate) fn fresh_store(d: &Decomposition, layout: &Layout) -> (Arc<Store>, InstanceRef) {
     let mut store = Store::new(d);
-    let root_inst = layout.new_instance(d, d.root(), Box::new([]), |_, c| Tuple::empty().project(c));
+    let root_inst =
+        layout.new_instance(d, d.root(), Box::new([]), |_, c| Tuple::empty().project(c));
     let root = store.alloc(d.root(), root_inst);
     (Arc::new(store), root)
 }

@@ -96,14 +96,17 @@ impl WriteScratch {
         std::mem::swap(&mut self.memo_val[idx], &mut self.bv);
     }
 
-    /// Sizes the per-node buffers for `nn` nodes and forgets the memo.
+    /// Resolves nothing but the root, over `nn` nodes.
     fn reset(&mut self, nn: usize, root: NodeId, root_inst: InstanceRef) {
         self.resolved.clear();
         self.resolved.resize(nn, None);
         self.resolved[root.index()] = Some(root_inst);
-        self.memo_set.clear();
-        self.memo_set.resize(nn, false);
-        for v in [&mut self.created, &mut self.hit] {
+    }
+
+    /// Sizes an insert's per-node buffers for `nn` nodes and forgets the
+    /// memo.
+    fn reset_memo(&mut self, nn: usize) {
+        for v in [&mut self.memo_set, &mut self.created, &mut self.hit] {
             v.clear();
             v.resize(nn, false);
         }
@@ -133,7 +136,10 @@ fn write_cols(row: &[Value], pos: &[u16], out: &mut Vec<Value>) {
 fn row_unit(row: &[Value], cols: ColSet, pos: &[u16]) -> Tuple {
     // Driven by `cols`, so the values are collected as `Tuple::project`
     // collects them.
-    let vals = cols.iter().zip(pos).map(|(_, &p)| row[usize::from(p)].clone());
+    let vals = cols
+        .iter()
+        .zip(pos)
+        .map(|(_, &p)| row[usize::from(p)].clone());
     Tuple::from_parts(cols, vals.collect())
 }
 
@@ -169,6 +175,7 @@ impl Writer<'_> {
     ) {
         let memo = order.len() > 1;
         self.s.reset(self.d.node_count(), self.d.root(), self.root);
+        self.s.reset_memo(self.d.node_count());
         let mut accs = self.accumulators(block, flat, w, order, sort_prefix);
         for (id, node) in self.d.nodes() {
             if !min_key.is_empty()
@@ -212,11 +219,16 @@ impl Writer<'_> {
                     // An accumulating container is empty behind its
                     // buffered entries, and grouping guarantees this child's
                     // key is fresh — the probe would miss.
-                    if accs.get(hop.edge.index()).is_some_and(|a| a.parent == Some(parent)) {
+                    if accs
+                        .get(hop.edge.index())
+                        .is_some_and(|a| a.parent == Some(parent))
+                    {
                         continue;
                     }
                     write_cols(row, &hop.key, &mut s.kb);
-                    found = store.cont_get(parent, hop.leaf, &s.kb).and_then(ChildRef::node);
+                    found = store
+                        .cont_get(parent, hop.leaf, &s.kb)
+                        .and_then(ChildRef::node);
                     if found.is_some() {
                         break;
                     }
@@ -227,10 +239,12 @@ impl Writer<'_> {
                         write_cols(row, bound, &mut s.bv);
                     }
                     let mut at = 0;
-                    let inst = self.layout.new_instance(self.d, *node, s.bv.as_slice().into(), |_, c| {
-                        at += c.len();
-                        row_unit(row, c, &units[at - c.len()..at])
-                    });
+                    let inst =
+                        self.layout
+                            .new_instance(self.d, *node, s.bv.as_slice().into(), |_, c| {
+                                at += c.len();
+                                row_unit(row, c, &units[at - c.len()..at])
+                            });
                     store.alloc(*node, inst)
                 });
                 s.resolved[idx] = Some(inst);
@@ -240,25 +254,26 @@ impl Writer<'_> {
                     s.remember(idx);
                 }
             }
-            WriteStep::Link { node, hop } => {
-                let idx = node.index();
+            WriteStep::Link(hop) => {
+                let idx = hop.to.index();
                 if let (Some(parent), Some(inst), false) =
                     (s.resolved[hop.from.index()], s.resolved[idx], s.hit[idx])
                 {
                     // A freshly created instance was probed for through every
                     // incoming edge and missed: no container holds its key.
                     let fresh = s.created[idx];
-                    enter(store, s, accs, row, hop, parent, fresh, || Child::Node(inst));
+                    enter(store, s, accs, row, hop, parent, fresh, || {
+                        Child::Node(inst)
+                    });
                 }
             }
             WriteStep::Store {
-                node,
                 hop,
                 bound,
                 cols,
                 unit,
             } => {
-                let idx = node.index();
+                let idx = hop.to.index();
                 if memo {
                     if s.repeats(idx, row, bound) {
                         return;
@@ -312,7 +327,7 @@ impl Writer<'_> {
             })
             .collect();
         for step in &block.steps {
-            let (WriteStep::Link { hop, .. } | WriteStep::Store { hop, .. }) = step else {
+            let (WriteStep::Link(hop) | WriteStep::Store { hop, .. }) = step else {
                 continue;
             };
             let a = &mut accs[hop.edge.index()];
@@ -326,7 +341,11 @@ impl Writer<'_> {
             let mut groups = 1usize;
             for pair in order.windows(2) {
                 let (ra, rb) = (&flat[pair[0] * w..], &flat[pair[1] * w..]);
-                groups += usize::from(hop.key.iter().any(|&p| ra[usize::from(p)] != rb[usize::from(p)]));
+                groups += usize::from(
+                    hop.key
+                        .iter()
+                        .any(|&p| ra[usize::from(p)] != rb[usize::from(p)]),
+                );
             }
             self.store.cont_reserve(self.root, a.leaf, groups);
             if self.layout.inline_unit[hop.to.index()].is_none() {
@@ -342,17 +361,17 @@ impl Writer<'_> {
         for step in &block.steps {
             let (store, s) = (&mut *self.store, &mut *self.s);
             match step {
-                WriteStep::Resolve { node, hop } => {
+                WriteStep::Resolve(hop) => {
                     // An inline leaf has no instance; its Break drops it.
-                    if self.layout.inline_unit[node.index()].is_some() {
+                    if self.layout.inline_unit[hop.to.index()].is_some() {
                         continue;
                     }
                     let parent = s.resolved[hop.from.index()];
                     write_cols(row, &hop.key, &mut s.kb);
-                    s.resolved[node.index()] =
+                    s.resolved[hop.to.index()] =
                         parent.and_then(|p| store.cont_get(p, hop.leaf, &s.kb)?.node());
                 }
-                WriteStep::Break { hop } => {
+                WriteStep::Break(hop) => {
                     let Some(parent) = s.resolved[hop.from.index()] else {
                         continue;
                     };
@@ -386,7 +405,8 @@ impl Writer<'_> {
                             continue;
                         }
                         write_cols(row, &hop.key, &mut s.kb);
-                        if let Some(Child::Node(child)) = store.cont_remove(parent, hop.leaf, &s.kb) {
+                        if let Some(Child::Node(child)) = store.cont_remove(parent, hop.leaf, &s.kb)
+                        {
                             debug_assert_eq!(child, inst);
                             store.get_mut(child).refs -= 1;
                         }
@@ -455,7 +475,13 @@ impl Writer<'_> {
     /// (located by [`locate_units`] over the same row), the values of the
     /// `changed` columns with those of `changes` (none of them structural).
     /// An inline leaf's unit is rewritten in its parent's entry.
-    pub(crate) fn set_units(&mut self, block: &WriteBlock, row: &[Value], changes: &Tuple, changed: ColSet) {
+    pub(crate) fn set_units(
+        &mut self,
+        block: &WriteBlock,
+        row: &[Value],
+        changes: &Tuple,
+        changed: ColSet,
+    ) {
         let (store, s) = (&mut *self.store, &mut *self.s);
         for step in &block.steps {
             let WriteStep::Set {
@@ -516,10 +542,10 @@ pub(crate) fn locate_units(
     let mut changed = ColSet::EMPTY;
     for step in &block.steps {
         match step {
-            WriteStep::Resolve { node, hop } => {
+            WriteStep::Resolve(hop) => {
                 let parent = s.resolved[hop.from.index()]?;
                 write_cols(row, &hop.key, &mut s.kb);
-                s.resolved[node.index()] = Some(store.cont_get(parent, hop.leaf, &s.kb)?.node()?);
+                s.resolved[hop.to.index()] = Some(store.cont_get(parent, hop.leaf, &s.kb)?.node()?);
             }
             WriteStep::Set {
                 node,
@@ -1277,7 +1303,15 @@ impl SynthRelation {
         self.record_query(pattern.dom(), ColSet::EMPTY, all);
         if let Some(block) = self.keyed_block(pattern.dom(), changes.dom()) {
             let row = pattern.values();
-            let located = locate_units(&self.store, &self.d, self.root, &block, row, changes, &mut self.write);
+            let located = locate_units(
+                &self.store,
+                &self.d,
+                self.root,
+                &block,
+                row,
+                changes,
+                &mut self.write,
+            );
             let Some(changed) = located else {
                 return Ok(false);
             };
@@ -1306,7 +1340,15 @@ impl SynthRelation {
         let changed: ColSet = match &in_place {
             Some(block) => {
                 let row = t_old.values();
-                let located = locate_units(&self.store, &self.d, self.root, block, row, changes, &mut self.write);
+                let located = locate_units(
+                    &self.store,
+                    &self.d,
+                    self.root,
+                    block,
+                    row,
+                    changes,
+                    &mut self.write,
+                );
                 located.unwrap_or(ColSet::EMPTY)
             }
             None => changes
@@ -1323,7 +1365,8 @@ impl SynthRelation {
             self.check_fds_against(t_new, Some(&t_old))?;
         }
         if let Some(block) = in_place {
-            self.writer().set_units(&block, t_old.values(), changes, changed);
+            self.writer()
+                .set_units(&block, t_old.values(), changes, changed);
         } else {
             let removed = self.remove(&t_old)?;
             debug_assert_eq!(removed, 1);
@@ -1344,7 +1387,11 @@ impl SynthRelation {
         let layout = &self.layout;
         let mut nodes = layout.unit_leaves.iter().zip(&layout.path_key_of_node);
         let witnessed = nodes.any(|(units, &keys)| !units.is_empty() && keys == pat);
-        if self.check_fds || pat.is_empty() || !changes.is_disjoint(layout.structural_cols) || !witnessed {
+        if self.check_fds
+            || pat.is_empty()
+            || !changes.is_disjoint(layout.structural_cols)
+            || !witnessed
+        {
             return None;
         }
         self.update_block(pat, changes).ok()
@@ -1446,4 +1493,3 @@ fn key_is_sort_prefix(key: ColSet, seq: &[relic_spec::ColId]) -> bool {
     }
     acc == key
 }
-

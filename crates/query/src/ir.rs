@@ -253,21 +253,14 @@ pub enum WriteStep {
         /// after leaf.
         units: Box<[u16]>,
     },
-    /// Enter `node`'s instance into the container of `hop`, unless the
-    /// row's key is already there.
-    Link {
-        /// The linked node (`hop.to`).
-        node: NodeId,
-        /// The edge.
-        hop: Hop,
-    },
-    /// `node` is an inline leaf (see [`crate::inline_units`]): store its
-    /// unit — the row's values at `unit` — in the entry of `hop`, its one
-    /// incoming edge, unless the row's key is already there.
+    /// Enter the instance of the hop's target into its container, unless
+    /// the row's key is already there.
+    Link(Hop),
+    /// The hop's target is an inline leaf (see [`crate::inline_units`]):
+    /// store its unit — the row's values at `unit` — in the entry of `hop`,
+    /// its one incoming edge, unless the row's key is already there.
     Store {
-        /// The inline leaf.
-        node: NodeId,
-        /// Its incoming edge.
+        /// The inline leaf's incoming edge.
         hop: Hop,
         /// Row positions of the node's bound columns.
         bound: Box<[u16]>,
@@ -276,21 +269,13 @@ pub enum WriteStep {
         /// Row positions of the unit's columns.
         unit: Box<[u16]>,
     },
-    /// Follow `hop` from its parent's instance to the row's instance of
-    /// `node`. The node is unresolved when the parent is or the key is
+    /// Follow the hop from its parent's instance to the row's instance of
+    /// its target, which is unresolved when the parent is or the key is
     /// absent. An inline leaf has no instance: its entry is the parent's.
-    Resolve {
-        /// The node resolved (`hop.to`).
-        node: NodeId,
-        /// The edge followed.
-        hop: Hop,
-    },
-    /// Remove the row's entry from the container of `hop`, an edge
+    Resolve(Hop),
+    /// Remove the row's entry from the container of the hop, an edge
     /// crossing the cut, dropping one reference to the child it held.
-    Break {
-        /// The crossing edge.
-        hop: Hop,
-    },
+    Break(Hop),
     /// Free the row's instance of `node`, below the cut, once nothing
     /// references it. Below the root, the whole relation goes.
     Free {
@@ -346,19 +331,21 @@ impl fmt::Display for WriteStep {
             Ok(())
         };
         match self {
-            WriteStep::Create { node, via: hops, .. } => {
+            WriteStep::Create {
+                node, via: hops, ..
+            } => {
                 write!(f, "create(n{}", node.index())?;
                 via(f, hops)?;
                 write!(f, ")")
             }
-            WriteStep::Link { hop, .. } => write!(f, "link(e{})", hop.edge.index()),
-            WriteStep::Store { node, hop, .. } => {
-                write!(f, "store(n{} e{})", node.index(), hop.edge.index())
+            WriteStep::Link(hop) => write!(f, "link(e{})", hop.edge.index()),
+            WriteStep::Store { hop, .. } => {
+                write!(f, "store(n{} e{})", hop.to.index(), hop.edge.index())
             }
-            WriteStep::Resolve { node, hop } => {
-                write!(f, "resolve(n{} e{})", node.index(), hop.edge.index())
+            WriteStep::Resolve(hop) => {
+                write!(f, "resolve(n{} e{})", hop.to.index(), hop.edge.index())
             }
-            WriteStep::Break { hop } => write!(f, "break(e{})", hop.edge.index()),
+            WriteStep::Break(hop) => write!(f, "break(e{})", hop.edge.index()),
             WriteStep::Free { node } => write!(f, "free(n{})", node.index()),
             WriteStep::Reclaim { node, via: hops } => {
                 write!(f, "reclaim(n{}", node.index())?;
@@ -378,7 +365,12 @@ impl fmt::Display for WriteStep {
                     h.edge.index(),
                     cols.bits()
                 ),
-                None => write!(f, "set(n{} leaf={leaf} cols={:x})", node.index(), cols.bits()),
+                None => write!(
+                    f,
+                    "set(n{} leaf={leaf} cols={:x})",
+                    node.index(),
+                    cols.bits()
+                ),
             },
         }
     }

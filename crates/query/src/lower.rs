@@ -215,20 +215,13 @@ pub fn lower_insert(d: &Decomposition) -> Result<WriteBlock, PlanError> {
             };
             let unit = w.positions(cols)?;
             steps.push(WriteStep::Store {
-                node,
                 hop,
                 bound,
                 cols,
                 unit,
             });
         } else {
-            let links: Vec<WriteStep> = via
-                .iter()
-                .map(|hop| WriteStep::Link {
-                    node,
-                    hop: hop.clone(),
-                })
-                .collect();
+            let links: Vec<WriteStep> = via.iter().cloned().map(WriteStep::Link).collect();
             let unit_cols = d.node(node).body.leaves().into_iter().map(|b| match b {
                 Body::Unit(c) => w.positions(*c),
                 _ => Ok(Box::default()),
@@ -244,10 +237,7 @@ pub fn lower_insert(d: &Decomposition) -> Result<WriteBlock, PlanError> {
         }
         w.resolved[node.index()] = true;
     }
-    Ok(WriteBlock {
-        cols: w.row,
-        steps,
-    })
+    Ok(WriteBlock { cols: w.row, steps })
 }
 
 /// Lowers §4.5's removal of one stored row for `cut`: a
@@ -285,14 +275,19 @@ pub fn lower_remove(d: &Decomposition, cut: &Cut) -> Result<WriteBlock, PlanErro
     }
     let mut steps = Vec::new();
     for node in d.topo_root_first().filter(|&n| n != d.root()) {
-        let hop = w.hop(d.incoming_edges(node)[0])?;
-        steps.push(WriteStep::Resolve { node, hop });
+        steps.push(WriteStep::Resolve(w.hop(d.incoming_edges(node)[0])?));
         w.resolved[node.index()] = true;
     }
     for &e in &crossing {
-        steps.push(WriteStep::Break { hop: w.hop(e)? });
+        steps.push(WriteStep::Break(w.hop(e)?));
     }
-    let has_unit = |n: NodeId| d.node(n).body.leaves().iter().any(|l| matches!(l, Body::Unit(_)));
+    let has_unit = |n: NodeId| {
+        d.node(n)
+            .body
+            .leaves()
+            .iter()
+            .any(|l| matches!(l, Body::Unit(_)))
+    };
     let below = d.nodes().filter(|&(n, _)| n != d.root() && cut.is_below(n));
     steps.extend(below.map(|(node, _)| WriteStep::Free { node }));
     for (node, _) in d.nodes() {
@@ -301,10 +296,7 @@ pub fn lower_remove(d: &Decomposition, cut: &Cut) -> Result<WriteBlock, PlanErro
             steps.push(WriteStep::Reclaim { node, via });
         }
     }
-    Ok(WriteBlock {
-        cols: w.row,
-        steps,
-    })
+    Ok(WriteBlock { cols: w.row, steps })
 }
 
 /// Lowers the in-place update of the unit columns among `changes`, over a
@@ -324,11 +316,18 @@ pub fn lower_remove(d: &Decomposition, cut: &Cut) -> Result<WriteBlock, PlanErro
 /// [`PlanError::WriteMisaligned`] if `row` does not bind an edge key on one
 /// of those paths, or `changes` holds a structural column (see
 /// [`structural_cols`]).
-pub fn lower_update(d: &Decomposition, row: ColSet, changes: ColSet) -> Result<WriteBlock, PlanError> {
+pub fn lower_update(
+    d: &Decomposition,
+    row: ColSet,
+    changes: ColSet,
+) -> Result<WriteBlock, PlanError> {
     let mut w = WriteLowering::new(d, row);
     let moved = changes & structural_cols(d);
     if !moved.is_empty() {
-        return Err(w.err(format!("columns {:x} move tuples between instances", moved.bits())));
+        return Err(w.err(format!(
+            "columns {:x} move tuples between instances",
+            moved.bits()
+        )));
     }
     let inline = inline_units(d);
     let units_of = |n: &relic_decomp::Node| -> Vec<(usize, ColSet)> {
@@ -360,7 +359,7 @@ pub fn lower_update(d: &Decomposition, row: ColSet, changes: ColSet) -> Result<W
         }
         let mut path = w.canonical_path(node)?;
         let entry = inline[node.index()].and_then(|_| path.pop());
-        steps.extend(path.into_iter().map(|hop| WriteStep::Resolve { node: hop.to, hop }));
+        steps.extend(path.into_iter().map(WriteStep::Resolve));
         steps.extend(units.into_iter().map(|(leaf, cols)| WriteStep::Set {
             node,
             leaf,
@@ -391,11 +390,8 @@ fn path_key(d: &Decomposition, mut node: NodeId) -> ColSet {
 /// [`PlanError::WriteMisaligned`] if `row` does not bind a key on the path.
 pub fn lower_locate(d: &Decomposition, row: ColSet, node: NodeId) -> Result<WriteBlock, PlanError> {
     let path = WriteLowering::new(d, row).canonical_path(node)?;
-    let steps = path.into_iter().map(|hop| WriteStep::Resolve { node: hop.to, hop });
-    Ok(WriteBlock {
-        cols: row,
-        steps: steps.collect(),
-    })
+    let steps = path.into_iter().map(WriteStep::Resolve).collect();
+    Ok(WriteBlock { cols: row, steps })
 }
 
 /// Shared state of the write lowerings: the row's columns and which nodes
@@ -685,7 +681,10 @@ mod write_tests {
         assert!(lower_update(&d, ns_pid, cols(&cat, &["state"])).is_err());
         // Nor can a row that leaves a key on the path unbound locate it.
         let err = lower_update(&d, cols(&cat, &["ns"]), cpu);
-        assert!(matches!(err, Err(PlanError::WriteMisaligned { .. })), "{err:?}");
+        assert!(
+            matches!(err, Err(PlanError::WriteMisaligned { .. })),
+            "{err:?}"
+        );
     }
 
     #[test]
@@ -722,7 +721,10 @@ mod write_tests {
         // Over a key-only row the same edge reads position 1 of (local, remote).
         let key = cols(&cat, &["local", "remote"]);
         let upd = lower_update(&d, key, cols(&cat, &["pkts"])).unwrap();
-        let WriteStep::Set { entry: Some(hop), .. } = &upd.steps[1] else {
+        let WriteStep::Set {
+            entry: Some(hop), ..
+        } = &upd.steps[1]
+        else {
             panic!("expected an inline set, got {upd}");
         };
         assert_eq!(&*hop.key, &[1u16][..]);
@@ -734,12 +736,18 @@ mod write_tests {
         let (fcat, fspec, flows) = setup(FLOWS, &["local", "remote"]);
         let foreign = cut(&flows, fspec.fds(), cols(&fcat, &["local"]));
         let err = lower_remove(&d, &foreign);
-        assert!(matches!(err, Err(PlanError::WriteMisaligned { .. })), "{err:?}");
+        assert!(
+            matches!(err, Err(PlanError::WriteMisaligned { .. })),
+            "{err:?}"
+        );
         // Put x→y's source below the cut and its target above it.
         let mut inverted = cut(&d, spec.fds(), cols(&cat, &["ns", "pid"]));
         inverted.below = vec![false, false, false, true];
         let err = lower_remove(&d, &inverted);
-        assert!(matches!(err, Err(PlanError::WriteMisaligned { .. })), "{err:?}");
+        assert!(
+            matches!(err, Err(PlanError::WriteMisaligned { .. })),
+            "{err:?}"
+        );
         // Crossing edges that disagree with `below` are refused too.
         let mut stale = cut(&d, spec.fds(), cols(&cat, &["ns", "pid"]));
         stale.crossing.pop();

@@ -65,7 +65,14 @@ fn scheduler_modules(out: &mut Vec<(String, String)>) {
         .remove(ns | pid)
         .update(ns | pid, cpu.into())
         .update(ns | pid, state.into());
-    out.push(gen("scheduler", &cat, &spec, &d, types.clone(), compile_ops));
+    out.push(gen(
+        "scheduler",
+        &cat,
+        &spec,
+        &d,
+        types.clone(),
+        compile_ops,
+    ));
     let demo_ops = OpSet::new()
         .query(state.into(), ns | pid)
         .query(ns | pid, state | cpu)
@@ -169,7 +176,14 @@ fn build_script_modules(out: &mut Vec<(String, String)>) {
         .query_range(local.into(), remote, bytes | pkts)
         .query(local.into(), remote | bytes | pkts)
         .remove(local | remote);
-    out.push(gen("flows_gen", &cat, &spec, &d, vec![ColType::I64; 4], ops));
+    out.push(gen(
+        "flows_gen",
+        &cat,
+        &spec,
+        &d,
+        vec![ColType::I64; 4],
+        ops,
+    ));
 }
 
 #[test]
