@@ -1204,7 +1204,7 @@ impl SynthRelation {
     }
 
     /// `remove_where r P` — removal by comparison pattern, the mutation
-    /// counterpart of [`query_where`](RelRead::query_where): removes
+    /// counterpart of [`query_where`](crate::RelRead::query_where): removes
     /// every tuple satisfying `P`. This is the idiom thttpd's cache uses
     /// ("traverses through the mappings removing those older than a certain
     /// threshold", §6.2), expressed as one relational operation.
