@@ -47,7 +47,7 @@
 
 use relic_containers::{AssocVec, AvlMap, DListMap, HashTable, SortedVecMap};
 use relic_decomp::{Body, Decomposition, DsKind, EdgeId, NodeId};
-use relic_query::{inline_units, lower_insert, structural_cols, PlanError, WriteBlock};
+use relic_query::{inline_units, lower_insert, path_key, structural_cols, PlanError, WriteBlock};
 use relic_spec::{ColSet, Tuple, Value};
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -337,9 +337,8 @@ pub(crate) struct Layout {
     /// the target node's bound valuation. `Arc`-shared with every intrusive
     /// container built for the edge, so per-container builds never copy it.
     pub kpos_of_edge: Vec<Arc<[u16]>>,
-    /// For each node: the key columns of the edges on its canonical path
-    /// (the first incoming edge at every node) — what a tuple must bind to
-    /// locate the node's instance.
+    /// For each node: [`relic_query::path_key`] — what a tuple must bind
+    /// to locate the node's instance.
     pub path_key_of_node: Vec<ColSet>,
     /// Every column of an edge key or a node binding
     /// ([`relic_query::structural_cols`]).
@@ -412,19 +411,12 @@ impl Layout {
                 .collect();
             kpos_of_edge.push(kpos);
         }
-        // Canonical path keys: nodes in reverse let order are reached from
-        // already-keyed parents (root first).
-        let mut path_key_of_node = vec![ColSet::EMPTY; nn];
-        for id in d.topo_root_first().filter(|&n| n != d.root()) {
-            let e = d.edge(d.incoming_edges(id)[0]);
-            path_key_of_node[id.index()] = path_key_of_node[e.from.index()] | e.key;
-        }
         Ok(Layout {
             leaf_of_edge,
             islot_of_edge,
             islots_of_node,
             kpos_of_edge,
-            path_key_of_node,
+            path_key_of_node: d.nodes().map(|(id, _)| path_key(d, id)).collect(),
             structural_cols: structural_cols(d),
             unit_leaves,
             leaves_of_node,

@@ -69,8 +69,7 @@ fn enter(
             // One entry per child group: later members memo-hit. A child
             // instance's reference is counted here, while it is cache-hot,
             // not at flush time. The key is boxed before the child is
-            // built, as the insert below does: the other order lays a
-            // 1 M-row bulk load out ≈ 8 B a row larger on the heap.
+            // built, as the insert below does.
             let key = s.kb.as_slice().into();
             let child = child();
             if let Child::Node(c) = child {

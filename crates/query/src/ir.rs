@@ -222,13 +222,11 @@ pub struct Hop {
     pub key: Box<[u16]>,
 }
 
-/// A lowered write: steps run in order over one row, whose values are the
-/// columns `cols` in ascending column order. Every step's parent is
-/// resolved by an earlier step (or is the root).
+/// A lowered write: steps run in order over one row, the values of the
+/// columns it was lowered for in ascending column order. Every step's
+/// parent is resolved by an earlier step (or is the root).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WriteBlock {
-    /// The columns of the row the block runs over.
-    pub cols: ColSet,
     /// The steps.
     pub steps: Vec<WriteStep>,
 }

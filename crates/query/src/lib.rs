@@ -79,7 +79,7 @@ mod validity;
 pub use cost::{CostModel, JoinCostMode};
 pub use ir::{Block, Hop, Step, WriteBlock, WriteStep};
 pub use lower::{
-    inline_units, lower_insert, lower_locate, lower_plan, lower_remove, lower_update,
+    inline_units, lower_insert, lower_locate, lower_plan, lower_remove, lower_update, path_key,
     structural_cols,
 };
 pub use peephole::{optimize, PeepholeStats};

@@ -237,7 +237,7 @@ pub fn lower_insert(d: &Decomposition) -> Result<WriteBlock, PlanError> {
         }
         w.resolved[node.index()] = true;
     }
-    Ok(WriteBlock { cols: w.row, steps })
+    Ok(WriteBlock { steps })
 }
 
 /// Lowers §4.5's removal of one stored row for `cut`: a
@@ -269,7 +269,6 @@ pub fn lower_remove(d: &Decomposition, cut: &Cut) -> Result<WriteBlock, PlanErro
     }
     if cut.is_below(d.root()) {
         return Ok(WriteBlock {
-            cols: w.row,
             steps: vec![WriteStep::Free { node: d.root() }],
         });
     }
@@ -296,7 +295,7 @@ pub fn lower_remove(d: &Decomposition, cut: &Cut) -> Result<WriteBlock, PlanErro
             steps.push(WriteStep::Reclaim { node, via });
         }
     }
-    Ok(WriteBlock { cols: w.row, steps })
+    Ok(WriteBlock { steps })
 }
 
 /// Lowers the in-place update of the unit columns among `changes`, over a
@@ -367,11 +366,12 @@ pub fn lower_update(
             entry: entry.clone(),
         }));
     }
-    Ok(WriteBlock { cols: row, steps })
+    Ok(WriteBlock { steps })
 }
 
-/// The key columns of the edges on `node`'s canonical path.
-fn path_key(d: &Decomposition, mut node: NodeId) -> ColSet {
+/// The key columns of the edges on `node`'s canonical path (the first
+/// incoming edge at every node): what a row must bind to locate the node.
+pub fn path_key(d: &Decomposition, mut node: NodeId) -> ColSet {
     let mut key = ColSet::EMPTY;
     while node != d.root() {
         let e = d.edge(d.incoming_edges(node)[0]);
@@ -391,7 +391,7 @@ fn path_key(d: &Decomposition, mut node: NodeId) -> ColSet {
 pub fn lower_locate(d: &Decomposition, row: ColSet, node: NodeId) -> Result<WriteBlock, PlanError> {
     let path = WriteLowering::new(d, row).canonical_path(node)?;
     let steps = path.into_iter().map(WriteStep::Resolve).collect();
-    Ok(WriteBlock { cols: row, steps })
+    Ok(WriteBlock { steps })
 }
 
 /// Shared state of the write lowerings: the row's columns and which nodes
