@@ -474,7 +474,7 @@ impl Writer<'_> {
     }
 
     /// Overwrites, in every unit an update block's `Set` steps address
-    /// (located by [`locate_units`] over the same row), the values of the
+    /// (located by [`locate_sets`] over the same row), the values of the
     /// `changed` columns with those of `changes` (none of them structural).
     /// An inline leaf's unit is rewritten in its parent's entry.
     pub(crate) fn set_units(
@@ -531,7 +531,7 @@ impl Writer<'_> {
 /// each node's instance in the scratch for [`Writer::set_units`], and
 /// returns the columns of `changes` whose values differ from the units its
 /// `Set` steps address — `None` when a node or inline entry is absent.
-pub(crate) fn locate_units(
+pub(crate) fn locate_sets(
     store: &Store,
     d: &Decomposition,
     root: InstanceRef,
@@ -1305,7 +1305,7 @@ impl SynthRelation {
         self.record_query(pattern.dom(), ColSet::EMPTY, all);
         if let Some(block) = self.keyed_block(pattern.dom(), changes.dom()) {
             let row = pattern.values();
-            let located = locate_units(
+            let located = locate_sets(
                 &self.store,
                 &self.d,
                 self.root,
@@ -1342,7 +1342,7 @@ impl SynthRelation {
         let changed: ColSet = match &in_place {
             Some(block) => {
                 let row = t_old.values();
-                let located = locate_units(
+                let located = locate_sets(
                     &self.store,
                     &self.d,
                     self.root,
