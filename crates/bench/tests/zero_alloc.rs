@@ -500,6 +500,48 @@ fn warm_insert_remove_pair_allocates_at_most_six() {
     r.validate().unwrap();
 }
 
+/// A warm `insert_many` on the IpCap table, FD checking on: 512 fresh
+/// remotes under standing locals, after one insert + remove cycle of a
+/// like batch. Each row walks its key guard once and goes in from the
+/// guard's miss — no key tuple, no sort — so what is left per row is what
+/// it stores, its key box and its unit, beside the batch's row array: at
+/// most 3 allocations a row.
+#[test]
+fn warm_insert_many_allocates_only_what_it_stores() {
+    let (cat, mut r) = flows();
+    let col = |name| cat.col(name).unwrap();
+    let (local, remote, bytes, pkts) = (col("local"), col("remote"), col("bytes"), col("pkts"));
+    let batch = |tag: i64| -> Vec<Tuple> {
+        (0..512i64)
+            .map(|i| {
+                Tuple::from_pairs([
+                    (local, Value::from(i % 64)),
+                    (remote, Value::from((i << 12) + tag)),
+                    (bytes, Value::from(40 + i)),
+                    (pkts, Value::from(1)),
+                ])
+            })
+            .collect()
+    };
+    let warm = batch(1);
+    let keys: Vec<Tuple> = warm.iter().map(|t| t.project(local | remote)).collect();
+    assert_eq!(r.insert_many(warm).unwrap(), 512);
+    assert_eq!(r.remove_many(&keys).unwrap(), 512);
+    let measured = batch(2);
+    let n = measured.len() as u64;
+    let before = allocs();
+    let inserted = r.insert_many(measured).unwrap();
+    let delta = allocs() - before;
+    assert_eq!(inserted, 512);
+    assert!(
+        delta <= 3 * n,
+        "{delta} allocations over a warm {n}-row insert_many ({:.2} per row)",
+        delta as f64 / n as f64
+    );
+    assert_eq!(r.len(), 2048 + 512);
+    r.validate().unwrap();
+}
+
 /// One read of the wait-free path: a point probe or a comparison pattern.
 enum Read<'a> {
     Point(&'a Tuple),

@@ -15,8 +15,8 @@ use crate::layout::{plan_layout, ContainerKind, PackedPart};
 use crate::{CodegenError, ColType, Report, Request};
 use relic_decomp::{check_adequacy, cut, Body, Decomposition, EdgeId, NodeId};
 use relic_query::{
-    lower_insert, lower_locate, lower_plan, lower_remove, lower_update, optimize, structural_cols,
-    Block, CostModel, Hop, PeepholeStats, Plan, Planner, Step, WriteStep,
+    lower_insert, lower_plan, lower_remove, lower_update, optimize, structural_cols, Block,
+    CostModel, Hop, PeepholeStats, Plan, Planner, Step, WriteStep,
 };
 use relic_spec::{ColId, ColSet};
 use std::collections::HashMap;
@@ -547,23 +547,6 @@ impl<'a> Gen<'a> {
         out
     }
 
-    /// A node whose find along the insert path soundly detects "a tuple with
-    /// the same key already exists": its bound columns must determine the
-    /// whole tuple *and* be a subset of the minimal key, so any stored tuple
-    /// agreeing on the key also agrees on every bound column and the lookup
-    /// is guaranteed to hit. A node bound by a superset of the key (e.g. an
-    /// edge keyed on all columns) fails the second condition — an
-    /// FD-conflicting tuple differs in a non-key column and the lookup would
-    /// miss it; those decompositions get an explicit key pre-probe instead.
-    fn sound_identity_node(&self) -> Option<NodeId> {
-        let all = self.req.spec.cols();
-        let min_key = self.req.spec.minimal_key();
-        self.d.nodes().map(|(id, _)| id).find(|id| {
-            let bound = self.d.node(*id).bound;
-            bound.is_subset(min_key) && all.is_subset(self.req.spec.fds().closure(bound))
-        })
-    }
-
     /// Plans a query signature (constant-space plans only), lowers it to
     /// IR and runs the peephole passes. Returns the plan's display form and
     /// the optimized IR.
@@ -787,10 +770,17 @@ impl<'a> Gen<'a> {
         }
     }
 
-    /// Emits `insert(all columns) -> bool` (dinsert, §4.4).
+    /// Emits `insert(all columns) -> bool` (dinsert, §4.4): the lowered
+    /// insert block, whose identity path comes first. Its key guard renders
+    /// as a find that returns `false` on a hit, so a duplicate or
+    /// FD-conflicting insert is a true no-op: every node before it was
+    /// found, and a node created on the way means the key is absent. A
+    /// block without a guard (no node's path is keyed by the minimal key
+    /// alone) runs the planned key query first.
     fn emit_insert(&mut self, s: &mut Src) -> Result<(), CodegenError> {
         let cols = self.req.spec.cols();
-        let identity = self.sound_identity_node();
+        let min_key = self.req.spec.minimal_key();
+        let block = lower_insert(self.d, min_key).map_err(CodegenError::Plan)?;
         let args: Vec<String> = cols
             .iter()
             .map(|c| format!("{}: {}", self.cname(c), self.ty(c).rust()))
@@ -805,52 +795,31 @@ impl<'a> Gen<'a> {
         for c in cols.iter() {
             env.bind(c, self.cname(c));
         }
-        // The presence check must run before any container is touched, so a
-        // duplicate or FD-conflicting insert is a true no-op.
-        match identity {
-            Some(identity) => {
-                // Probe the identity node's canonical path read-only; a hit
-                // means a tuple with this key already exists.
-                s.line("// Key-presence guard (pre-mutation).");
-                let path = lower_locate(self.d, cols, identity).map_err(CodegenError::Plan)?;
-                let mut parent = "self.root".to_string();
-                for (i, step) in path.steps.iter().enumerate() {
-                    if let WriteStep::Resolve(hop) = step {
-                        let g = format!("g{i}");
-                        s.open(format!(
-                            "if let Some({g}) = {} {{",
-                            self.lookup_expr(hop.edge, &parent, &env)
-                        ));
-                        parent = self.inst_expr(hop.to, &g, false);
-                    }
-                }
+        if block.guard.is_none() {
+            let (_, ir) = self.build_ir(min_key, None, cols)?;
+            s.line("// Key pre-probe: no node's path is keyed by the minimal key alone.");
+            let mut insts = HashMap::new();
+            insts.insert(self.d.root(), "self.root".to_string());
+            self.emit_block(s, &ir, &env, &insts, &mut |_, s, _| {
                 s.line("return false; // key already present");
-                for _ in &path.steps {
-                    s.close("}");
-                }
-            }
-            None => {
-                // No node is keyed by the minimal key alone, so no single
-                // lookup can detect key conflicts: run the planned key query.
-                let min_key = self.req.spec.minimal_key();
-                let (_, ir) = self.build_ir(min_key, None, cols)?;
-                s.line("// Key pre-probe: no node is bound by the minimal key alone.");
-                let mut insts = HashMap::new();
-                insts.insert(self.d.root(), "self.root".to_string());
-                self.emit_block(s, &ir, &env, &insts, &mut |_, s, _| {
-                    s.line("return false; // key already present");
-                })?;
-            }
+            })?;
         }
-        // Find-or-create in topological order (root first); the emitted
-        // layout gives an inline leaf a node struct too.
-        for step in &lower_insert(self.d).map_err(CodegenError::Plan)?.steps {
+        // Find-or-create, identity path first; the emitted layout gives an
+        // inline leaf a node struct too. The guard's node is created
+        // whenever the walk gets past it, so its links need no probe.
+        let guarded = block.guard.and_then(|g| match block.steps.get(g)? {
+            WriteStep::Create { node, .. } => Some(*node),
+            WriteStep::Store { hop, .. } => Some(hop.to),
+            _ => None,
+        });
+        for (i, step) in block.steps.iter().enumerate() {
+            let guard = block.guard == Some(i);
             match step {
-                WriteStep::Create { node, via, .. } => self.emit_create(s, *node, via, &env),
-                WriteStep::Link(hop) => self.emit_link(s, hop, &env),
+                WriteStep::Create { node, via, .. } => self.emit_create(s, *node, via, &env, guard),
+                WriteStep::Link(hop) => self.emit_link(s, hop, &env, guarded == Some(hop.to)),
                 WriteStep::Store { hop, .. } => {
-                    self.emit_create(s, hop.to, std::slice::from_ref(hop), &env);
-                    self.emit_link(s, hop, &env);
+                    self.emit_create(s, hop.to, std::slice::from_ref(hop), &env, guard);
+                    self.emit_link(s, hop, &env, guard);
                 }
                 _ => {}
             }
@@ -863,8 +832,10 @@ impl<'a> Gen<'a> {
     }
 
     /// Renders a `create` step: find `id`'s slot through each hop of `via`
-    /// in turn, or allocate it with its unit fields from `env`.
-    fn emit_create(&self, s: &mut Src, id: NodeId, via: &[Hop], env: &Env) {
+    /// in turn, or allocate it with its unit fields from `env`. At the key
+    /// `guard`, a find means the key is present: the insert returns
+    /// `false`.
+    fn emit_create(&self, s: &mut Src, id: NodeId, via: &[Hop], env: &Env, guard: bool) {
         let node = self.d.node(id);
         let finds: Vec<String> = via
             .iter()
@@ -883,7 +854,11 @@ impl<'a> Gen<'a> {
             col_list(self.req.cat, node.bound, ", ")
         ));
         s.open(format!("let {} = match {find} {{", self.slot_var(id)));
-        s.line("Some(i) => i,");
+        if guard {
+            s.line("Some(_) => return false, // key already present (guard)");
+        } else {
+            s.line("Some(i) => i,");
+        }
         s.open("None => {");
         let sn = node_struct_name(self.d, id);
         let units = self.unit_fields(id);
@@ -916,16 +891,22 @@ impl<'a> Gen<'a> {
     }
 
     /// Renders a `link` step: enter the slot of `hop`'s target into its
-    /// container unless its key is there.
-    fn emit_link(&self, s: &mut Src, hop: &Hop, env: &Env) {
+    /// container unless its key is there — without looking when the target
+    /// is `fresh`, created by this insert.
+    fn emit_link(&self, s: &mut Src, hop: &Hop, env: &Env, fresh: bool) {
         let parent_slot = self.slot_var(hop.from);
-        let parent_ro = self.inst_expr(hop.from, &parent_slot, false);
         let parent_rw = self.inst_expr(hop.from, &parent_slot, true);
+        let insert = self.insert_stmt(hop.edge, &parent_rw, env, &self.slot_var(hop.to));
+        if fresh {
+            s.line(insert);
+            return;
+        }
+        let parent_ro = self.inst_expr(hop.from, &parent_slot, false);
         s.open(format!(
             "if {}.is_none() {{",
             self.lookup_expr(hop.edge, &parent_ro, env)
         ));
-        s.line(self.insert_stmt(hop.edge, &parent_rw, env, &self.slot_var(hop.to)));
+        s.line(insert);
         s.close("}");
     }
 

@@ -353,18 +353,20 @@ pub(crate) struct Layout {
     /// Its unit tuples live in that edge's container entries and it has no
     /// instances ([`relic_query::inline_units`]).
     pub inline_unit: Vec<Option<ColSet>>,
-    /// The decomposition's lowered §4.4 insert ([`relic_query::lower_insert`]).
+    /// The decomposition's lowered §4.4 insert ([`relic_query::lower_insert`]),
+    /// its identity path first and ending in the key guard when it has one.
     pub insert: WriteBlock,
 }
 
 impl Layout {
-    /// Computes the layout of a decomposition.
+    /// Computes the layout of a decomposition for a relation whose minimal
+    /// key is `key`.
     ///
     /// # Errors
     ///
     /// The insert lowering's [`PlanError`] (none for a decomposition that
     /// passed the adequacy check).
-    pub(crate) fn new(d: &Decomposition) -> Result<Self, PlanError> {
+    pub(crate) fn new(d: &Decomposition, key: ColSet) -> Result<Self, PlanError> {
         let ne = d.edge_count();
         let nn = d.node_count();
         let mut leaf_of_edge = vec![0usize; ne];
@@ -421,7 +423,7 @@ impl Layout {
             unit_leaves,
             leaves_of_node,
             inline_unit: inline_units(d),
-            insert: lower_insert(d)?,
+            insert: lower_insert(d, key)?,
         })
     }
 
@@ -948,13 +950,13 @@ impl Store {
 mod tests {
     use super::Layout;
     use relic_decomp::parse;
-    use relic_spec::Catalog;
+    use relic_spec::{Catalog, ColSet};
 
     /// The inline-leaf verdict of the node called `name` in `src`.
     fn inline(src: &str, name: &str) -> bool {
         let d = parse(&mut Catalog::new(), src).unwrap();
         let node = d.node_by_name(name).unwrap();
-        Layout::new(&d).unwrap().inline_unit[node.index()].is_some()
+        Layout::new(&d, ColSet::EMPTY).unwrap().inline_unit[node.index()].is_some()
     }
 
     #[test]

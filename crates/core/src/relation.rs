@@ -121,10 +121,10 @@ impl SynthRelation {
     /// specification (Fig. 6, Lemma 1).
     pub fn new(cat: &Catalog, spec: RelSpec, d: Decomposition) -> Result<Self, BuildError> {
         check_adequacy(&d, &spec)?;
-        let layout = Layout::new(&d).map_err(BuildError::Plan)?;
+        let min_key = spec.minimal_key();
+        let layout = Layout::new(&d, min_key).map_err(BuildError::Plan)?;
         let (store, root) = fresh_store(&d, &layout);
         let cost = CostModel::uniform(&d, CostModel::DEFAULT_FANOUT);
-        let min_key = spec.minimal_key();
         Ok(SynthRelation {
             cat: cat.clone(),
             spec,

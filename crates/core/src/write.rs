@@ -7,8 +7,11 @@
 //! set, the in-place update a block memoized per row and changed columns.
 //! [`Writer`] runs them over rows of values — an insert over a sorted
 //! batch, keeping each node's previous instance while its bound valuation
-//! repeats — taking the store `&mut` once per run. The duplicate, conflict
-//! and dependency probes the writes screen with are read-IR queries.
+//! repeats — taking the store `&mut` once per run. An insert first walks
+//! its block's identity path read-only up to the key guard ([`guard`]): a
+//! miss there proves the key absent and the walk resumes from it, so an
+//! insert probes each container once. Only a guard hit, a decomposition
+//! without a guard, and the dependency checks read through the read IR.
 
 use crate::error::OpError;
 use crate::exec::{exec_block, Bindings, ExecEnv};
@@ -105,13 +108,20 @@ impl WriteScratch {
         self.resolved[root.index()] = Some(root_inst);
     }
 
-    /// Sizes an insert's per-node buffers for `nn` nodes and forgets the
-    /// memo.
-    fn reset_memo(&mut self, nn: usize) {
-        for v in [&mut self.memo_set, &mut self.created, &mut self.hit] {
+    /// Starts one row's insert: nothing resolved but the root, nothing
+    /// found or created.
+    fn start_row(&mut self, nn: usize, root: NodeId, root_inst: InstanceRef) {
+        self.reset(nn, root, root_inst);
+        for v in [&mut self.created, &mut self.hit] {
             v.clear();
             v.resize(nn, false);
         }
+    }
+
+    /// Sizes a batch's per-node memo for `nn` nodes and forgets it.
+    fn reset_memo(&mut self, nn: usize) {
+        self.memo_set.clear();
+        self.memo_set.resize(nn, false);
         self.memo_inst.resize(nn, None);
         self.memo_val.resize_with(nn, Vec::new);
     }
@@ -146,6 +156,22 @@ fn row_unit(row: &[Value], cols: ColSet, pos: &[u16]) -> Tuple {
 }
 
 impl Writer<'_> {
+    /// Runs the insert block over one row whose minimal key is not stored.
+    /// After a [`guard`] miss at step `missed`, the instances the guard
+    /// found stand and the walk resumes there, creating the missed node
+    /// without a second probe; with `None` (no guard ran) it starts at the
+    /// block's first step.
+    pub(crate) fn insert_row(&mut self, block: &WriteBlock, row: &[Value], missed: Option<usize>) {
+        if missed.is_none() {
+            self.s
+                .start_row(self.d.node_count(), self.d.root(), self.root);
+        }
+        let steps = block.steps.iter().enumerate();
+        for (i, step) in steps.skip(missed.unwrap_or(0)) {
+            self.insert_step(step, row, false, &mut [], missed == Some(i));
+        }
+    }
+
     /// Runs the insert block over the rows `order` of `flat` (`w` values
     /// each), every row a tuple absent from the relation. Each node keeps
     /// the previous row's bound valuation and instance: when the valuation
@@ -175,9 +201,9 @@ impl Writer<'_> {
         sort_prefix: Option<&[ColId]>,
         min_key: ColSet,
     ) {
-        let memo = order.len() > 1;
-        self.s.reset(self.d.node_count(), self.d.root(), self.root);
-        self.s.reset_memo(self.d.node_count());
+        let (memo, nn) = (order.len() > 1, self.d.node_count());
+        self.s.start_row(nn, self.d.root(), self.root);
+        self.s.reset_memo(nn);
         let mut accs = self.accumulators(block, flat, w, order, sort_prefix);
         for (id, node) in self.d.nodes() {
             if !min_key.is_empty()
@@ -190,7 +216,7 @@ impl Writer<'_> {
         for &ti in order {
             let row = &flat[ti * w..ti * w + w];
             for step in &block.steps {
-                self.insert_step(step, row, memo, &mut accs);
+                self.insert_step(step, row, memo, &mut accs, false);
             }
         }
         for a in &mut accs {
@@ -198,7 +224,20 @@ impl Writer<'_> {
         }
     }
 
-    fn insert_step(&mut self, step: &WriteStep, row: &[Value], memo: bool, accs: &mut [EdgeAcc]) {
+    /// Runs one insert step over `row`. A node is found through a probe of
+    /// each incoming container in turn, skipping a container this row's
+    /// walk made (a parent it created, an accumulating group), or created
+    /// without probing when `absent` — the guard probed it and missed. A
+    /// found node is entered under every parent already, so only a created
+    /// node, or a node under a created parent, is linked.
+    fn insert_step(
+        &mut self,
+        step: &WriteStep,
+        row: &[Value],
+        memo: bool,
+        accs: &mut [EdgeAcc],
+        absent: bool,
+    ) {
         let (store, s) = (&mut *self.store, &mut *self.s);
         match step {
             WriteStep::Create {
@@ -214,16 +253,18 @@ impl Writer<'_> {
                     return;
                 }
                 let mut found = None;
-                for hop in via.iter() {
+                for hop in via.iter().filter(|_| !absent) {
                     let Some(parent) = s.resolved[hop.from.index()] else {
                         continue;
                     };
-                    // An accumulating container is empty behind its
-                    // buffered entries, and grouping guarantees this child's
-                    // key is fresh — the probe would miss.
-                    if accs
-                        .get(hop.edge.index())
-                        .is_some_and(|a| a.parent == Some(parent))
+                    // A parent this row created is empty, and so is an
+                    // accumulating container behind its buffered entries
+                    // (grouping guarantees this child's key is fresh): the
+                    // probe would miss.
+                    if s.created[hop.from.index()]
+                        || accs
+                            .get(hop.edge.index())
+                            .is_some_and(|a| a.parent == Some(parent))
                     {
                         continue;
                     }
@@ -250,17 +291,18 @@ impl Writer<'_> {
                     store.alloc(*node, inst)
                 });
                 s.resolved[idx] = Some(inst);
-                (s.hit[idx], s.created[idx]) = (false, created);
+                (s.hit[idx], s.created[idx]) = (!created, created);
                 if memo {
                     s.memo_inst[idx] = Some(inst);
                     s.remember(idx);
                 }
             }
             WriteStep::Link(hop) => {
-                let idx = hop.to.index();
-                if let (Some(parent), Some(inst), false) =
-                    (s.resolved[hop.from.index()], s.resolved[idx], s.hit[idx])
-                {
+                let (from, idx) = (hop.from.index(), hop.to.index());
+                if s.hit[idx] && !s.created[from] {
+                    return;
+                }
+                if let (Some(parent), Some(inst)) = (s.resolved[from], s.resolved[idx]) {
                     // A freshly created instance was probed for through every
                     // incoming edge and missed: no container holds its key.
                     let fresh = s.created[idx];
@@ -283,7 +325,8 @@ impl Writer<'_> {
                     s.remember(idx);
                 }
                 if let Some(parent) = s.resolved[hop.from.index()] {
-                    enter(store, s, accs, row, hop, parent, false, || {
+                    let fresh = absent || s.created[hop.from.index()];
+                    enter(store, s, accs, row, hop, parent, fresh, || {
                         Child::Unit(row_unit(row, *cols, unit))
                     });
                 }
@@ -527,6 +570,51 @@ impl Writer<'_> {
     }
 }
 
+/// Walks an insert block's identity path read-only over `row` up to its
+/// key guard, step `g` (see [`relic_query::lower_insert`]), recording each
+/// instance it finds in the scratch. Returns the step that missed — no
+/// stored tuple has the row's minimal key, and [`Writer::insert_row`]
+/// resumes there — or `None` when the guard hit: a stored tuple has it.
+pub(crate) fn guard(
+    store: &Store,
+    d: &Decomposition,
+    root: InstanceRef,
+    block: &WriteBlock,
+    g: usize,
+    row: &[Value],
+    s: &mut WriteScratch,
+) -> Option<usize> {
+    s.start_row(d.node_count(), d.root(), root);
+    for (i, step) in block.steps.iter().enumerate().take(g + 1) {
+        match step {
+            WriteStep::Create { node, via, .. } => {
+                let found = via.iter().find_map(|hop| {
+                    let parent = s.resolved[hop.from.index()]?;
+                    write_cols(row, &hop.key, &mut s.kb);
+                    store.cont_get(parent, hop.leaf, &s.kb)?.node()
+                });
+                let Some(inst) = found else {
+                    return Some(i);
+                };
+                s.resolved[node.index()] = Some(inst);
+                s.hit[node.index()] = true;
+            }
+            WriteStep::Store { hop, .. } => {
+                write_cols(row, &hop.key, &mut s.kb);
+                let parent = s.resolved[hop.from.index()];
+                if parent
+                    .and_then(|p| store.cont_get(p, hop.leaf, &s.kb))
+                    .is_none()
+                {
+                    return Some(i);
+                }
+            }
+            _ => {}
+        }
+    }
+    None
+}
+
 /// Runs an update block's `Resolve` steps read-only over `row`, recording
 /// each node's instance in the scratch for [`Writer::set_units`], and
 /// returns the columns of `changes` whose values differ from the units its
@@ -580,6 +668,41 @@ pub(crate) fn locate_sets(
     Some(changed)
 }
 
+/// What a relation holds of a row's minimal key (see
+/// [`SynthRelation::probe_min_key`]).
+enum KeyProbe {
+    /// No stored tuple has it: the insert block runs from the guard's miss
+    /// (`None`: no guard ran, from its first step).
+    Absent(Option<usize>),
+    /// The row itself is stored.
+    Duplicate,
+    /// This stored tuple has the key and differs.
+    Conflict(Tuple),
+}
+
+/// A batch screen (see [`SynthRelation::screen`]): rows that agree on
+/// `lhs` must agree on `rhs`. Stage 1 is the minimal key, whose `rhs` is
+/// every column; stage `2 + i` is the relation's `i`-th declared
+/// dependency — the order `insert` checks them in.
+struct Check {
+    stage: u32,
+    lhs: ColSet,
+    rhs: ColSet,
+}
+
+/// The positions of `cols` in a row of the columns `all`.
+fn positions(all: ColSet, cols: ColSet) -> Vec<usize> {
+    let at = all.iter().enumerate();
+    at.filter(|&(_, c)| cols.contains(c))
+        .map(|(p, _)| p)
+        .collect()
+}
+
+/// Whether rows `a` and `b` hold equal values at `pos`.
+fn agree(pos: &[usize], a: &[Value], b: &[Value]) -> bool {
+    pos.iter().all(|&p| a[p] == b[p])
+}
+
 impl SynthRelation {
     /// `insert r t` (§2): inserts a full tuple. Returns `Ok(false)` if the
     /// exact tuple was already present.
@@ -592,33 +715,79 @@ impl SynthRelation {
     ///   dependency (always detected on the relation's minimal key; detected
     ///   on every dependency when FD checking is enabled).
     pub fn insert(&mut self, t: Tuple) -> Result<bool, OpError> {
+        let added = self.insert_one(t)?;
+        self.record_inserts(usize::from(added));
+        Ok(added)
+    }
+
+    /// [`insert`](SynthRelation::insert) without the profile's count.
+    fn insert_one(&mut self, t: Tuple) -> Result<bool, OpError> {
         if t.dom() != self.spec.cols() {
             return Err(OpError::ColumnMismatch {
                 expected: self.spec.cols(),
                 actual: t.dom(),
             });
         }
-        // Key lookup: duplicate detection and first-line FD enforcement,
-        // streamed through the relation's scratch accumulator — no pattern
-        // tuple, no materialized result set.
-        let plan = self.planned(self.min_key, self.spec.cols())?;
-        let (dup, conflict) = self.probe_key(&plan, &t);
-        if dup {
-            return Ok(false);
-        }
-        if let Some(existing) = conflict {
-            return Err(OpError::FdViolation { tuple: t, existing });
-        }
+        let missed = match self.probe_min_key(t.values())? {
+            KeyProbe::Absent(missed) => missed,
+            KeyProbe::Duplicate => return Ok(false),
+            KeyProbe::Conflict(existing) => {
+                return Err(OpError::FdViolation { tuple: t, existing })
+            }
+        };
         if self.check_fds {
             self.check_fds_against(&t, None)?;
         }
-        let row = t.values();
+        self.insert_absent(t.values(), missed);
+        Ok(true)
+    }
+
+    /// Probes the row's minimal key (duplicate detection and first-line FD
+    /// enforcement) through the insert block's key guard, read-only. Only
+    /// when the guard hits, or the decomposition has none, does it run the
+    /// planned key query, which streams the stored tuple through the
+    /// relation's scratch accumulator.
+    fn probe_min_key(&mut self, row: &[Value]) -> Result<KeyProbe, OpError> {
+        let block = &self.layout.insert;
+        if let Some(g) = block.guard {
+            let missed = guard(
+                &self.store,
+                &self.d,
+                self.root,
+                block,
+                g,
+                row,
+                &mut self.write,
+            );
+            if missed.is_some() {
+                return Ok(KeyProbe::Absent(missed));
+            }
+        }
+        let (all, min_key) = (self.spec.cols(), self.min_key);
+        let plan = self.planned(min_key, all)?;
+        let key = all.iter().zip(row).filter(|(c, _)| min_key.contains(*c));
+        let mut found: Option<Result<(), Tuple>> = None;
+        self.for_each_matching(&plan, key, &mut |b| {
+            if found.is_none() {
+                let same = all.iter().zip(row).all(|(c, v)| b.get(c) == Some(v));
+                found = Some(if same { Ok(()) } else { Err(b.project(all)) });
+            }
+        });
+        Ok(match found {
+            None => KeyProbe::Absent(None),
+            Some(Ok(())) => KeyProbe::Duplicate,
+            Some(Err(existing)) => KeyProbe::Conflict(existing),
+        })
+    }
+
+    /// Runs the insert block over a row whose minimal key
+    /// [`probe_min_key`](Self::probe_min_key) found absent, from the
+    /// guard's miss, and counts the row.
+    fn insert_absent(&mut self, row: &[Value], missed: Option<usize>) {
         let mut writer = self.writer();
         let layout = writer.layout;
-        writer.insert_rows(&layout.insert, row, row.len(), &[0], None, ColSet::EMPTY);
+        writer.insert_row(&layout.insert, row, missed);
         self.len += 1;
-        self.record_inserts(1);
-        Ok(true)
     }
 
     /// The runner over this relation's store, taken `&mut` (copied first
@@ -633,30 +802,13 @@ impl SynthRelation {
         }
     }
 
-    /// Streams stored tuples matching `t` on the minimal key through the
-    /// relation's scratch accumulator, returning `(exact duplicate present,
-    /// first differing match)` — the duplicate/conflict probe shared by
-    /// [`insert`](SynthRelation::insert) and the batch paths.
-    fn probe_key(&mut self, plan: &Block, t: &Tuple) -> (bool, Option<Tuple>) {
-        let all = self.spec.cols();
-        let mut dup = false;
-        let mut conflict: Option<Tuple> = None;
-        self.for_each_matching(plan, t, self.min_key, &mut |b| {
-            if dup || conflict.is_some() {
-                return;
-            }
-            if all.iter().all(|c| b.get(c) == t.get(c)) {
-                dup = true;
-            } else {
-                conflict = Some(b.project(all));
-            }
-        });
-        (dup, conflict)
-    }
-
-    /// Checks every declared dependency of the specification against the
+    /// Checks the declared dependencies of the specification against the
     /// instance for prospective tuple `t`, ignoring `exclude` (used by
     /// `update`, where the old version of the tuple is about to disappear).
+    /// Without `exclude` — an insert, whose minimal key was found absent —
+    /// a dependency whose determinant contains the minimal key cannot fire
+    /// and is skipped; `update` checks them all, since the tuple it
+    /// excludes may hold the new key.
     ///
     /// Each dependency probe streams through the relation's scratch
     /// accumulator; the offending tuple is materialized only on the error
@@ -666,9 +818,14 @@ impl SynthRelation {
         let nfds = self.spec.fds().len();
         for i in 0..nfds {
             let fd = self.spec.fds().nth(i);
-            let plan = self.planned(fd.lhs & all, all)?;
+            let lhs = fd.lhs & all;
+            if exclude.is_none() && self.min_key.is_subset(lhs) {
+                continue;
+            }
+            let plan = self.planned(lhs, all)?;
             let mut violation: Option<Tuple> = None;
-            self.for_each_matching(&plan, t, fd.lhs & all, &mut |b| {
+            let key = t.iter().filter(|(c, _)| lhs.contains(*c));
+            self.for_each_matching(&plan, key, &mut |b| {
                 if violation.is_some() {
                     return;
                 }
@@ -695,21 +852,18 @@ impl SynthRelation {
         Ok(())
     }
 
-    /// Streams every stored tuple extending `t`'s projection onto
-    /// `pattern_cols` through `f`, as full-tuple bindings, running `plan`
-    /// (lowered for exactly that signature) through the relation's scratch
-    /// accumulator. Unrecorded: the probes of a write are its own cost.
-    fn for_each_matching(
+    /// Streams every stored tuple that extends the valuation `key` through
+    /// `f`, as full-tuple bindings, running `plan` (lowered for exactly
+    /// `key`'s columns) through the relation's scratch accumulator.
+    /// Unrecorded: the probes of a write are its own cost.
+    fn for_each_matching<'v>(
         &mut self,
         plan: &Block,
-        t: &Tuple,
-        pattern_cols: ColSet,
+        key: impl IntoIterator<Item = (ColId, &'v Value)>,
         f: &mut dyn FnMut(&Bindings),
     ) {
-        // Loads `t`'s projection onto `pattern_cols` without materializing it.
-        debug_assert!(pattern_cols.is_subset(t.dom()), "pattern column absent");
         let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.load(t.iter().filter(|(c, _)| pattern_cols.contains(*c)));
+        scratch.load(key);
         let env = ExecEnv {
             store: &self.store,
             d: &self.d,
@@ -722,11 +876,12 @@ impl SynthRelation {
 
     // -- batch operations ---------------------------------------------------
 
-    /// `insert_many`: inserts a batch of tuples with per-batch (rather than
-    /// per-tuple) setup — plans are fetched once, duplicate and
-    /// functional-dependency screening runs over the sorted batch instead of
-    /// issuing a planned probe per tuple, and the decomposition walk reuses
-    /// the previous tuple's instances wherever the bound valuations agree.
+    /// `insert_many`: inserts a batch of tuples in input order, each walked
+    /// once through the insert block's key guard. When FD checking screens
+    /// dependencies beyond the minimal key's, the tuples' values are first
+    /// moved into one row array and screened over the whole batch — one
+    /// store probe per determinant run instead of a planned probe per
+    /// tuple.
     ///
     /// Observably equivalent to folding [`insert`](SynthRelation::insert)
     /// over the batch in order: exact duplicates (within the batch or
@@ -747,13 +902,15 @@ impl SynthRelation {
         self.bulk_insert(tuples, false)
     }
 
-    /// `bulk_load`: [`insert_many`](SynthRelation::insert_many) with the
-    /// accepted batch additionally sorted by the decomposition's root-down
-    /// key order before the structural walk, so consecutive tuples share
-    /// every instance on their common path and each key-group's containers
-    /// are probed once. Root containers are pre-sized to the number of
-    /// distinct key groups. This is the intended path for O(n) ingest of
-    /// large batches (case-study startup, replay, snapshot restore).
+    /// `bulk_load`: [`insert_many`](SynthRelation::insert_many), except that
+    /// into an empty relation the batch is screened in-batch and walked
+    /// sorted by the decomposition's root-down key order, so consecutive
+    /// tuples share every instance on their common path and each
+    /// key-group's containers are built once by their bulk constructors.
+    /// Root containers are pre-sized to the number of distinct key groups.
+    /// This is the intended path for O(n) ingest of large batches
+    /// (case-study startup, replay, snapshot restore). Into a non-empty
+    /// relation it is `insert_many`'s walk in input order.
     ///
     /// # Errors
     ///
@@ -765,80 +922,122 @@ impl SynthRelation {
         self.bulk_insert(tuples, true)
     }
 
-    /// Shared batch-insert engine: screen the batch (duplicates, conflicts,
-    /// FDs) in fold order, then walk the decomposition once per key-group.
+    /// Shared batch-insert engine. With nothing to screen — no dependency
+    /// beyond the minimal key's under FD checking, and no sorted load — the
+    /// batch is the fold of [`insert`](SynthRelation::insert) itself, each
+    /// tuple through its key guard. Otherwise it streams the batch into one
+    /// row array, then loads it sorted into an empty relation (`bulk_load`)
+    /// or screens it and walks it in fold order.
     fn bulk_insert<I: IntoIterator<Item = Tuple>>(
         &mut self,
         tuples: I,
         sort_structural: bool,
     ) -> Result<usize, OpError> {
+        let checks = self.dep_checks();
+        let sorted = sort_structural && self.len == 0;
+        if !sorted && checks.is_empty() {
+            let mut inserted = 0;
+            let folded = tuples.into_iter().try_for_each(|t| {
+                inserted += usize::from(self.insert_one(t)?);
+                Ok(())
+            });
+            self.record_inserts(inserted);
+            return folded.map(|()| inserted);
+        }
         let all = self.spec.cols();
         let w = all.len();
-        // The first error the fold would hit, as (tuple index, check stage,
-        // error): stage 0 = column mismatch, 1 = minimal-key probe, 2+i =
-        // the i-th declared dependency — the order `insert` checks them in.
-        let mut err: Option<(usize, u32, OpError)> = None;
-        fn better(err: &Option<(usize, u32, OpError)>, idx: usize, stage: u32) -> bool {
-            err.as_ref().is_none_or(|(i, s, _)| (idx, stage) < (*i, *s))
-        }
         // Stream the batch into one contiguous row array, *moving* each
         // tuple's values (ascending column order) — no per-tuple heap
         // traffic, and everything downstream (screening comparisons, the
         // structural walk) indexes rows instead of chasing a tuple pointer
         // per access. The stream stops at the first malformed tuple, exactly
-        // where the fold would.
-        let mut flat: Vec<relic_spec::Value> = Vec::new();
+        // where the fold would; every other refusal is of an earlier row.
+        let mut flat: Vec<Value> = Vec::new();
+        let mut mismatch = None;
         let mut n = 0usize;
-        for (i, t) in tuples.into_iter().enumerate() {
+        for t in tuples {
             if t.dom() != all {
-                err = Some((
-                    i,
-                    0,
-                    OpError::ColumnMismatch {
-                        expected: all,
-                        actual: t.dom(),
-                    },
-                ));
-                break; // later tuples cannot produce an earlier error
+                mismatch = Some(OpError::ColumnMismatch {
+                    expected: all,
+                    actual: t.dom(),
+                });
+                break;
             }
             let (_, vals) = t.into_parts();
             flat.extend(vals.into_vec());
             n += 1;
         }
-        if n == 0 {
-            return match err {
-                Some((_, _, e)) => Err(e),
-                None => Ok(0),
-            };
+        let (inserted, refused) = if sorted {
+            self.load_sorted(&flat, w, n, checks)?
+        } else {
+            self.insert_in_order(&flat, w, n, &checks)?
+        };
+        self.record_inserts(inserted);
+        match refused.or(mismatch) {
+            Some(e) => Err(e),
+            None => Ok(inserted),
         }
-        // Rebuilds a streamed tuple from its row (error payloads and store
-        // probes only — never on the per-tuple path).
-        let row_tuple = |flat: &[relic_spec::Value], i: usize| {
-            Tuple::from_parts(all, flat[i * w..i * w + w].to_vec())
-        };
-        let mut dup = vec![false; n];
-        // One sort serves everything: the sequence starts with the minimal
-        // key (so equal-key runs are contiguous for screening) and continues
-        // root-down through the node bounds (so the structural walk visits
-        // each shared instance in one consecutive group). Comparisons go
-        // through precomputed value positions — every valid tuple is a full
-        // valuation, so column values sit at fixed ranks.
-        let sort_cols = self.batch_sort_cols();
-        let pos: Vec<usize> = sort_cols
-            .iter()
-            .map(|c| all.rank(*c).expect("sort column in relation"))
-            .collect();
-        let mk = self.min_key.len();
-        let cmp_upto = |a: usize, b: usize, k: usize| -> std::cmp::Ordering {
-            let (ra, rb) = (&flat[a * w..a * w + w], &flat[b * w..b * w + w]);
-            for &p in &pos[..k] {
-                match ra[p].cmp(&rb[p]) {
-                    std::cmp::Ordering::Equal => {}
-                    o => return o,
+    }
+
+    /// The fold of `insert_many` and of a `bulk_load` into a non-empty
+    /// relation under the dependency `checks`: each row in input order runs
+    /// its key guard, which answers a duplicate (skipped) or a key conflict
+    /// (refused); a row whose key is absent is refused when it failed a
+    /// screen, and otherwise walked in from the guard's miss. The screens
+    /// run first, over the whole batch: before row `j` the fold's relation
+    /// is the store plus rows `0..j`, whatever of them were duplicates.
+    /// Returns the number inserted and the refusal.
+    fn insert_in_order(
+        &mut self,
+        flat: &[Value],
+        w: usize,
+        n: usize,
+        checks: &[Check],
+    ) -> Result<(usize, Option<OpError>), OpError> {
+        let mut fails = vec![0; n];
+        self.screen_all(flat, w, checks, None, &mut fails, &mut [])?;
+        let mut inserted = 0;
+        for j in 0..n {
+            let row = &flat[j * w..j * w + w];
+            let missed = match self.probe_min_key(row)? {
+                KeyProbe::Absent(missed) => missed,
+                KeyProbe::Duplicate => continue,
+                KeyProbe::Conflict(existing) => {
+                    let tuple = Tuple::from_parts(self.spec.cols(), row.to_vec());
+                    return Ok((inserted, Some(OpError::FdViolation { tuple, existing })));
                 }
+            };
+            if let Some(check) = checks.iter().find(|c| c.stage == fails[j]) {
+                return Ok((inserted, Some(self.refusal(flat, w, j, check)?)));
             }
-            std::cmp::Ordering::Equal
-        };
+            self.insert_absent(row, missed);
+            inserted += 1;
+        }
+        Ok((inserted, None))
+    }
+
+    /// `bulk_load` into an empty relation: one sort of the batch by
+    /// [`batch_sort_cols`](Self::batch_sort_cols), the in-batch screens —
+    /// the minimal key over that order, then each dependency —, and the
+    /// rows before the first refusal, duplicates dropped, walked in sorted
+    /// order with the per-node memo and container accumulation. Returns
+    /// the number inserted and the refusal.
+    fn load_sorted(
+        &mut self,
+        flat: &[Value],
+        w: usize,
+        n: usize,
+        checks: Vec<Check>,
+    ) -> Result<(usize, Option<OpError>), OpError> {
+        let all = self.spec.cols();
+        // One sort serves the key screen and the walk: the sequence starts
+        // with the minimal key (so equal-key runs are contiguous) and
+        // continues root-down through the node bounds (so the structural
+        // walk visits each shared instance in one consecutive group).
+        // Comparisons go through precomputed value positions — every row
+        // is a full valuation, so column values sit at fixed ranks.
+        let sort_cols = self.batch_sort_cols();
+        let pos: Vec<usize> = sort_cols.iter().filter_map(|&c| all.rank(c)).collect();
         let mut sorted: Vec<usize> = (0..n).collect();
         // Integer sort keys (≤ 4 columns, the common case-study shape) pack
         // into order-preserving u64 words and sort as one contiguous array —
@@ -866,243 +1065,186 @@ impl SynthRelation {
                 }
             }
             None => {
-                sorted.sort_unstable_by(|&a, &b| cmp_upto(a, b, pos.len()).then(a.cmp(&b)));
+                let key = |i: usize| pos.iter().map(move |&p| &flat[i * w + p]);
+                sorted.sort_unstable_by(|&a, &b| key(a).cmp(key(b)).then(a.cmp(&b)));
             }
         }
-        // Minimal-key screening: within each run, every member must equal
-        // the earliest (fold-order reference) member exactly; the store is
-        // probed once per run, not once per tuple.
-        let key_plan = if self.len > 0 {
-            Some(self.planned(self.min_key, all)?)
-        } else {
-            None
+        let key = Check {
+            stage: 1,
+            lhs: self.min_key,
+            rhs: all,
         };
-        let mut start = 0;
-        while start < sorted.len() {
-            let mut end = start + 1;
-            while end < sorted.len() && cmp_upto(sorted[end], sorted[start], mk).is_eq() {
-                end += 1;
-            }
-            let run = &sorted[start..end];
-            let i0 = *run.iter().min().expect("non-empty run");
-            if let Some(plan) = &key_plan {
-                let plan = Arc::clone(plan);
-                let probe = row_tuple(&flat, i0);
-                let (stored_dup, stored_conflict) = self.probe_key(&plan, &probe);
-                if stored_dup {
-                    dup[i0] = true;
-                } else if let Some(existing) = stored_conflict {
-                    if better(&err, i0, 1) {
-                        err = Some((
-                            i0,
-                            1,
-                            OpError::FdViolation {
-                                tuple: probe,
-                                existing,
-                            },
-                        ));
-                    }
-                }
-            }
-            let mut first_conflict: Option<usize> = None;
-            for &j in run {
-                if j == i0 {
-                    continue;
-                }
-                // Valid tuples all share the relation's domain, so row
-                // equality is tuple equality.
-                if flat[j * w..j * w + w] == flat[i0 * w..i0 * w + w] {
-                    dup[j] = true;
-                } else if first_conflict.is_none_or(|x| j < x) {
-                    first_conflict = Some(j);
-                }
-            }
-            if let Some(j) = first_conflict {
-                if better(&err, j, 1) {
-                    err = Some((
-                        j,
-                        1,
-                        OpError::FdViolation {
-                            tuple: row_tuple(&flat, j),
-                            existing: row_tuple(&flat, i0),
-                        },
-                    ));
-                }
-            }
-            start = end;
-        }
-        // Per-dependency screening, in declaration order (matching
-        // `check_fds_against`): runs of equal determinant valuations must
-        // agree on the dependent columns, in the batch and against the
-        // store. Only dependencies whose determinant does not contain the
-        // minimal key get here (see the `continue` below) — the common
-        // key → rest dependency is fully covered by stage 1.
-        if self.check_fds {
-            let nfds = self.spec.fds().len();
-            let mut fd_sorted: Vec<usize> = Vec::new();
-            for fi in 0..nfds {
-                let fd = self.spec.fds().nth(fi);
-                let (lhs, rhs) = (fd.lhs & all, fd.rhs & all);
-                let stage = 2 + fi as u32;
-                // A determinant containing the minimal key can never fire
-                // after minimal-key screening passed: equal determinants
-                // force equal minimal keys, and stage 1 already flagged
-                // every same-key pair that is not an exact duplicate.
-                if self.min_key.is_subset(lhs) {
-                    continue;
-                }
-                let rhs_pos: Vec<usize> = rhs
-                    .iter()
-                    .map(|c| all.rank(c).expect("rhs column in relation"))
-                    .collect();
-                let rhs_eq = |a: usize, b: &Tuple| -> bool {
-                    let ra = &flat[a * w..a * w + w];
-                    rhs_pos.iter().zip(rhs.iter()).all(|(&p, c)| {
-                        debug_assert!(b.get(c).is_some());
-                        Some(&ra[p]) == b.get(c)
-                    })
-                };
-                let rhs_eq_rows = |a: usize, b: usize| -> bool {
-                    let (ra, rb) = (&flat[a * w..a * w + w], &flat[b * w..b * w + w]);
-                    rhs_pos.iter().all(|&p| ra[p] == rb[p])
-                };
-                let lhs_pos: Vec<usize> = lhs
-                    .iter()
-                    .map(|c| all.rank(c).expect("lhs column in relation"))
-                    .collect();
-                let cmp_lhs = |a: usize, b: usize| -> std::cmp::Ordering {
-                    let (ra, rb) = (&flat[a * w..a * w + w], &flat[b * w..b * w + w]);
-                    for &p in &lhs_pos {
-                        match ra[p].cmp(&rb[p]) {
-                            std::cmp::Ordering::Equal => {}
-                            o => return o,
-                        }
-                    }
-                    std::cmp::Ordering::Equal
-                };
-                fd_sorted.clear();
-                fd_sorted.extend(0..n);
-                fd_sorted.sort_unstable_by(|&a, &b| cmp_lhs(a, b).then(a.cmp(&b)));
-                let runs: &[usize] = &fd_sorted;
-                let fd_plan = if self.len > 0 {
-                    Some(self.planned(lhs, all)?)
-                } else {
-                    None
-                };
-                let mut start = 0;
-                while start < runs.len() {
-                    let mut end = start + 1;
-                    while end < runs.len() && cmp_lhs(runs[end], runs[start]).is_eq() {
-                        end += 1;
-                    }
-                    let run = &runs[start..end];
-                    let i0 = *run.iter().min().expect("non-empty run");
-                    let mut first_conflict: Option<usize> = None;
-                    for &j in run {
-                        if j != i0 && !rhs_eq_rows(j, i0) && first_conflict.is_none_or(|x| j < x) {
-                            first_conflict = Some(j);
-                        }
-                    }
-                    if let Some(j) = first_conflict {
-                        if better(&err, j, stage) {
-                            err = Some((
-                                j,
-                                stage,
-                                OpError::FdViolation {
-                                    tuple: row_tuple(&flat, j),
-                                    existing: row_tuple(&flat, i0),
-                                },
-                            ));
-                        }
-                    }
-                    if let Some(plan) = &fd_plan {
-                        let plan = Arc::clone(plan);
-                        let probe = row_tuple(&flat, i0);
-                        let (w1, w2) = self.probe_fd_witnesses(&plan, &probe, lhs, rhs);
-                        if let Some(w1) = w1 {
-                            // Earliest non-duplicate member disagreeing with
-                            // a stored tuple — exact duplicates return
-                            // before dependency checks, as in `insert`.
-                            let mut cand: Option<(usize, &Tuple)> = None;
-                            for &j in run {
-                                if dup[j] || cand.is_some_and(|(x, _)| x < j) {
-                                    continue;
-                                }
-                                let witness = if !rhs_eq(j, &w1) {
-                                    Some(&w1)
-                                } else {
-                                    w2.as_ref()
-                                };
-                                if let Some(w) = witness {
-                                    cand = Some((j, w));
-                                }
-                            }
-                            if let Some((j, witness)) = cand {
-                                if better(&err, j, stage) {
-                                    let witness = witness.clone();
-                                    err = Some((
-                                        j,
-                                        stage,
-                                        OpError::FdViolation {
-                                            tuple: row_tuple(&flat, j),
-                                            existing: witness,
-                                        },
-                                    ));
-                                }
-                            }
-                        }
-                    }
-                    start = end;
-                }
-            }
-        }
-        // Accept everything the fold would have inserted before the error;
-        // the walk runs in key-group order for `bulk_load`, input order for
-        // `insert_many`.
-        let err_idx = err.as_ref().map(|(i, _, _)| *i).unwrap_or(usize::MAX);
-        let accepted: Vec<usize> = if sort_structural {
-            sorted
-                .iter()
-                .copied()
-                .filter(|&i| i < err_idx && !dup[i])
-                .collect()
-        } else {
-            (0..n).filter(|&i| i < err_idx && !dup[i]).collect()
-        };
-        if !accepted.is_empty() {
-            let prefix = if sort_structural {
-                Some(sort_cols.as_slice())
-            } else {
-                None
+        let checks: Vec<Check> = std::iter::once(key).chain(checks).collect();
+        let (mut fails, mut dup) = (vec![0; n], vec![false; n]);
+        self.screen_all(flat, w, &checks, Some(&sorted), &mut fails, &mut dup)?;
+        // A duplicate returns before the fold checks its dependencies.
+        let first = (0..n).find(|&j| fails[j] == 1 || (fails[j] > 1 && !dup[j]));
+        let refused =
+            match first.and_then(|j| Some((j, checks.iter().find(|c| c.stage == fails[j])?))) {
+                Some((j, check)) => Some(self.refusal(flat, w, j, check)?),
+                None => None,
             };
+        let end = first.unwrap_or(n);
+        let accepted: Vec<usize> = sorted.into_iter().filter(|&i| i < end && !dup[i]).collect();
+        if !accepted.is_empty() {
             let min_key = self.min_key;
             let mut writer = self.writer();
             let layout = writer.layout;
-            writer.insert_rows(&layout.insert, &flat, w, &accepted, prefix, min_key);
+            let prefix = Some(sort_cols.as_slice());
+            writer.insert_rows(&layout.insert, flat, w, &accepted, prefix, min_key);
             self.len += accepted.len();
-            self.record_inserts(accepted.len());
         }
-        match err {
-            Some((_, _, e)) => Err(e),
-            None => Ok(accepted.len()),
-        }
+        Ok((accepted.len(), refused))
     }
 
-    /// Streams stored tuples matching `t` on `lhs`, returning the first
+    /// The batch screens of the declared dependencies, in declaration
+    /// order, when FD checking is on. A determinant containing the minimal
+    /// key is left out: once the key check passed, equal determinants are
+    /// the same row.
+    fn dep_checks(&self) -> Vec<Check> {
+        let all = self.spec.cols();
+        let fds = self.spec.fds().iter().enumerate();
+        let checks = fds.map(|(i, fd)| Check {
+            stage: 2 + i as u32,
+            lhs: fd.lhs & all,
+            rhs: fd.rhs & all,
+        });
+        let keyed = |c: &Check| self.min_key.is_subset(c.lhs);
+        checks.filter(|c| self.check_fds && !keyed(c)).collect()
+    }
+
+    /// Runs every check of `checks` (in stage order) over the batch: the
+    /// minimal key over `key_order`, rows sorted by it; each dependency over
+    /// its own sort by its determinant. See [`screen`](Self::screen).
+    fn screen_all(
+        &mut self,
+        flat: &[Value],
+        w: usize,
+        checks: &[Check],
+        key_order: Option<&[usize]>,
+        fails: &mut [u32],
+        dup: &mut [bool],
+    ) -> Result<(), OpError> {
+        let all = self.spec.cols();
+        let mut order: Vec<usize> = Vec::new();
+        for check in checks {
+            let order = match (check.stage, key_order) {
+                (1, Some(sorted)) => sorted,
+                _ => {
+                    let lhs = positions(all, check.lhs);
+                    let key = |i: usize| lhs.iter().map(move |&p| &flat[i * w + p]);
+                    order.clear();
+                    order.extend(0..fails.len());
+                    order.sort_unstable_by(|&a, &b| key(a).cmp(key(b)).then(a.cmp(&b)));
+                    &order[..]
+                }
+            };
+            self.screen(flat, w, check, order, fails, dup)?;
+        }
+        Ok(())
+    }
+
+    /// Screens the batch against `check`. `order` lists the rows so that
+    /// rows equal on `check.lhs` are consecutive; within each such run, a
+    /// row that disagrees on `check.rhs` with the run's earliest row — or,
+    /// in a non-empty relation, with a stored tuple equal on `check.lhs` —
+    /// fails the check, and gets its stage in `fails` unless it failed an
+    /// earlier one. The store is probed once per run. On the minimal key, a
+    /// later row that agrees with the earliest one is a duplicate, marked
+    /// in `dup`.
+    fn screen(
+        &mut self,
+        flat: &[Value],
+        w: usize,
+        check: &Check,
+        order: &[usize],
+        fails: &mut [u32],
+        dup: &mut [bool],
+    ) -> Result<(), OpError> {
+        let all = self.spec.cols();
+        let (lhs, rhs) = (positions(all, check.lhs), positions(all, check.rhs));
+        let row = |i: usize| &flat[i * w..i * w + w];
+        let plan = match self.len {
+            0 => None,
+            _ => Some(self.planned(check.lhs, all)?),
+        };
+        let mut start = 0;
+        while start < order.len() {
+            let head = row(order[start]);
+            let len = order[start..]
+                .iter()
+                .position(|&j| !agree(&lhs, row(j), head));
+            let run = &order[start..len.map_or(order.len(), |k| start + k)];
+            let i0 = run.iter().copied().fold(order[start], usize::min);
+            let (w1, w2) = match &plan {
+                Some(plan) => self.probe_fd_witnesses(plan, row(i0), check.lhs, check.rhs),
+                None => (None, None),
+            };
+            for &j in run {
+                let differs = !agree(&rhs, row(j), row(i0));
+                if check.stage == 1 && j != i0 && !differs {
+                    dup[j] = true;
+                }
+                let stored = w2.is_some()
+                    || w1
+                        .as_ref()
+                        .is_some_and(|t| !agree(&rhs, row(j), t.values()));
+                if (differs || stored) && fails[j] == 0 {
+                    fails[j] = check.stage;
+                }
+            }
+            start += run.len();
+        }
+        Ok(())
+    }
+
+    /// The refusal of row `j`, which failed `check`: the row, and a tuple it
+    /// conflicts with — the earliest batch row before it that agrees on
+    /// `check.lhs` and not on `check.rhs`, else a stored one.
+    fn refusal(
+        &mut self,
+        flat: &[Value],
+        w: usize,
+        j: usize,
+        check: &Check,
+    ) -> Result<OpError, OpError> {
+        let all = self.spec.cols();
+        let (lhs, rhs) = (positions(all, check.lhs), positions(all, check.rhs));
+        let row = |i: usize| &flat[i * w..i * w + w];
+        let earlier = (0..j).find(|&i| agree(&lhs, row(i), row(j)) && !agree(&rhs, row(i), row(j)));
+        let existing = match earlier {
+            Some(i) => Tuple::from_parts(all, row(i).to_vec()),
+            None => {
+                let plan = self.planned(check.lhs, all)?;
+                let (w1, w2) = self.probe_fd_witnesses(&plan, row(j), check.lhs, check.rhs);
+                let differs = |t: &Tuple| !agree(&rhs, row(j), t.values());
+                // The screen saw a stored witness; `w1` stands in otherwise.
+                match w1 {
+                    Some(w1) if !differs(&w1) => w2.unwrap_or(w1),
+                    w1 => w1.unwrap_or_else(|| Tuple::from_parts(all, row(j).to_vec())),
+                }
+            }
+        };
+        let tuple = Tuple::from_parts(all, row(j).to_vec());
+        Ok(OpError::FdViolation { tuple, existing })
+    }
+
+    /// Streams stored tuples matching `row` on `lhs`, returning the first
     /// match and the first match whose `rhs` projection differs from it —
-    /// enough to decide, for every batch member sharing `t`'s determinant
+    /// enough to decide, for every batch row sharing `row`'s determinant
     /// valuation, whether the store holds a conflicting witness.
     fn probe_fd_witnesses(
         &mut self,
         plan: &Block,
-        t: &Tuple,
+        row: &[Value],
         lhs: ColSet,
         rhs: ColSet,
     ) -> (Option<Tuple>, Option<Tuple>) {
         let all = self.spec.cols();
         let mut w1: Option<Tuple> = None;
         let mut w2: Option<Tuple> = None;
-        self.for_each_matching(plan, t, lhs, &mut |b| match &w1 {
+        let key = all.iter().zip(row).filter(|(c, _)| lhs.contains(*c));
+        self.for_each_matching(plan, key, &mut |b| match &w1 {
             None => w1 = Some(b.project(all)),
             Some(first) => {
                 if w2.is_none() && rhs.iter().any(|c| b.get(c) != first.get(c)) {
@@ -1118,8 +1260,8 @@ impl SynthRelation {
     /// order of the node bounds (so the structural walk visits each shared
     /// instance in one consecutive group). Columns bound by no node and
     /// outside the key never influence grouping and are left unsorted.
-    fn batch_sort_cols(&self) -> Vec<relic_spec::ColId> {
-        let mut cols: Vec<relic_spec::ColId> = self.min_key.iter().collect();
+    fn batch_sort_cols(&self) -> Vec<ColId> {
+        let mut cols: Vec<ColId> = self.min_key.iter().collect();
         let mut seen = self.min_key;
         for node in self.d.topo_root_first() {
             let bound = self.d.node(node).bound;
@@ -1325,7 +1467,7 @@ impl SynthRelation {
         let plan = self.planned(pattern.dom(), all)?;
         let mut t_old: Option<Tuple> = None;
         // The pattern is a key, so every emission is the one tuple.
-        self.for_each_matching(&plan, pattern, pattern.dom(), &mut |b| {
+        self.for_each_matching(&plan, pattern.iter(), &mut |b| {
             if t_old.is_none() {
                 t_old = Some(b.project(all));
             }

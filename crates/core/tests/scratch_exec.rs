@@ -375,15 +375,21 @@ fn plan_cache_memoizes_and_invalidates() {
     let cpu = cat.col("cpu").unwrap();
     let state = cat.col("state").unwrap();
     let mut r = SynthRelation::new(&cat, spec, ds[0].clone()).unwrap();
-    for (a, b, s, c) in [(1, 1, "S", 7), (1, 2, "R", 4)] {
-        r.insert(Tuple::from_pairs([
+    let task = |a: i64, b: i64, s: &str, c: i64| {
+        Tuple::from_pairs([
             (ns, Value::from(a)),
             (pid, Value::from(b)),
             (state, Value::from(s)),
             (cpu, Value::from(c)),
-        ]))
-        .unwrap();
+        ])
+    };
+    for (a, b, s, c) in [(1, 1, "S", 7), (1, 2, "R", 4)] {
+        assert!(r.insert(task(a, b, s, c)).unwrap());
     }
+    // A new key misses the insert block's guard: nothing is planned.
+    assert_eq!(r.plan_cache_len(), 0, "a guarded insert plans nothing");
+    // A duplicate hits it and reads the stored tuple through the key plan.
+    assert!(!r.insert(task(1, 1, "S", 7)).unwrap());
     let inserted_plans = r.plan_cache_len();
     assert!(inserted_plans > 0, "insert probes should have planned");
     // Same signature twice: one cache entry.

@@ -6,7 +6,8 @@
 //! moves between the candidates mid-run.
 
 use proptest::test_runner::TestRng;
-use relic_core::Op;
+use relic_core::{Op, OpError, SynthRelation};
+use relic_decomp::Decomposition;
 use relic_oracle::{check_cases, check_steps, run, Mix, Model, Path, Step, Synth, Universe};
 use relic_spec::Tuple;
 
@@ -80,6 +81,102 @@ fn remove_many_equals_remove_fold() {
     fold_row("remove_many_fold", Universe::abv(false), 20, |u, rng| {
         Op::RemoveMany((0..rng.below(8)).map(|_| u.pattern(rng)).collect())
     });
+}
+
+/// A relation of `u` under `d` holding `stored`, inserted one by one.
+fn holding(u: &Universe, d: &Decomposition, stored: &[Tuple]) -> SynthRelation {
+    let mut r = SynthRelation::new(&u.cat, u.spec.clone(), d.clone()).unwrap();
+    for t in stored {
+        assert!(r.insert(t.clone()).unwrap());
+    }
+    r
+}
+
+/// A batch's outcome as the fold sees it: the count, or the refused tuple.
+fn outcome(r: Result<usize, OpError>) -> Result<usize, Tuple> {
+    r.map_err(|e| match e {
+        OpError::FdViolation { tuple, .. } => tuple,
+        e => panic!("unexpected {e}"),
+    })
+}
+
+/// The batch walk decides which refusal comes first, as the fold does. On
+/// `a, b → v` with the non-key dependency `b → v` beside it, on every
+/// candidate: batches whose first refusal is a key conflict between two
+/// batch rows, a key conflict with a stored tuple, a dependency violation
+/// after an exact duplicate of a stored tuple, a key conflict after an
+/// in-batch duplicate, and a dependency violation between batch rows.
+/// `insert_many` and `bulk_load`, over the stored tuples and over an empty
+/// relation, each match a fold of `insert` over the same rows: the count
+/// or the refused tuple, and the tuples that went in.
+#[test]
+fn batch_refusals_follow_the_fold_order() {
+    let mut u = Universe::abv(true);
+    let [b, v] = ["b", "v"].map(|c| u.cat.col(c).unwrap());
+    u.spec = u.spec.clone().with_fd(b.set(), v.set());
+    let t = |a, b, v| u.tuple(&["a", "b", "v"], &[a, b, v]);
+    let cases = [
+        (
+            "key conflict in the batch",
+            vec![],
+            vec![t(0, 0, 0), t(1, 1, 1), t(0, 0, 2)],
+        ),
+        (
+            "key conflict with a stored tuple",
+            vec![t(0, 0, 0)],
+            vec![t(1, 1, 1), t(0, 0, 2), t(2, 2, 2)],
+        ),
+        (
+            "dependency after a stored duplicate",
+            vec![t(0, 0, 0)],
+            vec![t(0, 0, 0), t(1, 0, 1), t(2, 2, 2)],
+        ),
+        (
+            "conflict after an in-batch duplicate",
+            vec![t(2, 2, 2)],
+            vec![t(0, 0, 0), t(0, 0, 0), t(0, 0, 1)],
+        ),
+        (
+            "dependency in the batch",
+            vec![t(2, 2, 2)],
+            vec![t(0, 1, 1), t(1, 1, 1), t(2, 1, 2)],
+        ),
+    ];
+    for d in &u.candidates {
+        for (case, stored, batch) in &cases {
+            for stored in [&stored[..], &[]] {
+                let mut fold = holding(&u, d, stored);
+                let mut n = 0;
+                let want = batch.iter().try_for_each(|t| {
+                    n += usize::from(fold.insert(t.clone())?);
+                    Ok(())
+                });
+                let want = outcome(want.map(|()| n));
+                assert!(want.is_err() || stored.is_empty(), "{case}: no refusal");
+                for bulk in [false, true] {
+                    let mut r = holding(&u, d, stored);
+                    let got = match bulk {
+                        false => r.insert_many(batch.clone()),
+                        true => r.bulk_load(batch.clone()),
+                    };
+                    let at = format!(
+                        "{case} ({} into {} tuples) on\n{}",
+                        if bulk { "bulk_load" } else { "insert_many" },
+                        stored.len(),
+                        d.to_let_notation(&u.cat)
+                    );
+                    assert_eq!(outcome(got), want, "{at}");
+                    let all = Tuple::empty();
+                    assert_eq!(
+                        r.query_full(&all).unwrap(),
+                        fold.query_full(&all).unwrap(),
+                        "{at}"
+                    );
+                    r.validate().unwrap();
+                }
+            }
+        }
+    }
 }
 
 /// Random sequences with `Migrate` steps between all the candidates — the

@@ -229,6 +229,12 @@ pub struct Hop {
 pub struct WriteBlock {
     /// The steps.
     pub steps: Vec<WriteStep>,
+    /// An insert block's key guard: the index of the `create` or `store`
+    /// of the node whose instance exists iff a stored tuple has the row's
+    /// minimal key (see [`crate::lower_insert`]). The steps up to it walk
+    /// that node's path; run read-only, a hit there means the key is
+    /// stored, a miss that it is not. `None` in every other block.
+    pub guard: Option<usize>,
 }
 
 /// One write step. Insert blocks hold `Create`, `Link` and `Store`;
@@ -304,12 +310,16 @@ pub enum WriteStep {
 }
 
 impl fmt::Display for WriteBlock {
+    /// The steps in order; the key guard prints as `guard(step)`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for (i, s) in self.steps.iter().enumerate() {
             if i > 0 {
                 write!(f, "; ")?;
             }
-            write!(f, "{s}")?;
+            match self.guard {
+                Some(g) if g == i => write!(f, "guard({s})")?,
+                _ => write!(f, "{s}")?,
+            }
         }
         Ok(())
     }

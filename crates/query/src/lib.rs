@@ -28,8 +28,9 @@
 //! * [`optimize`] (`peephole`) — the IR's peephole rewrites,
 //! * [`WriteBlock`] / [`WriteStep`] (`ir`) and [`lower_insert`] /
 //!   [`lower_remove`] / [`lower_update`] (`lower`) — the write side: §4.4's
-//!   find-or-create insert, §4.5's cut removal and the in-place update,
-//!   lowered once per decomposition.
+//!   find-or-create insert (whose identity path comes first, ending in the
+//!   key guard), §4.5's cut removal and the in-place update, lowered once
+//!   per decomposition.
 //!
 //! The optimized [`Block`] and the lowered [`WriteBlock`]s are what both
 //! backends run: `relic-core` *interprets* them (`dqexec`, its write
@@ -79,8 +80,7 @@ mod validity;
 pub use cost::{CostModel, JoinCostMode};
 pub use ir::{Block, Hop, Step, WriteBlock, WriteStep};
 pub use lower::{
-    inline_units, lower_insert, lower_locate, lower_plan, lower_remove, lower_update, path_key,
-    structural_cols,
+    inline_units, lower_insert, lower_plan, lower_remove, lower_update, path_key, structural_cols,
 };
 pub use peephole::{optimize, PeepholeStats};
 pub use plan::{Plan, Side};

@@ -194,26 +194,62 @@ pub fn structural_cols(d: &Decomposition) -> ColSet {
         | d.nodes().fold(ColSet::EMPTY, |s, (_, n)| s | n.bound)
 }
 
-/// Lowers §4.4's `dinsert` for `d`: every node below the root in
-/// topological order, root first — a [`WriteStep::Create`] and one
-/// [`WriteStep::Link`] per incoming edge, or a [`WriteStep::Store`] for an
-/// inline leaf. The row is a full tuple of the root's columns.
+/// Lowers §4.4's `dinsert` for `d` over rows whose minimal key is `key`:
+/// every node below the root — a [`WriteStep::Create`] through its
+/// resolved incoming edges and a [`WriteStep::Link`] per incoming edge, or
+/// a [`WriteStep::Store`] for an inline leaf. The row is a full tuple of
+/// the root's columns.
+///
+/// The *identity path* comes first: the canonical path of the node whose
+/// [`path_key`] is exactly `key` (the shortest such path), so that node's
+/// instance exists iff a stored tuple has the row's key. Its last probe —
+/// the identity node's `create`, or `store` for an inline leaf — is the
+/// block's [`WriteBlock::guard`]: walked read-only up to it, the block
+/// says whether the key is stored before anything is written. The other
+/// nodes follow in topological order, and an incoming edge of a path node
+/// from a later node is linked right after that node's `create`. Without
+/// an identity node the block is topological and has no guard.
 ///
 /// # Errors
 ///
-/// [`PlanError::WriteMisaligned`] if a node's parent does not precede it.
-pub fn lower_insert(d: &Decomposition) -> Result<WriteBlock, PlanError> {
+/// [`PlanError::WriteMisaligned`] if a node is reached before all of its
+/// parents and no parent of it is resolved.
+pub fn lower_insert(d: &Decomposition, key: ColSet) -> Result<WriteBlock, PlanError> {
     let mut w = WriteLowering::new(d, d.node(d.root()).cols);
     let inline = inline_units(d);
-    let mut steps = Vec::new();
-    for node in d.topo_root_first().filter(|&n| n != d.root()) {
+    let identity = d
+        .nodes()
+        .map(|(id, _)| id)
+        .filter(|&n| n != d.root() && !key.is_empty() && path_key(d, n) == key)
+        .min_by_key(|&n| canonical_edges(d, n).len());
+    let path: Vec<NodeId> = identity.map_or_else(Vec::new, |n| {
+        canonical_edges(d, n)
+            .iter()
+            .rev()
+            .map(|&e| d.edge(e).to)
+            .collect()
+    });
+    let rest = d
+        .topo_root_first()
+        .filter(|n| *n != d.root() && !path.contains(n));
+    let (mut steps, mut guard) = (Vec::new(), None);
+    for node in path.iter().copied().chain(rest) {
         let bound = w.positions(d.node(node).bound)?;
-        let via = w.hops(d.incoming_edges(node))?;
+        let resolved = d
+            .incoming_edges(node)
+            .iter()
+            .copied()
+            .filter(|&e| w.resolved[d.edge(e).from.index()]);
+        let via: Box<[Hop]> = resolved.map(|e| w.hop(e)).collect::<Result<_, _>>()?;
+        if via.is_empty() {
+            return Err(w.err(format!("n{} has no resolved parent", node.index())));
+        }
+        if Some(node) == identity {
+            guard = Some(steps.len());
+        }
         if let Some(cols) = inline[node.index()] {
-            let Some(hop) = via.into_vec().pop() else {
-                return Err(w.err("an inline leaf without its edge"));
-            };
             let unit = w.positions(cols)?;
+            let hop = via[0].clone();
             steps.push(WriteStep::Store {
                 hop,
                 bound,
@@ -236,8 +272,14 @@ pub fn lower_insert(d: &Decomposition) -> Result<WriteBlock, PlanError> {
             steps.extend(links);
         }
         w.resolved[node.index()] = true;
+        // Edges into path nodes that were created before this parent.
+        for e in d.node(node).body.edges() {
+            if w.resolved[d.edge(e).to.index()] && path.contains(&d.edge(e).to) {
+                steps.push(WriteStep::Link(w.hop(e)?));
+            }
+        }
     }
-    Ok(WriteBlock { steps })
+    Ok(WriteBlock { steps, guard })
 }
 
 /// Lowers §4.5's removal of one stored row for `cut`: a
@@ -270,6 +312,7 @@ pub fn lower_remove(d: &Decomposition, cut: &Cut) -> Result<WriteBlock, PlanErro
     if cut.is_below(d.root()) {
         return Ok(WriteBlock {
             steps: vec![WriteStep::Free { node: d.root() }],
+            guard: None,
         });
     }
     let mut steps = Vec::new();
@@ -295,7 +338,7 @@ pub fn lower_remove(d: &Decomposition, cut: &Cut) -> Result<WriteBlock, PlanErro
             steps.push(WriteStep::Reclaim { node, via });
         }
     }
-    Ok(WriteBlock { steps })
+    Ok(WriteBlock { steps, guard: None })
 }
 
 /// Lowers the in-place update of the unit columns among `changes`, over a
@@ -305,8 +348,8 @@ pub fn lower_remove(d: &Decomposition, cut: &Cut) -> Result<WriteBlock, PlanErro
 /// `row`. A witness's instance (an inline leaf's entry) exists iff a row
 /// with these values is stored, so locating it tells an absent row from a
 /// present one. Per located node
-/// (let order): the [`WriteStep::Resolve`]s along its canonical path (see
-/// [`lower_locate`]), then a [`WriteStep::Set`] per unit leaf. An inline
+/// (let order): the [`WriteStep::Resolve`]s along its canonical path (the
+/// first incoming edge at every hop, root first), then a [`WriteStep::Set`] per unit leaf. An inline
 /// leaf's `Set` names the edge whose entry holds its unit instead of
 /// resolving the leaf.
 ///
@@ -366,32 +409,26 @@ pub fn lower_update(
             entry: entry.clone(),
         }));
     }
-    Ok(WriteBlock { steps })
+    Ok(WriteBlock { steps, guard: None })
 }
 
 /// The key columns of the edges on `node`'s canonical path (the first
 /// incoming edge at every node): what a row must bind to locate the node.
-pub fn path_key(d: &Decomposition, mut node: NodeId) -> ColSet {
-    let mut key = ColSet::EMPTY;
-    while node != d.root() {
-        let e = d.edge(d.incoming_edges(node)[0]);
-        key = key | e.key;
-        node = e.from;
-    }
-    key
+pub fn path_key(d: &Decomposition, node: NodeId) -> ColSet {
+    let edges = canonical_edges(d, node);
+    edges.iter().fold(ColSet::EMPTY, |k, &e| k | d.edge(e).key)
 }
 
-/// The [`WriteStep::Resolve`]s that locate `node`'s instance from the root
-/// over a row of the columns `row`: one per edge of its canonical path (the
-/// first incoming edge at every hop), root first.
-///
-/// # Errors
-///
-/// [`PlanError::WriteMisaligned`] if `row` does not bind a key on the path.
-pub fn lower_locate(d: &Decomposition, row: ColSet, node: NodeId) -> Result<WriteBlock, PlanError> {
-    let path = WriteLowering::new(d, row).canonical_path(node)?;
-    let steps = path.into_iter().map(WriteStep::Resolve).collect();
-    Ok(WriteBlock { steps })
+/// The edges of `node`'s canonical path (the first incoming edge at every
+/// node), from `node` up to the root.
+fn canonical_edges(d: &Decomposition, mut node: NodeId) -> Vec<EdgeId> {
+    let mut edges = Vec::new();
+    while node != d.root() {
+        let e = d.incoming_edges(node)[0];
+        edges.push(e);
+        node = d.edge(e).from;
+    }
+    edges
 }
 
 /// Shared state of the write lowerings: the row's columns and which nodes
@@ -451,16 +488,10 @@ impl<'a> WriteLowering<'a> {
         es.iter().map(|&e| self.hop(e)).collect()
     }
 
-    /// The hops of `node`'s canonical path (the first incoming edge at
-    /// every node), root first; each resolves its target.
+    /// The hops of `node`'s canonical path, root first; each resolves its
+    /// target.
     fn canonical_path(&mut self, node: NodeId) -> Result<Vec<Hop>, PlanError> {
-        let mut edges = Vec::new();
-        let mut cur = node;
-        while cur != self.d.root() {
-            let e = self.d.incoming_edges(cur)[0];
-            edges.push(e);
-            cur = self.d.edge(e).from;
-        }
+        let edges = canonical_edges(self.d, node);
         let mut path = Vec::with_capacity(edges.len());
         for &e in edges.iter().rev() {
             let hop = self.hop(e)?;
@@ -639,13 +670,31 @@ mod write_tests {
     #[test]
     fn scheduler_insert_finds_or_creates_root_first() {
         // n0 = w (shared by y and z), n1 = y, n2 = z; e0 = y→w, e1 = z→w,
-        // e2 = x→y, e3 = x→z. The shared w is found through either parent
-        // and linked under both.
-        let (_, _, d) = setup(SCHEDULER, &["ns", "pid"]);
+        // e2 = x→y, e3 = x→z. w's canonical path x→y→w is keyed by exactly
+        // {ns, pid}, so it comes first and w's create is the guard; the
+        // {state} index z follows, and w is linked under it after its
+        // create.
+        let (_, spec, d) = setup(SCHEDULER, &["ns", "pid"]);
         assert_eq!(
-            lower_insert(&d).unwrap().to_string(),
-            "create(n2 via=e3); link(e3); create(n1 via=e2); link(e2); \
-             create(n0 via=e0,e1); link(e0); link(e1)"
+            lower_insert(&d, spec.minimal_key()).unwrap().to_string(),
+            "create(n1 via=e2); link(e2); guard(create(n0 via=e0)); link(e0); \
+             create(n2 via=e3); link(e3); link(e1)"
+        );
+    }
+
+    #[test]
+    fn no_identity_node_means_no_guard() {
+        // The leaf's path is keyed by {a, b, v}, a superset of the key: a
+        // miss there does not prove the key absent.
+        let src = "let u : {a,b,v} . {} = unit {} in
+             let y : {a} . {b,v} = {b,v} -[htable]-> u in
+             let x : {} . {a,b,v} = {a} -[avl]-> y in x";
+        let (_, spec, d) = setup(src, &["a", "b"]);
+        let block = lower_insert(&d, spec.minimal_key()).unwrap();
+        assert_eq!(block.guard, None);
+        assert_eq!(
+            block.to_string(),
+            "create(n1 via=e1); link(e1); store(n0 e0)"
         );
     }
 
@@ -693,8 +742,8 @@ mod write_tests {
         let (cat, spec, d) = setup(FLOWS, &["local", "remote"]);
         assert_eq!(inline_units(&d)[0], Some(cols(&cat, &["bytes", "pkts"])));
         assert_eq!(
-            lower_insert(&d).unwrap().to_string(),
-            "create(n1 via=e1); link(e1); store(n0 e0)"
+            lower_insert(&d, spec.minimal_key()).unwrap().to_string(),
+            "create(n1 via=e1); link(e1); guard(store(n0 e0))"
         );
         let key = cols(&cat, &["local", "remote"]);
         let c = cut(&d, spec.fds(), key);
@@ -711,8 +760,8 @@ mod write_tests {
 
     #[test]
     fn steps_carry_row_positions_of_their_keys() {
-        let (cat, _, d) = setup(FLOWS, &["local", "remote"]);
-        let block = lower_insert(&d).unwrap();
+        let (cat, spec, d) = setup(FLOWS, &["local", "remote"]);
+        let block = lower_insert(&d, spec.minimal_key()).unwrap();
         let WriteStep::Store { hop, unit, .. } = &block.steps[2] else {
             panic!("expected the inline store, got {block}");
         };
