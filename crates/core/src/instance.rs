@@ -655,21 +655,6 @@ impl Store {
         }
     }
 
-    /// Reserves capacity for at least `additional` more entries in the
-    /// container at `(parent, leaf)`, so batch insertion triggers at most
-    /// one growth/rehash. A no-op for intrusive lists, whose entries live in
-    /// the child instances.
-    pub(crate) fn cont_reserve(&mut self, parent: InstanceRef, leaf: usize, additional: usize) {
-        match self.cont_mut(parent, leaf) {
-            EdgeContainer::Hash(c) => c.reserve(additional),
-            EdgeContainer::Avl(c) => c.reserve(additional),
-            EdgeContainer::Sorted(c) => c.reserve(additional),
-            EdgeContainer::Assoc(c) => c.reserve(additional),
-            EdgeContainer::DList(c) => c.reserve(additional),
-            EdgeContainer::Intrusive { .. } => {}
-        }
-    }
-
     /// Replaces the (empty) container at `(parent, leaf)` with `cont`, a
     /// container built wholesale from a batch of entries whose child
     /// reference counts the batch walk already bumped.

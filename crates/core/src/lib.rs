@@ -7,7 +7,8 @@
 //!
 //! * `dempty`/`dinsert` — topological find-or-create over the instance DAG
 //!   (§4.4), lowered once per decomposition to a `relic_query::WriteBlock`
-//!   that the `write` module's one runner executes — over one tuple, or over
+//!   that the `write` module's one runner executes — over one tuple, read
+//!   up to its key guard first and resumed from the guard's miss, or over
 //!   a sorted batch reusing each node's previous instance,
 //! * `dremove`/`dupdate` — decomposition *cuts* with cascading reclamation
 //!   and an in-place fast path for unit-only updates (§4.5), lowered to

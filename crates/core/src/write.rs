@@ -181,9 +181,9 @@ impl Writer<'_> {
     /// touches each decomposition path once per key group, not once per
     /// row.
     ///
-    /// When `sort_prefix` is given (the rows are ordered by that column
-    /// sequence), every map edge whose parent and child groups are
-    /// consecutive under it gets **container-level batching**: while a
+    /// The rows are ordered by the column sequence `sort_prefix`, so every
+    /// map edge whose parent and child groups are consecutive under it
+    /// gets **container-level batching**: while a
     /// parent instance's group is walked, the edge's entries accumulate
     /// outside the container, and when the group ends the container is
     /// assembled in one shot through the containers' bulk constructors —
@@ -198,13 +198,13 @@ impl Writer<'_> {
         flat: &[Value],
         w: usize,
         order: &[usize],
-        sort_prefix: Option<&[ColId]>,
+        sort_prefix: &[ColId],
         min_key: ColSet,
     ) {
         let (memo, nn) = (order.len() > 1, self.d.node_count());
         self.s.start_row(nn, self.d.root(), self.root);
         self.s.reset_memo(nn);
-        let mut accs = self.accumulators(block, flat, w, order, sort_prefix);
+        let mut accs = self.accumulators(block, sort_prefix);
         for (id, node) in self.d.nodes() {
             if !min_key.is_empty()
                 && min_key.is_subset(node.bound)
@@ -335,28 +335,18 @@ impl Writer<'_> {
         }
     }
 
-    /// Per-edge accumulation state for a sorted batch (empty otherwise). An
-    /// edge is eligible when its key determines the child given the parent
+    /// Per-edge accumulation state for a batch sorted by `prefix`. An edge
+    /// is eligible when its key determines the child given the parent
     /// (`B_child = B_parent ∪ K`, so each container key maps to exactly one
     /// child instance) and the child's bound is a sort prefix (so each
     /// parent's entries — and each entry's duplicates — are consecutive).
     /// Accumulation then runs per parent instance: it starts when the
     /// parent is created (its container is empty by construction), collects
     /// one entry per child group, and flushes into a bulk-constructed
-    /// container when the parent's group ends. An eligible root edge with
-    /// an empty container accumulates from the start; a standing one is
-    /// pre-sized to the batch's group count instead.
-    fn accumulators(
-        &mut self,
-        block: &WriteBlock,
-        flat: &[Value],
-        w: usize,
-        order: &[usize],
-        sort_prefix: Option<&[ColId]>,
-    ) -> Vec<EdgeAcc> {
-        let Some(prefix) = sort_prefix else {
-            return Vec::new();
-        };
+    /// container when the parent's group ends. An eligible root edge
+    /// accumulates from the start when its container is empty, as it is in
+    /// the empty relation a sorted batch loads into.
+    fn accumulators(&mut self, block: &WriteBlock, prefix: &[ColId]) -> Vec<EdgeAcc> {
         let d = self.d;
         let mut accs: Vec<EdgeAcc> = d
             .edges()
@@ -376,25 +366,8 @@ impl Writer<'_> {
                 continue;
             };
             let a = &mut accs[hop.edge.index()];
-            if hop.from != d.root() || !a.eligible {
-                continue;
-            }
-            if self.store.cont_len(self.root, a.leaf) == 0 {
+            if hop.from == d.root() && a.eligible && self.store.cont_len(self.root, a.leaf) == 0 {
                 a.parent = Some(self.root);
-                continue;
-            }
-            let mut groups = 1usize;
-            for pair in order.windows(2) {
-                let (ra, rb) = (&flat[pair[0] * w..], &flat[pair[1] * w..]);
-                groups += usize::from(
-                    hop.key
-                        .iter()
-                        .any(|&p| ra[usize::from(p)] != rb[usize::from(p)]),
-                );
-            }
-            self.store.cont_reserve(self.root, a.leaf, groups);
-            if self.layout.inline_unit[hop.to.index()].is_none() {
-                self.store.reserve_node(hop.to, groups);
             }
         }
         accs
@@ -907,7 +880,6 @@ impl SynthRelation {
     /// sorted by the decomposition's root-down key order, so consecutive
     /// tuples share every instance on their common path and each
     /// key-group's containers are built once by their bulk constructors.
-    /// Root containers are pre-sized to the number of distinct key groups.
     /// This is the intended path for O(n) ingest of large batches
     /// (case-study startup, replay, snapshot restore). Into a non-empty
     /// relation it is `insert_many`'s walk in input order.
@@ -1090,8 +1062,7 @@ impl SynthRelation {
             let min_key = self.min_key;
             let mut writer = self.writer();
             let layout = writer.layout;
-            let prefix = Some(sort_cols.as_slice());
-            writer.insert_rows(&layout.insert, flat, w, &accepted, prefix, min_key);
+            writer.insert_rows(&layout.insert, flat, w, &accepted, &sort_cols, min_key);
             self.len += accepted.len();
         }
         Ok((accepted.len(), refused))
