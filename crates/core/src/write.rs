@@ -654,14 +654,21 @@ enum KeyProbe {
 }
 
 /// A batch screen (see [`SynthRelation::screen`]): rows that agree on
-/// `lhs` must agree on `rhs`. Stage 1 is the minimal key, whose `rhs` is
-/// every column; stage `2 + i` is the relation's `i`-th declared
-/// dependency — the order `insert` checks them in.
+/// `lhs` must agree on `rhs` — the minimal key, whose `rhs` is every
+/// column, or a declared dependency. Screens run in the order `insert`
+/// checks them in: the key first, then the dependencies as declared.
 struct Check {
-    stage: u32,
     lhs: ColSet,
     rhs: ColSet,
 }
+
+/// What the screens made of a batch row, one byte a row (zero, so a
+/// batch's verdicts start as one zeroed allocation): it passed them all.
+const PASSED: u8 = 0;
+/// Equal to an earlier batch row: the fold skips it before any check.
+const DUPLICATE: u8 = 1;
+/// Disagrees with an earlier row or a stored tuple under some screen.
+const FAILED: u8 = 2;
 
 /// The positions of `cols` in a row of the columns `all`.
 fn positions(all: ColSet, cols: ColSet) -> Vec<usize> {
@@ -966,8 +973,8 @@ impl SynthRelation {
         n: usize,
         checks: &[Check],
     ) -> Result<(usize, Option<OpError>), OpError> {
-        let mut fails = vec![0; n];
-        self.screen_all(flat, w, checks, None, &mut fails, &mut [])?;
+        let mut verdict = vec![PASSED; n];
+        self.screen_all(flat, w, checks, &mut verdict)?;
         let mut inserted = 0;
         for j in 0..n {
             let row = &flat[j * w..j * w + w];
@@ -979,8 +986,10 @@ impl SynthRelation {
                     return Ok((inserted, Some(OpError::FdViolation { tuple, existing })));
                 }
             };
-            if let Some(check) = checks.iter().find(|c| c.stage == fails[j]) {
-                return Ok((inserted, Some(self.refusal(flat, w, j, check)?)));
+            if verdict[j] == FAILED {
+                if let Some(refused) = self.refusal(flat, w, j, checks)? {
+                    return Ok((inserted, Some(refused)));
+                }
             }
             self.insert_absent(row, missed);
             inserted += 1;
@@ -990,18 +999,19 @@ impl SynthRelation {
 
     /// `bulk_load` into an empty relation: one sort of the batch by
     /// [`batch_sort_cols`](Self::batch_sort_cols), the in-batch screens —
-    /// the minimal key over that order, then each dependency —, and the
-    /// rows before the first refusal, duplicates dropped, walked in sorted
-    /// order with the per-node memo and container accumulation. Returns
-    /// the number inserted and the refusal.
+    /// the minimal key over that order, then each dependency of `deps` —,
+    /// and the rows before the first refusal, duplicates dropped, walked in
+    /// sorted order with the per-node memo and container accumulation.
+    /// Returns the number inserted and the refusal.
     fn load_sorted(
         &mut self,
         flat: &[Value],
         w: usize,
         n: usize,
-        checks: Vec<Check>,
+        deps: Vec<Check>,
     ) -> Result<(usize, Option<OpError>), OpError> {
         let all = self.spec.cols();
+        let mut verdict = vec![PASSED; n];
         // One sort serves the key screen and the walk: the sequence starts
         // with the minimal key (so equal-key runs are contiguous) and
         // continues root-down through the node bounds (so the structural
@@ -1042,22 +1052,21 @@ impl SynthRelation {
             }
         }
         let key = Check {
-            stage: 1,
             lhs: self.min_key,
             rhs: all,
         };
-        let checks: Vec<Check> = std::iter::once(key).chain(checks).collect();
-        let (mut fails, mut dup) = (vec![0; n], vec![false; n]);
-        self.screen_all(flat, w, &checks, Some(&sorted), &mut fails, &mut dup)?;
-        // A duplicate returns before the fold checks its dependencies.
-        let first = (0..n).find(|&j| fails[j] == 1 || (fails[j] > 1 && !dup[j]));
-        let refused =
-            match first.and_then(|j| Some((j, checks.iter().find(|c| c.stage == fails[j])?))) {
-                Some((j, check)) => Some(self.refusal(flat, w, j, check)?),
-                None => None,
-            };
-        let end = first.unwrap_or(n);
-        let accepted: Vec<usize> = sorted.into_iter().filter(|&i| i < end && !dup[i]).collect();
+        let checks: Vec<Check> = std::iter::once(key).chain(deps).collect();
+        self.screen(flat, w, &checks[0], &sorted, &mut verdict)?;
+        self.screen_all(flat, w, &checks[1..], &mut verdict)?;
+        let (mut end, mut refused) = (n, None);
+        for j in (0..n).filter(|&j| verdict[j] == FAILED) {
+            if let Some(e) = self.refusal(flat, w, j, &checks)? {
+                (end, refused) = (j, Some(e));
+                break;
+            }
+        }
+        let kept = |i: &usize| *i < end && verdict[*i] != DUPLICATE;
+        let accepted: Vec<usize> = sorted.into_iter().filter(kept).collect();
         if !accepted.is_empty() {
             let min_key = self.min_key;
             let mut writer = self.writer();
@@ -1074,9 +1083,7 @@ impl SynthRelation {
     /// the same row.
     fn dep_checks(&self) -> Vec<Check> {
         let all = self.spec.cols();
-        let fds = self.spec.fds().iter().enumerate();
-        let checks = fds.map(|(i, fd)| Check {
-            stage: 2 + i as u32,
+        let checks = self.spec.fds().iter().map(|fd| Check {
             lhs: fd.lhs & all,
             rhs: fd.rhs & all,
         });
@@ -1084,56 +1091,45 @@ impl SynthRelation {
         checks.filter(|c| self.check_fds && !keyed(c)).collect()
     }
 
-    /// Runs every check of `checks` (in stage order) over the batch: the
-    /// minimal key over `key_order`, rows sorted by it; each dependency over
-    /// its own sort by its determinant. See [`screen`](Self::screen).
+    /// Screens the batch against each of `checks` in turn, each over its
+    /// own sort of the rows by its `lhs` (see [`screen`](Self::screen)).
     fn screen_all(
         &mut self,
         flat: &[Value],
         w: usize,
         checks: &[Check],
-        key_order: Option<&[usize]>,
-        fails: &mut [u32],
-        dup: &mut [bool],
+        verdict: &mut [u8],
     ) -> Result<(), OpError> {
         let all = self.spec.cols();
         let mut order: Vec<usize> = Vec::new();
         for check in checks {
-            let order = match (check.stage, key_order) {
-                (1, Some(sorted)) => sorted,
-                _ => {
-                    let lhs = positions(all, check.lhs);
-                    let key = |i: usize| lhs.iter().map(move |&p| &flat[i * w + p]);
-                    order.clear();
-                    order.extend(0..fails.len());
-                    order.sort_unstable_by(|&a, &b| key(a).cmp(key(b)).then(a.cmp(&b)));
-                    &order[..]
-                }
-            };
-            self.screen(flat, w, check, order, fails, dup)?;
+            let lhs = positions(all, check.lhs);
+            let key = |i: usize| lhs.iter().map(move |&p| &flat[i * w + p]);
+            order.clear();
+            order.extend(0..verdict.len());
+            order.sort_unstable_by(|&a, &b| key(a).cmp(key(b)).then(a.cmp(&b)));
+            self.screen(flat, w, check, &order, verdict)?;
         }
         Ok(())
     }
 
     /// Screens the batch against `check`. `order` lists the rows so that
     /// rows equal on `check.lhs` are consecutive; within each such run, a
-    /// row that disagrees on `check.rhs` with the run's earliest row — or,
-    /// in a non-empty relation, with a stored tuple equal on `check.lhs` —
-    /// fails the check, and gets its stage in `fails` unless it failed an
-    /// earlier one. The store is probed once per run. On the minimal key, a
-    /// later row that agrees with the earliest one is a duplicate, marked
-    /// in `dup`.
+    /// row that still passes and disagrees on `check.rhs` with the run's
+    /// earliest row — or, in a non-empty relation, with a stored tuple equal
+    /// on `check.lhs` — fails, and a later row equal to the earliest on
+    /// every column is a duplicate. The store is probed once per run.
     fn screen(
         &mut self,
         flat: &[Value],
         w: usize,
         check: &Check,
         order: &[usize],
-        fails: &mut [u32],
-        dup: &mut [bool],
+        verdict: &mut [u8],
     ) -> Result<(), OpError> {
         let all = self.spec.cols();
         let (lhs, rhs) = (positions(all, check.lhs), positions(all, check.rhs));
+        let whole = (check.lhs | check.rhs) == all;
         let row = |i: usize| &flat[i * w..i * w + w];
         let plan = match self.len {
             0 => None,
@@ -1152,16 +1148,18 @@ impl SynthRelation {
                 None => (None, None),
             };
             for &j in run {
-                let differs = !agree(&rhs, row(j), row(i0));
-                if check.stage == 1 && j != i0 && !differs {
-                    dup[j] = true;
+                if verdict[j] != PASSED {
+                    continue;
                 }
+                let differs = !agree(&rhs, row(j), row(i0));
                 let stored = w2.is_some()
                     || w1
                         .as_ref()
                         .is_some_and(|t| !agree(&rhs, row(j), t.values()));
-                if (differs || stored) && fails[j] == 0 {
-                    fails[j] = check.stage;
+                if differs || stored {
+                    verdict[j] = FAILED;
+                } else if whole && j != i0 {
+                    verdict[j] = DUPLICATE;
                 }
             }
             start += run.len();
@@ -1169,35 +1167,37 @@ impl SynthRelation {
         Ok(())
     }
 
-    /// The refusal of row `j`, which failed `check`: the row, and a tuple it
-    /// conflicts with — the earliest batch row before it that agrees on
-    /// `check.lhs` and not on `check.rhs`, else a stored one.
+    /// The refusal of row `j` under the first of `checks` it fails: the row,
+    /// and a tuple it conflicts with — an earlier batch row that agrees on
+    /// the check's `lhs` and not on its `rhs`, else a stored one. `None`
+    /// when it fails none.
     fn refusal(
         &mut self,
         flat: &[Value],
         w: usize,
         j: usize,
-        check: &Check,
-    ) -> Result<OpError, OpError> {
+        checks: &[Check],
+    ) -> Result<Option<OpError>, OpError> {
         let all = self.spec.cols();
-        let (lhs, rhs) = (positions(all, check.lhs), positions(all, check.rhs));
         let row = |i: usize| &flat[i * w..i * w + w];
-        let earlier = (0..j).find(|&i| agree(&lhs, row(i), row(j)) && !agree(&rhs, row(i), row(j)));
-        let existing = match earlier {
-            Some(i) => Tuple::from_parts(all, row(i).to_vec()),
-            None => {
-                let plan = self.planned(check.lhs, all)?;
-                let (w1, w2) = self.probe_fd_witnesses(&plan, row(j), check.lhs, check.rhs);
-                let differs = |t: &Tuple| !agree(&rhs, row(j), t.values());
-                // The screen saw a stored witness; `w1` stands in otherwise.
-                match w1 {
-                    Some(w1) if !differs(&w1) => w2.unwrap_or(w1),
-                    w1 => w1.unwrap_or_else(|| Tuple::from_parts(all, row(j).to_vec())),
+        for check in checks {
+            let (lhs, rhs) = (positions(all, check.lhs), positions(all, check.rhs));
+            let conflicts = |t: &[Value]| agree(&lhs, t, row(j)) && !agree(&rhs, t, row(j));
+            let existing = match (0..j).find(|&i| conflicts(row(i))) {
+                Some(i) => Some(Tuple::from_parts(all, row(i).to_vec())),
+                None if self.len > 0 => {
+                    let plan = self.planned(check.lhs, all)?;
+                    let (w1, w2) = self.probe_fd_witnesses(&plan, row(j), check.lhs, check.rhs);
+                    w1.filter(|t| conflicts(t.values())).or(w2)
                 }
+                None => None,
+            };
+            if let Some(existing) = existing {
+                let tuple = Tuple::from_parts(all, row(j).to_vec());
+                return Ok(Some(OpError::FdViolation { tuple, existing }));
             }
-        };
-        let tuple = Tuple::from_parts(all, row(j).to_vec());
-        Ok(OpError::FdViolation { tuple, existing })
+        }
+        Ok(None)
     }
 
     /// Streams stored tuples matching `row` on `lhs`, returning the first
