@@ -1065,8 +1065,12 @@ impl SynthRelation {
                 break;
             }
         }
+        // Collected beside `sorted`, not in its place: reusing its buffer
+        // moves where the walk's instances land on the heap, and reads of a
+        // 1 M-row load ran ≈ 15 % slower that way (`query_embed_1m`, ten
+        // pairs) while its peak RSS fell by the 8 MB of the index.
         let kept = |i: &usize| *i < end && verdict[*i] != DUPLICATE;
-        let accepted: Vec<usize> = sorted.into_iter().filter(kept).collect();
+        let accepted: Vec<usize> = sorted.iter().copied().filter(kept).collect();
         if !accepted.is_empty() {
             let min_key = self.min_key;
             let mut writer = self.writer();
