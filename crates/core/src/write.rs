@@ -667,7 +667,7 @@ struct Check {
 const PASSED: u8 = 0;
 /// Equal to an earlier batch row: the fold skips it before any check.
 const DUPLICATE: u8 = 1;
-/// Disagrees with an earlier row or a stored tuple under some screen.
+/// Disagrees with an earlier row under some screen.
 const FAILED: u8 = 2;
 
 /// The positions of `cols` in a row of the columns `all`.
@@ -857,11 +857,8 @@ impl SynthRelation {
     // -- batch operations ---------------------------------------------------
 
     /// `insert_many`: inserts a batch of tuples in input order, each walked
-    /// once through the insert block's key guard. When FD checking screens
-    /// dependencies beyond the minimal key's, the tuples' values are first
-    /// moved into one row array and screened over the whole batch — one
-    /// store probe per determinant run instead of a planned probe per
-    /// tuple.
+    /// once through the insert block's key guard — the fold of
+    /// [`insert`](SynthRelation::insert) itself.
     ///
     /// Observably equivalent to folding [`insert`](SynthRelation::insert)
     /// over the batch in order: exact duplicates (within the batch or
@@ -901,20 +898,17 @@ impl SynthRelation {
         self.bulk_insert(tuples, true)
     }
 
-    /// Shared batch-insert engine. With nothing to screen — no dependency
-    /// beyond the minimal key's under FD checking, and no sorted load — the
-    /// batch is the fold of [`insert`](SynthRelation::insert) itself, each
-    /// tuple through its key guard. Otherwise it streams the batch into one
-    /// row array, then loads it sorted into an empty relation (`bulk_load`)
-    /// or screens it and walks it in fold order.
+    /// Shared batch-insert engine. Unless it loads an empty relation
+    /// (`bulk_load`), the batch is the fold of
+    /// [`insert`](SynthRelation::insert) itself, each tuple through its key
+    /// guard. A load streams the batch into one row array and loads it
+    /// sorted.
     fn bulk_insert<I: IntoIterator<Item = Tuple>>(
         &mut self,
         tuples: I,
         sort_structural: bool,
     ) -> Result<usize, OpError> {
-        let checks = self.dep_checks();
-        let sorted = sort_structural && self.len == 0;
-        if !sorted && checks.is_empty() {
+        if !(sort_structural && self.len == 0) {
             let mut inserted = 0;
             let folded = tuples.into_iter().try_for_each(|t| {
                 inserted += usize::from(self.insert_one(t)?);
@@ -946,11 +940,7 @@ impl SynthRelation {
             flat.extend(vals.into_vec());
             n += 1;
         }
-        let (inserted, refused) = if sorted {
-            self.load_sorted(&flat, w, n, checks)?
-        } else {
-            self.insert_in_order(&flat, w, n, &checks)?
-        };
+        let (inserted, refused) = self.load_sorted(&flat, w, n);
         self.record_inserts(inserted);
         match refused.or(mismatch) {
             Some(e) => Err(e),
@@ -958,58 +948,14 @@ impl SynthRelation {
         }
     }
 
-    /// The fold of `insert_many` and of a `bulk_load` into a non-empty
-    /// relation under the dependency `checks`: each row in input order runs
-    /// its key guard, which answers a duplicate (skipped) or a key conflict
-    /// (refused); a row whose key is absent is refused when it failed a
-    /// screen, and otherwise walked in from the guard's miss. The screens
-    /// run first, over the whole batch: before row `j` the fold's relation
-    /// is the store plus rows `0..j`, whatever of them were duplicates.
-    /// Returns the number inserted and the refusal.
-    fn insert_in_order(
-        &mut self,
-        flat: &[Value],
-        w: usize,
-        n: usize,
-        checks: &[Check],
-    ) -> Result<(usize, Option<OpError>), OpError> {
-        let mut verdict = vec![PASSED; n];
-        self.screen_all(flat, w, checks, &mut verdict)?;
-        let mut inserted = 0;
-        for j in 0..n {
-            let row = &flat[j * w..j * w + w];
-            let missed = match self.probe_min_key(row)? {
-                KeyProbe::Absent(missed) => missed,
-                KeyProbe::Duplicate => continue,
-                KeyProbe::Conflict(existing) => {
-                    let tuple = Tuple::from_parts(self.spec.cols(), row.to_vec());
-                    return Ok((inserted, Some(OpError::FdViolation { tuple, existing })));
-                }
-            };
-            if verdict[j] == FAILED {
-                if let Some(refused) = self.refusal(flat, w, j, checks)? {
-                    return Ok((inserted, Some(refused)));
-                }
-            }
-            self.insert_absent(row, missed);
-            inserted += 1;
-        }
-        Ok((inserted, None))
-    }
-
     /// `bulk_load` into an empty relation: one sort of the batch by
     /// [`batch_sort_cols`](Self::batch_sort_cols), the in-batch screens —
-    /// the minimal key over that order, then each dependency of `deps` —,
-    /// and the rows before the first refusal, duplicates dropped, walked in
-    /// sorted order with the per-node memo and container accumulation.
-    /// Returns the number inserted and the refusal.
-    fn load_sorted(
-        &mut self,
-        flat: &[Value],
-        w: usize,
-        n: usize,
-        deps: Vec<Check>,
-    ) -> Result<(usize, Option<OpError>), OpError> {
+    /// the minimal key over that order, then each of
+    /// [`dep_checks`](Self::dep_checks) —, and the rows before the first
+    /// refusal, duplicates dropped, walked in sorted order with the per-node
+    /// memo and container accumulation. Returns the number inserted and the
+    /// refusal.
+    fn load_sorted(&mut self, flat: &[Value], w: usize, n: usize) -> (usize, Option<OpError>) {
         let all = self.spec.cols();
         let mut verdict = vec![PASSED; n];
         // One sort serves the key screen and the walk: the sequence starts
@@ -1055,12 +1001,12 @@ impl SynthRelation {
             lhs: self.min_key,
             rhs: all,
         };
-        let checks: Vec<Check> = std::iter::once(key).chain(deps).collect();
-        self.screen(flat, w, &checks[0], &sorted, &mut verdict)?;
-        self.screen_all(flat, w, &checks[1..], &mut verdict)?;
+        let checks: Vec<Check> = std::iter::once(key).chain(self.dep_checks()).collect();
+        self.screen(flat, w, &checks[0], &sorted, &mut verdict);
+        self.screen_all(flat, w, &checks[1..], &mut verdict);
         let (mut end, mut refused) = (n, None);
         for j in (0..n).filter(|&j| verdict[j] == FAILED) {
-            if let Some(e) = self.refusal(flat, w, j, &checks)? {
+            if let Some(e) = self.refusal(flat, w, j, &checks) {
                 (end, refused) = (j, Some(e));
                 break;
             }
@@ -1078,7 +1024,7 @@ impl SynthRelation {
             writer.insert_rows(&layout.insert, flat, w, &accepted, &sort_cols, min_key);
             self.len += accepted.len();
         }
-        Ok((accepted.len(), refused))
+        (accepted.len(), refused)
     }
 
     /// The batch screens of the declared dependencies, in declaration
@@ -1097,13 +1043,7 @@ impl SynthRelation {
 
     /// Screens the batch against each of `checks` in turn, each over its
     /// own sort of the rows by its `lhs` (see [`screen`](Self::screen)).
-    fn screen_all(
-        &mut self,
-        flat: &[Value],
-        w: usize,
-        checks: &[Check],
-        verdict: &mut [u8],
-    ) -> Result<(), OpError> {
+    fn screen_all(&self, flat: &[Value], w: usize, checks: &[Check], verdict: &mut [u8]) {
         let all = self.spec.cols();
         let mut order: Vec<usize> = Vec::new();
         for check in checks {
@@ -1112,33 +1052,20 @@ impl SynthRelation {
             order.clear();
             order.extend(0..verdict.len());
             order.sort_unstable_by(|&a, &b| key(a).cmp(key(b)).then(a.cmp(&b)));
-            self.screen(flat, w, check, &order, verdict)?;
+            self.screen(flat, w, check, &order, verdict);
         }
-        Ok(())
     }
 
     /// Screens the batch against `check`. `order` lists the rows so that
     /// rows equal on `check.lhs` are consecutive; within each such run, a
     /// row that still passes and disagrees on `check.rhs` with the run's
-    /// earliest row — or, in a non-empty relation, with a stored tuple equal
-    /// on `check.lhs` — fails, and a later row equal to the earliest on
-    /// every column is a duplicate. The store is probed once per run.
-    fn screen(
-        &mut self,
-        flat: &[Value],
-        w: usize,
-        check: &Check,
-        order: &[usize],
-        verdict: &mut [u8],
-    ) -> Result<(), OpError> {
+    /// earliest row fails, and a later row equal to the earliest on every
+    /// column is a duplicate.
+    fn screen(&self, flat: &[Value], w: usize, check: &Check, order: &[usize], verdict: &mut [u8]) {
         let all = self.spec.cols();
         let (lhs, rhs) = (positions(all, check.lhs), positions(all, check.rhs));
         let whole = (check.lhs | check.rhs) == all;
         let row = |i: usize| &flat[i * w..i * w + w];
-        let plan = match self.len {
-            0 => None,
-            _ => Some(self.planned(check.lhs, all)?),
-        };
         let mut start = 0;
         while start < order.len() {
             let head = row(order[start]);
@@ -1147,20 +1074,11 @@ impl SynthRelation {
                 .position(|&j| !agree(&lhs, row(j), head));
             let run = &order[start..len.map_or(order.len(), |k| start + k)];
             let i0 = run.iter().copied().fold(order[start], usize::min);
-            let (w1, w2) = match &plan {
-                Some(plan) => self.probe_fd_witnesses(plan, row(i0), check.lhs, check.rhs),
-                None => (None, None),
-            };
             for &j in run {
                 if verdict[j] != PASSED {
                     continue;
                 }
-                let differs = !agree(&rhs, row(j), row(i0));
-                let stored = w2.is_some()
-                    || w1
-                        .as_ref()
-                        .is_some_and(|t| !agree(&rhs, row(j), t.values()));
-                if differs || stored {
+                if !agree(&rhs, row(j), row(i0)) {
                     verdict[j] = FAILED;
                 } else if whole && j != i0 {
                     verdict[j] = DUPLICATE;
@@ -1168,66 +1086,23 @@ impl SynthRelation {
             }
             start += run.len();
         }
-        Ok(())
     }
 
     /// The refusal of row `j` under the first of `checks` it fails: the row,
-    /// and a tuple it conflicts with — an earlier batch row that agrees on
-    /// the check's `lhs` and not on its `rhs`, else a stored one. `None`
-    /// when it fails none.
-    fn refusal(
-        &mut self,
-        flat: &[Value],
-        w: usize,
-        j: usize,
-        checks: &[Check],
-    ) -> Result<Option<OpError>, OpError> {
+    /// and an earlier batch row that agrees with it on the check's `lhs` and
+    /// not on its `rhs`. `None` when it fails none.
+    fn refusal(&self, flat: &[Value], w: usize, j: usize, checks: &[Check]) -> Option<OpError> {
         let all = self.spec.cols();
         let row = |i: usize| &flat[i * w..i * w + w];
-        for check in checks {
+        checks.iter().find_map(|check| {
             let (lhs, rhs) = (positions(all, check.lhs), positions(all, check.rhs));
             let conflicts = |t: &[Value]| agree(&lhs, t, row(j)) && !agree(&rhs, t, row(j));
-            let existing = match (0..j).find(|&i| conflicts(row(i))) {
-                Some(i) => Some(Tuple::from_parts(all, row(i).to_vec())),
-                None if self.len > 0 => {
-                    let plan = self.planned(check.lhs, all)?;
-                    let (w1, w2) = self.probe_fd_witnesses(&plan, row(j), check.lhs, check.rhs);
-                    w1.filter(|t| conflicts(t.values())).or(w2)
-                }
-                None => None,
-            };
-            if let Some(existing) = existing {
-                let tuple = Tuple::from_parts(all, row(j).to_vec());
-                return Ok(Some(OpError::FdViolation { tuple, existing }));
-            }
-        }
-        Ok(None)
-    }
-
-    /// Streams stored tuples matching `row` on `lhs`, returning the first
-    /// match and the first match whose `rhs` projection differs from it —
-    /// enough to decide, for every batch row sharing `row`'s determinant
-    /// valuation, whether the store holds a conflicting witness.
-    fn probe_fd_witnesses(
-        &mut self,
-        plan: &Block,
-        row: &[Value],
-        lhs: ColSet,
-        rhs: ColSet,
-    ) -> (Option<Tuple>, Option<Tuple>) {
-        let all = self.spec.cols();
-        let mut w1: Option<Tuple> = None;
-        let mut w2: Option<Tuple> = None;
-        let key = all.iter().zip(row).filter(|(c, _)| lhs.contains(*c));
-        self.for_each_matching(plan, key, &mut |b| match &w1 {
-            None => w1 = Some(b.project(all)),
-            Some(first) => {
-                if w2.is_none() && rhs.iter().any(|c| b.get(c) != first.get(c)) {
-                    w2 = Some(b.project(all));
-                }
-            }
-        });
-        (w1, w2)
+            let i = (0..j).find(|&i| conflicts(row(i)))?;
+            Some(OpError::FdViolation {
+                tuple: Tuple::from_parts(all, row(j).to_vec()),
+                existing: Tuple::from_parts(all, row(i).to_vec()),
+            })
+        })
     }
 
     /// The batch sort sequence: the minimal key first (so screening runs are
