@@ -10,7 +10,7 @@
 //! An inline leaf's container entry stands for the leaf's instance: its unit
 //! tuple is `α` of that instance, and its bound valuation is the path's.
 
-use crate::instance::{ChildRef, InstanceRef, Layout, PrimInst, Store};
+use crate::instance::{ChildRef, InlineUnit, InstanceRef, Layout, PrimInst, Store};
 use relic_decomp::{Body, Decomposition, EdgeId, NodeId};
 use relic_spec::{ColSet, Relation, Tuple};
 use std::collections::HashMap;
@@ -55,7 +55,7 @@ fn alpha_child(
 ) -> Rc<Relation> {
     match child {
         ChildRef::Node(r) => alpha_node(store, d, node, r, memo),
-        ChildRef::Unit(u) => Rc::new(Relation::from_tuples(u.dom(), [u.clone()])),
+        ChildRef::Unit(u) => Rc::new(Relation::from_tuples(u.dom(), [u.to_tuple()])),
     }
 }
 
@@ -73,7 +73,7 @@ fn alpha_body(
             let PrimInst::Unit(u) = &store.get(inst).prims[leaf] else {
                 panic!("leaf/prim misalignment");
             };
-            Relation::from_tuples(*c, [u.clone()])
+            Relation::from_tuples(*c, [u.to_tuple()])
         }
         // α({t ↦ v_t'}) = ⋃ {t} ⋈ α(v_t'). Each `{t} ⋈ α(v_t')` tuple goes
         // straight into the union: rebuilding the union per entry would
@@ -101,7 +101,7 @@ fn alpha_body(
 }
 
 /// (WFUNIT): a unit of node `node` must be a valuation of its columns `c`.
-fn check_unit(d: &Decomposition, node: NodeId, u: &Tuple, c: ColSet) -> Result<(), String> {
+fn check_unit(d: &Decomposition, node: NodeId, u: &InlineUnit, c: ColSet) -> Result<(), String> {
     if u.dom() == c {
         return Ok(());
     }
@@ -219,8 +219,8 @@ pub fn validate(
 /// `parent_key`, mapping key `kt` to `child`: the child is the kind the
 /// layout names for the edge; an inline unit is a valuation of the leaf's
 /// columns; a child instance is live and its stored bound valuation agrees
-/// with both the entry key and the parent's; and every tuple of `α(child)`
-/// matches the key. Returns the child instance, if any.
+/// with both the entry key and the parent's; and `α(child)` holds a tuple,
+/// every one of which matches the key. Returns the child instance, if any.
 #[allow(clippy::too_many_arguments)]
 fn check_entry(
     store: &Store,
@@ -273,6 +273,13 @@ fn check_entry(
     };
     // (WFMAP): t ∼ α(v_t'): every tuple below matches the key.
     let sub = alpha_child(store, d, e.to, child, memo);
+    // An entry stands for the tuples below it: an instance that represents
+    // none is a leftover no removal reclaimed.
+    if sub.is_empty() {
+        return Err(format!(
+            "edge `{from}`→`{to}` maps {kt} to an instance that represents no tuple"
+        ));
+    }
     if !sub.iter().all(|t| t.matches(kt)) {
         return Err(format!(
             "subtree under `{to}`[{kt}] contains non-matching tuples"

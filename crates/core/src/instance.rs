@@ -23,11 +23,16 @@
 //! of behind an [`InstanceRef`]. Binding consistency (`B_child = B_parent ∪
 //! K` for a single incoming edge) makes everything else an instance would
 //! hold — the bound valuation, the prim and link slots, the reference count
-//! and the `Arc` — redundant with the path that reaches the entry. A scanned
-//! row is then one container entry away from its parent, and a built tuple
-//! costs its unit's value slice instead of an instance.
+//! and the `Arc` — redundant with the path that reaches the entry.
 //! [`Layout::inline_unit`] holds the rule; shared leaves, intrusive-list
 //! targets and a unit root keep their instances.
+//!
+//! The entry holds the row itself, not pointers to it: a one-column
+//! [`Key`] keeps its value in place, and an [`InlineUnit`] of up to two
+//! columns keeps its values beside its column set (a wider one boxes them
+//! once). A stored row of a one-column key and a two-column unit is then
+//! one 80 B entry with no heap box of its own, a scanned row reads one
+//! entry, and a built row allocates nothing but what its container grows.
 //!
 //! # Structural sharing
 //!
@@ -41,20 +46,89 @@
 //! cost of re-cloning only the instances the writer subsequently touches —
 //! this is what lets `relic_concurrent` retire whole snapshots onto epoch
 //! limbo lists instead of paying a full store copy per mutation epoch. An
-//! instance's copy includes its containers, and with them the unit tuples
-//! of their inline entries: the first write to a parent after a publish
-//! clones one value slice per inline child as well as one key per entry.
+//! instance's copy includes its containers, and with them their entries:
+//! the first write to a parent after a publish copies each entry's values
+//! in place (a string is an `Arc` bump), allocating only the containers'
+//! own buffers — plus one box per entry whose key has other than one
+//! column or whose inline unit is wider than two.
 
 use relic_containers::{AssocVec, AvlMap, DListMap, HashTable, SortedVecMap};
 use relic_decomp::{Body, Decomposition, DsKind, EdgeId, NodeId};
 use relic_query::{inline_units, lower_insert, path_key, structural_cols, PlanError, WriteBlock};
-use relic_spec::{ColSet, Tuple, Value};
+use relic_spec::{ColId, ColSet, Tuple, Value};
+use std::borrow::Borrow;
 use std::cmp::Ordering;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-/// A composite container key: the values of an edge's key columns in
-/// ascending column order.
-pub(crate) type Key = Box<[Value]>;
+/// A composite container key: the values of an edge's key columns (or a
+/// node's bound columns) in ascending column order. A one-column key holds
+/// its value in place; any other is one boxed slice. Both compare, hash and
+/// borrow as that slice, so containers are probed with a borrowed
+/// `&[Value]` and never with an owned key.
+#[derive(Debug, Clone)]
+pub(crate) enum Key {
+    /// A one-column key.
+    One(Value),
+    /// A key of zero or several columns.
+    Many(Box<[Value]>),
+}
+
+// A one-column key costs its value: the boxed variant lives in the value's
+// spare tags.
+const _: () = assert!(std::mem::size_of::<Key>() == std::mem::size_of::<Value>());
+
+impl std::ops::Deref for Key {
+    type Target = [Value];
+
+    fn deref(&self) -> &[Value] {
+        match self {
+            Key::One(v) => std::slice::from_ref(v),
+            Key::Many(vs) => vs,
+        }
+    }
+}
+
+impl Borrow<[Value]> for Key {
+    fn borrow(&self) -> &[Value] {
+        self
+    }
+}
+
+impl PartialEq for Key {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Key {}
+
+impl Hash for Key {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (**self).hash(state);
+    }
+}
+
+impl PartialOrd for Key {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Key {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (**self).cmp(&**other)
+    }
+}
+
+impl From<&[Value]> for Key {
+    fn from(vs: &[Value]) -> Self {
+        match vs {
+            [v] => Key::One(v.clone()),
+            _ => Key::Many(vs.into()),
+        }
+    }
+}
 
 /// A handle to a node instance: `(decomposition node, arena slot)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -65,6 +139,88 @@ pub(crate) struct InstanceRef {
     pub slot: u32,
 }
 
+/// The widest unit an inline entry holds in place. Two covers the flow
+/// counters every workload stores (`{bytes, pkts}`); each further value
+/// would add 24 B to every entry of every container, node children
+/// included.
+const UNIT_IN_PLACE: usize = 2;
+
+/// A unit tuple as the store holds it — in an inline leaf's container
+/// entry, or in an instance's unit leaf: the values of `cols` in ascending
+/// column order, in place up to [`UNIT_IN_PLACE`] columns and boxed once
+/// beyond.
+#[derive(Debug, Clone)]
+pub(crate) struct InlineUnit {
+    cols: ColSet,
+    vals: UnitVals,
+}
+
+/// The values of an [`InlineUnit`].
+#[derive(Debug, Clone)]
+enum UnitVals {
+    /// `cols.len()` values, then fillers.
+    Here([Value; UNIT_IN_PLACE]),
+    /// A wider unit's values.
+    Boxed(Box<[Value]>),
+}
+
+impl InlineUnit {
+    /// The unit of columns `cols` whose values, in ascending column order,
+    /// `vals` yields. A wide unit's values are collected into one
+    /// exact-size allocation.
+    pub(crate) fn new(cols: ColSet, mut vals: impl ExactSizeIterator<Item = Value>) -> Self {
+        debug_assert_eq!(cols.len(), vals.len(), "unit arity");
+        let vals = if vals.len() <= UNIT_IN_PLACE {
+            UnitVals::Here(std::array::from_fn(|_| {
+                vals.next().unwrap_or(Value::Bool(false))
+            }))
+        } else {
+            UnitVals::Boxed(vals.collect())
+        };
+        InlineUnit { cols, vals }
+    }
+
+    /// The unit's columns.
+    pub(crate) fn dom(&self) -> ColSet {
+        self.cols
+    }
+
+    /// The unit's values in ascending column order.
+    pub(crate) fn values(&self) -> &[Value] {
+        match &self.vals {
+            UnitVals::Here(vs) => &vs[..self.cols.len()],
+            UnitVals::Boxed(vs) => vs,
+        }
+    }
+
+    /// The value of column `c`, if the unit has it.
+    pub(crate) fn get(&self, c: ColId) -> Option<&Value> {
+        self.cols.rank(c).map(|i| &self.values()[i])
+    }
+
+    /// Overwrites the value of column `c`, one of the unit's.
+    pub(crate) fn set(&mut self, c: ColId, v: Value) {
+        let i = self.cols.rank(c).expect("a unit column");
+        match &mut self.vals {
+            UnitVals::Here(vs) => vs[i] = v,
+            UnitVals::Boxed(vs) => vs[i] = v,
+        }
+    }
+
+    /// The unit as a fresh [`Tuple`] (allocates: for α and error paths).
+    pub(crate) fn to_tuple(&self) -> Tuple {
+        Tuple::from_parts(self.cols, self.values().to_vec())
+    }
+
+    /// Heap bytes beyond the entry itself: a wide unit's boxed values.
+    fn heap_bytes(&self) -> usize {
+        match &self.vals {
+            UnitVals::Here(_) => 0,
+            UnitVals::Boxed(vs) => vs.len() * std::mem::size_of::<Value>(),
+        }
+    }
+}
+
 /// The value of a container entry: the child node's instance, or the unit
 /// tuple of an inline leaf.
 #[derive(Debug, Clone)]
@@ -72,12 +228,15 @@ pub(crate) enum Child {
     /// A child instance, reference-counted by its incoming entries.
     Node(InstanceRef),
     /// An inline leaf's unit tuple, owned by the entry.
-    Unit(Tuple),
+    Unit(InlineUnit),
 }
 
-// An entry costs no more than the tuple it may hold: the handle variant
-// lives beside the value slice's non-null pointer.
-const _: () = assert!(std::mem::size_of::<Child>() == std::mem::size_of::<Tuple>());
+// An entry's child costs its inline unit: the handle and the boxed variant
+// live in the unit values' spare tags.
+const _: () = assert!(
+    std::mem::size_of::<Child>()
+        == std::mem::size_of::<ColSet>() + UNIT_IN_PLACE * std::mem::size_of::<Value>()
+);
 
 /// A borrowed [`Child`], as containers hand out their entries.
 #[derive(Debug, Clone, Copy)]
@@ -85,7 +244,7 @@ pub(crate) enum ChildRef<'a> {
     /// A child instance.
     Node(InstanceRef),
     /// An inline leaf's unit tuple.
-    Unit(&'a Tuple),
+    Unit(&'a InlineUnit),
 }
 
 impl Child {
@@ -122,8 +281,9 @@ pub(crate) struct Link {
 /// A primitive instance: one per leaf of the node body.
 #[derive(Debug, Clone)]
 pub(crate) enum PrimInst {
-    /// The single tuple of a `unit C` leaf.
-    Unit(Tuple),
+    /// The single tuple of a `unit C` leaf, held as an inline entry holds
+    /// its unit.
+    Unit(InlineUnit),
     /// The container of a map leaf.
     Map(EdgeContainer),
 }
@@ -217,7 +377,7 @@ impl EdgeContainer {
             return 0;
         }
         let mut n = 0;
-        self.for_each_entry(|_, c| n += entry_bytes(c));
+        self.for_each_entry(|k, c| n += entry_bytes(k, c));
         n
     }
 }
@@ -244,20 +404,25 @@ const CHUNK_BITS: u32 = 6;
 const CHUNK: usize = 1 << CHUNK_BITS;
 const CHUNK_MASK: u32 = (CHUNK as u32) - 1;
 
-/// Flat per-container-entry byte estimate used by [`Store::approx_bytes`]:
-/// roughly a boxed key slice header + a couple of values + the [`Child`]
-/// payload and container-node overhead. Deliberately key-size-independent so
-/// insert/remove/free keep the running counter consistent in O(1).
-const ENTRY_BYTES: usize = 48;
-
-/// Estimated heap bytes of one non-intrusive container entry: the flat
-/// [`ENTRY_BYTES`], plus an inline unit's value slice.
-fn entry_bytes(c: &Child) -> usize {
-    ENTRY_BYTES
+/// Estimated bytes of one non-intrusive container entry with key `k`: the
+/// entry as it sits in its container, plus the heap a key of other than one
+/// column or a wide inline unit boxes. Depends on the entry alone, so
+/// insert, remove and free keep the running counter consistent in O(1).
+fn entry_bytes(k: &[Value], c: &Child) -> usize {
+    std::mem::size_of::<(Key, Child)>()
+        + key_heap_bytes(k)
         + match c {
             Child::Node(_) => 0,
-            Child::Unit(u) => u.len() * std::mem::size_of::<Value>(),
+            Child::Unit(u) => u.heap_bytes(),
         }
+}
+
+/// Heap bytes of the [`Key`] holding `k`: none for a one-column key.
+fn key_heap_bytes(k: &[Value]) -> usize {
+    match k.len() {
+        1 => 0,
+        n => n * std::mem::size_of::<Value>(),
+    }
 }
 
 /// One fixed-size block of arena slots, shared between store versions until
@@ -452,7 +617,7 @@ impl Layout {
         d: &Decomposition,
         node: NodeId,
         key: Key,
-        mut unit: impl FnMut(usize, ColSet) -> Tuple,
+        mut unit: impl FnMut(usize, ColSet) -> InlineUnit,
     ) -> Instance {
         debug_assert!(
             self.inline_unit[node.index()].is_none(),
@@ -508,7 +673,7 @@ fn est_instance_bytes(inst: &Instance) -> usize {
         .sum();
     size_of::<Instance>()
         + size_of::<Arc<Instance>>()
-        + inst.key.len() * size_of::<Value>()
+        + key_heap_bytes(&inst.key)
         + inst.prims.len() * size_of::<PrimInst>()
         + inst.links.len() * size_of::<Link>()
         + entries
@@ -582,7 +747,7 @@ impl Store {
     /// Path-copies: if the addressed chunk or instance is shared with
     /// another store version (a published snapshot), it is cloned first —
     /// the chunk shallowly (64 `Arc` bumps), the instance deeply (its key,
-    /// units and containers, inline units included). Subsequent mutations
+    /// units and containers, the entries' keys and inline units included). Subsequent mutations
     /// in the same epoch find both unique and mutate in place.
     pub(crate) fn get_mut(&mut self, r: InstanceRef) -> &mut Instance {
         let arena = &mut self.arenas[r.node as usize];
@@ -675,9 +840,9 @@ impl Store {
 
     /// Looks up `key` in the container at `(parent, leaf)`.
     ///
-    /// The probe is *borrowed*: `Box<[Value]>`-keyed containers are searched
+    /// The probe is *borrowed*: [`Key`]-keyed containers are searched
     /// through `&[Value]` directly (`Borrow`-based lookup), so no key is
-    /// allocated — the heart of the zero-allocation query hot path.
+    /// built — the heart of the zero-allocation query hot path.
     pub(crate) fn cont_get(
         &self,
         parent: InstanceRef,
@@ -766,7 +931,7 @@ impl Store {
             self.get_mut(child).refs += 1;
             return;
         }
-        self.approx_bytes = self.approx_bytes.saturating_add(entry_bytes(&child));
+        self.approx_bytes = self.approx_bytes.saturating_add(entry_bytes(&key, &child));
         if let Child::Node(r) = child {
             self.get_mut(r).refs += 1;
         }
@@ -804,7 +969,7 @@ impl Store {
             EdgeContainer::Intrusive { .. } => unreachable!("handled above"),
         };
         if let Some(c) = &removed {
-            self.approx_bytes = self.approx_bytes.saturating_sub(entry_bytes(c));
+            self.approx_bytes = self.approx_bytes.saturating_sub(entry_bytes(key, c));
         }
         removed
     }

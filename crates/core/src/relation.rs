@@ -4,7 +4,7 @@
 use crate::alpha;
 use crate::error::{BuildError, MigrateError, OpError};
 use crate::exec::Bindings;
-use crate::instance::{InstanceRef, Layout, Store};
+use crate::instance::{InlineUnit, InstanceRef, Key, Layout, Store};
 use crate::profile::{ProfileCounters, WorkloadProfile};
 use crate::read::{interval_cols, plan_memoized, PlanCache, ReadCore, RelRead};
 use crate::write::WriteScratch;
@@ -667,8 +667,9 @@ impl SynthRelation {
 /// An empty store for `d`: its root instance alone.
 pub(crate) fn fresh_store(d: &Decomposition, layout: &Layout) -> (Arc<Store>, InstanceRef) {
     let mut store = Store::new(d);
-    let root_inst =
-        layout.new_instance(d, d.root(), Box::new([]), |_, c| Tuple::empty().project(c));
+    let root_inst = layout.new_instance(d, d.root(), Key::Many(Box::new([])), |_, _| {
+        InlineUnit::new(ColSet::EMPTY, std::iter::empty())
+    });
     let root = store.alloc(d.root(), root_inst);
     (Arc::new(store), root)
 }

@@ -16,7 +16,8 @@
 use crate::error::OpError;
 use crate::exec::{exec_block, Bindings, ExecEnv};
 use crate::instance::{
-    Child, ChildRef, EdgeContainer, InstanceRef, Key, Layout, LeafSpec, Link, PrimInst, Store,
+    Child, ChildRef, EdgeContainer, InlineUnit, InstanceRef, Key, Layout, LeafSpec, Link, PrimInst,
+    Store,
 };
 use crate::relation::{fresh_store, SynthRelation};
 use relic_decomp::{cut, Decomposition, NodeId};
@@ -71,8 +72,8 @@ fn enter(
         if a.parent == Some(parent) {
             // One entry per child group: later members memo-hit. A child
             // instance's reference is counted here, while it is cache-hot,
-            // not at flush time. The key is boxed before the child is
-            // built, as the insert below does.
+            // not at flush time. The key is built before the child, as
+            // the insert below does.
             let key = s.kb.as_slice().into();
             let child = child();
             if let Child::Node(c) = child {
@@ -144,15 +145,10 @@ fn write_cols(row: &[Value], pos: &[u16], out: &mut Vec<Value>) {
     }
 }
 
-/// The unit tuple of columns `cols` whose values sit at `pos` in `row`.
-fn row_unit(row: &[Value], cols: ColSet, pos: &[u16]) -> Tuple {
-    // Driven by `cols`, so the values are collected as `Tuple::project`
-    // collects them.
-    let vals = cols
-        .iter()
-        .zip(pos)
-        .map(|(_, &p)| row[usize::from(p)].clone());
-    Tuple::from_parts(cols, vals.collect())
+/// The unit of columns `cols` whose values sit at `pos` in `row`: in
+/// place, or — wider than an entry holds — in one exact-size box.
+fn row_unit(row: &[Value], cols: ColSet, pos: &[u16]) -> InlineUnit {
+    InlineUnit::new(cols, pos.iter().map(|&p| row[usize::from(p)].clone()))
 }
 
 impl Writer<'_> {

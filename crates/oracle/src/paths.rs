@@ -6,11 +6,11 @@
 use crate::{check_cases, check_reader, run, Model, Path, State, Step, TempDir, Universe};
 use proptest::test_runner::TestRng;
 use relic_concurrent::{ConcurrentRelation, ReadHandle};
-use relic_core::{Op, OpError, RelRead, SynthRelation};
+use relic_core::{Op, OpError, RelRead, Snapshot, SynthRelation};
 use relic_decomp::Decomposition;
 use relic_persist::durable::WAL_FILE;
 use relic_persist::{read_wal, DurableRelation, GroupCommitPolicy, PersistError};
-use relic_spec::{ColSet, Tuple};
+use relic_spec::{ColSet, Relation, Tuple};
 use std::fs;
 
 /// [`Step::Rmw`] on one partition `p` — a [`SynthRelation`] or a durable
@@ -37,6 +37,11 @@ pub struct Synth {
     pub validate_steps: bool,
     /// The readers a check holds to the model: the relation, its snapshot.
     pub readers: [bool; 2],
+    /// Pin a snapshot at every check and hold it, at the next, to the
+    /// model as it was when pinned: every write in between — in-place
+    /// updates included — runs while a reader holds the old version.
+    pub pin: bool,
+    pinned: Option<(Snapshot, Relation)>,
 }
 
 impl Synth {
@@ -49,6 +54,8 @@ impl Synth {
             rel: r,
             validate_steps: false,
             readers: [true; 2],
+            pin: false,
+            pinned: None,
         }
     }
 
@@ -105,6 +112,12 @@ impl Path for Synth {
         }
         if snapshot {
             check_reader(&self.rel.snapshot(), &m.rel);
+        }
+        if let Some((old, then)) = self.pinned.take() {
+            check_reader(&old, &then);
+        }
+        if self.pin {
+            self.pinned = Some((self.rel.snapshot(), m.rel.clone()));
         }
     }
 }

@@ -161,6 +161,37 @@ impl Universe {
         Universe::new(&cols, &["host", "ts"], "host", &srcs.map(String::from))
     }
 
+    /// `k → a, b, c`, sharded by `k`, over container entries of every
+    /// width: inline units of three (boxed), two, one and no columns under
+    /// keys of one, two, three and four columns, and a two-column unit
+    /// under a one-column key one level down. `k` and `c` are strings, so
+    /// a one-column key and an inline unit hold a shared string.
+    pub fn widths() -> Self {
+        let srcs = [
+            "let w : {k} . {a,b,c} = unit {a,b,c} in
+             let x : {} . {k,a,b,c} = {k} -[htable]-> w in x",
+            "let w : {k} . {a,b,c} = unit {a,b,c} in
+             let x : {} . {k,a,b,c} = {k} -[avl]-> w in x",
+            "let w : {k,a} . {b,c} = unit {b,c} in
+             let x : {} . {k,a,b,c} = {k,a} -[avl]-> w in x",
+            "let w : {k,a} . {b,c} = unit {b,c} in
+             let y : {a} . {k,b,c} = {k} -[htable]-> w in
+             let x : {} . {k,a,b,c} = {a} -[sortedvec]-> y in x",
+            "let w : {k,a,b} . {c} = unit {c} in
+             let x : {} . {k,a,b,c} = {k,a,b} -[dlist]-> w in x",
+            "let w : {k,a,b,c} . {} = unit {} in
+             let x : {} . {k,a,b,c} = {k,a,b,c} -[htable]-> w in x",
+        ];
+        let strs = |xs: &[&str]| xs.iter().map(|&x| Value::from(x)).collect();
+        let cols = [
+            ("k", strs(&["p", "q", "r", "s"])),
+            ("a", ints(3)),
+            ("b", ints(3)),
+            ("c", strs(&["x", "y"])),
+        ];
+        Universe::new(&cols, &["k"], "k", &srcs.map(String::from))
+    }
+
     /// A weighted graph, `src, dst → weight`, sharded by `src`: every 7th
     /// enumerated decomposition up to three edges over `htable` and
     /// `dlist`.

@@ -21,6 +21,10 @@ fn task(u: &Universe, ns: i64, pid: i64, state: &str, cpu: i64) -> Tuple {
 fn synth_matches_reference() {
     let (u, mix) = (Universe::scheduler(), Mix::new(1..61, [1, 0, 0]));
     Synth::cases("soundness_reference", &u, 48, |rng| u.steps(rng, &mix));
+    let u = Universe::widths();
+    Synth::cases("soundness_reference_widths", &u, 24, |rng| {
+        u.steps(rng, &mix)
+    });
 }
 
 /// Every case on Fig. 2(a)'s intrusive-list decomposition, the trickiest,
@@ -127,7 +131,9 @@ fn keyed_update(u: &Universe, rng: &mut TestRng, steps: &mut Vec<Step>) {
 /// candidates, three decompositions of `a, b → v`: a unit on a shared node,
 /// the value kept in two unit nodes (both must be rewritten), and an index
 /// on the non-key column `v` whose empty unit is the only node a pattern
-/// naming `v` locates.
+/// naming `v` locates. The `widths` universe rewrites inline units of
+/// every width. Each check pins a snapshot that the next check holds to the
+/// model as it was, so every update runs under a pinned reader.
 #[test]
 fn keyed_updates_match_the_model() {
     let mut extra = Universe::abv(true);
@@ -154,6 +160,7 @@ fn keyed_updates_match_the_model() {
         ("abv_no_fd", Universe::abv(false)),
         ("flows", Universe::flows()),
         ("graph", Universe::graph()),
+        ("widths", Universe::widths()),
         ("shapes", extra),
     ];
     for (name, u) in &universes {
@@ -175,11 +182,9 @@ fn keyed_updates_match_the_model() {
             2 * n,
             draw,
             |i, d, s| {
-                run(
-                    &mut Synth::new(u, d, (i / n).is_multiple_of(2)),
-                    &mut Model::new(u, d),
-                    s,
-                );
+                let mut p = Synth::new(u, d, (i / n).is_multiple_of(2));
+                p.pin = true;
+                run(&mut p, &mut Model::new(u, d), s);
             },
         );
     }
