@@ -655,20 +655,21 @@ pub(crate) struct Store {
 }
 
 /// Estimated heap bytes attributable to one instance in its current shape:
-/// fixed struct overhead plus key/prim/link slots plus the [`entry_bytes`]
-/// of every non-intrusive container entry (intrusive entries live in the
-/// child instances and are counted there). Value heap payloads (strings)
+/// fixed struct overhead, key/prim/link slots and the boxes of a wide key
+/// or unit, plus the [`entry_bytes`] of every non-intrusive container
+/// entry (intrusive entries live in the child instances and are counted
+/// there). Value heap payloads (strings)
 /// are deliberately ignored — the counter is an estimate, not an accounting
 /// of every byte. Walks the entries of non-empty containers, which only a
 /// freed parent still holding children has.
 fn est_instance_bytes(inst: &Instance) -> usize {
     use std::mem::size_of;
-    let entries: usize = inst
+    let leaves: usize = inst
         .prims
         .iter()
         .map(|p| match p {
             PrimInst::Map(c) => c.entries_bytes(),
-            PrimInst::Unit(_) => 0,
+            PrimInst::Unit(u) => u.heap_bytes(),
         })
         .sum();
     size_of::<Instance>()
@@ -676,7 +677,7 @@ fn est_instance_bytes(inst: &Instance) -> usize {
         + key_heap_bytes(&inst.key)
         + inst.prims.len() * size_of::<PrimInst>()
         + inst.links.len() * size_of::<Link>()
-        + entries
+        + leaves
 }
 
 impl Store {
@@ -747,7 +748,7 @@ impl Store {
     /// Path-copies: if the addressed chunk or instance is shared with
     /// another store version (a published snapshot), it is cloned first —
     /// the chunk shallowly (64 `Arc` bumps), the instance deeply (its key,
-    /// units and containers, the entries' keys and inline units included). Subsequent mutations
+    /// units and containers, their entries included). Subsequent mutations
     /// in the same epoch find both unique and mutate in place.
     pub(crate) fn get_mut(&mut self, r: InstanceRef) -> &mut Instance {
         let arena = &mut self.arenas[r.node as usize];
@@ -1098,9 +1099,12 @@ impl Store {
 
 #[cfg(test)]
 mod tests {
-    use super::Layout;
+    use super::{Child, Instance, Key, Layout, PrimInst};
+    use crate::SynthRelation;
     use relic_decomp::parse;
-    use relic_spec::{Catalog, ColSet};
+    use relic_spec::{Catalog, ColSet, RelSpec, Tuple, Value};
+    use std::mem::size_of;
+    use std::sync::Arc;
 
     /// The inline-leaf verdict of the node called `name` in `src`.
     fn inline(src: &str, name: &str) -> bool {
@@ -1146,5 +1150,51 @@ mod tests {
         ));
         // A unit root.
         assert!(!inline("let x : {} . {v} = unit {v} in x", "x"));
+    }
+
+    /// 8 locals x 16 remotes of `local, remote → bytes, pkts` under `src`.
+    fn flows_bytes(src: &str) -> usize {
+        let mut cat = Catalog::new();
+        let d = parse(&mut cat, src).unwrap();
+        let col = |name| cat.col(name).unwrap();
+        let (local, remote, bytes, pkts) = (col("local"), col("remote"), col("bytes"), col("pkts"));
+        let spec = RelSpec::new(cat.all()).with_fd(local | remote, bytes | pkts);
+        let mut r = SynthRelation::new(&cat, spec, d).unwrap();
+        for i in 0..128i64 {
+            let t = Tuple::from_pairs([
+                (local, Value::from(i % 8)),
+                (remote, Value::from(i)),
+                (bytes, Value::from(40 * i)),
+                (pkts, Value::from(1)),
+            ]);
+            assert!(r.insert(t).unwrap());
+        }
+        r.store_approx_bytes()
+    }
+
+    /// The store's byte estimate (what `limbo_bytes` and admission control
+    /// read) is the layout's: an entry is its 80 B in the container, plus
+    /// only the heap a key of other than one column boxes.
+    #[test]
+    fn the_byte_estimate_is_the_entry_layout() {
+        let entry = size_of::<(Key, Child)>();
+        assert_eq!(entry, 80, "a 24 B key beside a 56 B inline unit");
+        // An instance with one map leaf, no links and a key of at most one
+        // column: its struct, its `Arc` slot and its leaf.
+        let instance = size_of::<Instance>() + size_of::<Arc<Instance>>() + size_of::<PrimInst>();
+        // IpCap's default decomposition: the root and 8 `{remote}` tables,
+        // one root entry per local, one entry per flow, no heap beyond.
+        let nested = flows_bytes(
+            "let w : {local,remote} . {bytes,pkts} = unit {bytes,pkts} in
+             let y : {local} . {remote,bytes,pkts} = {remote} -[htable]-> w in
+             let x : {} . {local,remote,bytes,pkts} = {local} -[avl]-> y in x",
+        );
+        assert_eq!(nested, 9 * instance + (8 + 128) * entry);
+        // One flat table: each two-column key boxes its two values.
+        let flat = flows_bytes(
+            "let w : {local,remote} . {bytes,pkts} = unit {bytes,pkts} in
+             let x : {} . {local,remote,bytes,pkts} = {local,remote} -[htable]-> w in x",
+        );
+        assert_eq!(flat, instance + 128 * (entry + 2 * size_of::<Value>()));
     }
 }

@@ -28,7 +28,9 @@ macro_rules! upsert {
 
 /// A [`SynthRelation`], read live and through a snapshot taken at the
 /// check. A check also validates it and holds its byte estimate (see
-/// [`Synth::check_bytes`]).
+/// [`Synth::check_bytes`]), and pins a snapshot that the next check holds
+/// to the model as it was: every write in between, in-place updates
+/// included, runs while a reader holds the old version.
 #[derive(Debug)]
 pub struct Synth {
     /// The relation.
@@ -37,10 +39,7 @@ pub struct Synth {
     pub validate_steps: bool,
     /// The readers a check holds to the model: the relation, its snapshot.
     pub readers: [bool; 2],
-    /// Pin a snapshot at every check and hold it, at the next, to the
-    /// model as it was when pinned: every write in between — in-place
-    /// updates included — runs while a reader holds the old version.
-    pub pin: bool,
+    /// The snapshot the last check pinned, and the model's tuples then.
     pinned: Option<(Snapshot, Relation)>,
 }
 
@@ -54,7 +53,6 @@ impl Synth {
             rel: r,
             validate_steps: false,
             readers: [true; 2],
-            pin: false,
             pinned: None,
         }
     }
@@ -113,12 +111,10 @@ impl Path for Synth {
         if snapshot {
             check_reader(&self.rel.snapshot(), &m.rel);
         }
-        if let Some((old, then)) = self.pinned.take() {
-            check_reader(&old, &then);
+        if let Some((old, then)) = &self.pinned {
+            check_reader(old, then);
         }
-        if self.pin {
-            self.pinned = Some((self.rel.snapshot(), m.rel.clone()));
-        }
+        self.pinned = Some((self.rel.snapshot(), m.rel.clone()));
     }
 }
 

@@ -132,8 +132,8 @@ fn keyed_update(u: &Universe, rng: &mut TestRng, steps: &mut Vec<Step>) {
 /// the value kept in two unit nodes (both must be rewritten), and an index
 /// on the non-key column `v` whose empty unit is the only node a pattern
 /// naming `v` locates. The `widths` universe rewrites inline units of
-/// every width. Each check pins a snapshot that the next check holds to the
-/// model as it was, so every update runs under a pinned reader.
+/// every width; every update runs under the snapshot the last check pinned
+/// (see [`Synth`]).
 #[test]
 fn keyed_updates_match_the_model() {
     let mut extra = Universe::abv(true);
@@ -182,9 +182,11 @@ fn keyed_updates_match_the_model() {
             2 * n,
             draw,
             |i, d, s| {
-                let mut p = Synth::new(u, d, (i / n).is_multiple_of(2));
-                p.pin = true;
-                run(&mut p, &mut Model::new(u, d), s);
+                run(
+                    &mut Synth::new(u, d, (i / n).is_multiple_of(2)),
+                    &mut Model::new(u, d),
+                    s,
+                );
             },
         );
     }
