@@ -584,6 +584,50 @@ fn warm_insert_of_a_three_column_unit_allocates_once() {
     r.validate().unwrap();
 }
 
+/// A warm insert under a two-column key (IpCap's flows in one flat
+/// `{local,remote}` table): the key's pair goes into one box behind a thin
+/// pointer and the two-column unit sits in the entry, so each row
+/// allocates exactly once.
+#[test]
+fn warm_insert_under_a_two_column_key_allocates_one_box() {
+    let mut cat = Catalog::new();
+    let d = parse(
+        &mut cat,
+        "let w : {local,remote} . {bytes,pkts} = unit {bytes,pkts} in
+         let x : {} . {local,remote,bytes,pkts} = {local,remote} -[htable]-> w in x",
+    )
+    .unwrap();
+    let col = |name| cat.col(name).unwrap();
+    let (local, remote, bytes, pkts) = (col("local"), col("remote"), col("bytes"), col("pkts"));
+    let spec = RelSpec::new(cat.all()).with_fd(local | remote, bytes | pkts);
+    let mut r = SynthRelation::new(&cat, spec, d).unwrap();
+    let rows = |tag: i64| -> Vec<Tuple> {
+        (0..512i64)
+            .map(|i| {
+                Tuple::from_pairs([
+                    (local, Value::from(i % 64)),
+                    (remote, Value::from((i << 12) + tag)),
+                    (bytes, Value::from(40 + i)),
+                    (pkts, Value::from(1)),
+                ])
+            })
+            .collect()
+    };
+    let warm = rows(1);
+    let keys: Vec<Tuple> = warm.iter().map(|t| t.project(local | remote)).collect();
+    assert_eq!(r.insert_many(warm).unwrap(), 512);
+    assert_eq!(r.remove_many(&keys).unwrap(), 512);
+    let measured = rows(2);
+    let n = measured.len() as u64;
+    let before = allocs();
+    for t in measured {
+        assert!(r.insert(t).unwrap());
+    }
+    let delta = allocs() - before;
+    assert_eq!(delta, n, "{delta} allocations over {n} warm inserts");
+    r.validate().unwrap();
+}
+
 /// The first write to an IpCap parent after a publish path-copies the
 /// parent's container. Its entries hold their keys and units in place, so
 /// the copy allocates the container's own buffers and nothing per entry:

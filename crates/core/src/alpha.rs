@@ -55,7 +55,12 @@ fn alpha_child(
 ) -> Rc<Relation> {
     match child {
         ChildRef::Node(r) => alpha_node(store, d, node, r, memo),
-        ChildRef::Unit(u) => Rc::new(Relation::from_tuples(u.dom(), [u.to_tuple()])),
+        ChildRef::Unit(u) => {
+            let Body::Unit(c) = d.node(node).body else {
+                panic!("an inline unit under a node whose body is not a unit");
+            };
+            Rc::new(Relation::from_tuples(c, [u.to_tuple(c)]))
+        }
     }
 }
 
@@ -73,7 +78,7 @@ fn alpha_body(
             let PrimInst::Unit(u) = &store.get(inst).prims[leaf] else {
                 panic!("leaf/prim misalignment");
             };
-            Relation::from_tuples(*c, [u.to_tuple()])
+            Relation::from_tuples(*c, [u.to_tuple(*c)])
         }
         // α({t ↦ v_t'}) = ⋃ {t} ⋈ α(v_t'). Each `{t} ⋈ α(v_t')` tuple goes
         // straight into the union: rebuilding the union per entry would
@@ -100,16 +105,17 @@ fn alpha_body(
     }
 }
 
-/// (WFUNIT): a unit of node `node` must be a valuation of its columns `c`.
+/// (WFUNIT): a unit of node `node` must be a valuation of its columns `c`,
+/// which the layout, not the unit, names: it must hold their values in
+/// place when they fit, else boxed at their count.
 fn check_unit(d: &Decomposition, node: NodeId, u: &InlineUnit, c: ColSet) -> Result<(), String> {
-    if u.dom() == c {
+    if u.fits(c) {
         return Ok(());
     }
     Err(format!(
-        "unit in `{}` has domain {:?}, expected {:?}",
+        "unit in `{}` stored as {u:?} is no valuation of its {} columns {c:?}",
         d.node(node).name,
-        u.dom(),
-        c
+        c.len(),
     ))
 }
 

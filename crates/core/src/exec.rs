@@ -45,7 +45,7 @@
 //! step's `filter` names, and `Range` seeks straight to the matching run of
 //! an ordered container; the pattern is borrowed as it is.
 
-use crate::instance::{ChildRef, InstanceRef, Layout, PrimInst, Store};
+use crate::instance::{ChildRef, InstanceRef, Layout, LeafSpec, PrimInst, Store};
 use relic_containers::HashTable;
 use relic_decomp::{Decomposition, NodeId};
 use relic_query::{Block, Step};
@@ -268,7 +268,7 @@ fn run(
                     .cont_get(src, env.layout.leaf_of_edge[edge.index()], &kb);
                 b.put_buf(kb);
                 if let Some(child) = hit {
-                    Next::new(e.to, then).enter(env, child, at, b, emit);
+                    Next::new(env.layout, e.to, then).enter(env, child, at, b, emit);
                 }
             }
             Step::Scan {
@@ -282,7 +282,7 @@ fn run(
                 let Some(src) = at.find(e.from).and_then(ChildRef::node) else {
                     continue;
                 };
-                let next = Next::new(e.to, then);
+                let next = Next::new(env.layout, e.to, then);
                 // The scratch buffer only backs intrusive-list key
                 // reconstruction; other containers hand out borrowed keys.
                 let mut kb = b.take_buf();
@@ -311,7 +311,7 @@ fn run(
                     .pred(c)
                     .and_then(Pred::bounds)
                     .unwrap_or((Bound::Unbounded, Bound::Unbounded));
-                let next = Next::new(e.to, then);
+                let next = Next::new(env.layout, e.to, then);
                 // Equality-bound prefix of the key (all coordinates before c),
                 // in a pooled buffer that lives across the whole seek.
                 let mut pb = b.take_buf();
@@ -345,8 +345,13 @@ fn run(
                     },
                     None => continue,
                 };
+                // An inline leaf's body is its one unit leaf, so this names
+                // an entry's unit columns as well as an instance's.
+                let LeafSpec::Unit(cols) = env.layout.leaves_of_node[node.index()][*leaf] else {
+                    continue;
+                };
                 let sets = (*bind, *check, *filter);
-                if let Some(newly) = bind_row(b, env.cmp, u.dom(), u.values(), sets) {
+                if let Some(newly) = bind_row(b, env.cmp, cols, u.values(cols), sets) {
                     run(env, then, at, b, emit);
                     b.unbind(newly);
                 }
@@ -369,22 +374,26 @@ fn run(
 struct Next<'a> {
     node: NodeId,
     then: &'a Block,
-    /// The `(bind, check, filter)` sets of a `unit(node) ; emit` tail.
-    unit_emit: Option<(ColSet, ColSet, ColSet)>,
+    /// The inline leaf's unit columns and the `(bind, check, filter)` sets
+    /// of a `unit(node) ; emit` tail.
+    unit_emit: Option<(ColSet, (ColSet, ColSet, ColSet))>,
 }
 
 impl<'a> Next<'a> {
-    fn new(node: NodeId, then: &'a Block) -> Self {
-        let unit_emit = match then.0.as_slice() {
-            [Step::Unit {
-                node: n,
-                bind,
-                check,
-                filter,
-                then,
-                ..
-            }] if *n == node && matches!(then.0.as_slice(), [Step::Emit { .. }]) => {
-                Some((*bind, *check, *filter))
+    fn new(layout: &Layout, node: NodeId, then: &'a Block) -> Self {
+        let unit_emit = match (layout.inline_unit[node.index()], then.0.as_slice()) {
+            (
+                Some(cols),
+                [Step::Unit {
+                    node: n,
+                    bind,
+                    check,
+                    filter,
+                    then,
+                    ..
+                }],
+            ) if *n == node && matches!(then.0.as_slice(), [Step::Emit { .. }]) => {
+                Some((cols, (*bind, *check, *filter)))
             }
             _ => None,
         };
@@ -407,8 +416,8 @@ impl<'a> Next<'a> {
         emit: &mut dyn FnMut(&mut Bindings),
     ) {
         match (child, self.unit_emit) {
-            (ChildRef::Unit(u), Some(sets)) => {
-                if let Some(newly) = bind_row(b, env.cmp, u.dom(), u.values(), sets) {
+            (ChildRef::Unit(u), Some((cols, sets))) => {
+                if let Some(newly) = bind_row(b, env.cmp, cols, u.values(cols), sets) {
                     emit(b);
                     b.unbind(newly);
                 }

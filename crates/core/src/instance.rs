@@ -29,10 +29,13 @@
 //!
 //! The entry holds the row itself, not pointers to it: a one-column
 //! [`Key`] keeps its value in place, and an [`InlineUnit`] of up to two
-//! columns keeps its values beside its column set (a wider one boxes them
-//! once). A stored row of a one-column key and a two-column unit is then
-//! one 80 B entry with no heap box of its own, a scanned row reads one
-//! entry, and a built row allocates nothing but what its container grows.
+//! columns keeps its values in place (a wider one boxes them once). The
+//! unit's columns are not stored: every entry of an edge has the same
+//! ones, and the [`Layout`] names them. A [`Value`] is two words, so a
+//! stored row of a one-column key and a two-column unit is one 48 B entry
+//! with no heap box of its own, a scanned row reads one entry, and a built
+//! row allocates nothing but what its container grows. A two-column key
+//! boxes its pair once.
 //!
 //! # Structural sharing
 //!
@@ -49,8 +52,8 @@
 //! instance's copy includes its containers, and with them their entries:
 //! the first write to a parent after a publish copies each entry's values
 //! in place (a string is an `Arc` bump), allocating only the containers'
-//! own buffers — plus one box per entry whose key has other than one
-//! column or whose inline unit is wider than two.
+//! own buffers — plus one box per entry whose key has two or more columns
+//! (two for three or more) or whose inline unit is wider than two.
 
 use relic_containers::{AssocVec, AvlMap, DListMap, HashTable, SortedVecMap};
 use relic_decomp::{Body, Decomposition, DsKind, EdgeId, NodeId};
@@ -63,19 +66,24 @@ use std::sync::Arc;
 
 /// A composite container key: the values of an edge's key columns (or a
 /// node's bound columns) in ascending column order. A one-column key holds
-/// its value in place; any other is one boxed slice. Both compare, hash and
-/// borrow as that slice, so containers are probed with a borrowed
-/// `&[Value]` and never with an owned key.
+/// its value in place, a two-column key its pair in one box, a wider key
+/// one thin box of its slice, and the root's empty key nothing. All of
+/// them compare, hash and borrow as that slice, so containers are probed
+/// with a borrowed `&[Value]` and never with an owned key.
 #[derive(Debug, Clone)]
 pub(crate) enum Key {
+    /// The zero-column key of the root instance.
+    Zero,
     /// A one-column key.
     One(Value),
-    /// A key of zero or several columns.
-    Many(Box<[Value]>),
+    /// A two-column key: one pointer hop, as the flat `{local,remote}`
+    /// tables probe on every row.
+    Two(Box<[Value; 2]>),
+    /// A key of three or more columns.
+    Many(Box<Box<[Value]>>),
 }
 
-// A one-column key costs its value: the boxed variant lives in the value's
-// spare tags.
+// A key costs one value: the boxed variants live in the value's spare tags.
 const _: () = assert!(std::mem::size_of::<Key>() == std::mem::size_of::<Value>());
 
 impl std::ops::Deref for Key {
@@ -83,7 +91,9 @@ impl std::ops::Deref for Key {
 
     fn deref(&self) -> &[Value] {
         match self {
+            Key::Zero => &[],
             Key::One(v) => std::slice::from_ref(v),
+            Key::Two(vs) => &vs[..],
             Key::Many(vs) => vs,
         }
     }
@@ -124,8 +134,10 @@ impl Ord for Key {
 impl From<&[Value]> for Key {
     fn from(vs: &[Value]) -> Self {
         match vs {
+            [] => Key::Zero,
             [v] => Key::One(v.clone()),
-            _ => Key::Many(vs.into()),
+            [a, b] => Key::Two(Box::new([a.clone(), b.clone()])),
+            _ => Key::Many(Box::new(vs.into())),
         }
     }
 }
@@ -141,82 +153,80 @@ pub(crate) struct InstanceRef {
 
 /// The widest unit an inline entry holds in place. Two covers the flow
 /// counters every workload stores (`{bytes, pkts}`); each further value
-/// would add 24 B to every entry of every container, node children
+/// would add 16 B to every entry of every container, node children
 /// included.
 const UNIT_IN_PLACE: usize = 2;
 
 /// A unit tuple as the store holds it — in an inline leaf's container
-/// entry, or in an instance's unit leaf: the values of `cols` in ascending
-/// column order, in place up to [`UNIT_IN_PLACE`] columns and boxed once
-/// beyond.
+/// entry, or in an instance's unit leaf: the values of the unit's columns
+/// in ascending column order, in place up to [`UNIT_IN_PLACE`] columns and
+/// boxed once beyond. The columns themselves are the [`Layout`]'s
+/// (`inline_unit` for an entry, `leaves_of_node` for a unit leaf), so
+/// every accessor takes them.
 #[derive(Debug, Clone)]
-pub(crate) struct InlineUnit {
-    cols: ColSet,
-    vals: UnitVals,
-}
-
-/// The values of an [`InlineUnit`].
-#[derive(Debug, Clone)]
-enum UnitVals {
-    /// `cols.len()` values, then fillers.
+pub(crate) enum InlineUnit {
+    /// Up to [`UNIT_IN_PLACE`] values, then fillers.
     Here([Value; UNIT_IN_PLACE]),
     /// A wider unit's values.
     Boxed(Box<[Value]>),
 }
 
 impl InlineUnit {
-    /// The unit of columns `cols` whose values, in ascending column order,
-    /// `vals` yields. A wide unit's values are collected into one
-    /// exact-size allocation.
-    pub(crate) fn new(cols: ColSet, mut vals: impl ExactSizeIterator<Item = Value>) -> Self {
-        debug_assert_eq!(cols.len(), vals.len(), "unit arity");
-        let vals = if vals.len() <= UNIT_IN_PLACE {
-            UnitVals::Here(std::array::from_fn(|_| {
+    /// The unit whose values, in ascending column order, `vals` yields. A
+    /// wide unit's values are collected into one exact-size allocation.
+    pub(crate) fn new(mut vals: impl ExactSizeIterator<Item = Value>) -> Self {
+        if vals.len() <= UNIT_IN_PLACE {
+            InlineUnit::Here(std::array::from_fn(|_| {
                 vals.next().unwrap_or(Value::Bool(false))
             }))
         } else {
-            UnitVals::Boxed(vals.collect())
-        };
-        InlineUnit { cols, vals }
-    }
-
-    /// The unit's columns.
-    pub(crate) fn dom(&self) -> ColSet {
-        self.cols
-    }
-
-    /// The unit's values in ascending column order.
-    pub(crate) fn values(&self) -> &[Value] {
-        match &self.vals {
-            UnitVals::Here(vs) => &vs[..self.cols.len()],
-            UnitVals::Boxed(vs) => vs,
+            InlineUnit::Boxed(vals.collect())
         }
     }
 
-    /// The value of column `c`, if the unit has it.
-    pub(crate) fn get(&self, c: ColId) -> Option<&Value> {
-        self.cols.rank(c).map(|i| &self.values()[i])
-    }
-
-    /// Overwrites the value of column `c`, one of the unit's.
-    pub(crate) fn set(&mut self, c: ColId, v: Value) {
-        let i = self.cols.rank(c).expect("a unit column");
-        match &mut self.vals {
-            UnitVals::Here(vs) => vs[i] = v,
-            UnitVals::Boxed(vs) => vs[i] = v,
+    /// Whether the unit holds values for exactly the columns `cols`: in
+    /// place when they fit, else boxed at their count.
+    pub(crate) fn fits(&self, cols: ColSet) -> bool {
+        match self {
+            InlineUnit::Here(_) => cols.len() <= UNIT_IN_PLACE,
+            InlineUnit::Boxed(vs) => cols.len() > UNIT_IN_PLACE && vs.len() == cols.len(),
         }
     }
 
-    /// The unit as a fresh [`Tuple`] (allocates: for α and error paths).
-    pub(crate) fn to_tuple(&self) -> Tuple {
-        Tuple::from_parts(self.cols, self.values().to_vec())
+    /// The unit's values in ascending order of its columns `cols`.
+    #[inline]
+    pub(crate) fn values(&self, cols: ColSet) -> &[Value] {
+        match self {
+            InlineUnit::Here(vs) => &vs[..cols.len()],
+            InlineUnit::Boxed(vs) => vs,
+        }
+    }
+
+    /// The value of column `c`, if it is one of the unit's columns `cols`.
+    pub(crate) fn get(&self, cols: ColSet, c: ColId) -> Option<&Value> {
+        cols.rank(c).map(|i| &self.values(cols)[i])
+    }
+
+    /// Overwrites the value of column `c`, one of the unit's columns `cols`.
+    pub(crate) fn set(&mut self, cols: ColSet, c: ColId, v: Value) {
+        let i = cols.rank(c).expect("a unit column");
+        match self {
+            InlineUnit::Here(vs) => vs[i] = v,
+            InlineUnit::Boxed(vs) => vs[i] = v,
+        }
+    }
+
+    /// The unit of columns `cols` as a fresh [`Tuple`] (allocates: for α
+    /// and error paths).
+    pub(crate) fn to_tuple(&self, cols: ColSet) -> Tuple {
+        Tuple::from_parts(cols, self.values(cols).to_vec())
     }
 
     /// Heap bytes beyond the entry itself: a wide unit's boxed values.
     fn heap_bytes(&self) -> usize {
-        match &self.vals {
-            UnitVals::Here(_) => 0,
-            UnitVals::Boxed(vs) => vs.len() * std::mem::size_of::<Value>(),
+        match self {
+            InlineUnit::Here(_) => 0,
+            InlineUnit::Boxed(vs) => vs.len() * std::mem::size_of::<Value>(),
         }
     }
 }
@@ -233,10 +243,7 @@ pub(crate) enum Child {
 
 // An entry's child costs its inline unit: the handle and the boxed variant
 // live in the unit values' spare tags.
-const _: () = assert!(
-    std::mem::size_of::<Child>()
-        == std::mem::size_of::<ColSet>() + UNIT_IN_PLACE * std::mem::size_of::<Value>()
-);
+const _: () = assert!(std::mem::size_of::<Child>() == UNIT_IN_PLACE * std::mem::size_of::<Value>());
 
 /// A borrowed [`Child`], as containers hand out their entries.
 #[derive(Debug, Clone, Copy)]
@@ -405,8 +412,8 @@ const CHUNK: usize = 1 << CHUNK_BITS;
 const CHUNK_MASK: u32 = (CHUNK as u32) - 1;
 
 /// Estimated bytes of one non-intrusive container entry with key `k`: the
-/// entry as it sits in its container, plus the heap a key of other than one
-/// column or a wide inline unit boxes. Depends on the entry alone, so
+/// entry as it sits in its container, plus the heap a key of two or more
+/// columns or a wide inline unit boxes. Depends on the entry alone, so
 /// insert, remove and free keep the running counter consistent in O(1).
 fn entry_bytes(k: &[Value], c: &Child) -> usize {
     std::mem::size_of::<(Key, Child)>()
@@ -417,11 +424,15 @@ fn entry_bytes(k: &[Value], c: &Child) -> usize {
         }
 }
 
-/// Heap bytes of the [`Key`] holding `k`: none for a one-column key.
+/// Heap bytes of the [`Key`] holding `k`: none for a key of at most one
+/// column, the pair's box for two, and for more the slice's box behind its
+/// thin one.
 fn key_heap_bytes(k: &[Value]) -> usize {
+    use std::mem::size_of;
     match k.len() {
-        1 => 0,
-        n => n * std::mem::size_of::<Value>(),
+        0 | 1 => 0,
+        2 => 2 * size_of::<Value>(),
+        n => size_of::<Box<[Value]>>() + n * size_of::<Value>(),
     }
 }
 
@@ -1099,10 +1110,12 @@ impl Store {
 
 #[cfg(test)]
 mod tests {
-    use super::{Child, Instance, Key, Layout, PrimInst};
+    use super::{Child, InlineUnit, Instance, Key, Layout, PrimInst};
     use crate::SynthRelation;
+    use relic_containers::{AvlMap, FxHasher, HashTable};
     use relic_decomp::parse;
     use relic_spec::{Catalog, ColSet, RelSpec, Tuple, Value};
+    use std::hash::{Hash, Hasher};
     use std::mem::size_of;
     use std::sync::Arc;
 
@@ -1173,12 +1186,12 @@ mod tests {
     }
 
     /// The store's byte estimate (what `limbo_bytes` and admission control
-    /// read) is the layout's: an entry is its 80 B in the container, plus
-    /// only the heap a key of other than one column boxes.
+    /// read) is the layout's: an entry is its 48 B in the container, plus
+    /// only the heap a key of two or more columns boxes.
     #[test]
     fn the_byte_estimate_is_the_entry_layout() {
         let entry = size_of::<(Key, Child)>();
-        assert_eq!(entry, 80, "a 24 B key beside a 56 B inline unit");
+        assert_eq!(entry, 48, "a 16 B key beside a 32 B inline unit");
         // An instance with one map leaf, no links and a key of at most one
         // column: its struct, its `Arc` slot and its leaf.
         let instance = size_of::<Instance>() + size_of::<Arc<Instance>>() + size_of::<PrimInst>();
@@ -1190,11 +1203,80 @@ mod tests {
              let x : {} . {local,remote,bytes,pkts} = {local} -[avl]-> y in x",
         );
         assert_eq!(nested, 9 * instance + (8 + 128) * entry);
-        // One flat table: each two-column key boxes its two values.
+        // One flat table: each two-column key's thin pointer names one box
+        // of its two values.
         let flat = flows_bytes(
             "let w : {local,remote} . {bytes,pkts} = unit {bytes,pkts} in
              let x : {} . {local,remote,bytes,pkts} = {local,remote} -[htable]-> w in x",
         );
-        assert_eq!(flat, instance + 128 * (entry + 2 * size_of::<Value>()));
+        assert_eq!(flat, instance + 128 * (entry + size_of::<[Value; 2]>()));
+    }
+
+    /// A unit stores no columns, so `validate` holds its arity to the
+    /// layout's: three columns in place, or a box of four, is no valuation
+    /// of a three-column unit.
+    #[test]
+    fn validate_rejects_a_unit_of_the_wrong_arity() {
+        let mut cat = Catalog::new();
+        let d = parse(
+            &mut cat,
+            "let w : {k} . {a,b,c} = unit {a,b,c} in
+             let x : {} . {k,a,b,c} = {k} -[htable]-> w in x",
+        )
+        .unwrap();
+        let k = cat.col("k").unwrap();
+        let spec = RelSpec::new(cat.all()).with_fd(k.set(), cat.all() - k.set());
+        for vals in [&[2, 3][..], &[2, 3, 4, 5]] {
+            let mut r = SynthRelation::new(&cat, spec.clone(), d.clone()).unwrap();
+            let row = cat.all().iter().zip([1, 2, 3, 4].map(Value::from));
+            assert!(r.insert(Tuple::from_pairs(row)).unwrap());
+            r.validate().unwrap();
+            let root = r.root;
+            let store = Arc::make_mut(&mut r.store);
+            let entry = store.cont_get_mut(root, 0, &[Value::from(1)]).unwrap();
+            *entry = Child::Unit(InlineUnit::new(vals.iter().map(|&v| Value::from(v))));
+            let err = r.validate().unwrap_err();
+            assert!(err.contains("no valuation of its 3 columns"), "{err}");
+        }
+    }
+
+    /// A stored key of any width is its slice: it compares, orders and
+    /// Fx-hashes as the slice, and containers find it by a borrowed one.
+    #[test]
+    fn a_key_is_its_slice() {
+        fn fx(x: &impl Hash) -> u64 {
+            let mut h = FxHasher::new();
+            x.hash(&mut h);
+            h.finish()
+        }
+        let vals = [
+            Value::from(3),
+            Value::from("ab"),
+            Value::from(-1),
+            Value::from(""),
+            Value::from("b"),
+        ];
+        // The leading and trailing 0–4 values: mixed `Int`s and `Str`s.
+        let mut slices: Vec<&[Value]> =
+            (0..=4).flat_map(|n| [&vals[..n], &vals[5 - n..]]).collect();
+        slices.dedup();
+        let mut hash: HashTable<Key, usize> = HashTable::new();
+        let mut avl: AvlMap<Key, usize> = AvlMap::new();
+        for (i, &x) in slices.iter().enumerate() {
+            let k = Key::from(x);
+            assert_eq!(&*k, x);
+            assert_eq!(fx(&k), fx(&x), "{x:?}");
+            for &y in &slices {
+                let ky = Key::from(y);
+                assert_eq!(k == ky, x == y, "{x:?} = {y:?}");
+                assert_eq!(k.cmp(&ky), x.cmp(y), "{x:?} <> {y:?}");
+            }
+            hash.insert(k.clone(), i);
+            avl.insert(k, i);
+        }
+        for (i, &x) in slices.iter().enumerate() {
+            assert_eq!(hash.get(x).copied(), Some(i), "{x:?}");
+            assert_eq!(avl.get(x).copied(), Some(i), "{x:?}");
+        }
     }
 }

@@ -667,8 +667,8 @@ impl SynthRelation {
 /// An empty store for `d`: its root instance alone.
 pub(crate) fn fresh_store(d: &Decomposition, layout: &Layout) -> (Arc<Store>, InstanceRef) {
     let mut store = Store::new(d);
-    let root_inst = layout.new_instance(d, d.root(), Key::Many(Box::new([])), |_, _| {
-        InlineUnit::new(ColSet::EMPTY, std::iter::empty())
+    let root_inst = layout.new_instance(d, d.root(), Key::Zero, |_, _| {
+        InlineUnit::new(std::iter::empty())
     });
     let root = store.alloc(d.root(), root_inst);
     (Arc::new(store), root)

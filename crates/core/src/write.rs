@@ -145,10 +145,10 @@ fn write_cols(row: &[Value], pos: &[u16], out: &mut Vec<Value>) {
     }
 }
 
-/// The unit of columns `cols` whose values sit at `pos` in `row`: in
-/// place, or — wider than an entry holds — in one exact-size box.
-fn row_unit(row: &[Value], cols: ColSet, pos: &[u16]) -> InlineUnit {
-    InlineUnit::new(cols, pos.iter().map(|&p| row[usize::from(p)].clone()))
+/// The unit whose values sit at `pos` in `row`: in place, or — wider than
+/// an entry holds — in one exact-size box.
+fn row_unit(row: &[Value], pos: &[u16]) -> InlineUnit {
+    InlineUnit::new(pos.iter().map(|&p| row[usize::from(p)].clone()))
 }
 
 impl Writer<'_> {
@@ -282,7 +282,7 @@ impl Writer<'_> {
                         self.layout
                             .new_instance(self.d, *node, s.bv.as_slice().into(), |_, c| {
                                 at += c.len();
-                                row_unit(row, c, &units[at - c.len()..at])
+                                row_unit(row, &units[at - c.len()..at])
                             });
                     store.alloc(*node, inst)
                 });
@@ -308,10 +308,7 @@ impl Writer<'_> {
                 }
             }
             WriteStep::Store {
-                hop,
-                bound,
-                cols,
-                unit,
+                hop, bound, unit, ..
             } => {
                 let idx = hop.to.index();
                 if memo {
@@ -323,7 +320,7 @@ impl Writer<'_> {
                 if let Some(parent) = s.resolved[hop.from.index()] {
                     let fresh = absent || s.created[hop.from.index()];
                     enter(store, s, accs, row, hop, parent, fresh, || {
-                        Child::Unit(row_unit(row, *cols, unit))
+                        Child::Unit(row_unit(row, unit))
                     });
                 }
             }
@@ -533,7 +530,7 @@ impl Writer<'_> {
                 }
             };
             for (c, v) in changes.iter().filter(|&(c, _)| hit.contains(c)) {
-                unit.set(c, v.clone());
+                unit.set(*cols, c, v.clone());
             }
         }
     }
@@ -626,7 +623,7 @@ pub(crate) fn locate_sets(
                     },
                 };
                 for (c, v) in changes.iter() {
-                    if cols.contains(c) && unit.get(c) != Some(v) {
+                    if cols.contains(c) && unit.get(*cols, c) != Some(v) {
                         changed = changed | c;
                     }
                 }

@@ -8,19 +8,26 @@ use std::sync::Arc;
 /// The paper assumes `Z ⊆ V`; we additionally support interned strings and
 /// booleans, which the case studies use (process states, file paths, …).
 ///
-/// `Value` is cheap to clone (`Int`/`Bool` are `Copy`-like; `Str` is an
-/// `Arc<str>`), totally ordered (for tree containers), and hashable (for hash
-/// containers). The ordering across variants is `Bool < Int < Str`, which is
-/// arbitrary but total and stable.
+/// `Value` is two words (its tag, then a payload word), cheap to clone
+/// (`Int`/`Bool` are `Copy`-like; `Str` is an `Arc` bump), totally ordered
+/// (for tree containers), and hashable (for hash containers). The ordering
+/// across variants is `Bool < Int < Str`, which is arbitrary but total and
+/// stable; strings order lexicographically and hash as their slices.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Value {
     /// A boolean.
     Bool(bool),
     /// A 64-bit signed integer.
     Int(i64),
-    /// An immutable, reference-counted string.
-    Str(Arc<str>),
+    /// An immutable, reference-counted string. The `Arc` points at a boxed
+    /// slice rather than holding it, so the pointer is one word, not two:
+    /// a new string takes two allocations, and every value stays 16 B.
+    Str(Arc<Box<str>>),
 }
+
+// Every stored row, key, tuple and binding slot is priced in values: a
+// fat string pointer would add a third word to all of them.
+const _: () = assert!(std::mem::size_of::<Value>() == 16);
 
 impl Value {
     /// Returns the integer payload, if this value is an [`Value::Int`].
@@ -80,13 +87,13 @@ impl From<bool> for Value {
 
 impl From<&str> for Value {
     fn from(v: &str) -> Self {
-        Value::Str(Arc::from(v))
+        Value::Str(Arc::new(Box::from(v)))
     }
 }
 
 impl From<String> for Value {
     fn from(v: String) -> Self {
-        Value::Str(Arc::from(v.as_str()))
+        Value::Str(Arc::new(v.into_boxed_str()))
     }
 }
 
@@ -110,7 +117,7 @@ mod tests {
         assert_eq!(Value::from(3i32), Value::Int(3));
         assert_eq!(Value::from(3u32), Value::Int(3));
         assert_eq!(Value::from(true), Value::Bool(true));
-        assert_eq!(Value::from("x"), Value::Str(Arc::from("x")));
+        assert_eq!(Value::from("x"), Value::Str(Arc::new(Box::from("x"))));
         assert_eq!(Value::from(String::from("x")).as_str(), Some("x"));
     }
 
@@ -130,6 +137,25 @@ mod tests {
             vs,
             vec![Value::from(false), Value::from(1), Value::from("a")]
         );
+    }
+
+    #[test]
+    fn strings_order_and_hash_as_their_slices() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+        let words = ["", "a", "ab", "b", "héllo"];
+        for x in words {
+            for y in words {
+                assert_eq!(Value::from(x).cmp(&Value::from(y)), x.cmp(y));
+            }
+            let v = Value::from(x);
+            let mut got = DefaultHasher::new();
+            v.hash(&mut got);
+            let mut want = DefaultHasher::new();
+            std::mem::discriminant(&v).hash(&mut want);
+            x.hash(&mut want);
+            assert_eq!(got.finish(), want.finish(), "{x:?}");
+        }
     }
 
     #[test]
