@@ -585,8 +585,10 @@ fn warm_insert_of_a_three_column_unit_allocates_once() {
 }
 
 /// A warm insert under a two-column key (IpCap's flows in one flat
-/// `{local,remote}` table): the key's pair goes into one box behind a thin
-/// pointer and the two-column unit sits in the entry, so each row
+/// `{local,remote}` table, a layout the shell's `using` can pick; the
+/// benchmark's workloads nest one column a level instead): the key's pair
+/// goes into one box behind a thin pointer, as before `Key` became one
+/// value wide, and the two-column unit sits in the entry, so each row
 /// allocates exactly once.
 #[test]
 fn warm_insert_under_a_two_column_key_allocates_one_box() {

@@ -35,7 +35,8 @@
 //! stored row of a one-column key and a two-column unit is one 48 B entry
 //! with no heap box of its own, a scanned row reads one entry, and a built
 //! row allocates nothing but what its container grows. A two-column key
-//! boxes its pair once.
+//! boxes its pair once; a wider key takes two boxes, a thin one and its
+//! slice.
 //!
 //! # Structural sharing
 //!
@@ -76,10 +77,14 @@ pub(crate) enum Key {
     Zero,
     /// A one-column key.
     One(Value),
-    /// A two-column key: one pointer hop, as the flat `{local,remote}`
-    /// tables probe on every row.
+    /// A two-column key: one box, as a key of two columns took before
+    /// `Key` became one value wide. No benchmark workload keys an edge on
+    /// two columns (they nest one column a level); a flat layout such as
+    /// `{local,remote} -[htable]-> unit {bytes,pkts}` does, and
+    /// `zero_alloc` pins its one allocation a row.
     Two(Box<[Value; 2]>),
-    /// A key of three or more columns.
+    /// A key of three or more columns: two boxes, the thin one and its
+    /// slice.
     Many(Box<Box<[Value]>>),
 }
 
@@ -172,9 +177,12 @@ pub(crate) enum InlineUnit {
 }
 
 impl InlineUnit {
-    /// The unit whose values, in ascending column order, `vals` yields. A
-    /// wide unit's values are collected into one exact-size allocation.
-    pub(crate) fn new(mut vals: impl ExactSizeIterator<Item = Value>) -> Self {
+    /// The unit of columns `cols` whose values, in ascending column order,
+    /// `vals` yields. A wide unit's values are collected into one
+    /// exact-size allocation. The columns are not kept: only their count
+    /// is checked, in debug builds.
+    pub(crate) fn new(cols: ColSet, mut vals: impl ExactSizeIterator<Item = Value>) -> Self {
+        debug_assert_eq!(cols.len(), vals.len(), "unit arity");
         if vals.len() <= UNIT_IN_PLACE {
             InlineUnit::Here(std::array::from_fn(|_| {
                 vals.next().unwrap_or(Value::Bool(false))
@@ -1234,7 +1242,8 @@ mod tests {
             let root = r.root;
             let store = Arc::make_mut(&mut r.store);
             let entry = store.cont_get_mut(root, 0, &[Value::from(1)]).unwrap();
-            *entry = Child::Unit(InlineUnit::new(vals.iter().map(|&v| Value::from(v))));
+            let wrong: ColSet = cat.all().iter().take(vals.len()).collect();
+            *entry = Child::Unit(InlineUnit::new(wrong, vals.iter().map(|&v| Value::from(v))));
             let err = r.validate().unwrap_err();
             assert!(err.contains("no valuation of its 3 columns"), "{err}");
         }

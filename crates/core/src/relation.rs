@@ -668,7 +668,7 @@ impl SynthRelation {
 pub(crate) fn fresh_store(d: &Decomposition, layout: &Layout) -> (Arc<Store>, InstanceRef) {
     let mut store = Store::new(d);
     let root_inst = layout.new_instance(d, d.root(), Key::Zero, |_, _| {
-        InlineUnit::new(std::iter::empty())
+        InlineUnit::new(ColSet::EMPTY, std::iter::empty())
     });
     let root = store.alloc(d.root(), root_inst);
     (Arc::new(store), root)

@@ -145,10 +145,10 @@ fn write_cols(row: &[Value], pos: &[u16], out: &mut Vec<Value>) {
     }
 }
 
-/// The unit whose values sit at `pos` in `row`: in place, or — wider than
-/// an entry holds — in one exact-size box.
-fn row_unit(row: &[Value], pos: &[u16]) -> InlineUnit {
-    InlineUnit::new(pos.iter().map(|&p| row[usize::from(p)].clone()))
+/// The unit of columns `cols` whose values sit at `pos` in `row`: in
+/// place, or — wider than an entry holds — in one exact-size box.
+fn row_unit(row: &[Value], cols: ColSet, pos: &[u16]) -> InlineUnit {
+    InlineUnit::new(cols, pos.iter().map(|&p| row[usize::from(p)].clone()))
 }
 
 impl Writer<'_> {
@@ -282,7 +282,7 @@ impl Writer<'_> {
                         self.layout
                             .new_instance(self.d, *node, s.bv.as_slice().into(), |_, c| {
                                 at += c.len();
-                                row_unit(row, &units[at - c.len()..at])
+                                row_unit(row, c, &units[at - c.len()..at])
                             });
                     store.alloc(*node, inst)
                 });
@@ -308,7 +308,10 @@ impl Writer<'_> {
                 }
             }
             WriteStep::Store {
-                hop, bound, unit, ..
+                hop,
+                bound,
+                cols,
+                unit,
             } => {
                 let idx = hop.to.index();
                 if memo {
@@ -320,7 +323,7 @@ impl Writer<'_> {
                 if let Some(parent) = s.resolved[hop.from.index()] {
                     let fresh = absent || s.created[hop.from.index()];
                     enter(store, s, accs, row, hop, parent, fresh, || {
-                        Child::Unit(row_unit(row, unit))
+                        Child::Unit(row_unit(row, *cols, unit))
                     });
                 }
             }
